@@ -73,6 +73,14 @@ class CoefficientMap:
     dim: int
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
+        """Evaluate at one state ``a`` of shape ``(N,)`` or at a batch of
+        states, one per row, of shape ``(P, N)``.
+
+        A single state gives an ``(N,)`` result.  For a batch, row ``i``
+        of the result broadcast to ``(P, N)`` equals ``eval_array(a[i])``
+        bit for bit; maps whose value does not depend on the state may
+        return their ``(N,)`` vector and rely on that broadcasting.
+        """
         raise NotImplementedError
 
     def lower(self) -> _plan.FlatMap | None:
@@ -85,6 +93,13 @@ class CoefficientMap:
         if h.dim != self.dim:
             raise ShapeError(f"map dim {self.dim} vs vector dim {h.dim}")
         return StateVec(self.eval_array(h.coords))
+
+
+def _per_row(eval_one: Callable, a: np.ndarray) -> np.ndarray:
+    """Apply a single-state evaluator to ``a`` or to each row of a batch."""
+    if a.ndim == 1:
+        return eval_one(a)
+    return np.stack([eval_one(row) for row in a])
 
 
 def _vec(values, dim: int, name: str) -> np.ndarray:
@@ -160,9 +175,10 @@ class AffineMap(CoefficientMap):
         object.__setattr__(self, "offset", _vec(self.offset, self.dim, "offset"))
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
-        out = self.offset.copy()
+        out = np.empty(a.shape)
+        out[...] = self.offset
         for l in range(self.dim):
-            out += self.matrix[:, l] * a[l]
+            out += self.matrix[:, l] * a[..., l, None]
         return out
 
     def lower(self):
@@ -219,8 +235,13 @@ class ProportionalMap(CoefficientMap):
             raise ShapeError(f"index {self.index} outside 0..{self.dim - 1}")
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.index] = self.scale * a[self.index]
+        out = np.zeros(a.shape)
+        k = self.index
+        if a.ndim == 1:
+            # plain indexing: the checkers make ~1e6 single-state calls
+            out[k] = self.scale * a[k]
+        else:
+            out[:, k] = self.scale * a[:, k]
         return out
 
     def lower(self):
@@ -235,8 +256,8 @@ class TabulatedMap(CoefficientMap):
     """Coordinatewise piecewise-linear interpolant from a value table.
 
     Applied to every coordinate: ``(f(h))_k = interp(h_k)`` with
-    constant extrapolation beyond the knots.  Not lowered to the
-    compiled kernel; runs through the generic engine.
+    constant extrapolation beyond the knots.  Not lowered to kernel
+    form; ``np.interp`` evaluates a whole batch of states at once.
     """
 
     knots: np.ndarray
@@ -292,9 +313,9 @@ class GatedOffsetMap(CoefficientMap):
             raise DomainError("need finite low <= high")
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
-        if self.low <= a[self.gate_index] <= self.high:
-            return self.vector.copy()
-        return np.zeros(self.dim)
+        gate = a.T[self.gate_index]
+        on = (self.low <= gate) & (gate <= self.high)
+        return np.where(on[..., None], self.vector, 0.0)
 
     def lower(self):
         return (
@@ -366,7 +387,7 @@ class ProjectedMap(CoefficientMap):
         out = self.inner.eval_array(a)
         if self.level < self.dim:
             out = out.copy() if not out.flags.writeable else out
-            out[self.level:] = 0.0
+            out[..., self.level:] = 0.0
         return out
 
     def lower(self):
@@ -398,6 +419,10 @@ class RetractedMap(CoefficientMap):
         object.__setattr__(self, "dim", self.inner.dim)
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
+        # row by row: a batched norm sums in a different order
+        return _per_row(self._eval_one, a)
+
+    def _eval_one(self, a: np.ndarray) -> np.ndarray:
         norm = float(np.linalg.norm(a))
         if norm > self.radius:
             a = a * (self.radius / norm)
@@ -419,6 +444,9 @@ class CallableMap(CoefficientMap):
     dim: int
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
+        return _per_row(self._eval_one, a)
+
+    def _eval_one(self, a: np.ndarray) -> np.ndarray:
         res = self.fn(StateVec(a))
         out = res.coords if isinstance(res, StateVec) else np.asarray(res, dtype=np.float64)
         if out.shape != (self.dim,):
@@ -532,13 +560,19 @@ class CoefficientSet:
             total += float(np.sum(col.eval_array(h.coords) ** 2))
         return float(np.sqrt(total))
 
+    def lower(self):
+        """Flat kernel descriptors ``(drift, vols, atoms)``, or ``None``
+        when any map does not lower."""
+        drift = self.drift.lower()
+        vols = tuple(c.lower() for c in self.vol_columns)
+        atoms = tuple(g.lower() for _, g in self.jump_atoms)
+        if drift is None or None in vols or None in atoms:
+            return None
+        return drift, vols, atoms
+
     def uses_only_builtin_maps(self) -> bool:
         """True when every map lowers to the kernel form."""
-        if self.drift.lower() is None:
-            return False
-        if any(c.lower() is None for c in self.vol_columns):
-            return False
-        return all(g.lower() is not None for _, g in self.jump_atoms)
+        return self.lower() is not None
 
     def to_config(self) -> dict:
         doc: dict = {

@@ -12,6 +12,10 @@ for lowered coefficient families the two backends produce bitwise
 equal paths.  Divergence uses the sup norm (order-free), margins are
 normalized with ``+ 0.0`` so signed zeros cannot differ between
 backends.
+
+The plan's maps may also be coefficient maps that do not lower; each is
+then evaluated on the whole batch through its ``eval_array``.  This
+loop is the only Python engine, for lowered and unlowered sets alike.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ def eval_flat_batch(leaves: FlatMap, r: np.ndarray) -> np.ndarray:
             if mask.any():
                 out[mask, :c] += leaf.vec[:c]
     return out
+
+
+def _eval_map(m, r: np.ndarray) -> np.ndarray:
+    """A lowered leaf tuple or a coefficient map, on a (P, N) batch."""
+    return eval_flat_batch(m, r) if isinstance(m, tuple) else m.eval_array(r)
 
 
 def _margins(r: np.ndarray, con_idx: np.ndarray, con_sign: np.ndarray) -> np.ndarray:
@@ -110,13 +119,13 @@ def run_paths(
     first_exit[hit0] = 0
 
     for s in range(S):
-        acc = r + dt * eval_flat_batch(plan.drift, r)
+        acc = r + dt * _eval_map(plan.drift, r)
         for j in range(J):
-            v = eval_flat_batch(plan.vols[j], r)
+            v = _eval_map(plan.vols[j], r)
             w = sqrt_scale[j] * normals[:, s, j]
             acc += v * w[:, None]
         for i in range(M):
-            g = eval_flat_batch(plan.atoms[i], r)
+            g = _eval_map(plan.atoms[i], r)
             f = counts_f[:, s, i] - atom_wdt[i]
             acc += g * f[:, None]
         r_new = decay[None, :] * acc

@@ -5,8 +5,9 @@ A coefficient map that belongs to one of the built-in families can be
 and numpy fallback) evaluate the same flat form with the same
 multiply/accumulate order, which is what makes their outputs bitwise
 identical.  Maps that cannot be lowered (tabulated interpolants,
-arbitrary callables, retracted compositions) run through the generic
-per-path engine instead.
+arbitrary callables, retracted compositions) go into the plan as
+themselves; only the numpy fallback accepts such a plan, and it
+evaluates them on the whole batch of paths through ``eval_array``.
 
 Leaf codes::
 
@@ -24,8 +25,12 @@ The zero map lowers to an empty leaf tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..coefficients import CoefficientMap
 
 CONSTANT = 0
 MEAN_REV = 1
@@ -64,9 +69,9 @@ class StepPlan:
 
     dim: int
     dt: float
-    drift: FlatMap
-    vols: tuple[FlatMap, ...]
-    atoms: tuple[FlatMap, ...]
+    drift: FlatMap | CoefficientMap
+    vols: tuple[FlatMap | CoefficientMap, ...]
+    atoms: tuple[FlatMap | CoefficientMap, ...]
     decay: np.ndarray        # (N,)   exp(-c_k dt)
     sqrt_scale: np.ndarray   # (J,)   sqrt(lambda_j dt)
     atom_wdt: np.ndarray     # (M,)   w_i dt, Poisson intensities per step
@@ -86,9 +91,9 @@ class StepPlan:
 def make_plan(
     dim: int,
     dt: float,
-    drift: FlatMap,
-    vols: tuple[FlatMap, ...],
-    atoms: tuple[FlatMap, ...],
+    drift: FlatMap | CoefficientMap,
+    vols: tuple[FlatMap | CoefficientMap, ...],
+    atoms: tuple[FlatMap | CoefficientMap, ...],
     rates: np.ndarray,
     q_eigenvalues: np.ndarray,
     atom_weights: np.ndarray,

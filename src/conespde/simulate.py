@@ -11,8 +11,10 @@ flow:
 
 Coefficient sets made of the built-in families are lowered to flat
 descriptors and run through the stepping kernels (compiled when
-available); anything else goes through a per-path engine with exactly
-the same update arithmetic.
+available).  Any other set runs through the NumPy kernel's loop too,
+which then evaluates each map on the whole batch of paths through
+``CoefficientMap.eval_array``; the update arithmetic and the monitoring
+are the same.
 
 Monitoring is structural, not pathwise-absorbing: every path records
 its minimum signed cone margin, the first step index at which the
@@ -37,6 +39,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import ConfigError, DivergenceError, DomainError, ShapeError
+from .kernels import _euler_np
 from .kernels import plan as kplan
 from .kernels import step_ensemble
 from .semigroup import DiagonalSemigroup, LiminfGrid
@@ -183,107 +186,6 @@ def _draw_noise(rng, steps: int, n_vols: int, atom_wdt: np.ndarray):
     return normals, counts
 
 
-def _lower_all(coeffs: CoefficientSet):
-    """Flat descriptors for every map, or None if any map resists."""
-    drift = coeffs.drift.lower()
-    if drift is None:
-        return None
-    vols = []
-    for col in coeffs.vol_columns:
-        low = col.lower()
-        if low is None:
-            return None
-        vols.append(low)
-    atoms = []
-    for _, gamma in coeffs.jump_atoms:
-        low = gamma.lower()
-        if low is None:
-            return None
-        atoms.append(low)
-    return drift, tuple(vols), tuple(atoms)
-
-
-def _generic_run(
-    sp: kplan.StepPlan,
-    coeffs: CoefficientSet,
-    r0: np.ndarray,
-    normals: np.ndarray,
-    counts: np.ndarray,
-    store: bool,
-) -> dict:
-    """Reference engine for coefficient maps that do not lower.
-
-    One path at a time, same update order and monitoring semantics as
-    the kernels.
-    """
-    P, N = r0.shape
-    S = normals.shape[1]
-    dt = sp.dt
-    con_idx = np.flatnonzero(sp.signs != 0.0)
-    con_sign = sp.signs[con_idx]
-    gammas = [g for _, g in coeffs.jump_atoms]
-
-    final = np.zeros((P, N))
-    runmin = np.full(P, np.inf)
-    first_exit = np.full(P, -1, dtype=np.int64)
-    diverged = np.full(P, -1, dtype=np.int64)
-    traj = np.zeros((P, S + 1, N)) if store else None
-
-    def margin(r):
-        if con_idx.size == 0:
-            return np.inf
-        return float(np.min(con_sign * r[con_idx]) + 0.0)
-
-    for p in range(P):
-        r = r0[p].astype(np.float64).copy()
-        if store:
-            traj[p, 0] = r
-        if np.max(np.abs(r)) > sp.guard:
-            diverged[p] = 0
-            if store:
-                traj[p, 1:] = r
-            final[p] = r
-            continue
-        m = margin(r)
-        runmin[p] = m
-        if m < -sp.exit_tol:
-            first_exit[p] = 0
-        dead = False
-        for s in range(S):
-            if dead:
-                if store:
-                    traj[p, s + 1] = r
-                continue
-            acc = r + dt * coeffs.drift.eval_array(r)
-            for j, col in enumerate(coeffs.vol_columns):
-                acc += col.eval_array(r) * (sp.sqrt_scale[j] * normals[p, s, j])
-            for i, g in enumerate(gammas):
-                acc += g.eval_array(r) * (float(counts[p, s, i]) - sp.atom_wdt[i])
-            r_new = sp.decay * acc
-            if np.max(np.abs(r_new)) > sp.guard:
-                diverged[p] = s + 1
-                dead = True
-                if store:
-                    traj[p, s + 1] = r
-                continue
-            r = r_new
-            m = margin(r)
-            runmin[p] = min(runmin[p], m)
-            if m < -sp.exit_tol and first_exit[p] < 0:
-                first_exit[p] = s + 1
-            if store:
-                traj[p, s + 1] = r
-        final[p] = r
-
-    return {
-        "final": final,
-        "min_margin": runmin,
-        "first_exit": first_exit,
-        "diverged": diverged,
-        "traj": traj,
-    }
-
-
 def _validate_setup(
     coeffs: CoefficientSet,
     semigroup: DiagonalSemigroup,
@@ -322,14 +224,20 @@ def run_ensemble(
     S = config.steps
     P = config.paths
 
-    lowered = _lower_all(coeffs)
+    lowered = coeffs.lower()
+    if lowered is None and backend is not None:
+        raise ConfigError("backend override requires coefficients that lower to kernel form")
+    # Unlowered sets hand the maps themselves to the NumPy loop.
+    drift, vols, atoms = lowered or (
+        coeffs.drift, coeffs.vol_columns, tuple(g for _, g in coeffs.jump_atoms)
+    )
     weights = np.array(coeffs.jump_weights, dtype=np.float64)
     sp = kplan.make_plan(
         dim=dim,
         dt=config.dt,
-        drift=lowered[0] if lowered else (),
-        vols=lowered[1] if lowered else (),
-        atoms=lowered[2] if lowered else (),
+        drift=drift,
+        vols=vols,
+        atoms=atoms,
         rates=semigroup.rates,
         q_eigenvalues=np.array(noise.eigenvalues),
         atom_weights=weights,
@@ -344,9 +252,6 @@ def run_ensemble(
     diverged = np.zeros(P, dtype=np.int64)
     seeds = np.zeros(P, dtype=np.uint64)
     traj = np.zeros((P, S + 1, dim)) if config.store_trajectories else None
-
-    if lowered is None and backend is not None:
-        raise ConfigError("backend override requires coefficients that lower to kernel form")
 
     r0_row = h0.coords
 
@@ -365,9 +270,7 @@ def run_ensemble(
                 sp, r0, normals, counts, store=config.store_trajectories, backend=backend
             )
         else:
-            out = _generic_run(
-                sp, coeffs, r0, normals, counts, config.store_trajectories
-            )
+            out = _euler_np.run_paths(sp, r0, normals, counts, config.store_trajectories)
         final[lo:hi] = out["final"]
         runmin[lo:hi] = out["min_margin"]
         first_exit[lo:hi] = out["first_exit"]

@@ -130,6 +130,54 @@ class TestMapFamilies:
         np.testing.assert_allclose(out.coords, [0.5, 0.5])
 
 
+# Rows of a (P, 3) batch: signed zeros, both edges of the gate band
+# [6, 7] on coordinate 1 and points on either side of it, and states
+# inside and outside the retraction radius 5.  The last row's norm
+# differs in its last bit between np.linalg.norm of the row and of the
+# batch along axis 1.
+BATCH = np.array(
+    [
+        [0.0, -0.0, 1.5],
+        [-0.0, 0.0, -1.0],
+        [-2.0, 6.0, 0.25],
+        [3.0, 7.0, -1.0],
+        [0.5, 7.5, 4.0],
+        [-0.0, 5.999, 0.0],
+        [30.0, 40.0, 12.0],
+        [-7.92, -3.97, 5.61],
+    ]
+)
+_A = np.array([[1.0, -2.0, 0.0], [0.5, 0.0, -1.0], [0.0, 3.0, 0.25]])
+_AFFINE = AffineMap(_A, np.array([-0.0, 0.1, 0.0]))
+_GATED = GatedOffsetMap(np.array([-0.5, 0.0, 2.0]), 1, 6.0, 7.0)
+_TABLE = TabulatedMap(np.array([-1.0, 0.0, 1.0, 2.0]), np.array([0.0, -0.0, -0.05, -0.1]), 3)
+_MEANREV = MeanReversionMap(1.5, np.array([0.5, -0.0, 1.0]))
+
+BATCH_CASES = {
+    "zero": ZeroMap(3),
+    "constant": ConstantMap(np.array([1.0, -0.0, 2.0])),
+    "affine": _AFFINE,
+    "mean_reversion": _MEANREV,
+    "proportional": ProportionalMap(-0.3, 1, 3),
+    "tabulated": _TABLE,
+    "gated": _GATED,
+    "sum": SumMap((_MEANREV, _GATED, _TABLE)),
+    "projected_affine": ProjectedMap(_AFFINE, 2),
+    "projected_constant": ProjectedMap(ConstantMap(np.array([1.0, 2.0, 3.0])), 1),
+    "retracted": RetractedMap(_AFFINE, 5.0),
+    "callable_statevec": CallableMap(lambda h: 2.0 * h, 3),
+    "callable_array": CallableMap(lambda h: np.sin(h.coords) - h.coords[1], 3),
+}
+
+
+@pytest.mark.parametrize("m", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+def test_batch_eval_matches_rows(m):
+    # row i of a batch evaluation is eval_array(BATCH[i]), bit for bit
+    rows = np.stack([m.eval_array(row) for row in BATCH])
+    batch = m.eval_array(BATCH)
+    assert np.broadcast_to(batch, BATCH.shape).tobytes() == rows.tobytes()
+
+
 class TestMapConfig:
     @pytest.mark.parametrize(
         "m",

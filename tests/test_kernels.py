@@ -2,10 +2,11 @@
 
 The compiled stepper and the numpy fallback share precomputed step
 constants and leaf evaluation order, so lowered coefficient systems
-must agree to the last bit.  The per-path reference engine for
-non-lowerable maps follows the same update order; wrapping a builtin
-map in an opaque callable that delegates to it must therefore
-reproduce the kernel output exactly as well.
+must agree to the last bit.  Sets with maps that do not lower run
+through the same numpy loop, each map evaluated on the whole batch by
+its ``eval_array``; wrapping a builtin map in an opaque callable that
+delegates to it must therefore reproduce the kernel output exactly as
+well, exits and divergence included.
 """
 
 import os
@@ -15,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+import conespde
 from conespde import ConeSpec, ConfigError, DiagonalSemigroup, NoiseSpec, SimConfig, StateVec
 from conespde.coefficients import (
     AffineMap,
@@ -119,7 +121,10 @@ class TestSelection:
             "except RuntimeError:\n"
             "    print('runtime-error')\n"
         )
-        env = dict(os.environ, CONE_SPDE_FORCE_PYTHON="1")
+        # cwd="/" keeps the source tree out of the import path, so the
+        # package must come from an absolute PYTHONPATH
+        pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(conespde.__file__)))
+        env = dict(os.environ, CONE_SPDE_FORCE_PYTHON="1", PYTHONPATH=pkg_parent)
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env,
             cwd="/", check=True,
@@ -206,19 +211,28 @@ class TestBackendParity:
         assert_same_ensemble(a, b)
 
 
-class TestGenericEngineParity:
-    def test_opaque_wrappers_reproduce_kernel_output(self, heat16, cone16, compliant_coeffs, flat_noise8):
-        # wrap every map in a callable that delegates to the original,
-        # forcing the per-path reference engine; identical update order
-        # means identical floats
-        def opaque(m):
-            return CallableMap(lambda h, m=m: m.eval_array(h.coords), m.dim)
+def opaque(m):
+    """A callable that delegates to ``m`` but cannot be lowered."""
+    return CallableMap(lambda h, m=m: m.eval_array(h.coords), m.dim)
 
-        wrapped = CoefficientSet(
-            opaque(compliant_coeffs.drift),
-            tuple(opaque(c) for c in compliant_coeffs.vol_columns),
-            tuple((w, opaque(g)) for w, g in compliant_coeffs.jump_atoms),
-        )
+
+def opaque_set(coeffs, drift_only=False):
+    if drift_only:
+        return CoefficientSet(opaque(coeffs.drift), coeffs.vol_columns, coeffs.jump_atoms)
+    return CoefficientSet(
+        opaque(coeffs.drift),
+        tuple(opaque(c) for c in coeffs.vol_columns),
+        tuple((w, opaque(g)) for w, g in coeffs.jump_atoms),
+    )
+
+
+class TestUnloweredSetParity:
+    # Sets that do not lower run through the numpy loop with each map
+    # evaluated by its batch eval_array; wrappers that delegate to
+    # builtin maps must reproduce the lowered output exactly.
+
+    def test_opaque_wrappers_reproduce_kernel_output(self, heat16, cone16, compliant_coeffs, flat_noise8):
+        wrapped = opaque_set(compliant_coeffs)
         assert not wrapped.uses_only_builtin_maps()
         h0 = StateVec(np.zeros(16))
         config = SimConfig(dt=1e-3, horizon=0.02, paths=8)
@@ -226,21 +240,39 @@ class TestGenericEngineParity:
         b = run_ensemble(wrapped, heat16, flat_noise8, cone16, config, h0)
         assert_same_ensemble(a, b)
 
-    def test_generic_engine_monitors_exits(self, heat16, cone16, badvol_coeffs):
-        def opaque(m):
-            return CallableMap(lambda h, m=m: m.eval_array(h.coords), m.dim)
-
-        wrapped = CoefficientSet(
-            opaque(badvol_coeffs.drift),
-            tuple(opaque(c) for c in badvol_coeffs.vol_columns),
-            tuple((w, opaque(g)) for w, g in badvol_coeffs.jump_atoms),
-        )
+    def test_unlowered_set_monitors_exits(self, heat16, cone16, badvol_coeffs):
+        wrapped = opaque_set(badvol_coeffs)
         noise9 = NoiseSpec.flat(9, 1.0, seed=0)
         h0 = StateVec(np.zeros(16))
         config = SimConfig(dt=1e-3, horizon=0.05, paths=8)
         a = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
         b = run_ensemble(wrapped, heat16, noise9, cone16, config, h0)
         assert np.any(a.exited)
+        assert_same_ensemble(a, b)
+
+    def test_opaque_drift_only(self, heat16, cone16, badvol_coeffs):
+        # the shape of a tabulated drift term next to builtin columns
+        wrapped = opaque_set(badvol_coeffs, drift_only=True)
+        assert wrapped.lower() is None
+        noise9 = NoiseSpec.flat(9, 1.0, seed=2)
+        h0 = StateVec(np.zeros(16))
+        config = SimConfig(dt=1e-3, horizon=0.05, paths=12, chunk=5, store_trajectories=True)
+        a = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
+        b = run_ensemble(wrapped, heat16, noise9, cone16, config, h0)
+        assert np.any(a.exited)
+        assert_same_ensemble(a, b)
+
+    def test_divergence_freezes_like_lowered(self):
+        dim = 2
+        coeffs = CoefficientSet(AffineMap(100.0 * np.eye(dim), np.zeros(dim)))
+        sg = DiagonalSemigroup(np.zeros(dim))
+        cone = ConeSpec(np.array([0, 0]))
+        config = SimConfig(dt=0.05, horizon=1.0, paths=3, guard=1e6, store_trajectories=True)
+        h0 = StateVec(np.ones(dim))
+        a = run_ensemble(coeffs, sg, NoiseSpec(()), cone, config, h0)
+        b = run_ensemble(opaque_set(coeffs), sg, NoiseSpec(()), cone, config, h0)
+        assert np.all(a.diverged > 0)
+        assert np.all(a.trajectories[:, -1] == a.final)
         assert_same_ensemble(a, b)
 
 
