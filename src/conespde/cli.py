@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -31,7 +32,7 @@ from .appendix import SUITE_NAMES, run_suites
 from .coefficients import invariance_verdict
 from .config import ExperimentConfig, PRESET_NAMES, preset_document
 from .errors import ConeSpdeError, ConfigError
-from .simulate import PathEnsemble, SimConfig, run_ensemble
+from .simulate import PathEnsemble, run_ensemble
 
 # Sweep factors for verify: coarsest to finest multiples of the
 # configured step.  Agreement calls the simulation quiet when every
@@ -224,14 +225,7 @@ def cmd_verify(config_path, preset_name, out_dir, seed, paths, dt) -> int:
     csv_names = []
     ensembles = []
     for factor in SWEEP_FACTORS:
-        cfg = SimConfig(
-            dt=ec.sim.dt * factor,
-            horizon=ec.sim.horizon,
-            paths=ec.sim.paths,
-            scheme=ec.sim.scheme,
-            exit_tol=ec.sim.exit_tol,
-            guard=ec.sim.guard,
-        )
+        cfg = replace(ec.sim, dt=ec.sim.dt * factor, store_trajectories=False)
         ens = run_ensemble(ec.coeffs, ec.semigroup, ec.noise, ec.cone, cfg, ec.h0)
         stats = _exit_stats(ens)
         sweep.append({"dt": cfg.dt, **stats})
@@ -270,7 +264,7 @@ def cmd_verify(config_path, preset_name, out_dir, seed, paths, dt) -> int:
             "agreement": agreement,
         },
     )
-    click.echo(f"agreement: {str(agreement).lower()}")
+    click.echo(f"agreement: {json.dumps(agreement)}")
     return 0
 
 

@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, SamplerContractError, ShapeError
-from .kernels import plan as _plan
 from .semigroup import DiagonalSemigroup, boundary_set_membership
 from .space import ConeSpec, StateVec, cone_contains, retract
 
@@ -65,9 +64,9 @@ class CoefficientMap:
     """Pure map of the state space, ``StateVec -> StateVec``.
 
     Subclasses implement ``eval_array`` on raw coordinate arrays; the
-    public ``__call__`` wraps and unwraps ``StateVec``.  ``lower``
-    returns the flat kernel form for built-in families and ``None`` for
-    maps the compiled kernel does not handle.
+    public ``__call__`` wraps and unwraps ``StateVec``.  The condition
+    checkers and the simulation kernel both evaluate maps through
+    ``eval_array``.
     """
 
     dim: int
@@ -83,8 +82,9 @@ class CoefficientMap:
         """
         raise NotImplementedError
 
-    def lower(self) -> _plan.FlatMap | None:
-        return None
+    #: Closed-form family evaluated exactly, without interpolation or
+    #: user code; sets of such maps get the tight default tolerance.
+    builtin = False
 
     def to_config(self) -> dict:
         raise ConfigError(f"{type(self).__name__} has no config form")
@@ -117,11 +117,10 @@ def _vec(values, dim: int, name: str) -> np.ndarray:
 class ZeroMap(CoefficientMap):
     dim: int
 
+    builtin = True
+
     def eval_array(self, a: np.ndarray) -> np.ndarray:
         return np.zeros(self.dim)
-
-    def lower(self):
-        return ()
 
     def to_config(self) -> dict:
         return {"family": "zero"}
@@ -134,6 +133,8 @@ class ConstantMap(CoefficientMap):
     value: np.ndarray
     dim: int = field(init=False)
 
+    builtin = True
+
     def __post_init__(self):
         arr = np.asarray(self.value, dtype=np.float64)
         object.__setattr__(self, "value", _vec(arr, arr.shape[0] if arr.ndim == 1 else -1, "value"))
@@ -141,9 +142,6 @@ class ConstantMap(CoefficientMap):
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
         return self.value.copy()
-
-    def lower(self):
-        return (_plan.Leaf(_plan.CONSTANT, self.dim, vec=self.value),)
 
     def to_config(self) -> dict:
         return {"family": "constant", "value": [float(x) for x in self.value]}
@@ -154,13 +152,15 @@ class AffineMap(CoefficientMap):
     """``h -> matrix h + offset``.
 
     Evaluation accumulates matrix columns in index order instead of
-    calling a BLAS matvec; that keeps it bitwise identical to the
-    compiled kernel, and the matrices here are small.
+    calling a BLAS matvec; that keeps each row of a batch bitwise equal
+    to the single-state result, and the matrices here are small.
     """
 
     matrix: np.ndarray
     offset: np.ndarray
     dim: int = field(init=False)
+
+    builtin = True
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -181,9 +181,6 @@ class AffineMap(CoefficientMap):
             out += self.matrix[:, l] * a[..., l, None]
         return out
 
-    def lower(self):
-        return (_plan.Leaf(_plan.DENSE, self.dim, vec=self.offset, mat=self.matrix),)
-
     def to_config(self) -> dict:
         return {
             "family": "affine",
@@ -200,6 +197,8 @@ class MeanReversionMap(CoefficientMap):
     b: np.ndarray
     dim: int = field(init=False)
 
+    builtin = True
+
     def __post_init__(self):
         if not np.isfinite(self.kappa):
             raise DomainError("kappa must be finite")
@@ -210,9 +209,6 @@ class MeanReversionMap(CoefficientMap):
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
         return self.kappa * (self.b - a)
-
-    def lower(self):
-        return (_plan.Leaf(_plan.MEAN_REV, self.dim, f0=self.kappa, vec=self.b),)
 
     def to_config(self) -> dict:
         return {"family": "mean_reversion", "kappa": self.kappa, "b": [float(x) for x in self.b]}
@@ -227,6 +223,8 @@ class ProportionalMap(CoefficientMap):
     scale: float
     index: int
     dim: int
+
+    builtin = True
 
     def __post_init__(self):
         if not np.isfinite(self.scale):
@@ -244,9 +242,6 @@ class ProportionalMap(CoefficientMap):
             out[:, k] = self.scale * a[:, k]
         return out
 
-    def lower(self):
-        return (_plan.Leaf(_plan.PROPORTIONAL, self.dim, i0=self.index, f0=self.scale),)
-
     def to_config(self) -> dict:
         return {"family": "proportional", "scale": self.scale, "index": self.index}
 
@@ -256,8 +251,9 @@ class TabulatedMap(CoefficientMap):
     """Coordinatewise piecewise-linear interpolant from a value table.
 
     Applied to every coordinate: ``(f(h))_k = interp(h_k)`` with
-    constant extrapolation beyond the knots.  Not lowered to kernel
-    form; ``np.interp`` evaluates a whole batch of states at once.
+    constant extrapolation beyond the knots; ``np.interp`` evaluates a
+    whole batch of states at once.  Not a built-in family, so sets that
+    use it get the looser default tolerance.
     """
 
     knots: np.ndarray
@@ -303,6 +299,8 @@ class GatedOffsetMap(CoefficientMap):
     high: float
     dim: int = field(init=False)
 
+    builtin = True
+
     def __post_init__(self):
         arr = np.asarray(self.vector, dtype=np.float64)
         object.__setattr__(self, "vector", _vec(arr, arr.shape[0] if arr.ndim == 1 else -1, "vector"))
@@ -316,13 +314,6 @@ class GatedOffsetMap(CoefficientMap):
         gate = a.T[self.gate_index]
         on = (self.low <= gate) & (gate <= self.high)
         return np.where(on[..., None], self.vector, 0.0)
-
-    def lower(self):
-        return (
-            _plan.Leaf(
-                _plan.GATED, self.dim, i0=self.gate_index, f0=self.low, f1=self.high, vec=self.vector
-            ),
-        )
 
     def to_config(self) -> dict:
         return {
@@ -357,14 +348,9 @@ class SumMap(CoefficientMap):
             out = out + t.eval_array(a)
         return out
 
-    def lower(self):
-        leaves: list[_plan.Leaf] = []
-        for t in self.terms:
-            low = t.lower()
-            if low is None:
-                return None
-            leaves.extend(low)
-        return tuple(leaves)
+    @property
+    def builtin(self) -> bool:
+        return all(t.builtin for t in self.terms)
 
     def to_config(self) -> dict:
         return {"family": "sum", "terms": [t.to_config() for t in self.terms]}
@@ -390,11 +376,9 @@ class ProjectedMap(CoefficientMap):
             out[..., self.level:] = 0.0
         return out
 
-    def lower(self):
-        low = self.inner.lower()
-        if low is None:
-            return None
-        return tuple(leaf.with_cutoff(self.level) for leaf in low)
+    @property
+    def builtin(self) -> bool:
+        return self.inner.builtin
 
     def to_config(self) -> dict:
         return {"family": "projected", "level": self.level, "inner": self.inner.to_config()}
@@ -437,7 +421,8 @@ class CallableMap(CoefficientMap):
     """Wrap an arbitrary pure function of the state.
 
     ``fn`` may accept and return either raw arrays or ``StateVec``; the
-    wrapper normalizes.  Never lowered and not serializable.
+    wrapper normalizes, always to a fresh array.  Not a built-in family
+    and not serializable.
     """
 
     fn: Callable
@@ -448,7 +433,8 @@ class CallableMap(CoefficientMap):
 
     def _eval_one(self, a: np.ndarray) -> np.ndarray:
         res = self.fn(StateVec(a))
-        out = res.coords if isinstance(res, StateVec) else np.asarray(res, dtype=np.float64)
+        # a copy: callers such as ProjectedMap write into the result
+        out = res.coords if isinstance(res, StateVec) else np.array(res, dtype=np.float64)
         if out.shape != (self.dim,):
             raise ShapeError(f"callable returned shape {out.shape}, expected ({self.dim},)")
         return out
@@ -560,19 +546,10 @@ class CoefficientSet:
             total += float(np.sum(col.eval_array(h.coords) ** 2))
         return float(np.sqrt(total))
 
-    def lower(self):
-        """Flat kernel descriptors ``(drift, vols, atoms)``, or ``None``
-        when any map does not lower."""
-        drift = self.drift.lower()
-        vols = tuple(c.lower() for c in self.vol_columns)
-        atoms = tuple(g.lower() for _, g in self.jump_atoms)
-        if drift is None or None in vols or None in atoms:
-            return None
-        return drift, vols, atoms
-
     def uses_only_builtin_maps(self) -> bool:
-        """True when every map lowers to the kernel form."""
-        return self.lower() is not None
+        """True when every map belongs to a built-in closed-form family."""
+        maps = (self.drift, *self.vol_columns, *(g for _, g in self.jump_atoms))
+        return all(m.builtin for m in maps)
 
     def to_config(self) -> dict:
         doc: dict = {

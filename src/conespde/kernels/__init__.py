@@ -1,73 +1,18 @@
-"""Kernel backend selection.
+"""The ensemble stepping kernel.
 
-The compiled extension is preferred when importable; the numpy fallback
-is always available.  Set ``CONE_SPDE_FORCE_PYTHON=1`` to force the
-fallback (used by the parity tests and benchmarks).  Both backends
-produce bitwise-identical results for lowered coefficient families, so
-the choice affects speed only.
+One NumPy loop, vectorized over paths, advances every coefficient set;
+it evaluates each map on the whole batch through ``eval_array``, the
+same function the condition checkers call.  ``BACKEND`` names it for
+run reports.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
 from . import _euler_np, plan
 
-_force = os.environ.get("CONE_SPDE_FORCE_PYTHON", "").strip() not in ("", "0")
-
-if not _force:
-    try:
-        from . import _euler_cy  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _euler_cy = None
-        BACKEND = "fallback"
-else:
-    _euler_cy = None
-    BACKEND = "fallback"
+BACKEND = "numpy"
 
 
-def backend_name() -> str:
-    return BACKEND
-
-
-def _compiled_run(sp: plan.StepPlan, r0, normals, counts, store):
-    maps = [sp.drift, *sp.vols, *sp.atoms]
-    pack = plan.pack_maps(maps, sp.dim)
-    con_idx = np.flatnonzero(sp.signs != 0.0).astype(np.int64)
-    con_sign = sp.signs[con_idx]
-    return _euler_cy.run_paths_packed(
-        pack,
-        np.ascontiguousarray(r0, dtype=np.float64),
-        np.ascontiguousarray(normals, dtype=np.float64),
-        np.ascontiguousarray(counts, dtype=np.int64),
-        sp.decay,
-        sp.sqrt_scale,
-        sp.atom_wdt,
-        con_idx,
-        con_sign,
-        sp.dt,
-        sp.exit_tol,
-        sp.guard,
-        bool(store),
-    )
-
-
-def step_ensemble(sp: plan.StepPlan, r0, normals, counts, store: bool = False, backend: str | None = None):
-    """Run the stepping kernel on pre-generated noise arrays.
-
-    ``backend`` overrides the import-time selection ("compiled" or
-    "fallback"); requesting "compiled" without the extension built is an
-    error.
-    """
-    choice = backend or BACKEND
-    if choice == "compiled":
-        if _euler_cy is None:
-            raise RuntimeError("compiled kernel requested but the extension is not available")
-        return _compiled_run(sp, r0, normals, counts, store)
-    if choice == "fallback":
-        return _euler_np.run_paths(sp, r0, normals, counts, store)
-    raise ValueError(f"unknown backend {choice!r}")
+def step_ensemble(sp: plan.StepPlan, r0, normals, counts, store: bool = False):
+    """Run the stepping kernel on pre-generated noise arrays."""
+    return _euler_np.run_paths(sp, r0, normals, counts, store)

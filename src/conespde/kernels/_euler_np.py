@@ -1,58 +1,23 @@
-"""Numpy fallback stepping kernel, vectorized over paths.
+"""NumPy stepping kernel, vectorized over paths.
 
-Implements the same exponential-Euler update as the compiled kernel:
+One exponential-Euler step of a batch of states ``r``, shape (P, N):
 
     acc   = r + dt * drift(r)
           + sum_j vol_j(r) * (sqrt_scale_j * xi_j)
           + sum_i atom_i(r) * (count_i - w_i dt)
     r_new = decay * acc
 
-with the identical leaf evaluation and multiply/accumulate order, so
-for lowered coefficient families the two backends produce bitwise
-equal paths.  Divergence uses the sup norm (order-free), margins are
-normalized with ``+ 0.0`` so signed zeros cannot differ between
-backends.
-
-The plan's maps may also be coefficient maps that do not lower; each is
-then evaluated on the whole batch through its ``eval_array``.  This
-loop is the only Python engine, for lowered and unlowered sets alike.
+Each coefficient map is evaluated on the whole batch through its
+``eval_array``, the function the condition checkers evaluate too.
+Divergence uses the sup norm (order-free), and margins get ``+ 0.0``
+so a margin of -0.0 is reported as 0.0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .plan import CONSTANT, DENSE, GATED, MEAN_REV, PROPORTIONAL, FlatMap, StepPlan
-
-
-def eval_flat_batch(leaves: FlatMap, r: np.ndarray) -> np.ndarray:
-    """Evaluate a lowered map on a batch of states, shape (P, N)."""
-    P, N = r.shape
-    out = np.zeros((P, N))
-    for leaf in leaves:
-        c = leaf.cutoff
-        if leaf.code == CONSTANT:
-            out[:, :c] += leaf.vec[:c]
-        elif leaf.code == MEAN_REV:
-            out[:, :c] += leaf.f0 * (leaf.vec[:c] - r[:, :c])
-        elif leaf.code == PROPORTIONAL:
-            if leaf.i0 < c:
-                out[:, leaf.i0] += leaf.f0 * r[:, leaf.i0]
-        elif leaf.code == DENSE:
-            out[:, :c] += leaf.vec[:c]
-            for l in range(N):
-                out[:, :c] += leaf.mat[:c, l] * r[:, l][:, None]
-        elif leaf.code == GATED:
-            gate = r[:, leaf.i0]
-            mask = (gate >= leaf.f0) & (gate <= leaf.f1)
-            if mask.any():
-                out[mask, :c] += leaf.vec[:c]
-    return out
-
-
-def _eval_map(m, r: np.ndarray) -> np.ndarray:
-    """A lowered leaf tuple or a coefficient map, on a (P, N) batch."""
-    return eval_flat_batch(m, r) if isinstance(m, tuple) else m.eval_array(r)
+from .plan import StepPlan
 
 
 def _margins(r: np.ndarray, con_idx: np.ndarray, con_sign: np.ndarray) -> np.ndarray:
@@ -119,13 +84,13 @@ def run_paths(
     first_exit[hit0] = 0
 
     for s in range(S):
-        acc = r + dt * _eval_map(plan.drift, r)
+        acc = r + dt * plan.drift.eval_array(r)
         for j in range(J):
-            v = _eval_map(plan.vols[j], r)
+            v = plan.vols[j].eval_array(r)
             w = sqrt_scale[j] * normals[:, s, j]
             acc += v * w[:, None]
         for i in range(M):
-            g = _eval_map(plan.atoms[i], r)
+            g = plan.atoms[i].eval_array(r)
             f = counts_f[:, s, i] - atom_wdt[i]
             acc += g * f[:, None]
         r_new = decay[None, :] * acc

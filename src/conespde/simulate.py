@@ -9,12 +9,10 @@ flow:
                           + sum_i jump_i(r) (count_i - w_i dt)
     r_new = exp(-c dt) * acc
 
-Coefficient sets made of the built-in families are lowered to flat
-descriptors and run through the stepping kernels (compiled when
-available).  Any other set runs through the NumPy kernel's loop too,
-which then evaluates each map on the whole batch of paths through
-``CoefficientMap.eval_array``; the update arithmetic and the monitoring
-are the same.
+One NumPy kernel steps every coefficient set, vectorized over the
+paths of a chunk; it evaluates each map on the whole batch through
+``CoefficientMap.eval_array``, the function the condition checkers
+evaluate as well.
 
 Monitoring is structural, not pathwise-absorbing: every path records
 its minimum signed cone margin, the first step index at which the
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -211,7 +209,6 @@ def run_ensemble(
     cone: ConeSpec,
     config: SimConfig,
     h0: StateVec,
-    backend: str | None = None,
     first_path: int = 0,
 ) -> PathEnsemble:
     """Simulate ``config.paths`` independent paths from ``h0``.
@@ -224,20 +221,18 @@ def run_ensemble(
     S = config.steps
     P = config.paths
 
-    lowered = coeffs.lower()
-    if lowered is None and backend is not None:
-        raise ConfigError("backend override requires coefficients that lower to kernel form")
-    # Unlowered sets hand the maps themselves to the NumPy loop.
-    drift, vols, atoms = lowered or (
-        coeffs.drift, coeffs.vol_columns, tuple(g for _, g in coeffs.jump_atoms)
-    )
+    # Both routes run the same loop.  Built-in sets go through
+    # step_ensemble, the call site perfbench/tracing.py wraps to time the
+    # kernel layer; perfbench/test_perfbench.py pins that only the
+    # verify-sweep workload reaches it.
+    step = step_ensemble if coeffs.uses_only_builtin_maps() else _euler_np.run_paths
     weights = np.array(coeffs.jump_weights, dtype=np.float64)
     sp = kplan.make_plan(
         dim=dim,
         dt=config.dt,
-        drift=drift,
-        vols=vols,
-        atoms=atoms,
+        drift=coeffs.drift,
+        vols=coeffs.vol_columns,
+        atoms=tuple(g for _, g in coeffs.jump_atoms),
         rates=semigroup.rates,
         q_eigenvalues=np.array(noise.eigenvalues),
         atom_weights=weights,
@@ -265,12 +260,7 @@ def run_ensemble(
             normals[k], counts[k] = _draw_noise(rng, S, noise.count, sp.atom_wdt)
             seeds[lo + k] = label
         r0 = np.broadcast_to(r0_row, (n, dim)).copy()
-        if lowered is not None:
-            out = step_ensemble(
-                sp, r0, normals, counts, store=config.store_trajectories, backend=backend
-            )
-        else:
-            out = _euler_np.run_paths(sp, r0, normals, counts, config.store_trajectories)
+        out = step(sp, r0, normals, counts, config.store_trajectories)
         final[lo:hi] = out["final"]
         runmin[lo:hi] = out["min_margin"]
         first_exit[lo:hi] = out["first_exit"]
@@ -315,16 +305,7 @@ def simulate_path(
     Raises ``DivergenceError`` if the path overflows the guard; the
     ensemble runner records the same event as data instead.
     """
-    one = SimConfig(
-        dt=config.dt,
-        horizon=config.horizon,
-        paths=1,
-        scheme=config.scheme,
-        exit_tol=config.exit_tol,
-        guard=config.guard,
-        store_trajectories=config.store_trajectories,
-        chunk=1,
-    )
+    one = replace(config, paths=1, chunk=1)
     ens = run_ensemble(
         coeffs, semigroup, noise, cone, one, h0, first_path=path_index
     )
@@ -362,16 +343,7 @@ def _coupled_sup_sq(
     config: SimConfig,
     h0: StateVec,
 ) -> np.ndarray:
-    stored = SimConfig(
-        dt=config.dt,
-        horizon=config.horizon,
-        paths=config.paths,
-        scheme=config.scheme,
-        exit_tol=config.exit_tol,
-        guard=config.guard,
-        store_trajectories=True,
-        chunk=config.chunk,
-    )
+    stored = replace(config, store_trajectories=True)
     a = run_ensemble(limit, semigroup, noise, cone, stored, h0)
     b = run_ensemble(other, semigroup, noise, cone, stored, h0)
     diff = a.trajectories - b.trajectories

@@ -153,29 +153,51 @@ _GATED = GatedOffsetMap(np.array([-0.5, 0.0, 2.0]), 1, 6.0, 7.0)
 _TABLE = TabulatedMap(np.array([-1.0, 0.0, 1.0, 2.0]), np.array([0.0, -0.0, -0.05, -0.1]), 3)
 _MEANREV = MeanReversionMap(1.5, np.array([0.5, -0.0, 1.0]))
 
+# name -> (map, whether it counts as a built-in closed-form family)
 BATCH_CASES = {
-    "zero": ZeroMap(3),
-    "constant": ConstantMap(np.array([1.0, -0.0, 2.0])),
-    "affine": _AFFINE,
-    "mean_reversion": _MEANREV,
-    "proportional": ProportionalMap(-0.3, 1, 3),
-    "tabulated": _TABLE,
-    "gated": _GATED,
-    "sum": SumMap((_MEANREV, _GATED, _TABLE)),
-    "projected_affine": ProjectedMap(_AFFINE, 2),
-    "projected_constant": ProjectedMap(ConstantMap(np.array([1.0, 2.0, 3.0])), 1),
-    "retracted": RetractedMap(_AFFINE, 5.0),
-    "callable_statevec": CallableMap(lambda h: 2.0 * h, 3),
-    "callable_array": CallableMap(lambda h: np.sin(h.coords) - h.coords[1], 3),
+    "zero": (ZeroMap(3), True),
+    "constant": (ConstantMap(np.array([1.0, -0.0, 2.0])), True),
+    "affine": (_AFFINE, True),
+    "mean_reversion": (_MEANREV, True),
+    "proportional": (ProportionalMap(-0.3, 1, 3), True),
+    "tabulated": (_TABLE, False),
+    "gated": (_GATED, True),
+    "sum": (SumMap((_MEANREV, _GATED, _TABLE)), False),
+    "sum_builtin": (SumMap((_MEANREV, _AFFINE, _GATED)), True),
+    "projected_affine": (ProjectedMap(_AFFINE, 2), True),
+    "projected_constant": (ProjectedMap(ConstantMap(np.array([1.0, 2.0, 3.0])), 1), True),
+    "projected_table": (ProjectedMap(_TABLE, 1), False),
+    "retracted": (RetractedMap(_AFFINE, 5.0), False),
+    "callable_statevec": (CallableMap(lambda h: 2.0 * h, 3), False),
+    "callable_array": (CallableMap(lambda h: np.sin(h.coords) - h.coords[1], 3), False),
 }
 
 
-@pytest.mark.parametrize("m", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+@pytest.mark.parametrize("m", [m for m, _ in BATCH_CASES.values()], ids=BATCH_CASES.keys())
 def test_batch_eval_matches_rows(m):
     # row i of a batch evaluation is eval_array(BATCH[i]), bit for bit
     rows = np.stack([m.eval_array(row) for row in BATCH])
     batch = m.eval_array(BATCH)
     assert np.broadcast_to(batch, BATCH.shape).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("m, builtin", BATCH_CASES.values(), ids=BATCH_CASES.keys())
+def test_builtin_family_flag(m, builtin):
+    # sums and projections inherit the flag from their terms
+    coeffs = CoefficientSet(m)
+    assert coeffs.uses_only_builtin_maps() is builtin
+    assert default_tol(coeffs) == (1e-9 if builtin else 1e-6)
+
+
+def test_projection_leaves_callable_result_alone():
+    # the callable hands back an array it keeps; projecting the map's
+    # value must not write into it
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    inner = CallableMap(lambda h: v, 4)
+    for m in (ProjectedMap(inner, 2), ProjectedMap(SumMap((inner,)), 2)):
+        np.testing.assert_array_equal(m.eval_array(np.zeros(4)), [1.0, 2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(m(StateVec(np.zeros(4))).coords, [1.0, 2.0, 0.0, 0.0])
+    assert v.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 class TestMapConfig:
