@@ -290,7 +290,7 @@ def suite_rho(face_points: int = 64, seed: int = 0) -> list[PropertyResult]:
         want[:8] = 0.5 * 0.09 * h.coords[:8]
         err = float(np.max(np.abs(got - want)))
         if err > worst:
-            worst, ce = err, {"point_norm": h.norm, "error": err}
+            worst, ce = err, {"point_norm": h.norm(), "error": err}
     if worst <= 1e-6:
         out.append(_ok("rho", "analytic-match", f"max error {worst:.2e} <= 1e-6"))
     else:
@@ -300,12 +300,13 @@ def suite_rho(face_points: int = 64, seed: int = 0) -> list[PropertyResult]:
     worst = 0.0
     ce = None
     count = 0
-    for theta, k, h in sample_boundary_pairs(cone, sampler):
-        val = stratonovich_correction(coeffs, h).coords
-        pairing = abs(theta * val[k])
-        count += 1
-        if pairing > worst:
-            worst, ce = pairing, {"k": k, "theta": theta, "pairing": pairing}
+    for theta, k, H in sample_boundary_pairs(cone, sampler):
+        for row in H:
+            val = stratonovich_correction(coeffs, StateVec(row)).coords
+            pairing = abs(theta * val[k])
+            count += 1
+            if pairing > worst:
+                worst, ce = pairing, {"k": k, "theta": theta, "pairing": pairing}
     if worst <= 1e-6:
         out.append(_ok("rho", "face-parallel", f"max |pairing| {worst:.2e} over {count} face points"))
     else:

@@ -16,6 +16,12 @@ to three pointwise conditions, which the checkers here test by sampling:
 * volatility condition: every column is parallel to the boundary,
   ``theta vol_j(h)_k = 0`` at the same pairs.
 
+The samplers return arrays: ``sample_cone_points`` one ``(M, N)``
+array of cone points, ``sample_boundary_pairs`` one ``(theta, k, H)``
+face block per constrained coordinate, ``H`` a ``(P_k, N)`` array of
+states with ``h_k = 0``.  The checkers evaluate each map once per block
+through ``eval_array`` and build witnesses only for violating rows.
+
 Sampling can certify a violation (a witness is a concrete point) but
 never its absence, so reports distinguish "VIOLATED (witness found)"
 from "NO VIOLATION FOUND (sampled)".
@@ -30,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SamplerContractError, ShapeError
 from .semigroup import DiagonalSemigroup, boundary_set_membership
-from .space import ConeSpec, StateVec, cone_contains, retract
+from .space import ConeSpec, StateVec, retract
 
 __all__ = [
     "CoefficientMap",
@@ -99,6 +105,8 @@ def _per_row(eval_one: Callable, a: np.ndarray) -> np.ndarray:
     """Apply a single-state evaluator to ``a`` or to each row of a batch."""
     if a.ndim == 1:
         return eval_one(a)
+    if a.shape[0] == 0:
+        return np.empty(a.shape)
     return np.stack([eval_one(row) for row in a])
 
 
@@ -234,12 +242,7 @@ class ProportionalMap(CoefficientMap):
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
         out = np.zeros(a.shape)
-        k = self.index
-        if a.ndim == 1:
-            # plain indexing: the checkers make ~1e6 single-state calls
-            out[k] = self.scale * a[k]
-        else:
-            out[:, k] = self.scale * a[:, k]
+        out[..., self.index] = self.scale * a[..., self.index]
         return out
 
     def to_config(self) -> dict:
@@ -605,74 +608,79 @@ class SamplerSpec:
 
 
 def _fold_into_cone(cone: ConeSpec, z: np.ndarray) -> np.ndarray:
-    out = z.copy()
-    idx = cone.constrained
-    out[idx] = cone.signs[idx] * np.abs(z[idx])
+    """Reflect the constrained coordinates of each row of ``z`` into the cone."""
+    return np.where(cone.signs != 0, cone.signs * np.abs(z), z)
+
+
+def _face_draws(cone: ConeSpec, rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """``n`` seeded states folded into the cone with coordinate ``k`` pinned to 0.
+
+    One ``(n, N)`` draw consumes the stream exactly as ``n`` successive
+    ``(N,)`` draws, so the block is the same whatever its size.
+    """
+    pts = _fold_into_cone(cone, rng.standard_normal((n, cone.dim)))
+    pts[:, k] = 0.0
+    return pts
+
+
+def _corners(cone: ConeSpec, idx: np.ndarray) -> np.ndarray:
+    """The origin, then ``signs[l] e_l`` for every ``l`` in ``idx``."""
+    out = np.zeros((1 + idx.size, cone.dim))
+    out[np.arange(1, 1 + idx.size), idx] = cone.signs[idx]
     return out
 
 
-def _face_corners(cone: ConeSpec, k: int) -> list[np.ndarray]:
-    pts = [np.zeros(cone.dim)]
-    for l in cone.constrained:
-        if l == k:
-            continue
-        e = np.zeros(cone.dim)
-        e[l] = float(cone.signs[l])
-        pts.append(e)
-    return pts
+def _in_cone(cone: ConeSpec, pts: np.ndarray) -> bool:
+    """True when every row of ``pts`` is finite and lies in the cone."""
+    # full rows: a free coordinate gives 0 * h_l = 0, and no gather
+    return bool(np.all(np.isfinite(pts)) and np.all(cone.signs * pts >= 0.0))
 
 
 def sample_boundary_pairs(
     cone: ConeSpec, spec: SamplerSpec = SamplerSpec()
-) -> list[tuple[int, int, StateVec]]:
-    """Sampled admissible boundary pairs ``(theta, k, h)`` with ``h_k = 0``.
+) -> list[tuple[int, int, np.ndarray]]:
+    """Sampled admissible boundary pairs, one block ``(theta, k, H)`` per face.
 
-    Faces are visited in increasing coordinate order from one seeded
-    stream, so the full list is reproducible.  Every returned point is
-    verified to lie in the cone with the pinned coordinate exactly zero.
+    ``H`` is a read-only ``(P_k, N)`` array whose rows ``h`` give the
+    pairs ``(theta e_k*, h)``: ``points_per_face`` seeded draws, then the
+    face's corners when ``include_corners`` is set.  Faces are visited in
+    increasing coordinate order from one seeded stream, so the blocks are
+    reproducible.  Every row is verified finite and in the cone with
+    ``h_k`` exactly zero.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    pairs: list[tuple[int, int, StateVec]] = []
-    for k in cone.constrained:
-        theta = int(cone.signs[k])
-        raw = []
-        for _ in range(spec.points_per_face):
-            z = rng.standard_normal(cone.dim)
-            p = _fold_into_cone(cone, z)
-            p[k] = 0.0
-            raw.append(p)
+    idx = cone.constrained
+    blocks: list[tuple[int, int, np.ndarray]] = []
+    for k in idx:
+        k = int(k)
+        H = _face_draws(cone, rng, spec.points_per_face, k)
         if spec.include_corners:
-            raw.extend(_face_corners(cone, int(k)))
-        for p in raw:
-            h = StateVec(p)
-            if not cone_contains(cone, h, 0.0) or h.coords[k] != 0.0:
-                raise SamplerContractError(f"face sampler left the face at k={k}")
-            pairs.append((theta, int(k), h))
-    return pairs
+            H = np.concatenate([H, _corners(cone, idx[idx != k])])
+        if not (_in_cone(cone, H) and np.all(H[:, k] == 0.0)):
+            raise SamplerContractError(f"face sampler left the face at k={k}")
+        H.flags.writeable = False
+        blocks.append((int(cone.signs[k]), k, H))
+    return blocks
 
 
-def sample_cone_points(
-    cone: ConeSpec, spec: SamplerSpec = SamplerSpec()
-) -> list[StateVec]:
-    """Sampled cone points: interior draws, every face, and corners."""
+def sample_cone_points(cone: ConeSpec, spec: SamplerSpec = SamplerSpec()) -> np.ndarray:
+    """Sampled cone points as one read-only ``(M, N)`` array.
+
+    Rows are the ``interior_points`` draws, then ``points_per_face``
+    draws on every face in coordinate order, then (with
+    ``include_corners``) the origin and the unit vectors of the
+    constrained coordinates.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    points: list[StateVec] = []
-    for _ in range(spec.interior_points):
-        points.append(StateVec(_fold_into_cone(cone, rng.standard_normal(cone.dim))))
-    for k in cone.constrained:
-        for _ in range(spec.points_per_face):
-            p = _fold_into_cone(cone, rng.standard_normal(cone.dim))
-            p[k] = 0.0
-            points.append(StateVec(p))
+    idx = cone.constrained
+    parts = [_fold_into_cone(cone, rng.standard_normal((spec.interior_points, cone.dim)))]
+    parts += [_face_draws(cone, rng, spec.points_per_face, int(k)) for k in idx]
     if spec.include_corners:
-        points.append(StateVec(np.zeros(cone.dim)))
-        for l in cone.constrained:
-            e = np.zeros(cone.dim)
-            e[l] = float(cone.signs[l])
-            points.append(StateVec(e))
-    for h in points:
-        if not cone_contains(cone, h, 0.0):
-            raise SamplerContractError("cone sampler produced a point outside the cone")
+        parts.append(_corners(cone, idx))
+    points = np.concatenate(parts)
+    if not _in_cone(cone, points):
+        raise SamplerContractError("cone sampler produced a point outside the cone")
+    points.flags.writeable = False
     return points
 
 
@@ -770,6 +778,30 @@ def default_tol(coeffs: CoefficientSet) -> float:
     return 1e-9 if coeffs.uses_only_builtin_maps() else 1e-6
 
 
+def _column(values: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
+    """Coordinate ``k`` of a map evaluated on the block ``H``, one entry per
+    row; maps that ignore the state return ``(N,)`` and are broadcast."""
+    return np.broadcast_to(values, H.shape)[:, k]
+
+
+def _margin_block(
+    coeffs: CoefficientSet,
+    sg: DiagonalSemigroup,
+    theta: int,
+    k: int,
+    H: np.ndarray,
+    a: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(main, no_a, generator)`` margins at the pairs ``(theta e_k*, H[i])``
+    with boundary value ``a``, one entry per row of the block ``H``."""
+    drift_k = theta * _column(coeffs.drift.eval_array(H), H, k)
+    comp_k = np.zeros(H.shape[0])
+    for w, g in coeffs.jump_atoms:
+        comp_k += w * theta * _column(g.eval_array(H), H, k)
+    gen_k = theta * (-sg.rates[k] * H[:, k])
+    return a + drift_k - comp_k, drift_k - comp_k, gen_k + drift_k - comp_k
+
+
 def drift_margin(
     coeffs: CoefficientSet,
     sg: DiagonalSemigroup,
@@ -791,17 +823,8 @@ def drift_margin(
             f"pair (theta={theta}, k={k}) with h_k={h.coords[k]} is not an admissible boundary pair"
         )
     a_val = membership.a_value
-    drift_k = theta * coeffs.drift.eval_array(h.coords)[k]
-    comp_k = 0.0
-    for w, g in coeffs.jump_atoms:
-        comp_k += w * theta * g.eval_array(h.coords)[k]
-    gen_k = theta * (-sg.rates[k] * h.coords[k])
-    return {
-        "a": a_val,
-        "main": a_val + drift_k - comp_k,
-        "no_a": drift_k - comp_k,
-        "generator": gen_k + drift_k - comp_k,
-    }
+    main, no_a, gen = _margin_block(coeffs, sg, theta, k, h.coords[None, :], a_val)
+    return {"a": a_val, "main": main[0], "no_a": no_a[0], "generator": gen[0]}
 
 
 def check_jump_condition(
@@ -814,34 +837,34 @@ def check_jump_condition(
 
     For each sampled ``h`` in the cone and each atom the displaced point
     ``h + gamma_i(h)`` must satisfy every sign constraint up to ``tol``.
+    Each atom is evaluated once on the whole sample.
     """
     if tol is None:
         tol = default_tol(coeffs)
     points = sample_cone_points(cone, sampler)
     witnesses = []
     idx = cone.constrained
-    for h in points:
-        for i, (_, g) in enumerate(coeffs.jump_atoms):
-            moved = h.coords + g.eval_array(h.coords)
-            margins = cone.signs[idx] * moved[idx]
-            for pos in np.flatnonzero(margins < -tol):
-                k = int(idx[pos])
-                witnesses.append(
-                    Witness(
-                        condition="jump-stays-in-cone",
-                        theta=int(cone.signs[k]),
-                        k=k,
-                        point=h,
-                        magnitude=float(-margins[pos]),
-                        component=i,
-                    )
+    for i, (_, g) in enumerate(coeffs.jump_atoms):
+        moved = points + g.eval_array(points)
+        margins = cone.signs[idx] * moved[:, idx]
+        for row, pos in np.argwhere(margins < -tol):
+            k = int(idx[pos])
+            witnesses.append(
+                Witness(
+                    condition="jump-stays-in-cone",
+                    theta=int(cone.signs[k]),
+                    k=k,
+                    point=StateVec(points[row]),
+                    magnitude=float(-margins[row, pos]),
+                    component=i,
                 )
+            )
     return ConditionReport(
         jump_ok=not witnesses,
         drift_ok=None,
         vol_ok=None,
         witnesses=tuple(witnesses),
-        sampled_points=len(points),
+        sampled_points=points.shape[0],
         tol=tol,
     )
 
@@ -860,26 +883,27 @@ def check_drift_condition(
     ``>= -tol``.  The two equivalent formulations (without ``a``; with
     the generator term) are evaluated alongside and must agree on exact
     faces; disagreement marks a sampler bug, not a coefficient property.
+    Maps are evaluated once per face block.
     """
     if tol is None:
         tol = default_tol(coeffs)
     pairs = sample_boundary_pairs(cone, sampler)
     witnesses = []
-    for theta, k, h in pairs:
-        terms = drift_margin(coeffs, sg, cone, theta, k, h)
-        if not (
-            abs(terms["main"] - terms["no_a"]) <= 1e-12
-            and abs(terms["main"] - terms["generator"]) <= 1e-12
-        ):
+    for theta, k, H in pairs:
+        # a pair is admissible exactly when h_k = 0, and then a = 0
+        if not np.all(H[:, k] == 0.0):
+            raise SamplerContractError(f"face block k={k} holds a pair that is not admissible")
+        main, no_a, gen = _margin_block(coeffs, sg, theta, k, H, 0.0)
+        if not (np.all(np.abs(main - no_a) <= 1e-12) and np.all(np.abs(main - gen) <= 1e-12)):
             raise SamplerContractError("margin formulations disagree on an exact face")
-        if terms["main"] < -tol:
+        for row in np.flatnonzero(main < -tol):
             witnesses.append(
                 Witness(
                     condition="drift-inward",
                     theta=theta,
                     k=k,
-                    point=h,
-                    magnitude=float(-terms["main"]),
+                    point=StateVec(H[row]),
+                    magnitude=float(-main[row]),
                 )
             )
     return ConditionReport(
@@ -887,7 +911,7 @@ def check_drift_condition(
         drift_ok=not witnesses,
         vol_ok=None,
         witnesses=tuple(witnesses),
-        sampled_points=len(pairs),
+        sampled_points=sum(H.shape[0] for _, _, H in pairs),
         tol=tol,
     )
 
@@ -900,22 +924,23 @@ def check_volatility_condition(
     tol: float | None = None,
 ) -> ConditionReport:
     """Sampled check that volatility columns are parallel to the boundary:
-    ``|theta vol_j(h)_k| <= tol`` at admissible boundary pairs."""
+    ``|theta vol_j(h)_k| <= tol`` at admissible boundary pairs.  Each
+    column is evaluated once per face block."""
     if tol is None:
         tol = default_tol(coeffs)
     pairs = sample_boundary_pairs(cone, sampler)
     witnesses = []
-    for theta, k, h in pairs:
+    for theta, k, H in pairs:
         for j, col in enumerate(coeffs.vol_columns):
-            val = theta * col.eval_array(h.coords)[k]
-            if abs(val) > tol:
+            val = theta * _column(col.eval_array(H), H, k)
+            for row in np.flatnonzero(np.abs(val) > tol):
                 witnesses.append(
                     Witness(
                         condition="vol-parallel",
                         theta=theta,
                         k=k,
-                        point=h,
-                        magnitude=float(abs(val)),
+                        point=StateVec(H[row]),
+                        magnitude=float(abs(val[row])),
                         component=j,
                     )
                 )
@@ -924,7 +949,7 @@ def check_volatility_condition(
         drift_ok=None,
         vol_ok=not witnesses,
         witnesses=tuple(witnesses),
-        sampled_points=len(pairs),
+        sampled_points=sum(H.shape[0] for _, _, H in pairs),
         tol=tol,
     )
 

@@ -225,7 +225,11 @@ class TestAcceptance:
         u = rng.normal(size=8)
         u /= np.linalg.norm(u)
         spec = SamplerSpec(points_per_face=1, interior_points=0, seed=1, include_corners=False)
-        pairs = sample_boundary_pairs(cone16, spec)
+        pairs = [
+            (theta, k, StateVec(row))
+            for theta, k, H in sample_boundary_pairs(cone16, spec)
+            for row in H
+        ]
         worst = 0.0
         for theta, k, h in pairs:
             sigma = compliant_coeffs.drift.eval_array(h.coords)

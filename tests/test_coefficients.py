@@ -6,6 +6,8 @@ volatility column on a face.  Each expected magnitude is worked out in
 the test body.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from conespde import (
     SamplerContractError,
     ShapeError,
     StateVec,
+    boundary_set_membership,
+    coefficients,
     cone_contains,
 )
 from conespde.coefficients import (
@@ -45,6 +49,7 @@ from conespde.coefficients import (
     sample_boundary_pairs,
     sample_cone_points,
 )
+from conespde.config import ExperimentConfig, preset_document
 
 SMALL = SamplerSpec(points_per_face=8, interior_points=8, seed=1)
 
@@ -279,30 +284,119 @@ class TestSamplers:
         K = ConeSpec(np.array([1, -1, 0]))
         pairs = sample_boundary_pairs(K, SMALL)
         assert pairs, "sampler produced no pairs"
-        for theta, k, h in pairs:
+        for theta, k, H in pairs:
             assert theta == int(K.signs[k])
-            assert h.coords[k] == 0.0
-            assert cone_contains(K, h, 0.0)
+            for row in H:
+                h = StateVec(row)
+                assert h.coords[k] == 0.0
+                assert cone_contains(K, h, 0.0)
 
     def test_cone_points_inside(self):
         K = ConeSpec(np.array([1, -1, 0]))
-        for h in sample_cone_points(K, SMALL):
-            assert cone_contains(K, h, 0.0)
+        for row in sample_cone_points(K, SMALL):
+            assert cone_contains(K, StateVec(row), 0.0)
 
     def test_deterministic(self):
         K = ConeSpec.nonnegative(4)
         a = sample_boundary_pairs(K, SamplerSpec(seed=5))
         b = sample_boundary_pairs(K, SamplerSpec(seed=5))
         assert len(a) == len(b)
-        for (t1, k1, h1), (t2, k2, h2) in zip(a, b):
-            assert (t1, k1) == (t2, k2) and h1 == h2
+        for (t1, k1, H1), (t2, k2, H2) in zip(a, b):
+            assert (t1, k1) == (t2, k2) and np.array_equal(H1, H2)
 
     def test_corner_points_present(self):
         K = ConeSpec.nonnegative(3)
         pts = sample_cone_points(K, SamplerSpec(points_per_face=0, interior_points=0))
-        coords = {tuple(p.coords) for p in pts}
+        coords = {tuple(p) for p in pts}
         assert (0.0, 0.0, 0.0) in coords
         assert (1.0, 0.0, 0.0) in coords
+
+    @pytest.mark.parametrize("per_face", [0, 5])
+    @pytest.mark.parametrize("corners", [True, False])
+    def test_block_shapes(self, per_face, corners):
+        K = ConeSpec(np.array([1, -1, 0, 1]))
+        spec = SamplerSpec(points_per_face=per_face, interior_points=2, include_corners=corners)
+        # a face's corners: the origin and the two other constrained unit vectors
+        rows = per_face + (3 if corners else 0)
+        blocks = sample_boundary_pairs(K, spec)
+        assert [(t, k, H.shape) for t, k, H in blocks] == [
+            (1, 0, (rows, 4)),
+            (-1, 1, (rows, 4)),
+            (1, 3, (rows, 4)),
+        ]
+        points = sample_cone_points(K, spec)
+        assert points.shape == (2 + 3 * per_face + (4 if corners else 0), 4)
+        assert not points.flags.writeable
+        assert not any(H.flags.writeable for _, _, H in blocks)
+
+    def test_no_constrained_coordinate(self):
+        K = ConeSpec(np.zeros(3, dtype=int))
+        assert sample_boundary_pairs(K, SMALL) == []
+        points = sample_cone_points(K, SMALL)
+        assert points.shape == (SMALL.interior_points + 1, 3)
+        # nothing to violate: every jump lands in the whole space
+        C = CoefficientSet(
+            ConstantMap(np.ones(3)),
+            (ConstantMap(np.ones(3)),),
+            ((1.0, AffineMap(-3.0 * np.eye(3), np.zeros(3))),),
+        )
+        report = invariance_verdict(C, DiagonalSemigroup.heat(3), K, SMALL)
+        assert report.satisfied and report.sampled_points == points.shape[0]
+
+    def test_empty_blocks_evaluate(self):
+        # row-by-row maps on (0, N) blocks: nothing sampled, nothing raised
+        K = ConeSpec(np.array([1, -1, 0, 1]))
+        spec = SamplerSpec(points_per_face=0, interior_points=0, include_corners=False)
+        C = CoefficientSet(
+            CallableMap(lambda h: -1.0 * h, 4),
+            (RetractedMap(ConstantMap(np.ones(4)), 1.0),),
+            ((1.0, CallableMap(lambda h: -2.0 * h, 4)),),
+        )
+        report = invariance_verdict(C, DiagonalSemigroup.heat(4), K, spec)
+        assert report.satisfied and report.sampled_points == 0
+
+    def test_dim_one(self):
+        K = ConeSpec(np.array([-1]))
+        blocks = sample_boundary_pairs(K, SMALL)
+        assert [(t, k) for t, k, _ in blocks] == [(-1, 0)]
+        H = blocks[0][2]
+        assert H.shape == (SMALL.points_per_face + 1, 1) and np.all(H == 0.0)
+        points = sample_cone_points(K, SMALL)
+        assert points.shape == (SMALL.interior_points + SMALL.points_per_face + 2, 1)
+        assert np.all(points <= 0.0)
+
+    def test_stream_pinned(self):
+        # Digests recorded when the samplers drew one state per generator
+        # call: one (P, N) draw per face must consume the stream the same way.
+        K = ConeSpec(np.array([1, -1, 0, 1]))
+        spec = SamplerSpec(seed=5)
+        blocks = sample_boundary_pairs(K, spec)
+        assert [(t, k, H.shape[0]) for t, k, H in blocks] == [(1, 0, 67), (-1, 1, 67), (1, 3, 67)]
+        faces = np.concatenate([H for _, _, H in blocks])
+        assert (
+            hashlib.sha256(faces.tobytes()).hexdigest()
+            == "5b59c2c148a0c912a98201821a1ba969fd3563999881e1ac28c632ada7b2a989"
+        )
+        assert (
+            hashlib.sha256(sample_cone_points(K, spec).tobytes()).hexdigest()
+            == "57351eeff7fe2e8f61f33e566aaa63ac78029a35e2b780a92d0e1b21f479c70e"
+        )
+
+    @pytest.mark.parametrize(
+        "fold",
+        [
+            lambda cone, z: z.copy(),  # left outside the cone
+            lambda cone, z: np.where(cone.signs < 0, -np.inf, np.inf) + 0.0 * z,  # not finite
+        ],
+        ids=["unfolded", "infinite"],
+    )
+    def test_contract_violation_raises(self, monkeypatch, fold):
+        monkeypatch.setattr(coefficients, "_fold_into_cone", fold)
+        K = ConeSpec(np.array([1, -1, 0]))
+        with pytest.raises(SamplerContractError):
+            sample_boundary_pairs(K, SMALL)
+        with pytest.raises(SamplerContractError):
+            sample_cone_points(K, SMALL)
 
 
 # ---------------------------------------------------------------- checkers
@@ -355,8 +449,8 @@ class TestDriftCondition:
     def test_mean_reversion_face_value(self, heat16, cone16, compliant_coeffs):
         # kappa b_k - w * 0.1 = 0.5 - 0.02 = 0.48 on every face.
         pairs = sample_boundary_pairs(cone16, SMALL)
-        theta, k, h = pairs[0]
-        terms = drift_margin(compliant_coeffs, heat16, cone16, theta, k, h)
+        theta, k, H = pairs[0]
+        terms = drift_margin(compliant_coeffs, heat16, cone16, theta, k, StateVec(H[0]))
         assert terms["main"] == pytest.approx(0.48)
         assert terms["a"] == 0.0
         assert terms["no_a"] == pytest.approx(terms["main"])
@@ -366,6 +460,13 @@ class TestDriftCondition:
         h = StateVec(np.full(16, 1.0))
         with pytest.raises(SamplerContractError):
             drift_margin(compliant_coeffs, heat16, cone16, 1, 0, h)
+
+    def test_checker_rejects_off_face_block(self, monkeypatch):
+        H = np.array([[0.0, 1.0], [0.5, 1.0]])
+        monkeypatch.setattr(coefficients, "sample_boundary_pairs", lambda cone, spec: [(1, 0, H)])
+        K = ConeSpec.nonnegative(2)
+        with pytest.raises(SamplerContractError):
+            check_drift_condition(CoefficientSet(ZeroMap(2)), DiagonalSemigroup.heat(2), K, SMALL)
 
 
 class TestVolatilityCondition:
@@ -431,9 +532,134 @@ class TestVerdict:
     def test_jump_pairings_nonnegative_at_faces(self, cone16, compliant_coeffs):
         # A passing jump condition forces theta * gamma_k >= 0 on faces.
         tol = default_tol(compliant_coeffs)
-        for theta, k, h in sample_boundary_pairs(cone16, SMALL):
-            for _, g in compliant_coeffs.jump_atoms:
-                assert theta * g.eval_array(h.coords)[k] >= -tol
+        for theta, k, H in sample_boundary_pairs(cone16, SMALL):
+            for row in H:
+                for _, g in compliant_coeffs.jump_atoms:
+                    assert theta * g.eval_array(row)[k] >= -tol
+
+
+def reference_verdict(coeffs, sg, cone, sampler, tol=None):
+    """The three checkers evaluated one state at a time with the
+    single-state formulas, as reference for the block evaluation."""
+    if tol is None:
+        tol = default_tol(coeffs)
+    witnesses = []
+    points = sample_cone_points(cone, sampler)
+    idx = cone.constrained
+    for row in points:
+        for i, (_, g) in enumerate(coeffs.jump_atoms):
+            margins = cone.signs[idx] * (row + g.eval_array(row))[idx]
+            for pos in np.flatnonzero(margins < -tol):
+                k = int(idx[pos])
+                w = Witness("jump-stays-in-cone", int(cone.signs[k]), k, StateVec(row),
+                            float(-margins[pos]), i)
+                witnesses.append(w)
+    pairs = [(t, k, row) for t, k, H in sample_boundary_pairs(cone, sampler) for row in H]
+    for theta, k, row in pairs:
+        a = boundary_set_membership(sg, cone, (theta, k), StateVec(row)).a_value
+        drift_k = theta * coeffs.drift.eval_array(row)[k]
+        comp_k = 0.0
+        for w, g in coeffs.jump_atoms:
+            comp_k += w * theta * g.eval_array(row)[k]
+        main = a + drift_k - comp_k
+        if main < -tol:
+            witnesses.append(Witness("drift-inward", theta, k, StateVec(row), float(-main)))
+        for j, col in enumerate(coeffs.vol_columns):
+            val = theta * col.eval_array(row)[k]
+            if abs(val) > tol:
+                witnesses.append(Witness("vol-parallel", theta, k, StateVec(row), float(abs(val)), j))
+    failed = {w.condition for w in witnesses}
+    return ConditionReport(
+        jump_ok="jump-stays-in-cone" not in failed,
+        drift_ok="drift-inward" not in failed,
+        vol_ok="vol-parallel" not in failed,
+        witnesses=tuple(witnesses),
+        sampled_points=len(points) + 2 * len(pairs),
+        tol=tol,
+    )
+
+
+def _mixed_cone_case():
+    # theta = -1 on coordinate 1, coordinate 2 free; every condition fails
+    K = ConeSpec(np.array([1, -1, 0, 1]))
+    A = np.array(
+        [[0.5, -1.0, 0.2, 0.0], [0.3, -0.2, 0.0, 0.4], [1.0, 1.0, 1.0, 1.0], [-0.6, 0.0, 0.1, 0.2]]
+    )
+    drift = AffineMap(A, np.array([0.2, 0.3, 0.0, -0.1]))
+    vols = (
+        ProportionalMap(0.4, 0, 4),
+        ProportionalMap(-0.2, 1, 4),
+        ConstantMap(np.array([0.0, 0.0, 1.0, 0.0])),
+        ConstantMap(np.array([0.0, 0.05, 0.0, 0.0])),
+        AffineMap(0.1 * A.T, np.zeros(4)),
+    )
+    jumps = ((0.5, AffineMap(-0.5 * np.eye(4), np.array([-0.1, 0.1, 0.3, 0.0]))),)
+    return CoefficientSet(drift, vols, jumps), DiagonalSemigroup.heat(4), K
+
+
+def _wrapped_case():
+    # constant and zero maps return (N,) and broadcast; callables and
+    # retractions evaluate row by row
+    K = ConeSpec.nonnegative(3)
+    A = np.array([[0.0, 1.0, -1.0], [0.5, 0.0, 0.5], [-1.0, 0.2, 0.0]])
+    drift = CallableMap(lambda h: h.coords[::-1] - 0.5, 3)
+    vols = (
+        ZeroMap(3),
+        ConstantMap(np.array([0.0, 0.2, 0.0])),
+        RetractedMap(AffineMap(A, np.zeros(3)), 1.0),
+        CallableMap(lambda h: 0.1 * h, 3),
+    )
+    jumps = (
+        (0.3, ConstantMap(np.array([-0.05, 0.0, 0.1]))),
+        (1.5, ZeroMap(3)),
+        (0.7, RetractedMap(CallableMap(lambda h: -1.5 * h.coords, 3), 1.0)),
+    )
+    return CoefficientSet(drift, vols, jumps), DiagonalSemigroup.heat(3), K
+
+
+def _jump_case():
+    K = ConeSpec.nonnegative(3)
+    gamma = AffineMap(np.diag([-2.0, -1.5, -3.0]), np.zeros(3))
+    return CoefficientSet(ZeroMap(3), (), ((1.0, gamma),)), DiagonalSemigroup.heat(3), K
+
+
+def _drift_case():
+    K = ConeSpec.nonnegative(4)
+    drift = AffineMap(-np.ones((4, 4)), np.full(4, 0.5))
+    gamma = ConstantMap(np.array([1.0, 0.0, 0.0, 0.0]))
+    return CoefficientSet(drift, (), ((0.5, gamma),)), DiagonalSemigroup.heat(4), K
+
+
+PARITY_SPEC = SamplerSpec(points_per_face=16, interior_points=16, seed=3)
+
+
+class TestCheckerParity:
+    @pytest.mark.parametrize("name", ["heat-positive", "heat-positive-badvol", "heat-positive-hidden"])
+    def test_presets(self, name):
+        ec = ExperimentConfig.from_dict(preset_document(name))
+        args = (ec.coeffs, ec.semigroup, ec.cone, ec.sampler, ec.check_tol)
+        assert invariance_verdict(*args).to_dict() == reference_verdict(*args).to_dict()
+
+    @pytest.mark.parametrize(
+        "case, failing",
+        [
+            (_jump_case, {"jump-stays-in-cone"}),
+            (_drift_case, {"drift-inward"}),
+            (_mixed_cone_case, {"jump-stays-in-cone", "drift-inward", "vol-parallel"}),
+            (_wrapped_case, {"jump-stays-in-cone", "drift-inward", "vol-parallel"}),
+        ],
+        ids=["jump", "drift", "mixed_cone", "wrapped"],
+    )
+    def test_violating_sets(self, case, failing):
+        coeffs, sg, cone = case()
+        want = reference_verdict(coeffs, sg, cone, PARITY_SPEC).to_dict()
+        assert {w["condition"] for w in want["witnesses"]} == failing
+        assert invariance_verdict(coeffs, sg, cone, PARITY_SPEC).to_dict() == want
+
+    def test_mixed_cone_sees_both_signs(self):
+        coeffs, sg, cone = _mixed_cone_case()
+        report = invariance_verdict(coeffs, sg, cone, PARITY_SPEC)
+        assert {w.theta for w in report.witnesses} == {1, -1}
 
 
 class TestReportContract:

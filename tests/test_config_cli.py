@@ -5,13 +5,14 @@ built-in presets, with path-count overrides to keep runs small; the
 full-size runs live in the acceptance tests.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conespde import ConfigError
+from conespde import ConfigError, StateVec, appendix
 from conespde.cli import EXIT_QUIET_THRESHOLD, SWEEP_FACTORS, cli
 from conespde.config import (
     PRESET_NAMES,
@@ -218,7 +219,25 @@ def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+# sha256 of the report.json that `check --preset <name>` writes.  The
+# bytes carry every witness, magnitude and sampled-point count, so a
+# sampler or checker change that moves any of them moves its digest.
+REPORT_DIGESTS = {
+    "heat-positive": "2f04a5e5511a5ec69370376a10a6de04e7ed43c936ad69e331ff3a2a49738ee7",
+    "heat-positive-badvol": "42b4031c7dc2c182140003a676b0500e05f0df6052704351550226c8c5beac16",
+    "heat-positive-hidden": "754681ccc29d8880bebd29783c508ed81e7699e7bb8807fc7abaf717c42a016e",
+}
+
+
 class TestCheckCommand:
+    @pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+    def test_report_bytes_pinned(self, tmp_path, name):
+        out = tmp_path / "run"
+        res = CliRunner().invoke(cli, ["check", "--preset", name, "--out", str(out)])
+        assert res.exit_code == (2 if name == "heat-positive-badvol" else 0)
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == REPORT_DIGESTS[name]
+
     def test_compliant_passes(self, tmp_path):
         out = tmp_path / "run"
         res = CliRunner().invoke(
@@ -414,6 +433,25 @@ class TestAppendixCommand:
             cli, ["appendix", "retraction", "--out", str(tmp_path / "r")]
         )
         assert res.exit_code == 0
+
+    def test_failed_rho_reports_counterexamples(self, tmp_path, monkeypatch):
+        # a noise drift off by e_0 + ... + e_15 fails both rho properties;
+        # their counterexamples must serialize and the command exit 2
+        exact = appendix.stratonovich_correction
+        monkeypatch.setattr(
+            appendix,
+            "stratonovich_correction",
+            lambda coeffs, h: exact(coeffs, h) + StateVec(np.ones(coeffs.dim)),
+        )
+        results = appendix.suite_rho()
+        assert [r.passed for r in results] == [False, False]
+        for r in results:
+            json.dumps(r.to_dict())
+        out = tmp_path / "r"
+        res = CliRunner().invoke(cli, ["appendix", "rho", "--out", str(out)])
+        assert res.exit_code == 2
+        doc = json.loads((out / "appendix.json").read_text())
+        assert isinstance(doc["results"][0]["counterexample"]["point_norm"], float)
 
     def test_unknown_selector(self, tmp_path):
         res = CliRunner().invoke(cli, ["appendix", "fractal", "--out", str(tmp_path / "r")])
