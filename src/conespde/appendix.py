@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import (
-    BallSpec,
     GridQuadrature,
     MollifierParams,
     SearchSpec,

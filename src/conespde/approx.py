@@ -192,23 +192,18 @@ class SearchSpec:
     point.  When omitted it is derived as ``width * L + sqrt(2 width
     F)`` from ``lipschitz`` (L) and ``sup_bound`` (F), the caller's
     bounds on the target function; omitting those too is an error.
-    ``grid_points`` samples locate the global basin, golden-section
-    refines inside it, and ``sweeps`` rounds of coordinate descent
-    handle dimensions above one.
+    ``GRID_POINTS`` samples locate the global basin, ``REFINE_ITERS``
+    golden-section steps refine inside it, and ``SWEEPS`` rounds of
+    coordinate descent handle dimensions above one.
     """
 
     radius: float | None = None
-    grid_points: int = 65
-    refine_iters: int = 60
-    sweeps: int = 4
     lipschitz: float | None = None
     sup_bound: float | None = None
 
     def __post_init__(self):
         if self.radius is not None and self.radius <= 0:
             raise DomainError("radius must be > 0 when given")
-        if self.grid_points < 5 or self.refine_iters < 1 or self.sweeps < 1:
-            raise DomainError("need grid_points >= 5, refine_iters >= 1, sweeps >= 1")
 
     def resolve_radius(self, width: float) -> float:
         if self.radius is not None:
@@ -221,20 +216,23 @@ class SearchSpec:
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GRID_POINTS = 65
+REFINE_ITERS = 60
+SWEEPS = 4
 
 
-def _line_search(fn: Callable[[float], float], lo: float, hi: float, spec: SearchSpec) -> tuple[float, float]:
+def _line_search(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Minimize a scalar function on [lo, hi]; grid then golden section.
 
     Raises SearchRadiusError when the best grid point sits on the
     window edge, since the true optimum may then lie outside.
     """
-    xs = np.linspace(lo, hi, spec.grid_points)
+    xs = np.linspace(lo, hi, GRID_POINTS)
     vals = np.array([fn(float(x)) for x in xs])
     if not np.all(np.isfinite(vals)):
         raise NumericError("non-finite value during line search")
     i = int(np.argmin(vals))
-    if i == 0 or i == spec.grid_points - 1:
+    if i == 0 or i == GRID_POINTS - 1:
         raise SearchRadiusError(
             f"optimum at search boundary (x={xs[i]:.6g}); widen the radius",
             suggested_radius=2.0 * (hi - lo) / 2.0,
@@ -244,7 +242,7 @@ def _line_search(fn: Callable[[float], float], lo: float, hi: float, spec: Searc
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(spec.refine_iters):
+    for _ in range(REFINE_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -265,13 +263,12 @@ def _opt_shifted(
     base: np.ndarray,
     width: float,
     spec: SearchSpec,
-    sign: float,
 ) -> float:
-    """Optimize ``f(g) + sign * ||base - g||^2 / (2 width)`` over g.
+    """Minimize ``f(g) + ||base - g||^2 / (2 width)`` over g.
 
-    ``sign=+1`` minimizes (inf-convolution); ``sign=-1`` maximizes the
-    negated objective (sup-convolution).  Coordinate descent over the
-    cube of half-width ``resolve_radius(width)`` around ``base``.
+    Coordinate descent over the cube of half-width
+    ``resolve_radius(width)`` around ``base``; the sup-convolution
+    minimizes the negated function.
     """
     R = spec.resolve_radius(width)
     dim = base.shape[0]
@@ -279,20 +276,18 @@ def _opt_shifted(
 
     def objective() -> float:
         diff = base - g
-        val = f(StateVec(g)) + sign * float(diff @ diff) / (2.0 * width)
-        return val if sign > 0 else -val
+        return f(StateVec(g)) + float(diff @ diff) / (2.0 * width)
 
-    sweeps = 1 if dim == 1 else spec.sweeps
+    sweeps = 1 if dim == 1 else SWEEPS
     for _ in range(sweeps):
         for axis in range(dim):
             def fn(x: float, axis=axis) -> float:
                 g[axis] = x
                 return objective()
 
-            x, _ = _line_search(fn, base[axis] - R, base[axis] + R, spec)
+            x, _ = _line_search(fn, base[axis] - R, base[axis] + R)
             g[axis] = x
-    val = objective()
-    return val if sign > 0 else -val
+    return objective()
 
 
 def inf_convolve(
@@ -306,7 +301,7 @@ def inf_convolve(
     """
     if lam <= 0:
         raise DomainError("lam must be > 0")
-    return _opt_shifted(f, h.coords.copy(), lam, search, +1.0)
+    return _opt_shifted(f, h.coords.copy(), lam, search)
 
 
 def sup_convolve(
@@ -320,7 +315,7 @@ def sup_convolve(
     def neg(x: StateVec) -> float:
         return -f(x)
 
-    return -_opt_shifted(neg, h.coords.copy(), mu, search, +1.0)
+    return -_opt_shifted(neg, h.coords.copy(), mu, search)
 
 
 def sup_inf_convolve(
@@ -351,7 +346,7 @@ def sup_inf_map(f: CoefficientMap, p: SupInfParams, search: SearchSpec) -> Coeff
     def smooth(h: StateVec) -> np.ndarray:
         return np.array([sup_inf_convolve(c, p, h, search) for c in comps])
 
-    return CallableMap(lambda h: smooth(h), f.dim)
+    return CallableMap(smooth, f.dim)
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .appendix import SUITE_NAMES, run_suites
+from .appendix import run_suites
 from .coefficients import invariance_verdict
 from .config import ExperimentConfig, PRESET_NAMES, preset_document
 from .errors import ConeSpdeError, ConfigError
@@ -92,17 +92,9 @@ def _load(config_path, preset_name, seed, paths, dt) -> ExperimentConfig:
     if (config_path is None) == (preset_name is None):
         raise ConfigError("give exactly one of --config or --preset")
     if config_path is not None:
-        try:
-            doc = json.loads(Path(config_path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{config_path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+        ec = ExperimentConfig.load(config_path)
     else:
-        doc = preset_document(preset_name)
-    ec = ExperimentConfig.from_dict(doc)
+        ec = ExperimentConfig.from_dict(preset_document(preset_name))
     if seed is None and paths is None and dt is None:
         return ec
     doc = ec.to_dict()

@@ -29,14 +29,14 @@ from "NO VIOLATION FOUND (sampled)".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, SamplerContractError, ShapeError
 from .semigroup import DiagonalSemigroup, boundary_set_membership
-from .space import ConeSpec, StateVec, retract
+from .space import ConeSpec, StateVec
 
 __all__ = [
     "CoefficientMap",

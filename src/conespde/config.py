@@ -16,6 +16,7 @@ back in as ``--config`` to reproduce a run bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import CoefficientSet, SamplerSpec
-from .errors import ConfigError, ConeSpdeError, ShapeError
+from .errors import ConfigError, ConeSpdeError
 from .semigroup import DiagonalSemigroup
 from .simulate import NoiseSpec, SimConfig
 from .space import ConeSpec, StateVec
@@ -159,6 +160,18 @@ def _field(section: dict, path: str, key: str, default=None, required: bool = Fa
     return section[key]
 
 
+@contextlib.contextmanager
+def _reading(section: str):
+    """Report a bad value met while building ``section`` as a
+    ConfigError naming the section (errors that name it already pass)."""
+    try:
+        yield
+    except (ConeSpdeError, TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError) and str(exc).startswith((f"{section}.", f"{section}:")):
+            raise
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _noise_from(doc: dict) -> NoiseSpec:
     eigs = _field(doc, "noise", "eigenvalues", required=True)
     seed = int(_field(doc, "noise", "seed", default=0))
@@ -171,10 +184,7 @@ def _noise_from(doc: dict) -> NoiseSpec:
         if rule == "dyadic":
             return NoiseSpec.dyadic(count, seed)
         raise ConfigError(f"noise.eigenvalues.rule: unknown rule {rule!r}")
-    try:
-        return NoiseSpec(tuple(float(x) for x in eigs), seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"noise.eigenvalues: {exc}") from exc
+    return NoiseSpec(tuple(float(x) for x in eigs), seed)
 
 
 @dataclass(eq=False)
@@ -211,10 +221,8 @@ class ExperimentConfig:
         if cone_doc == "nonnegative":
             cone = ConeSpec.nonnegative(dim)
         elif isinstance(cone_doc, dict) and "signs" in cone_doc:
-            try:
+            with _reading("space.cone"):
                 cone = ConeSpec.from_config(cone_doc)
-            except ConeSpdeError as exc:
-                raise ConfigError(f"space.cone: {exc}") from exc
             if cone.dim != dim:
                 raise ConfigError(
                     f"space.cone: {cone.dim} signs for dimension {dim}"
@@ -224,21 +232,19 @@ class ExperimentConfig:
                 "space.cone: expected 'nonnegative' or an object with 'signs'"
             )
 
-        try:
+        with _reading("semigroup"):
             sg = DiagonalSemigroup.from_config(_section(doc, "semigroup"), dim=dim)
-        except ConeSpdeError as exc:
-            raise ConfigError(f"semigroup: {exc}") from exc
         if len(sg.rates) != dim:
             raise ConfigError(
                 f"semigroup: {len(sg.rates)} rates for dimension {dim}"
             )
 
-        try:
+        with _reading("coefficients"):
             coeffs = CoefficientSet.from_config(_section(doc, "coefficients"), dim)
-        except ConeSpdeError as exc:
-            raise ConfigError(f"coefficients: {exc}") from exc
 
-        noise = _noise_from(_section(doc, "noise"))
+        noise_doc = _section(doc, "noise")
+        with _reading("noise"):
+            noise = _noise_from(noise_doc)
         if noise.count != len(coeffs.vol_columns):
             raise ConfigError(
                 f"noise: {noise.count} eigenvalues for "
@@ -246,7 +252,7 @@ class ExperimentConfig:
             )
 
         sim_doc = _section(doc, "sim")
-        try:
+        with _reading("sim"):
             sim = SimConfig(
                 dt=float(_field(sim_doc, "sim", "dt", required=True)),
                 horizon=float(_field(sim_doc, "sim", "horizon", required=True)),
@@ -258,32 +264,25 @@ class ExperimentConfig:
                     _field(sim_doc, "sim", "store_trajectories", default=False)
                 ),
             )
-        except ConeSpdeError as exc:
-            raise ConfigError(f"sim: {exc}") from exc
 
         chk = _section(doc, "checker", required=False)
-        try:
+        with _reading("checker"):
             sampler = SamplerSpec(
                 points_per_face=int(_field(chk, "checker", "points_per_face", default=64)),
                 interior_points=int(_field(chk, "checker", "interior_points", default=64)),
                 seed=int(_field(chk, "checker", "seed", default=0)),
                 include_corners=bool(_field(chk, "checker", "include_corners", default=True)),
             )
-        except ConeSpdeError as exc:
-            raise ConfigError(f"checker: {exc}") from exc
-        tol = chk.get("tol")
-        if tol is not None:
-            tol = float(tol)
-            if tol <= 0:
-                raise ConfigError(f"checker.tol: must be > 0, got {tol}")
+            tol = chk.get("tol")
+            tol = None if tol is None else float(tol)
+        if tol is not None and tol <= 0:
+            raise ConfigError(f"checker.tol: must be > 0, got {tol}")
 
         init = doc.get("initial")
         if init is None:
             raise ConfigError("initial: missing section")
-        try:
+        with _reading("initial"):
             h0 = StateVec(np.asarray(init, dtype=np.float64))
-        except (ConeSpdeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"initial: {exc}") from exc
         if h0.dim != dim:
             raise ConfigError(f"initial: {h0.dim} coordinates for dimension {dim}")
 

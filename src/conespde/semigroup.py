@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .space import ConeSpec, StateVec
+from .space import ConeSpec, StateVec, cone_contains
 
 __all__ = [
     "DiagonalSemigroup",
@@ -176,14 +176,17 @@ class BoundaryMembership:
     grid_diverged: bool
 
 
-def _check_functional(cone: ConeSpec, functional: tuple[int, int]) -> tuple[int, int]:
-    theta, k = functional
-    theta = int(theta)
-    k = int(k)
+def _parse_functional(functional: tuple[int, int], dim: int) -> tuple[int, int]:
+    theta, k = int(functional[0]), int(functional[1])
     if theta not in (-1, 1):
         raise ConfigError(f"functional sign must be -1 or +1, got {theta}")
-    if not 0 <= k < cone.dim:
-        raise ConfigError(f"functional index {k} outside 0..{cone.dim - 1}")
+    if not 0 <= k < dim:
+        raise ConfigError(f"functional index {k} outside 0..{dim - 1}")
+    return theta, k
+
+
+def _check_functional(cone: ConeSpec, functional: tuple[int, int]) -> tuple[int, int]:
+    theta, k = _parse_functional(functional, cone.dim)
     if int(cone.signs[k]) != theta:
         raise ConfigError(
             f"functional ({theta}, {k}) does not generate the cone: sign at {k} is {int(cone.signs[k])}"
@@ -198,7 +201,7 @@ def liminf_grid_quotients(
     grid: LiminfGrid = LiminfGrid(),
 ) -> np.ndarray:
     """Quotients ``theta * exp(-c_k t) h_k / t`` along the grid times."""
-    theta, k = int(functional[0]), int(functional[1])
+    theta, k = _parse_functional(functional, sg.dim)
     sg._check_dim(h)
     ts = grid.times()
     return theta * np.exp(-sg.rates[k] * ts) * h.coords[k] / ts
@@ -240,8 +243,6 @@ def boundary_set_membership(
     sg._check_dim(h)
     if cone.dim != sg.dim:
         raise ShapeError(f"cone dim {cone.dim} vs semigroup dim {sg.dim}")
-    from .space import cone_contains
-
     if not cone_contains(cone, h, 0.0):
         raise DomainError("boundary test requires a point inside the cone")
 

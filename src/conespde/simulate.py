@@ -9,10 +9,11 @@ flow:
                           + sum_i jump_i(r) (count_i - w_i dt)
     r_new = exp(-c dt) * acc
 
-One NumPy kernel steps every coefficient set, vectorized over the
-paths of a chunk; it evaluates each map on the whole batch through
-``CoefficientMap.eval_array``, the function the condition checkers
-evaluate as well.
+``kernels.step_ensemble`` steps every coefficient set, vectorized
+over the paths of a chunk; it evaluates each map on the whole batch
+through ``CoefficientMap.eval_array``, the function the condition
+checkers evaluate as well.  Chunks run one after another in a single
+thread.
 
 Monitoring is structural, not pathwise-absorbing: every path records
 its minimum signed cone margin, the first step index at which the
@@ -29,17 +30,14 @@ chunking, and any single path can be regenerated in isolation.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import kernels
 from .coefficients import CoefficientSet
 from .errors import ConfigError, DivergenceError, DomainError, ShapeError
-from .kernels import _euler_np
-from .kernels import plan as kplan
-from .kernels import step_ensemble
+from .kernels import StepPlan, step_ensemble
 from .semigroup import DiagonalSemigroup, LiminfGrid
 from .space import ConeSpec, StateVec, cone_contains, cone_distance
 
@@ -161,17 +159,6 @@ class PathEnsemble:
         return t
 
 
-def _worker_cap() -> int:
-    """Worker count from CONE_SPDE_THREADS; 1 (sequential) by default."""
-    raw = os.environ.get("CONE_SPDE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"CONE_SPDE_THREADS must be an integer, got {raw!r}") from None
-
-
 def _path_stream(master_seed: int, p: int):
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(p,))
     return np.random.default_rng(ss), np.uint64(ss.generate_state(1, np.uint64)[0])
@@ -221,25 +208,12 @@ def run_ensemble(
     S = config.steps
     P = config.paths
 
-    # Both routes run the same loop.  Built-in sets go through
-    # step_ensemble, the call site perfbench/tracing.py wraps to time the
-    # kernel layer; perfbench/test_perfbench.py pins that only the
-    # verify-sweep workload reaches it.
-    step = step_ensemble if coeffs.uses_only_builtin_maps() else _euler_np.run_paths
-    weights = np.array(coeffs.jump_weights, dtype=np.float64)
-    sp = kplan.make_plan(
-        dim=dim,
-        dt=config.dt,
-        drift=coeffs.drift,
-        vols=coeffs.vol_columns,
-        atoms=tuple(g for _, g in coeffs.jump_atoms),
-        rates=semigroup.rates,
-        q_eigenvalues=np.array(noise.eigenvalues),
-        atom_weights=weights,
-        signs=cone.signs.astype(np.float64),
-        exit_tol=config.exit_tol,
-        guard=config.guard,
-    )
+    # Both names are the same function.  Built-in sets call it as
+    # simulate.step_ensemble, the call site perfbench/tracing.py wraps to
+    # time the kernel layer; perfbench/test_perfbench.py pins that only
+    # the verify-sweep workload reaches it.
+    step = step_ensemble if coeffs.uses_only_builtin_maps() else kernels.step_ensemble
+    sp = StepPlan.build(coeffs, semigroup, noise, cone, config)
 
     final = np.zeros((P, dim))
     runmin = np.zeros(P)
@@ -248,18 +222,16 @@ def run_ensemble(
     seeds = np.zeros(P, dtype=np.uint64)
     traj = np.zeros((P, S + 1, dim)) if config.store_trajectories else None
 
-    r0_row = h0.coords
-
-    def do_chunk(lo: int) -> None:
+    for lo in range(0, P, config.chunk):
         hi = min(lo + config.chunk, P)
         n = hi - lo
         normals = np.zeros((n, S, noise.count))
-        counts = np.zeros((n, S, len(weights)), dtype=np.int64)
+        counts = np.zeros((n, S, len(sp.atoms)), dtype=np.int64)
         for k in range(n):
             rng, label = _path_stream(noise.seed, first_path + lo + k)
             normals[k], counts[k] = _draw_noise(rng, S, noise.count, sp.atom_wdt)
             seeds[lo + k] = label
-        r0 = np.broadcast_to(r0_row, (n, dim)).copy()
+        r0 = np.broadcast_to(h0.coords, (n, dim)).copy()
         out = step(sp, r0, normals, counts, config.store_trajectories)
         final[lo:hi] = out["final"]
         runmin[lo:hi] = out["min_margin"]
@@ -267,17 +239,9 @@ def run_ensemble(
         diverged[lo:hi] = out["diverged"]
         if traj is not None:
             traj[lo:hi] = out["traj"]
-
-    starts = list(range(0, P, config.chunk))
-    workers = _worker_cap()
-    if workers > 1 and len(starts) > 1:
-        # Chunks write disjoint slices and every path owns its RNG
-        # stream, so scheduling order cannot change any output.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do_chunk, starts))
-    else:
-        for lo in starts:
-            do_chunk(lo)
+        # Release this chunk's noise before the next one is drawn, so
+        # peak memory holds one chunk, not two.
+        del normals, counts, out
 
     return PathEnsemble(
         final=final,

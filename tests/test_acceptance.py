@@ -52,8 +52,7 @@ def ensemble_stats(ec: ExperimentConfig):
 
 
 class TestAcceptance:
-    def test_ac1_compliant_system_stays_in(self, criterion, monkeypatch):
-        monkeypatch.delenv("CONE_SPDE_THREADS", raising=False)
+    def test_ac1_compliant_system_stays_in(self, criterion):
         ec = load_preset("heat-positive")
         t0 = time.perf_counter()
         report = invariance_verdict(ec.coeffs, ec.semigroup, ec.cone, ec.sampler)

@@ -308,8 +308,6 @@ class TestEnvelopes:
     def test_search_spec_validation(self):
         with pytest.raises(DomainError):
             SearchSpec(radius=-1.0)
-        with pytest.raises(DomainError):
-            SearchSpec(grid_points=3)
 
     def test_map_wrapper_smooths_componentwise(self):
         f = ConstantMap(np.array([2.0, -1.0]))

@@ -192,6 +192,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="out: must be a string path"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("sim", "dt", "abc"),
+            ("checker", "points_per_face", "x"),
+            ("coefficients", "vol", 5),
+            ("coefficients", "drift", {"family": "constant", "value": "ab"}),
+            ("noise", "eigenvalues", {"rule": "flat", "count": "z"}),
+        ],
+    )
+    def test_malformed_value_names_section(self, tmp_path, section, key, value):
+        doc = self.base()
+        doc[section][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{section}: "):
+            ExperimentConfig.from_dict(doc)
+        res = CliRunner().invoke(cli, ["check", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 1
+        assert f"error: {section}: " in combined_output(res)
+
 
 class TestConfigIO:
     def test_save_load_round_trip(self, tmp_path):

@@ -1,18 +1,17 @@
-"""The stepping kernel's plan, its two call routes, and their agreement.
+"""The stepping kernel's constants, its two call names, and their agreement.
 
-Every coefficient set runs through one NumPy loop that evaluates each
-map on the whole batch by its ``eval_array``.  Sets of built-in maps
-reach it through ``simulate.step_ensemble``, other sets call the loop
-directly; wrapping a builtin map in an opaque callable that delegates
-to it must therefore reproduce the output exactly, exits and
-divergence included.
+Every coefficient set runs through ``kernels.step_ensemble``, one NumPy
+loop that evaluates each map on the whole batch by its ``eval_array``.
+Sets of built-in maps call it by the name ``simulate.step_ensemble``,
+other sets by ``kernels.step_ensemble``; wrapping a builtin map in an
+opaque callable that delegates to it must therefore reproduce the
+output exactly, exits and divergence included.
 """
 
 import numpy as np
 
 from conespde import ConeSpec, DiagonalSemigroup, NoiseSpec, SimConfig, StateVec, kernels, simulate
 from conespde.coefficients import AffineMap, CallableMap, CoefficientSet, TabulatedMap, ZeroMap
-from conespde.kernels.plan import make_plan
 from conespde.simulate import run_ensemble
 
 
@@ -32,13 +31,14 @@ class TestPlan:
         lam = np.array([0.5])
         weights = np.array([0.2])
         zero = ZeroMap(2)
-        sp = make_plan(
-            2, 1e-3, zero, (zero,), (zero,), rates, lam, weights, np.ones(2), 1e-8, 1e12
+        coeffs = CoefficientSet(zero, (zero,), ((weights[0], zero),))
+        config = SimConfig(dt=1e-3, horizon=1e-3, paths=1)
+        sp = kernels.StepPlan.build(
+            coeffs, DiagonalSemigroup(rates), NoiseSpec(tuple(lam)), ConeSpec.nonnegative(2), config
         )
         np.testing.assert_array_equal(sp.decay, np.exp(-rates * 1e-3))
         np.testing.assert_array_equal(sp.sqrt_scale, np.sqrt(lam * 1e-3))
         np.testing.assert_array_equal(sp.atom_wdt, weights * 1e-3)
-        assert sp.n_vols == 1 and sp.n_atoms == 1
 
 
 def opaque(m):
@@ -57,9 +57,9 @@ def opaque_set(coeffs, drift_only=False):
 
 
 class TestUnloweredSetParity:
-    # Sets with maps outside the built-in families call the numpy loop
-    # directly; wrappers that delegate to builtin maps must reproduce
-    # the output of the step_ensemble route exactly.
+    # Sets with maps outside the built-in families call the loop as
+    # kernels.step_ensemble; wrappers that delegate to builtin maps must
+    # reproduce the output of the simulate.step_ensemble route exactly.
 
     def test_opaque_wrappers_reproduce_kernel_output(self, heat16, cone16, compliant_coeffs, flat_noise8):
         wrapped = opaque_set(compliant_coeffs)

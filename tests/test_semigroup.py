@@ -194,6 +194,12 @@ class TestBoundaryMembership:
         ts = grid.times()
         np.testing.assert_allclose(q, np.exp(-2.0 * ts) * 3.0 / ts, rtol=1e-14)
 
+    @pytest.mark.parametrize("functional", [(1, 9), (1, -1), (0, 0), (2, 1)])
+    def test_quotient_functional_validated(self, functional):
+        sg = DiagonalSemigroup.heat(4)
+        with pytest.raises(ConfigError, match="functional"):
+            liminf_grid_quotients(sg, functional, StateVec(np.zeros(4)))
+
     def test_functional_must_generate_cone(self):
         sg = DiagonalSemigroup.heat(2)
         K = ConeSpec(np.array([1, 0]))

@@ -10,6 +10,8 @@ Closed forms used as oracles:
   the initial state for every dt.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -177,27 +179,23 @@ class TestDeterminism:
         b = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, small, h0)
         assert np.array_equal(a.final, b.final)
 
-    def test_thread_pool_invariant(
-        self, heat16, cone16, compliant_coeffs, flat_noise8, monkeypatch
-    ):
+    def test_peak_memory_holds_one_chunk(self, heat16, cone16, compliant_coeffs, flat_noise8):
+        # Each chunk's noise arrays are released before the next chunk is
+        # drawn, so four chunks peak about where one chunk does.
         h0 = StateVec(np.full(16, 1.0))
-        config = SimConfig(dt=1e-3, horizon=0.05, paths=32, chunk=8)
-        monkeypatch.delenv("CONE_SPDE_THREADS", raising=False)
-        serial = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
-        monkeypatch.setenv("CONE_SPDE_THREADS", "4")
-        pooled = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
-        assert np.array_equal(serial.final, pooled.final)
-        assert np.array_equal(serial.min_margin, pooled.min_margin)
 
-    def test_thread_env_validated(
-        self, heat16, cone16, compliant_coeffs, flat_noise8, quick_sim, monkeypatch
-    ):
-        monkeypatch.setenv("CONE_SPDE_THREADS", "many")
-        with pytest.raises(ConfigError):
-            run_ensemble(
-                compliant_coeffs, heat16, flat_noise8, cone16, quick_sim,
-                StateVec(np.full(16, 1.0)),
-            )
+        def peak(paths):
+            config = SimConfig(dt=1e-3, horizon=0.5, paths=paths, chunk=16)
+            tracemalloc.start()
+            try:
+                run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # warm-up: first-call allocations are not the ensemble's
+        chunk_normals = 16 * 500 * 8 * 8
+        assert peak(64) < peak(16) + chunk_normals // 2
 
     def test_first_path_is_a_slice(self, heat16, cone16, compliant_coeffs, flat_noise8):
         h0 = StateVec(np.full(16, 1.0))
