@@ -23,6 +23,12 @@ properties the invariance conditions care about:
 Envelope values are computed by a coarse grid plus golden-section
 refinement; an optimum landing on the search boundary raises
 ``SearchRadiusError`` instead of returning a silently wrong value.
+The state is validated once, where it enters as a ``StateVec``
+(``inf_convolve``, ``sup_convolve``, ``sup_inf_convolve``,
+``sup_inf_map``).  Each search then checks once that its window
+``[h - R, h + R]`` is finite and raises ``DomainError`` if not; the
+states it hands the target function inside that window are not
+re-validated.
 """
 
 from __future__ import annotations
@@ -195,6 +201,11 @@ class SearchSpec:
     ``GRID_POINTS`` samples locate the global basin, ``REFINE_ITERS``
     golden-section steps refine inside it, and ``SWEEPS`` rounds of
     coordinate descent handle dimensions above one.
+
+    ``radius`` must be finite and > 0, ``lipschitz`` and ``sup_bound``
+    finite and >= 0.  The window around the base point must be finite
+    too: a search whose window overflows raises ``DomainError`` before
+    ``f`` is called, since the states inside it are not re-validated.
     """
 
     radius: float | None = None
@@ -202,8 +213,12 @@ class SearchSpec:
     sup_bound: float | None = None
 
     def __post_init__(self):
-        if self.radius is not None and self.radius <= 0:
-            raise DomainError("radius must be > 0 when given")
+        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
+            raise DomainError(f"radius must be finite and > 0 when given, got {self.radius}")
+        for name in ("lipschitz", "sup_bound"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"{name} must be finite and >= 0 when given, got {value}")
 
     def resolve_radius(self, width: float) -> float:
         if self.radius is not None:
@@ -268,15 +283,21 @@ def _opt_shifted(
 
     Coordinate descent over the cube of half-width
     ``resolve_radius(width)`` around ``base``; the sup-convolution
-    minimizes the negated function.
+    minimizes the negated function.  ``base`` comes from a validated
+    state, and the window is checked once here, so every iterate is
+    finite and reaches ``f`` unchecked.
     """
     R = spec.resolve_radius(width)
+    with np.errstate(over="ignore"):
+        lo, hi = base - R, base + R
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise DomainError(f"search window must be finite, got radius {R} around the state")
     dim = base.shape[0]
     g = base.copy()
 
     def objective() -> float:
         diff = base - g
-        return f(StateVec(g)) + float(diff @ diff) / (2.0 * width)
+        return f(StateVec._unchecked(g)) + float(diff @ diff) / (2.0 * width)
 
     sweeps = 1 if dim == 1 else SWEEPS
     for _ in range(sweeps):
@@ -285,7 +306,7 @@ def _opt_shifted(
                 g[axis] = x
                 return objective()
 
-            x, _ = _line_search(fn, base[axis] - R, base[axis] + R)
+            x, _ = _line_search(fn, lo[axis], hi[axis])
             g[axis] = x
     return objective()
 

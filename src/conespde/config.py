@@ -20,6 +20,7 @@ import contextlib
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,6 +137,8 @@ def _expand(doc: dict) -> dict:
     name = doc.pop("preset", None)
     if name is None:
         return doc
+    if not isinstance(name, str):
+        raise ConfigError(f"preset: must be a preset name, got {name!r}")
     base = preset_document(name)
     base.update(doc)
     return base
@@ -160,6 +163,14 @@ def _field(section: dict, path: str, key: str, default=None, required: bool = Fa
     return section[key]
 
 
+def _finite(path: str, value) -> float:
+    """``float(value)``, with NaN and infinities reported against ``path``."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: must be finite, got {x!r}")
+    return x
+
+
 @contextlib.contextmanager
 def _reading(section: str):
     """Report a bad value met while building ``section`` as a
@@ -179,12 +190,16 @@ def _noise_from(doc: dict) -> NoiseSpec:
         rule = _field(eigs, "noise.eigenvalues", "rule", required=True)
         count = int(_field(eigs, "noise.eigenvalues", "count", required=True))
         if rule == "flat":
-            value = float(_field(eigs, "noise.eigenvalues", "value", default=1.0))
+            value = _finite(
+                "noise.eigenvalues.value", _field(eigs, "noise.eigenvalues", "value", default=1.0)
+            )
             return NoiseSpec.flat(count, value, seed)
         if rule == "dyadic":
             return NoiseSpec.dyadic(count, seed)
         raise ConfigError(f"noise.eigenvalues.rule: unknown rule {rule!r}")
-    return NoiseSpec(tuple(float(x) for x in eigs), seed)
+    return NoiseSpec(
+        tuple(_finite(f"noise.eigenvalues[{i}]", x) for i, x in enumerate(eigs)), seed
+    )
 
 
 @dataclass(eq=False)
@@ -215,7 +230,7 @@ class ExperimentConfig:
 
         space = _section(doc, "space")
         dim = _field(space, "space", "dim", required=True)
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise ConfigError(f"space.dim: must be a positive integer, got {dim!r}")
         cone_doc = _field(space, "space", "cone", required=True)
         if cone_doc == "nonnegative":
@@ -254,12 +269,12 @@ class ExperimentConfig:
         sim_doc = _section(doc, "sim")
         with _reading("sim"):
             sim = SimConfig(
-                dt=float(_field(sim_doc, "sim", "dt", required=True)),
-                horizon=float(_field(sim_doc, "sim", "horizon", required=True)),
+                dt=_finite("sim.dt", _field(sim_doc, "sim", "dt", required=True)),
+                horizon=_finite("sim.horizon", _field(sim_doc, "sim", "horizon", required=True)),
                 paths=int(_field(sim_doc, "sim", "paths", required=True)),
                 scheme=str(_field(sim_doc, "sim", "scheme", default="exponential-euler")),
-                exit_tol=float(_field(sim_doc, "sim", "exit_tol", default=1e-8)),
-                guard=float(_field(sim_doc, "sim", "guard", default=1e12)),
+                exit_tol=_finite("sim.exit_tol", _field(sim_doc, "sim", "exit_tol", default=1e-8)),
+                guard=_finite("sim.guard", _field(sim_doc, "sim", "guard", default=1e12)),
                 store_trajectories=bool(
                     _field(sim_doc, "sim", "store_trajectories", default=False)
                 ),
@@ -274,7 +289,7 @@ class ExperimentConfig:
                 include_corners=bool(_field(chk, "checker", "include_corners", default=True)),
             )
             tol = chk.get("tol")
-            tol = None if tol is None else float(tol)
+            tol = None if tol is None else _finite("checker.tol", tol)
         if tol is not None and tol <= 0:
             raise ConfigError(f"checker.tol: must be > 0, got {tol}")
 

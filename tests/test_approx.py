@@ -306,8 +306,87 @@ class TestEnvelopes:
         assert got == pytest.approx(-12.5, abs=1e-5)
 
     def test_search_spec_validation(self):
-        with pytest.raises(DomainError):
-            SearchSpec(radius=-1.0)
+        for kwargs in (
+            {"radius": -1.0},
+            {"radius": math.inf},
+            {"radius": math.nan},
+            {"lipschitz": -1.0, "sup_bound": 1.0},
+            {"lipschitz": math.nan, "sup_bound": 1.0},
+            {"lipschitz": math.inf, "sup_bound": 1.0},
+            {"lipschitz": 1.0, "sup_bound": -1.0},
+            {"lipschitz": 1.0, "sup_bound": math.inf},
+        ):
+            with pytest.raises(DomainError):
+                SearchSpec(**kwargs)
+
+    def test_overflowing_window_is_a_domain_error(self):
+        # each spec is valid alone; only the window around the state
+        # overflows, which the search reports before calling f
+        cases = (
+            (SearchSpec(radius=1e308), StateVec(np.array([1e308]))),
+            (SearchSpec(lipschitz=1e308, sup_bound=0.0), StateVec(np.zeros(1))),
+        )
+        for spec, h in cases:
+            with pytest.raises(DomainError, match="window must be finite"):
+                inf_convolve(ABS, 10.0, h, spec)
+
+    # float.hex values recorded from the search that validated every
+    # iterate; skipping that validation must not move a single bit
+    PINNED_X = (-1.995, -0.3, 0.004, 0.0125, 1.001)
+    PINNED = {
+        "inf": (
+            "0x1.0000000000000p+0", "0x1.2e147ae147ae1p-2", "0x1.a36e2eb1c4bc5p-11",
+            "0x1.eb851eb851eb8p-8", "0x1.fdf3b645a1cabp-1",
+        ),
+        "sup": (
+            "0x1.0000000000000p+0", "0x1.33b645a1cac08p-2", "0x1.26e978d4fdf3bp-8",
+            "0x1.a9fbe76c8b43ap-7", "0x1.0000000000000p+0",
+        ),
+        "sup_inf": (
+            "0x1.0000000000000p+0", "0x1.2e978d4fdf3b6p-2", "0x1.d208a5a913c40p-11",
+            "0x1.0624dd2f1a9fcp-7", "0x1.fe353f7ced915p-1",
+        ),
+    }
+
+    def test_values_pinned(self):
+        def f(v):
+            return min(abs(float(v.coords[0])), 1.0)
+
+        spec = SearchSpec(lipschitz=1.0, sup_bound=1.0)
+        p = SupInfParams(lam=1e-2, mu=1e-3)
+        envelopes = {
+            "inf": lambda h: inf_convolve(f, p.lam, h, spec),
+            "sup": lambda h: sup_convolve(f, p.mu, h, spec),
+            "sup_inf": lambda h: sup_inf_convolve(f, p, h, spec),
+        }
+        for name, env in envelopes.items():
+            got = tuple(env(StateVec(np.array([x]))).hex() for x in self.PINNED_X)
+            assert got == self.PINNED[name], name
+
+        def g(v):
+            x, y = v.coords
+            return abs(x - y) + 0.5 * abs(y - 0.25)
+
+        spec2 = SearchSpec(lipschitz=1.5, sup_bound=2.0)
+        got = inf_convolve(g, 0.1, StateVec(np.array([0.3, -0.4])), spec2)
+        assert got.hex() == "0x1.b99999999999ap-1"
+
+    def test_objective_sees_private_readonly_state(self):
+        seen = []
+
+        def f(v):
+            assert isinstance(v, StateVec)
+            assert not v.coords.flags.writeable
+            seen.append((v, v.coords.copy()))
+            return abs(float(v.coords[0])) + abs(float(v.coords[1]))
+
+        spec = SearchSpec(lipschitz=1.0, sup_bound=1.0)
+        inf_convolve(f, 0.1, StateVec(np.array([0.3, -0.4])), spec)
+        assert len(seen) > 2 * 65
+        for v, snapshot in seen:
+            assert not v.coords.flags.writeable
+            np.testing.assert_array_equal(v.coords, snapshot)
+        assert not np.shares_memory(seen[0][0].coords, seen[1][0].coords)
 
     def test_map_wrapper_smooths_componentwise(self):
         f = ConstantMap(np.array([2.0, -1.0]))

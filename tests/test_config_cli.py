@@ -7,6 +7,7 @@ full-size runs live in the acceptance tests.
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,30 @@ class TestValidation:
         res = CliRunner().invoke(cli, ["check", "--config", str(path), "--out", str(tmp_path / "r")])
         assert res.exit_code == 1
         assert f"error: {section}: " in combined_output(res)
+
+    @pytest.mark.parametrize(
+        "field,edit",
+        [
+            ("preset", lambda doc: {"preset": ["x"]}),
+            ("space.dim", lambda doc: {**doc, "space": {"dim": True, "cone": "nonnegative"}}),
+            ("checker.tol", lambda doc: {**doc, "checker": {"tol": "nan"}}),
+            ("sim.guard", lambda doc: {**doc, "sim": {**doc["sim"], "guard": "inf"}}),
+            ("sim.dt", lambda doc: {**doc, "sim": {**doc["sim"], "dt": "nan"}}),
+            ("sim.dt", lambda doc: {**doc, "sim": {**doc["sim"], "dt": "-inf"}}),
+            ("noise.eigenvalues[0]", lambda doc: {**doc, "noise": {"eigenvalues": ["inf"] * 8}}),
+        ],
+        ids=["preset-list", "dim-bool", "tol-nan", "guard-inf", "dt-nan", "dt-neg-inf", "eig-inf"],
+    )
+    def test_rejected_value_names_field(self, tmp_path, field, edit):
+        doc = edit(self.base())
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(cli, ["check", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 1
+        assert f"error: {field}: " in combined_output(res)
+        assert "Traceback" not in combined_output(res)
 
 
 class TestConfigIO:

@@ -65,3 +65,37 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+# ``StateVec._unchecked`` skips coordinate validation; only the module
+# that defines it and the envelope searches, whose window is checked
+# once per search, may use it.
+UNCHECKED = "_unchecked"
+UNCHECKED_ALLOWED = {"space.py", "approx.py"}
+
+
+def unchecked_uses(tree: ast.Module) -> list[int]:
+    """Lines naming the unchecked constructor: attribute, bare name or
+    a string (as in ``getattr(StateVec, "_unchecked")``)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == UNCHECKED)
+        or (isinstance(node, ast.Name) and node.id == UNCHECKED)
+        or (isinstance(node, ast.Constant) and node.value == UNCHECKED)
+    )
+
+
+def test_checker_sees_an_unchecked_use():
+    tree = ast.parse('a = StateVec._unchecked(x)\nb = getattr(StateVec, "_unchecked")\n')
+    assert unchecked_uses(tree) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name not in UNCHECKED_ALLOWED),
+    ids=lambda p: p.name,
+)
+def test_unchecked_state_stays_in_approx(path):
+    lines = unchecked_uses(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} uses StateVec.{UNCHECKED} on lines {lines}"
