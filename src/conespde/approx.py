@@ -357,10 +357,16 @@ def sup_inf_convolve(
 
 
 def sup_inf_map(f: CoefficientMap, p: SupInfParams, search: SearchSpec) -> CoefficientMap:
-    """Componentwise sup-inf regularization of a vector map."""
+    """Componentwise sup-inf regularization of a vector map.
+
+    Component ``k`` searches over coordinate ``k`` of ``f.eval_coords``,
+    so a family that overrides ``eval_coords`` computes only the entry
+    it needs.
+    """
 
     def component(k: int) -> Callable[[StateVec], float]:
-        return lambda x: float(f.eval_array(x.coords)[k])
+        only = slice(k, k + 1)  # a slice selects without the copy of an index list
+        return lambda x: float(f.eval_coords(x.coords, only)[0])
 
     comps = [component(k) for k in range(f.dim)]
 

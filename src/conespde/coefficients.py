@@ -19,8 +19,10 @@ to three pointwise conditions, which the checkers here test by sampling:
 The samplers return arrays: ``sample_cone_points`` one ``(M, N)``
 array of cone points, ``sample_boundary_pairs`` one ``(theta, k, H)``
 face block per constrained coordinate, ``H`` a ``(P_k, N)`` array of
-states with ``h_k = 0``.  The checkers evaluate each map once per block
-through ``eval_array`` and build witnesses only for violating rows.
+states with ``h_k = 0``.  The jump checker evaluates each atom once on
+the whole sample through ``eval_array``; the drift and volatility
+checkers read only coordinate ``k`` of each map on a face block, through
+``eval_coords(H, [k])``.  Witnesses are built only for violating rows.
 
 Sampling can certify a violation (a witness is a concrete point) but
 never its absence, so reports distinguish "VIOLATED (witness found)"
@@ -30,6 +32,7 @@ from "NO VIOLATION FOUND (sampled)".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -71,8 +74,17 @@ class CoefficientMap:
 
     Subclasses implement ``eval_array`` on raw coordinate arrays; the
     public ``__call__`` wraps and unwraps ``StateVec``.  The condition
-    checkers and the simulation kernel both evaluate maps through
-    ``eval_array``.
+    checkers and the simulation kernel evaluate maps through
+    ``eval_array`` and ``eval_coords``.
+
+    ``support`` lists, in increasing order, the output coordinates that
+    can be nonzero: every other output entry is a zero (of either sign)
+    at every state.  A caller may therefore add a map's value into a sum
+    on its support only, with one exception.  Adding ``+0.0`` leaves
+    every value alone except ``-0.0``, which it turns into ``+0.0``; and
+    a running sum becomes ``-0.0`` only if it already was.  So a sum that
+    holds no zero may skip the coordinates outside a support, and a sum
+    that holds one adds at full width.
     """
 
     dim: int
@@ -85,8 +97,26 @@ class CoefficientMap:
         of the result broadcast to ``(P, N)`` equals ``eval_array(a[i])``
         bit for bit; maps whose value does not depend on the state may
         return their ``(N,)`` vector and rely on that broadcasting.
+        Entries outside ``support`` are zero.
         """
         raise NotImplementedError
+
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        """Output coordinates ``idx`` (a slice or an integer index array)
+        at ``a``: ``broadcast_to(eval_array(a), a.shape)[..., idx]`` bit
+        for bit.  Families override this to compute only those
+        coordinates.  The result may be a read-only view; callers do not
+        write into it."""
+        out = self.eval_array(a)
+        if out.shape != a.shape:
+            out = np.broadcast_to(out, a.shape)
+        return out[..., idx]
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Output coordinates that can be nonzero; all of them unless a
+        family knows better."""
+        return _index(np.arange(self.dim))
 
     #: Closed-form family evaluated exactly, without interpolation or
     #: user code; sets of such maps get the tight default tolerance.
@@ -110,6 +140,35 @@ def _per_row(eval_one: Callable, a: np.ndarray) -> np.ndarray:
     return np.stack([eval_one(row) for row in a])
 
 
+_ALL = slice(None)
+
+
+def _index(coords) -> np.ndarray:
+    arr = np.asarray(coords, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
+def row_index(coords, dim: int) -> slice | np.ndarray | None:
+    """A set of coordinates as an index into a state row: ``None`` when
+    empty, ``slice(None)`` for all of them, a slice for a run of them,
+    else the sorted index array.  Slices index without a copy."""
+    sup = np.unique(np.asarray(coords, dtype=np.intp))
+    if sup.size == 0:
+        return None
+    if sup[0] < 0 or sup[-1] >= dim:
+        raise ShapeError(f"coordinates {sup.tolist()} outside 0..{dim - 1}")
+    if sup.size == dim:
+        return _ALL
+    lo, hi = int(sup[0]), int(sup[-1]) + 1
+    return slice(lo, hi) if hi - lo == sup.size else sup
+
+
+def _selected(idx, dim: int) -> np.ndarray:
+    """The coordinates ``idx`` selects out of ``0..dim-1``, in order."""
+    return np.arange(dim)[idx]
+
+
 def _vec(values, dim: int, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.shape != (dim,):
@@ -129,6 +188,10 @@ class ZeroMap(CoefficientMap):
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
         return np.zeros(self.dim)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return _index([])
 
     def to_config(self) -> dict:
         return {"family": "zero"}
@@ -150,6 +213,14 @@ class ConstantMap(CoefficientMap):
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
         return self.value.copy()
+
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        v = self.value[idx]
+        return v if a.ndim == 1 else v[None, :].repeat(a.shape[0], axis=0)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return _index(np.flatnonzero(self.value))
 
     def to_config(self) -> dict:
         return {"family": "constant", "value": [float(x) for x in self.value]}
@@ -183,10 +254,14 @@ class AffineMap(CoefficientMap):
         object.__setattr__(self, "offset", _vec(self.offset, self.dim, "offset"))
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
-        out = np.empty(a.shape)
-        out[...] = self.offset
+        return self.eval_coords(a, _ALL)
+
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        rows = self.matrix[idx]
+        out = np.empty(a.shape[:-1] + rows.shape[:1])
+        out[...] = self.offset[idx]
         for l in range(self.dim):
-            out += self.matrix[:, l] * a[..., l, None]
+            out += rows[:, l] * a[..., l, None]
         return out
 
     def to_config(self) -> dict:
@@ -216,7 +291,10 @@ class MeanReversionMap(CoefficientMap):
         object.__setattr__(self, "dim", self.b.shape[0])
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
-        return self.kappa * (self.b - a)
+        return self.eval_coords(a, _ALL)
+
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        return self.kappa * (self.b[idx] - a[..., idx])
 
     def to_config(self) -> dict:
         return {"family": "mean_reversion", "kappa": self.kappa, "b": [float(x) for x in self.b]}
@@ -244,6 +322,19 @@ class ProportionalMap(CoefficientMap):
         out = np.zeros(a.shape)
         out[..., self.index] = self.scale * a[..., self.index]
         return out
+
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        # the kernel asks for the support as a slice, once per step
+        if isinstance(idx, slice) and range(self.dim)[idx] == range(self.index, self.index + 1):
+            return self.scale * a[..., idx]
+        hit = _selected(idx, self.dim) == self.index
+        out = np.zeros(a.shape[:-1] + hit.shape)
+        out[..., hit] = self.scale * a[..., self.index, None]
+        return out
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return _index([self.index])
 
     def to_config(self) -> dict:
         return {"family": "proportional", "scale": self.scale, "index": self.index}
@@ -314,9 +405,16 @@ class GatedOffsetMap(CoefficientMap):
             raise DomainError("need finite low <= high")
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
-        gate = a.T[self.gate_index]
+        return self.eval_coords(a, _ALL)
+
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        gate = a[..., self.gate_index]
         on = (self.low <= gate) & (gate <= self.high)
-        return np.where(on[..., None], self.vector, 0.0)
+        return np.where(on[..., None], self.vector[idx], 0.0)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return _index(np.flatnonzero(self.vector))
 
     def to_config(self) -> dict:
         return {
@@ -330,7 +428,11 @@ class GatedOffsetMap(CoefficientMap):
 
 @dataclass(frozen=True)
 class SumMap(CoefficientMap):
-    """Pointwise sum of maps, evaluated left to right."""
+    """Pointwise sum of maps, evaluated left to right.
+
+    A term whose support is not every coordinate is added on its support
+    only, unless the running sum holds a zero (see ``CoefficientMap``).
+    """
 
     terms: tuple[CoefficientMap, ...]
     dim: int = field(init=False)
@@ -347,9 +449,31 @@ class SumMap(CoefficientMap):
 
     def eval_array(self, a: np.ndarray) -> np.ndarray:
         out = self.terms[0].eval_array(a)
-        for t in self.terms[1:]:
-            out = out + t.eval_array(a)
+        for t, sup in zip(self.terms[1:], self._term_indices[1:]):
+            # a writeable result belongs to the caller, so it may be added into
+            if sup is not _ALL and out.shape == a.shape and out.flags.writeable and out.all():
+                if sup is not None:
+                    out[..., sup] += t.eval_coords(a, sup)
+            else:
+                out = out + t.eval_array(a)
         return out
+
+    @cached_property
+    def _term_indices(self) -> tuple:
+        return tuple(row_index(t.support, self.dim) for t in self.terms)
+
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        # every coordinate: eval_array adds partial terms on their support
+        if isinstance(idx, slice) and idx.indices(self.dim) == (0, self.dim, 1):
+            return super().eval_coords(a, idx)
+        out = self.terms[0].eval_coords(a, idx)
+        for t in self.terms[1:]:
+            out = out + t.eval_coords(a, idx)
+        return out
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return _index(np.unique(np.concatenate([t.support for t in self.terms])))
 
     @property
     def builtin(self) -> bool:
@@ -378,6 +502,16 @@ class ProjectedMap(CoefficientMap):
             out = out.copy() if not out.flags.writeable else out
             out[..., self.level:] = 0.0
         return out
+
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        out = self.inner.eval_coords(a, idx)
+        cut = _selected(idx, self.dim) >= self.level
+        return np.where(cut, 0.0, out) if cut.any() else out
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        sup = self.inner.support
+        return _index(sup[sup < self.level])
 
     @property
     def builtin(self) -> bool:
@@ -778,12 +912,6 @@ def default_tol(coeffs: CoefficientSet) -> float:
     return 1e-9 if coeffs.uses_only_builtin_maps() else 1e-6
 
 
-def _column(values: np.ndarray, H: np.ndarray, k: int) -> np.ndarray:
-    """Coordinate ``k`` of a map evaluated on the block ``H``, one entry per
-    row; maps that ignore the state return ``(N,)`` and are broadcast."""
-    return np.broadcast_to(values, H.shape)[:, k]
-
-
 def _margin_block(
     coeffs: CoefficientSet,
     sg: DiagonalSemigroup,
@@ -794,10 +922,10 @@ def _margin_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(main, no_a, generator)`` margins at the pairs ``(theta e_k*, H[i])``
     with boundary value ``a``, one entry per row of the block ``H``."""
-    drift_k = theta * _column(coeffs.drift.eval_array(H), H, k)
+    drift_k = theta * coeffs.drift.eval_coords(H, [k])[:, 0]
     comp_k = np.zeros(H.shape[0])
     for w, g in coeffs.jump_atoms:
-        comp_k += w * theta * _column(g.eval_array(H), H, k)
+        comp_k += w * theta * g.eval_coords(H, [k])[:, 0]
     gen_k = theta * (-sg.rates[k] * H[:, k])
     return a + drift_k - comp_k, drift_k - comp_k, gen_k + drift_k - comp_k
 
@@ -883,7 +1011,7 @@ def check_drift_condition(
     ``>= -tol``.  The two equivalent formulations (without ``a``; with
     the generator term) are evaluated alongside and must agree on exact
     faces; disagreement marks a sampler bug, not a coefficient property.
-    Maps are evaluated once per face block.
+    Each map's coordinate ``k`` is evaluated once per face block.
     """
     if tol is None:
         tol = default_tol(coeffs)
@@ -925,14 +1053,14 @@ def check_volatility_condition(
 ) -> ConditionReport:
     """Sampled check that volatility columns are parallel to the boundary:
     ``|theta vol_j(h)_k| <= tol`` at admissible boundary pairs.  Each
-    column is evaluated once per face block."""
+    column's coordinate ``k`` is evaluated once per face block."""
     if tol is None:
         tol = default_tol(coeffs)
     pairs = sample_boundary_pairs(cone, sampler)
     witnesses = []
     for theta, k, H in pairs:
         for j, col in enumerate(coeffs.vol_columns):
-            val = theta * _column(col.eval_array(H), H, k)
+            val = theta * col.eval_coords(H, [k])[:, 0]
             for row in np.flatnonzero(np.abs(val) > tol):
                 witnesses.append(
                     Witness(

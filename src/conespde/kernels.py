@@ -8,12 +8,27 @@ One exponential-Euler step of a batch of states ``r``, shape (P, N):
     r_new = decay * acc
 
 with ``decay = exp(-c dt)``, ``sqrt_scale = sqrt(lambda dt)`` and
-``atom_wdt = w dt``, computed once per run by ``StepPlan.build``.  Each
-coefficient map is evaluated on the whole batch through its
-``eval_array``, the function the condition checkers evaluate too, so
-every coefficient set steps through this one loop.  Divergence uses the
-sup norm (order-free), and margins get ``+ 0.0`` so a margin of -0.0 is
-reported as 0.0.  ``BACKEND`` names the kernel for run reports.
+``atom_wdt = w dt``, computed once per run by ``StepPlan.build``.  Every
+coefficient set steps through this one loop.
+
+Each map touches only its output ``support``: ``StepPlan.build`` turns
+the support into a slice where it can (the whole row, one coordinate, a
+run of them), or else an index array, and the step adds
+``map.eval_coords(r, sup) * coefficient`` into ``acc[:, sup]``.  The
+result is the full-width sum bit for bit: outside the support the map is
+zero, and adding a zero changes only a ``-0.0`` entry, which a running
+sum holds only if it started with one.  So a step whose accumulator
+starts with a zero of either sign adds every map at full width, by the
+same code with the support set to every coordinate.
+
+While every path is alive and no row leaves the guard, a step takes
+``r_new`` whole and updates the running minima in place; the per-row
+sup norm is computed only when the chunk's largest entry exceeds the
+guard (or is not a number), and the exit test stops once every live
+path has a first exit.  Divergence uses the sup norm (order-free), and
+margins get ``+ 0.0`` so a margin of -0.0 is reported as 0.0, which
+also makes their minimum independent of the order it is taken in.
+``BACKEND`` names the kernel for run reports.
 """
 
 from __future__ import annotations
@@ -23,6 +38,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .coefficients import row_index
+
 if TYPE_CHECKING:
     from .coefficients import CoefficientMap, CoefficientSet
     from .semigroup import DiagonalSemigroup
@@ -30,6 +47,9 @@ if TYPE_CHECKING:
     from .space import ConeSpec
 
 BACKEND = "numpy"
+
+_ALL = slice(None)  # every coordinate
+_NOISE_BLOCK = 32  # steps of noise scaled at once
 
 
 @dataclass(frozen=True)
@@ -41,6 +61,7 @@ class StepPlan:
     drift: CoefficientMap
     vols: tuple[CoefficientMap, ...]
     atoms: tuple[CoefficientMap, ...]
+    supports: tuple          # drift, vols, atoms: each map's support as a row_index
     decay: np.ndarray        # (N,)   exp(-c_k dt)
     sqrt_scale: np.ndarray   # (J,)   sqrt(lambda_j dt)
     atom_wdt: np.ndarray     # (M,)   w_i dt, Poisson intensities per step
@@ -58,11 +79,14 @@ class StepPlan:
         config: SimConfig,
     ) -> "StepPlan":
         dt = float(config.dt)
+        atoms = tuple(g for _, g in coeffs.jump_atoms)
+        maps = (coeffs.drift, *coeffs.vol_columns, *atoms)
         return cls(
             dt=dt,
             drift=coeffs.drift,
             vols=coeffs.vol_columns,
-            atoms=tuple(g for _, g in coeffs.jump_atoms),
+            atoms=atoms,
+            supports=tuple(row_index(m.support, m.dim) for m in maps),
             decay=np.exp(-semigroup.rates * dt),
             sqrt_scale=np.sqrt(np.array(noise.eigenvalues, dtype=np.float64) * dt),
             atom_wdt=coeffs.jump_weights * dt,
@@ -72,11 +96,35 @@ class StepPlan:
         )
 
 
-def _margins(r: np.ndarray, con_idx: np.ndarray, con_sign: np.ndarray) -> np.ndarray:
-    if con_idx.size == 0:
+def _step_factors(plan: StepPlan, normals: np.ndarray, counts: np.ndarray):
+    """Per step, what each map's value is multiplied by, in the order
+    drift, vols, atoms: ``dt``, then one ``(P, 1)`` column per noise
+    column (scaled normals) and per atom (compensated counts).
+
+    The factors are made a block of steps at a time, laid out step by
+    column by path, so each column is contiguous: one pass over a block
+    of every path's draws costs much less than a strided gather across
+    the paths every step, and products with contiguous columns are
+    faster."""
+    for s0 in range(0, normals.shape[1], _NOISE_BLOCK):
+        block = slice(s0, s0 + _NOISE_BLOCK)
+        W = np.multiply(normals[:, block].transpose(1, 2, 0), plan.sqrt_scale[:, None], order="C")
+        F = np.subtract(counts[:, block].transpose(1, 2, 0), plan.atom_wdt[:, None], order="C")
+        for w, f in zip(W[..., None], F[..., None]):
+            yield (plan.dt, *w, *f)
+
+
+def _margins(r: np.ndarray, con, sign_cols: np.ndarray) -> np.ndarray:
+    """Signed cone margin of each row: the least ``sign_l * r_l`` over the
+    constrained coordinates ``con``, with ``sign_cols`` the signs as a
+    ``(K, P)`` column block."""
+    if con is None:
         return np.full(r.shape[0], np.inf)
-    vals = con_sign[None, :] * r[:, con_idx]
-    return np.min(vals, axis=1) + 0.0
+    # one row per coordinate: a minimum down the columns runs much faster
+    # than one along short rows, and after + 0.0 the order does not matter
+    vals = r.T[con].copy()
+    vals *= sign_cols
+    return vals.min(axis=0) + 0.0
 
 
 def step_ensemble(
@@ -106,11 +154,13 @@ def step_ensemble(
     """
     P, N = r0.shape
     S = normals.shape[1]
-    dt = plan.dt
-    counts_f = counts.astype(np.float64)
 
     con_idx = np.flatnonzero(plan.signs != 0.0)
-    con_sign = plan.signs[con_idx]
+    con = row_index(con_idx, N)
+    # the per-coordinate constants spelled out per path: a product of
+    # equal shapes is much faster than one that broadcasts a short row
+    sign_cols = np.repeat(plan.signs[con_idx, None], P, axis=1)
+    decay = np.repeat(plan.decay[None, :], P, axis=0)
 
     r = r0.astype(np.float64).copy()
     first_exit = np.full(P, -1, dtype=np.int64)
@@ -120,37 +170,54 @@ def step_ensemble(
     if store:
         traj[:, 0] = r
 
-    bad0 = np.max(np.abs(r), axis=1) > plan.guard
+    bad0 = np.abs(r).max(axis=1) > plan.guard
     diverged[bad0] = 0
     alive &= ~bad0
 
     runmin = np.full(P, np.inf)
-    m0 = _margins(r, con_idx, con_sign)
+    m0 = _margins(r, con, sign_cols)
     runmin[alive] = m0[alive]
     hit0 = alive & (m0 < -plan.exit_tol)
     first_exit[hit0] = 0
+    all_alive = bool(alive.all())
+    # live paths with no first exit yet; once there are none, the exit
+    # test is skipped
+    waiting = alive & ~hit0
+    any_waiting = bool(waiting.any())
 
-    for s in range(S):
-        acc = r + dt * plan.drift.eval_array(r)
-        for j, vol in enumerate(plan.vols):
-            w = plan.sqrt_scale[j] * normals[:, s, j]
-            acc += vol.eval_array(r) * w[:, None]
-        for i, atom in enumerate(plan.atoms):
-            f = counts_f[:, s, i] - plan.atom_wdt[i]
-            acc += atom.eval_array(r) * f[:, None]
-        r_new = plan.decay[None, :] * acc
+    maps = (plan.drift, *plan.vols, *plan.atoms)
+    full_width = (_ALL,) * len(maps)
+    for s, coefs in enumerate(_step_factors(plan, normals, counts)):
+        # the accumulator starts as r: with a zero in it, add at full width
+        sups = plan.supports if r.all() else full_width
+        acc = r.copy()
+        for m, sup, c in zip(maps, sups, coefs):
+            if sup is not None:
+                acc[:, sup] += m.eval_coords(r, sup) * c
+        r_new = decay * acc
 
-        maxabs = np.max(np.abs(r_new), axis=1)
-        newly_div = alive & (maxabs > plan.guard)
-        ok = alive & ~newly_div
-        diverged[newly_div] = s + 1
-        alive &= ~newly_div
+        # initial=0.0 lets an empty chunk through; a NaN fails the test
+        if not np.abs(r_new).max(initial=0.0) <= plan.guard:
+            newly_div = alive & (np.abs(r_new).max(axis=1) > plan.guard)
+            diverged[newly_div] = s + 1
+            alive &= ~newly_div
+            all_alive = bool(alive.all())
+            waiting &= alive
+            any_waiting = bool(waiting.any())
 
-        r[ok] = r_new[ok]
-        m = _margins(r_new, con_idx, con_sign)
-        runmin[ok] = np.minimum(runmin[ok], m[ok])
-        crossed = ok & (m < -plan.exit_tol) & (first_exit < 0)
-        first_exit[crossed] = s + 1
+        margin = _margins(r_new, con, sign_cols)
+        if all_alive:
+            r = r_new
+            np.minimum(runmin, margin, out=runmin)
+        else:
+            r[alive] = r_new[alive]
+            runmin[alive] = np.minimum(runmin[alive], margin[alive])
+        if any_waiting:
+            crossed = waiting & (margin < -plan.exit_tol)
+            if crossed.any():
+                first_exit[crossed] = s + 1
+                waiting &= ~crossed
+                any_waiting = bool(waiting.any())
         if store:
             traj[:, s + 1] = r
 

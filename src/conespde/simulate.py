@@ -10,10 +10,10 @@ flow:
     r_new = exp(-c dt) * acc
 
 ``kernels.step_ensemble`` steps every coefficient set, vectorized
-over the paths of a chunk; it evaluates each map on the whole batch
-through ``CoefficientMap.eval_array``, the function the condition
-checkers evaluate as well.  Chunks run one after another in a single
-thread.
+over the paths of a chunk; it evaluates each map on the whole batch,
+on the map's output support only, through
+``CoefficientMap.eval_coords``, the evaluator the condition checkers
+use as well.  Chunks run one after another in a single thread.
 
 Monitoring is structural, not pathwise-absorbing: every path records
 its minimum signed cone margin, the first step index at which the
@@ -65,8 +65,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if any(not lam > 0 for lam in self.eigenvalues):
-            raise DomainError("noise eigenvalues must all be > 0")
+        # finite, too: the kernel skips 0 * sqrt(lam dt) xi off a column's
+        # support, which is not 0 when lam is infinite
+        if any(not (lam > 0 and np.isfinite(lam)) for lam in self.eigenvalues):
+            raise DomainError("noise eigenvalues must all be finite and > 0")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
 

@@ -396,6 +396,37 @@ class TestEnvelopes:
         np.testing.assert_allclose(g.eval_array(np.array([0.4, 0.1])), [2.0, -1.0], atol=1e-8)
 
 
+@pytest.fixture(scope="module")
+def affine_sup_inf():
+    """``sup_inf_map`` of an affine map at one dim-2 point, evaluated with
+    ``AffineMap.eval_array`` patched to raise."""
+    f = AffineMap(np.array([[0.5, -1.0], [2.0, 0.25]]), np.array([0.1, -0.2]))
+    g = sup_inf_map(f, SupInfParams(lam=0.2, mu=0.05), SearchSpec(radius=0.5))
+
+    def refuse(self, a):
+        raise AssertionError("sup_inf_map evaluated the whole map")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AffineMap, "eval_array", refuse)
+        return g.eval_array(np.array([0.3, -0.7]))
+
+
+class TestSupInfMapComponents:
+    # each component search reads one coordinate through eval_coords;
+    # about two million reads per evaluation at dim 2
+
+    def test_whole_map_never_evaluated(self, affine_sup_inf):
+        # the fixture ran every search without reaching eval_array
+        assert affine_sup_inf.shape == (2,)
+
+    def test_values_pinned(self, affine_sup_inf):
+        # recorded with the searches reading f.eval_array(x)[k]
+        assert [v.hex() for v in affine_sup_inf.tolist()] == [
+            "0x1.b666666666666p-1",
+            "-0x1.466666666666dp-4",
+        ]
+
+
 # ---------------------------------------------------------------- mollifier
 
 

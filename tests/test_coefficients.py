@@ -175,6 +175,22 @@ BATCH_CASES = {
     "retracted": (RetractedMap(_AFFINE, 5.0), False),
     "callable_statevec": (CallableMap(lambda h: 2.0 * h, 3), False),
     "callable_array": (CallableMap(lambda h: np.sin(h.coords) - h.coords[1], 3), False),
+    # mean reversion gives -0.0 at coordinate 1 of row 1, where the
+    # proportional term outside its support adds +0.0
+    "sum_signed_zero": (SumMap((_MEANREV, ProportionalMap(-0.3, 0, 3))), True),
+    "sum_partial": (SumMap((ProportionalMap(2.0, 0, 3), _GATED, ZeroMap(3))), True),
+}
+
+# the support each case must declare
+SUPPORTS = {
+    "zero": [],
+    "constant": [0, 2],
+    "proportional": [1],
+    "gated": [0, 2],
+    "projected_affine": [0, 1],
+    "projected_constant": [0],
+    "projected_table": [0],
+    "sum_partial": [0, 2],
 }
 
 
@@ -184,6 +200,67 @@ def test_batch_eval_matches_rows(m):
     rows = np.stack([m.eval_array(row) for row in BATCH])
     batch = m.eval_array(BATCH)
     assert np.broadcast_to(batch, BATCH.shape).tobytes() == rows.tobytes()
+
+
+def _selections(m):
+    """Every single coordinate, the support and all coordinates, as index
+    lists and as slices."""
+    picks = [[k] for k in range(m.dim)] + [slice(k, k + 1) for k in range(m.dim)]
+    return picks + [m.support, list(range(m.dim)), slice(None), slice(1, None)]
+
+
+@pytest.mark.parametrize("m", [m for m, _ in BATCH_CASES.values()], ids=BATCH_CASES.keys())
+def test_eval_coords_matches_columns(m):
+    # eval_coords(a, idx) is broadcast_to(eval_array(a), a.shape)[..., idx]
+    # bit for bit, on the batch and on each of its rows
+    for a in [BATCH, *BATCH]:
+        full = np.broadcast_to(m.eval_array(a), a.shape)
+        for idx in _selections(m):
+            got = m.eval_coords(a, idx)
+            assert got.shape == full[..., idx].shape, idx
+            assert got.tobytes() == full[..., idx].tobytes(), idx
+
+
+@pytest.mark.parametrize("name", BATCH_CASES.keys())
+def test_support_is_sound(name):
+    # outside its support a map is zero everywhere on the batch, and
+    # inside it the batch reaches a nonzero value: the gated case has
+    # rows inside its band [6, 7]
+    m = BATCH_CASES[name][0]
+    sup = m.support
+    assert sup.tolist() == SUPPORTS.get(name, list(range(m.dim)))
+    full = np.broadcast_to(m.eval_array(BATCH), BATCH.shape)
+    outside = np.setdiff1d(np.arange(m.dim), sup)
+    assert np.all(full[:, outside] == 0.0)
+    assert sup.size == 0 or np.any(full[:, sup] != 0.0)
+
+
+@pytest.mark.parametrize("name", [n for n, (m, _) in BATCH_CASES.items() if isinstance(m, SumMap)])
+def test_sum_matches_full_width_sum(name):
+    # adding a term on its support only gives the full-width sum's bytes,
+    # -0.0 entries included
+    m = BATCH_CASES[name][0]
+    for a in [BATCH, *BATCH]:
+        want = m.terms[0].eval_array(a)
+        for t in m.terms[1:]:
+            want = want + t.eval_array(a)
+        got = m.eval_array(a)
+        assert np.broadcast_to(got, a.shape).tobytes() == np.broadcast_to(want, a.shape).tobytes()
+
+
+def test_batch_cases_cover_every_family():
+    # a new map family must join BATCH_CASES, so the batch, support and
+    # eval_coords parity tests above cover it
+    families = {
+        cls
+        for cls in vars(coefficients).values()
+        if isinstance(cls, type)
+        and issubclass(cls, coefficients.CoefficientMap)
+        and cls is not coefficients.CoefficientMap
+        and cls.__module__ == coefficients.__name__
+    }
+    assert len(families) >= 11
+    assert families - {type(m) for m, _ in BATCH_CASES.values()} == set()
 
 
 @pytest.mark.parametrize("m, builtin", BATCH_CASES.values(), ids=BATCH_CASES.keys())

@@ -1,18 +1,34 @@
 """The stepping kernel's constants, its two call names, and their agreement.
 
 Every coefficient set runs through ``kernels.step_ensemble``, one NumPy
-loop that evaluates each map on the whole batch by its ``eval_array``.
-Sets of built-in maps call it by the name ``simulate.step_ensemble``,
-other sets by ``kernels.step_ensemble``; wrapping a builtin map in an
-opaque callable that delegates to it must therefore reproduce the
-output exactly, exits and divergence included.
+loop that evaluates each map on the whole batch, on the map's output
+support only, by its ``eval_coords``.  Sets of built-in maps call it by
+the name ``simulate.step_ensemble``, other sets by
+``kernels.step_ensemble``; wrapping a builtin map in an opaque callable
+that delegates to it must therefore reproduce the output exactly, exits
+and divergence included.  ``TestDenseReference`` holds the loop as it
+was before supports, which evaluated every map at full width, and
+requires the same bytes from the kernel.
 """
 
 import numpy as np
+import pytest
 
-from conespde import ConeSpec, DiagonalSemigroup, NoiseSpec, SimConfig, StateVec, kernels, simulate
-from conespde.coefficients import AffineMap, CallableMap, CoefficientSet, TabulatedMap, ZeroMap
-from conespde.simulate import run_ensemble
+from conespde import ConeSpec, DiagonalSemigroup, NoiseSpec, ShapeError, SimConfig, StateVec, kernels, simulate
+from conespde.coefficients import (
+    AffineMap,
+    CallableMap,
+    CoefficientSet,
+    ConstantMap,
+    GatedOffsetMap,
+    MeanReversionMap,
+    ProportionalMap,
+    SumMap,
+    TabulatedMap,
+    ZeroMap,
+)
+from conespde.config import ExperimentConfig, preset_document
+from conespde.simulate import _draw_noise, _path_stream, run_ensemble
 
 
 def assert_same_ensemble(a, b):
@@ -39,6 +55,34 @@ class TestPlan:
         np.testing.assert_array_equal(sp.decay, np.exp(-rates * 1e-3))
         np.testing.assert_array_equal(sp.sqrt_scale, np.sqrt(lam * 1e-3))
         np.testing.assert_array_equal(sp.atom_wdt, weights * 1e-3)
+
+    def test_supports_become_row_indices(self):
+        # a run of coordinates becomes a slice, the whole row slice(None),
+        # scattered coordinates an index array, an empty support None
+        drift = SumMap((ProportionalMap(0.5, 1, 4), ProportionalMap(0.5, 2, 4)))
+        vols = (ProportionalMap(0.3, 3, 4), MeanReversionMap(1.0, np.ones(4)))
+        atoms = ((0.2, ConstantMap(np.array([0.1, 0.0, -0.0, 0.1]))), (0.1, ZeroMap(4)))
+        coeffs = CoefficientSet(drift, vols, atoms)
+        config = SimConfig(dt=1e-3, horizon=1e-3, paths=1)
+        sp = kernels.StepPlan.build(
+            coeffs, DiagonalSemigroup.heat(4), NoiseSpec.flat(2), ConeSpec.nonnegative(4), config
+        )
+        drift_sup, vol3, vol_all, atom_sup, zero_sup = sp.supports
+        assert drift_sup == slice(1, 3)
+        assert vol3 == slice(3, 4)
+        assert vol_all == slice(None)
+        assert atom_sup.tolist() == [0, 3]
+        assert zero_sup is None
+
+    def test_support_outside_the_row_rejected(self):
+        class Stray(ZeroMap):
+            support = np.array([4])
+
+        config = SimConfig(dt=1e-3, horizon=1e-3, paths=1)
+        with pytest.raises(ShapeError):
+            kernels.StepPlan.build(
+                CoefficientSet(Stray(4)), DiagonalSemigroup.heat(4), NoiseSpec(()), ConeSpec.nonnegative(4), config
+            )
 
 
 def opaque(m):
@@ -133,3 +177,174 @@ class TestBenchmarkHooks:
         tabulated = CoefficientSet(table, compliant_coeffs.vol_columns, compliant_coeffs.jump_atoms)
         run_ensemble(tabulated, heat16, flat_noise8, cone16, config, h0)
         assert calls == [3]
+
+
+def dense_reference(plan, r0, normals, counts, store=False):
+    """The kernel loop before output supports, kept verbatim: every map
+    is evaluated at full width and every step copies through the mask."""
+
+    def _margins(r, con_idx, con_sign):
+        if con_idx.size == 0:
+            return np.full(r.shape[0], np.inf)
+        vals = con_sign[None, :] * r[:, con_idx]
+        return np.min(vals, axis=1) + 0.0
+
+    P, N = r0.shape
+    S = normals.shape[1]
+    dt = plan.dt
+    counts_f = counts.astype(np.float64)
+
+    con_idx = np.flatnonzero(plan.signs != 0.0)
+    con_sign = plan.signs[con_idx]
+
+    r = r0.astype(np.float64).copy()
+    first_exit = np.full(P, -1, dtype=np.int64)
+    diverged = np.full(P, -1, dtype=np.int64)
+    alive = np.ones(P, dtype=bool)
+    traj = np.zeros((P, S + 1, N)) if store else None
+    if store:
+        traj[:, 0] = r
+
+    bad0 = np.max(np.abs(r), axis=1) > plan.guard
+    diverged[bad0] = 0
+    alive &= ~bad0
+
+    runmin = np.full(P, np.inf)
+    m0 = _margins(r, con_idx, con_sign)
+    runmin[alive] = m0[alive]
+    hit0 = alive & (m0 < -plan.exit_tol)
+    first_exit[hit0] = 0
+
+    for s in range(S):
+        acc = r + dt * plan.drift.eval_array(r)
+        for j, vol in enumerate(plan.vols):
+            w = plan.sqrt_scale[j] * normals[:, s, j]
+            acc += vol.eval_array(r) * w[:, None]
+        for i, atom in enumerate(plan.atoms):
+            f = counts_f[:, s, i] - plan.atom_wdt[i]
+            acc += atom.eval_array(r) * f[:, None]
+        r_new = plan.decay[None, :] * acc
+
+        maxabs = np.max(np.abs(r_new), axis=1)
+        newly_div = alive & (maxabs > plan.guard)
+        ok = alive & ~newly_div
+        diverged[newly_div] = s + 1
+        alive &= ~newly_div
+
+        r[ok] = r_new[ok]
+        m = _margins(r_new, con_idx, con_sign)
+        runmin[ok] = np.minimum(runmin[ok], m[ok])
+        crossed = ok & (m < -plan.exit_tol) & (first_exit < 0)
+        first_exit[crossed] = s + 1
+        if store:
+            traj[:, s + 1] = r
+
+    return {
+        "final": r,
+        "min_margin": runmin,
+        "first_exit": first_exit,
+        "diverged": diverged,
+        "traj": traj,
+    }
+
+
+def _preset_inputs(name, paths, steps):
+    """Plan, initial states and per-path noise of a preset, as run_ensemble
+    draws them."""
+    ec = ExperimentConfig.from_dict(preset_document(name))
+    config = SimConfig(dt=ec.sim.dt, horizon=steps * ec.sim.dt, paths=paths)
+    plan = kernels.StepPlan.build(ec.coeffs, ec.semigroup, ec.noise, ec.cone, config)
+    normals = np.zeros((paths, steps, ec.noise.count))
+    counts = np.zeros((paths, steps, len(plan.atoms)), dtype=np.int64)
+    for p in range(paths):
+        rng, _ = _path_stream(ec.noise.seed, p)
+        normals[p], counts[p] = _draw_noise(rng, steps, ec.noise.count, plan.atom_wdt)
+    r0 = np.broadcast_to(ec.h0.coords, (paths, ec.dim)).copy()
+    return plan, r0, normals, counts
+
+
+def _signed_zero_inputs():
+    """-0.0 and +0.0 entries under a zero drift and proportional columns:
+    coordinates that no column touches stay zero, and only the
+    full-width sum turns their -0.0 into +0.0."""
+    dim = 4
+    coeffs = CoefficientSet(
+        ZeroMap(dim), (ProportionalMap(0.3, 0, dim), ProportionalMap(-0.5, 2, dim))
+    )
+    config = SimConfig(dt=0.01, horizon=0.2, paths=4)
+    plan = kernels.StepPlan.build(
+        coeffs, DiagonalSemigroup.heat(dim), NoiseSpec.flat(2), ConeSpec.nonnegative(dim), config
+    )
+    r0 = np.array(
+        [
+            [-0.0, 1.0, -0.0, 0.5],
+            [0.0, -0.0, 2.0, -0.0],
+            [-0.0, -0.0, -0.0, -0.0],
+            [1.5, 0.25, -0.0, 3.0],
+        ]
+    )
+    signs = np.where(np.arange(20 * 2) % 3 == 0, -1.0, 1.0).reshape(1, 20, 2)
+    normals = signs * np.linspace(0.1, 2.0, 4 * 20 * 2).reshape(4, 20, 2)
+    return plan, r0, normals, np.zeros((4, 20, 0), dtype=np.int64)
+
+
+def _diverging_inputs():
+    """A volatile first coordinate that passes the guard on some paths,
+    at different steps, while the rest keep stepping; a gated drift
+    term and a jump atom with partial support ride along."""
+    dim = 3
+    drift = SumMap(
+        (
+            MeanReversionMap(1.0, np.full(dim, 0.5)),
+            GatedOffsetMap(np.array([0.0, -2.0, 0.0]), 2, 0.5, 1.5),
+        )
+    )
+    vols = (ProportionalMap(10.0, 0, dim), ProportionalMap(0.3, 1, dim))
+    atoms = ((2.0, ConstantMap(np.array([0.2, 0.0, -0.1]))),)
+    coeffs = CoefficientSet(drift, vols, atoms)
+    noise = NoiseSpec.flat(2, 1.0, seed=5)
+    config = SimConfig(dt=0.02, horizon=2.0, paths=24, guard=1e4)
+    plan = kernels.StepPlan.build(
+        coeffs, DiagonalSemigroup(np.array([0.0, 1.0, 2.0])), noise, ConeSpec.nonnegative(dim), config
+    )
+    S = config.steps
+    normals = np.zeros((24, S, 2))
+    counts = np.zeros((24, S, 1), dtype=np.int64)
+    for p in range(24):
+        rng, _ = _path_stream(noise.seed, p)
+        normals[p], counts[p] = _draw_noise(rng, S, 2, plan.atom_wdt)
+    r0 = np.tile(np.array([1.0, 0.5, 1.0]), (24, 1))
+    return plan, r0, normals, counts
+
+
+class TestDenseReference:
+    # the kernel adds each map on its support only and takes r_new whole
+    # while every path is alive; the bytes must not change
+
+    KEYS = ("final", "min_margin", "first_exit", "diverged", "traj")
+
+    def assert_same_bytes(self, inputs):
+        plan, r0, normals, counts = inputs
+        want = dense_reference(plan, r0, normals, counts, store=True)
+        got = kernels.step_ensemble(plan, r0, normals, counts, store=True)
+        for key in self.KEYS:
+            assert got[key].dtype == want[key].dtype, key
+            assert got[key].tobytes() == want[key].tobytes(), key
+        return want
+
+    def test_hidden_preset(self):
+        want = self.assert_same_bytes(_preset_inputs("heat-positive-hidden", 32, 400))
+        assert np.all(want["first_exit"] > 0)
+
+    def test_signed_zero_state(self):
+        inputs = _signed_zero_inputs()
+        want = self.assert_same_bytes(inputs)
+        # the case is live: a -0.0 start leaves +0.0 behind
+        assert np.signbit(inputs[1]).any()
+        assert not np.signbit(want["final"][want["final"] == 0.0]).any()
+
+    def test_some_paths_diverge_mid_run(self):
+        want = self.assert_same_bytes(_diverging_inputs())
+        div = want["diverged"]
+        assert np.any(div < 0) and np.any(div > 1)
+        assert len(set(div[div > 0].tolist())) > 1

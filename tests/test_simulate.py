@@ -66,6 +66,11 @@ class TestNoiseSpec:
         with pytest.raises(DomainError):
             NoiseSpec((1.0, 0.0))
 
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan")])
+    def test_eigenvalues_finite(self, lam):
+        with pytest.raises(DomainError):
+            NoiseSpec((1.0, lam))
+
     def test_seed_nonnegative(self):
         with pytest.raises(DomainError):
             NoiseSpec((1.0,), seed=-1)
