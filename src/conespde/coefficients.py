@@ -16,13 +16,19 @@ to three pointwise conditions, which the checkers here test by sampling:
 * volatility condition: every column is parallel to the boundary,
   ``theta vol_j(h)_k = 0`` at the same pairs.
 
-The samplers return arrays: ``sample_cone_points`` one ``(M, N)``
-array of cone points, ``sample_boundary_pairs`` one ``(theta, k, H)``
-face block per constrained coordinate, ``H`` a ``(P_k, N)`` array of
-states with ``h_k = 0``.  The jump checker evaluates each atom once on
-the whole sample through ``eval_array``; the drift and volatility
-checkers read only coordinate ``k`` of each map on a face block, through
-``eval_coords(H, [k])``.  Witnesses are built only for violating rows.
+The conditions are pointwise, so the checkers hold little of the sample
+at once.  ``sample_boundary_pairs`` is a generator: it draws one
+``(theta, k, H)`` face block per constrained coordinate, ``H`` a
+``(P_k, N)`` array of states with ``h_k = 0``, checks it and yields it
+before the next face is drawn, so one block is live at a time and a
+contract violation raises when the bad face is reached.  The drift and
+volatility checkers each consume it once and read only coordinate ``k``
+of each map on a block, through ``eval_coords(H, [k])``.
+``sample_cone_points`` fills one ``(M, N)`` array of cone points, and
+the jump checker evaluates each atom on fixed row blocks of it through
+``eval_array``; by the row contract of ``eval_array`` each block equals
+those rows of the whole-sample evaluation bit for bit.  Witnesses are
+built only for violating rows.
 
 Sampling can certify a violation (a witness is a concrete point) but
 never its absence, so reports distinguish "VIOLATED (witness found)"
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -772,19 +778,25 @@ def _in_cone(cone: ConeSpec, pts: np.ndarray) -> bool:
 
 def sample_boundary_pairs(
     cone: ConeSpec, spec: SamplerSpec = SamplerSpec()
-) -> list[tuple[int, int, np.ndarray]]:
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """Sampled admissible boundary pairs, one block ``(theta, k, H)`` per face.
 
     ``H`` is a read-only ``(P_k, N)`` array whose rows ``h`` give the
     pairs ``(theta e_k*, h)``: ``points_per_face`` seeded draws, then the
     face's corners when ``include_corners`` is set.  Faces are visited in
     increasing coordinate order from one seeded stream, so the blocks are
-    reproducible.  Every row is verified finite and in the cone with
-    ``h_k`` exactly zero.
+    reproducible.
+
+    This is a generator: a face is drawn only when its block is asked
+    for, so a caller that uses each block before asking for the next
+    holds one block at a time.  Every row of a block is verified finite
+    and in the cone with ``h_k`` exactly zero before it is yielded, so a
+    contract violation raises ``SamplerContractError`` when the bad face
+    is reached, after the blocks before it.  Wrap the call in ``list``
+    to hold every face at once.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     idx = cone.constrained
-    blocks: list[tuple[int, int, np.ndarray]] = []
     for k in idx:
         k = int(k)
         H = _face_draws(cone, rng, spec.points_per_face, k)
@@ -793,8 +805,7 @@ def sample_boundary_pairs(
         if not (_in_cone(cone, H) and np.all(H[:, k] == 0.0)):
             raise SamplerContractError(f"face sampler left the face at k={k}")
         H.flags.writeable = False
-        blocks.append((int(cone.signs[k]), k, H))
-    return blocks
+        yield int(cone.signs[k]), k, H
 
 
 def sample_cone_points(cone: ConeSpec, spec: SamplerSpec = SamplerSpec()) -> np.ndarray:
@@ -803,23 +814,36 @@ def sample_cone_points(cone: ConeSpec, spec: SamplerSpec = SamplerSpec()) -> np.
     Rows are the ``interior_points`` draws, then ``points_per_face``
     draws on every face in coordinate order, then (with
     ``include_corners``) the origin and the unit vectors of the
-    constrained coordinates.
+    constrained coordinates.  Each part is checked finite and in the
+    cone as it is drawn, then copied into its rows of the one array.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     idx = cone.constrained
-    parts = [_fold_into_cone(cone, rng.standard_normal((spec.interior_points, cone.dim)))]
-    parts += [_face_draws(cone, rng, spec.points_per_face, int(k)) for k in idx]
-    if spec.include_corners:
-        parts.append(_corners(cone, idx))
-    points = np.concatenate(parts)
-    if not _in_cone(cone, points):
-        raise SamplerContractError("cone sampler produced a point outside the cone")
+    corners = 1 + idx.size if spec.include_corners else 0
+    rows = spec.interior_points + idx.size * spec.points_per_face + corners
+    points = np.empty((rows, cone.dim))
+
+    def parts():
+        yield _fold_into_cone(cone, rng.standard_normal((spec.interior_points, cone.dim)))
+        for k in idx:
+            yield _face_draws(cone, rng, spec.points_per_face, int(k))
+        if spec.include_corners:
+            yield _corners(cone, idx)
+
+    start = 0
+    for part in parts():
+        if not _in_cone(cone, part):
+            raise SamplerContractError("cone sampler produced a point outside the cone")
+        points[start : start + part.shape[0]] = part
+        start += part.shape[0]
     points.flags.writeable = False
     return points
 
 
 # --------------------------------------------------------------------------
 # Condition checkers
+
+_JUMP_ROWS = 1024  # cone points per atom evaluation in the jump checker
 
 
 @dataclass(frozen=True)
@@ -965,28 +989,31 @@ def check_jump_condition(
 
     For each sampled ``h`` in the cone and each atom the displaced point
     ``h + gamma_i(h)`` must satisfy every sign constraint up to ``tol``.
-    Each atom is evaluated once on the whole sample.
+    Each atom is evaluated on blocks of ``_JUMP_ROWS`` sampled points,
+    so its temporaries stay small whatever the sample size.
     """
     if tol is None:
         tol = default_tol(coeffs)
     points = sample_cone_points(cone, sampler)
     witnesses = []
     idx = cone.constrained
+    signs = cone.signs[idx]
     for i, (_, g) in enumerate(coeffs.jump_atoms):
-        moved = points + g.eval_array(points)
-        margins = cone.signs[idx] * moved[:, idx]
-        for row, pos in np.argwhere(margins < -tol):
-            k = int(idx[pos])
-            witnesses.append(
-                Witness(
-                    condition="jump-stays-in-cone",
-                    theta=int(cone.signs[k]),
-                    k=k,
-                    point=StateVec(points[row]),
-                    magnitude=float(-margins[row, pos]),
-                    component=i,
+        for start in range(0, points.shape[0], _JUMP_ROWS):
+            block = points[start : start + _JUMP_ROWS]
+            margins = signs * (block + g.eval_array(block))[:, idx]
+            for row, pos in np.argwhere(margins < -tol):
+                k = int(idx[pos])
+                witnesses.append(
+                    Witness(
+                        condition="jump-stays-in-cone",
+                        theta=int(cone.signs[k]),
+                        k=k,
+                        point=StateVec(block[row]),
+                        magnitude=float(-margins[row, pos]),
+                        component=i,
+                    )
                 )
-            )
     return ConditionReport(
         jump_ok=not witnesses,
         drift_ok=None,
@@ -1011,13 +1038,15 @@ def check_drift_condition(
     ``>= -tol``.  The two equivalent formulations (without ``a``; with
     the generator term) are evaluated alongside and must agree on exact
     faces; disagreement marks a sampler bug, not a coefficient property.
-    Each map's coordinate ``k`` is evaluated once per face block.
+    Each map's coordinate ``k`` is evaluated once per face block, and
+    the blocks are consumed as the sampler draws them.
     """
     if tol is None:
         tol = default_tol(coeffs)
-    pairs = sample_boundary_pairs(cone, sampler)
     witnesses = []
-    for theta, k, H in pairs:
+    sampled = 0
+    for theta, k, H in sample_boundary_pairs(cone, sampler):
+        sampled += H.shape[0]
         # a pair is admissible exactly when h_k = 0, and then a = 0
         if not np.all(H[:, k] == 0.0):
             raise SamplerContractError(f"face block k={k} holds a pair that is not admissible")
@@ -1039,7 +1068,7 @@ def check_drift_condition(
         drift_ok=not witnesses,
         vol_ok=None,
         witnesses=tuple(witnesses),
-        sampled_points=sum(H.shape[0] for _, _, H in pairs),
+        sampled_points=sampled,
         tol=tol,
     )
 
@@ -1053,12 +1082,14 @@ def check_volatility_condition(
 ) -> ConditionReport:
     """Sampled check that volatility columns are parallel to the boundary:
     ``|theta vol_j(h)_k| <= tol`` at admissible boundary pairs.  Each
-    column's coordinate ``k`` is evaluated once per face block."""
+    column's coordinate ``k`` is evaluated once per face block, and the
+    blocks are consumed as the sampler draws them."""
     if tol is None:
         tol = default_tol(coeffs)
-    pairs = sample_boundary_pairs(cone, sampler)
     witnesses = []
-    for theta, k, H in pairs:
+    sampled = 0
+    for theta, k, H in sample_boundary_pairs(cone, sampler):
+        sampled += H.shape[0]
         for j, col in enumerate(coeffs.vol_columns):
             val = theta * col.eval_coords(H, [k])[:, 0]
             for row in np.flatnonzero(np.abs(val) > tol):
@@ -1077,7 +1108,7 @@ def check_volatility_condition(
         drift_ok=None,
         vol_ok=not witnesses,
         witnesses=tuple(witnesses),
-        sampled_points=sum(H.shape[0] for _, _, H in pairs),
+        sampled_points=sampled,
         tol=tol,
     )
 

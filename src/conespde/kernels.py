@@ -25,9 +25,12 @@ While every path is alive and no row leaves the guard, a step takes
 ``r_new`` whole and updates the running minima in place; the per-row
 sup norm is computed only when the chunk's largest entry exceeds the
 guard (or is not a number), and the exit test stops once every live
-path has a first exit.  Divergence uses the sup norm (order-free), and
-margins get ``+ 0.0`` so a margin of -0.0 is reported as 0.0, which
-also makes their minimum independent of the order it is taken in.
+path has a first exit.  A path diverges when its sup norm is not within
+the guard, so a state holding a NaN diverges too, and the path then
+keeps its last state within the guard.  Divergence uses the sup norm
+(order-free), and margins get ``+ 0.0`` so a margin of -0.0 is reported
+as 0.0, which also makes their minimum independent of the order it is
+taken in.
 ``BACKEND`` names the kernel for run reports.
 """
 
@@ -170,7 +173,9 @@ def step_ensemble(
     if store:
         traj[:, 0] = r
 
-    bad0 = np.abs(r).max(axis=1) > plan.guard
+    # a row counts as diverged unless its sup norm is within the guard,
+    # so a row holding a NaN diverges too
+    bad0 = ~(np.abs(r).max(axis=1) <= plan.guard)
     diverged[bad0] = 0
     alive &= ~bad0
 
@@ -198,7 +203,7 @@ def step_ensemble(
 
         # initial=0.0 lets an empty chunk through; a NaN fails the test
         if not np.abs(r_new).max(initial=0.0) <= plan.guard:
-            newly_div = alive & (np.abs(r_new).max(axis=1) > plan.guard)
+            newly_div = alive & ~(np.abs(r_new).max(axis=1) <= plan.guard)
             diverged[newly_div] = s + 1
             alive &= ~newly_div
             all_alive = bool(alive.all())

@@ -105,6 +105,9 @@ class SimConfig:
     chunk: int = 256
 
     def __post_init__(self):
+        for name in ("dt", "horizon", "exit_tol", "guard"):
+            if not np.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.horizon <= 0:
             raise DomainError("dt and horizon must be > 0")
         if self.paths < 1 or self.chunk < 1:

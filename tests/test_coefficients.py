@@ -7,6 +7,8 @@ the test body.
 """
 
 import hashlib
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,7 +361,7 @@ class TestCoefficientSet:
 class TestSamplers:
     def test_boundary_pairs_on_faces(self):
         K = ConeSpec(np.array([1, -1, 0]))
-        pairs = sample_boundary_pairs(K, SMALL)
+        pairs = list(sample_boundary_pairs(K, SMALL))
         assert pairs, "sampler produced no pairs"
         for theta, k, H in pairs:
             assert theta == int(K.signs[k])
@@ -375,8 +377,8 @@ class TestSamplers:
 
     def test_deterministic(self):
         K = ConeSpec.nonnegative(4)
-        a = sample_boundary_pairs(K, SamplerSpec(seed=5))
-        b = sample_boundary_pairs(K, SamplerSpec(seed=5))
+        a = list(sample_boundary_pairs(K, SamplerSpec(seed=5)))
+        b = list(sample_boundary_pairs(K, SamplerSpec(seed=5)))
         assert len(a) == len(b)
         for (t1, k1, H1), (t2, k2, H2) in zip(a, b):
             assert (t1, k1) == (t2, k2) and np.array_equal(H1, H2)
@@ -395,7 +397,7 @@ class TestSamplers:
         spec = SamplerSpec(points_per_face=per_face, interior_points=2, include_corners=corners)
         # a face's corners: the origin and the two other constrained unit vectors
         rows = per_face + (3 if corners else 0)
-        blocks = sample_boundary_pairs(K, spec)
+        blocks = list(sample_boundary_pairs(K, spec))
         assert [(t, k, H.shape) for t, k, H in blocks] == [
             (1, 0, (rows, 4)),
             (-1, 1, (rows, 4)),
@@ -408,7 +410,7 @@ class TestSamplers:
 
     def test_no_constrained_coordinate(self):
         K = ConeSpec(np.zeros(3, dtype=int))
-        assert sample_boundary_pairs(K, SMALL) == []
+        assert list(sample_boundary_pairs(K, SMALL)) == []
         points = sample_cone_points(K, SMALL)
         assert points.shape == (SMALL.interior_points + 1, 3)
         # nothing to violate: every jump lands in the whole space
@@ -434,7 +436,7 @@ class TestSamplers:
 
     def test_dim_one(self):
         K = ConeSpec(np.array([-1]))
-        blocks = sample_boundary_pairs(K, SMALL)
+        blocks = list(sample_boundary_pairs(K, SMALL))
         assert [(t, k) for t, k, _ in blocks] == [(-1, 0)]
         H = blocks[0][2]
         assert H.shape == (SMALL.points_per_face + 1, 1) and np.all(H == 0.0)
@@ -447,7 +449,7 @@ class TestSamplers:
         # call: one (P, N) draw per face must consume the stream the same way.
         K = ConeSpec(np.array([1, -1, 0, 1]))
         spec = SamplerSpec(seed=5)
-        blocks = sample_boundary_pairs(K, spec)
+        blocks = list(sample_boundary_pairs(K, spec))
         assert [(t, k, H.shape[0]) for t, k, H in blocks] == [(1, 0, 67), (-1, 1, 67), (1, 3, 67)]
         faces = np.concatenate([H for _, _, H in blocks])
         assert (
@@ -471,9 +473,75 @@ class TestSamplers:
         monkeypatch.setattr(coefficients, "_fold_into_cone", fold)
         K = ConeSpec(np.array([1, -1, 0]))
         with pytest.raises(SamplerContractError):
-            sample_boundary_pairs(K, SMALL)
+            list(sample_boundary_pairs(K, SMALL))
         with pytest.raises(SamplerContractError):
             sample_cone_points(K, SMALL)
+
+
+class TestStreaming:
+    # the boundary sampler is a generator: each checker draws one face
+    # block at a time, and a bad face raises when it is reached
+
+    def test_verdict_peak_below_all_blocks(self):
+        dim = 96
+        cone = ConeSpec.nonnegative(dim)
+        sg = DiagonalSemigroup.heat(dim)
+        coeffs = CoefficientSet(
+            MeanReversionMap(1.0, np.full(dim, 0.5)),
+            tuple(ProportionalMap(0.3, j, dim) for j in range(8)),
+            ((0.2, ConstantMap(np.full(dim, 0.1))),),
+        )
+        spec = SamplerSpec()
+        all_blocks = sum(H.nbytes for _, _, H in sample_boundary_pairs(cone, spec))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                invariance_verdict(coeffs, sg, cone, spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # warm-up: first-call allocations are not the verdict's
+        assert peak() < all_blocks
+
+    def test_each_checker_draws_the_boundary_once(self, monkeypatch, heat16, cone16, badvol_coeffs):
+        calls = []
+        draw = coefficients.sample_boundary_pairs
+
+        def counted(cone, spec):
+            calls.append(spec)
+            return draw(cone, spec)
+
+        monkeypatch.setattr(coefficients, "sample_boundary_pairs", counted)
+        check_drift_condition(badvol_coeffs, heat16, cone16, SMALL)
+        assert len(calls) == 1
+        check_volatility_condition(badvol_coeffs, heat16, cone16, SMALL)
+        assert len(calls) == 2
+        invariance_verdict(badvol_coeffs, heat16, cone16, SMALL)
+        assert len(calls) == 4
+
+    def test_bad_face_raises_when_reached(self, monkeypatch):
+        draws = coefficients._face_draws
+
+        def off_face_at_two(cone, rng, n, k):
+            pts = draws(cone, rng, n, k)
+            if k == 2:
+                pts[0, 2] = 1.0  # still in the cone, no longer on face 2
+            return pts
+
+        monkeypatch.setattr(coefficients, "_face_draws", off_face_at_two)
+        K = ConeSpec.nonnegative(4)
+        blocks = sample_boundary_pairs(K, SMALL)
+        assert [k for _, k, _ in itertools.islice(blocks, 2)] == [0, 1]
+        with pytest.raises(SamplerContractError, match="k=2"):
+            next(blocks)
+        C = CoefficientSet(ZeroMap(4))
+        sg = DiagonalSemigroup.heat(4)
+        assert check_jump_condition(C, K, SMALL).jump_ok
+        for check in (check_drift_condition, check_volatility_condition, invariance_verdict):
+            with pytest.raises(SamplerContractError):
+                check(C, sg, K, SMALL)
 
 
 # ---------------------------------------------------------------- checkers
@@ -525,7 +593,7 @@ class TestDriftCondition:
 
     def test_mean_reversion_face_value(self, heat16, cone16, compliant_coeffs):
         # kappa b_k - w * 0.1 = 0.5 - 0.02 = 0.48 on every face.
-        pairs = sample_boundary_pairs(cone16, SMALL)
+        pairs = list(sample_boundary_pairs(cone16, SMALL))
         theta, k, H = pairs[0]
         terms = drift_margin(compliant_coeffs, heat16, cone16, theta, k, StateVec(H[0]))
         assert terms["main"] == pytest.approx(0.48)
@@ -732,6 +800,15 @@ class TestCheckerParity:
         want = reference_verdict(coeffs, sg, cone, PARITY_SPEC).to_dict()
         assert {w["condition"] for w in want["witnesses"]} == failing
         assert invariance_verdict(coeffs, sg, cone, PARITY_SPEC).to_dict() == want
+
+    def test_jump_row_blocks_match_reference(self):
+        # more cone points than two row blocks of the jump checker, with
+        # violations in every block
+        coeffs, sg, cone = _jump_case()
+        spec = SamplerSpec(points_per_face=700, interior_points=200, seed=4)
+        assert sample_cone_points(cone, spec).shape[0] > 2 * coefficients._JUMP_ROWS
+        want = reference_verdict(coeffs, sg, cone, spec).to_dict()
+        assert invariance_verdict(coeffs, sg, cone, spec).to_dict() == want
 
     def test_mixed_cone_sees_both_signs(self):
         coeffs, sg, cone = _mixed_cone_case()

@@ -149,6 +149,22 @@ class TestUnloweredSetParity:
         assert np.all(a.trajectories[:, -1] == a.final)
         assert_same_ensemble(a, b)
 
+    def test_nan_state_diverges(self):
+        # 2e308 - 2e308 overflows to inf - inf = NaN in the first step; a
+        # NaN fails every comparison with the guard, but the path must
+        # still be marked diverged and keep its last finite state
+        coeffs = CoefficientSet(AffineMap(np.array([[1e308, -1e308], [0.0, 0.0]]), np.zeros(2)))
+        sg = DiagonalSemigroup(np.zeros(2))
+        config = SimConfig(dt=0.1, horizon=1.0, paths=3, store_trajectories=True)
+        h0 = StateVec(np.full(2, 2.0))
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = run_ensemble(coeffs, sg, NoiseSpec(()), ConeSpec.nonnegative(2), config, h0)
+        assert out.diverged.tolist() == [1, 1, 1]
+        assert out.first_exit.tolist() == [-1, -1, -1]
+        assert np.array_equal(out.final, np.full((3, 2), 2.0))
+        assert np.array_equal(out.min_margin, np.full(3, 2.0))
+        assert np.all(out.trajectories == 2.0)
+
 
 class TestBenchmarkHooks:
     # perfbench records kernels.BACKEND and times the kernel layer by

@@ -97,6 +97,13 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             SimConfig(dt=0.1, horizon=1.0, paths=1, exit_tol=-1e-9)
 
+    @pytest.mark.parametrize("name", ["dt", "horizon", "exit_tol", "guard"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        fields = {"dt": 0.1, "horizon": 1.0, "paths": 1, name: value}
+        with pytest.raises(DomainError, match=name):
+            SimConfig(**fields)
+
 
 class TestNoiseDraws:
     def test_shapes_and_dtypes(self):
