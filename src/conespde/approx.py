@@ -21,20 +21,35 @@ properties the invariance conditions care about:
 * ``lipschitz_probe``: sampled lower bound on a Lipschitz constant.
 
 Envelope values are computed by a coarse grid plus golden-section
-refinement; an optimum landing on the search boundary raises
-``SearchRadiusError`` instead of returning a silently wrong value.
-The state is validated once, where it enters as a ``StateVec``
-(``inf_convolve``, ``sup_convolve``, ``sup_inf_convolve``,
-``sup_inf_map``).  Each search then checks once that its window
-``[h - R, h + R]`` is finite and raises ``DomainError`` if not; the
-states it hands the target function inside that window are not
-re-validated.
+refinement, one coordinate at a time; an optimum landing on the search
+boundary raises ``SearchRadiusError`` instead of returning a silently
+wrong value.
+
+Envelope targets work on batches: a target takes a read-only float64
+``(M, N)`` array of states and returns their ``(M,)`` values, row ``i``
+equal to that row evaluated alone (the ``eval_array`` row contract).
+``inf_convolve``, ``sup_convolve`` and ``sup_inf_convolve`` take one
+``StateVec`` or a ``(B, N)`` array of points.  Each point is a lane,
+and all lanes run the same search in lockstep: the grid is one target
+call over every lane, and so is each pair of golden-section steps (a
+call evaluates a step's new point together with both points the next
+step can pick).  Lanes are independent: a point's value is bitwise the
+same alone as inside any batch.  A lane that fails keeps its first error and runs on with the
+others; the call then raises the error of the lowest failing lane,
+which is the error a point-by-point loop would meet first.  Errors
+raised by the target itself propagate at once.
+
+The points are validated once, where they enter.  Each search then
+checks once that every lane's window ``[h - R, h + R]`` is finite and
+raises ``DomainError`` if not; the rows it hands the target inside
+those windows are not re-validated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -94,8 +109,8 @@ def phi_eps(x, eps: float):
 
     Accepts scalars or arrays; returns the matching kind.
     """
-    if eps < 0:
-        raise DomainError(f"eps must be >= 0, got {eps}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
     arr = np.asarray(x, dtype=np.float64)
     out = np.sign(arr) * np.maximum(np.abs(arr) - eps, 0.0)
     if np.isscalar(x) or arr.ndim == 0:
@@ -172,6 +187,11 @@ def truncate_noise(coeffs: CoefficientSet, n: int) -> CoefficientSet:
 # Quadratic envelopes (inf/sup convolution)
 
 
+def _check_width(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SupInfParams:
     """Envelope widths: inf-convolve at ``lam``, then sup-convolve at ``mu``.
@@ -184,8 +204,8 @@ class SupInfParams:
     mu: float
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.mu > 0):
-            raise DomainError("lam and mu must be > 0")
+        _check_width("lam", self.lam)
+        _check_width("mu", self.mu)
         if not self.mu < self.lam:
             raise DomainError(f"need mu < lam, got mu={self.mu}, lam={self.lam}")
 
@@ -202,10 +222,15 @@ class SearchSpec:
     golden-section steps refine inside it, and ``SWEEPS`` rounds of
     coordinate descent handle dimensions above one.
 
+    Every lane of a batch runs the same stages in lockstep: the grid of
+    all lanes is one target call, and so is each pair of golden-section
+    steps.
+
     ``radius`` must be finite and > 0, ``lipschitz`` and ``sup_bound``
-    finite and >= 0.  The window around the base point must be finite
-    too: a search whose window overflows raises ``DomainError`` before
-    ``f`` is called, since the states inside it are not re-validated.
+    finite and >= 0.  The window around each base point must be finite
+    too: a search with an overflowing window raises ``DomainError``
+    before the target is called, since the rows inside it are not
+    re-validated.
     """
 
     radius: float | None = None
@@ -235,125 +260,232 @@ GRID_POINTS = 65
 REFINE_ITERS = 60
 SWEEPS = 4
 
+# A target as the search engine calls it: rows in, ``(values, errors)``
+# out, where ``errors`` maps a row index to the exception that row's
+# evaluation ran into (empty for user targets, which raise instead).
+_Rows = Callable[[np.ndarray], tuple[np.ndarray, dict[int, Exception]]]
 
-def _line_search(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Minimize a scalar function on [lo, hi]; grid then golden section.
 
-    Raises SearchRadiusError when the best grid point sits on the
-    window edge, since the true optimum may then lie outside.
-    """
-    xs = np.linspace(lo, hi, GRID_POINTS)
-    vals = np.array([fn(float(x)) for x in xs])
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("non-finite value during line search")
-    i = int(np.argmin(vals))
-    if i == 0 or i == GRID_POINTS - 1:
-        raise SearchRadiusError(
-            f"optimum at search boundary (x={xs[i]:.6g}); widen the radius",
-            suggested_radius=2.0 * (hi - lo) / 2.0,
+def _lanes(h) -> tuple[np.ndarray, bool]:
+    """The search lanes of ``h`` as a fresh ``(B, N)`` array, and whether
+    ``h`` was a single ``StateVec``."""
+    if isinstance(h, StateVec):
+        return h.coords[None, :].copy(), True
+    arr = np.array(h, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+        raise ShapeError(
+            f"points must be a StateVec or a non-empty (B, N) array, got shape {arr.shape}"
         )
-    best_x, best_v = float(xs[i]), float(vals[i])
-    a, b = float(xs[i - 1]), float(xs[i + 1])
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(REFINE_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-        if fc < best_v:
-            best_x, best_v = c, fc
-        if fd < best_v:
-            best_x, best_v = d, fd
-    return best_x, best_v
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("point coordinates must be finite")
+    return arr, False
 
 
-def _opt_shifted(
-    f: Callable[[StateVec], float],
-    base: np.ndarray,
-    width: float,
-    spec: SearchSpec,
-) -> float:
-    """Minimize ``f(g) + ||base - g||^2 / (2 width)`` over g.
+def _rows(f: Callable[[np.ndarray], np.ndarray], negate: bool = False) -> _Rows:
+    """Wrap a user target, checking that it returns one value per row."""
 
-    Coordinate descent over the cube of half-width
-    ``resolve_radius(width)`` around ``base``; the sup-convolution
-    minimizes the negated function.  ``base`` comes from a validated
-    state, and the window is checked once here, so every iterate is
-    finite and reaches ``f`` unchecked.
+    def call(rows: np.ndarray):
+        out = np.asarray(f(rows), dtype=np.float64)
+        if out.shape != (rows.shape[0],):
+            raise ShapeError(f"target returned shape {out.shape}, expected ({rows.shape[0]},)")
+        return (-out if negate else out), {}
+
+    return call
+
+
+def _result(values: np.ndarray, errors: dict[int, Exception], single: bool):
+    """Raise the lowest failing lane's error, else return the values."""
+    if errors:
+        raise errors[min(errors)]
+    return float(values[0]) if single else values
+
+
+def _line_search(evaluate, lo: np.ndarray, hi: np.ndarray, errors: dict[int, Exception]):
+    """Minimize every lane's function on its own ``[lo, hi]``; grid, then
+    golden section, all lanes in lockstep.
+
+    ``evaluate(xs)`` takes candidates of shape ``(B, K)`` and returns
+    their values and the errors of the rows whose evaluation failed,
+    keyed by row ``lane * K + j``.  A lane whose best grid point sits
+    on its window edge records ``SearchRadiusError`` in ``errors``,
+    since its true optimum may lie outside; one with a non-finite grid
+    value records ``NumericError``.  Failed lanes run on with the
+    others, and a lane keeps its first error.  Returns each lane's best
+    point and value.
     """
-    R = spec.resolve_radius(width)
+
+    def record(row_errors, K, take=None):
+        # with ``take``, only the errors of the candidate each lane took
+        for r in sorted(row_errors):
+            lane, j = divmod(r, K)
+            if take is None or j == take[lane]:
+                errors.setdefault(lane, row_errors[r])
+
+    xs = np.linspace(lo, hi, GRID_POINTS, axis=-1)
+    vals, row_errors = evaluate(xs)
+    if row_errors:
+        record(row_errors, GRID_POINTS)
+    i = vals.argmin(axis=1)
+    finite = np.isfinite(vals).all(axis=1)
+    for lane in np.flatnonzero(~finite | (i == 0) | (i == GRID_POINTS - 1)):
+        if not finite[lane]:
+            err = NumericError("non-finite value during line search")
+        else:
+            err = SearchRadiusError(
+                f"optimum at search boundary (x={xs[lane, i[lane]]:.6g}); widen the radius",
+                suggested_radius=2.0 * (hi[lane] - lo[lane]) / 2.0,
+            )
+        errors.setdefault(int(lane), err)
+    B = xs.shape[0]
+    lanes = np.arange(B)
+    # every (point, value) pair that can become the best, in the order
+    # the one-point search compared them with it
+    seen = np.empty((REFINE_ITERS + 2, 2, B))
+    seen[0, 0], seen[0, 1] = xs[lanes, i], vals[lanes, i]
+    inner = np.minimum(np.maximum(i, 1), GRID_POINTS - 2)  # a failed lane still needs a bracket
+    a, b = xs[lanes, inner - 1], xs[lanes, inner + 1]
+    # C and D are the (point, value) pairs of the two inner points, so
+    # one np.where moves a point together with its value
+    pairs = np.empty((2, B, 2))
+    pairs[0, :, 0] = b - _GOLDEN * (b - a)
+    pairs[0, :, 1] = a + _GOLDEN * (b - a)
+    pairs[1], row_errors = evaluate(pairs[0])
+    if row_errors:
+        record(row_errors, 2)
+    C, D = pairs[..., 0], pairs[..., 1]
+    ahead = None  # the next step's two possible (point, value) pairs
+    for step in range(REFINE_ITERS):
+        # where fc < fd the bracket becomes [a, d] and the new point is
+        # b - G (b - a), elsewhere [c, b] and a + G (b - a); in place,
+        # which is cheaper than np.where on these small arrays
+        left = np.less(C[1], D[1])
+        right = ~left
+        np.copyto(a, C[0], where=right)
+        np.copyto(b, D[0], where=left)
+        X = seen[step + 2]
+        if ahead is None:
+            gs = _GOLDEN * (b - a)
+            x = np.add(a, gs, out=X[0])
+            np.copyto(x, b - gs, where=left)
+            # whatever f(x) is, the next step's point is d - G (d - a)
+            # or c + G (b - c) for this step's new c and d; one call
+            # evaluates x and both, so it serves two steps
+            cx, dx = np.where(left, x, D[0]), np.where(left, C[0], x)
+            points = np.stack([x, dx - _GOLDEN * (dx - a), cx + _GOLDEN * (b - cx)], axis=1)
+            values, row_errors = evaluate(points)
+            if row_errors:
+                record(row_errors, 3, np.zeros(B, dtype=int))
+            X[1] = values[:, 0]
+            ahead = np.stack([points[:, 1:], values[:, 1:]])
+        else:
+            X[:] = np.where(left, ahead[..., 0], ahead[..., 1])
+            if row_errors:
+                record(row_errors, 3, np.where(left, 1, 2))
+            ahead = None
+        C, D = np.where(left, X, D), np.where(left, C, X)
+        if step == 0:
+            # the first step compares C, then D; later steps compare the
+            # older of the two again, which cannot win, so only X counts
+            seen[1], seen[2] = C, D
+    # the best is replaced only by a strictly smaller value, so it ends
+    # at the first minimum in that order; a NaN never becomes best
+    values = seen[:, 1]
+    k = np.argmin(np.where(np.isnan(values), np.inf, values), axis=0)
+    return seen[k, :, lanes].T
+
+
+def _minimize(target: _Rows, base: np.ndarray, width: float, radius: float):
+    """Minimize ``f(g) + ||base_b - g||^2 / (2 width)`` over g for every
+    lane ``b`` (row of ``base``) at once.
+
+    Coordinate descent over the cube of half-width ``radius`` around
+    each lane; the sup-convolution minimizes the negated function.
+    ``base`` is finite, and the windows are checked once here, so every
+    row handed to ``target`` is finite.  Returns the values and the
+    errors of the failed lanes, keyed by lane.
+    """
     with np.errstate(over="ignore"):
-        lo, hi = base - R, base + R
+        lo, hi = base - radius, base + radius
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise DomainError(f"search window must be finite, got radius {R} around the state")
-    dim = base.shape[0]
+        raise DomainError(f"search window must be finite, got radius {radius} around the state")
+    B, dim = base.shape
     g = base.copy()
+    base3 = base[:, None, :]
+    errors: dict[int, Exception] = {}
+    scale = 2.0 * width
 
-    def objective() -> float:
-        diff = base - g
-        return f(StateVec._unchecked(g)) + float(diff @ diff) / (2.0 * width)
+    def evaluate(axis: int, xs: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+        # each lane's current point with coordinate ``axis`` set to each
+        # of its K candidates: a fresh read-only (B * K, dim) batch
+        K = xs.shape[1]
+        rows = g[:, None, :].repeat(K, axis=1)
+        rows[:, :, axis] = xs
+        rows.flags.writeable = False
+        values, row_errors = target(rows.reshape(B * K, dim))
+        diff = base3 - rows
+        return values.reshape(B, K) + np.vecdot(diff, diff) / scale, row_errors
 
-    sweeps = 1 if dim == 1 else SWEEPS
-    for _ in range(sweeps):
+    for _ in range(1 if dim == 1 else SWEEPS):
         for axis in range(dim):
-            def fn(x: float, axis=axis) -> float:
-                g[axis] = x
-                return objective()
-
-            x, _ = _line_search(fn, lo[axis], hi[axis])
-            g[axis] = x
-    return objective()
+            along = partial(evaluate, axis)
+            g[:, axis], value = _line_search(along, lo[:, axis], hi[:, axis], errors)
+    # the last line search evaluated its best point at the final g
+    return value, errors
 
 
-def inf_convolve(
-    f: Callable[[StateVec], float], lam: float, h: StateVec, search: SearchSpec
-) -> float:
+def inf_convolve(f: Callable[[np.ndarray], np.ndarray], lam: float, h, search: SearchSpec):
     """Quadratic inf-convolution ``inf_g f(g) + ||h - g||^2 / (2 lam)``.
 
     Always at most ``f(h)``.  For Lipschitz bounded ``f`` the infimum is
     attained within the effective radius, which the search window must
     cover (see ``SearchSpec``).
+
+    ``f`` is a batch target: it takes a read-only float64 ``(M, N)``
+    array of states and returns their ``(M,)`` values, row ``i`` equal
+    to that row evaluated alone.  ``h`` is a ``StateVec`` (the result
+    is a ``float``) or a finite ``(B, N)`` array of points (the result
+    is ``(B,)``); each point is an independent lane of one lockstep
+    search, and its value is the same alone as in any batch.  A failure
+    raises the error of the lowest failing lane.
     """
-    if lam <= 0:
-        raise DomainError("lam must be > 0")
-    return _opt_shifted(f, h.coords.copy(), lam, search)
+    _check_width("lam", lam)
+    base, single = _lanes(h)
+    values, errors = _minimize(_rows(f), base, lam, search.resolve_radius(lam))
+    return _result(values, errors, single)
 
 
-def sup_convolve(
-    f: Callable[[StateVec], float], mu: float, h: StateVec, search: SearchSpec
-) -> float:
+def sup_convolve(f: Callable[[np.ndarray], np.ndarray], mu: float, h, search: SearchSpec):
     """Quadratic sup-convolution ``sup_g f(g) - ||h - g||^2 / (2 mu)``;
-    always at least ``f(h)``."""
-    if mu <= 0:
-        raise DomainError("mu must be > 0")
-
-    def neg(x: StateVec) -> float:
-        return -f(x)
-
-    return -_opt_shifted(neg, h.coords.copy(), mu, search)
+    always at least ``f(h)``.  Targets, points and errors as in
+    ``inf_convolve``."""
+    _check_width("mu", mu)
+    base, single = _lanes(h)
+    values, errors = _minimize(_rows(f, negate=True), base, mu, search.resolve_radius(mu))
+    return _result(-values, errors, single)
 
 
 def sup_inf_convolve(
-    f: Callable[[StateVec], float], p: SupInfParams, h: StateVec, search: SearchSpec
-) -> float:
+    f: Callable[[np.ndarray], np.ndarray], p: SupInfParams, h, search: SearchSpec
+):
     """Composition ``(f_lam)^mu (h)``: smooth from both sides.
 
     The result is within ``lam L^2 / 2 + mu L^2 / 2`` of ``f`` for
     ``L``-Lipschitz ``f`` and its gradient is Lipschitz with constant at
-    most ``max(1/lam, 1/mu)``.  Vector maps are treated componentwise
-    by ``sup_inf_map``.
+    most ``max(1/lam, 1/mu)``.  Targets, points and errors as in
+    ``inf_convolve``; the outer search's target is the inner search
+    over all its rows at once, and an inner lane's error fails the
+    outer lane it belongs to.  Vector maps are treated componentwise by
+    ``sup_inf_map``.
     """
+    base, single = _lanes(h)
+    inner, inner_radius = _rows(f), search.resolve_radius(p.lam)
 
-    def envelope(u: StateVec) -> float:
-        return inf_convolve(f, p.lam, u, search)
+    def envelope(rows: np.ndarray):
+        values, errors = _minimize(inner, rows, p.lam, inner_radius)
+        return -values, errors
 
-    return sup_convolve(envelope, p.mu, h, search)
+    values, errors = _minimize(envelope, base, p.mu, search.resolve_radius(p.mu))
+    return _result(-values, errors, single)
 
 
 def sup_inf_map(f: CoefficientMap, p: SupInfParams, search: SearchSpec) -> CoefficientMap:
@@ -364,9 +496,9 @@ def sup_inf_map(f: CoefficientMap, p: SupInfParams, search: SearchSpec) -> Coeff
     it needs.
     """
 
-    def component(k: int) -> Callable[[StateVec], float]:
+    def component(k: int) -> Callable[[np.ndarray], np.ndarray]:
         only = slice(k, k + 1)  # a slice selects without the copy of an index list
-        return lambda x: float(f.eval_coords(x.coords, only)[0])
+        return lambda rows: f.eval_coords(rows, only)[:, 0]
 
     comps = [component(k) for k in range(f.dim)]
 
@@ -477,8 +609,8 @@ class MollifierParams:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be >= 1")
-        if self.bandwidth <= 0:
-            raise DomainError("bandwidth must be > 0")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise DomainError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
 
     @property
     def support_radius(self) -> float:
@@ -593,8 +725,8 @@ def stratonovich_correction_with_error(
     returned error is the norm of the disagreement between the two,
     scaled by 1/3.
     """
-    if fd_step <= 0:
-        raise DomainError("fd_step must be > 0")
+    if not (math.isfinite(fd_step) and fd_step > 0):
+        raise DomainError(f"fd_step must be finite and > 0, got {fd_step}")
     if weights is None:
         w_arr = np.ones(len(coeffs.vol_columns))
     else:
@@ -638,8 +770,10 @@ class BallSpec:
     center: StateVec | None = None
 
     def __post_init__(self):
-        if self.dim < 1 or self.radius <= 0:
-            raise DomainError("need dim >= 1 and radius > 0")
+        if self.dim < 1:
+            raise DomainError(f"dim must be >= 1, got {self.dim}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise DomainError(f"radius must be finite and > 0, got {self.radius}")
         if self.center is not None and self.center.dim != self.dim:
             raise ShapeError("center dimension mismatch")
 

@@ -67,10 +67,10 @@ class StateVec:
     instances.  Equality is exact coordinatewise equality.
 
     Every instance holds a private, read-only, non-empty 1-d float64
-    array of finite values.  The public constructor checks that.  The
-    private ``_unchecked`` constructor skips the check and is only for
-    callers that already hold such an array; it still copies and
-    freezes it, so the caller's buffer stays its own.
+    array of finite values; the constructor checks that, and there is
+    no other way to build one.  Code that works on many states at once
+    (the envelope searches, the checkers, the kernel) takes raw
+    ``(M, N)`` arrays instead and validates them once where they enter.
     """
 
     coords: np.ndarray
@@ -79,19 +79,6 @@ class StateVec:
         arr = _as_coords(self.coords).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coords", arr)
-
-    @classmethod
-    def _unchecked(cls, arr: np.ndarray) -> "StateVec":
-        """Wrap a read-only copy of ``arr`` without validating it.
-
-        ``arr`` must already be a non-empty 1-d float64 array of finite
-        values; nothing here checks that.
-        """
-        out = arr.copy()
-        out.flags.writeable = False
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "coords", out)
-        return vec
 
     @property
     def dim(self) -> int:

@@ -15,13 +15,17 @@ from hypothesis import strategies as st
 from conespde import (
     ConeSpec,
     DomainError,
+    NumericError,
     SearchRadiusError,
     ShapeError,
     StateVec,
     UnsupportedDimensionError,
     cone_contains,
 )
+from conespde import approx
 from conespde.approx import (
+    GRID_POINTS,
+    REFINE_ITERS,
     BallSpec,
     GridQuadrature,
     MollifierParams,
@@ -237,7 +241,12 @@ class TestTruncateNoise:
 # ---------------------------------------------------------------- envelopes
 
 
-ABS = lambda v: abs(float(v.coords[0]))  # noqa: E731
+def ABS(rows):
+    return np.abs(rows[:, 0])
+
+
+def KINKED(rows):
+    return np.minimum(np.abs(rows[:, 0]), 1.0)
 
 
 class TestEnvelopes:
@@ -250,36 +259,35 @@ class TestEnvelopes:
 
     def test_constant_fixed_point(self):
         spec = SearchSpec(lipschitz=0.0, sup_bound=2.0)
-        got = inf_convolve(lambda v: 2.0, 0.1, StateVec(np.array([0.3, -0.4])), spec)
+        got = inf_convolve(
+            lambda rows: np.full(rows.shape[0], 2.0), 0.1, StateVec(np.array([0.3, -0.4])), spec
+        )
         assert got == pytest.approx(2.0, abs=1e-9)
 
     def test_never_above_f(self):
         for x in (-1.3, 0.0, 0.7):
             h = StateVec(np.array([x]))
-            assert inf_convolve(ABS, 0.25, h, self.spec) <= ABS(h) + 1e-9
+            assert inf_convolve(ABS, 0.25, h, self.spec) <= abs(x) + 1e-9
 
     def test_sup_mirrors_inf(self):
         h = StateVec(np.array([0.7]))
         lo = inf_convolve(ABS, 0.25, h, self.spec)
-        hi = sup_convolve(lambda v: -ABS(v), 0.25, h, self.spec)
+        hi = sup_convolve(lambda rows: -ABS(rows), 0.25, h, self.spec)
         assert hi == pytest.approx(-lo, abs=1e-12)
 
     def test_sup_never_below_f(self):
         h = StateVec(np.array([0.4]))
-        assert sup_convolve(ABS, 0.25, h, self.spec) >= ABS(h) - 1e-9
+        assert sup_convolve(ABS, 0.25, h, self.spec) >= 0.4 - 1e-9
 
     def test_composition_bracketed(self):
-        def f(v):
-            return min(abs(float(v.coords[0])), 1.0)
-
         spec = SearchSpec(lipschitz=1.0, sup_bound=1.0)
         p = SupInfParams(lam=1e-2, mu=1e-3)
-        for x in np.linspace(-1.5, 1.5, 7):
-            h = StateVec(np.array([x]))
-            lower = inf_convolve(f, p.lam, h, spec)
-            upper = sup_inf_convolve(f, p, h, spec)
-            assert lower <= f(h) + 1e-9
-            assert lower - 1e-9 <= upper <= f(h) + 1e-6
+        points = np.linspace(-1.5, 1.5, 7)[:, None]
+        lower = inf_convolve(KINKED, p.lam, points, spec)
+        upper = sup_inf_convolve(KINKED, p, points, spec)
+        f = KINKED(points)
+        assert np.all(lower <= f + 1e-9)
+        assert np.all((lower - 1e-9 <= upper) & (upper <= f + 1e-6))
 
     def test_params_ordering_enforced(self):
         with pytest.raises(DomainError):
@@ -296,12 +304,12 @@ class TestEnvelopes:
         # minimizer: the best grid point sits on the edge
         spec = SearchSpec(radius=0.1, lipschitz=5.0, sup_bound=50.0)
         with pytest.raises(SearchRadiusError) as info:
-            inf_convolve(lambda v: -5.0 * float(v.coords[0]), 1.0, StateVec(np.zeros(1)), spec)
+            inf_convolve(lambda rows: -5.0 * rows[:, 0], 1.0, StateVec(np.zeros(1)), spec)
         assert info.value.suggested_radius > 0.1
 
     def test_larger_radius_succeeds(self):
         spec = SearchSpec(radius=50.0, lipschitz=5.0, sup_bound=50.0)
-        got = inf_convolve(lambda v: -5.0 * float(v.coords[0]), 1.0, StateVec(np.zeros(1)), spec)
+        got = inf_convolve(lambda rows: -5.0 * rows[:, 0], 1.0, StateVec(np.zeros(1)), spec)
         # closed form: inf_g (-5g + g^2/2) = -25/2
         assert got == pytest.approx(-12.5, abs=1e-5)
 
@@ -347,46 +355,55 @@ class TestEnvelopes:
             "0x1.0624dd2f1a9fcp-7", "0x1.fe353f7ced915p-1",
         ),
     }
+    PINNED_2D = "0x1.b99999999999ap-1"
 
-    def test_values_pinned(self):
-        def f(v):
-            return min(abs(float(v.coords[0])), 1.0)
-
+    @staticmethod
+    def pinned_envelopes():
         spec = SearchSpec(lipschitz=1.0, sup_bound=1.0)
         p = SupInfParams(lam=1e-2, mu=1e-3)
-        envelopes = {
-            "inf": lambda h: inf_convolve(f, p.lam, h, spec),
-            "sup": lambda h: sup_convolve(f, p.mu, h, spec),
-            "sup_inf": lambda h: sup_inf_convolve(f, p, h, spec),
+        return {
+            "inf": lambda h: inf_convolve(KINKED, p.lam, h, spec),
+            "sup": lambda h: sup_convolve(KINKED, p.mu, h, spec),
+            "sup_inf": lambda h: sup_inf_convolve(KINKED, p, h, spec),
         }
-        for name, env in envelopes.items():
+
+    @staticmethod
+    def pinned_2d(h):
+        def g(rows):
+            x, y = rows[:, 0], rows[:, 1]
+            return np.abs(x - y) + 0.5 * np.abs(y - 0.25)
+
+        return inf_convolve(g, 0.1, h, SearchSpec(lipschitz=1.5, sup_bound=2.0))
+
+    def test_values_pinned(self):
+        for name, env in self.pinned_envelopes().items():
             got = tuple(env(StateVec(np.array([x]))).hex() for x in self.PINNED_X)
             assert got == self.PINNED[name], name
-
-        def g(v):
-            x, y = v.coords
-            return abs(x - y) + 0.5 * abs(y - 0.25)
-
-        spec2 = SearchSpec(lipschitz=1.5, sup_bound=2.0)
-        got = inf_convolve(g, 0.1, StateVec(np.array([0.3, -0.4])), spec2)
-        assert got.hex() == "0x1.b99999999999ap-1"
+        assert self.pinned_2d(StateVec(np.array([0.3, -0.4]))).hex() == self.PINNED_2D
 
     def test_objective_sees_private_readonly_state(self):
+        # every call gets a fresh read-only float64 (M, N) batch that no
+        # later step writes into, and never the caller's array
         seen = []
 
-        def f(v):
-            assert isinstance(v, StateVec)
-            assert not v.coords.flags.writeable
-            seen.append((v, v.coords.copy()))
-            return abs(float(v.coords[0])) + abs(float(v.coords[1]))
+        def f(rows):
+            assert rows.dtype == np.float64 and rows.ndim == 2 and rows.shape[1] == 2
+            assert not rows.flags.writeable
+            seen.append((rows, rows.copy()))
+            return np.abs(rows[:, 0]) + np.abs(rows[:, 1])
 
         spec = SearchSpec(lipschitz=1.0, sup_bound=1.0)
-        inf_convolve(f, 0.1, StateVec(np.array([0.3, -0.4])), spec)
-        assert len(seen) > 2 * 65
-        for v, snapshot in seen:
-            assert not v.coords.flags.writeable
-            np.testing.assert_array_equal(v.coords, snapshot)
-        assert not np.shares_memory(seen[0][0].coords, seen[1][0].coords)
+        points = np.array([[0.3, -0.4], [-0.2, 0.1], [0.05, 0.5]])
+        before = points.copy()
+        inf_convolve(f, 0.1, points, spec)
+        np.testing.assert_array_equal(points, before)
+        assert {rows.shape[0] for rows, _ in seen} == {3 * GRID_POINTS, 3 * 2, 3 * 3}
+        for rows, snapshot in seen:
+            assert not rows.flags.writeable
+            np.testing.assert_array_equal(rows, snapshot)
+            assert not np.shares_memory(rows, points)
+        for (x, _), (y, _) in zip(seen, seen[1:]):
+            assert not np.shares_memory(x, y)
 
     def test_map_wrapper_smooths_componentwise(self):
         f = ConstantMap(np.array([2.0, -1.0]))
@@ -394,6 +411,331 @@ class TestEnvelopes:
         spec = SearchSpec(lipschitz=0.0, sup_bound=2.0)
         g = sup_inf_map(f, p, spec)
         np.testing.assert_allclose(g.eval_array(np.array([0.4, 0.1])), [2.0, -1.0], atol=1e-8)
+
+
+class TestEnvelopeInputs:
+    spec = SearchSpec(radius=0.5)
+
+    @pytest.mark.parametrize(
+        "points", [np.zeros(3), np.zeros((0, 1)), np.zeros((2, 0)), np.zeros((1, 1, 1))],
+        ids=["1-d", "no-lanes", "no-coords", "3-d"],
+    )
+    def test_batch_shape_checked(self, points):
+        with pytest.raises(ShapeError):
+            inf_convolve(ABS, 0.5, points, self.spec)
+
+    def test_batch_must_be_finite(self):
+        with pytest.raises(DomainError, match="finite"):
+            points = np.array([[0.0], [math.inf]])
+            sup_inf_convolve(ABS, SupInfParams(0.5, 0.1), points, self.spec)
+
+    def test_target_must_return_one_value_per_row(self):
+        with pytest.raises(ShapeError, match="target returned shape"):
+            inf_convolve(lambda rows: rows, 0.5, StateVec(np.zeros(1)), self.spec)
+        with pytest.raises(ShapeError, match="target returned shape"):
+            sup_convolve(lambda rows: 1.0, 0.5, StateVec(np.zeros(1)), self.spec)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("eps", lambda: phi_eps(np.array([1.0, -2.0]), math.nan)),
+        ("eps", lambda: phi_eps(1.0, math.inf)),
+        ("lam", lambda: inf_convolve(ABS, math.nan, StateVec(np.zeros(1)), SearchSpec(radius=1.0))),
+        ("mu", lambda: sup_convolve(ABS, math.nan, StateVec(np.zeros(1)), SearchSpec(radius=1.0))),
+        ("lam", lambda: SupInfParams(lam=math.inf, mu=1e-3)),
+        ("bandwidth", lambda: MollifierParams(n=1, bandwidth=math.nan)),
+        ("radius", lambda: BallSpec(1, math.nan)),
+        ("fd_step", lambda: stratonovich_correction(
+            CoefficientSet(ZeroMap(1), (ZeroMap(1),)), StateVec(np.zeros(1)), fd_step=math.nan
+        )),
+    ],
+    ids=["phi-eps-nan", "phi-eps-inf", "inf-lam-nan", "sup-mu-nan", "supinf-lam-inf",
+         "mollifier-bandwidth-nan", "ball-radius-nan", "stratonovich-fd-step-nan"],
+)
+def test_non_finite_parameter_rejected(name, call):
+    with pytest.raises(DomainError, match=name):
+        call()
+
+
+# ---------------------------------------------------------------- lockstep parity
+
+
+# A verbatim copy of the one-point-at-a-time search that the lockstep
+# engine replaced, kept as the reference it must match bit for bit.
+# Two changes: the target gets the point as a read-only one-row batch,
+# and the search constants are read from ``approx`` at call time so a
+# test can shrink them.
+
+
+def _reference_line_search(fn, lo, hi):
+    xs = np.linspace(lo, hi, approx.GRID_POINTS)
+    vals = np.array([fn(float(x)) for x in xs])
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("non-finite value during line search")
+    i = int(np.argmin(vals))
+    if i == 0 or i == approx.GRID_POINTS - 1:
+        raise SearchRadiusError(
+            f"optimum at search boundary (x={xs[i]:.6g}); widen the radius",
+            suggested_radius=2.0 * (hi - lo) / 2.0,
+        )
+    best_x, best_v = float(xs[i]), float(vals[i])
+    a, b = float(xs[i - 1]), float(xs[i + 1])
+    c = b - approx._GOLDEN * (b - a)
+    d = a + approx._GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(approx.REFINE_ITERS):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - approx._GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + approx._GOLDEN * (b - a)
+            fd = fn(d)
+        if fc < best_v:
+            best_x, best_v = c, fc
+        if fd < best_v:
+            best_x, best_v = d, fd
+    return best_x, best_v
+
+
+def _reference_opt_shifted(f, base, width, spec):
+    R = spec.resolve_radius(width)
+    with np.errstate(over="ignore"):
+        lo, hi = base - R, base + R
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise DomainError(f"search window must be finite, got radius {R} around the state")
+    dim = base.shape[0]
+    g = base.copy()
+
+    def objective() -> float:
+        diff = base - g
+        row = g[None, :].copy()
+        row.flags.writeable = False
+        return float(f(row)[0]) + float(diff @ diff) / (2.0 * width)
+
+    sweeps = 1 if dim == 1 else approx.SWEEPS
+    for _ in range(sweeps):
+        for axis in range(dim):
+            def fn(x, axis=axis):
+                g[axis] = x
+                return objective()
+
+            x, _ = _reference_line_search(fn, lo[axis], hi[axis])
+            g[axis] = x
+    return objective()
+
+
+def scalar_reference(kind, f, width, point, spec):
+    """The one-point envelope the lockstep engine replaced: ``width`` is
+    lam, mu or a ``SupInfParams``."""
+    if kind == "inf":
+        return _reference_opt_shifted(f, point.copy(), width, spec)
+    if kind == "sup":
+        return -_reference_opt_shifted(lambda rows: -f(rows), point.copy(), width, spec)
+
+    def envelope(rows):
+        return np.array([scalar_reference("inf", f, width.lam, rows[0], spec)])
+
+    return scalar_reference("sup", envelope, width.mu, point, spec)
+
+
+LOCKSTEP = {"inf": inf_convolve, "sup": sup_convolve, "sup_inf": sup_inf_convolve}
+
+
+def _outcome(run):
+    """float.hex of every value, or the raised search error's type,
+    message and suggested radius."""
+    try:
+        values = run()
+    except (SearchRadiusError, NumericError) as err:
+        return type(err).__name__, str(err), getattr(err, "suggested_radius", None)
+    return "values", [v.hex() for v in np.atleast_1d(values).tolist()]
+
+
+def reference_outcome(kind, f, width, points, spec):
+    """Points one at a time, in order; the first error ends the run."""
+    hexes = []
+    for point in points:
+        got = _outcome(lambda: scalar_reference(kind, f, width, point, spec))
+        if got[0] != "values":
+            return got
+        hexes += got[1]
+    return "values", hexes
+
+
+def assert_parity(kind, f, width, points, spec):
+    want = reference_outcome(kind, f, width, points, spec)
+    assert _outcome(lambda: LOCKSTEP[kind](f, width, points, spec)) == want
+    return want
+
+
+def rough(rows):
+    # bounded, kinked, and coupling the first, middle and last coordinates
+    first, mid, last = rows[:, 0], rows[:, rows.shape[1] // 2], rows[:, -1]
+    return np.minimum(np.abs(first - 0.5 * last), 1.0) + 0.25 * np.abs(mid - 0.1)
+
+
+def lanes(count, dim, seed=0):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, (count, dim))
+
+
+@pytest.fixture
+def small_search(monkeypatch):
+    """Shrink the search so the one-point reference of a sup-inf stays
+    cheap; both engines read these constants at call time."""
+    monkeypatch.setattr(approx, "GRID_POINTS", 9)
+    monkeypatch.setattr(approx, "REFINE_ITERS", 8)
+    monkeypatch.setattr(approx, "SWEEPS", 2)
+
+
+class TestLockstepParity:
+    spec = SearchSpec(radius=0.3)
+    p = SupInfParams(lam=0.05, mu=0.01)
+
+    @pytest.mark.parametrize("kind", ["inf", "sup"])
+    @pytest.mark.parametrize("dim, count", [(1, 1), (1, 41), (2, 5), (3, 3), (12, 2)])
+    def test_envelope_matches_reference(self, kind, dim, count):
+        width = self.p.lam if kind == "inf" else self.p.mu
+        want = assert_parity(kind, rough, width, lanes(count, dim), self.spec)
+        assert want[0] == "values" and len(want[1]) == count
+
+    def test_sup_inf_matches_reference_full_search(self):
+        assert_parity("sup_inf", rough, self.p, lanes(3, 1), self.spec)
+
+    @pytest.mark.parametrize("dim, count, sweeps", [(1, 17, 2), (2, 5, 2), (3, 3, 2), (12, 2, 1)])
+    def test_sup_inf_matches_reference(self, small_search, monkeypatch, dim, count, sweeps):
+        monkeypatch.setattr(approx, "SWEEPS", sweeps)
+        want = assert_parity("sup_inf", rough, self.p, lanes(count, dim), self.spec)
+        assert want[0] == "values" and len(want[1]) == count
+
+    def test_nan_inside_the_golden_bracket(self):
+        # NaN just right of the kink, between grid points: golden steps
+        # land in it and compare against it, and it never becomes best
+        hits = []
+
+        def kink(rows):
+            t = rows[:, 0] - 0.0123
+            out = np.where((t > 0) & (t < 1e-6), np.nan, np.abs(t))
+            hits.append(int(np.isnan(out).sum()))
+            return out
+
+        points = np.array([[0.0], [0.05], [-0.03]])
+        for kind in ("inf", "sup"):
+            width = self.p.lam if kind == "inf" else self.p.mu
+            want = assert_parity(kind, kink, width, points, self.spec)
+            assert want[0] == "values"
+        assert sum(hits) > 0
+
+    @staticmethod
+    def failing(rows):
+        # flat, except near x = +-1 (a steep drop that the window edge
+        # wins) and x = +-3 (NaN); the lanes at +1 and +3 fail on axis 1,
+        # the lanes at -1 and -3 already on axis 0
+        x, y = rows[:, 0], rows[:, 1]
+
+        def near(c):
+            return np.abs(x - c) < 0.5
+
+        out = np.where(near(1.0), -5.0 * y, np.where(near(-1.0), -5.0 * x, 0.0))
+        nan = (near(3.0) & (y > 0.05)) | (near(-3.0) & (x < -3.05))
+        return np.where(nan, np.nan, out)
+
+    @pytest.mark.parametrize(
+        "points, error",
+        [
+            ([[1.0, 0.0], [-1.0, 0.0]], "SearchRadiusError"),
+            ([[-1.0, 0.0], [1.0, 0.0]], "SearchRadiusError"),
+            ([[3.0, 0.0], [-3.0, 0.0]], "NumericError"),
+            ([[0.0, 0.0], [3.0, 0.0], [-1.0, 0.0]], "NumericError"),
+            ([[0.0, 0.0], [1.0, 0.0], [-3.0, 0.0]], "SearchRadiusError"),
+        ],
+        ids=["radius-late-first", "radius-early-first", "nan-late-first",
+             "nan-late-before-radius-early", "radius-late-before-nan-early"],
+    )
+    def test_lowest_failing_lane_raises(self, points, error):
+        spec = SearchSpec(radius=0.1)
+        points = np.array(points)
+        want = assert_parity("inf", self.failing, 1.0, points, spec)
+        assert want[0] == error
+
+    def test_inner_lane_error_fails_its_outer_lane(self, small_search):
+        spec = SearchSpec(radius=0.1)
+        p = SupInfParams(lam=1.0, mu=0.5)
+
+        def steep(rows):
+            return np.where(rows[:, 0] > 0, -5.0 * rows[:, 0], 0.0)
+
+        for points in ([[-1.0], [1.0]], [[1.0], [-1.0]], [[-1.0], [0.5], [1.0]]):
+            want = assert_parity("sup_inf", steep, p, np.array(points), spec)
+            assert want[0] == "SearchRadiusError"
+
+
+class TestLookahead:
+    # each golden-section call also evaluates the two points the next
+    # step can pick; only the one it picks may count
+
+    def evaluated(self, run):
+        points = []
+
+        def f(rows):
+            points.extend(rows[:, 0].tolist())
+            return rough(rows)
+
+        run(f)
+        return points
+
+    def test_error_only_from_the_point_taken(self):
+        base, width, radius = np.array([[0.3]]), 0.05, 0.3
+        spec = SearchSpec(radius=radius)
+        engine = self.evaluated(lambda f: inf_convolve(f, width, base, spec))
+        taken = set(self.evaluated(lambda f: scalar_reference("inf", f, width, base[0], spec)))
+        spare = [x for x in engine if x not in taken]
+        golden = [x for x in engine[GRID_POINTS:] if x in taken]
+        assert spare and golden
+        want = inf_convolve(rough, width, base, spec)
+        for bad, fails in ((spare[0], False), (golden[-1], True)):
+            def target(rows, bad=bad):
+                hit = np.flatnonzero(rows[:, 0] == bad)
+                return rough(rows), {int(r): NumericError(f"row {r}") for r in hit}
+
+            values, errors = approx._minimize(target, base, width, radius)
+            if fails:
+                assert list(errors) == [0]
+            else:
+                assert errors == {}
+                assert values.tolist() == want.tolist()
+
+
+class TestLockstepGuard:
+    spec = SearchSpec(lipschitz=1.0, sup_bound=1.0)
+
+    def test_target_calls_do_not_grow_with_lanes(self):
+        counts = []
+        for count in (1, 41):
+            calls = []
+
+            def f(rows):
+                calls.append(rows.shape[0])
+                return KINKED(rows)
+
+            inf_convolve(f, 1e-2, np.linspace(-2.0, 2.0, count)[:, None], self.spec)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3 + REFINE_ITERS
+
+    def test_pinned_values_alone_and_in_a_batch(self):
+        # each pinned point sits among 36 others and keeps its bits
+        others = np.linspace(-1.9, 1.9, 36)
+        points = np.insert(others, [0, 10, 18, 19, 27], TestEnvelopes.PINNED_X)[:, None]
+        at = np.flatnonzero(np.isin(points[:, 0], TestEnvelopes.PINNED_X))
+        assert len(at) == len(TestEnvelopes.PINNED_X)
+        for name, env in TestEnvelopes.pinned_envelopes().items():
+            got = tuple(v.hex() for v in env(points)[at].tolist())
+            assert got == TestEnvelopes.PINNED[name], name
+        points = np.array([[0.3, -0.4], [1.2, 0.7], [-0.5, 0.25], [0.3, -0.4]])
+        got = TestEnvelopes.pinned_2d(points)
+        assert got[0].hex() == got[3].hex() == TestEnvelopes.PINNED_2D
 
 
 @pytest.fixture(scope="module")

@@ -67,11 +67,12 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
 
 
-# ``StateVec._unchecked`` skips coordinate validation; only the module
-# that defines it and the envelope searches, whose window is checked
-# once per search, may use it.
+# ``StateVec`` has no constructor that skips coordinate validation: code
+# that handles many states takes raw arrays and validates them where
+# they enter.  The envelope searches used one, ``_unchecked``, until
+# they moved to batch targets; no module may bring it back.
 UNCHECKED = "_unchecked"
-UNCHECKED_ALLOWED = {"space.py", "approx.py"}
+UNCHECKED_ALLOWED: set[str] = set()
 
 
 def unchecked_uses(tree: ast.Module) -> list[int]:
