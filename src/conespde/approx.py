@@ -27,7 +27,8 @@ wrong value.
 
 Envelope targets work on batches: a target takes a read-only float64
 ``(M, N)`` array of states and returns their ``(M,)`` values, row ``i``
-equal to that row evaluated alone (the ``eval_array`` row contract).
+equal to that row evaluated alone (the row contract of
+``CoefficientMap.eval_coords``).
 ``inf_convolve``, ``sup_convolve`` and ``sup_inf_convolve`` take one
 ``StateVec`` or a ``(B, N)`` array of points.  Each point is a lane,
 and all lanes run the same search in lockstep: the grid is one target
@@ -492,8 +493,7 @@ def sup_inf_map(f: CoefficientMap, p: SupInfParams, search: SearchSpec) -> Coeff
     """Componentwise sup-inf regularization of a vector map.
 
     Component ``k`` searches over coordinate ``k`` of ``f.eval_coords``,
-    so a family that overrides ``eval_coords`` computes only the entry
-    it needs.
+    so a map family computes only the entry it needs.
     """
 
     def component(k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -656,14 +656,14 @@ def _mollify_eval(f: CoefficientMap, p: MollifierParams, h: StateVec):
         phi = bump(p.bandwidth * np.linalg.norm(nodes, axis=1))
         wphi = weights * phi
         z = float(np.sum(wphi))
-        vals = np.stack([f.eval_array(h.coords - g) for g in nodes])
+        vals = f.eval_array(h.coords - nodes)
         value = (wphi[:, None] * vals).sum(axis=0) / z
         return StateVec(value), None
     q = p.quadrature
     rng = np.random.default_rng(np.random.SeedSequence(q.seed))
     pts = rng.uniform(-r, r, size=(q.samples, p.n))
     phi = bump(p.bandwidth * np.linalg.norm(pts, axis=1))
-    vals = np.stack([f.eval_array(h.coords - g) for g in pts])
+    vals = f.eval_array(h.coords - pts)
     per_batch = q.samples // q.batches
     batch_est = []
     for bi in range(q.batches):

@@ -26,9 +26,10 @@ volatility checkers each consume it once and read only coordinate ``k``
 of each map on a block, through ``eval_coords(H, [k])``.
 ``sample_cone_points`` fills one ``(M, N)`` array of cone points, and
 the jump checker evaluates each atom on fixed row blocks of it through
-``eval_array``; by the row contract of ``eval_array`` each block equals
-those rows of the whole-sample evaluation bit for bit.  Witnesses are
-built only for violating rows.
+``eval_array``; by the row contract of ``CoefficientMap.eval_coords``
+each block equals those rows of the whole-sample evaluation bit for bit.
+Witnesses are built only for violating rows, and a map value that is
+not finite raises ``NumericError`` naming the condition, map and face.
 
 Sampling can certify a violation (a witness is a concrete point) but
 never its absence, so reports distinguish "VIOLATED (witness found)"
@@ -43,7 +44,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SamplerContractError, ShapeError
+from .errors import ConfigError, DomainError, NumericError, SamplerContractError, ShapeError
 from .semigroup import DiagonalSemigroup, boundary_set_membership
 from .space import ConeSpec, StateVec
 
@@ -75,13 +76,15 @@ __all__ = [
 ]
 
 
+_ALL = slice(None)
+
+
 class CoefficientMap:
     """Pure map of the state space, ``StateVec -> StateVec``.
 
-    Subclasses implement ``eval_array`` on raw coordinate arrays; the
-    public ``__call__`` wraps and unwraps ``StateVec``.  The condition
-    checkers and the simulation kernel evaluate maps through
-    ``eval_array`` and ``eval_coords``.
+    A family implements one evaluator, ``eval_coords``, on raw
+    coordinate arrays; ``eval_array`` asks it for every coordinate, and
+    ``__call__`` wraps and unwraps ``StateVec``.
 
     ``support`` lists, in increasing order, the output coordinates that
     can be nonzero: every other output entry is a zero (of either sign)
@@ -95,28 +98,23 @@ class CoefficientMap:
 
     dim: int
 
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        """Evaluate at one state ``a`` of shape ``(N,)`` or at a batch of
-        states, one per row, of shape ``(P, N)``.
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        """Output coordinates ``idx`` (a slice or an integer index array)
+        at one state ``a`` of shape ``(N,)`` or at a batch of states, one
+        per row, of shape ``(P, N)``.
 
-        A single state gives an ``(N,)`` result.  For a batch, row ``i``
-        of the result broadcast to ``(P, N)`` equals ``eval_array(a[i])``
-        bit for bit; maps whose value does not depend on the state may
-        return their ``(N,)`` vector and rely on that broadcasting.
-        Entries outside ``support`` are zero.
+        The result has shape ``a.shape[:-1] + (len(idx),)``, counting
+        the coordinates ``idx`` selects, and equals
+        ``eval_array(a)[..., idx]`` bit for bit.  Row ``i`` of a batch
+        result equals the result at ``a[i]`` bit for bit (the row
+        contract).  Entries outside ``support`` are zero.  The result may
+        be a read-only view; callers do not write into it.
         """
         raise NotImplementedError
 
-    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
-        """Output coordinates ``idx`` (a slice or an integer index array)
-        at ``a``: ``broadcast_to(eval_array(a), a.shape)[..., idx]`` bit
-        for bit.  Families override this to compute only those
-        coordinates.  The result may be a read-only view; callers do not
-        write into it."""
-        out = self.eval_array(a)
-        if out.shape != a.shape:
-            out = np.broadcast_to(out, a.shape)
-        return out[..., idx]
+    def eval_array(self, a: np.ndarray) -> np.ndarray:
+        """Every output coordinate at ``a``; the result has ``a.shape``."""
+        return self.eval_coords(a, _ALL)
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -137,16 +135,14 @@ class CoefficientMap:
         return StateVec(self.eval_array(h.coords))
 
 
-def _per_row(eval_one: Callable, a: np.ndarray) -> np.ndarray:
-    """Apply a single-state evaluator to ``a`` or to each row of a batch."""
+def _per_row(eval_one: Callable, a: np.ndarray, idx) -> np.ndarray:
+    """Apply a single-state evaluator ``eval_one(row, idx)`` to ``a`` or
+    to each row of a batch."""
     if a.ndim == 1:
-        return eval_one(a)
+        return eval_one(a, idx)
     if a.shape[0] == 0:
-        return np.empty(a.shape)
-    return np.stack([eval_one(row) for row in a])
-
-
-_ALL = slice(None)
+        return np.empty(a[:, idx].shape)
+    return np.stack([eval_one(row, idx) for row in a])
 
 
 def _index(coords) -> np.ndarray:
@@ -175,13 +171,14 @@ def _selected(idx, dim: int) -> np.ndarray:
     return np.arange(dim)[idx]
 
 
-def _vec(values, dim: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (dim,):
-        raise ShapeError(f"{name} must have shape ({dim},), got {arr.shape}")
+def _vec(values, dim: int | None, name: str) -> np.ndarray:
+    """A read-only finite float64 copy of ``values``, shape ``(dim,)``;
+    any length when ``dim`` is None."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != 1 or dim not in (None, arr.shape[0]):
+        raise ShapeError(f"{name} must have shape ({dim or 'N'},), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
-    arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -192,8 +189,8 @@ class ZeroMap(CoefficientMap):
 
     builtin = True
 
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        return np.zeros(self.dim)
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        return np.zeros(a[..., idx].shape)
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -213,12 +210,8 @@ class ConstantMap(CoefficientMap):
     builtin = True
 
     def __post_init__(self):
-        arr = np.asarray(self.value, dtype=np.float64)
-        object.__setattr__(self, "value", _vec(arr, arr.shape[0] if arr.ndim == 1 else -1, "value"))
+        object.__setattr__(self, "value", _vec(self.value, None, "value"))
         object.__setattr__(self, "dim", self.value.shape[0])
-
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        return self.value.copy()
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         v = self.value[idx]
@@ -259,9 +252,6 @@ class AffineMap(CoefficientMap):
         object.__setattr__(self, "dim", m.shape[0])
         object.__setattr__(self, "offset", _vec(self.offset, self.dim, "offset"))
 
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        return self.eval_coords(a, _ALL)
-
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         rows = self.matrix[idx]
         out = np.empty(a.shape[:-1] + rows.shape[:1])
@@ -292,12 +282,8 @@ class MeanReversionMap(CoefficientMap):
         if not np.isfinite(self.kappa):
             raise DomainError("kappa must be finite")
         object.__setattr__(self, "kappa", float(self.kappa))
-        arr = np.asarray(self.b, dtype=np.float64)
-        object.__setattr__(self, "b", _vec(arr, arr.shape[0] if arr.ndim == 1 else -1, "b"))
+        object.__setattr__(self, "b", _vec(self.b, None, "b"))
         object.__setattr__(self, "dim", self.b.shape[0])
-
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        return self.eval_coords(a, _ALL)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         return self.kappa * (self.b[idx] - a[..., idx])
@@ -324,18 +310,18 @@ class ProportionalMap(CoefficientMap):
         if not 0 <= self.index < self.dim:
             raise ShapeError(f"index {self.index} outside 0..{self.dim - 1}")
 
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        out = np.zeros(a.shape)
-        out[..., self.index] = self.scale * a[..., self.index]
-        return out
-
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
-        # the kernel asks for the support as a slice, once per step
-        if isinstance(idx, slice) and range(self.dim)[idx] == range(self.index, self.index + 1):
+        k = self.index
+        if idx is _ALL:  # eval_array, frequent on single states
+            out = np.zeros(a.shape)
+            out[..., k] = self.scale * a[..., k]
+            return out
+        # the kernel asks for the support as this slice, once per step
+        if isinstance(idx, slice) and idx == slice(k, k + 1):
             return self.scale * a[..., idx]
-        hit = _selected(idx, self.dim) == self.index
+        hit = _selected(idx, self.dim) == k
         out = np.zeros(a.shape[:-1] + hit.shape)
-        out[..., hit] = self.scale * a[..., self.index, None]
+        out[..., hit] = self.scale * a[..., k, None]
         return out
 
     @cached_property
@@ -375,8 +361,8 @@ class TabulatedMap(CoefficientMap):
         object.__setattr__(self, "knots", x)
         object.__setattr__(self, "values", y)
 
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        return np.interp(a, self.knots, self.values)
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        return np.interp(a[..., idx], self.knots, self.values)
 
     def to_config(self) -> dict:
         return {
@@ -402,16 +388,12 @@ class GatedOffsetMap(CoefficientMap):
     builtin = True
 
     def __post_init__(self):
-        arr = np.asarray(self.vector, dtype=np.float64)
-        object.__setattr__(self, "vector", _vec(arr, arr.shape[0] if arr.ndim == 1 else -1, "vector"))
+        object.__setattr__(self, "vector", _vec(self.vector, None, "vector"))
         object.__setattr__(self, "dim", self.vector.shape[0])
         if not 0 <= self.gate_index < self.dim:
             raise ShapeError(f"gate index {self.gate_index} outside 0..{self.dim - 1}")
         if not (np.isfinite(self.low) and np.isfinite(self.high) and self.low <= self.high):
             raise DomainError("need finite low <= high")
-
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        return self.eval_coords(a, _ALL)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         gate = a[..., self.gate_index]
@@ -436,8 +418,9 @@ class GatedOffsetMap(CoefficientMap):
 class SumMap(CoefficientMap):
     """Pointwise sum of maps, evaluated left to right.
 
-    A term whose support is not every coordinate is added on its support
-    only, unless the running sum holds a zero (see ``CoefficientMap``).
+    Asked for every coordinate, a term whose support is not every
+    coordinate is added on its support only, unless the running sum
+    holds a zero (see ``CoefficientMap``).
     """
 
     terms: tuple[CoefficientMap, ...]
@@ -453,29 +436,21 @@ class SumMap(CoefficientMap):
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "dim", terms[0].dim)
 
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        out = self.terms[0].eval_array(a)
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        every = isinstance(idx, slice) and idx.indices(self.dim) == (0, self.dim, 1)
+        out = self.terms[0].eval_coords(a, idx)
         for t, sup in zip(self.terms[1:], self._term_indices[1:]):
             # a writeable result belongs to the caller, so it may be added into
-            if sup is not _ALL and out.shape == a.shape and out.flags.writeable and out.all():
+            if every and sup is not _ALL and out.flags.writeable and out.all():
                 if sup is not None:
                     out[..., sup] += t.eval_coords(a, sup)
             else:
-                out = out + t.eval_array(a)
+                out = out + t.eval_coords(a, idx)
         return out
 
     @cached_property
     def _term_indices(self) -> tuple:
         return tuple(row_index(t.support, self.dim) for t in self.terms)
-
-    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
-        # every coordinate: eval_array adds partial terms on their support
-        if isinstance(idx, slice) and idx.indices(self.dim) == (0, self.dim, 1):
-            return super().eval_coords(a, idx)
-        out = self.terms[0].eval_coords(a, idx)
-        for t in self.terms[1:]:
-            out = out + t.eval_coords(a, idx)
-        return out
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -501,13 +476,6 @@ class ProjectedMap(CoefficientMap):
         if self.level < 0:
             raise DomainError(f"projection level must be >= 0, got {self.level}")
         object.__setattr__(self, "dim", self.inner.dim)
-
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        out = self.inner.eval_array(a)
-        if self.level < self.dim:
-            out = out.copy() if not out.flags.writeable else out
-            out[..., self.level:] = 0.0
-        return out
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         out = self.inner.eval_coords(a, idx)
@@ -541,19 +509,19 @@ class RetractedMap(CoefficientMap):
     dim: int = field(init=False)
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise DomainError(f"retraction radius must be > 0, got {self.radius}")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise DomainError(f"retraction radius must be finite and > 0, got {self.radius}")
         object.__setattr__(self, "dim", self.inner.dim)
 
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         # row by row: a batched norm sums in a different order
-        return _per_row(self._eval_one, a)
+        return _per_row(self._eval_one, a, idx)
 
-    def _eval_one(self, a: np.ndarray) -> np.ndarray:
+    def _eval_one(self, a: np.ndarray, idx) -> np.ndarray:
         norm = float(np.linalg.norm(a))
         if norm > self.radius:
             a = a * (self.radius / norm)
-        return self.inner.eval_array(a)
+        return self.inner.eval_coords(a, idx)
 
     def to_config(self) -> dict:
         return {"family": "retracted", "radius": self.radius, "inner": self.inner.to_config()}
@@ -561,40 +529,23 @@ class RetractedMap(CoefficientMap):
 
 @dataclass(frozen=True)
 class CallableMap(CoefficientMap):
-    """Wrap an arbitrary pure function of the state.
-
-    ``fn`` may accept and return either raw arrays or ``StateVec``; the
-    wrapper normalizes, always to a fresh array.  Not a built-in family
-    and not serializable.
-    """
+    """Wrap an arbitrary pure function of the state: ``fn`` takes a
+    ``StateVec`` and returns one or an array.  Not a built-in family and
+    not serializable."""
 
     fn: Callable
     dim: int
 
-    def eval_array(self, a: np.ndarray) -> np.ndarray:
-        return _per_row(self._eval_one, a)
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        return _per_row(self._eval_one, a, idx)
 
-    def _eval_one(self, a: np.ndarray) -> np.ndarray:
+    def _eval_one(self, a: np.ndarray, idx) -> np.ndarray:
         res = self.fn(StateVec(a))
-        # a copy: callers such as ProjectedMap write into the result
+        # a copy: SumMap adds into a writeable result
         out = res.coords if isinstance(res, StateVec) else np.array(res, dtype=np.float64)
         if out.shape != (self.dim,):
             raise ShapeError(f"callable returned shape {out.shape}, expected ({self.dim},)")
-        return out
-
-
-_FAMILIES = {
-    "zero",
-    "constant",
-    "linear",
-    "affine",
-    "mean_reversion",
-    "proportional",
-    "tabulated",
-    "gated_offset",
-    "sum",
-    "projected",
-}
+        return out[idx]
 
 
 def map_from_config(doc: dict, dim: int, index: int | None = None) -> CoefficientMap:
@@ -606,8 +557,6 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
     if not isinstance(doc, dict) or "family" not in doc:
         raise ConfigError(f"coefficient map config needs a 'family' key, got {doc!r}")
     fam = doc["family"]
-    if fam not in _FAMILIES:
-        raise ConfigError(f"unknown coefficient family {fam!r}")
     try:
         if fam == "zero":
             return ZeroMap(dim)
@@ -642,7 +591,7 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
             return ProjectedMap(map_from_config(doc["inner"], dim, index), int(doc["level"]))
     except KeyError as exc:
         raise ConfigError(f"family {fam!r} config missing key {exc}") from exc
-    raise ConfigError(f"unhandled family {fam!r}")
+    raise ConfigError(f"unknown coefficient family {fam!r}")
 
 
 @dataclass(frozen=True)
@@ -936,6 +885,18 @@ def default_tol(coeffs: CoefficientSet) -> float:
     return 1e-9 if coeffs.uses_only_builtin_maps() else 1e-6
 
 
+def _finite(vals: np.ndarray, condition: str, part: str, k: int | None = None) -> np.ndarray:
+    """``vals``, one evaluated block, checked finite once; else raise
+    ``NumericError`` naming the map and the face ``k`` (by default the
+    first coordinate that failed)."""
+    ok = np.isfinite(vals)
+    if not ok.all():
+        if k is None:
+            k = int(np.argwhere(~ok)[0, -1])
+        raise NumericError(f"{condition}: {part} is not finite on face k={k}")
+    return vals
+
+
 def _margin_block(
     coeffs: CoefficientSet,
     sg: DiagonalSemigroup,
@@ -946,10 +907,12 @@ def _margin_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(main, no_a, generator)`` margins at the pairs ``(theta e_k*, H[i])``
     with boundary value ``a``, one entry per row of the block ``H``."""
-    drift_k = theta * coeffs.drift.eval_coords(H, [k])[:, 0]
+    drift = coeffs.drift.eval_coords(H, [k])[:, 0]
+    drift_k = theta * _finite(drift, "drift-inward", "drift", k)
     comp_k = np.zeros(H.shape[0])
-    for w, g in coeffs.jump_atoms:
-        comp_k += w * theta * g.eval_coords(H, [k])[:, 0]
+    for i, (w, g) in enumerate(coeffs.jump_atoms):
+        gamma = _finite(g.eval_coords(H, [k])[:, 0], "drift-inward", f"jump atom {i}", k)
+        comp_k += w * theta * gamma
     gen_k = theta * (-sg.rates[k] * H[:, k])
     return a + drift_k - comp_k, drift_k - comp_k, gen_k + drift_k - comp_k
 
@@ -1001,7 +964,11 @@ def check_jump_condition(
     for i, (_, g) in enumerate(coeffs.jump_atoms):
         for start in range(0, points.shape[0], _JUMP_ROWS):
             block = points[start : start + _JUMP_ROWS]
-            margins = signs * (block + g.eval_array(block))[:, idx]
+            # the atom's block dies with the sum and the signs apply in place
+            margins = (
+                block + _finite(g.eval_array(block), "jump-stays-in-cone", f"jump atom {i}")
+            )[:, idx]
+            margins *= signs
             for row, pos in np.argwhere(margins < -tol):
                 k = int(idx[pos])
                 witnesses.append(
@@ -1039,7 +1006,9 @@ def check_drift_condition(
     the generator term) are evaluated alongside and must agree on exact
     faces; disagreement marks a sampler bug, not a coefficient property.
     Each map's coordinate ``k`` is evaluated once per face block, and
-    the blocks are consumed as the sampler draws them.
+    the blocks are consumed as the sampler draws them.  A drift or atom
+    value that is not finite raises ``NumericError`` before the
+    formulations are compared.
     """
     if tol is None:
         tol = default_tol(coeffs)
@@ -1091,7 +1060,8 @@ def check_volatility_condition(
     for theta, k, H in sample_boundary_pairs(cone, sampler):
         sampled += H.shape[0]
         for j, col in enumerate(coeffs.vol_columns):
-            val = theta * col.eval_coords(H, [k])[:, 0]
+            vol = col.eval_coords(H, [k])[:, 0]
+            val = theta * _finite(vol, "vol-parallel", f"volatility column {j}", k)
             for row in np.flatnonzero(np.abs(val) > tol):
                 witnesses.append(
                     Witness(

@@ -20,6 +20,7 @@ Two operators defined here are used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -225,8 +226,8 @@ def retract(h: StateVec, n: float) -> StateVec:
     This is the metric projection onto the ball, hence 1-Lipschitz, and
     it is the identity wherever ``||h|| <= n``.
     """
-    if n <= 0:
-        raise DomainError(f"retraction radius must be > 0, got {n}")
+    if not (math.isfinite(n) and n > 0):
+        raise DomainError(f"retraction radius must be finite and > 0, got {n}")
     norm = h.norm()
     if norm <= n:
         return h

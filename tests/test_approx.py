@@ -209,6 +209,11 @@ class TestComposeRetraction:
         est = lipschitz_probe(g, pairs=200, domain=BallSpec(3, 5.0), seed=0)
         assert est <= 2.0 + 1e-9
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf, 0.0, -1.0])
+    def test_radius_must_be_finite_and_positive(self, n):
+        with pytest.raises(DomainError, match="radius"):
+            compose_retraction(AffineMap(np.eye(2), np.zeros(2)), n)
+
 
 class TestTruncateNoise:
     def test_column_count_preserved(self, compliant_coeffs):

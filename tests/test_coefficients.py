@@ -8,6 +8,7 @@ the test body.
 
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from conespde import (
     ConfigError,
     DiagonalSemigroup,
     DomainError,
+    NumericError,
     SamplerContractError,
     ShapeError,
     StateVec,
@@ -197,6 +199,15 @@ SUPPORTS = {
 
 
 @pytest.mark.parametrize("m", [m for m, _ in BATCH_CASES.values()], ids=BATCH_CASES.keys())
+def test_eval_array_keeps_the_state_shape(m):
+    # one state gives (N,) and a batch (P, N), also for maps that ignore
+    # the state
+    assert m.eval_array(BATCH).shape == BATCH.shape
+    for row in BATCH:
+        assert m.eval_array(row).shape == row.shape
+
+
+@pytest.mark.parametrize("m", [m for m, _ in BATCH_CASES.values()], ids=BATCH_CASES.keys())
 def test_batch_eval_matches_rows(m):
     # row i of a batch evaluation is eval_array(BATCH[i]), bit for bit
     rows = np.stack([m.eval_array(row) for row in BATCH])
@@ -250,19 +261,31 @@ def test_sum_matches_full_width_sum(name):
         assert np.broadcast_to(got, a.shape).tobytes() == np.broadcast_to(want, a.shape).tobytes()
 
 
-def test_batch_cases_cover_every_family():
-    # a new map family must join BATCH_CASES, so the batch, support and
-    # eval_coords parity tests above cover it
-    families = {
+FAMILIES = sorted(
+    (
         cls
         for cls in vars(coefficients).values()
         if isinstance(cls, type)
         and issubclass(cls, coefficients.CoefficientMap)
         and cls is not coefficients.CoefficientMap
         and cls.__module__ == coefficients.__name__
-    }
-    assert len(families) >= 11
-    assert families - {type(m) for m, _ in BATCH_CASES.values()} == set()
+    ),
+    key=lambda cls: cls.__name__,
+)
+
+
+def test_batch_cases_cover_every_family():
+    # a new map family must join BATCH_CASES, so the batch, support and
+    # eval_coords parity tests above cover it
+    assert len(FAMILIES) >= 11
+    assert set(FAMILIES) - {type(m) for m, _ in BATCH_CASES.values()} == set()
+
+
+@pytest.mark.parametrize("cls", FAMILIES, ids=lambda cls: cls.__name__)
+def test_family_implements_only_eval_coords(cls):
+    # eval_array is the base class asking eval_coords for every coordinate
+    assert "eval_coords" in vars(cls)
+    assert "eval_array" not in vars(cls)
 
 
 @pytest.mark.parametrize("m, builtin", BATCH_CASES.values(), ids=BATCH_CASES.keys())
@@ -307,6 +330,11 @@ class TestMapConfig:
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             map_from_config({"family": "fractal"}, 3)
+
+    @pytest.mark.parametrize("family", [["affine"], {"name": "zero"}], ids=["list", "dict"])
+    def test_unhashable_family_is_unknown(self, family):
+        with pytest.raises(ConfigError, match="unknown coefficient family"):
+            map_from_config({"family": family}, 3)
 
     def test_missing_key_reported(self):
         with pytest.raises(ConfigError, match="kappa"):
@@ -633,6 +661,73 @@ class TestVolatilityCondition:
         sg = DiagonalSemigroup.heat(2)
         C = CoefficientSet(ZeroMap(2), (ConstantMap(np.array([0.0, 1.0])),))
         assert check_volatility_condition(C, sg, K, SMALL).vol_ok
+
+
+def _nan_at(*coords):
+    """A dim-3 callable map that is NaN at ``coords`` and zero elsewhere."""
+    value = np.zeros(3)
+    value[list(coords)] = np.nan
+    return CallableMap(lambda h: value, 3)
+
+
+NAN_ALL = _nan_at(0, 1, 2)
+
+
+class TestNonFiniteValues:
+    # a map value that is not finite is an error naming the condition,
+    # the map and the face, never a pass or a sampler fault
+    CASES = {
+        "vol": ((ZeroMap(3), (NAN_ALL,), ()), "vol-parallel: volatility column 0", 0),
+        "vol-face-2": (
+            (ZeroMap(3), (ZeroMap(3), _nan_at(2)), ()),
+            "vol-parallel: volatility column 1",
+            2,
+        ),
+        "jump": ((ZeroMap(3), (), ((1.0, NAN_ALL),)), "jump-stays-in-cone: jump atom 0", 0),
+        "jump-face-1": (
+            (ZeroMap(3), (), ((1.0, ZeroMap(3)), (2.0, _nan_at(1)))),
+            "jump-stays-in-cone: jump atom 1",
+            1,
+        ),
+        "drift": ((NAN_ALL, (), ()), "drift-inward: drift", 0),
+        "drift-atom-face-2": (
+            (ZeroMap(3), (), ((1.0, ZeroMap(3)), (2.0, _nan_at(2)))),
+            "drift-inward: jump atom 1",
+            2,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_checkers_raise(self, case):
+        maps, part, k = self.CASES[case]
+        coeffs = CoefficientSet(*maps)
+        K = ConeSpec.nonnegative(3)
+        sg = DiagonalSemigroup.heat(3)
+        condition = part.split(":")[0]
+        with pytest.raises(NumericError, match=re.escape(f"{part} is not finite on face k={k}")):
+            if condition == "jump-stays-in-cone":
+                check_jump_condition(coeffs, K, SMALL)
+            elif condition == "drift-inward":
+                check_drift_condition(coeffs, sg, K, SMALL)
+            else:
+                check_volatility_condition(coeffs, sg, K, SMALL)
+        # the verdict runs the jump checker first, so an atom may fail there
+        with pytest.raises(NumericError, match="is not finite on face"):
+            invariance_verdict(coeffs, sg, K, SMALL)
+
+    def test_free_coordinate_of_a_jump(self):
+        # only coordinate 0 is constrained, so no jump margin reads the NaN
+        K = ConeSpec(np.array([1, 0, 0]))
+        C = CoefficientSet(ZeroMap(3), (), ((1.0, _nan_at(2)),))
+        with pytest.raises(NumericError, match="jump atom 0 is not finite on face k=2"):
+            check_jump_condition(C, K, SMALL)
+
+    def test_overflowing_drift(self):
+        # kappa (b - h) overflows to inf; the three margin formulations
+        # then disagree by inf - inf, which is no sampler fault
+        C = CoefficientSet(MeanReversionMap(1e308, np.full(3, 1e308)))
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="drift-inward: drift"):
+            check_drift_condition(C, DiagonalSemigroup.heat(3), ConeSpec.nonnegative(3), SMALL)
 
 
 class TestVerdict:

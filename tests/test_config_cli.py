@@ -328,6 +328,20 @@ class TestCheckCommand:
         assert both.exit_code == 1 and neither.exit_code == 1
         assert "exactly one of --config or --preset" in combined_output(both)
 
+    def test_non_finite_drift_is_an_error(self, tmp_path):
+        # kappa (b - h) overflows to inf at every sampled point
+        doc = preset_document("heat-positive")
+        drift = {"family": "mean_reversion", "kappa": 1e308, "b": [1e308] * 16}
+        doc["coefficients"]["drift"] = drift
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        args = ["check", "--config", str(path), "--out", str(tmp_path / "r")]
+        with np.errstate(over="ignore"):
+            res = CliRunner().invoke(cli, args)
+        assert res.exit_code == 1
+        assert "error: drift-inward: drift is not finite on face k=0" in combined_output(res)
+        assert "Traceback" not in combined_output(res)
+
     def test_malformed_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  broken\n}")

@@ -1,9 +1,11 @@
-"""Every name a ``conespde`` module imports is used in that module.
+"""Every name a ``conespde`` module imports is used in that module, and
+every private module-level name is used somewhere in the package.
 
-A stdlib-only stand-in for a linter's unused-import rule.  The package
-``__init__`` exists to re-export, so it is exempt, as are ``__future__``
-imports and names a module lists in its own ``__all__``.  Quoted
-annotations count as uses of the names they mention.
+A stdlib-only stand-in for a linter's unused-import and dead-code rules.
+The package ``__init__`` exists to re-export, so it is exempt from the
+import rule, as are ``__future__`` imports and names a module lists in
+its own ``__all__``.  Quoted annotations count as uses of the names they
+mention.
 """
 
 import ast
@@ -100,3 +102,52 @@ def test_checker_sees_an_unchecked_use():
 def test_unchecked_state_stays_in_approx(path):
     lines = unchecked_uses(ast.parse(path.read_text()))
     assert not lines, f"{path.name} uses StateVec.{UNCHECKED} on lines {lines}"
+
+
+# A private module-level helper that no module of the package refers to
+# is dead code, even when a test still calls it.
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` bindings (functions, classes, assignments)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names read, attributes accessed and names imported anywhere in ``tree``."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_checker_sees_a_dead_private_name():
+    tree = ast.parse("_A, _B = 1, 2\ndef _f(): return _A\nclass _C: pass\nx = _f()\n")
+    assert set(private_definitions(tree)) - references(tree) == {"_B", "_C"}
+
+
+PACKAGE_REFS = set().union(*(references(ast.parse(p.read_text())) for p in PACKAGE.glob("*.py")))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_private_names(path):
+    defined = private_definitions(ast.parse(path.read_text()))
+    dead = [f"{name} (line {line})" for name, line in defined.items() if name not in PACKAGE_REFS]
+    assert not dead, f"{path.name} defines but the package never uses: {', '.join(dead)}"

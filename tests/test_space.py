@@ -177,6 +177,11 @@ class TestRetract:
         with pytest.raises(DomainError):
             retract(StateVec(np.array([1.0])), 0.0)
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf])
+    def test_radius_finite(self, n):
+        with pytest.raises(DomainError, match="radius"):
+            retract(StateVec(np.array([1.0, 2.0])), n)
+
     @given(coords, coords, st.floats(min_value=0.1, max_value=10))
     def test_nonexpansive(self, a, b, n):
         if len(a) != len(b):
