@@ -31,15 +31,7 @@ from .errors import (
     ShapeError,
     UnsupportedDimensionError,
 )
-from .semigroup import (
-    BoundaryMembership,
-    DiagonalSemigroup,
-    LiminfGrid,
-    boundary_set_membership,
-    cesaro_average,
-    liminf_grid_quotients,
-    semigroup_preserves_cone,
-)
+from .semigroup import DiagonalSemigroup, LiminfGrid
 from .simulate import (
     NoiseSpec,
     PathEnsemble,

@@ -45,8 +45,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, SamplerContractError, ShapeError
-from .semigroup import DiagonalSemigroup, boundary_set_membership
-from .space import ConeSpec, StateVec
+from .semigroup import DiagonalSemigroup
+from .space import ConeSpec, StateVec, cone_contains
 
 __all__ = [
     "CoefficientMap",
@@ -589,6 +589,8 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
             return SumMap(tuple(map_from_config(t, dim, index) for t in doc["terms"]))
         if fam == "projected":
             return ProjectedMap(map_from_config(doc["inner"], dim, index), int(doc["level"]))
+        if fam == "retracted":
+            return RetractedMap(map_from_config(doc["inner"], dim, index), float(doc["radius"]))
     except KeyError as exc:
         raise ConfigError(f"family {fam!r} config missing key {exc}") from exc
     raise ConfigError(f"unknown coefficient family {fam!r}")
@@ -897,51 +899,48 @@ def _finite(vals: np.ndarray, condition: str, part: str, k: int | None = None) -
     return vals
 
 
-def _margin_block(
-    coeffs: CoefficientSet,
-    sg: DiagonalSemigroup,
-    theta: int,
-    k: int,
-    H: np.ndarray,
-    a: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(main, no_a, generator)`` margins at the pairs ``(theta e_k*, H[i])``
-    with boundary value ``a``, one entry per row of the block ``H``."""
+def _margin_block(coeffs: CoefficientSet, theta: int, k: int, H: np.ndarray) -> np.ndarray:
+    """Inward margins ``theta drift(h)_k - sum_i w_i theta gamma_i(h)_k``
+    at the pairs ``(theta e_k*, H[i])``, one entry per row of the block
+    ``H``; the boundary value ``a`` of such a pair is 0."""
     drift = coeffs.drift.eval_coords(H, [k])[:, 0]
     drift_k = theta * _finite(drift, "drift-inward", "drift", k)
     comp_k = np.zeros(H.shape[0])
     for i, (w, g) in enumerate(coeffs.jump_atoms):
         gamma = _finite(g.eval_coords(H, [k])[:, 0], "drift-inward", f"jump atom {i}", k)
         comp_k += w * theta * gamma
-    gen_k = theta * (-sg.rates[k] * H[:, k])
-    return a + drift_k - comp_k, drift_k - comp_k, gen_k + drift_k - comp_k
+    return _finite(drift_k - comp_k, "drift-inward", "drift minus jump compensator", k)
 
 
-def drift_margin(
-    coeffs: CoefficientSet,
-    sg: DiagonalSemigroup,
-    cone: ConeSpec,
-    theta: int,
-    k: int,
-    h: StateVec,
-) -> dict:
-    """Inward-pointing margin terms at an admissible boundary pair.
+@np.errstate(over="ignore", invalid="ignore")
+def drift_margin(coeffs: CoefficientSet, cone: ConeSpec, theta: int, k: int, h: StateVec) -> float:
+    """Inward margin at the boundary pair ``(theta e_k*, h)``.
 
-    Returns three equivalent formulations evaluated at ``(theta e_k*, h)``:
-    ``main`` includes the boundary value ``a``, ``no_a`` drops it, and
-    ``generator`` uses ``<h*, A h + drift(h)>``.  On exact faces
-    (``h_k = 0``) all three coincide.
+    For a diagonal semigroup and a coordinate cone the pair is
+    admissible exactly when ``theta e_k*`` generates the cone, ``h`` lies
+    in the cone and ``h_k = 0``; its boundary value ``a`` is then 0.
+
+    Raises
+    ------
+    ConfigError
+        If the functional does not generate the cone.
+    DomainError
+        If ``h`` is outside the cone.
+    SamplerContractError
+        If ``h_k != 0``, so the pair is not admissible.
     """
-    membership = boundary_set_membership(sg, cone, (theta, k), h)
-    if not membership.in_d:
+    if not (theta in (-1, 1) and 0 <= k < cone.dim and cone.signs[k] == theta):
+        raise ConfigError(f"functional ({theta}, {k}) does not generate the cone")
+    if not cone_contains(cone, h, 0.0):
+        raise DomainError("boundary test requires a point inside the cone")
+    if h.coords[k] != 0.0:
         raise SamplerContractError(
             f"pair (theta={theta}, k={k}) with h_k={h.coords[k]} is not an admissible boundary pair"
         )
-    a_val = membership.a_value
-    main, no_a, gen = _margin_block(coeffs, sg, theta, k, h.coords[None, :], a_val)
-    return {"a": a_val, "main": main[0], "no_a": no_a[0], "generator": gen[0]}
+    return float(_margin_block(coeffs, theta, k, h.coords[None, :])[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_jump_condition(
     coeffs: CoefficientSet,
     cone: ConeSpec,
@@ -991,6 +990,7 @@ def check_jump_condition(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_drift_condition(
     coeffs: CoefficientSet,
     sg: DiagonalSemigroup,
@@ -1000,15 +1000,14 @@ def check_drift_condition(
 ) -> ConditionReport:
     """Sampled check of the inward-pointing drift condition.
 
-    At every sampled admissible boundary pair the margin
-    ``a + theta drift(h)_k - sum_i w_i theta gamma_i(h)_k`` must be
-    ``>= -tol``.  The two equivalent formulations (without ``a``; with
-    the generator term) are evaluated alongside and must agree on exact
-    faces; disagreement marks a sampler bug, not a coefficient property.
-    Each map's coordinate ``k`` is evaluated once per face block, and
-    the blocks are consumed as the sampler draws them.  A drift or atom
-    value that is not finite raises ``NumericError`` before the
-    formulations are compared.
+    At every sampled admissible boundary pair ``(theta e_k*, h)`` the
+    margin ``a + theta drift(h)_k - sum_i w_i theta gamma_i(h)_k`` must
+    be ``>= -tol``.  A pair is admissible exactly when ``h_k = 0``, and
+    then ``a = 0``; a face block holding any other row is a sampler
+    fault.  Each map's coordinate ``k`` is evaluated once per face
+    block, and the blocks are consumed as the sampler draws them.  A
+    drift, atom or margin value that is not finite raises
+    ``NumericError``.
     """
     if tol is None:
         tol = default_tol(coeffs)
@@ -1019,17 +1018,15 @@ def check_drift_condition(
         # a pair is admissible exactly when h_k = 0, and then a = 0
         if not np.all(H[:, k] == 0.0):
             raise SamplerContractError(f"face block k={k} holds a pair that is not admissible")
-        main, no_a, gen = _margin_block(coeffs, sg, theta, k, H, 0.0)
-        if not (np.all(np.abs(main - no_a) <= 1e-12) and np.all(np.abs(main - gen) <= 1e-12)):
-            raise SamplerContractError("margin formulations disagree on an exact face")
-        for row in np.flatnonzero(main < -tol):
+        margin = _margin_block(coeffs, theta, k, H)
+        for row in np.flatnonzero(margin < -tol):
             witnesses.append(
                 Witness(
                     condition="drift-inward",
                     theta=theta,
                     k=k,
                     point=StateVec(H[row]),
-                    magnitude=float(-main[row]),
+                    magnitude=float(-margin[row]),
                 )
             )
     return ConditionReport(
@@ -1042,6 +1039,7 @@ def check_drift_condition(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_volatility_condition(
     coeffs: CoefficientSet,
     sg: DiagonalSemigroup,

@@ -23,7 +23,6 @@ from conespde import (
     SamplerContractError,
     ShapeError,
     StateVec,
-    boundary_set_membership,
     coefficients,
     cone_contains,
 )
@@ -307,25 +306,32 @@ def test_projection_leaves_callable_result_alone():
     assert v.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
+# one map of every family with a config form
+ROUND_TRIP = [
+    ZeroMap(3),
+    ConstantMap(np.array([1.0, 2.0, 3.0])),
+    AffineMap(np.diag([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])),
+    MeanReversionMap(0.5, np.array([1.0, 1.0, 1.0])),
+    ProportionalMap(0.3, 2, 3),
+    TabulatedMap(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 3),
+    GatedOffsetMap(np.array([1.0, 0.0, 0.0]), 0, -1.0, 1.0),
+    SumMap((ZeroMap(3), ConstantMap(np.array([1.0, 0.0, 0.0])))),
+    ProjectedMap(ConstantMap(np.array([1.0, 2.0, 3.0])), 1),
+    RetractedMap(AffineMap(np.diag([1.0, 2.0, 3.0]), np.zeros(3)), 1.0),
+]
+
+
 class TestMapConfig:
-    @pytest.mark.parametrize(
-        "m",
-        [
-            ZeroMap(3),
-            ConstantMap(np.array([1.0, 2.0, 3.0])),
-            AffineMap(np.diag([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])),
-            MeanReversionMap(0.5, np.array([1.0, 1.0, 1.0])),
-            ProportionalMap(0.3, 2, 3),
-            TabulatedMap(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 3),
-            GatedOffsetMap(np.array([1.0, 0.0, 0.0]), 0, -1.0, 1.0),
-            SumMap((ZeroMap(3), ConstantMap(np.array([1.0, 0.0, 0.0])))),
-            ProjectedMap(ConstantMap(np.array([1.0, 2.0, 3.0])), 1),
-        ],
-    )
+    @pytest.mark.parametrize("m", ROUND_TRIP)
     def test_round_trip(self, m):
         back = map_from_config(m.to_config(), 3)
         h = np.array([0.3, -0.7, 2.0])
         np.testing.assert_array_equal(back.eval_array(h), m.eval_array(h))
+
+    def test_round_trip_covers_every_family(self):
+        # a callable has no config form; every other family must load
+        # the config it saves
+        assert {type(m) for m in ROUND_TRIP} == set(FAMILIES) - {CallableMap}
 
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
@@ -619,20 +625,17 @@ class TestDriftCondition:
         assert faces == {0}
         assert all(w.magnitude == pytest.approx(1.0) for w in report.witnesses)
 
-    def test_mean_reversion_face_value(self, heat16, cone16, compliant_coeffs):
+    def test_mean_reversion_face_value(self, cone16, compliant_coeffs):
         # kappa b_k - w * 0.1 = 0.5 - 0.02 = 0.48 on every face.
         pairs = list(sample_boundary_pairs(cone16, SMALL))
         theta, k, H = pairs[0]
-        terms = drift_margin(compliant_coeffs, heat16, cone16, theta, k, StateVec(H[0]))
-        assert terms["main"] == pytest.approx(0.48)
-        assert terms["a"] == 0.0
-        assert terms["no_a"] == pytest.approx(terms["main"])
-        assert terms["generator"] == pytest.approx(terms["main"])
+        margin = drift_margin(compliant_coeffs, cone16, theta, k, StateVec(H[0]))
+        assert margin == pytest.approx(0.48)
 
-    def test_margin_requires_admissible_pair(self, heat16, cone16, compliant_coeffs):
+    def test_margin_requires_admissible_pair(self, cone16, compliant_coeffs):
         h = StateVec(np.full(16, 1.0))
         with pytest.raises(SamplerContractError):
-            drift_margin(compliant_coeffs, heat16, cone16, 1, 0, h)
+            drift_margin(compliant_coeffs, cone16, 1, 0, h)
 
     def test_checker_rejects_off_face_block(self, monkeypatch):
         H = np.array([[0.0, 1.0], [0.5, 1.0]])
@@ -723,11 +726,25 @@ class TestNonFiniteValues:
             check_jump_condition(C, K, SMALL)
 
     def test_overflowing_drift(self):
-        # kappa (b - h) overflows to inf; the three margin formulations
-        # then disagree by inf - inf, which is no sampler fault
+        # kappa (b - h) overflows to inf, quietly: pytest turns a NumPy
+        # overflow warning into an error
         C = CoefficientSet(MeanReversionMap(1e308, np.full(3, 1e308)))
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="drift-inward: drift"):
+        with pytest.raises(NumericError, match="drift-inward: drift"):
             check_drift_condition(C, DiagonalSemigroup.heat(3), ConeSpec.nonnegative(3), SMALL)
+
+    def test_overflowing_compensator(self):
+        # every atom value is finite, but w * gamma = 1e309 is not; the
+        # margin 0 - inf is an overflow, not a sampler fault
+        C = CoefficientSet(ZeroMap(3), (), ((10.0, ConstantMap(np.full(3, 1e308))),))
+        K = ConeSpec.nonnegative(3)
+        sg = DiagonalSemigroup.heat(3)
+        message = "drift-inward: drift minus jump compensator is not finite on face k=0"
+        with pytest.raises(NumericError, match=re.escape(message)):
+            check_drift_condition(C, sg, K, SMALL)
+        with pytest.raises(NumericError, match=re.escape(message)):
+            invariance_verdict(C, sg, K, SMALL)
+        with pytest.raises(NumericError, match=re.escape(message)):
+            drift_margin(C, K, 1, 0, StateVec(np.zeros(3)))
 
 
 class TestVerdict:
@@ -796,7 +813,7 @@ def reference_verdict(coeffs, sg, cone, sampler, tol=None):
                 witnesses.append(w)
     pairs = [(t, k, row) for t, k, H in sample_boundary_pairs(cone, sampler) for row in H]
     for theta, k, row in pairs:
-        a = boundary_set_membership(sg, cone, (theta, k), StateVec(row)).a_value
+        a = 0.0 if row[k] == 0.0 else np.inf
         drift_k = theta * coeffs.drift.eval_array(row)[k]
         comp_k = 0.0
         for w, g in coeffs.jump_atoms:
@@ -870,6 +887,18 @@ def _drift_case():
     return CoefficientSet(drift, (), ((0.5, gamma),)), DiagonalSemigroup.heat(4), K
 
 
+def _three_atom_drift_case():
+    # inexact weights and atom values: summing the compensator in
+    # another order moves some witness magnitudes in their last bits
+    K = ConeSpec.nonnegative(4)
+    drift = AffineMap(np.array([[0.3, 0.1, -0.7, 0.2]] * 4), np.full(4, 0.1))
+    atoms = tuple(
+        (w, AffineMap(c * np.eye(4)[::-1], np.full(4, 0.3)))
+        for w, c in ((0.1, 0.7), (0.2, 1.1), (0.7, 0.3))
+    )
+    return CoefficientSet(drift, (), atoms), DiagonalSemigroup.heat(4), K
+
+
 PARITY_SPEC = SamplerSpec(points_per_face=16, interior_points=16, seed=3)
 
 
@@ -885,10 +914,11 @@ class TestCheckerParity:
         [
             (_jump_case, {"jump-stays-in-cone"}),
             (_drift_case, {"drift-inward"}),
+            (_three_atom_drift_case, {"drift-inward"}),
             (_mixed_cone_case, {"jump-stays-in-cone", "drift-inward", "vol-parallel"}),
             (_wrapped_case, {"jump-stays-in-cone", "drift-inward", "vol-parallel"}),
         ],
-        ids=["jump", "drift", "mixed_cone", "wrapped"],
+        ids=["jump", "drift", "drift_three_atoms", "mixed_cone", "wrapped"],
     )
     def test_violating_sets(self, case, failing):
         coeffs, sg, cone = case()

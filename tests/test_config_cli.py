@@ -336,8 +336,7 @@ class TestCheckCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         args = ["check", "--config", str(path), "--out", str(tmp_path / "r")]
-        with np.errstate(over="ignore"):
-            res = CliRunner().invoke(cli, args)
+        res = CliRunner().invoke(cli, args)
         assert res.exit_code == 1
         assert "error: drift-inward: drift is not finite on face k=0" in combined_output(res)
         assert "Traceback" not in combined_output(res)

@@ -2,7 +2,9 @@
 
 The resolvent oracle integrates the Laplace transform numerically
 (scipy quad per coordinate) instead of using the closed form, so the
-two implementations can disagree only if one of them is wrong.
+two implementations can disagree only if one of them is wrong.  The
+admissible-pair rule is tested through ``drift_margin``, which applies
+it before it evaluates a margin.
 """
 
 import numpy as np
@@ -17,16 +19,14 @@ from conespde import (
     DiagonalSemigroup,
     DomainError,
     LiminfGrid,
+    SamplerContractError,
     ShapeError,
     StateVec,
-    boundary_set_membership,
-    cesaro_average,
     cone_contains,
     cone_leq,
     cone_nearest,
-    liminf_grid_quotients,
-    semigroup_preserves_cone,
 )
+from conespde.coefficients import CoefficientSet, ZeroMap, drift_margin
 
 
 def oracle_resolvent(rates: np.ndarray, lam: float, h: np.ndarray) -> np.ndarray:
@@ -146,18 +146,6 @@ class TestResolvent:
 
 
 class TestConePreservation:
-    def test_always_true_for_diagonal(self):
-        assert semigroup_preserves_cone(DiagonalSemigroup.heat(5), ConeSpec.nonnegative(5))
-
-    def test_zero_rates(self):
-        assert semigroup_preserves_cone(
-            DiagonalSemigroup(np.zeros(3)), ConeSpec(np.array([1, -1, 0]))
-        )
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            semigroup_preserves_cone(DiagonalSemigroup.heat(2), ConeSpec.nonnegative(3))
-
     def test_monte_carlo_spot_check(self):
         sg = DiagonalSemigroup.heat(6)
         K = ConeSpec.nonnegative(6)
@@ -168,99 +156,56 @@ class TestConePreservation:
             assert cone_contains(K, sg.apply(t, h), 0.0)
 
 
+def zero_margin(cone, functional, h):
+    """``drift_margin`` with zero coefficients: 0.0 (the boundary value
+    ``a``) at an admissible pair, an error at any other."""
+    return drift_margin(CoefficientSet(ZeroMap(cone.dim)), cone, *functional, h)
+
+
 class TestBoundaryMembership:
     def test_on_face_admissible_with_zero_value(self):
-        sg = DiagonalSemigroup.heat(3)
         K = ConeSpec.nonnegative(3)
         h = StateVec(np.array([1.0, 0.0, 2.0]))
-        m = boundary_set_membership(sg, K, (1, 1), h)
-        assert m.in_d and m.a_value == 0.0
-        assert m.grid_estimate == 0.0 and not m.grid_diverged
+        assert zero_margin(K, (1, 1), h) == 0.0
 
     def test_off_face_not_admissible(self):
-        sg = DiagonalSemigroup(np.array([1.0]))
         K = ConeSpec.nonnegative(1)
-        m = boundary_set_membership(sg, K, (1, 0), StateVec(np.array([1.0])))
-        assert not m.in_d
-        assert m.a_value == np.inf
-        assert m.grid_diverged
-        # quotient at the grid floor behaves like 1/t
-        assert m.grid_estimate > 1.0
-
-    def test_quotient_formula(self):
-        sg = DiagonalSemigroup(np.array([2.0]))
-        grid = LiminfGrid(t0=0.5, ratio=0.5, points=4)
-        q = liminf_grid_quotients(sg, (1, 0), StateVec(np.array([3.0])), grid)
-        ts = grid.times()
-        np.testing.assert_allclose(q, np.exp(-2.0 * ts) * 3.0 / ts, rtol=1e-14)
+        with pytest.raises(SamplerContractError, match="not an admissible boundary pair"):
+            zero_margin(K, (1, 0), StateVec(np.array([1.0])))
 
     @pytest.mark.parametrize("functional", [(1, 9), (1, -1), (0, 0), (2, 1)])
     def test_quotient_functional_validated(self, functional):
-        sg = DiagonalSemigroup.heat(4)
         with pytest.raises(ConfigError, match="functional"):
-            liminf_grid_quotients(sg, functional, StateVec(np.zeros(4)))
+            zero_margin(ConeSpec.nonnegative(4), functional, StateVec(np.zeros(4)))
 
     def test_functional_must_generate_cone(self):
-        sg = DiagonalSemigroup.heat(2)
         K = ConeSpec(np.array([1, 0]))
         with pytest.raises(ConfigError):
-            boundary_set_membership(sg, K, (1, 1), StateVec(np.array([1.0, 0.0])))
+            zero_margin(K, (1, 1), StateVec(np.array([1.0, 0.0])))
         with pytest.raises(ConfigError):
-            boundary_set_membership(sg, K, (-1, 0), StateVec(np.array([0.0, 0.0])))
+            zero_margin(K, (-1, 0), StateVec(np.array([0.0, 0.0])))
 
     def test_point_must_lie_in_cone(self):
-        sg = DiagonalSemigroup.heat(2)
         K = ConeSpec.nonnegative(2)
         with pytest.raises(DomainError):
-            boundary_set_membership(sg, K, (1, 0), StateVec(np.array([-1.0, 0.0])))
+            zero_margin(K, (1, 0), StateVec(np.array([-1.0, 0.0])))
 
     @given(st.floats(min_value=0, max_value=50))
     @settings(max_examples=30)
     def test_homogeneity_of_membership(self, lam):
         # (h*, h) admissible => (h*, lam h) admissible with value lam * 0 = 0.
-        sg = DiagonalSemigroup.heat(2)
         K = ConeSpec.nonnegative(2)
         h = StateVec(np.array([0.0, 1.0]))
-        m = boundary_set_membership(sg, K, (1, 0), lam * h)
-        assert m.in_d and m.a_value == 0.0
+        assert zero_margin(K, (1, 0), lam * h) == 0.0
 
     def test_monotone_in_cone_order(self):
         # g <= h in the cone order and (h*, h) admissible force h_k = g_k = 0,
         # so g is admissible with the same (zero) boundary value.
-        sg = DiagonalSemigroup.heat(3)
         K = ConeSpec.nonnegative(3)
         h = StateVec(np.array([0.0, 2.0, 3.0]))
         g = StateVec(np.array([0.0, 1.0, 0.5]))
         assert cone_leq(K, g, h)
-        mh = boundary_set_membership(sg, K, (1, 0), h)
-        mg = boundary_set_membership(sg, K, (1, 0), g)
-        assert mh.in_d and mg.in_d
-        assert mg.a_value <= mh.a_value
-
-
-class TestCesaroAverage:
-    def test_matches_analytic_integral(self):
-        # (1/t) int_0^t e^{-cs} ds = (1 - e^{-ct}) / (ct)
-        rates = np.array([0.5, 1.0, 3.0])
-        sg = DiagonalSemigroup(rates)
-        h = StateVec(np.array([2.0, -1.0, 4.0]))
-        t = 0.8
-        got = cesaro_average(sg, t, h)
-        want = (1.0 - np.exp(-rates * t)) / (rates * t) * h.coords
-        np.testing.assert_allclose(got.coords, want, rtol=1e-12)
-
-    def test_stays_in_cone(self):
-        sg = DiagonalSemigroup.heat(5)
-        K = ConeSpec.nonnegative(5)
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            h = StateVec(np.abs(rng.standard_normal(5)))
-            t = float(rng.uniform(0.01, 5.0))
-            assert cone_contains(K, cesaro_average(sg, t, h), 1e-12)
-
-    def test_horizon_positive(self):
-        with pytest.raises(DomainError):
-            cesaro_average(DiagonalSemigroup.heat(2), 0.0, StateVec(np.array([1.0, 1.0])))
+        assert zero_margin(K, (1, 0), g) == zero_margin(K, (1, 0), h) == 0.0
 
 
 class TestLiminfGrid:
