@@ -37,7 +37,6 @@ from .coefficients import (
     sample_boundary_pairs,
 )
 from .errors import ConfigError
-from .semigroup import DiagonalSemigroup
 from .space import ConeSpec, StateVec, retract
 
 __all__ = ["PropertyResult", "SUITE_NAMES", "run_suites"]
@@ -281,7 +280,6 @@ def suite_rho(face_points: int = 64, seed: int = 0) -> list[PropertyResult]:
     cols = tuple(ProportionalMap(0.3, j, dim) for j in range(8))
     coeffs = CoefficientSet(ConstantMap(np.zeros(dim)), cols)
     cone = ConeSpec.nonnegative(dim)
-    sg = DiagonalSemigroup.heat(dim)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     worst = 0.0

@@ -71,7 +71,7 @@ from .errors import (
     ShapeError,
     UnsupportedDimensionError,
 )
-from .space import ORTHONORMAL, BasisConstants, StateVec
+from .space import StateVec
 
 __all__ = [
     "phi_eps",
@@ -139,19 +139,19 @@ def boundary_shift(h: StateVec, n: int, eps: float | None = None) -> StateVec:
     return StateVec(out)
 
 
-def boundary_shift_lipschitz(constants: BasisConstants = ORTHONORMAL) -> float:
-    """Lipschitz bound ``L = 2 ubc`` used in the localization radius.
+def boundary_shift_lipschitz() -> float:
+    """Lipschitz bound ``L = 2`` used in the localization radius.
 
-    The coordinatewise bound is actually ``ubc`` for an unconditional
-    basis; the factor 2 also covers the functional norms, and the
+    The coordinate basis is orthonormal, so the coordinatewise bound is
+    1; the factor 2 also covers the functional norms, and the
     localization radius below divides by this same ``L``.
     """
-    return 2.0 * constants.ubc
+    return 2.0
 
 
-def boundary_shift_radius(n: int, constants: BasisConstants = ORTHONORMAL) -> float:
+def boundary_shift_radius(n: int) -> float:
     """Localization radius ``2^-n / L`` of the level-``n`` shift."""
-    return 2.0 ** (-n) / boundary_shift_lipschitz(constants)
+    return 2.0 ** (-n) / boundary_shift_lipschitz()
 
 
 def compose_projection(f: CoefficientMap, n: int) -> CoefficientMap:
@@ -181,7 +181,7 @@ def truncate_noise(coeffs: CoefficientSet, n: int) -> CoefficientSet:
     cols = tuple(
         col if j < n else ZeroMap(coeffs.dim) for j, col in enumerate(coeffs.vol_columns)
     )
-    return CoefficientSet(coeffs.drift, cols, coeffs.jump_atoms, coeffs.lipschitz_hint)
+    return CoefficientSet(coeffs.drift, cols, coeffs.jump_atoms)
 
 
 # --------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def cmd_check(config_path, preset_name, out_dir, seed, paths, dt) -> int:
     """Run the sampled invariance checker and write report.json."""
     ec = _load(config_path, preset_name, seed, paths, dt)
     out = _prepare_out(out_dir)
-    report = invariance_verdict(ec.coeffs, ec.semigroup, ec.cone, ec.sampler, ec.check_tol)
+    report = invariance_verdict(ec.coeffs, ec.cone, ec.sampler, ec.check_tol)
     run_hash = _write_manifest(out, ec, ["report.json"])
     _write_json(out / "report.json", {"hash": run_hash, "checker": report.to_dict()})
     _echo_report(report)
@@ -191,7 +191,9 @@ def cmd_simulate(config_path, preset_name, out_dir, seed, paths, dt) -> int:
     """Run one ensemble and write paths.csv plus the manifest."""
     ec = _load(config_path, preset_name, seed, paths, dt)
     out = _prepare_out(out_dir)
-    ens = run_ensemble(ec.coeffs, ec.semigroup, ec.noise, ec.cone, ec.sim, ec.h0)
+    # paths.csv needs no trajectories, whatever the config asks
+    sim = replace(ec.sim, store_trajectories=False)
+    ens = run_ensemble(ec.coeffs, ec.semigroup, ec.noise, ec.cone, sim, ec.h0)
     run_hash = _write_manifest(out, ec, ["paths.csv", "summary.json"])
     _write_paths_csv(out / "paths.csv", ens, run_hash)
     stats = _exit_stats(ens)
@@ -210,7 +212,7 @@ def cmd_verify(config_path, preset_name, out_dir, seed, paths, dt) -> int:
     """Checker plus step-size sweep; reports agreement between the two."""
     ec = _load(config_path, preset_name, seed, paths, dt)
     out = _prepare_out(out_dir)
-    report = invariance_verdict(ec.coeffs, ec.semigroup, ec.cone, ec.sampler, ec.check_tol)
+    report = invariance_verdict(ec.coeffs, ec.cone, ec.sampler, ec.check_tol)
     _echo_report(report)
 
     sweep = []

@@ -16,6 +16,11 @@ to three pointwise conditions, which the checkers here test by sampling:
 * volatility condition: every column is parallel to the boundary,
   ``theta vol_j(h)_k = 0`` at the same pairs.
 
+The semigroup enters only through the admissible boundary pairs.  For
+a diagonal semigroup and a coordinate cone a pair ``(theta e_k*, h)``
+is admissible exactly when ``h_k = 0``, with ``a = 0``, whatever the
+rates, so the checkers take the coefficients and the cone alone.
+
 The conditions are pointwise, so the checkers hold little of the sample
 at once.  ``sample_boundary_pairs`` is a generator: it draws one
 ``(theta, k, H)`` face block per constrained coordinate, ``H`` a
@@ -45,7 +50,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, SamplerContractError, ShapeError
-from .semigroup import DiagonalSemigroup
 from .space import ConeSpec, StateVec, cone_contains
 
 __all__ = [
@@ -601,14 +605,12 @@ class CoefficientSet:
     """Drift, volatility columns, and compensated jump atoms.
 
     ``jump_atoms`` are pairs ``(weight, kernel)`` with weight the atom's
-    finite jump intensity.  ``lipschitz_hint`` is optional metadata used
-    to size default search radii; nothing checks it.
+    finite jump intensity.  Every map shares one dimension, ``dim``.
     """
 
     drift: CoefficientMap
     vol_columns: tuple[CoefficientMap, ...] = ()
     jump_atoms: tuple[tuple[float, CoefficientMap], ...] = ()
-    lipschitz_hint: float | None = None
 
     def __post_init__(self):
         vols = tuple(self.vol_columns)
@@ -621,8 +623,6 @@ class CoefficientSet:
         for w, _ in atoms:
             if not (np.isfinite(w) and w > 0):
                 raise DomainError(f"jump atom weight must be finite and > 0, got {w}")
-        if self.lipschitz_hint is not None and not self.lipschitz_hint > 0:
-            raise DomainError("lipschitz hint must be > 0 when given")
 
     @property
     def dim(self) -> int:
@@ -646,14 +646,11 @@ class CoefficientSet:
         return all(m.builtin for m in maps)
 
     def to_config(self) -> dict:
-        doc: dict = {
+        return {
             "drift": self.drift.to_config(),
             "vol": [c.to_config() for c in self.vol_columns],
             "jumps": [{"weight": w, "kernel": g.to_config()} for w, g in self.jump_atoms],
         }
-        if self.lipschitz_hint is not None:
-            doc["lipschitz_hint"] = self.lipschitz_hint
-        return doc
 
     @classmethod
     def from_config(cls, doc: dict, dim: int) -> "CoefficientSet":
@@ -668,8 +665,7 @@ class CoefficientSet:
             if "weight" not in entry or "kernel" not in entry:
                 raise ConfigError("jump entry needs 'weight' and 'kernel'")
             atoms.append((float(entry["weight"]), map_from_config(entry["kernel"], dim)))
-        hint = doc.get("lipschitz_hint")
-        return cls(drift, vols, tuple(atoms), None if hint is None else float(hint))
+        return cls(drift, vols, tuple(atoms))
 
 
 # --------------------------------------------------------------------------
@@ -887,6 +883,12 @@ def default_tol(coeffs: CoefficientSet) -> float:
     return 1e-9 if coeffs.uses_only_builtin_maps() else 1e-6
 
 
+def _same_dim(coeffs: CoefficientSet, cone: ConeSpec) -> None:
+    """Raise ``ShapeError`` unless the coefficients live on the cone's space."""
+    if coeffs.dim != cone.dim:
+        raise ShapeError(f"dims disagree: cone {cone.dim}, coefficients {coeffs.dim}")
+
+
 def _finite(vals: np.ndarray, condition: str, part: str, k: int | None = None) -> np.ndarray:
     """``vals``, one evaluated block, checked finite once; else raise
     ``NumericError`` naming the map and the face ``k`` (by default the
@@ -928,7 +930,10 @@ def drift_margin(coeffs: CoefficientSet, cone: ConeSpec, theta: int, k: int, h: 
         If ``h`` is outside the cone.
     SamplerContractError
         If ``h_k != 0``, so the pair is not admissible.
+    ShapeError
+        If the coefficients and the cone disagree on the dimension.
     """
+    _same_dim(coeffs, cone)
     if not (theta in (-1, 1) and 0 <= k < cone.dim and cone.signs[k] == theta):
         raise ConfigError(f"functional ({theta}, {k}) does not generate the cone")
     if not cone_contains(cone, h, 0.0):
@@ -954,6 +959,7 @@ def check_jump_condition(
     Each atom is evaluated on blocks of ``_JUMP_ROWS`` sampled points,
     so its temporaries stay small whatever the sample size.
     """
+    _same_dim(coeffs, cone)
     if tol is None:
         tol = default_tol(coeffs)
     points = sample_cone_points(cone, sampler)
@@ -993,7 +999,6 @@ def check_jump_condition(
 @np.errstate(over="ignore", invalid="ignore")
 def check_drift_condition(
     coeffs: CoefficientSet,
-    sg: DiagonalSemigroup,
     cone: ConeSpec,
     sampler: SamplerSpec = SamplerSpec(),
     tol: float | None = None,
@@ -1009,6 +1014,7 @@ def check_drift_condition(
     drift, atom or margin value that is not finite raises
     ``NumericError``.
     """
+    _same_dim(coeffs, cone)
     if tol is None:
         tol = default_tol(coeffs)
     witnesses = []
@@ -1042,7 +1048,6 @@ def check_drift_condition(
 @np.errstate(over="ignore", invalid="ignore")
 def check_volatility_condition(
     coeffs: CoefficientSet,
-    sg: DiagonalSemigroup,
     cone: ConeSpec,
     sampler: SamplerSpec = SamplerSpec(),
     tol: float | None = None,
@@ -1051,6 +1056,7 @@ def check_volatility_condition(
     ``|theta vol_j(h)_k| <= tol`` at admissible boundary pairs.  Each
     column's coordinate ``k`` is evaluated once per face block, and the
     blocks are consumed as the sampler draws them."""
+    _same_dim(coeffs, cone)
     if tol is None:
         tol = default_tol(coeffs)
     witnesses = []
@@ -1083,7 +1089,6 @@ def check_volatility_condition(
 
 def invariance_verdict(
     coeffs: CoefficientSet,
-    sg: DiagonalSemigroup,
     cone: ConeSpec,
     sampler: SamplerSpec = SamplerSpec(),
     tol: float | None = None,
@@ -1093,16 +1098,14 @@ def invariance_verdict(
     The three checkers run on the same sampling plan; the merged report
     is satisfied only when all three found no violation.  A satisfied
     report means "no violation found on the sample", never a proof.
+    Each checker raises ``ShapeError`` when the coefficients and the
+    cone disagree on the dimension.
     """
-    if sg.dim != cone.dim or sg.dim != coeffs.dim:
-        raise ShapeError(
-            f"dims disagree: semigroup {sg.dim}, cone {cone.dim}, coefficients {coeffs.dim}"
-        )
     if tol is None:
         tol = default_tol(coeffs)
     jump = check_jump_condition(coeffs, cone, sampler, tol)
-    drift = check_drift_condition(coeffs, sg, cone, sampler, tol)
-    vol = check_volatility_condition(coeffs, sg, cone, sampler, tol)
+    drift = check_drift_condition(coeffs, cone, sampler, tol)
+    vol = check_volatility_condition(coeffs, cone, sampler, tol)
     return ConditionReport(
         jump_ok=jump.jump_ok,
         drift_ok=drift.drift_ok,

@@ -40,6 +40,9 @@ __all__ = [
     "content_hash",
 ]
 
+# The one stepping scheme (see ``simulate``); config documents name it.
+_SCHEME = "exponential-euler"
+
 
 def _heat_positive() -> dict:
     dim = 16
@@ -218,7 +221,6 @@ class ExperimentConfig:
     sampler: SamplerSpec
     h0: StateVec
     check_tol: float | None = None
-    out: str | None = None
 
     @property
     def dim(self) -> int:
@@ -268,11 +270,13 @@ class ExperimentConfig:
 
         sim_doc = _section(doc, "sim")
         with _reading("sim"):
+            scheme = str(_field(sim_doc, "sim", "scheme", default=_SCHEME))
+            if scheme != _SCHEME:
+                raise ConfigError(f"unknown scheme {scheme!r}")
             sim = SimConfig(
                 dt=_finite("sim.dt", _field(sim_doc, "sim", "dt", required=True)),
                 horizon=_finite("sim.horizon", _field(sim_doc, "sim", "horizon", required=True)),
                 paths=int(_field(sim_doc, "sim", "paths", required=True)),
-                scheme=str(_field(sim_doc, "sim", "scheme", default="exponential-euler")),
                 exit_tol=_finite("sim.exit_tol", _field(sim_doc, "sim", "exit_tol", default=1e-8)),
                 guard=_finite("sim.guard", _field(sim_doc, "sim", "guard", default=1e12)),
                 store_trajectories=bool(
@@ -301,10 +305,6 @@ class ExperimentConfig:
         if h0.dim != dim:
             raise ConfigError(f"initial: {h0.dim} coordinates for dimension {dim}")
 
-        out = doc.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError("out: must be a string path")
-
         return cls(
             cone=cone,
             semigroup=sg,
@@ -314,7 +314,6 @@ class ExperimentConfig:
             sampler=sampler,
             h0=h0,
             check_tol=tol,
-            out=out,
         )
 
     def to_dict(self) -> dict:
@@ -331,7 +330,7 @@ class ExperimentConfig:
                 "dt": self.sim.dt,
                 "horizon": self.sim.horizon,
                 "paths": self.sim.paths,
-                "scheme": self.sim.scheme,
+                "scheme": _SCHEME,
                 "exit_tol": self.sim.exit_tol,
                 "guard": self.sim.guard,
                 "store_trajectories": self.sim.store_trajectories,
@@ -346,8 +345,6 @@ class ExperimentConfig:
         }
         if self.check_tol is not None:
             doc["checker"]["tol"] = self.check_tol
-        if self.out is not None:
-            doc["out"] = self.out
         return doc
 
     def content_hash(self) -> str:

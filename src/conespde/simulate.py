@@ -13,7 +13,9 @@ flow:
 over the paths of a chunk; it evaluates each map on the whole batch,
 on the map's output support only, through
 ``CoefficientMap.eval_coords``, the evaluator the condition checkers
-use as well.  Chunks run one after another in a single thread.
+use as well.  Chunks of ``_CHUNK`` = 256 paths run one after another
+in a single thread; the width is a module constant, not an option,
+because a chunk holds its whole ``(chunk, steps, columns)`` noise.
 
 Monitoring is structural, not pathwise-absorbing: every path records
 its minimum signed cone margin, the first step index at which the
@@ -51,6 +53,8 @@ __all__ = [
     "stability_experiment",
     "ssnc_estimate",
 ]
+
+_CHUNK = 256  # paths stepped together; results do not depend on it
 
 
 @dataclass(frozen=True)
@@ -98,11 +102,9 @@ class SimConfig:
     dt: float
     horizon: float
     paths: int
-    scheme: str = "exponential-euler"
     exit_tol: float = 1e-8
     guard: float = 1e12
     store_trajectories: bool = False
-    chunk: int = 256
 
     def __post_init__(self):
         for name in ("dt", "horizon", "exit_tol", "guard"):
@@ -110,12 +112,10 @@ class SimConfig:
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.horizon <= 0:
             raise DomainError("dt and horizon must be > 0")
-        if self.paths < 1 or self.chunk < 1:
-            raise DomainError("paths and chunk must be >= 1")
+        if self.paths < 1:
+            raise DomainError("paths must be >= 1")
         if self.exit_tol < 0 or self.guard <= 0:
             raise DomainError("exit_tol must be >= 0 and guard > 0")
-        if self.scheme != "exponential-euler":
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         s = round(self.horizon / self.dt)
         if s < 1 or abs(s * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ConfigError(
@@ -227,8 +227,8 @@ def run_ensemble(
     seeds = np.zeros(P, dtype=np.uint64)
     traj = np.zeros((P, S + 1, dim)) if config.store_trajectories else None
 
-    for lo in range(0, P, config.chunk):
-        hi = min(lo + config.chunk, P)
+    for lo in range(0, P, _CHUNK):
+        hi = min(lo + _CHUNK, P)
         n = hi - lo
         normals = np.zeros((n, S, noise.count))
         counts = np.zeros((n, S, len(sp.atoms)), dtype=np.int64)
@@ -274,7 +274,7 @@ def simulate_path(
     Raises ``DivergenceError`` if the path overflows the guard; the
     ensemble runner records the same event as data instead.
     """
-    one = replace(config, paths=1, chunk=1)
+    one = replace(config, paths=1)
     ens = run_ensemble(
         coeffs, semigroup, noise, cone, one, h0, first_path=path_index
     )

@@ -31,8 +31,6 @@ from .errors import DomainError, ShapeError
 __all__ = [
     "StateVec",
     "ConeSpec",
-    "BasisConstants",
-    "ORTHONORMAL",
     "project",
     "retract",
     "cone_contains",
@@ -172,27 +170,6 @@ class ConeSpec:
     @classmethod
     def nonnegative(cls, dim: int) -> "ConeSpec":
         return cls(np.ones(dim, dtype=np.int8))
-
-
-@dataclass(frozen=True)
-class BasisConstants:
-    """Norm constants of the coordinate basis.
-
-    ``bc`` bounds the basis functionals, ``ubc`` the unconditionality of
-    coordinate multipliers.  Only the orthonormal case (both equal to 1)
-    is supported; the constants are kept explicit so formulas that use
-    them stay readable.
-    """
-
-    bc: float = 1.0
-    ubc: float = 1.0
-
-    def __post_init__(self):
-        if self.bc != 1.0 or self.ubc != 1.0:
-            raise DomainError("only the orthonormal basis (bc = ubc = 1) is supported")
-
-
-ORTHONORMAL = BasisConstants()
 
 
 def project(h: StateVec, n: int) -> StateVec:

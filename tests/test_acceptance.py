@@ -55,7 +55,7 @@ class TestAcceptance:
     def test_ac1_compliant_system_stays_in(self, criterion):
         ec = load_preset("heat-positive")
         t0 = time.perf_counter()
-        report = invariance_verdict(ec.coeffs, ec.semigroup, ec.cone, ec.sampler)
+        report = invariance_verdict(ec.coeffs, ec.cone, ec.sampler)
         frac, _ = ensemble_stats(ec)
         elapsed = time.perf_counter() - t0
         ok = report.satisfied and frac <= 0.01 and elapsed < 30.0
@@ -67,7 +67,7 @@ class TestAcceptance:
 
     def test_ac2_bad_volatility_flagged_and_exits(self, criterion):
         ec = load_preset("heat-positive-badvol")
-        report = invariance_verdict(ec.coeffs, ec.semigroup, ec.cone, ec.sampler)
+        report = invariance_verdict(ec.coeffs, ec.cone, ec.sampler)
         witnessed = (not report.satisfied) and any(
             w.condition == "vol-parallel" and w.k == 0 for w in report.witnesses
         )

@@ -17,7 +17,6 @@ import pytest
 from conespde import (
     ConeSpec,
     ConfigError,
-    DiagonalSemigroup,
     DomainError,
     NumericError,
     SamplerContractError,
@@ -453,7 +452,7 @@ class TestSamplers:
             (ConstantMap(np.ones(3)),),
             ((1.0, AffineMap(-3.0 * np.eye(3), np.zeros(3))),),
         )
-        report = invariance_verdict(C, DiagonalSemigroup.heat(3), K, SMALL)
+        report = invariance_verdict(C, K, SMALL)
         assert report.satisfied and report.sampled_points == points.shape[0]
 
     def test_empty_blocks_evaluate(self):
@@ -465,7 +464,7 @@ class TestSamplers:
             (RetractedMap(ConstantMap(np.ones(4)), 1.0),),
             ((1.0, CallableMap(lambda h: -2.0 * h, 4)),),
         )
-        report = invariance_verdict(C, DiagonalSemigroup.heat(4), K, spec)
+        report = invariance_verdict(C, K, spec)
         assert report.satisfied and report.sampled_points == 0
 
     def test_dim_one(self):
@@ -519,7 +518,6 @@ class TestStreaming:
     def test_verdict_peak_below_all_blocks(self):
         dim = 96
         cone = ConeSpec.nonnegative(dim)
-        sg = DiagonalSemigroup.heat(dim)
         coeffs = CoefficientSet(
             MeanReversionMap(1.0, np.full(dim, 0.5)),
             tuple(ProportionalMap(0.3, j, dim) for j in range(8)),
@@ -531,7 +529,7 @@ class TestStreaming:
         def peak():
             tracemalloc.start()
             try:
-                invariance_verdict(coeffs, sg, cone, spec)
+                invariance_verdict(coeffs, cone, spec)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -539,7 +537,7 @@ class TestStreaming:
         peak()  # warm-up: first-call allocations are not the verdict's
         assert peak() < all_blocks
 
-    def test_each_checker_draws_the_boundary_once(self, monkeypatch, heat16, cone16, badvol_coeffs):
+    def test_each_checker_draws_the_boundary_once(self, monkeypatch, cone16, badvol_coeffs):
         calls = []
         draw = coefficients.sample_boundary_pairs
 
@@ -548,11 +546,11 @@ class TestStreaming:
             return draw(cone, spec)
 
         monkeypatch.setattr(coefficients, "sample_boundary_pairs", counted)
-        check_drift_condition(badvol_coeffs, heat16, cone16, SMALL)
+        check_drift_condition(badvol_coeffs, cone16, SMALL)
         assert len(calls) == 1
-        check_volatility_condition(badvol_coeffs, heat16, cone16, SMALL)
+        check_volatility_condition(badvol_coeffs, cone16, SMALL)
         assert len(calls) == 2
-        invariance_verdict(badvol_coeffs, heat16, cone16, SMALL)
+        invariance_verdict(badvol_coeffs, cone16, SMALL)
         assert len(calls) == 4
 
     def test_bad_face_raises_when_reached(self, monkeypatch):
@@ -571,11 +569,10 @@ class TestStreaming:
         with pytest.raises(SamplerContractError, match="k=2"):
             next(blocks)
         C = CoefficientSet(ZeroMap(4))
-        sg = DiagonalSemigroup.heat(4)
         assert check_jump_condition(C, K, SMALL).jump_ok
         for check in (check_drift_condition, check_volatility_condition, invariance_verdict):
             with pytest.raises(SamplerContractError):
-                check(C, sg, K, SMALL)
+                check(C, K, SMALL)
 
 
 # ---------------------------------------------------------------- checkers
@@ -607,19 +604,17 @@ class TestJumpCondition:
 class TestDriftCondition:
     def test_nonnegative_constant_drift_passes(self):
         K = ConeSpec.nonnegative(3)
-        sg = DiagonalSemigroup.heat(3)
         C = CoefficientSet(ConstantMap(np.array([0.5, 0.0, 1.0])))
-        assert check_drift_condition(C, sg, K, SMALL).drift_ok
+        assert check_drift_condition(C, K, SMALL).drift_ok
 
     def test_compensator_overwhelms_zero_drift(self):
         # Atom w = 1 with kernel e_1: at the first face the margin is
         # 0 + 0 - 1 = -1 even though the jump itself stays in the cone.
         K = ConeSpec.nonnegative(3)
-        sg = DiagonalSemigroup.heat(3)
         gamma = ConstantMap(np.array([1.0, 0.0, 0.0]))
         C = CoefficientSet(ZeroMap(3), (), ((1.0, gamma),))
         assert check_jump_condition(C, K, SMALL).jump_ok
-        report = check_drift_condition(C, sg, K, SMALL)
+        report = check_drift_condition(C, K, SMALL)
         assert report.drift_ok is False
         faces = {w.k for w in report.witnesses}
         assert faces == {0}
@@ -642,15 +637,15 @@ class TestDriftCondition:
         monkeypatch.setattr(coefficients, "sample_boundary_pairs", lambda cone, spec: [(1, 0, H)])
         K = ConeSpec.nonnegative(2)
         with pytest.raises(SamplerContractError):
-            check_drift_condition(CoefficientSet(ZeroMap(2)), DiagonalSemigroup.heat(2), K, SMALL)
+            check_drift_condition(CoefficientSet(ZeroMap(2)), K, SMALL)
 
 
 class TestVolatilityCondition:
-    def test_proportional_vanishes_on_faces(self, heat16, cone16, compliant_coeffs):
-        assert check_volatility_condition(compliant_coeffs, heat16, cone16, SMALL).vol_ok
+    def test_proportional_vanishes_on_faces(self, cone16, compliant_coeffs):
+        assert check_volatility_condition(compliant_coeffs, cone16, SMALL).vol_ok
 
-    def test_constant_column_magnitude(self, heat16, cone16, badvol_coeffs):
-        report = check_volatility_condition(badvol_coeffs, heat16, cone16, SMALL)
+    def test_constant_column_magnitude(self, cone16, badvol_coeffs):
+        report = check_volatility_condition(badvol_coeffs, cone16, SMALL)
         assert report.vol_ok is False
         w = report.witnesses[0]
         assert w.condition == "vol-parallel"
@@ -661,9 +656,8 @@ class TestVolatilityCondition:
 
     def test_noise_on_free_coordinate_passes(self):
         K = ConeSpec(np.array([1, 0]))
-        sg = DiagonalSemigroup.heat(2)
         C = CoefficientSet(ZeroMap(2), (ConstantMap(np.array([0.0, 1.0])),))
-        assert check_volatility_condition(C, sg, K, SMALL).vol_ok
+        assert check_volatility_condition(C, K, SMALL).vol_ok
 
 
 def _nan_at(*coords):
@@ -705,18 +699,17 @@ class TestNonFiniteValues:
         maps, part, k = self.CASES[case]
         coeffs = CoefficientSet(*maps)
         K = ConeSpec.nonnegative(3)
-        sg = DiagonalSemigroup.heat(3)
         condition = part.split(":")[0]
         with pytest.raises(NumericError, match=re.escape(f"{part} is not finite on face k={k}")):
             if condition == "jump-stays-in-cone":
                 check_jump_condition(coeffs, K, SMALL)
             elif condition == "drift-inward":
-                check_drift_condition(coeffs, sg, K, SMALL)
+                check_drift_condition(coeffs, K, SMALL)
             else:
-                check_volatility_condition(coeffs, sg, K, SMALL)
+                check_volatility_condition(coeffs, K, SMALL)
         # the verdict runs the jump checker first, so an atom may fail there
         with pytest.raises(NumericError, match="is not finite on face"):
-            invariance_verdict(coeffs, sg, K, SMALL)
+            invariance_verdict(coeffs, K, SMALL)
 
     def test_free_coordinate_of_a_jump(self):
         # only coordinate 0 is constrained, so no jump margin reads the NaN
@@ -730,52 +723,68 @@ class TestNonFiniteValues:
         # overflow warning into an error
         C = CoefficientSet(MeanReversionMap(1e308, np.full(3, 1e308)))
         with pytest.raises(NumericError, match="drift-inward: drift"):
-            check_drift_condition(C, DiagonalSemigroup.heat(3), ConeSpec.nonnegative(3), SMALL)
+            check_drift_condition(C, ConeSpec.nonnegative(3), SMALL)
 
     def test_overflowing_compensator(self):
         # every atom value is finite, but w * gamma = 1e309 is not; the
         # margin 0 - inf is an overflow, not a sampler fault
         C = CoefficientSet(ZeroMap(3), (), ((10.0, ConstantMap(np.full(3, 1e308))),))
         K = ConeSpec.nonnegative(3)
-        sg = DiagonalSemigroup.heat(3)
         message = "drift-inward: drift minus jump compensator is not finite on face k=0"
         with pytest.raises(NumericError, match=re.escape(message)):
-            check_drift_condition(C, sg, K, SMALL)
+            check_drift_condition(C, K, SMALL)
         with pytest.raises(NumericError, match=re.escape(message)):
-            invariance_verdict(C, sg, K, SMALL)
+            invariance_verdict(C, K, SMALL)
         with pytest.raises(NumericError, match=re.escape(message)):
             drift_margin(C, K, 1, 0, StateVec(np.zeros(3)))
 
 
 class TestVerdict:
-    def test_compliant_satisfied(self, heat16, cone16, compliant_coeffs):
-        report = invariance_verdict(compliant_coeffs, heat16, cone16, SMALL)
+    def test_compliant_satisfied(self, cone16, compliant_coeffs):
+        report = invariance_verdict(compliant_coeffs, cone16, SMALL)
         assert report.satisfied
         assert report.verdict == "NO VIOLATION FOUND (sampled)"
         assert report.witnesses == ()
 
-    def test_badvol_violated(self, heat16, cone16, badvol_coeffs):
-        report = invariance_verdict(badvol_coeffs, heat16, cone16, SMALL)
+    def test_badvol_violated(self, cone16, badvol_coeffs):
+        report = invariance_verdict(badvol_coeffs, cone16, SMALL)
         assert not report.satisfied
         assert report.verdict == "VIOLATED (witness found)"
         assert report.jump_ok and report.drift_ok and report.vol_ok is False
 
     def test_zero_coefficients_satisfied(self):
         K = ConeSpec.nonnegative(4)
-        sg = DiagonalSemigroup.heat(4)
-        report = invariance_verdict(CoefficientSet(ZeroMap(4)), sg, K, SMALL)
+        report = invariance_verdict(CoefficientSet(ZeroMap(4)), K, SMALL)
         assert report.satisfied
 
-    def test_deterministic_reports(self, heat16, cone16, badvol_coeffs):
-        a = invariance_verdict(badvol_coeffs, heat16, cone16, SamplerSpec(seed=9))
-        b = invariance_verdict(badvol_coeffs, heat16, cone16, SamplerSpec(seed=9))
+    def test_deterministic_reports(self, cone16, badvol_coeffs):
+        a = invariance_verdict(badvol_coeffs, cone16, SamplerSpec(seed=9))
+        b = invariance_verdict(badvol_coeffs, cone16, SamplerSpec(seed=9))
         assert a.to_dict() == b.to_dict()
 
-    def test_dims_must_agree(self, cone16, compliant_coeffs):
-        with pytest.raises(ShapeError):
-            invariance_verdict(compliant_coeffs, DiagonalSemigroup.heat(4), cone16, SMALL)
+    def test_dims_must_agree(self, compliant_coeffs):
+        with pytest.raises(ShapeError, match="dims disagree: cone 4, coefficients 16"):
+            invariance_verdict(compliant_coeffs, ConeSpec.nonnegative(4), SMALL)
 
-    def test_retraction_keeps_verdict(self, heat16, cone16, compliant_coeffs):
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_jump_condition,
+            check_drift_condition,
+            check_volatility_condition,
+            invariance_verdict,
+            lambda C, K, spec: drift_margin(C, K, 1, 0, StateVec(np.zeros(K.dim))),
+        ],
+        ids=["jump", "drift", "vol", "verdict", "drift_margin"],
+    )
+    def test_checkers_reject_a_set_of_another_dim(self, check):
+        # a dim-3 set on a dim-5 cone: no checker may pass it, index past
+        # its maps or read its first coordinates only
+        C = CoefficientSet(ZeroMap(3), (ProportionalMap(0.3, 0, 3),), ((1.0, ZeroMap(3)),))
+        with pytest.raises(ShapeError, match="dims disagree: cone 5, coefficients 3"):
+            check(C, ConeSpec.nonnegative(5), SMALL)
+
+    def test_retraction_keeps_verdict(self, cone16, compliant_coeffs):
         # Composing every map with the radial retraction moves face
         # points along their own ray, so a satisfied verdict persists.
         retracted = CoefficientSet(
@@ -783,7 +792,7 @@ class TestVerdict:
             tuple(RetractedMap(c, 2.0) for c in compliant_coeffs.vol_columns),
             tuple((w, RetractedMap(g, 2.0)) for w, g in compliant_coeffs.jump_atoms),
         )
-        report = invariance_verdict(retracted, heat16, cone16, SMALL)
+        report = invariance_verdict(retracted, cone16, SMALL)
         assert report.satisfied
 
     def test_jump_pairings_nonnegative_at_faces(self, cone16, compliant_coeffs):
@@ -795,7 +804,7 @@ class TestVerdict:
                     assert theta * g.eval_array(row)[k] >= -tol
 
 
-def reference_verdict(coeffs, sg, cone, sampler, tol=None):
+def reference_verdict(coeffs, cone, sampler, tol=None):
     """The three checkers evaluated one state at a time with the
     single-state formulas, as reference for the block evaluation."""
     if tol is None:
@@ -851,7 +860,7 @@ def _mixed_cone_case():
         AffineMap(0.1 * A.T, np.zeros(4)),
     )
     jumps = ((0.5, AffineMap(-0.5 * np.eye(4), np.array([-0.1, 0.1, 0.3, 0.0]))),)
-    return CoefficientSet(drift, vols, jumps), DiagonalSemigroup.heat(4), K
+    return CoefficientSet(drift, vols, jumps), K
 
 
 def _wrapped_case():
@@ -871,20 +880,20 @@ def _wrapped_case():
         (1.5, ZeroMap(3)),
         (0.7, RetractedMap(CallableMap(lambda h: -1.5 * h.coords, 3), 1.0)),
     )
-    return CoefficientSet(drift, vols, jumps), DiagonalSemigroup.heat(3), K
+    return CoefficientSet(drift, vols, jumps), K
 
 
 def _jump_case():
     K = ConeSpec.nonnegative(3)
     gamma = AffineMap(np.diag([-2.0, -1.5, -3.0]), np.zeros(3))
-    return CoefficientSet(ZeroMap(3), (), ((1.0, gamma),)), DiagonalSemigroup.heat(3), K
+    return CoefficientSet(ZeroMap(3), (), ((1.0, gamma),)), K
 
 
 def _drift_case():
     K = ConeSpec.nonnegative(4)
     drift = AffineMap(-np.ones((4, 4)), np.full(4, 0.5))
     gamma = ConstantMap(np.array([1.0, 0.0, 0.0, 0.0]))
-    return CoefficientSet(drift, (), ((0.5, gamma),)), DiagonalSemigroup.heat(4), K
+    return CoefficientSet(drift, (), ((0.5, gamma),)), K
 
 
 def _three_atom_drift_case():
@@ -896,7 +905,7 @@ def _three_atom_drift_case():
         (w, AffineMap(c * np.eye(4)[::-1], np.full(4, 0.3)))
         for w, c in ((0.1, 0.7), (0.2, 1.1), (0.7, 0.3))
     )
-    return CoefficientSet(drift, (), atoms), DiagonalSemigroup.heat(4), K
+    return CoefficientSet(drift, (), atoms), K
 
 
 PARITY_SPEC = SamplerSpec(points_per_face=16, interior_points=16, seed=3)
@@ -906,7 +915,7 @@ class TestCheckerParity:
     @pytest.mark.parametrize("name", ["heat-positive", "heat-positive-badvol", "heat-positive-hidden"])
     def test_presets(self, name):
         ec = ExperimentConfig.from_dict(preset_document(name))
-        args = (ec.coeffs, ec.semigroup, ec.cone, ec.sampler, ec.check_tol)
+        args = (ec.coeffs, ec.cone, ec.sampler, ec.check_tol)
         assert invariance_verdict(*args).to_dict() == reference_verdict(*args).to_dict()
 
     @pytest.mark.parametrize(
@@ -921,23 +930,23 @@ class TestCheckerParity:
         ids=["jump", "drift", "drift_three_atoms", "mixed_cone", "wrapped"],
     )
     def test_violating_sets(self, case, failing):
-        coeffs, sg, cone = case()
-        want = reference_verdict(coeffs, sg, cone, PARITY_SPEC).to_dict()
+        coeffs, cone = case()
+        want = reference_verdict(coeffs, cone, PARITY_SPEC).to_dict()
         assert {w["condition"] for w in want["witnesses"]} == failing
-        assert invariance_verdict(coeffs, sg, cone, PARITY_SPEC).to_dict() == want
+        assert invariance_verdict(coeffs, cone, PARITY_SPEC).to_dict() == want
 
     def test_jump_row_blocks_match_reference(self):
         # more cone points than two row blocks of the jump checker, with
         # violations in every block
-        coeffs, sg, cone = _jump_case()
+        coeffs, cone = _jump_case()
         spec = SamplerSpec(points_per_face=700, interior_points=200, seed=4)
         assert sample_cone_points(cone, spec).shape[0] > 2 * coefficients._JUMP_ROWS
-        want = reference_verdict(coeffs, sg, cone, spec).to_dict()
-        assert invariance_verdict(coeffs, sg, cone, spec).to_dict() == want
+        want = reference_verdict(coeffs, cone, spec).to_dict()
+        assert invariance_verdict(coeffs, cone, spec).to_dict() == want
 
     def test_mixed_cone_sees_both_signs(self):
-        coeffs, sg, cone = _mixed_cone_case()
-        report = invariance_verdict(coeffs, sg, cone, PARITY_SPEC)
+        coeffs, cone = _mixed_cone_case()
+        report = invariance_verdict(coeffs, cone, PARITY_SPEC)
         assert {w.theta for w in report.witnesses} == {1, -1}
 
 

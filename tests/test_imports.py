@@ -1,5 +1,6 @@
-"""Every name a ``conespde`` module imports is used in that module, and
-every private module-level name is used somewhere in the package.
+"""Every name a ``conespde`` module imports is used in that module,
+every private module-level name is used somewhere in the package, and
+every function reads each of its parameters.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code rules.
 The package ``__init__`` exists to re-export, so it is exempt from the
@@ -151,3 +152,64 @@ def test_no_dead_private_names(path):
     defined = private_definitions(ast.parse(path.read_text()))
     dead = [f"{name} (line {line})" for name, line in defined.items() if name not in PACKAGE_REFS]
     assert not dead, f"{path.name} defines but the package never uses: {', '.join(dead)}"
+
+
+# A parameter that a function's body never reads is a setting nobody
+# acts on.  The allowlist names the few that a common signature needs,
+# each with its reason.
+UNREAD_ALLOWED = {
+    "appendix.py:suite_phi(seed)": "run_suites passes seed to every suite; this one is exact",
+    "appendix.py:suite_supinf(seed)": "run_suites passes seed to every suite; this one is exact",
+    "coefficients.py:CoefficientMap.eval_coords(a)": "abstract evaluator: families implement it",
+    "coefficients.py:CoefficientMap.eval_coords(idx)": "abstract evaluator: families implement it",
+}
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """``qualname(param)`` for every parameter of a ``def`` (``self`` and
+    ``cls`` aside) that no statement of its body reads, nested functions
+    included."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = f"{owner}.{getattr(child, 'name', '')}".lstrip(".")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+                params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+                read = {
+                    n.id
+                    for stmt in child.body
+                    for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                }
+                found.extend(f"{name}({p})" for p in params if p not in ("self", "cls", *read))
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, name)
+            else:
+                visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_checker_sees_an_unread_parameter():
+    tree = ast.parse(
+        "def f(a, b=1, *c, d, **e):\n    return a + e['x']\n"
+        "class K:\n    def m(self, x, y):\n        def g(z):\n            return x\n        return g\n"
+    )
+    assert unread_parameters(tree) == ["f(b)", "f(d)", "f(c)", "K.m(y)", "K.m.g(z)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = unread_parameters(ast.parse(path.read_text()))
+    unread = [u for u in unread if f"{path.name}:{u}" not in UNREAD_ALLOWED]
+    assert not unread, f"{path.name} never reads: {', '.join(unread)}"
+
+
+def test_unread_allowlist_is_current():
+    found = {f"{p.name}:{u}" for p in MODULES for u in unread_parameters(ast.parse(p.read_text()))}
+    assert set(UNREAD_ALLOWED) <= found, set(UNREAD_ALLOWED) - found

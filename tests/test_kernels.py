@@ -124,13 +124,14 @@ class TestUnloweredSetParity:
         assert np.any(a.exited)
         assert_same_ensemble(a, b)
 
-    def test_opaque_drift_only(self, heat16, cone16, badvol_coeffs):
+    def test_opaque_drift_only(self, monkeypatch, heat16, cone16, badvol_coeffs):
         # the shape of a tabulated drift term next to builtin columns
         wrapped = opaque_set(badvol_coeffs, drift_only=True)
         assert not wrapped.uses_only_builtin_maps()
         noise9 = NoiseSpec.flat(9, 1.0, seed=2)
         h0 = StateVec(np.zeros(16))
-        config = SimConfig(dt=1e-3, horizon=0.05, paths=12, chunk=5, store_trajectories=True)
+        monkeypatch.setattr(simulate, "_CHUNK", 5)
+        config = SimConfig(dt=1e-3, horizon=0.05, paths=12, store_trajectories=True)
         a = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
         b = run_ensemble(wrapped, heat16, noise9, cone16, config, h0)
         assert np.any(a.exited)

@@ -25,6 +25,7 @@ from conespde import (
     ShapeError,
     SimConfig,
     StateVec,
+    simulate,
 )
 from conespde.coefficients import (
     AffineMap,
@@ -84,10 +85,6 @@ class TestSimConfig:
     def test_non_integer_steps_rejected(self):
         with pytest.raises(ConfigError):
             SimConfig(dt=0.3, horizon=1.0, paths=1)
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ConfigError):
-            SimConfig(dt=0.1, horizon=1.0, paths=1, scheme="milstein")
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -183,21 +180,26 @@ class TestDeterminism:
         assert np.array_equal(a.first_exit, b.first_exit)
         assert np.array_equal(a.seeds, b.seeds)
 
-    def test_chunk_size_invariant(self, heat16, cone16, compliant_coeffs, flat_noise8):
+    def test_chunk_size_invariant(
+        self, monkeypatch, heat16, cone16, compliant_coeffs, flat_noise8
+    ):
         h0 = StateVec(np.full(16, 1.0))
-        big = SimConfig(dt=1e-3, horizon=0.05, paths=32, chunk=256)
-        small = SimConfig(dt=1e-3, horizon=0.05, paths=32, chunk=5)
-        a = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, big, h0)
-        b = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, small, h0)
+        config = SimConfig(dt=1e-3, horizon=0.05, paths=32)
+        a = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
+        monkeypatch.setattr(simulate, "_CHUNK", 5)
+        b = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
         assert np.array_equal(a.final, b.final)
 
-    def test_peak_memory_holds_one_chunk(self, heat16, cone16, compliant_coeffs, flat_noise8):
+    def test_peak_memory_holds_one_chunk(
+        self, monkeypatch, heat16, cone16, compliant_coeffs, flat_noise8
+    ):
         # Each chunk's noise arrays are released before the next chunk is
         # drawn, so four chunks peak about where one chunk does.
         h0 = StateVec(np.full(16, 1.0))
+        monkeypatch.setattr(simulate, "_CHUNK", 16)
 
         def peak(paths):
-            config = SimConfig(dt=1e-3, horizon=0.5, paths=paths, chunk=16)
+            config = SimConfig(dt=1e-3, horizon=0.5, paths=paths)
             tracemalloc.start()
             try:
                 run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)

@@ -23,7 +23,6 @@ from conespde import (
     project,
     retract,
 )
-from conespde.space import ORTHONORMAL, BasisConstants
 
 
 def oracle_distance(cone: ConeSpec, h: StateVec) -> float:
@@ -118,11 +117,6 @@ class TestConeSpec:
     def test_config_round_trip(self):
         c = ConeSpec(np.array([1, 0, -1]))
         assert ConeSpec.from_config(c.to_config()).signs.tolist() == [1, 0, -1]
-
-    def test_basis_constants_orthonormal_only(self):
-        assert ORTHONORMAL.bc == 1.0 and ORTHONORMAL.ubc == 1.0
-        with pytest.raises(DomainError):
-            BasisConstants(bc=2.0)
 
 
 # ---------------------------------------------------------------- project
