@@ -23,7 +23,6 @@ from .config import ExperimentConfig, PRESET_NAMES, preset_document
 from .errors import (
     ConeSpdeError,
     ConfigError,
-    DivergenceError,
     DomainError,
     NumericError,
     SamplerContractError,
@@ -37,7 +36,6 @@ from .simulate import (
     PathEnsemble,
     SimConfig,
     run_ensemble,
-    simulate_path,
     ssnc_estimate,
     stability_experiment,
 )
@@ -48,7 +46,6 @@ from .space import (
     cone_distance,
     cone_leq,
     cone_nearest,
-    project,
     retract,
 )
 

@@ -8,14 +8,14 @@ properties the invariance conditions care about:
   within ``eps`` of the identity, and sign-compatible;
 * ``boundary_shift``: the coordinatewise dead-zone map ``Phi_n`` that
   pushes states off the boundary faces without leaving the cone;
-* ``compose_projection`` / ``compose_retraction``: finite-rank and
-  bounded-range compositions;
+* ``h -> P_n f(h)`` and ``h -> f(R_n h)`` are the map families
+  ``ProjectedMap`` and ``RetractedMap`` of ``coefficients``;
 * ``truncate_noise``: keep the leading volatility columns;
 * ``inf_convolve`` / ``sup_convolve`` / ``sup_inf_convolve``: the
   quadratic envelope pair whose composition is gradient-Lipschitz with
   constant at most ``max(1/lam, 1/mu)``;
-* ``mollify``: convolution with a smooth compactly supported bump,
-  shrinking support radius ``1/bandwidth``;
+* ``mollify`` / ``mollify_with_error``: convolution with a smooth
+  compactly supported bump, shrinking support radius ``1/bandwidth``;
 * ``stratonovich_correction``: the noise-induced drift
   ``(1/2) sum_j D vol_j(h) vol_j(h)`` by symmetric differencing;
 * ``lipschitz_probe``: sampled lower bound on a Lipschitz constant.
@@ -55,14 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import (
-    CallableMap,
-    CoefficientMap,
-    CoefficientSet,
-    ProjectedMap,
-    RetractedMap,
-    ZeroMap,
-)
+from .coefficients import CallableMap, CoefficientMap, CoefficientSet, ZeroMap
 from .errors import (
     ConfigError,
     DomainError,
@@ -76,10 +69,7 @@ from .space import StateVec
 __all__ = [
     "phi_eps",
     "boundary_shift",
-    "boundary_shift_lipschitz",
     "boundary_shift_radius",
-    "compose_projection",
-    "compose_retraction",
     "truncate_noise",
     "SupInfParams",
     "SearchSpec",
@@ -94,7 +84,6 @@ __all__ = [
     "mollify",
     "mollify_with_error",
     "stratonovich_correction",
-    "stratonovich_correction_with_error",
     "BallSpec",
     "lipschitz_probe",
 ]
@@ -139,34 +128,14 @@ def boundary_shift(h: StateVec, n: int, eps: float | None = None) -> StateVec:
     return StateVec(out)
 
 
-def boundary_shift_lipschitz() -> float:
-    """Lipschitz bound ``L = 2`` used in the localization radius.
-
-    The coordinate basis is orthonormal, so the coordinatewise bound is
-    1; the factor 2 also covers the functional norms, and the
-    localization radius below divides by this same ``L``.
-    """
-    return 2.0
-
-
 def boundary_shift_radius(n: int) -> float:
-    """Localization radius ``2^-n / L`` of the level-``n`` shift."""
-    return 2.0 ** (-n) / boundary_shift_lipschitz()
+    """Localization radius ``2^-n / L`` of the level-``n`` shift, ``L = 2``.
 
-
-def compose_projection(f: CoefficientMap, n: int) -> CoefficientMap:
-    """Finite-rank composition ``h -> P_n f(h)``."""
-    return ProjectedMap(f, n)
-
-
-def compose_retraction(f: CoefficientMap, n: float) -> CoefficientMap:
-    """Bounded-argument composition ``h -> f(R_n h)``.
-
-    Agrees with ``f`` on the ball of radius ``n`` and is constant along
-    rays beyond it, so suprema of ``f`` over the ball bound the
-    composition globally.
+    The coordinate basis is orthonormal, so the coordinatewise Lipschitz
+    bound is 1; the factor ``L = 2`` also covers the norms of the
+    boundary functionals.
     """
-    return RetractedMap(f, n)
+    return 2.0 ** (-n) / 2.0
 
 
 def truncate_noise(coeffs: CoefficientSet, n: int) -> CoefficientSet:
@@ -616,21 +585,6 @@ class MollifierParams:
     def support_radius(self) -> float:
         return 1.0 / self.bandwidth
 
-    def normalizer(self) -> float:
-        """Quadrature value of ``integral of bump(|g|) over the unit cube``.
-
-        Positive and finite; the same node layout is used inside
-        ``mollify`` after scaling, so constants are reproduced exactly.
-        """
-        if isinstance(self.quadrature, GridQuadrature):
-            nodes, weights = _tensor_nodes(self.n, 1.0, self.quadrature.points_per_axis)
-            phi = bump(np.linalg.norm(nodes, axis=1))
-            return float(np.sum(weights * phi))
-        rng = np.random.default_rng(np.random.SeedSequence(self.quadrature.seed))
-        pts = rng.uniform(-1.0, 1.0, size=(self.quadrature.samples, self.n))
-        vol = 2.0 ** self.n
-        return float(vol * np.mean(bump(np.linalg.norm(pts, axis=1))))
-
 
 def _tensor_nodes(n: int, radius: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     if n > 3:
@@ -647,7 +601,9 @@ def _tensor_nodes(n: int, radius: float, points: int) -> tuple[np.ndarray, np.nd
     return nodes, weights
 
 
-def _mollify_eval(f: CoefficientMap, p: MollifierParams, h: StateVec):
+def mollify_with_error(f: CoefficientMap, p: MollifierParams, h: StateVec):
+    """``mollify`` together with the Monte Carlo standard error per
+    coordinate (``None`` for grid quadrature)."""
     if f.dim != p.n:
         raise ShapeError(f"map dim {f.dim} must equal mollifier dimension {p.n}")
     r = p.support_radius
@@ -681,22 +637,16 @@ def _mollify_eval(f: CoefficientMap, p: MollifierParams, h: StateVec):
 def mollify(f: CoefficientMap, p: MollifierParams, h: StateVec) -> StateVec:
     """Average ``f`` against the scaled bump around ``h``.
 
-    The weight integrates to one by construction (the normalizer uses
-    the same node layout), so constants are reproduced exactly and, by
-    node symmetry, so are affine maps.  Values only depend on ``f``
-    within ``p.support_radius`` of ``h``, which is what preserves local
-    boundary-parallelism: if ``f`` is parallel on an ``eps`` ball and
-    ``bandwidth >= 2 / eps``, the mollified map is parallel on the
-    ``eps / 2`` ball.
+    The bump weights are divided by their own sum over the quadrature
+    nodes (per batch for Monte Carlo), so constants are reproduced
+    exactly and, by node symmetry, so are affine maps.  Values only
+    depend on ``f`` within ``p.support_radius`` of ``h``, which is what
+    preserves local boundary-parallelism: if ``f`` is parallel on an
+    ``eps`` ball and ``bandwidth >= 2 / eps``, the mollified map is
+    parallel on the ``eps / 2`` ball.
     """
-    value, _ = _mollify_eval(f, p, h)
+    value, _ = mollify_with_error(f, p, h)
     return value
-
-
-def mollify_with_error(f: CoefficientMap, p: MollifierParams, h: StateVec):
-    """Like ``mollify`` but also returns the Monte Carlo standard error
-    per coordinate (``None`` for grid quadrature)."""
-    return _mollify_eval(f, p, h)
 
 
 # --------------------------------------------------------------------------
@@ -709,21 +659,18 @@ def _column_derivative(col: CoefficientMap, h: np.ndarray, delta: float, v: np.n
     return (hi - lo) / (2.0 * delta)
 
 
-def stratonovich_correction_with_error(
+def stratonovich_correction(
     coeffs: CoefficientSet,
     h: StateVec,
     fd_step: float = 1e-5,
     weights=None,
-):
-    """Noise-induced drift ``(1/2) sum_j w_j D vol_j(h) vol_j(h)`` with
-    an error estimate.
+) -> StateVec:
+    """Noise-induced drift ``(1/2) sum_j w_j D vol_j(h) vol_j(h)``.
 
     ``weights`` are the noise eigenvalues per column (all 1 when
     omitted, for columns already scaled).  Each directional derivative
     is a symmetric difference at step ``fd_step / max(1, ||vol_j(h)||)``
-    combined with the half-step value by Richardson extrapolation; the
-    returned error is the norm of the disagreement between the two,
-    scaled by 1/3.
+    combined with the half-step value by Richardson extrapolation.
     """
     if not (math.isfinite(fd_step) and fd_step > 0):
         raise DomainError(f"fd_step must be finite and > 0, got {fd_step}")
@@ -735,7 +682,6 @@ def stratonovich_correction_with_error(
             raise ShapeError("one weight per volatility column required")
     a = h.coords
     total = np.zeros(coeffs.dim)
-    err = 0.0
     for wj, col in zip(w_arr, coeffs.vol_columns):
         v = col.eval_array(a)
         delta = fd_step / max(1.0, float(np.linalg.norm(v)))
@@ -745,19 +691,7 @@ def stratonovich_correction_with_error(
             raise NumericError("non-finite finite-difference derivative")
         extrap = (4.0 * d2 - d1) / 3.0
         total += wj * extrap
-        err += abs(wj) * float(np.linalg.norm(d2 - d1)) / 3.0
-    return StateVec(0.5 * total), 0.5 * err
-
-
-def stratonovich_correction(
-    coeffs: CoefficientSet,
-    h: StateVec,
-    fd_step: float = 1e-5,
-    weights=None,
-) -> StateVec:
-    """See ``stratonovich_correction_with_error``; returns the value only."""
-    value, _ = stratonovich_correction_with_error(coeffs, h, fd_step, weights)
-    return value
+    return StateVec(0.5 * total)
 
 
 @dataclass(frozen=True)

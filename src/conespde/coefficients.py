@@ -49,7 +49,14 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, SamplerContractError, ShapeError
+from .errors import (
+    ConfigError,
+    DomainError,
+    NumericError,
+    SamplerContractError,
+    ShapeError,
+    read_int,
+)
 from .space import ConeSpec, StateVec, cone_contains
 
 __all__ = [
@@ -579,20 +586,21 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
             idx = doc.get("index", index)
             if idx is None:
                 raise ConfigError("proportional map needs an 'index' outside a column list")
-            return ProportionalMap(float(doc["scale"]), int(idx), dim)
+            return ProportionalMap(float(doc["scale"]), read_int(f"{fam}.index", idx), dim)
         if fam == "tabulated":
             return TabulatedMap(np.asarray(doc["x"]), np.asarray(doc["y"]), dim)
         if fam == "gated_offset":
             return GatedOffsetMap(
                 _vec(doc["vector"], dim, "vector"),
-                int(doc["gate_index"]),
+                read_int(f"{fam}.gate_index", doc["gate_index"]),
                 float(doc["low"]),
                 float(doc["high"]),
             )
         if fam == "sum":
             return SumMap(tuple(map_from_config(t, dim, index) for t in doc["terms"]))
         if fam == "projected":
-            return ProjectedMap(map_from_config(doc["inner"], dim, index), int(doc["level"]))
+            level = read_int(f"{fam}.level", doc["level"])
+            return ProjectedMap(map_from_config(doc["inner"], dim, index), level)
         if fam == "retracted":
             return RetractedMap(map_from_config(doc["inner"], dim, index), float(doc["radius"]))
     except KeyError as exc:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .coefficients import CoefficientSet, SamplerSpec
-from .errors import ConfigError, ConeSpdeError
+from .errors import ConfigError, ConeSpdeError, read_bool, read_int
 from .semigroup import DiagonalSemigroup
 from .simulate import NoiseSpec, SimConfig
 from .space import ConeSpec, StateVec
@@ -177,7 +177,9 @@ def _finite(path: str, value) -> float:
 @contextlib.contextmanager
 def _reading(section: str):
     """Report a bad value met while building ``section`` as a
-    ConfigError naming the section (errors that name it already pass)."""
+    ConfigError naming the section (errors that name it already pass).
+    Inside, ``read_int`` and ``read_bool`` name a field relative to the
+    section, as in ``sim: paths: must be an integer, got 2.7``."""
     try:
         yield
     except (ConeSpdeError, TypeError, ValueError) as exc:
@@ -188,10 +190,12 @@ def _reading(section: str):
 
 def _noise_from(doc: dict) -> NoiseSpec:
     eigs = _field(doc, "noise", "eigenvalues", required=True)
-    seed = int(_field(doc, "noise", "seed", default=0))
+    seed = read_int("seed", doc.get("seed", 0))
     if isinstance(eigs, dict):
         rule = _field(eigs, "noise.eigenvalues", "rule", required=True)
-        count = int(_field(eigs, "noise.eigenvalues", "count", required=True))
+        count = read_int(
+            "eigenvalues.count", _field(eigs, "noise.eigenvalues", "count", required=True)
+        )
         if rule == "flat":
             value = _finite(
                 "noise.eigenvalues.value", _field(eigs, "noise.eigenvalues", "value", default=1.0)
@@ -231,8 +235,8 @@ class ExperimentConfig:
         doc = _expand(doc)
 
         space = _section(doc, "space")
-        dim = _field(space, "space", "dim", required=True)
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        dim = read_int("space.dim", _field(space, "space", "dim", required=True))
+        if dim < 1:
             raise ConfigError(f"space.dim: must be a positive integer, got {dim!r}")
         cone_doc = _field(space, "space", "cone", required=True)
         if cone_doc == "nonnegative":
@@ -276,21 +280,21 @@ class ExperimentConfig:
             sim = SimConfig(
                 dt=_finite("sim.dt", _field(sim_doc, "sim", "dt", required=True)),
                 horizon=_finite("sim.horizon", _field(sim_doc, "sim", "horizon", required=True)),
-                paths=int(_field(sim_doc, "sim", "paths", required=True)),
+                paths=read_int("paths", _field(sim_doc, "sim", "paths", required=True)),
                 exit_tol=_finite("sim.exit_tol", _field(sim_doc, "sim", "exit_tol", default=1e-8)),
                 guard=_finite("sim.guard", _field(sim_doc, "sim", "guard", default=1e12)),
-                store_trajectories=bool(
-                    _field(sim_doc, "sim", "store_trajectories", default=False)
+                store_trajectories=read_bool(
+                    "store_trajectories", sim_doc.get("store_trajectories", False)
                 ),
             )
 
         chk = _section(doc, "checker", required=False)
         with _reading("checker"):
             sampler = SamplerSpec(
-                points_per_face=int(_field(chk, "checker", "points_per_face", default=64)),
-                interior_points=int(_field(chk, "checker", "interior_points", default=64)),
-                seed=int(_field(chk, "checker", "seed", default=0)),
-                include_corners=bool(_field(chk, "checker", "include_corners", default=True)),
+                points_per_face=read_int("points_per_face", chk.get("points_per_face", 64)),
+                interior_points=read_int("interior_points", chk.get("interior_points", 64)),
+                seed=read_int("seed", chk.get("seed", 0)),
+                include_corners=read_bool("include_corners", chk.get("include_corners", True)),
             )
             tol = chk.get("tol")
             tol = None if tol is None else _finite("checker.tol", tol)

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the config rules for
+integers and booleans (here, below ``config``, so every module can use them).
 
 Most subclasses derive from ValueError so that callers who do not care
 about the fine distinction can still catch invalid input generically.
 """
+
+import numbers
 
 
 class ConeSpdeError(Exception):
@@ -54,13 +57,20 @@ class NumericError(ConeSpdeError, ArithmeticError):
     """A numeric probe produced non-finite intermediate values."""
 
 
-class DivergenceError(ConeSpdeError, RuntimeError):
-    """A simulated path crossed the overflow guard.
+def read_int(path: str, value) -> int:
+    """A config integer: an int, or an integral float (``200.0`` reads as
+    200); anything else, booleans included, raises ``ConfigError``."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{path}: must be an integer, got {value!r}")
+    return int(value)
 
-    Raised by single-path simulation; ensembles record the event per
-    path instead of raising.
-    """
 
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
+def read_bool(path: str, value) -> bool:
+    """A config boolean: only JSON ``true`` or ``false``; anything else,
+    the string ``"false"`` included, raises ``ConfigError``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: must be true or false, got {value!r}")
+    return value

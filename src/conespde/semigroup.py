@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, read_int
 from .space import StateVec
 
 __all__ = ["DiagonalSemigroup", "LiminfGrid"]
@@ -114,7 +114,7 @@ class DiagonalSemigroup:
             n = doc.get("dim", dim)
             if n is None:
                 raise ConfigError("rates rule 'heat' needs a dim")
-            return cls.heat(int(n))
+            return cls.heat(read_int("dim", n))
         if rates is None:
             raise ConfigError("semigroup config needs a 'rates' entry")
         sg = cls(np.asarray(rates, dtype=np.float64))

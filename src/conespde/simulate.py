@@ -27,7 +27,9 @@ statistics.
 Reproducibility contract: path ``p`` of a run with master seed ``s``
 draws from ``default_rng(SeedSequence(s, spawn_key=(p,)))``, normals
 first, arrival counts second.  Ensembles are therefore independent of
-chunking, and any single path can be regenerated in isolation.
+chunking, and any single path can be regenerated in isolation:
+``run_ensemble`` with ``paths=1`` and ``first_path=p`` returns path
+``p``'s row, and its ``diverged`` entry records an overflow.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .coefficients import CoefficientSet
-from .errors import ConfigError, DivergenceError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .kernels import StepPlan, step_ensemble
 from .semigroup import DiagonalSemigroup, LiminfGrid
 from .space import ConeSpec, StateVec, cone_contains, cone_distance
@@ -47,7 +49,6 @@ __all__ = [
     "NoiseSpec",
     "SimConfig",
     "PathEnsemble",
-    "simulate_path",
     "run_ensemble",
     "StabilityResult",
     "stability_experiment",
@@ -260,32 +261,6 @@ def run_ensemble(
     )
 
 
-def simulate_path(
-    coeffs: CoefficientSet,
-    semigroup: DiagonalSemigroup,
-    noise: NoiseSpec,
-    cone: ConeSpec,
-    config: SimConfig,
-    h0: StateVec,
-    path_index: int = 0,
-) -> PathEnsemble:
-    """One path, by its index within the ensemble seeding scheme.
-
-    Raises ``DivergenceError`` if the path overflows the guard; the
-    ensemble runner records the same event as data instead.
-    """
-    one = replace(config, paths=1)
-    ens = run_ensemble(
-        coeffs, semigroup, noise, cone, one, h0, first_path=path_index
-    )
-    if ens.diverged[0] >= 0:
-        raise DivergenceError(
-            f"path {path_index} exceeded the overflow guard at step {ens.diverged[0]}",
-            step=int(ens.diverged[0]),
-        )
-    return ens
-
-
 @dataclass(frozen=True)
 class StabilityResult:
     """Coupled distance between two coefficient sets under shared noise.
@@ -303,22 +278,6 @@ class StabilityResult:
     dt: float
 
 
-def _coupled_sup_sq(
-    limit: CoefficientSet,
-    other: CoefficientSet,
-    semigroup: DiagonalSemigroup,
-    noise: NoiseSpec,
-    cone: ConeSpec,
-    config: SimConfig,
-    h0: StateVec,
-) -> np.ndarray:
-    stored = replace(config, store_trajectories=True)
-    a = run_ensemble(limit, semigroup, noise, cone, stored, h0)
-    b = run_ensemble(other, semigroup, noise, cone, stored, h0)
-    diff = a.trajectories - b.trajectories
-    return np.max(np.sum(diff * diff, axis=2), axis=1)
-
-
 def stability_experiment(
     semigroup: DiagonalSemigroup,
     limit: CoefficientSet,
@@ -333,13 +292,20 @@ def stability_experiment(
     The limiting system and every approximation consume identical noise
     draws (same master seed, same path indices), so an entry equal to
     ``limit`` scores exactly zero.  The sup runs over every stored step
-    including the initial state.
+    including the initial state.  The limiting system is simulated
+    once, and not at all for an empty ``seq``.
     """
-    results = []
     for n, other in enumerate(seq):
         if other.dim != limit.dim:
             raise ShapeError(f"sequence entry {n} dimension differs from the limit")
-        sup_sq = _coupled_sup_sq(limit, other, semigroup, noise, cone, config, h0)
+    if not seq:
+        return []
+    stored = replace(config, store_trajectories=True)
+    base = run_ensemble(limit, semigroup, noise, cone, stored, h0).trajectories
+    results = []
+    for n, other in enumerate(seq):
+        diff = base - run_ensemble(other, semigroup, noise, cone, stored, h0).trajectories
+        sup_sq = np.max(np.sum(diff * diff, axis=2), axis=1)
         mean = float(np.mean(sup_sq))
         stderr = (
             float(np.std(sup_sq, ddof=1) / np.sqrt(len(sup_sq)))

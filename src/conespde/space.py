@@ -1,4 +1,4 @@
-"""State space, coordinate cones, and the two basic nonlinear operators.
+"""State space, coordinate cones, and the radial retraction.
 
 The state space is a finite slice of l2 spanned by an orthonormal
 coordinate basis.  A closed convex cone is described by one sign per
@@ -7,15 +7,12 @@ nonpositive, 0 leaves it free.  Such cones are exactly the ones whose
 metric projection acts coordinatewise, which gives closed forms for the
 distance and for membership tests.
 
-Two operators defined here are used throughout:
-
-``project``
-    Keep the leading ``n`` coordinates, zero the rest.
-
-``retract``
-    Radial retraction onto the closed ball of radius ``n``.  It is
-    1-Lipschitz and fixes the ball, so composing a coefficient with it
-    produces a bounded map without changing small-state behaviour.
+``retract`` is the radial retraction ``R_n`` onto the closed ball of
+radius ``n``.  It is 1-Lipschitz and fixes the ball, so composing a
+coefficient with it produces a bounded map without changing small-state
+behaviour (``coefficients.RetractedMap``).  The finite-rank projection
+``P_n`` (keep the leading ``n`` coordinates, zero the rest) acts on
+coefficient maps only, as ``coefficients.ProjectedMap``.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from .errors import DomainError, ShapeError
 __all__ = [
     "StateVec",
     "ConeSpec",
-    "project",
     "retract",
     "cone_contains",
     "cone_distance",
@@ -138,12 +134,14 @@ class ConeSpec:
     signs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.signs, dtype=np.int8)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = np.asarray(self.signs)
+        if raw.ndim != 1 or raw.size == 0:
             raise ShapeError("cone signs must form a non-empty 1-d array")
-        if not np.all(np.isin(arr, (-1, 0, 1))):
-            raise DomainError("cone signs must lie in {-1, 0, +1}")
-        arr = arr.copy()
+        # checked before the int8 cast, which would turn 0.5 into 0 and
+        # 257 into 1; booleans and strings are not signs either
+        if raw.dtype.kind not in "iuf" or not np.all(np.isin(raw, (-1, 0, 1))):
+            raise DomainError("cone signs must be the integers -1, 0, +1")
+        arr = raw.astype(np.int8)
         arr.flags.writeable = False
         object.__setattr__(self, "signs", arr)
 
@@ -170,30 +168,6 @@ class ConeSpec:
     @classmethod
     def nonnegative(cls, dim: int) -> "ConeSpec":
         return cls(np.ones(dim, dtype=np.int8))
-
-
-def project(h: StateVec, n: int) -> StateVec:
-    """Coordinate projection onto the span of the first ``n`` basis vectors.
-
-    Parameters
-    ----------
-    h : StateVec
-    n : int
-        Number of leading coordinates to keep, ``0 <= n``.  Values of
-        ``n`` at or above ``h.dim`` return ``h`` unchanged.
-
-    Returns
-    -------
-    StateVec
-        Copy of ``h`` with coordinates beyond ``n`` set to zero.
-    """
-    if n < 0:
-        raise DomainError(f"projection level must be >= 0, got {n}")
-    if n >= h.dim:
-        return h
-    out = h.coords.copy()
-    out[n:] = 0.0
-    return StateVec(out)
 
 
 def retract(h: StateVec, n: float) -> StateVec:

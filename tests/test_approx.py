@@ -33,11 +33,8 @@ from conespde.approx import (
     SearchSpec,
     SupInfParams,
     boundary_shift,
-    boundary_shift_lipschitz,
     boundary_shift_radius,
     bump,
-    compose_projection,
-    compose_retraction,
     inf_convolve,
     lipschitz_probe,
     mollify,
@@ -54,7 +51,9 @@ from conespde.coefficients import (
     CallableMap,
     CoefficientSet,
     ConstantMap,
+    ProjectedMap,
     ProportionalMap,
+    RetractedMap,
     ZeroMap,
 )
 
@@ -164,7 +163,6 @@ class TestBoundaryShift:
             boundary_shift(StateVec(np.ones(2)), -1)
 
     def test_localization_constants(self):
-        assert boundary_shift_lipschitz() == 2.0
         assert boundary_shift_radius(3) == pytest.approx(2.0**-3 / 2.0)
 
 
@@ -174,17 +172,17 @@ class TestBoundaryShift:
 class TestComposeProjection:
     def test_full_level_identity(self):
         f = ConstantMap(np.array([1.0, 2.0, 3.0]))
-        g = compose_projection(f, 3)
+        g = ProjectedMap(f, 3)
         np.testing.assert_array_equal(g.eval_array(np.zeros(3)), [1.0, 2.0, 3.0])
 
     def test_head_preserved_tail_cut(self):
         f = ConstantMap(np.array([1.0, 2.0, 3.0]))
-        g = compose_projection(f, 1)
+        g = ProjectedMap(f, 1)
         np.testing.assert_array_equal(g.eval_array(np.zeros(3)), [1.0, 0.0, 0.0])
 
     def test_sup_error_is_tail_norm(self):
         f = ConstantMap(np.array([0.0, 0.0, 3.0, 4.0]))
-        g = compose_projection(f, 2)
+        g = ProjectedMap(f, 2)
         h = np.zeros(4)
         err = np.linalg.norm(g.eval_array(h) - f.eval_array(h))
         assert err == pytest.approx(5.0)
@@ -193,26 +191,26 @@ class TestComposeProjection:
 class TestComposeRetraction:
     def test_unchanged_inside_ball(self):
         f = AffineMap(np.eye(2), np.zeros(2))
-        g = compose_retraction(f, 10.0)
+        g = RetractedMap(f, 10.0)
         h = np.array([1.0, 2.0])
         np.testing.assert_allclose(g.eval_array(h), f.eval_array(h))
 
     def test_caps_argument(self):
         f = AffineMap(np.eye(2), np.zeros(2))
-        g = compose_retraction(f, 1.0)
+        g = RetractedMap(f, 1.0)
         out = g.eval_array(np.array([30.0, 40.0]))
         np.testing.assert_allclose(out, [0.6, 0.8])
 
     def test_probe_sees_bounded_constant(self):
         f = AffineMap(2.0 * np.eye(3), np.zeros(3))
-        g = compose_retraction(f, 1.0)
+        g = RetractedMap(f, 1.0)
         est = lipschitz_probe(g, pairs=200, domain=BallSpec(3, 5.0), seed=0)
         assert est <= 2.0 + 1e-9
 
     @pytest.mark.parametrize("n", [np.nan, np.inf, 0.0, -1.0])
     def test_radius_must_be_finite_and_positive(self, n):
         with pytest.raises(DomainError, match="radius"):
-            compose_retraction(AffineMap(np.eye(2), np.zeros(2)), n)
+            RetractedMap(AffineMap(np.eye(2), np.zeros(2)), n)
 
 
 class TestTruncateNoise:

@@ -233,6 +233,50 @@ class TestValidation:
         assert f"error: {field}: " in combined_output(res)
         assert "Traceback" not in combined_output(res)
 
+    @staticmethod
+    def _set(doc, path, value):
+        *keys, last = path
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    @pytest.mark.parametrize(
+        "preset,path,value,message",
+        [
+            ("heat-positive", ("sim", "paths"), 2.7, "sim: paths: must be an integer"),
+            ("heat-positive", ("sim", "paths"), True, "sim: paths: must be an integer"),
+            ("heat-positive", ("sim", "store_trajectories"), "false", "sim: store_trajectories: "),
+            ("heat-positive", ("checker", "include_corners"), "false", "checker: include_corners: "),
+            ("heat-positive", ("checker", "points_per_face"), 8.5, "checker: points_per_face: "),
+            ("heat-positive", ("space", "cone"), {"signs": [0.5] + [1] * 15}, "space.cone: "),
+            ("heat-positive", ("space", "cone"), {"signs": [257] * 16}, "space.cone: "),
+            ("heat-positive", ("coefficients", "vol", 0, "index"), 0.9,
+             "coefficients: proportional.index: must be an integer"),
+            ("heat-positive-hidden", ("coefficients", "drift", "terms", 1, "gate_index"), 2.5,
+             "coefficients: gated_offset.gate_index: "),
+            ("heat-positive", ("coefficients", "drift"),
+             {"family": "projected", "level": 1.5, "inner": {"family": "zero"}},
+             "coefficients: projected.level: "),
+            ("heat-positive", ("semigroup", "dim"), 16.9, "semigroup: dim: must be an integer"),
+            ("heat-positive", ("noise", "seed"), 1.5, "noise: seed: must be an integer"),
+            ("heat-positive", ("noise", "eigenvalues", "count"), 8.9, "noise: eigenvalues.count: "),
+        ],
+    )
+    def test_no_silent_truncation(self, preset, path, value, message):
+        doc = preset_document(preset)
+        self._set(doc, path, value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_integral_floats_read_as_integers(self):
+        doc = self.base()
+        doc["sim"]["paths"] = 200.0
+        doc["space"]["cone"] = {"signs": [1.0] * 16}
+        doc["noise"]["seed"] = 0.0
+        ec = ExperimentConfig.from_dict(doc)
+        assert ec.sim.paths == 200 and ec.noise.seed == 0
+        assert ec.content_hash() == ExperimentConfig.from_dict(self.base()).content_hash()
+
 
 class TestConfigIO:
     def test_save_load_round_trip(self, tmp_path):

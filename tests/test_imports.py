@@ -1,6 +1,8 @@
 """Every name a ``conespde`` module imports is used in that module,
-every private module-level name is used somewhere in the package, and
-every function reads each of its parameters.
+every private module-level name is used somewhere in the package, every
+public function, class and method is referred to somewhere in the
+package, its tests or the benchmark, and every function reads each of
+its parameters.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code rules.
 The package ``__init__`` exists to re-export, so it is exempt from the
@@ -152,6 +154,71 @@ def test_no_dead_private_names(path):
     defined = private_definitions(ast.parse(path.read_text()))
     dead = [f"{name} (line {line})" for name, line in defined.items() if name not in PACKAGE_REFS]
     assert not dead, f"{path.name} defines but the package never uses: {', '.join(dead)}"
+
+
+# A public function, class or method that nothing refers to is dead
+# code as well.  Its callers may live in the tests or in ``perfbench``,
+# so references are collected there too.  Click commands are reached
+# through the ``@cli.command`` that registers them, and are exempt.
+
+ROOT = PACKAGE.parent.parent
+ALL_REFS = set().union(
+    *(
+        references(ast.parse(p.read_text()))
+        for p in (*PACKAGE.glob("*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py"))
+    )
+)
+
+
+def _is_cli_command(node: ast.AST) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr == "command"
+        and isinstance(d.func.value, ast.Name)
+        and d.func.value.id == "cli"
+        for d in node.decorator_list
+    )
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """``qualname -> line`` of every module-level function and class and
+    every method (nested classes included) whose name has no leading
+    underscore, click commands aside."""
+    names = {}
+
+    def visit(body: list[ast.stmt], owner: str) -> None:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = f"{owner}{node.name}"
+                if not node.name.startswith("_") and not _is_cli_command(node):
+                    names[qualname] = node.lineno
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{qualname}.")
+
+    visit(tree.body, "")
+    return names
+
+
+def dead_public_names(tree: ast.Module, refs: set[str]) -> list[str]:
+    defined = public_definitions(tree)
+    return [f"{q} (line {line})" for q, line in defined.items() if q.rsplit(".", 1)[-1] not in refs]
+
+
+def test_checker_sees_a_dead_public_name():
+    tree = ast.parse(
+        "def f(): pass\ndef g(): pass\n"
+        "class K:\n    def m(self): pass\n    def n(self): pass\n    def _p(self): pass\n"
+        "@cli.command('x')\ndef cmd(): pass\n"
+        "g()\nK().n()\n"
+    )
+    assert dead_public_names(tree, references(tree)) == ["f (line 1)", "K.m (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_public_names(path):
+    dead = dead_public_names(ast.parse(path.read_text()), ALL_REFS)
+    assert not dead, f"{path.name} defines but nothing refers to: {', '.join(dead)}"
 
 
 # A parameter that a function's body never reads is a setting nobody

@@ -19,7 +19,6 @@ from conespde import (
     ConeSpec,
     ConfigError,
     DiagonalSemigroup,
-    DivergenceError,
     DomainError,
     NoiseSpec,
     ShapeError,
@@ -41,7 +40,6 @@ from conespde.simulate import (
     _draw_noise,
     _path_stream,
     run_ensemble,
-    simulate_path,
     ssnc_estimate,
     stability_experiment,
 )
@@ -232,9 +230,9 @@ class TestDeterminism:
             compliant_coeffs, heat16, flat_noise8, cone16,
             SimConfig(dt=1e-3, horizon=0.05, paths=6), h0,
         )
-        one = simulate_path(
+        one = run_ensemble(
             compliant_coeffs, heat16, flat_noise8, cone16,
-            SimConfig(dt=1e-3, horizon=0.05, paths=6), h0, path_index=5,
+            SimConfig(dt=1e-3, horizon=0.05, paths=1), h0, first_path=5,
         )
         assert np.array_equal(one.final[0], full.final[5])
 
@@ -318,13 +316,6 @@ class TestDivergence:
         # growth factor ~6 per step at dt = 0.05 crosses a 1e6 guard fast
         return CoefficientSet(AffineMap(100.0 * np.eye(2), np.zeros(2)))
 
-    def test_simulate_path_raises(self):
-        sg = DiagonalSemigroup(np.zeros(2))
-        config = SimConfig(dt=0.05, horizon=1.0, paths=1, guard=1e6)
-        with pytest.raises(DivergenceError) as info:
-            simulate_path(self._explosive(), sg, NO_NOISE, FREE2, config, StateVec(np.ones(2)))
-        assert info.value.step > 0
-
     def test_ensemble_records_and_freezes(self):
         sg = DiagonalSemigroup(np.zeros(2))
         config = SimConfig(dt=0.05, horizon=1.0, paths=3, guard=1e6)
@@ -358,6 +349,29 @@ class TestStability:
         assert out[1].mean == 0.0 and out[1].stderr == 0.0
         assert np.all(out[1].per_path == 0.0)
         assert out[0].index == 0 and out[1].index == 1
+
+    def test_limit_simulated_once(self, monkeypatch):
+        sg, K, limit = self._system()
+        config = SimConfig(dt=1e-2, horizon=0.1, paths=4)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return run_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_ensemble", counted)
+        seq = [CoefficientSet(ProjectedMap(limit.drift, n), limit.vol_columns) for n in (1, 2, 3)]
+        noise, h0 = NoiseSpec.flat(2, 1.0, seed=3), StateVec(np.full(4, 1.0))
+        out = stability_experiment(sg, limit, seq, noise, K, config, h0)
+        assert stability_experiment(sg, limit, [], noise, K, config, h0) == []
+        assert len(calls) == len(seq) + 1
+        assert all(ran is system for ran, system in zip(calls, [limit, *seq]))
+        # the one limit run is the run each entry used to repeat
+        stored = SimConfig(dt=1e-2, horizon=0.1, paths=4, store_trajectories=True)
+        base = run_ensemble(limit, sg, noise, K, stored, h0).trajectories
+        for entry, res in zip(seq, out):
+            diff = base - run_ensemble(entry, sg, noise, K, stored, h0).trajectories
+            assert np.array_equal(res.per_path, np.max(np.sum(diff * diff, axis=2), axis=1))
 
     def test_dim_mismatch_rejected(self):
         sg, K, limit = self._system()

@@ -1,4 +1,4 @@
-"""State space, cones, projection, retraction.
+"""State space, cones, retraction.
 
 The distance oracle solves the nearest-point problem with a bounded
 quasi-Newton method (scipy), which shares no code with the closed-form
@@ -20,9 +20,9 @@ from conespde import (
     cone_distance,
     cone_leq,
     cone_nearest,
-    project,
     retract,
 )
+from conespde.coefficients import AffineMap, ProjectedMap
 
 
 def oracle_distance(cone: ConeSpec, h: StateVec) -> float:
@@ -119,37 +119,6 @@ class TestConeSpec:
         assert ConeSpec.from_config(c.to_config()).signs.tolist() == [1, 0, -1]
 
 
-# ---------------------------------------------------------------- project
-
-
-class TestProject:
-    def test_frozen_example(self):
-        h = StateVec(np.array([1.0, 2.0, 3.0]))
-        assert project(h, 2) == StateVec(np.array([1.0, 2.0, 0.0]))
-
-    def test_full_level_is_identity(self):
-        h = StateVec(np.array([1.0, 2.0, 3.0]))
-        assert project(h, 3) == h
-
-    def test_negative_level(self):
-        with pytest.raises(DomainError):
-            project(StateVec(np.array([1.0])), -1)
-
-    @given(coords, st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
-    def test_nested_levels_collapse(self, c, m, n):
-        h = StateVec(np.array(c))
-        lo = min(m, n)
-        assert project(project(h, m), n) == project(h, lo)
-
-    @given(coords, st.integers(min_value=0, max_value=10))
-    def test_contraction_and_tail(self, c, n):
-        h = StateVec(np.array(c))
-        p = project(h, n)
-        assert p.norm() <= h.norm() + 1e-12
-        tail_sq = float(np.sum(h.coords[n:] ** 2))
-        assert (p - h).norm() ** 2 == pytest.approx(tail_sq, abs=1e-9)
-
-
 # ---------------------------------------------------------------- retract
 
 
@@ -231,7 +200,8 @@ class TestConeMembership:
     def test_projection_preserves_cone(self, cv, n):
         K, h = cv
         p = cone_nearest(K, h)
-        assert cone_contains(K, project(p, n), 0.0)
+        proj = ProjectedMap(AffineMap(np.eye(h.dim), np.zeros(h.dim)), n)
+        assert cone_contains(K, StateVec(proj.eval_array(p.coords)), 0.0)
 
 
 class TestConeDistance:
