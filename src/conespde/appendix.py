@@ -44,13 +44,20 @@ __all__ = ["PropertyResult", "SUITE_NAMES", "run_suites"]
 
 @dataclass(frozen=True)
 class PropertyResult:
-    """One checked property: name, outcome, and evidence on failure."""
+    """One checked property: name, detail, and the evidence of a failure.
+
+    The counterexample is the outcome: a property passed exactly when
+    it has none.
+    """
 
     suite: str
     name: str
-    passed: bool
     detail: str
     counterexample: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def to_dict(self) -> dict:
         doc = {
@@ -62,14 +69,6 @@ class PropertyResult:
         if self.counterexample is not None:
             doc["counterexample"] = self.counterexample
         return doc
-
-
-def _ok(suite: str, name: str, detail: str) -> PropertyResult:
-    return PropertyResult(suite, name, True, detail)
-
-
-def _fail(suite: str, name: str, detail: str, ce: dict) -> PropertyResult:
-    return PropertyResult(suite, name, False, detail, ce)
 
 
 def suite_phi(samples: int = 10_001, seed: int = 0) -> list[PropertyResult]:
@@ -86,33 +85,36 @@ def suite_phi(samples: int = 10_001, seed: int = 0) -> list[PropertyResult]:
         bad = np.flatnonzero(y[inside] != 0.0)
         if bad.size:
             i = int(np.flatnonzero(inside)[bad[0]])
-            out.append(_fail("phi", f"dead-zone eps={eps}", "nonzero inside dead zone",
-                             {"x": float(xs[i]), "value": float(y[i])}))
+            out.append(PropertyResult("phi", f"dead-zone eps={eps}", "nonzero inside dead zone",
+                                      {"x": float(xs[i]), "value": float(y[i])}))
         else:
-            out.append(_ok("phi", f"dead-zone eps={eps}", f"{int(inside.sum())} grid points"))
+            out.append(PropertyResult("phi", f"dead-zone eps={eps}",
+                                      f"{int(inside.sum())} grid points"))
         close = np.abs(y - xs) <= eps + 1e-15
         if not close.all():
             i = int(np.argmin(close))
-            out.append(_fail("phi", f"eps-close eps={eps}", "|phi(x) - x| > eps",
-                             {"x": float(xs[i]), "value": float(y[i])}))
+            out.append(PropertyResult("phi", f"eps-close eps={eps}", "|phi(x) - x| > eps",
+                                      {"x": float(xs[i]), "value": float(y[i])}))
         else:
-            out.append(_ok("phi", f"eps-close eps={eps}", f"{samples} grid points"))
+            out.append(PropertyResult("phi", f"eps-close eps={eps}", f"{samples} grid points"))
         steps = np.abs(np.diff(y))
         gaps = np.diff(xs)
         lip = steps <= gaps * (1.0 + 1e-12)
         if not lip.all():
             i = int(np.argmin(lip))
-            out.append(_fail("phi", f"lipschitz eps={eps}", "adjacent quotient above 1",
-                             {"x": float(xs[i]), "quotient": float(steps[i] / gaps[i])}))
+            out.append(PropertyResult("phi", f"lipschitz eps={eps}", "adjacent quotient above 1",
+                                      {"x": float(xs[i]), "quotient": float(steps[i] / gaps[i])}))
         else:
-            out.append(_ok("phi", f"lipschitz eps={eps}", f"{samples - 1} adjacent pairs"))
+            out.append(PropertyResult("phi", f"lipschitz eps={eps}",
+                                      f"{samples - 1} adjacent pairs"))
     shifted = boundary_shift(StateVec([0.05, 3.0, -1.0, 0.2]), n=3)
     expect = np.array([0.0, 2.875, -0.875, 0.0])
     if np.allclose(shifted.coords, expect, atol=1e-15):
-        out.append(_ok("phi", "coordinatewise shift", "level-3 shift matches hand evaluation"))
+        out.append(PropertyResult("phi", "coordinatewise shift",
+                                  "level-3 shift matches hand evaluation"))
     else:
-        out.append(_fail("phi", "coordinatewise shift", "unexpected shifted state",
-                         {"got": [float(v) for v in shifted.coords]}))
+        out.append(PropertyResult("phi", "coordinatewise shift", "unexpected shifted state",
+                                  {"got": [float(v) for v in shifted.coords]}))
     return out
 
 
@@ -137,22 +139,25 @@ def suite_retraction(pairs: int = 10_000, dim: int = 32, seed: int = 0) -> list[
                 ce = {"h_norm": float(np.linalg.norm(a)), "g_norm": float(np.linalg.norm(b)), "quotient": q}
         worst_norm = max(worst_norm, float(np.linalg.norm(ra)))
     if worst_quot <= 1.0 + 1e-12:
-        out.append(_ok("retraction", "nonexpansive", f"max quotient {worst_quot:.3e} over {pairs} pairs"))
+        out.append(PropertyResult("retraction", "nonexpansive",
+                                  f"max quotient {worst_quot:.3e} over {pairs} pairs"))
     else:
-        out.append(_fail("retraction", "nonexpansive", "difference quotient above 1", ce))
+        out.append(PropertyResult("retraction", "nonexpansive", "difference quotient above 1", ce))
     if worst_norm <= n * (1.0 + 1e-12):
-        out.append(_ok("retraction", "norm-bound", f"max retracted norm {worst_norm:.6f} <= {n}"))
+        out.append(PropertyResult("retraction", "norm-bound",
+                                  f"max retracted norm {worst_norm:.6f} <= {n}"))
     else:
-        out.append(_fail("retraction", "norm-bound", "retracted point outside the ball",
-                         {"norm": worst_norm, "radius": n}))
+        out.append(PropertyResult("retraction", "norm-bound", "retracted point outside the ball",
+                                  {"norm": worst_norm, "radius": n}))
     inside = rng.standard_normal(dim)
     inside *= 0.5 * n / np.linalg.norm(inside)
     fixed = retract(StateVec(inside), n).coords
     if np.array_equal(fixed, inside):
-        out.append(_ok("retraction", "identity-inside", "point at half radius unchanged"))
+        out.append(PropertyResult("retraction", "identity-inside",
+                                  "point at half radius unchanged"))
     else:
-        out.append(_fail("retraction", "identity-inside", "interior point moved",
-                         {"norm": float(np.linalg.norm(inside))}))
+        out.append(PropertyResult("retraction", "identity-inside", "interior point moved",
+                                  {"norm": float(np.linalg.norm(inside))}))
     return out
 
 
@@ -186,9 +191,11 @@ def suite_supinf(grid: int = 41, seed: int = 0) -> list[PropertyResult]:
         if err > worst:
             worst, ce = err, {"x": x, "got": got, "closed_form": want}
     if worst <= 1e-6:
-        out.append(_ok("supinf", "moreau-closed-form", f"max error {worst:.2e} on |x| <= 2"))
+        out.append(PropertyResult("supinf", "moreau-closed-form",
+                                  f"max error {worst:.2e} on |x| <= 2"))
     else:
-        out.append(_fail("supinf", "moreau-closed-form", "envelope disagrees with closed form", ce))
+        out.append(PropertyResult("supinf", "moreau-closed-form",
+                                  "envelope disagrees with closed form", ce))
 
     highs = sup_convolve(_kinked, mu, points, search).tolist()
     mids = _kinked(points).tolist()
@@ -206,14 +213,15 @@ def suite_supinf(grid: int = 41, seed: int = 0) -> list[PropertyResult]:
         for mid, value in zip(mids, both):
             sup_err = max(sup_err, abs(value - mid))
     if bad_order is None:
-        out.append(_ok("supinf", "ordering", f"f_lam <= f <= f^mu on {grid} points"))
+        out.append(PropertyResult("supinf", "ordering", f"f_lam <= f <= f^mu on {grid} points"))
     else:
-        out.append(_fail("supinf", "ordering", "envelope ordering violated", bad_order))
+        out.append(PropertyResult("supinf", "ordering", "envelope ordering violated", bad_order))
     if sup_err <= 0.05:
-        out.append(_ok("supinf", "sup-error", f"max |(f_lam)^mu - f| = {sup_err:.4f} <= 0.05"))
+        out.append(PropertyResult("supinf", "sup-error",
+                                  f"max |(f_lam)^mu - f| = {sup_err:.4f} <= 0.05"))
     else:
-        out.append(_fail("supinf", "sup-error", "composition drifts from f",
-                         {"sup_error": sup_err}))
+        out.append(PropertyResult("supinf", "sup-error", "composition drifts from f",
+                                  {"sup_error": sup_err}))
     return out
 
 
@@ -227,12 +235,12 @@ def suite_mollify(face_points: int = 16, seed: int = 0) -> list[PropertyResult]:
     plateau = (bump(0.49) == 1.0) and (bump(1.0) == 0.0) and (bump(1.2) == 0.0)
     slope_ok = np.max(np.abs(slopes)) <= 3.0
     if in_range and plateau and slope_ok:
-        out.append(_ok("mollify", "bump-profile",
-                       f"range [0,1], plateau edges exact, max |slope| {np.max(np.abs(slopes)):.3f} <= 3"))
+        out.append(PropertyResult("mollify", "bump-profile", "range [0,1], plateau edges exact, "
+                                  f"max |slope| {np.max(np.abs(slopes)):.3f} <= 3"))
     else:
-        out.append(_fail("mollify", "bump-profile", "bump profile violates its envelope",
-                         {"max_slope": float(np.max(np.abs(slopes))), "range_ok": bool(in_range),
-                          "plateau_ok": bool(plateau)}))
+        out.append(PropertyResult("mollify", "bump-profile", "bump profile violates its envelope",
+                                  {"max_slope": float(np.max(np.abs(slopes))),
+                                   "range_ok": bool(in_range), "plateau_ok": bool(plateau)}))
 
     params = MollifierParams(n=2, bandwidth=8.0, quadrature=GridQuadrature(33))
     h = StateVec([0.4, -0.7])
@@ -240,18 +248,18 @@ def suite_mollify(face_points: int = 16, seed: int = 0) -> list[PropertyResult]:
     got = mollify(const, params, h).coords
     err_c = float(np.max(np.abs(got - const.value)))
     if err_c <= 1e-10:
-        out.append(_ok("mollify", "constant-exact", f"error {err_c:.2e} <= 1e-10"))
+        out.append(PropertyResult("mollify", "constant-exact", f"error {err_c:.2e} <= 1e-10"))
     else:
-        out.append(_fail("mollify", "constant-exact", "constant not reproduced",
-                         {"error": err_c}))
+        out.append(PropertyResult("mollify", "constant-exact", "constant not reproduced",
+                                  {"error": err_c}))
     lin = AffineMap(np.array([[1.5, -0.25], [0.5, 2.0]]), np.array([0.3, -0.1]))
     got = mollify(lin, params, h).coords
     err_l = float(np.max(np.abs(got - lin.eval_array(h.coords))))
     if err_l <= 1e-6:
-        out.append(_ok("mollify", "affine-exact", f"error {err_l:.2e} <= 1e-6"))
+        out.append(PropertyResult("mollify", "affine-exact", f"error {err_l:.2e} <= 1e-6"))
     else:
-        out.append(_fail("mollify", "affine-exact", "affine map not reproduced",
-                         {"error": err_l}))
+        out.append(PropertyResult("mollify", "affine-exact", "affine map not reproduced",
+                                  {"error": err_l}))
 
     # Parallelism: a column vanishing on a slab around the face stays
     # exactly zero there after smoothing with a smaller support.
@@ -265,11 +273,12 @@ def suite_mollify(face_points: int = 16, seed: int = 0) -> list[PropertyResult]:
         sm = mollify(shifted, params, face).coords
         worst = max(worst, abs(float(sm[0])))
     if worst <= 1e-12:
-        out.append(_ok("mollify", "parallel-preserved",
-                       f"face component {worst:.2e} at {face_points} face points"))
+        out.append(PropertyResult("mollify", "parallel-preserved",
+                                  f"face component {worst:.2e} at {face_points} face points"))
     else:
-        out.append(_fail("mollify", "parallel-preserved", "smoothing broke face parallelism",
-                         {"max_component": worst}))
+        out.append(PropertyResult("mollify", "parallel-preserved",
+                                  "smoothing broke face parallelism",
+                                  {"max_component": worst}))
     return out
 
 
@@ -293,9 +302,10 @@ def suite_rho(face_points: int = 64, seed: int = 0) -> list[PropertyResult]:
         if err > worst:
             worst, ce = err, {"point_norm": h.norm(), "error": err}
     if worst <= 1e-6:
-        out.append(_ok("rho", "analytic-match", f"max error {worst:.2e} <= 1e-6"))
+        out.append(PropertyResult("rho", "analytic-match", f"max error {worst:.2e} <= 1e-6"))
     else:
-        out.append(_fail("rho", "analytic-match", "finite differences disagree with closed form", ce))
+        out.append(PropertyResult("rho", "analytic-match",
+                                  "finite differences disagree with closed form", ce))
 
     sampler = SamplerSpec(points_per_face=max(1, face_points // dim), interior_points=0, seed=seed)
     worst = 0.0
@@ -309,9 +319,11 @@ def suite_rho(face_points: int = 64, seed: int = 0) -> list[PropertyResult]:
             if pairing > worst:
                 worst, ce = pairing, {"k": k, "theta": theta, "pairing": pairing}
     if worst <= 1e-6:
-        out.append(_ok("rho", "face-parallel", f"max |pairing| {worst:.2e} over {count} face points"))
+        out.append(PropertyResult("rho", "face-parallel",
+                                  f"max |pairing| {worst:.2e} over {count} face points"))
     else:
-        out.append(_fail("rho", "face-parallel", "noise drift pairs with an active face", ce))
+        out.append(PropertyResult("rho", "face-parallel",
+                                  "noise drift pairs with an active face", ce))
     return out
 
 

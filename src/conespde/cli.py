@@ -58,10 +58,7 @@ def _guarded(fn):
     def inner(*args, **kwargs):
         try:
             code = fn(*args, **kwargs)
-        except ConeSpdeError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        except OSError as exc:
+        except (ConeSpdeError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
         sys.exit(int(code or 0))
@@ -281,7 +278,7 @@ def cmd_appendix(selector, out_dir, seed) -> int:
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         click.echo(f"{mark} {r.suite}/{r.name}: {r.detail}")
-        if not r.passed and r.counterexample is not None:
+        if not r.passed:
             click.echo(f"     counterexample: {json.dumps(r.counterexample, sort_keys=True)}")
     _write_json(
         out / "appendix.json",

@@ -33,12 +33,17 @@ of each map on a block, through ``eval_coords(H, [k])``.
 the jump checker evaluates each atom on fixed row blocks of it through
 ``eval_array``; by the row contract of ``CoefficientMap.eval_coords``
 each block equals those rows of the whole-sample evaluation bit for bit.
-Witnesses are built only for violating rows, and a map value that is
-not finite raises ``NumericError`` naming the condition, map and face.
+Every checker opens with one preamble (the dimension check and the
+default tolerance) and turns each evaluated block of violation sizes
+into witnesses through one builder, one witness per entry above the
+tolerance.  A map value that is not finite raises ``NumericError``
+naming the condition, map and face.
 
 Sampling can certify a violation (a witness is a concrete point) but
-never its absence, so reports distinguish "VIOLATED (witness found)"
-from "NO VIOLATION FOUND (sampled)".
+never its absence, so a report holds only the conditions it checked
+and the witnesses, and derives each condition's flag from them; its
+verdict reads "VIOLATED (witness found)" or "NO VIOLATION FOUND
+(sampled)".
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .errors import (
     NumericError,
     SamplerContractError,
     ShapeError,
+    read_float,
     read_int,
 )
 from .space import ConeSpec, StateVec, cone_contains
@@ -581,20 +587,22 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
             offset = doc.get("offset", np.zeros(dim)) if fam == "affine" else np.zeros(dim)
             return AffineMap(m, np.asarray(offset, dtype=np.float64))
         if fam == "mean_reversion":
-            return MeanReversionMap(float(doc["kappa"]), _vec(doc["b"], dim, "b"))
+            kappa = read_float(f"{fam}.kappa", doc["kappa"])
+            return MeanReversionMap(kappa, _vec(doc["b"], dim, "b"))
         if fam == "proportional":
             idx = doc.get("index", index)
             if idx is None:
                 raise ConfigError("proportional map needs an 'index' outside a column list")
-            return ProportionalMap(float(doc["scale"]), read_int(f"{fam}.index", idx), dim)
+            scale = read_float(f"{fam}.scale", doc["scale"])
+            return ProportionalMap(scale, read_int(f"{fam}.index", idx), dim)
         if fam == "tabulated":
             return TabulatedMap(np.asarray(doc["x"]), np.asarray(doc["y"]), dim)
         if fam == "gated_offset":
             return GatedOffsetMap(
                 _vec(doc["vector"], dim, "vector"),
                 read_int(f"{fam}.gate_index", doc["gate_index"]),
-                float(doc["low"]),
-                float(doc["high"]),
+                read_float(f"{fam}.low", doc["low"]),
+                read_float(f"{fam}.high", doc["high"]),
             )
         if fam == "sum":
             return SumMap(tuple(map_from_config(t, dim, index) for t in doc["terms"]))
@@ -602,7 +610,8 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
             level = read_int(f"{fam}.level", doc["level"])
             return ProjectedMap(map_from_config(doc["inner"], dim, index), level)
         if fam == "retracted":
-            return RetractedMap(map_from_config(doc["inner"], dim, index), float(doc["radius"]))
+            radius = read_float(f"{fam}.radius", doc["radius"])
+            return RetractedMap(map_from_config(doc["inner"], dim, index), radius)
     except KeyError as exc:
         raise ConfigError(f"family {fam!r} config missing key {exc}") from exc
     raise ConfigError(f"unknown coefficient family {fam!r}")
@@ -669,10 +678,11 @@ class CoefficientSet:
             map_from_config(c, dim, index=j) for j, c in enumerate(doc.get("vol", []))
         )
         atoms = []
-        for entry in doc.get("jumps", []):
+        for i, entry in enumerate(doc.get("jumps", [])):
             if "weight" not in entry or "kernel" not in entry:
                 raise ConfigError("jump entry needs 'weight' and 'kernel'")
-            atoms.append((float(entry["weight"]), map_from_config(entry["kernel"], dim)))
+            weight = read_float(f"jumps[{i}].weight", entry["weight"])
+            atoms.append((weight, map_from_config(entry["kernel"], dim)))
         return cls(drift, vols, tuple(atoms))
 
 
@@ -800,6 +810,9 @@ def sample_cone_points(cone: ConeSpec, spec: SamplerSpec = SamplerSpec()) -> np.
 
 _JUMP_ROWS = 1024  # cone points per atom evaluation in the jump checker
 
+#: The three conditions, as witnesses and reports name them.
+JUMP, DRIFT, VOL = "jump-stays-in-cone", "drift-inward", "vol-parallel"
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -832,42 +845,48 @@ class Witness:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of one or more condition checks.
+    """Outcome of one or more condition checks: the conditions evaluated
+    (``checked``) and the violations found, in canonical sorted order so
+    reports are comparable.
 
-    Flags left as ``None`` were not evaluated (partial reports from the
-    single-condition checkers).  A ``False`` flag always comes with at
-    least one witness whose magnitude exceeds the tolerance; witnesses
-    are kept in canonical sorted order so reports are comparable.
+    The witnesses are all the evidence, so a condition's flag is derived
+    from them: ``None`` when it was not checked, else true exactly when
+    no witness names it.  Every witness names a checked condition and
+    exceeds the tolerance.
     """
 
-    jump_ok: bool | None
-    drift_ok: bool | None
-    vol_ok: bool | None
+    checked: tuple[str, ...]
     witnesses: tuple[Witness, ...]
     sampled_points: int
     tol: float
 
     def __post_init__(self):
+        object.__setattr__(self, "checked", tuple(self.checked))
         object.__setattr__(
             self, "witnesses", tuple(sorted(self.witnesses, key=Witness.sort_key))
         )
-        for flag, cond in (
-            (self.jump_ok, "jump-stays-in-cone"),
-            (self.drift_ok, "drift-inward"),
-            (self.vol_ok, "vol-parallel"),
-        ):
-            if flag is False and not any(w.condition == cond for w in self.witnesses):
-                raise SamplerContractError(f"failed flag {cond} without a witness")
         for w in self.witnesses:
+            if w.condition not in self.checked:
+                raise SamplerContractError(f"witness for unchecked condition {w.condition}")
             if not w.magnitude > self.tol:
                 raise SamplerContractError(
                     f"witness magnitude {w.magnitude} not above tolerance {self.tol}"
                 )
 
+    def _held(self, condition: str) -> bool | None:
+        """``None`` if ``condition`` was not checked, else whether no witness names it."""
+        if condition not in self.checked:
+            return None
+        return all(w.condition != condition for w in self.witnesses)
+
+    jump_ok = property(lambda self: self._held(JUMP))
+    drift_ok = property(lambda self: self._held(DRIFT))
+    vol_ok = property(lambda self: self._held(VOL))
+
     @property
     def satisfied(self) -> bool:
         """True when every evaluated condition held on every sample."""
-        return all(f is not False for f in (self.jump_ok, self.drift_ok, self.vol_ok))
+        return not self.witnesses
 
     @property
     def verdict(self) -> str:
@@ -891,10 +910,13 @@ def default_tol(coeffs: CoefficientSet) -> float:
     return 1e-9 if coeffs.uses_only_builtin_maps() else 1e-6
 
 
-def _same_dim(coeffs: CoefficientSet, cone: ConeSpec) -> None:
-    """Raise ``ShapeError`` unless the coefficients live on the cone's space."""
+def _resolve_tol(coeffs: CoefficientSet, cone: ConeSpec, tol: float | None) -> float:
+    """The checkers' preamble: raise ``ShapeError`` unless the
+    coefficients live on the cone's space, and return ``tol``, by
+    default ``default_tol(coeffs)``."""
     if coeffs.dim != cone.dim:
         raise ShapeError(f"dims disagree: cone {cone.dim}, coefficients {coeffs.dim}")
+    return default_tol(coeffs) if tol is None else tol
 
 
 def _finite(vals: np.ndarray, condition: str, part: str, k: int | None = None) -> np.ndarray:
@@ -909,17 +931,28 @@ def _finite(vals: np.ndarray, condition: str, part: str, k: int | None = None) -
     return vals
 
 
+def _witnesses(condition, excess, tol, points, thetas, ks, component=None) -> list[Witness]:
+    """One witness per entry of the ``(rows, faces)`` block ``excess``
+    above ``tol``: row ``r`` is the state ``points[r]``, column ``c`` the
+    face ``(thetas[c], ks[c])``, and the entry the violation's size."""
+    return [
+        Witness(condition, int(thetas[c]), int(ks[c]), StateVec(points[r]),
+                float(excess[r, c]), component)
+        for r, c in zip(*np.nonzero(excess > tol))
+    ]
+
+
 def _margin_block(coeffs: CoefficientSet, theta: int, k: int, H: np.ndarray) -> np.ndarray:
     """Inward margins ``theta drift(h)_k - sum_i w_i theta gamma_i(h)_k``
     at the pairs ``(theta e_k*, H[i])``, one entry per row of the block
     ``H``; the boundary value ``a`` of such a pair is 0."""
     drift = coeffs.drift.eval_coords(H, [k])[:, 0]
-    drift_k = theta * _finite(drift, "drift-inward", "drift", k)
+    drift_k = theta * _finite(drift, DRIFT, "drift", k)
     comp_k = np.zeros(H.shape[0])
     for i, (w, g) in enumerate(coeffs.jump_atoms):
-        gamma = _finite(g.eval_coords(H, [k])[:, 0], "drift-inward", f"jump atom {i}", k)
+        gamma = _finite(g.eval_coords(H, [k])[:, 0], DRIFT, f"jump atom {i}", k)
         comp_k += w * theta * gamma
-    return _finite(drift_k - comp_k, "drift-inward", "drift minus jump compensator", k)
+    return _finite(drift_k - comp_k, DRIFT, "drift minus jump compensator", k)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -941,7 +974,7 @@ def drift_margin(coeffs: CoefficientSet, cone: ConeSpec, theta: int, k: int, h: 
     ShapeError
         If the coefficients and the cone disagree on the dimension.
     """
-    _same_dim(coeffs, cone)
+    _resolve_tol(coeffs, cone, None)  # for its dimension check
     if not (theta in (-1, 1) and 0 <= k < cone.dim and cone.signs[k] == theta):
         raise ConfigError(f"functional ({theta}, {k}) does not generate the cone")
     if not cone_contains(cone, h, 0.0):
@@ -967,9 +1000,7 @@ def check_jump_condition(
     Each atom is evaluated on blocks of ``_JUMP_ROWS`` sampled points,
     so its temporaries stay small whatever the sample size.
     """
-    _same_dim(coeffs, cone)
-    if tol is None:
-        tol = default_tol(coeffs)
+    tol = _resolve_tol(coeffs, cone, tol)
     points = sample_cone_points(cone, sampler)
     witnesses = []
     idx = cone.constrained
@@ -977,31 +1008,11 @@ def check_jump_condition(
     for i, (_, g) in enumerate(coeffs.jump_atoms):
         for start in range(0, points.shape[0], _JUMP_ROWS):
             block = points[start : start + _JUMP_ROWS]
-            # the atom's block dies with the sum and the signs apply in place
-            margins = (
-                block + _finite(g.eval_array(block), "jump-stays-in-cone", f"jump atom {i}")
-            )[:, idx]
-            margins *= signs
-            for row, pos in np.argwhere(margins < -tol):
-                k = int(idx[pos])
-                witnesses.append(
-                    Witness(
-                        condition="jump-stays-in-cone",
-                        theta=int(cone.signs[k]),
-                        k=k,
-                        point=StateVec(block[row]),
-                        magnitude=float(-margins[row, pos]),
-                        component=i,
-                    )
-                )
-    return ConditionReport(
-        jump_ok=not witnesses,
-        drift_ok=None,
-        vol_ok=None,
-        witnesses=tuple(witnesses),
-        sampled_points=points.shape[0],
-        tol=tol,
-    )
+            # the atom's block dies with the sum; the sign flip to excesses is in place
+            excess = (block + _finite(g.eval_array(block), JUMP, f"jump atom {i}"))[:, idx]
+            excess *= -signs
+            witnesses += _witnesses(JUMP, excess, tol, block, signs, idx, i)
+    return ConditionReport((JUMP,), witnesses, points.shape[0], tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1022,35 +1033,16 @@ def check_drift_condition(
     drift, atom or margin value that is not finite raises
     ``NumericError``.
     """
-    _same_dim(coeffs, cone)
-    if tol is None:
-        tol = default_tol(coeffs)
+    tol = _resolve_tol(coeffs, cone, tol)
     witnesses = []
     sampled = 0
     for theta, k, H in sample_boundary_pairs(cone, sampler):
         sampled += H.shape[0]
-        # a pair is admissible exactly when h_k = 0, and then a = 0
         if not np.all(H[:, k] == 0.0):
             raise SamplerContractError(f"face block k={k} holds a pair that is not admissible")
-        margin = _margin_block(coeffs, theta, k, H)
-        for row in np.flatnonzero(margin < -tol):
-            witnesses.append(
-                Witness(
-                    condition="drift-inward",
-                    theta=theta,
-                    k=k,
-                    point=StateVec(H[row]),
-                    magnitude=float(-margin[row]),
-                )
-            )
-    return ConditionReport(
-        jump_ok=None,
-        drift_ok=not witnesses,
-        vol_ok=None,
-        witnesses=tuple(witnesses),
-        sampled_points=sampled,
-        tol=tol,
-    )
+        excess = -_margin_block(coeffs, theta, k, H)
+        witnesses += _witnesses(DRIFT, excess[:, None], tol, H, [theta], [k])
+    return ConditionReport((DRIFT,), witnesses, sampled, tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1064,35 +1056,16 @@ def check_volatility_condition(
     ``|theta vol_j(h)_k| <= tol`` at admissible boundary pairs.  Each
     column's coordinate ``k`` is evaluated once per face block, and the
     blocks are consumed as the sampler draws them."""
-    _same_dim(coeffs, cone)
-    if tol is None:
-        tol = default_tol(coeffs)
+    tol = _resolve_tol(coeffs, cone, tol)
     witnesses = []
     sampled = 0
     for theta, k, H in sample_boundary_pairs(cone, sampler):
         sampled += H.shape[0]
         for j, col in enumerate(coeffs.vol_columns):
             vol = col.eval_coords(H, [k])[:, 0]
-            val = theta * _finite(vol, "vol-parallel", f"volatility column {j}", k)
-            for row in np.flatnonzero(np.abs(val) > tol):
-                witnesses.append(
-                    Witness(
-                        condition="vol-parallel",
-                        theta=theta,
-                        k=k,
-                        point=StateVec(H[row]),
-                        magnitude=float(abs(val[row])),
-                        component=j,
-                    )
-                )
-    return ConditionReport(
-        jump_ok=None,
-        drift_ok=None,
-        vol_ok=not witnesses,
-        witnesses=tuple(witnesses),
-        sampled_points=sampled,
-        tol=tol,
-    )
+            excess = np.abs(theta * _finite(vol, VOL, f"volatility column {j}", k))
+            witnesses += _witnesses(VOL, excess[:, None], tol, H, [theta], [k], j)
+    return ConditionReport((VOL,), witnesses, sampled, tol)
 
 
 def invariance_verdict(
@@ -1106,19 +1079,15 @@ def invariance_verdict(
     The three checkers run on the same sampling plan; the merged report
     is satisfied only when all three found no violation.  A satisfied
     report means "no violation found on the sample", never a proof.
-    Each checker raises ``ShapeError`` when the coefficients and the
-    cone disagree on the dimension.
+    Raises ``ShapeError`` when the coefficients and the cone disagree on
+    the dimension.
     """
-    if tol is None:
-        tol = default_tol(coeffs)
-    jump = check_jump_condition(coeffs, cone, sampler, tol)
-    drift = check_drift_condition(coeffs, cone, sampler, tol)
-    vol = check_volatility_condition(coeffs, cone, sampler, tol)
+    tol = _resolve_tol(coeffs, cone, tol)
+    checks = (check_jump_condition, check_drift_condition, check_volatility_condition)
+    parts = [check(coeffs, cone, sampler, tol) for check in checks]
     return ConditionReport(
-        jump_ok=jump.jump_ok,
-        drift_ok=drift.drift_ok,
-        vol_ok=vol.vol_ok,
-        witnesses=jump.witnesses + drift.witnesses + vol.witnesses,
-        sampled_points=jump.sampled_points + drift.sampled_points + vol.sampled_points,
-        tol=tol,
+        sum((r.checked for r in parts), ()),
+        sum((r.witnesses for r in parts), ()),
+        sum(r.sampled_points for r in parts),
+        tol,
     )

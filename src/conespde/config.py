@@ -20,14 +20,13 @@ import contextlib
 import copy
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .coefficients import CoefficientSet, SamplerSpec
-from .errors import ConfigError, ConeSpdeError, read_bool, read_int
+from .errors import ConfigError, ConeSpdeError, read_bool, read_float, read_int
 from .semigroup import DiagonalSemigroup
 from .simulate import NoiseSpec, SimConfig
 from .space import ConeSpec, StateVec
@@ -166,20 +165,13 @@ def _field(section: dict, path: str, key: str, default=None, required: bool = Fa
     return section[key]
 
 
-def _finite(path: str, value) -> float:
-    """``float(value)``, with NaN and infinities reported against ``path``."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ConfigError(f"{path}: must be finite, got {x!r}")
-    return x
-
-
 @contextlib.contextmanager
 def _reading(section: str):
     """Report a bad value met while building ``section`` as a
     ConfigError naming the section (errors that name it already pass).
-    Inside, ``read_int`` and ``read_bool`` name a field relative to the
-    section, as in ``sim: paths: must be an integer, got 2.7``."""
+    Inside, ``read_int``, ``read_bool`` and ``read_float`` may name a
+    field relative to the section, as in ``sim: paths: must be an
+    integer, got 2.7``."""
     try:
         yield
     except (ConeSpdeError, TypeError, ValueError) as exc:
@@ -197,7 +189,7 @@ def _noise_from(doc: dict) -> NoiseSpec:
             "eigenvalues.count", _field(eigs, "noise.eigenvalues", "count", required=True)
         )
         if rule == "flat":
-            value = _finite(
+            value = read_float(
                 "noise.eigenvalues.value", _field(eigs, "noise.eigenvalues", "value", default=1.0)
             )
             return NoiseSpec.flat(count, value, seed)
@@ -205,7 +197,7 @@ def _noise_from(doc: dict) -> NoiseSpec:
             return NoiseSpec.dyadic(count, seed)
         raise ConfigError(f"noise.eigenvalues.rule: unknown rule {rule!r}")
     return NoiseSpec(
-        tuple(_finite(f"noise.eigenvalues[{i}]", x) for i, x in enumerate(eigs)), seed
+        tuple(read_float(f"noise.eigenvalues[{i}]", x) for i, x in enumerate(eigs)), seed
     )
 
 
@@ -278,11 +270,11 @@ class ExperimentConfig:
             if scheme != _SCHEME:
                 raise ConfigError(f"unknown scheme {scheme!r}")
             sim = SimConfig(
-                dt=_finite("sim.dt", _field(sim_doc, "sim", "dt", required=True)),
-                horizon=_finite("sim.horizon", _field(sim_doc, "sim", "horizon", required=True)),
+                dt=read_float("sim.dt", _field(sim_doc, "sim", "dt", required=True)),
+                horizon=read_float("sim.horizon", _field(sim_doc, "sim", "horizon", required=True)),
                 paths=read_int("paths", _field(sim_doc, "sim", "paths", required=True)),
-                exit_tol=_finite("sim.exit_tol", _field(sim_doc, "sim", "exit_tol", default=1e-8)),
-                guard=_finite("sim.guard", _field(sim_doc, "sim", "guard", default=1e12)),
+                exit_tol=read_float("sim.exit_tol", _field(sim_doc, "sim", "exit_tol", default=1e-8)),
+                guard=read_float("sim.guard", _field(sim_doc, "sim", "guard", default=1e12)),
                 store_trajectories=read_bool(
                     "store_trajectories", sim_doc.get("store_trajectories", False)
                 ),
@@ -297,7 +289,7 @@ class ExperimentConfig:
                 include_corners=read_bool("include_corners", chk.get("include_corners", True)),
             )
             tol = chk.get("tol")
-            tol = None if tol is None else _finite("checker.tol", tol)
+            tol = None if tol is None else read_float("checker.tol", tol)
         if tol is not None and tol <= 0:
             raise ConfigError(f"checker.tol: must be > 0, got {tol}")
 

@@ -1,10 +1,12 @@
 """Exception types shared across the package, and the config rules for
-integers and booleans (here, below ``config``, so every module can use them).
+numbers, integers and booleans (here, below ``config``, so every module
+can use them).
 
 Most subclasses derive from ValueError so that callers who do not care
 about the fine distinction can still catch invalid input generically.
 """
 
+import math
 import numbers
 
 
@@ -74,3 +76,14 @@ def read_bool(path: str, value) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: must be true or false, got {value!r}")
     return value
+
+
+def read_float(path: str, value) -> float:
+    """A config number, converted by ``float()``; booleans and values
+    that convert to NaN or an infinity raise ``ConfigError``."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{path}: must be a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: must be finite, got {x!r}")
+    return x

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, read_int
 
 __all__ = [
     "StateVec",
@@ -113,7 +113,7 @@ class StateVec:
     @classmethod
     def from_config(cls, doc: dict) -> "StateVec":
         coords = _as_coords(doc["coords"])
-        if "dim" in doc and int(doc["dim"]) != coords.size:
+        if "dim" in doc and read_int("dim", doc["dim"]) != coords.size:
             raise ShapeError(
                 f"declared dim {doc['dim']} does not match {coords.size} coords"
             )

@@ -834,11 +834,8 @@ def reference_verdict(coeffs, cone, sampler, tol=None):
             val = theta * col.eval_array(row)[k]
             if abs(val) > tol:
                 witnesses.append(Witness("vol-parallel", theta, k, StateVec(row), float(abs(val)), j))
-    failed = {w.condition for w in witnesses}
     return ConditionReport(
-        jump_ok="jump-stays-in-cone" not in failed,
-        drift_ok="drift-inward" not in failed,
-        vol_ok="vol-parallel" not in failed,
+        checked=("jump-stays-in-cone", "drift-inward", "vol-parallel"),
         witnesses=tuple(witnesses),
         sampled_points=len(points) + 2 * len(pairs),
         tol=tol,
@@ -961,17 +958,17 @@ class TestReportContract:
             component=0,
         )
 
-    def test_false_flag_needs_witness(self):
-        with pytest.raises(SamplerContractError):
+    def test_witness_needs_checked_condition(self):
+        with pytest.raises(SamplerContractError, match="unchecked condition vol-parallel"):
             ConditionReport(
-                jump_ok=None, drift_ok=None, vol_ok=False,
-                witnesses=(), sampled_points=1, tol=1e-9,
+                checked=("jump-stays-in-cone", "drift-inward"),
+                witnesses=(self._witness(),), sampled_points=1, tol=1e-9,
             )
 
     def test_witness_magnitude_above_tol(self):
         with pytest.raises(SamplerContractError):
             ConditionReport(
-                jump_ok=None, drift_ok=None, vol_ok=False,
+                checked=("vol-parallel",),
                 witnesses=(self._witness(mag=1e-12),), sampled_points=1, tol=1e-9,
             )
 
@@ -979,23 +976,25 @@ class TestReportContract:
         a = Witness("vol-parallel", 1, 2, StateVec(np.zeros(3)), 0.5, 1)
         b = Witness("vol-parallel", 1, 0, StateVec(np.zeros(3)), 0.7, 0)
         report = ConditionReport(
-            jump_ok=None, drift_ok=None, vol_ok=False,
+            checked=("vol-parallel",),
             witnesses=(a, b), sampled_points=2, tol=1e-9,
         )
         assert report.witnesses[0].k == 0 and report.witnesses[1].k == 2
 
     def test_partial_flags_none_counts_as_satisfied(self):
         report = ConditionReport(
-            jump_ok=True, drift_ok=None, vol_ok=None,
+            checked=("jump-stays-in-cone",),
             witnesses=(), sampled_points=3, tol=1e-9,
         )
+        assert report.jump_ok is True and report.drift_ok is None and report.vol_ok is None
         assert report.satisfied
 
     def test_to_dict_shape(self):
         report = ConditionReport(
-            jump_ok=None, drift_ok=None, vol_ok=False,
+            checked=("vol-parallel",),
             witnesses=(self._witness(),), sampled_points=1, tol=1e-9,
         )
         doc = report.to_dict()
         assert doc["verdict"] == "VIOLATED (witness found)"
+        assert (doc["jump_ok"], doc["drift_ok"], doc["vol_ok"]) == (None, None, False)
         assert doc["witnesses"][0]["condition"] == "vol-parallel"

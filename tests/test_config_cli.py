@@ -268,6 +268,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "path,message",
+        [
+            (("coefficients", "jumps", 0, "weight"), "coefficients: jumps[0].weight: "),
+            (("coefficients", "vol", 0, "scale"), "coefficients: proportional.scale: "),
+            (("coefficients", "drift", "kappa"), "coefficients: mean_reversion.kappa: "),
+            (("sim", "dt"), "sim.dt: "),
+        ],
+        ids=["weight", "scale", "kappa", "dt"],
+    )
+    def test_boolean_is_not_a_number(self, path, message):
+        # float(True) reads 1.0
+        doc = self.base()
+        self._set(doc, path, True)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}must be a number, got True"):
+            ExperimentConfig.from_dict(doc)
+
     def test_integral_floats_read_as_integers(self):
         doc = self.base()
         doc["sim"]["paths"] = 200.0
@@ -312,6 +329,40 @@ REPORT_DIGESTS = {
     "heat-positive-badvol": "42b4031c7dc2c182140003a676b0500e05f0df6052704351550226c8c5beac16",
     "heat-positive-hidden": "754681ccc29d8880bebd29783c508ed81e7699e7bb8807fc7abaf717c42a016e",
 }
+
+
+# sha256 over each output file's name and bytes, in name order, for the
+# other three commands
+OUTPUT_DIGESTS = {
+    "simulate": (
+        ["simulate", "--preset", "heat-positive", "--paths", "32"],
+        "3527a7c1cb09e2167e7ec092de6192cc5f11be8b0172a8d7154ce2145cfb3ad3",
+    ),
+    "verify": (
+        ["verify", "--preset", "heat-positive-hidden", "--paths", "32"],
+        "af4a386ae7256a8d50bd4c4e69bef7b4760234ec771881b7ab9cfb383d342b30",
+    ),
+    "appendix": (
+        ["appendix", "all", "--seed", "0"],
+        "19e3ab88a93ccbc9932352402599d6a467aa883f1c9f89a70384329e74a6f6d1",
+    ),
+}
+
+
+def output_digest(out_dir) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_DIGESTS))
+def test_output_bytes_pinned(tmp_path, command):
+    args, want = OUTPUT_DIGESTS[command]
+    out = tmp_path / "run"
+    res = CliRunner().invoke(cli, args + ["--out", str(out)])
+    assert res.exit_code == 0, combined_output(res)
+    assert output_digest(out) == want
 
 
 class TestCheckCommand:
@@ -572,6 +623,12 @@ class TestAppendixCommand:
         assert res.exit_code == 2
         doc = json.loads((out / "appendix.json").read_text())
         assert isinstance(doc["results"][0]["counterexample"]["point_norm"], float)
+
+    def test_counterexample_means_failed(self):
+        assert appendix.PropertyResult("phi", "p", "ok").passed is True
+        failed = appendix.PropertyResult("phi", "p", "bad", {"x": 0.0})
+        assert failed.passed is False
+        assert failed.to_dict()["passed"] is False
 
     def test_unknown_selector(self, tmp_path):
         res = CliRunner().invoke(cli, ["appendix", "fractal", "--out", str(tmp_path / "r")])

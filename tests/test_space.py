@@ -13,6 +13,7 @@ from scipy.optimize import minimize
 
 from conespde import (
     ConeSpec,
+    ConfigError,
     DomainError,
     ShapeError,
     StateVec,
@@ -103,6 +104,11 @@ class TestStateVec:
     def test_config_dim_check(self):
         with pytest.raises(ShapeError):
             StateVec.from_config({"dim": 3, "coords": [1.0, 2.0]})
+
+    def test_config_dim_is_an_integer(self):
+        # int(2.5) would read 2 and accept the two coordinates
+        with pytest.raises(ConfigError, match="^dim: must be an integer, got 2.5"):
+            StateVec.from_config({"dim": 2.5, "coords": [1.0, 2.0]})
 
 
 class TestConeSpec:
