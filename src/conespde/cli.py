@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -110,8 +111,18 @@ def _prepare_out(out_dir: str) -> Path:
     return p
 
 
+def _strict(doc):
+    """``doc`` with every non-finite float as ``None``, so it dumps as
+    strict JSON (``null``) instead of the non-standard ``NaN`` tokens."""
+    if isinstance(doc, dict):
+        return {k: _strict(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strict(v) for v in doc]
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_manifest(out: Path, ec: ExperimentConfig, outputs: list[str]) -> str:
@@ -255,7 +266,7 @@ def cmd_verify(config_path, preset_name, out_dir, seed, paths, dt) -> int:
             "agreement": agreement,
         },
     )
-    click.echo(f"agreement: {json.dumps(agreement)}")
+    click.echo(f"agreement: {json.dumps(agreement, allow_nan=False)}")
     return 0
 
 
@@ -279,7 +290,8 @@ def cmd_appendix(selector, out_dir, seed) -> int:
         mark = "PASS" if r.passed else "FAIL"
         click.echo(f"{mark} {r.suite}/{r.name}: {r.detail}")
         if not r.passed:
-            click.echo(f"     counterexample: {json.dumps(r.counterexample, sort_keys=True)}")
+            ce = json.dumps(_strict(r.counterexample), sort_keys=True, allow_nan=False)
+            click.echo(f"     counterexample: {ce}")
     _write_json(
         out / "appendix.json",
         {

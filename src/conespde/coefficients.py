@@ -61,9 +61,10 @@ from .errors import (
     SamplerContractError,
     ShapeError,
     read_float,
+    read_floats,
     read_int,
 )
-from .space import ConeSpec, StateVec, cone_contains
+from .space import ConeSpec, StateVec, cone_contains, retract
 
 __all__ = [
     "CoefficientMap",
@@ -150,16 +151,6 @@ class CoefficientMap:
         if h.dim != self.dim:
             raise ShapeError(f"map dim {self.dim} vs vector dim {h.dim}")
         return StateVec(self.eval_array(h.coords))
-
-
-def _per_row(eval_one: Callable, a: np.ndarray, idx) -> np.ndarray:
-    """Apply a single-state evaluator ``eval_one(row, idx)`` to ``a`` or
-    to each row of a batch."""
-    if a.ndim == 1:
-        return eval_one(a, idx)
-    if a.shape[0] == 0:
-        return np.empty(a[:, idx].shape)
-    return np.stack([eval_one(row, idx) for row in a])
 
 
 def _index(coords) -> np.ndarray:
@@ -531,14 +522,8 @@ class RetractedMap(CoefficientMap):
         object.__setattr__(self, "dim", self.inner.dim)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
-        # row by row: a batched norm sums in a different order
-        return _per_row(self._eval_one, a, idx)
-
-    def _eval_one(self, a: np.ndarray, idx) -> np.ndarray:
-        norm = float(np.linalg.norm(a))
-        if norm > self.radius:
-            a = a * (self.radius / norm)
-        return self.inner.eval_coords(a, idx)
+        # retract keeps the row contract: it sums every row's norm alike
+        return self.inner.eval_coords(retract(a, self.radius), idx)
 
     def to_config(self) -> dict:
         return {"family": "retracted", "radius": self.radius, "inner": self.inner.to_config()}
@@ -554,7 +539,12 @@ class CallableMap(CoefficientMap):
     dim: int
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
-        return _per_row(self._eval_one, a, idx)
+        # user code sees one StateVec at a time
+        if a.ndim == 1:
+            return self._eval_one(a, idx)
+        if a.shape[0] == 0:
+            return np.empty(a[:, idx].shape)
+        return np.stack([self._eval_one(row, idx) for row in a])
 
     def _eval_one(self, a: np.ndarray, idx) -> np.ndarray:
         res = self.fn(StateVec(a))
@@ -578,17 +568,17 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
         if fam == "zero":
             return ZeroMap(dim)
         if fam == "constant":
-            return ConstantMap(_vec(doc["value"], dim, "value"))
+            return ConstantMap(_vec(read_floats(f"{fam}.value", doc["value"]), dim, "value"))
         if fam in ("linear", "affine"):
             if "diag" in doc:
-                m = np.diag(np.asarray(doc["diag"], dtype=np.float64))
+                m = np.diag(read_floats(f"{fam}.diag", doc["diag"]))
             else:
-                m = np.asarray(doc["matrix"], dtype=np.float64)
+                m = read_floats(f"{fam}.matrix", doc["matrix"])
             offset = doc.get("offset", np.zeros(dim)) if fam == "affine" else np.zeros(dim)
-            return AffineMap(m, np.asarray(offset, dtype=np.float64))
+            return AffineMap(m, read_floats(f"{fam}.offset", offset))
         if fam == "mean_reversion":
             kappa = read_float(f"{fam}.kappa", doc["kappa"])
-            return MeanReversionMap(kappa, _vec(doc["b"], dim, "b"))
+            return MeanReversionMap(kappa, _vec(read_floats(f"{fam}.b", doc["b"]), dim, "b"))
         if fam == "proportional":
             idx = doc.get("index", index)
             if idx is None:
@@ -596,10 +586,11 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
             scale = read_float(f"{fam}.scale", doc["scale"])
             return ProportionalMap(scale, read_int(f"{fam}.index", idx), dim)
         if fam == "tabulated":
-            return TabulatedMap(np.asarray(doc["x"]), np.asarray(doc["y"]), dim)
+            x, y = read_floats(f"{fam}.x", doc["x"]), read_floats(f"{fam}.y", doc["y"])
+            return TabulatedMap(x, y, dim)
         if fam == "gated_offset":
             return GatedOffsetMap(
-                _vec(doc["vector"], dim, "vector"),
+                _vec(read_floats(f"{fam}.vector", doc["vector"]), dim, "vector"),
                 read_int(f"{fam}.gate_index", doc["gate_index"]),
                 read_float(f"{fam}.low", doc["low"]),
                 read_float(f"{fam}.high", doc["high"]),
@@ -710,6 +701,8 @@ class SamplerSpec:
     def __post_init__(self):
         if self.points_per_face < 0 or self.interior_points < 0:
             raise DomainError("sample counts must be >= 0")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
 
 
 def _fold_into_cone(cone: ConeSpec, z: np.ndarray) -> np.ndarray:

@@ -23,10 +23,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .coefficients import CoefficientSet, SamplerSpec
-from .errors import ConfigError, ConeSpdeError, read_bool, read_float, read_int
+from .errors import ConfigError, ConeSpdeError, read_bool, read_float, read_floats, read_int
 from .semigroup import DiagonalSemigroup
 from .simulate import NoiseSpec, SimConfig
 from .space import ConeSpec, StateVec
@@ -175,7 +173,9 @@ def _reading(section: str):
     try:
         yield
     except (ConeSpdeError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError) and str(exc).startswith((f"{section}.", f"{section}:")):
+        if isinstance(exc, ConfigError) and str(exc).startswith(
+            (f"{section}.", f"{section}:", f"{section}[")
+        ):
             raise
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -297,7 +297,7 @@ class ExperimentConfig:
         if init is None:
             raise ConfigError("initial: missing section")
         with _reading("initial"):
-            h0 = StateVec(np.asarray(init, dtype=np.float64))
+            h0 = StateVec(read_floats("initial", init))
         if h0.dim != dim:
             raise ConfigError(f"initial: {h0.dim} coordinates for dimension {dim}")
 

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the config rules for
-numbers, integers and booleans (here, below ``config``, so every module
-can use them).
+numbers, lists of numbers, integers and booleans (here, below
+``config``, so every module can use them).
 
 Most subclasses derive from ValueError so that callers who do not care
 about the fine distinction can still catch invalid input generically.
@@ -8,6 +8,8 @@ about the fine distinction can still catch invalid input generically.
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ConeSpdeError(Exception):
@@ -79,11 +81,23 @@ def read_bool(path: str, value) -> bool:
 
 
 def read_float(path: str, value) -> float:
-    """A config number, converted by ``float()``; booleans and values
+    """A config number, converted by ``float()``, whose ``ValueError``
+    reports a string it cannot read; booleans, other strings and values
     that convert to NaN or an infinity raise ``ConfigError``."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: must be a number, got {value!r}")
     x = float(value)
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{path}: must be a number, got {value!r}")
     if not math.isfinite(x):
         raise ConfigError(f"{path}: must be finite, got {x!r}")
     return x
+
+
+def read_floats(path: str, values) -> np.ndarray:
+    """A config list of numbers, or a list of such lists (a matrix), as
+    a float64 array; a boolean or string entry raises ``ConfigError``
+    naming it, as ``read_float`` does for one number."""
+    for idx, x in np.ndenumerate(np.asarray(values, dtype=object)):
+        if isinstance(x, (bool, str)):
+            where = "".join(f"[{i}]" for i in idx)
+            raise ConfigError(f"{path}{where}: must be a number, got {x!r}")
+    return np.asarray(values, dtype=np.float64)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, read_int
+from .errors import ConfigError, DomainError, ShapeError, read_floats, read_int
 from .space import StateVec
 
 __all__ = ["DiagonalSemigroup", "LiminfGrid"]
@@ -117,7 +117,7 @@ class DiagonalSemigroup:
             return cls.heat(read_int("dim", n))
         if rates is None:
             raise ConfigError("semigroup config needs a 'rates' entry")
-        sg = cls(np.asarray(rates, dtype=np.float64))
+        sg = cls(read_floats("rates", rates))
         if dim is not None and sg.dim != dim:
             raise ConfigError(f"semigroup dim {sg.dim} does not match space dim {dim}")
         return sg

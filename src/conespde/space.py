@@ -8,9 +8,10 @@ metric projection acts coordinatewise, which gives closed forms for the
 distance and for membership tests.
 
 ``retract`` is the radial retraction ``R_n`` onto the closed ball of
-radius ``n``.  It is 1-Lipschitz and fixes the ball, so composing a
-coefficient with it produces a bounded map without changing small-state
-behaviour (``coefficients.RetractedMap``).  The finite-rank projection
+radius ``n``, applied to a raw state array or to each row of a batch.
+It is 1-Lipschitz and fixes the ball, so composing a coefficient with
+it produces a bounded map without changing small-state behaviour
+(``coefficients.RetractedMap``).  The finite-rank projection
 ``P_n`` (keep the leading ``n`` coordinates, zero the rest) acts on
 coefficient maps only, as ``coefficients.ProjectedMap``.
 """
@@ -170,19 +171,26 @@ class ConeSpec:
         return cls(np.ones(dim, dtype=np.int8))
 
 
-def retract(h: StateVec, n: float) -> StateVec:
-    """Radial retraction onto the closed ball of radius ``n``.
+def retract(a: np.ndarray, n: float) -> np.ndarray:
+    """Radial retraction onto the closed ball of radius ``n``, of one
+    state ``(N,)`` or of each row of a batch ``(M, N)``; the result has
+    the shape of ``a``.
 
-    Multiplies ``h`` by ``min(1, n / ||h||)``; the origin is fixed.
-    This is the metric projection onto the ball, hence 1-Lipschitz, and
-    it is the identity wherever ``||h|| <= n``.
+    Multiplies each row by ``n / max(||row||, n)``: by exactly 1.0
+    inside the ball, which leaves the row bitwise alone, and by
+    ``n / ||row||`` outside it; the origin is fixed.  This is the metric
+    projection onto the ball, hence 1-Lipschitz.
+
+    The norm is the square root of ``np.add.reduce`` over a C-ordered
+    product of the rows with themselves.  Every row is then summed in
+    the same order whatever the batch's size or memory layout, so row
+    ``i`` of a batch result equals the result at ``a[i]`` bit for bit;
+    ``np.linalg.norm`` along an axis does not keep that.
     """
     if not (math.isfinite(n) and n > 0):
         raise DomainError(f"retraction radius must be finite and > 0, got {n}")
-    norm = h.norm()
-    if norm <= n:
-        return h
-    return StateVec(h.coords * (n / norm))
+    norm = np.sqrt(np.add.reduce(np.multiply(a, a, order="C"), axis=-1, keepdims=True))
+    return a * (n / np.maximum(norm, n))
 
 
 def cone_contains(cone: ConeSpec, h: StateVec, tol: float = 0.0) -> bool:

@@ -122,7 +122,7 @@ class TestAcceptance:
             n = rng.uniform(0.5, 8.0)
             x = StateVec(rng.normal(scale=10.0, size=dim))
             y = StateVec(rng.normal(scale=10.0, size=dim))
-            rx, ry = retract(x, n), retract(y, n)
+            rx, ry = StateVec(retract(x.coords, n)), StateVec(retract(y.coords, n))
             gap = np.linalg.norm(x.coords - y.coords)
             if np.linalg.norm(rx.coords - ry.coords) > (1.0 + 1e-12) * gap:
                 bad_expansive += 1

@@ -213,6 +213,23 @@ def test_batch_eval_matches_rows(m):
     assert np.broadcast_to(batch, BATCH.shape).tobytes() == rows.tobytes()
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_retracted_rows_on_any_layout(layout):
+    # the retraction sums each row's squares in one order whatever the
+    # batch's memory layout; 40 columns take the sum past NumPy's
+    # unrolled blocks of 8
+    rng = np.random.default_rng(7)
+    wide = rng.standard_normal((64, 80)) * rng.uniform(0.0, 20.0, (64, 1))
+    batch = {
+        "C": wide[:, :40].copy(),
+        "F": np.asfortranarray(wide[:, :40]),
+        "strided": wide[:, ::2],
+    }[layout]
+    m = RetractedMap(AffineMap(np.eye(40), np.zeros(40)), 5.0)
+    rows = np.stack([m.eval_array(row) for row in batch])
+    assert m.eval_array(batch).tobytes() == rows.tobytes()
+
+
 def _selections(m):
     """Every single coordinate, the support and all coordinates, as index
     lists and as slices."""

@@ -285,6 +285,50 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}must be a number, got True"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("sim", "dt"), "0.001", "sim.dt: must be a number, got '0.001'"),
+            (("initial",), ["0"] + [0.0] * 15, "initial[0]: must be a number, got '0'"),
+            (("semigroup", "rates"), [1.0] * 15 + ["1.0"],
+             "semigroup: rates[15]: must be a number, got '1.0'"),
+            (("coefficients", "jumps", 0, "kernel", "value"), ["0.1"] * 16,
+             "coefficients: constant.value[0]: must be a number"),
+            (("coefficients", "drift", "b"), [0.5, "0.5"] + [0.5] * 14,
+             "coefficients: mean_reversion.b[1]: must be a number"),
+            (("coefficients", "drift"),
+             {"family": "gated_offset", "vector": ["1"] * 16, "gate_index": 0, "low": 0, "high": 1},
+             "coefficients: gated_offset.vector[0]: must be a number"),
+            (("coefficients", "drift"), {"family": "tabulated", "x": ["0", 1.0], "y": [0.0, 1.0]},
+             "coefficients: tabulated.x[0]: must be a number"),
+            (("coefficients", "drift"), {"family": "tabulated", "x": [0.0, 1.0], "y": [0.0, "1"]},
+             "coefficients: tabulated.y[1]: must be a number"),
+            (("coefficients", "drift"),
+             {"family": "affine", "matrix": [[0.0] * 16] * 15 + [[0.0] * 15 + ["1"]],
+              "offset": [0.0] * 16},
+             "coefficients: affine.matrix[15][15]: must be a number"),
+            (("coefficients", "drift"), {"family": "linear", "diag": ["1"] * 16},
+             "coefficients: linear.diag[0]: must be a number"),
+            (("coefficients", "drift"),
+             {"family": "affine", "diag": [1.0] * 16, "offset": [0.0] * 15 + ["0"]},
+             "coefficients: affine.offset[15]: must be a number"),
+        ],
+        ids=["dt", "initial", "rates", "value", "b", "vector", "x", "y", "matrix", "diag",
+             "offset"],
+    )
+    def test_string_is_not_a_number(self, path, value, message):
+        # float("0.001") and np.asarray(["0"], dtype=float) both read numbers
+        doc = self.base()
+        self._set(doc, path, value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_negative_checker_seed(self):
+        doc = self.base()
+        doc["checker"] = {"seed": -1}
+        with pytest.raises(ConfigError, match=r"^checker: seed must be >= 0"):
+            ExperimentConfig.from_dict(doc)
+
     def test_integral_floats_read_as_integers(self):
         doc = self.base()
         doc["sim"]["paths"] = 200.0
@@ -374,6 +418,15 @@ class TestCheckCommand:
         digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
         assert digest == REPORT_DIGESTS[name]
 
+    def test_negative_checker_seed_is_an_error_line(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "heat-positive", "checker": {"seed": -1}}))
+        out = tmp_path / "r"
+        res = CliRunner().invoke(cli, ["check", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert "error: checker: seed must be >= 0" in combined_output(res)
+        assert "Traceback" not in combined_output(res)
+
     def test_compliant_passes(self, tmp_path):
         out = tmp_path / "run"
         res = CliRunner().invoke(
@@ -454,7 +507,29 @@ class TestCheckCommand:
         assert cfg["sim"]["dt"] == 0.002
 
 
+def _no_constant(name):
+    raise AssertionError(f"non-standard JSON token {name}")
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_diverged_run_writes_strict_json(self, tmp_path, command):
+        # a guard this small diverges every path, so the exit fraction
+        # and its stderr are NaN and must be written as null
+        doc = {"preset": "heat-positive",
+               "sim": {"dt": 0.001, "horizon": 0.1, "paths": 4, "guard": 0.001}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        res = CliRunner().invoke(cli, [command, "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 0, combined_output(res)
+        for written in out.glob("*.json"):
+            json.loads(written.read_text(), parse_constant=_no_constant)
+        name = "summary.json" if command == "simulate" else "verify.json"
+        report = json.loads((out / name).read_text())
+        stats = report if command == "simulate" else report["sweep"][0]
+        assert stats["diverged"] == 4 and stats["exit_fraction"] is None
+
     def test_compliant_run(self, tmp_path):
         out = tmp_path / "run"
         res = CliRunner().invoke(
@@ -633,3 +708,38 @@ class TestAppendixCommand:
     def test_unknown_selector(self, tmp_path):
         res = CliRunner().invoke(cli, ["appendix", "fractal", "--out", str(tmp_path / "r")])
         assert res.exit_code == 1
+
+    def test_negative_seed_is_an_error_line(self, tmp_path):
+        res = CliRunner().invoke(
+            cli, ["appendix", "retraction", "--seed", "-1", "--out", str(tmp_path / "r")]
+        )
+        assert res.exit_code == 1
+        assert "error: seed must be >= 0" in combined_output(res)
+        assert "Traceback" not in combined_output(res)
+
+    @staticmethod
+    def _failed(results) -> set[str]:
+        return {r.name for r in results if not r.passed}
+
+    def test_nan_envelope_fails_closed_form(self, tmp_path, monkeypatch):
+        # a NaN error is never above the worst so far: the closed-form
+        # check must not pass on an envelope that is NaN everywhere
+        monkeypatch.setattr(
+            appendix, "inf_convolve", lambda f, lam, pts, s: np.full(len(pts), np.nan)
+        )
+        assert {"moreau-closed-form", "ordering"} <= self._failed(appendix.suite_supinf())
+        out = tmp_path / "r"
+        res = CliRunner().invoke(cli, ["appendix", "supinf", "--out", str(out)])
+        assert res.exit_code == 2
+        doc = json.loads((out / "appendix.json").read_text(), parse_constant=_no_constant)
+        assert doc["results"][0]["counterexample"]["got"] is None
+
+    def test_nan_composition_fails_sup_error(self, monkeypatch):
+        monkeypatch.setattr(
+            appendix, "sup_inf_convolve", lambda f, p, pts, s: np.full(len(pts), np.nan)
+        )
+        assert self._failed(appendix.suite_supinf()) == {"sup-error"}
+
+    def test_nan_retraction_fails(self, monkeypatch):
+        monkeypatch.setattr(appendix, "retract", lambda a, n: np.full_like(a, np.nan))
+        assert {"nonexpansive", "norm-bound"} <= self._failed(appendix.suite_retraction(pairs=200))

@@ -1,8 +1,8 @@
 """Every name a ``conespde`` module imports is used in that module,
 every private module-level name is used somewhere in the package, every
 public function, class and method is referred to somewhere in the
-package, its tests or the benchmark, and every function reads each of
-its parameters.
+package, its tests or the benchmark, every function reads each of its
+parameters, and every JSON dump refuses NaN.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code rules.
 The package ``__init__`` exists to re-export, so it is exempt from the
@@ -219,6 +219,43 @@ def test_checker_sees_a_dead_public_name():
 def test_no_dead_public_names(path):
     dead = dead_public_names(ast.parse(path.read_text()), ALL_REFS)
     assert not dead, f"{path.name} defines but nothing refers to: {', '.join(dead)}"
+
+
+# Every JSON document the package writes or prints is strict JSON: a
+# NaN or an infinity must raise (or be turned into null first) instead
+# of becoming a ``NaN`` token that strict parsers reject.
+
+
+def lenient_json_dumps(tree: ast.Module) -> list[int]:
+    """Lines of ``json.dump``/``json.dumps`` calls that do not pass
+    ``allow_nan=False``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and not any(
+            k.arg == "allow_nan" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in node.keywords
+        )
+    )
+
+
+def test_checker_sees_a_lenient_json_dump():
+    tree = ast.parse(
+        "json.dumps(a)\njson.dumps(b, allow_nan=False)\n"
+        "json.dump(c, f, allow_nan=True)\nx = dumps(d)\n"
+    )
+    assert lenient_json_dumps(tree) == [1, 3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_json_is_strict(path):
+    lines = lenient_json_dumps(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} dumps JSON without allow_nan=False on lines {lines}"
 
 
 # A parameter that a function's body never reads is a setting nobody
