@@ -5,6 +5,10 @@ seeded constructions and reports pass/fail per property with a
 counterexample on failure.  One rule, ``_judge``, decides every
 property from a comparison that a NaN fails (``worst <= bound``), and
 ``_worst`` counts a NaN as the largest sample, so a NaN never passes.
+The operators run on whole batches: the envelope grid is the lanes of
+one search, the retraction pairs go in row blocks, and the mollifier's
+face points are one batch of ``MollifiedMap(ShiftedMap(...))``.
+
 The CLI ``appendix`` command is a thin wrapper around ``run_suites``;
 the acceptance tests AC7 and AC8 call ``suite_mollify`` (with 64 face
 points instead of 16) and ``suite_rho`` directly.
@@ -18,6 +22,7 @@ import numpy as np
 
 from .approx import (
     GridQuadrature,
+    MollifiedMap,
     MollifierParams,
     SearchSpec,
     SupInfParams,
@@ -25,22 +30,21 @@ from .approx import (
     bump,
     inf_convolve,
     mollify,
-    phi_eps,
     stratonovich_correction,
     sup_convolve,
     sup_inf_convolve,
 )
 from .coefficients import (
     AffineMap,
-    CallableMap,
     CoefficientSet,
     ConstantMap,
     ProportionalMap,
     SamplerSpec,
+    ShiftedMap,
     sample_boundary_pairs,
 )
 from .errors import ConfigError
-from .space import ConeSpec, StateVec, retract
+from .space import ConeSpec, StateVec, phi_eps, retract
 
 __all__ = ["PropertyResult", "SUITE_NAMES", "run_suites"]
 
@@ -226,16 +230,15 @@ def suite_mollify(face_points: int = 16, seed: int = 0) -> list[PropertyResult]:
 
     # Parallelism: a column vanishing on a slab around the face stays
     # exactly zero there after smoothing with a smaller support.
-    level = 2
-    inner = ProportionalMap(1.0, 0, 2)
-    shifted = CallableMap(lambda s: inner.eval_array(boundary_shift(s, level).coords), 2)
+    smoothed = MollifiedMap(ShiftedMap(ProportionalMap(1.0, 0, 2), level=2), params)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    faces = [StateVec([0.0, float(rng.uniform(-2.0, 2.0))]) for _ in range(face_points)]
-    i, comp = _worst([abs(float(mollify(shifted, params, f).coords[0])) for f in faces])
+    faces = np.zeros((face_points, 2))
+    faces[:, 1] = rng.uniform(-2.0, 2.0, face_points)
+    i, comp = _worst(np.abs(smoothed.eval_coords(faces, [0])[:, 0]))
     out.append(_judge("mollify", "parallel-preserved", comp <= 1e-12,
                       f"face component {comp:.2e} at {face_points} face points",
                       "smoothing broke face parallelism",
-                      {"face_point": float(faces[i].coords[1]), "max_component": comp}))
+                      {"face_point": float(faces[i, 1]), "max_component": comp}))
     return out
 
 

@@ -1,24 +1,32 @@
 """Approximation operators used to regularize coefficients.
 
-These are the building blocks that turn rough cone-compatible
-coefficients into smooth ones while preserving the structural
-properties the invariance conditions care about:
+The paper proves its conditions sufficient by regularizing rough
+coefficients step by step, each step keeping the structure that the
+invariance conditions care about.  Every step is a map family: a
+``CoefficientMap`` whose ``eval_coords`` takes a whole ``(M, N)``
+batch of states in one call, row ``i`` bitwise the value at that state
+alone.
 
-* ``phi_eps``: scalar dead-zone shift (soft threshold), 1-Lipschitz,
-  within ``eps`` of the identity, and sign-compatible;
-* ``boundary_shift``: the coordinatewise dead-zone map ``Phi_n`` that
-  pushes states off the boundary faces without leaving the cone;
-* ``h -> P_n f(h)`` and ``h -> f(R_n h)`` are the map families
-  ``ProjectedMap`` and ``RetractedMap`` of ``coefficients``;
-* ``truncate_noise``: keep the leading volatility columns;
-* ``inf_convolve`` / ``sup_convolve`` / ``sup_inf_convolve``: the
-  quadratic envelope pair whose composition is gradient-Lipschitz with
-  constant at most ``max(1/lam, 1/mu)``;
-* ``mollify`` / ``mollify_with_error``: convolution with a smooth
-  compactly supported bump, shrinking support radius ``1/bandwidth``;
-* ``stratonovich_correction``: the noise-induced drift
-  ``(1/2) sum_j D vol_j(h) vol_j(h)`` by symmetric differencing;
-* ``lipschitz_probe``: sampled lower bound on a Lipschitz constant.
+* ``h -> f(Phi_n h)``, ``h -> P_n f(h)`` and ``h -> f(R_n h)`` are the
+  families ``ShiftedMap``, ``ProjectedMap`` and ``RetractedMap`` of
+  ``coefficients``.  The dead-zone shift ``Phi_n`` itself is the batch
+  function ``space.shift`` (``boundary_shift`` on one ``StateVec``),
+  built on the scalar soft threshold ``space.phi_eps``.
+* ``sup_inf_map``: the componentwise sup-inf (Lasry-Lions) envelope of
+  a map, differentiable with a gradient Lipschitz constant at most
+  ``max(1/lam, 1/mu)``.  One evaluation is one ``sup_inf_convolve``
+  whose lanes are every (row, component) pair.
+* ``MollifiedMap``: the average of a map against a smooth compactly
+  supported bump of radius ``1/bandwidth``, on tensor Gauss-Legendre
+  nodes.  ``mollify`` evaluates it at one state, and
+  ``mollify_with_error`` also by Monte Carlo, with a standard error.
+
+Beside the map families: ``inf_convolve``, ``sup_convolve`` and
+``sup_inf_convolve`` are the quadratic envelopes of a scalar target;
+``truncate_noise`` keeps the leading volatility columns;
+``stratonovich_correction`` is the noise-induced drift
+``(1/2) sum_j D vol_j(h) vol_j(h)`` by symmetric differencing; and
+``lipschitz_probe`` is a sampled lower bound on a Lipschitz constant.
 
 Envelope values are computed by a coarse grid plus golden-section
 refinement, one coordinate at a time; an optimum landing on the search
@@ -49,13 +57,13 @@ those windows are not re-validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .coefficients import CallableMap, CoefficientMap, CoefficientSet, ZeroMap
+from .coefficients import CoefficientMap, CoefficientSet, ZeroMap
 from .errors import (
     ConfigError,
     DomainError,
@@ -64,10 +72,10 @@ from .errors import (
     ShapeError,
     UnsupportedDimensionError,
 )
-from .space import StateVec
+from .space import StateVec, phi_eps, shift
 
 __all__ = [
-    "phi_eps",
+    "phi_eps",  # defined in space, beside shift; re-exported here
     "boundary_shift",
     "boundary_shift_radius",
     "truncate_noise",
@@ -80,6 +88,7 @@ __all__ = [
     "GridQuadrature",
     "MonteCarloQuadrature",
     "MollifierParams",
+    "MollifiedMap",
     "bump",
     "mollify",
     "mollify_with_error",
@@ -89,43 +98,15 @@ __all__ = [
 ]
 
 
-def phi_eps(x, eps: float):
-    """Dead-zone shift: move ``x`` toward zero by ``eps``, clamping at zero.
-
-    ``phi_eps(x) = x - eps`` for ``x >= eps``, ``x + eps`` for
-    ``x <= -eps``, and 0 on the dead zone ``[-eps, eps]``.  Equivalent
-    closed form: ``sign(x) * max(|x| - eps, 0)``.  It is 1-Lipschitz,
-    satisfies ``|phi_eps(x) - x| <= eps``, and never changes sign.
-
-    Accepts scalars or arrays; returns the matching kind.
-    """
-    if not (math.isfinite(eps) and eps >= 0):
-        raise DomainError(f"eps must be finite and >= 0, got {eps}")
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.sign(arr) * np.maximum(np.abs(arr) - eps, 0.0)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def boundary_shift(h: StateVec, n: int, eps: float | None = None) -> StateVec:
-    """Coordinatewise dead-zone map on the leading ``n`` coordinates.
+    """The dead-zone map ``Phi_n`` (``space.shift``) of one state.
 
-    Applies ``phi_eps`` to coordinates ``k < n`` and zeroes the rest;
-    the default dead zone is ``eps = 2^-n``.  States within ``eps`` of a
-    face are pushed onto it, so small perturbations of a face point
-    cannot cross the boundary: the composition ``f(boundary_shift(.))``
-    of a boundary-parallel ``f`` is parallel on a whole ball around each
-    face point (radius ``boundary_shift_radius(n)``).
+    The composition ``f(boundary_shift(.))`` of a boundary-parallel
+    ``f`` is parallel on a whole ball around each face point (radius
+    ``boundary_shift_radius(n)``); as a map family it is
+    ``coefficients.ShiftedMap``.
     """
-    if n < 0:
-        raise DomainError(f"level must be >= 0, got {n}")
-    if eps is None:
-        eps = 2.0 ** (-n)
-    out = np.zeros(h.dim)
-    m = min(n, h.dim)
-    out[:m] = phi_eps(h.coords[:m], eps)
-    return StateVec(out)
+    return StateVec(shift(h.coords, n, eps))
 
 
 def boundary_shift_radius(n: int) -> float:
@@ -461,20 +442,45 @@ def sup_inf_convolve(
 def sup_inf_map(f: CoefficientMap, p: SupInfParams, search: SearchSpec) -> CoefficientMap:
     """Componentwise sup-inf regularization of a vector map.
 
-    Component ``k`` searches over coordinate ``k`` of ``f.eval_coords``,
-    so a map family computes only the entry it needs.
+    Component ``k`` of the result at ``h`` is ``sup_inf_convolve`` of
+    coordinate ``k`` of ``f`` at ``h``.  The result is a map family:
+    ``eval_coords(a, idx)`` runs one lockstep search with a lane per
+    (row of ``a``, component in ``idx``), so a lane's value is bitwise
+    the single-row, single-component search.  Its target reads the
+    components through ``f.eval_coords(rows, idx)``, never the whole
+    map.
     """
+    return _SupInfMap(f, p, search)
 
-    def component(k: int) -> Callable[[np.ndarray], np.ndarray]:
-        only = slice(k, k + 1)  # a slice selects without the copy of an index list
-        return lambda rows: f.eval_coords(rows, only)[:, 0]
 
-    comps = [component(k) for k in range(f.dim)]
+@dataclass(frozen=True)
+class _SupInfMap(CoefficientMap):
+    inner: CoefficientMap
+    params: SupInfParams
+    search: SearchSpec
+    dim: int = field(init=False)
 
-    def smooth(h: StateVec) -> np.ndarray:
-        return np.array([sup_inf_convolve(c, p, h, search) for c in comps])
+    def __post_init__(self):
+        object.__setattr__(self, "dim", self.inner.dim)
 
-    return CallableMap(smooth, f.dim)
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        shape = a[..., idx].shape
+        rows = np.atleast_2d(a)
+        comps = shape[-1]
+        if rows.shape[0] * comps == 0:
+            return np.empty(shape)
+        # lane ``m * comps + c`` is component ``c`` at row ``m``
+        lanes = rows.repeat(comps, axis=0)
+        column = np.arange(lanes.shape[0]) % comps
+
+        def target(pts: np.ndarray) -> np.ndarray:
+            # every search hands over its rows lane by lane, in equal
+            # blocks, so row ``r`` belongs to lane ``r // block``
+            block = pts.shape[0] // lanes.shape[0]
+            vals = self.inner.eval_coords(pts, idx)
+            return vals[np.arange(pts.shape[0]), column.repeat(block)]
+
+        return sup_inf_convolve(target, self.params, lanes, self.search).reshape(shape)
 
 
 # --------------------------------------------------------------------------
@@ -601,20 +607,77 @@ def _tensor_nodes(n: int, radius: float, points: int) -> tuple[np.ndarray, np.nd
     return nodes, weights
 
 
-def mollify_with_error(f: CoefficientMap, p: MollifierParams, h: StateVec):
-    """``mollify`` together with the Monte Carlo standard error per
-    coordinate (``None`` for grid quadrature)."""
+# node rows per call of the inner map: a batch is mollified in row
+# blocks of at most this many nodes, which bounds the temporaries
+_NODE_ROWS = 1 << 16
+
+
+def _same_dim(f: CoefficientMap, p: MollifierParams) -> None:
     if f.dim != p.n:
         raise ShapeError(f"map dim {f.dim} must equal mollifier dimension {p.n}")
-    r = p.support_radius
+
+
+@dataclass(frozen=True)
+class MollifiedMap(CoefficientMap):
+    """``h -> sum_j c_j f(h - x_j) / sum_j c_j``: ``inner`` averaged
+    against the scaled bump on the tensor Gauss-Legendre nodes ``x_j``
+    of ``params`` (weights ``c_j`` = quadrature weight times bump); see
+    ``mollify``.  Needs ``GridQuadrature``.
+
+    ``eval_coords`` evaluates the nodes of every row of a batch in one
+    ``inner.eval_array`` call (in row blocks of at most ``_NODE_ROWS``
+    nodes), then sums each row over its nodes.  The sum runs over every
+    coordinate and ``idx`` is selected after it: NumPy sums a lone
+    column in another order than a column beside others.  So row ``i``
+    equals the value at ``a[i]`` bit for bit, and ``mollify`` at one
+    state is this map's value there.
+    """
+
+    inner: CoefficientMap
+    params: MollifierParams
+    dim: int = field(init=False)
+
+    def __post_init__(self):
+        if not isinstance(self.params.quadrature, GridQuadrature):
+            raise DomainError(
+                "MollifiedMap needs GridQuadrature; mollify_with_error takes Monte Carlo"
+            )
+        _same_dim(self.inner, self.params)
+        object.__setattr__(self, "dim", self.inner.dim)
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Nodes ``(K, N)``, weights ``(K, 1)`` and their sum."""
+        p = self.params
+        nodes, weights = _tensor_nodes(p.n, p.support_radius, p.quadrature.points_per_axis)
+        wphi = weights * bump(p.bandwidth * np.linalg.norm(nodes, axis=1))
+        return nodes, wphi[:, None], float(np.sum(wphi))
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return self.inner.support
+
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        nodes, wphi, z = self._rule
+        K, N = nodes.shape
+        rows = np.atleast_2d(a)
+        out = np.empty(rows.shape)
+        step = max(1, _NODE_ROWS // K)
+        for lo in range(0, rows.shape[0], step):
+            block = rows[lo : lo + step]
+            vals = self.inner.eval_array((block[:, None, :] - nodes).reshape(-1, N))
+            out[lo : lo + step] = (wphi * vals.reshape(-1, K, N)).sum(axis=1) / z
+        return out.reshape(a.shape)[..., idx]
+
+
+def mollify_with_error(f: CoefficientMap, p: MollifierParams, h: StateVec):
+    """``mollify`` together with the Monte Carlo standard error per
+    coordinate (``None`` for grid quadrature, which is ``MollifiedMap``
+    at ``h``)."""
     if isinstance(p.quadrature, GridQuadrature):
-        nodes, weights = _tensor_nodes(p.n, r, p.quadrature.points_per_axis)
-        phi = bump(p.bandwidth * np.linalg.norm(nodes, axis=1))
-        wphi = weights * phi
-        z = float(np.sum(wphi))
-        vals = f.eval_array(h.coords - nodes)
-        value = (wphi[:, None] * vals).sum(axis=0) / z
-        return StateVec(value), None
+        return StateVec(MollifiedMap(f, p).eval_array(h.coords)), None
+    _same_dim(f, p)
+    r = p.support_radius
     q = p.quadrature
     rng = np.random.default_rng(np.random.SeedSequence(q.seed))
     pts = rng.uniform(-r, r, size=(q.samples, p.n))

@@ -64,7 +64,7 @@ from .errors import (
     read_floats,
     read_int,
 )
-from .space import ConeSpec, StateVec, cone_contains, retract
+from .space import ConeSpec, StateVec, cone_contains, retract, shift
 
 __all__ = [
     "CoefficientMap",
@@ -78,6 +78,7 @@ __all__ = [
     "SumMap",
     "ProjectedMap",
     "RetractedMap",
+    "ShiftedMap",
     "CallableMap",
     "map_from_config",
     "CoefficientSet",
@@ -530,6 +531,46 @@ class RetractedMap(CoefficientMap):
 
 
 @dataclass(frozen=True)
+class ShiftedMap(CoefficientMap):
+    """``h -> f(Phi_n h)`` with the dead-zone shift ``space.shift`` at
+    ``level``, dead zone ``eps`` (``2^-level`` when omitted).
+
+    States within ``eps`` of a face are evaluated on it, so when ``f``
+    is parallel to a face, this map is parallel on a whole slab around
+    it.  The batch is shifted once, entry by entry, so the
+    row contract holds; support and the built-in flag are the inner
+    map's.
+    """
+
+    inner: CoefficientMap
+    level: int
+    eps: float | None = None
+    dim: int = field(init=False)
+
+    def __post_init__(self):
+        if self.level < 0:
+            raise DomainError(f"shift level must be >= 0, got {self.level}")
+        if self.eps is not None and not (np.isfinite(self.eps) and self.eps >= 0):
+            raise DomainError(f"shift eps must be finite and >= 0, got {self.eps}")
+        object.__setattr__(self, "dim", self.inner.dim)
+
+    def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
+        return self.inner.eval_coords(shift(a, self.level, self.eps), idx)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        return self.inner.support
+
+    @property
+    def builtin(self) -> bool:
+        return self.inner.builtin
+
+    def to_config(self) -> dict:
+        eps = {} if self.eps is None else {"eps": self.eps}
+        return {"family": "shifted", "level": self.level, **eps, "inner": self.inner.to_config()}
+
+
+@dataclass(frozen=True)
 class CallableMap(CoefficientMap):
     """Wrap an arbitrary pure function of the state: ``fn`` takes a
     ``StateVec`` and returns one or an array.  Not a built-in family and
@@ -603,6 +644,10 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
         if fam == "retracted":
             radius = read_float(f"{fam}.radius", doc["radius"])
             return RetractedMap(map_from_config(doc["inner"], dim, index), radius)
+        if fam == "shifted":
+            level = read_int(f"{fam}.level", doc["level"])
+            eps = read_float(f"{fam}.eps", doc["eps"]) if "eps" in doc else None
+            return ShiftedMap(map_from_config(doc["inner"], dim, index), level, eps)
     except KeyError as exc:
         raise ConfigError(f"family {fam!r} config missing key {exc}") from exc
     raise ConfigError(f"unknown coefficient family {fam!r}")

@@ -1,4 +1,4 @@
-"""State space, coordinate cones, and the radial retraction.
+"""State space, coordinate cones, the radial retraction and the dead-zone shift.
 
 The state space is a finite slice of l2 spanned by an orthonormal
 coordinate basis.  A closed convex cone is described by one sign per
@@ -7,13 +7,22 @@ nonpositive, 0 leaves it free.  Such cones are exactly the ones whose
 metric projection acts coordinatewise, which gives closed forms for the
 distance and for membership tests.
 
-``retract`` is the radial retraction ``R_n`` onto the closed ball of
-radius ``n``, applied to a raw state array or to each row of a batch.
-It is 1-Lipschitz and fixes the ball, so composing a coefficient with
-it produces a bounded map without changing small-state behaviour
-(``coefficients.RetractedMap``).  The finite-rank projection
-``P_n`` (keep the leading ``n`` coordinates, zero the rest) acts on
-coefficient maps only, as ``coefficients.ProjectedMap``.
+Two operators of the paper act on states, each on a raw state array
+or on every row of a batch, and each is composed with a coefficient
+map by a map family of ``coefficients``:
+
+* ``retract`` is the radial retraction ``R_n`` onto the closed ball of
+  radius ``n`` (``RetractedMap``).  It is 1-Lipschitz and fixes the
+  ball, so composing a coefficient with it produces a bounded map
+  without changing small-state behaviour.
+* ``shift`` is the dead-zone shift ``Phi_n``: the scalar shift
+  ``phi_eps`` on the leading ``n`` coordinates, zero on the rest
+  (``ShiftedMap``).  It pushes states near a face onto it without
+  leaving the cone.
+
+The finite-rank projection ``P_n`` (keep the leading ``n``
+coordinates, zero the rest) acts on coefficient maps only, as
+``coefficients.ProjectedMap``.
 """
 
 from __future__ import annotations
@@ -30,6 +39,8 @@ __all__ = [
     "StateVec",
     "ConeSpec",
     "retract",
+    "phi_eps",
+    "shift",
     "cone_contains",
     "cone_distance",
     "cone_leq",
@@ -191,6 +202,44 @@ def retract(a: np.ndarray, n: float) -> np.ndarray:
         raise DomainError(f"retraction radius must be finite and > 0, got {n}")
     norm = np.sqrt(np.add.reduce(np.multiply(a, a, order="C"), axis=-1, keepdims=True))
     return a * (n / np.maximum(norm, n))
+
+
+def phi_eps(x, eps: float):
+    """Dead-zone shift: move ``x`` toward zero by ``eps``, clamping at zero.
+
+    ``phi_eps(x) = x - eps`` for ``x >= eps``, ``x + eps`` for
+    ``x <= -eps``, and 0 on the dead zone ``[-eps, eps]``.  Equivalent
+    closed form: ``sign(x) * max(|x| - eps, 0)``.  It is 1-Lipschitz,
+    satisfies ``|phi_eps(x) - x| <= eps``, and never changes sign.
+
+    Accepts scalars or arrays; returns the matching kind.
+    """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise DomainError(f"eps must be finite and >= 0, got {eps}")
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.sign(arr) * np.maximum(np.abs(arr) - eps, 0.0)
+    if np.isscalar(x) or arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def shift(a: np.ndarray, n: int, eps: float | None = None) -> np.ndarray:
+    """The dead-zone map ``Phi_n`` of one state ``(N,)`` or of each row
+    of a batch ``(M, N)``, as a new array of the shape of ``a``.
+
+    Applies ``phi_eps`` to coordinates ``k < n`` and zeroes the rest;
+    the default dead zone is ``eps = 2^-n``.  States within ``eps`` of a
+    face are pushed onto it, so small perturbations of a face point
+    cannot cross the boundary.  Every entry is computed alone, so row
+    ``i`` of a batch result equals the result at ``a[i]`` bit for bit.
+    """
+    if n < 0:
+        raise DomainError(f"level must be >= 0, got {n}")
+    if eps is None:
+        eps = 2.0 ** (-n)
+    out = np.zeros(a.shape)
+    out[..., :n] = phi_eps(a[..., :n], eps)
+    return out
 
 
 def cone_contains(cone: ConeSpec, h: StateVec, tol: float = 0.0) -> bool:

@@ -28,6 +28,7 @@ from conespde.approx import (
     REFINE_ITERS,
     BallSpec,
     GridQuadrature,
+    MollifiedMap,
     MollifierParams,
     MonteCarloQuadrature,
     SearchSpec,
@@ -54,6 +55,8 @@ from conespde.coefficients import (
     ProjectedMap,
     ProportionalMap,
     RetractedMap,
+    ShiftedMap,
+    TabulatedMap,
     ZeroMap,
 )
 
@@ -772,6 +775,40 @@ class TestSupInfMapComponents:
         ]
 
 
+class TestSupInfMapLanes:
+    # one evaluation of a sup-inf map is one search with a lane per
+    # (row, component); each lane keeps the bits of its own search
+    spec = SearchSpec(radius=0.5)
+    p = SupInfParams(lam=0.2, mu=0.05)
+
+    def alone(self, f, k, row):
+        """Component ``k`` at one row, as a single-lane search."""
+        only = slice(k, k + 1)
+        return sup_inf_convolve(lambda rows: f.eval_coords(rows, only)[:, 0], self.p,
+                                StateVec(row), self.spec)
+
+    def test_rows_of_a_dim_one_map(self):
+        f = TabulatedMap(np.array([-1.0, 0.0, 1.0]), np.array([0.5, -0.25, 1.0]), 1)
+        rows = np.array([[-0.3], [0.1], [0.45]])
+        got = sup_inf_map(f, self.p, self.spec).eval_array(rows)
+        assert got.shape == (3, 1)
+        for m, row in enumerate(rows):
+            assert got[m, 0].hex() == self.alone(f, 0, row).hex()
+
+    def test_rows_and_components(self, small_search):
+        f = AffineMap(np.array([[0.5, -1.0], [2.0, 0.25]]), np.array([0.1, -0.2]))
+        g = sup_inf_map(f, self.p, self.spec)
+        rows = np.array([[0.3, -0.7], [-0.2, 0.4], [0.3, -0.7]])
+        full = g.eval_array(rows)
+        for m, k in np.ndindex(full.shape):
+            assert full[m, k].hex() == self.alone(f, k, rows[m]).hex()
+        for idx in ([1], [1, 0], slice(1, None), slice(None)):
+            assert g.eval_coords(rows, idx).tobytes() == full[:, idx].tobytes()
+        assert g.eval_array(rows[1]).tobytes() == full[1].tobytes()
+        assert g.eval_coords(rows[:0], [0]).shape == (0, 1)
+
+
+# ---------------------------------------------------------------- mollifier
 # ---------------------------------------------------------------- mollifier
 
 
@@ -870,6 +907,45 @@ class TestMollify:
             MollifierParams(n=1, bandwidth=0.0)
         with pytest.raises(DomainError):
             MonteCarloQuadrature(samples=5, batches=10)
+
+
+class TestMollifiedMap:
+    # a batch through MollifiedMap is bitwise the per-point mollify, in
+    # one row block or several, and eval_coords selects after the sum
+    @staticmethod
+    def inner(kind, dim):
+        if kind == "shifted":
+            return ShiftedMap(ProportionalMap(1.0, 0, dim), 2)
+        if kind == "affine":
+            return AffineMap(np.eye(dim) + 0.5, np.full(dim, 0.3))
+        return TabulatedMap(np.array([-1.0, 0.0, 1.0, 2.0]), np.array([0.0, -0.0, -0.05, -0.1]), dim)
+
+    @pytest.mark.parametrize("node_rows", [approx._NODE_ROWS, 1], ids=["one-block", "row-blocks"])
+    @pytest.mark.parametrize("kind", ["shifted", "affine", "table"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batch_matches_points(self, monkeypatch, dim, kind, node_rows):
+        monkeypatch.setattr(approx, "_NODE_ROWS", node_rows)
+        f = self.inner(kind, dim)
+        p = MollifierParams(n=dim, bandwidth=8.0, quadrature=GridQuadrature(33))
+        m = MollifiedMap(f, p)
+        rows = np.random.default_rng(dim).uniform(-2.0, 2.0, (64, dim))
+        rows[::4, 0] = 0.0  # face points, where the shifted column vanishes
+        batch = m.eval_array(rows)
+        points = np.stack([mollify(f, p, StateVec(row)).coords for row in rows])
+        assert batch.tobytes() == points.tobytes()
+        for idx in ([0], [dim - 1], slice(None), list(range(dim))[::-1]):
+            assert m.eval_coords(rows, idx).tobytes() == batch[:, idx].tobytes()
+        if kind == "shifted":
+            assert np.all(batch[::4, 0] == 0.0)
+
+    def test_support_and_settings(self):
+        f = ProportionalMap(1.0, 1, 2)
+        m = MollifiedMap(f, MollifierParams(n=2, bandwidth=8.0))
+        assert m.support.tolist() == [1] and not m.builtin
+        with pytest.raises(ShapeError):
+            MollifiedMap(f, MollifierParams(n=3, bandwidth=8.0))
+        with pytest.raises(DomainError):
+            MollifiedMap(f, MollifierParams(2, 8.0, MonteCarloQuadrature(samples=200)))
 
 
 # ---------------------------------------------------------------- drift correction

@@ -37,6 +37,7 @@ from conespde.coefficients import (
     ProportionalMap,
     RetractedMap,
     SamplerSpec,
+    ShiftedMap,
     SumMap,
     TabulatedMap,
     Witness,
@@ -52,6 +53,7 @@ from conespde.coefficients import (
     sample_cone_points,
 )
 from conespde.config import ExperimentConfig, preset_document
+from conespde.space import phi_eps
 
 SMALL = SamplerSpec(points_per_face=8, interior_points=8, seed=1)
 
@@ -175,6 +177,12 @@ BATCH_CASES = {
     "projected_constant": (ProjectedMap(ConstantMap(np.array([1.0, 2.0, 3.0])), 1), True),
     "projected_table": (ProjectedMap(_TABLE, 1), False),
     "retracted": (RetractedMap(_AFFINE, 5.0), False),
+    # the level-2 shift moves coordinates 0 and 1 toward 0 by 1/4 and
+    # zeroes coordinate 2; eps 0.5 moves the gate edges 6 and 7 to 5.5
+    # and 6.5, so rows 3 and 4 open the gate and row 2 does not
+    "shifted": (ShiftedMap(_AFFINE, 2), True),
+    "shifted_gated": (ShiftedMap(_GATED, 3, eps=0.5), True),
+    "shifted_table": (ShiftedMap(_TABLE, 1), False),
     "callable_statevec": (CallableMap(lambda h: 2.0 * h, 3), False),
     "callable_array": (CallableMap(lambda h: np.sin(h.coords) - h.coords[1], 3), False),
     # mean reversion gives -0.0 at coordinate 1 of row 1, where the
@@ -192,6 +200,7 @@ SUPPORTS = {
     "projected_affine": [0, 1],
     "projected_constant": [0],
     "projected_table": [0],
+    "shifted_gated": [0, 2],
     "sum_partial": [0, 2],
 }
 
@@ -228,6 +237,27 @@ def test_retracted_rows_on_any_layout(layout):
     m = RetractedMap(AffineMap(np.eye(40), np.zeros(40)), 5.0)
     rows = np.stack([m.eval_array(row) for row in batch])
     assert m.eval_array(batch).tobytes() == rows.tobytes()
+
+
+def test_shifted_is_the_inner_map_after_the_shift():
+    # ShiftedMap(f, n, eps) at h is f at h with phi_eps applied to the
+    # leading n coordinates and the rest zeroed, bit for bit
+    for name in ("shifted", "shifted_gated", "shifted_table"):
+        m = BATCH_CASES[name][0]
+        eps = 2.0 ** -m.level if m.eps is None else m.eps
+        for row in BATCH:
+            moved = np.zeros(3)
+            moved[: m.level] = phi_eps(row[: m.level], eps)
+            assert m.eval_array(row).tobytes() == m.inner.eval_array(moved).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "level, eps", [(-1, None), (1, -0.5), (1, np.nan), (1, np.inf)],
+    ids=["negative-level", "negative-eps", "nan-eps", "inf-eps"],
+)
+def test_shifted_rejects_bad_settings(level, eps):
+    with pytest.raises(DomainError):
+        ShiftedMap(_AFFINE, level, eps)
 
 
 def _selections(m):
@@ -334,6 +364,8 @@ ROUND_TRIP = [
     SumMap((ZeroMap(3), ConstantMap(np.array([1.0, 0.0, 0.0])))),
     ProjectedMap(ConstantMap(np.array([1.0, 2.0, 3.0])), 1),
     RetractedMap(AffineMap(np.diag([1.0, 2.0, 3.0]), np.zeros(3)), 1.0),
+    ShiftedMap(AffineMap(np.diag([1.0, 2.0, 3.0]), np.zeros(3)), 2),
+    ShiftedMap(TabulatedMap(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 3), 1, eps=0.5),
 ]
 
 

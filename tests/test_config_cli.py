@@ -323,6 +323,49 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             ExperimentConfig.from_dict(doc)
 
+    def test_shifted_drift_loads(self):
+        # the heat-positive drift behind a level-3 dead-zone shift
+        doc = self.base()
+        inner = doc["coefficients"]["drift"]
+        doc["coefficients"]["drift"] = {"family": "shifted", "level": 3, "eps": 0.25,
+                                        "inner": inner}
+        ec = ExperimentConfig.from_dict(doc)
+        assert ec.coeffs.drift.to_config() == {"family": "shifted", "level": 3, "eps": 0.25,
+                                               "inner": ec.coeffs.drift.inner.to_config()}
+        again = ExperimentConfig.from_dict(ec.to_dict())
+        assert again.content_hash() == ec.content_hash()
+
+    @pytest.mark.parametrize(
+        "drift,message",
+        [
+            ({"family": "shifted", "inner": {"family": "zero"}},
+             "coefficients: family 'shifted' config missing key 'level'"),
+            ({"family": "shifted", "level": 2},
+             "coefficients: family 'shifted' config missing key 'inner'"),
+            ({"family": "shifted", "level": -1, "inner": {"family": "zero"}},
+             "coefficients: shift level must be >= 0, got -1"),
+            ({"family": "shifted", "level": 2.5, "inner": {"family": "zero"}},
+             "coefficients: shifted.level: must be an integer, got 2.5"),
+            ({"family": "shifted", "level": 2, "eps": True, "inner": {"family": "zero"}},
+             "coefficients: shifted.eps: must be a number, got True"),
+            ({"family": "shifted", "level": 2, "eps": -0.5, "inner": {"family": "zero"}},
+             "coefficients: shift eps must be finite and >= 0, got -0.5"),
+        ],
+        ids=["missing-level", "missing-inner", "negative-level", "fractional-level",
+             "boolean-eps", "negative-eps"],
+    )
+    def test_shifted_config_errors(self, tmp_path, drift, message):
+        doc = self.base()
+        doc["coefficients"]["drift"] = drift
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(cli, ["check", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 1
+        assert f"error: {message}" in combined_output(res)
+        assert "Traceback" not in combined_output(res)
+
     def test_negative_checker_seed(self):
         doc = self.base()
         doc["checker"] = {"seed": -1}

@@ -2,7 +2,8 @@
 every private module-level name is used somewhere in the package, every
 public function, class and method is referred to somewhere in the
 package, its tests or the benchmark, every function reads each of its
-parameters, and every JSON dump refuses NaN.
+parameters, every JSON dump refuses NaN, and no module builds a
+``CallableMap``.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code rules.
 The package ``__init__`` exists to re-export, so it is exempt from the
@@ -105,6 +106,40 @@ def test_checker_sees_an_unchecked_use():
 def test_unchecked_state_stays_in_approx(path):
     lines = unchecked_uses(ast.parse(path.read_text()))
     assert not lines, f"{path.name} uses StateVec.{UNCHECKED} on lines {lines}"
+
+
+# ``CallableMap`` runs user code one state at a time.  It is left for
+# code outside the package: every operator the package composes with a
+# map is a map family that evaluates a whole batch per call, so no
+# module may build one.
+CALLABLE_MAP = "CallableMap"
+
+
+def callable_map_calls(tree: ast.Module) -> list[int]:
+    """Lines calling ``CallableMap(...)``, bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == CALLABLE_MAP)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == CALLABLE_MAP)
+        )
+    )
+
+
+def test_checker_sees_a_callable_map_call():
+    tree = ast.parse(
+        "m = CallableMap(f, 2)\nn = coefficients.CallableMap(g, 3)\n"
+        "class CallableMap:\n    pass\nx = isinstance(m, CallableMap)\n"
+    )
+    assert callable_map_calls(tree) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_callable_map_in_the_package(path):
+    lines = callable_map_calls(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} calls {CALLABLE_MAP} on lines {lines}"
 
 
 # A private module-level helper that no module of the package refers to
