@@ -44,8 +44,6 @@ from .space import (
     StateVec,
     cone_contains,
     cone_distance,
-    cone_leq,
-    cone_nearest,
     retract,
 )
 

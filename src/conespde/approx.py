@@ -10,23 +10,20 @@ alone.
 * ``h -> f(Phi_n h)``, ``h -> P_n f(h)`` and ``h -> f(R_n h)`` are the
   families ``ShiftedMap``, ``ProjectedMap`` and ``RetractedMap`` of
   ``coefficients``.  The dead-zone shift ``Phi_n`` itself is the batch
-  function ``space.shift`` (``boundary_shift`` on one ``StateVec``),
-  built on the scalar soft threshold ``space.phi_eps``.
+  function ``space.shift``, built on the scalar soft threshold
+  ``space.phi_eps``.
 * ``sup_inf_map``: the componentwise sup-inf (Lasry-Lions) envelope of
   a map, differentiable with a gradient Lipschitz constant at most
   ``max(1/lam, 1/mu)``.  One evaluation is one ``sup_inf_convolve``
   whose lanes are every (row, component) pair.
 * ``MollifiedMap``: the average of a map against a smooth compactly
   supported bump of radius ``1/bandwidth``, on tensor Gauss-Legendre
-  nodes.  ``mollify`` evaluates it at one state, and
-  ``mollify_with_error`` also by Monte Carlo, with a standard error.
+  nodes.  ``mollify`` evaluates it at one state.
 
 Beside the map families: ``inf_convolve``, ``sup_convolve`` and
-``sup_inf_convolve`` are the quadratic envelopes of a scalar target;
-``truncate_noise`` keeps the leading volatility columns;
-``stratonovich_correction`` is the noise-induced drift
-``(1/2) sum_j D vol_j(h) vol_j(h)`` by symmetric differencing; and
-``lipschitz_probe`` is a sampled lower bound on a Lipschitz constant.
+``sup_inf_convolve`` are the quadratic envelopes of a scalar target,
+and ``stratonovich_correction`` is the noise-induced drift
+``(1/2) sum_j D vol_j(h) vol_j(h)`` by symmetric differencing.
 
 Envelope values are computed by a coarse grid plus golden-section
 refinement, one coordinate at a time; an optimum landing on the search
@@ -63,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coefficients import CoefficientMap, CoefficientSet, ZeroMap
+from .coefficients import CoefficientMap, CoefficientSet
 from .errors import (
     ConfigError,
     DomainError,
@@ -72,13 +69,9 @@ from .errors import (
     ShapeError,
     UnsupportedDimensionError,
 )
-from .space import StateVec, phi_eps, shift
+from .space import StateVec
 
 __all__ = [
-    "phi_eps",  # defined in space, beside shift; re-exported here
-    "boundary_shift",
-    "boundary_shift_radius",
-    "truncate_noise",
     "SupInfParams",
     "SearchSpec",
     "inf_convolve",
@@ -86,52 +79,12 @@ __all__ = [
     "sup_inf_convolve",
     "sup_inf_map",
     "GridQuadrature",
-    "MonteCarloQuadrature",
     "MollifierParams",
     "MollifiedMap",
     "bump",
     "mollify",
-    "mollify_with_error",
     "stratonovich_correction",
-    "BallSpec",
-    "lipschitz_probe",
 ]
-
-
-def boundary_shift(h: StateVec, n: int, eps: float | None = None) -> StateVec:
-    """The dead-zone map ``Phi_n`` (``space.shift``) of one state.
-
-    The composition ``f(boundary_shift(.))`` of a boundary-parallel
-    ``f`` is parallel on a whole ball around each face point (radius
-    ``boundary_shift_radius(n)``); as a map family it is
-    ``coefficients.ShiftedMap``.
-    """
-    return StateVec(shift(h.coords, n, eps))
-
-
-def boundary_shift_radius(n: int) -> float:
-    """Localization radius ``2^-n / L`` of the level-``n`` shift, ``L = 2``.
-
-    The coordinate basis is orthonormal, so the coordinatewise Lipschitz
-    bound is 1; the factor ``L = 2`` also covers the norms of the
-    boundary functionals.
-    """
-    return 2.0 ** (-n) / 2.0
-
-
-def truncate_noise(coeffs: CoefficientSet, n: int) -> CoefficientSet:
-    """Keep the first ``n`` volatility columns, zero the rest.
-
-    The truncation never increases the Hilbert-Schmidt norm at any
-    point.  Drift and jumps pass through unchanged.
-    """
-    J = len(coeffs.vol_columns)
-    if not 0 <= n <= J:
-        raise DomainError(f"column count must be in 0..{J}, got {n}")
-    cols = tuple(
-        col if j < n else ZeroMap(coeffs.dim) for j, col in enumerate(coeffs.vol_columns)
-    )
-    return CoefficientSet(coeffs.drift, cols, coeffs.jump_atoms)
 
 
 # --------------------------------------------------------------------------
@@ -552,23 +505,6 @@ class GridQuadrature:
 
 
 @dataclass(frozen=True)
-class MonteCarloQuadrature:
-    """Uniform Monte Carlo over the support cube, any dimension.
-
-    The estimate is the bump-weighted ratio mean; its standard error is
-    reported from ``batches`` batch means.
-    """
-
-    samples: int = 20000
-    seed: int = 0
-    batches: int = 20
-
-    def __post_init__(self):
-        if self.samples < self.batches or self.batches < 2:
-            raise DomainError("need samples >= batches >= 2")
-
-
-@dataclass(frozen=True)
 class MollifierParams:
     """Smoothing level for ``mollify``.
 
@@ -579,7 +515,7 @@ class MollifierParams:
 
     n: int
     bandwidth: float
-    quadrature: GridQuadrature | MonteCarloQuadrature = GridQuadrature()
+    quadrature: GridQuadrature = GridQuadrature()
 
     def __post_init__(self):
         if self.n < 1:
@@ -594,9 +530,7 @@ class MollifierParams:
 
 def _tensor_nodes(n: int, radius: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     if n > 3:
-        raise UnsupportedDimensionError(
-            f"tensor quadrature capped at dimension 3, got {n}; use MonteCarloQuadrature"
-        )
+        raise UnsupportedDimensionError(f"tensor quadrature capped at dimension 3, got {n}")
     x, w = np.polynomial.legendre.leggauss(points)
     x = x * radius
     w = w * radius
@@ -612,17 +546,12 @@ def _tensor_nodes(n: int, radius: float, points: int) -> tuple[np.ndarray, np.nd
 _NODE_ROWS = 1 << 16
 
 
-def _same_dim(f: CoefficientMap, p: MollifierParams) -> None:
-    if f.dim != p.n:
-        raise ShapeError(f"map dim {f.dim} must equal mollifier dimension {p.n}")
-
-
 @dataclass(frozen=True)
 class MollifiedMap(CoefficientMap):
     """``h -> sum_j c_j f(h - x_j) / sum_j c_j``: ``inner`` averaged
     against the scaled bump on the tensor Gauss-Legendre nodes ``x_j``
     of ``params`` (weights ``c_j`` = quadrature weight times bump); see
-    ``mollify``.  Needs ``GridQuadrature``.
+    ``mollify``.
 
     ``eval_coords`` evaluates the nodes of every row of a batch in one
     ``inner.eval_array`` call (in row blocks of at most ``_NODE_ROWS``
@@ -638,11 +567,10 @@ class MollifiedMap(CoefficientMap):
     dim: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.params.quadrature, GridQuadrature):
-            raise DomainError(
-                "MollifiedMap needs GridQuadrature; mollify_with_error takes Monte Carlo"
+        if self.inner.dim != self.params.n:
+            raise ShapeError(
+                f"map dim {self.inner.dim} must equal mollifier dimension {self.params.n}"
             )
-        _same_dim(self.inner, self.params)
         object.__setattr__(self, "dim", self.inner.dim)
 
     @cached_property
@@ -670,50 +598,22 @@ class MollifiedMap(CoefficientMap):
         return out.reshape(a.shape)[..., idx]
 
 
-def mollify_with_error(f: CoefficientMap, p: MollifierParams, h: StateVec):
-    """``mollify`` together with the Monte Carlo standard error per
-    coordinate (``None`` for grid quadrature, which is ``MollifiedMap``
-    at ``h``)."""
-    if isinstance(p.quadrature, GridQuadrature):
-        return StateVec(MollifiedMap(f, p).eval_array(h.coords)), None
-    _same_dim(f, p)
-    r = p.support_radius
-    q = p.quadrature
-    rng = np.random.default_rng(np.random.SeedSequence(q.seed))
-    pts = rng.uniform(-r, r, size=(q.samples, p.n))
-    phi = bump(p.bandwidth * np.linalg.norm(pts, axis=1))
-    vals = f.eval_array(h.coords - pts)
-    per_batch = q.samples // q.batches
-    batch_est = []
-    for bi in range(q.batches):
-        sl = slice(bi * per_batch, (bi + 1) * per_batch)
-        z = np.sum(phi[sl])
-        if z <= 0:
-            raise NumericError("bump weights vanished in a Monte Carlo batch")
-        batch_est.append((phi[sl, None] * vals[sl]).sum(axis=0) / z)
-    batch_est = np.stack(batch_est)
-    value = batch_est.mean(axis=0)
-    se = batch_est.std(axis=0, ddof=1) / math.sqrt(q.batches)
-    return StateVec(value), se
-
-
 def mollify(f: CoefficientMap, p: MollifierParams, h: StateVec) -> StateVec:
     """Average ``f`` against the scaled bump around ``h``.
 
     The bump weights are divided by their own sum over the quadrature
-    nodes (per batch for Monte Carlo), so constants are reproduced
+    nodes, so constants are reproduced
     exactly and, by node symmetry, so are affine maps.  Values only
     depend on ``f`` within ``p.support_radius`` of ``h``, which is what
     preserves local boundary-parallelism: if ``f`` is parallel on an
     ``eps`` ball and ``bandwidth >= 2 / eps``, the mollified map is
     parallel on the ``eps / 2`` ball.
     """
-    value, _ = mollify_with_error(f, p, h)
-    return value
+    return StateVec(MollifiedMap(f, p).eval_array(h.coords))
 
 
 # --------------------------------------------------------------------------
-# Noise-induced drift and probes
+# Noise-induced drift
 
 
 def _column_derivative(col: CoefficientMap, h: np.ndarray, delta: float, v: np.ndarray) -> np.ndarray:
@@ -755,61 +655,3 @@ def stratonovich_correction(
         extrap = (4.0 * d2 - d1) / 3.0
         total += wj * extrap
     return StateVec(0.5 * total)
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    """Sampling ball for probes: ``radius`` around ``center`` (origin
-    when omitted) in dimension ``dim``."""
-
-    dim: int
-    radius: float
-    center: StateVec | None = None
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise DomainError(f"radius must be finite and > 0, got {self.radius}")
-        if self.center is not None and self.center.dim != self.dim:
-            raise ShapeError("center dimension mismatch")
-
-
-def lipschitz_probe(
-    f, pairs: int, domain: BallSpec, seed: int = 0
-) -> float:
-    """Largest sampled difference quotient of ``f`` over random pairs.
-
-    A lower bound on the true Lipschitz constant, reported as such.
-    ``f`` may return vectors (norm quotient) or scalars (absolute
-    quotient).  Deterministic for a fixed seed; near-coincident pairs
-    are skipped.
-    """
-    if pairs < 1:
-        raise DomainError("pairs must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    center = np.zeros(domain.dim) if domain.center is None else domain.center.coords
-
-    def draw() -> np.ndarray:
-        z = rng.standard_normal(domain.dim)
-        z /= max(float(np.linalg.norm(z)), 1e-300)
-        u = rng.uniform() ** (1.0 / domain.dim)
-        return center + domain.radius * u * z
-
-    def value(x: np.ndarray):
-        out = f(StateVec(x))
-        if isinstance(out, StateVec):
-            return out.coords
-        return out
-
-    best = 0.0
-    for _ in range(pairs):
-        x, y = draw(), draw()
-        gap = float(np.linalg.norm(x - y))
-        if gap < 1e-12 * domain.radius:
-            continue
-        fx, fy = value(x), value(y)
-        diff = fx - fy
-        num = float(np.linalg.norm(diff)) if np.ndim(diff) else abs(float(diff))
-        best = max(best, num / gap)
-    return best

@@ -64,7 +64,7 @@ from .errors import (
     read_floats,
     read_int,
 )
-from .space import ConeSpec, StateVec, cone_contains, retract, shift
+from .space import ConeSpec, StateVec, retract, shift
 
 __all__ = [
     "CoefficientMap",
@@ -87,7 +87,6 @@ __all__ = [
     "ConditionReport",
     "sample_boundary_pairs",
     "sample_cone_points",
-    "drift_margin",
     "check_jump_condition",
     "check_drift_condition",
     "check_volatility_condition",
@@ -685,14 +684,6 @@ class CoefficientSet:
     def jump_weights(self) -> np.ndarray:
         return np.array([w for w, _ in self.jump_atoms], dtype=np.float64)
 
-    def hs_norm(self, h: StateVec) -> float:
-        """Hilbert-Schmidt norm of the volatility at ``h``:
-        ``sqrt(sum_j ||vol_j(h)||^2)``."""
-        total = 0.0
-        for col in self.vol_columns:
-            total += float(np.sum(col.eval_array(h.coords) ** 2))
-        return float(np.sqrt(total))
-
     def uses_only_builtin_maps(self) -> bool:
         """True when every map belongs to a built-in closed-form family."""
         maps = (self.drift, *self.vol_columns, *(g for _, g in self.jump_atoms))
@@ -991,37 +982,6 @@ def _margin_block(coeffs: CoefficientSet, theta: int, k: int, H: np.ndarray) -> 
         gamma = _finite(g.eval_coords(H, [k])[:, 0], DRIFT, f"jump atom {i}", k)
         comp_k += w * theta * gamma
     return _finite(drift_k - comp_k, DRIFT, "drift minus jump compensator", k)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def drift_margin(coeffs: CoefficientSet, cone: ConeSpec, theta: int, k: int, h: StateVec) -> float:
-    """Inward margin at the boundary pair ``(theta e_k*, h)``.
-
-    For a diagonal semigroup and a coordinate cone the pair is
-    admissible exactly when ``theta e_k*`` generates the cone, ``h`` lies
-    in the cone and ``h_k = 0``; its boundary value ``a`` is then 0.
-
-    Raises
-    ------
-    ConfigError
-        If the functional does not generate the cone.
-    DomainError
-        If ``h`` is outside the cone.
-    SamplerContractError
-        If ``h_k != 0``, so the pair is not admissible.
-    ShapeError
-        If the coefficients and the cone disagree on the dimension.
-    """
-    _resolve_tol(coeffs, cone, None)  # for its dimension check
-    if not (theta in (-1, 1) and 0 <= k < cone.dim and cone.signs[k] == theta):
-        raise ConfigError(f"functional ({theta}, {k}) does not generate the cone")
-    if not cone_contains(cone, h, 0.0):
-        raise DomainError("boundary test requires a point inside the cone")
-    if h.coords[k] != 0.0:
-        raise SamplerContractError(
-            f"pair (theta={theta}, k={k}) with h_k={h.coords[k]} is not an admissible boundary pair"
-        )
-    return float(_margin_block(coeffs, theta, k, h.coords[None, :])[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")

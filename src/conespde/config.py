@@ -361,9 +361,6 @@ class ExperimentConfig:
             ) from exc
         return cls.from_dict(doc)
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(canonical_json(self.to_dict()) + "\n")
-
 
 def canonical_json(doc: dict) -> str:
     """Deterministic serialization: sorted keys, minimal separators."""

@@ -23,8 +23,9 @@ class ShapeError(ConeSpdeError, ValueError):
 class DomainError(ConeSpdeError, ValueError):
     """Argument outside the mathematical domain of an operation.
 
-    Examples: negative time for a forward semigroup, resolvent parameter
-    at or below the growth bound, sign entry outside {-1, 0, +1}.
+    Examples: negative time for a forward semigroup, a retraction
+    radius that is not finite and positive, sign entry outside
+    {-1, 0, +1}.
     """
 
 
@@ -81,12 +82,12 @@ def read_bool(path: str, value) -> bool:
 
 
 def read_float(path: str, value) -> float:
-    """A config number, converted by ``float()``, whose ``ValueError``
-    reports a string it cannot read; booleans, other strings and values
+    """A config number as a float; anything that is not a real number
+    (booleans, strings, ``null``, lists and objects included) and values
     that convert to NaN or an infinity raise ``ConfigError``."""
-    x = float(value)
-    if isinstance(value, (bool, str)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{path}: must be a number, got {value!r}")
+    x = float(value)
     if not math.isfinite(x):
         raise ConfigError(f"{path}: must be finite, got {x!r}")
     return x

@@ -1,11 +1,8 @@
 """Diagonal strongly continuous semigroups on the coordinate basis.
 
 The generator acts coordinatewise, ``(A h)_k = -c_k h_k``, so the
-semigroup is ``(S_t h)_k = exp(-c_k t) h_k`` and every related quantity
-has a closed form: the growth bound is ``beta = max(0, -min_k c_k)``,
-the resolvent divides coordinates by ``lam + c_k``, and the Laplace
-transform identity ``R_lam h = integral of exp(-lam t) S_t h dt`` holds
-for ``lam > beta``.
+semigroup is ``(S_t h)_k = exp(-c_k t) h_k`` in closed form, with
+growth bound ``max(0, -min_k c_k)``.
 
 The boundary pairing studied here is the quotient
 
@@ -37,8 +34,7 @@ class DiagonalSemigroup:
     ----------
     rates : array_like
         Finite decay rates ``c_k``.  Positive rates contract the
-        coordinate, negative rates expand it (and raise the growth
-        bound ``beta`` accordingly).
+        coordinate, negative rates expand it.
     """
 
     rates: np.ndarray
@@ -56,11 +52,6 @@ class DiagonalSemigroup:
     @property
     def dim(self) -> int:
         return self.rates.shape[0]
-
-    @property
-    def beta(self) -> float:
-        """Growth bound: ``||S_t|| <= exp(beta t)`` with this beta."""
-        return float(max(0.0, -np.min(self.rates)))
 
     @classmethod
     def heat(cls, dim: int) -> "DiagonalSemigroup":
@@ -83,24 +74,6 @@ class DiagonalSemigroup:
         """Evaluate ``S_t h``."""
         self._check_dim(h)
         return StateVec(self.multipliers(t) * h.coords)
-
-    def generator_apply(self, h: StateVec) -> StateVec:
-        """Evaluate ``A h = (-c_k h_k)``; every vector is in the domain here."""
-        self._check_dim(h)
-        return StateVec(-self.rates * h.coords)
-
-    def resolvent(self, lam: float, h: StateVec) -> StateVec:
-        """Resolvent ``(lam - A)^{-1} h`` in closed form.
-
-        Requires ``lam > beta`` so that every ``lam + c_k`` is positive
-        and the Laplace-transform representation converges.
-        """
-        self._check_dim(h)
-        if not lam > self.beta:
-            raise DomainError(
-                f"resolvent parameter must exceed the growth bound {self.beta}, got {lam}"
-            )
-        return StateVec(h.coords / (lam + self.rates))
 
     def to_config(self) -> dict:
         return {"rates": [float(c) for c in self.rates]}

@@ -154,16 +154,6 @@ class PathEnsemble:
     def exited(self) -> np.ndarray:
         return self.first_exit >= 0
 
-    @property
-    def exit_fraction(self) -> float:
-        return float(np.mean(self.exited))
-
-    def exit_times(self) -> np.ndarray:
-        """Exit step scaled to time; NaN where the path never exited."""
-        t = self.first_exit.astype(np.float64) * self.dt
-        t[self.first_exit < 0] = np.nan
-        return t
-
 
 def _path_stream(master_seed: int, p: int):
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(p,))

@@ -43,8 +43,6 @@ __all__ = [
     "shift",
     "cone_contains",
     "cone_distance",
-    "cone_leq",
-    "cone_nearest",
 ]
 
 
@@ -259,21 +257,6 @@ def cone_contains(cone: ConeSpec, h: StateVec, tol: float = 0.0) -> bool:
     return bool(np.all(margins >= -tol))
 
 
-def cone_nearest(cone: ConeSpec, h: StateVec) -> StateVec:
-    """Metric projection of ``h`` onto the cone.
-
-    Coordinates violating their sign constraint are clipped to zero;
-    all others pass through.  For coordinate cones this pointwise clip
-    is the unique nearest point.
-    """
-    cone._check_dim(h)
-    out = h.coords.copy()
-    idx = cone.constrained
-    bad = cone.signs[idx] * out[idx] < 0.0
-    out[idx[bad]] = 0.0
-    return StateVec(out)
-
-
 def cone_distance(cone: ConeSpec, h: StateVec) -> float:
     """Distance from ``h`` to the cone.
 
@@ -288,8 +271,3 @@ def cone_distance(cone: ConeSpec, h: StateVec) -> float:
     vals = h.coords[idx]
     bad = cone.signs[idx] * vals < 0.0
     return float(np.sqrt(np.sum(vals[bad] ** 2)))
-
-
-def cone_leq(cone: ConeSpec, g: StateVec, h: StateVec) -> bool:
-    """Partial order induced by the cone: ``g <= h`` iff ``h - g in K``."""
-    return cone_contains(cone, h - g, 0.0)

@@ -15,7 +15,6 @@ from conespde.approx import (
     SearchSpec,
     SupInfParams,
     inf_convolve,
-    phi_eps,
     stratonovich_correction,
     sup_inf_convolve,
 )
@@ -31,6 +30,7 @@ from conespde.coefficients import (
 )
 from conespde.config import ExperimentConfig, preset_document
 from conespde.simulate import run_ensemble, ssnc_estimate, stability_experiment
+from conespde.space import phi_eps
 
 from click.testing import CliRunner
 

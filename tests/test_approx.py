@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conespde import (
@@ -26,26 +26,18 @@ from conespde import approx
 from conespde.approx import (
     GRID_POINTS,
     REFINE_ITERS,
-    BallSpec,
     GridQuadrature,
     MollifiedMap,
     MollifierParams,
-    MonteCarloQuadrature,
     SearchSpec,
     SupInfParams,
-    boundary_shift,
-    boundary_shift_radius,
     bump,
     inf_convolve,
-    lipschitz_probe,
     mollify,
-    mollify_with_error,
-    phi_eps,
     stratonovich_correction,
     sup_convolve,
     sup_inf_convolve,
     sup_inf_map,
-    truncate_noise,
 )
 from conespde.coefficients import (
     AffineMap,
@@ -59,6 +51,7 @@ from conespde.coefficients import (
     TabulatedMap,
     ZeroMap,
 )
+from conespde.space import phi_eps, shift
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -116,57 +109,48 @@ class TestPhiEps:
 
 class TestBoundaryShift:
     def test_frozen_example(self):
-        h = StateVec(np.array([0.05, 3.0, -1.0, 0.2]))
-        out = boundary_shift(h, 3)
-        np.testing.assert_allclose(out.coords, [0.0, 2.875, -0.875, 0.0])
+        out = shift(np.array([0.05, 3.0, -1.0, 0.2]), 3)
+        np.testing.assert_allclose(out, [0.0, 2.875, -0.875, 0.0])
 
     def test_explicit_eps_overrides_default(self):
-        h = StateVec(np.array([0.3, 0.3]))
-        out = boundary_shift(h, 2, eps=0.25)
-        np.testing.assert_allclose(out.coords, [0.05, 0.05])
+        out = shift(np.array([0.3, 0.3]), 2, eps=0.25)
+        np.testing.assert_allclose(out, [0.05, 0.05])
 
     def test_tail_zeroed(self):
-        h = StateVec(np.linspace(1.0, 6.0, 6))
-        out = boundary_shift(h, 2)
-        assert np.all(out.coords[2:] == 0.0)
+        out = shift(np.linspace(1.0, 6.0, 6), 2)
+        assert np.all(out[2:] == 0.0)
 
     def test_level_beyond_dim(self):
-        h = StateVec(np.array([1.0, -1.0]))
-        out = boundary_shift(h, 5)
-        np.testing.assert_allclose(out.coords, phi_eps(h.coords, 2.0**-5))
+        h = np.array([1.0, -1.0])
+        np.testing.assert_allclose(shift(h, 5), phi_eps(h, 2.0**-5))
 
     def test_stays_in_sign_cone(self):
         # moving each coordinate toward zero never leaves a sign cone
         K = ConeSpec(np.array([1, -1, 1, -1]))
         rng = np.random.default_rng(3)
         for _ in range(50):
-            h = StateVec(K.signs * np.abs(rng.normal(size=4)))
-            assert cone_contains(K, boundary_shift(h, 3), 0.0)
+            h = K.signs * np.abs(rng.normal(size=4))
+            assert cone_contains(K, StateVec(shift(h, 3)), 0.0)
 
     def test_distance_budget(self):
         # per-head displacement <= eps = 2^-n, plus the discarded tail
         rng = np.random.default_rng(4)
         for n in (1, 3, 6):
-            h = StateVec(np.abs(rng.normal(size=8)))
-            out = boundary_shift(h, n)
-            tail = np.linalg.norm(h.coords[n:])
+            h = np.abs(rng.normal(size=8))
+            tail = np.linalg.norm(h[n:])
             budget = math.sqrt(n) * 2.0**-n + tail
-            assert np.linalg.norm(out.coords - h.coords) <= budget + 1e-12
+            assert np.linalg.norm(shift(h, n) - h) <= budget + 1e-12
 
     def test_flattens_face_neighborhood(self):
         # every state within the dead zone of a face lands exactly on it
         n = 4
         eps = 2.0**-n
-        base = StateVec(np.array([0.0, 1.0, 2.0, 3.0]))
-        nudged = StateVec(base.coords + np.array([0.9 * eps, 0.0, 0.0, 0.0]))
-        assert boundary_shift(nudged, n).coords[0] == 0.0
+        nudged = np.array([0.9 * eps, 1.0, 2.0, 3.0])
+        assert shift(nudged, n)[0] == 0.0
 
     def test_level_nonnegative(self):
         with pytest.raises(DomainError):
-            boundary_shift(StateVec(np.ones(2)), -1)
-
-    def test_localization_constants(self):
-        assert boundary_shift_radius(3) == pytest.approx(2.0**-3 / 2.0)
+            shift(np.ones(2), -1)
 
 
 # ---------------------------------------------------------------- composed maps
@@ -204,44 +188,10 @@ class TestComposeRetraction:
         out = g.eval_array(np.array([30.0, 40.0]))
         np.testing.assert_allclose(out, [0.6, 0.8])
 
-    def test_probe_sees_bounded_constant(self):
-        f = AffineMap(2.0 * np.eye(3), np.zeros(3))
-        g = RetractedMap(f, 1.0)
-        est = lipschitz_probe(g, pairs=200, domain=BallSpec(3, 5.0), seed=0)
-        assert est <= 2.0 + 1e-9
-
     @pytest.mark.parametrize("n", [np.nan, np.inf, 0.0, -1.0])
     def test_radius_must_be_finite_and_positive(self, n):
         with pytest.raises(DomainError, match="radius"):
             RetractedMap(AffineMap(np.eye(2), np.zeros(2)), n)
-
-
-class TestTruncateNoise:
-    def test_column_count_preserved(self, compliant_coeffs):
-        cut = truncate_noise(compliant_coeffs, 3)
-        assert len(cut.vol_columns) == len(compliant_coeffs.vol_columns)
-
-    def test_prefix_kept_tail_zeroed(self, compliant_coeffs):
-        cut = truncate_noise(compliant_coeffs, 3)
-        h = np.full(16, 2.0)
-        for j, col in enumerate(cut.vol_columns):
-            if j < 3:
-                np.testing.assert_array_equal(
-                    col.eval_array(h), compliant_coeffs.vol_columns[j].eval_array(h)
-                )
-            else:
-                assert np.all(col.eval_array(h) == 0.0)
-
-    def test_hs_norm_monotone(self, compliant_coeffs):
-        h = StateVec(np.linspace(0.5, 2.0, 16))
-        norms = [truncate_noise(compliant_coeffs, n).hs_norm(h) for n in range(9)]
-        assert all(a <= b + 1e-15 for a, b in zip(norms, norms[1:]))
-
-    def test_range_checked(self, compliant_coeffs):
-        with pytest.raises(DomainError):
-            truncate_noise(compliant_coeffs, 9)
-        with pytest.raises(DomainError):
-            truncate_noise(compliant_coeffs, -1)
 
 
 # ---------------------------------------------------------------- envelopes
@@ -451,13 +401,12 @@ class TestEnvelopeInputs:
         ("mu", lambda: sup_convolve(ABS, math.nan, StateVec(np.zeros(1)), SearchSpec(radius=1.0))),
         ("lam", lambda: SupInfParams(lam=math.inf, mu=1e-3)),
         ("bandwidth", lambda: MollifierParams(n=1, bandwidth=math.nan)),
-        ("radius", lambda: BallSpec(1, math.nan)),
         ("fd_step", lambda: stratonovich_correction(
             CoefficientSet(ZeroMap(1), (ZeroMap(1),)), StateVec(np.zeros(1)), fd_step=math.nan
         )),
     ],
     ids=["phi-eps-nan", "phi-eps-inf", "inf-lam-nan", "sup-mu-nan", "supinf-lam-inf",
-         "mollifier-bandwidth-nan", "ball-radius-nan", "stratonovich-fd-step-nan"],
+         "mollifier-bandwidth-nan", "stratonovich-fd-step-nan"],
 )
 def test_non_finite_parameter_rejected(name, call):
     with pytest.raises(DomainError, match=name):
@@ -859,24 +808,10 @@ class TestMollify:
                 mollify(f, p, h).coords, f.eval_array(h.coords), atol=1e-6
             )
 
-    def test_monte_carlo_agrees_with_grid(self):
-        f = CallableMap(lambda h: np.array([math.sin(h.coords[0])]), 1)
-        h = StateVec(np.array([0.4]))
-        grid_val = mollify(f, MollifierParams(1, 8.0), h)
-        mc = MollifierParams(1, 8.0, MonteCarloQuadrature(samples=20000, seed=2))
-        mc_val, se = mollify_with_error(f, mc, h)
-        assert se is not None
-        assert abs(mc_val.coords[0] - grid_val.coords[0]) <= 5 * se[0] + 1e-6
-
     def test_grid_dimension_cap(self):
         p = MollifierParams(n=4, bandwidth=8.0)
         with pytest.raises(UnsupportedDimensionError):
             mollify(ZeroMap(4), p, StateVec(np.zeros(4)))
-
-    def test_monte_carlo_lifts_cap(self):
-        p = MollifierParams(4, 8.0, MonteCarloQuadrature(samples=2000, seed=0))
-        out = mollify(ConstantMap(np.full(4, 3.0)), p, StateVec(np.zeros(4)))
-        np.testing.assert_allclose(out.coords, 3.0, atol=1e-9)
 
     def test_dim_agreement(self):
         with pytest.raises(ShapeError):
@@ -905,8 +840,6 @@ class TestMollify:
             MollifierParams(n=0, bandwidth=8.0)
         with pytest.raises(DomainError):
             MollifierParams(n=1, bandwidth=0.0)
-        with pytest.raises(DomainError):
-            MonteCarloQuadrature(samples=5, batches=10)
 
 
 class TestMollifiedMap:
@@ -944,8 +877,6 @@ class TestMollifiedMap:
         assert m.support.tolist() == [1] and not m.builtin
         with pytest.raises(ShapeError):
             MollifiedMap(f, MollifierParams(n=3, bandwidth=8.0))
-        with pytest.raises(DomainError):
-            MollifiedMap(f, MollifierParams(2, 8.0, MonteCarloQuadrature(samples=200)))
 
 
 # ---------------------------------------------------------------- drift correction
@@ -989,34 +920,3 @@ class TestStratonovich:
     def test_step_positive(self, compliant_coeffs):
         with pytest.raises(DomainError):
             stratonovich_correction(compliant_coeffs, StateVec(np.zeros(16)), fd_step=0.0)
-
-
-class TestLipschitzProbe:
-    def test_identity(self):
-        f = AffineMap(np.eye(3), np.zeros(3))
-        est = lipschitz_probe(f, pairs=100, domain=BallSpec(3, 2.0), seed=0)
-        assert est == pytest.approx(1.0, rel=1e-12)
-
-    def test_scaling(self):
-        f = AffineMap(2.0 * np.eye(3), np.zeros(3))
-        est = lipschitz_probe(f, pairs=100, domain=BallSpec(3, 2.0), seed=0)
-        assert est == pytest.approx(2.0, rel=1e-9)
-
-    def test_scalar_targets_allowed(self):
-        est = lipschitz_probe(
-            lambda v: 3.0 * float(v.coords[0]), pairs=200, domain=BallSpec(1, 1.0), seed=1
-        )
-        assert est == pytest.approx(3.0, rel=1e-9)
-
-    def test_ball_spec_validation(self):
-        with pytest.raises(DomainError):
-            BallSpec(0, 1.0)
-        with pytest.raises(ShapeError):
-            BallSpec(2, 1.0, center=StateVec(np.zeros(3)))
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_probe_never_exceeds_true_constant(self, seed):
-        f = AffineMap(np.diag([3.0, 1.0]), np.zeros(2))
-        est = lipschitz_probe(f, pairs=50, domain=BallSpec(2, 1.0), seed=seed)
-        assert est <= 3.0 + 1e-9

@@ -46,7 +46,6 @@ from conespde.coefficients import (
     check_jump_condition,
     check_volatility_condition,
     default_tol,
-    drift_margin,
     invariance_verdict,
     map_from_config,
     sample_boundary_pairs,
@@ -412,11 +411,6 @@ class TestCoefficientSet:
         with pytest.raises(DomainError):
             CoefficientSet(ZeroMap(2), (), ((0.0, ZeroMap(2)),))
 
-    def test_hs_norm(self, compliant_coeffs):
-        h = StateVec(np.linspace(1.0, 2.0, 16))
-        want = np.sqrt(sum((0.3 * h.coords[j]) ** 2 for j in range(8)))
-        assert compliant_coeffs.hs_norm(h) == pytest.approx(want, rel=1e-14)
-
     def test_builtin_detection(self, compliant_coeffs):
         assert compliant_coeffs.uses_only_builtin_maps()
         wrapped = CoefficientSet(CallableMap(lambda h: 0.0 * h, 16))
@@ -673,13 +667,8 @@ class TestDriftCondition:
         # kappa b_k - w * 0.1 = 0.5 - 0.02 = 0.48 on every face.
         pairs = list(sample_boundary_pairs(cone16, SMALL))
         theta, k, H = pairs[0]
-        margin = drift_margin(compliant_coeffs, cone16, theta, k, StateVec(H[0]))
-        assert margin == pytest.approx(0.48)
-
-    def test_margin_requires_admissible_pair(self, cone16, compliant_coeffs):
-        h = StateVec(np.full(16, 1.0))
-        with pytest.raises(SamplerContractError):
-            drift_margin(compliant_coeffs, cone16, 1, 0, h)
+        margin = coefficients._margin_block(compliant_coeffs, theta, k, H[:1])
+        assert margin[0] == pytest.approx(0.48)
 
     def test_checker_rejects_off_face_block(self, monkeypatch):
         H = np.array([[0.0, 1.0], [0.5, 1.0]])
@@ -784,8 +773,6 @@ class TestNonFiniteValues:
             check_drift_condition(C, K, SMALL)
         with pytest.raises(NumericError, match=re.escape(message)):
             invariance_verdict(C, K, SMALL)
-        with pytest.raises(NumericError, match=re.escape(message)):
-            drift_margin(C, K, 1, 0, StateVec(np.zeros(3)))
 
 
 class TestVerdict:
@@ -822,9 +809,8 @@ class TestVerdict:
             check_drift_condition,
             check_volatility_condition,
             invariance_verdict,
-            lambda C, K, spec: drift_margin(C, K, 1, 0, StateVec(np.zeros(K.dim))),
         ],
-        ids=["jump", "drift", "vol", "verdict", "drift_margin"],
+        ids=["jump", "drift", "vol", "verdict"],
     )
     def test_checkers_reject_a_set_of_another_dim(self, check):
         # a dim-3 set on a dim-5 cone: no checker may pass it, index past

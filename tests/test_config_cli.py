@@ -191,7 +191,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "section,key,value",
         [
-            ("sim", "dt", "abc"),
             ("checker", "points_per_face", "x"),
             ("coefficients", "vol", 5),
             ("coefficients", "drift", {"family": "constant", "value": "ab"}),
@@ -219,8 +218,13 @@ class TestValidation:
             ("sim.dt", lambda doc: {**doc, "sim": {**doc["sim"], "dt": "nan"}}),
             ("sim.dt", lambda doc: {**doc, "sim": {**doc["sim"], "dt": "-inf"}}),
             ("noise.eigenvalues[0]", lambda doc: {**doc, "noise": {"eigenvalues": ["inf"] * 8}}),
+            ("sim.dt", lambda doc: {**doc, "sim": {**doc["sim"], "dt": "abc"}}),
+            ("sim.dt", lambda doc: {**doc, "sim": {**doc["sim"], "dt": None}}),
+            ("sim.dt", lambda doc: {**doc, "sim": {**doc["sim"], "dt": [1]}}),
+            ("sim.dt", lambda doc: {**doc, "sim": {**doc["sim"], "dt": {}}}),
         ],
-        ids=["preset-list", "dim-bool", "tol-nan", "guard-inf", "dt-nan", "dt-neg-inf", "eig-inf"],
+        ids=["preset-list", "dim-bool", "tol-nan", "guard-inf", "dt-nan", "dt-neg-inf", "eig-inf",
+             "dt-abc", "dt-null", "dt-list", "dt-object"],
     )
     def test_rejected_value_names_field(self, tmp_path, field, edit):
         doc = edit(self.base())
@@ -386,7 +390,7 @@ class TestConfigIO:
     def test_save_load_round_trip(self, tmp_path):
         ec = ExperimentConfig.from_dict(preset_document("heat-positive"))
         p = tmp_path / "cfg.json"
-        ec.save(p)
+        p.write_text(canonical_json(ec.to_dict()) + "\n")
         again = ExperimentConfig.load(p)
         assert again.to_dict() == ec.to_dict()
 

@@ -139,7 +139,7 @@ class TestSchemeExactness:
             np.testing.assert_allclose(row, want, rtol=1e-12)
         # no randomness: every path identical bitwise
         assert np.array_equal(ens.final[0], ens.final[1])
-        assert ens.exit_fraction == 0.0
+        assert not ens.exited.any()
 
     def test_constant_drift_matches_ode(self):
         sg = DiagonalSemigroup(np.array([1.0, 2.0]))
@@ -259,9 +259,8 @@ class TestExitsAndMargins:
     ):
         h0 = StateVec(np.full(16, 1.0))
         ens = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, quick_sim, h0)
-        assert ens.exit_fraction == 0.0
+        assert not ens.exited.any()
         assert np.all(ens.first_exit == -1)
-        assert np.all(np.isnan(ens.exit_times()))
 
     def test_margin_matches_stored_trajectories(
         self, heat16, cone16, badvol_coeffs, flat_noise8
