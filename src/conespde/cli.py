@@ -33,7 +33,7 @@ from .appendix import run_suites
 from .coefficients import invariance_verdict
 from .config import ExperimentConfig, PRESET_NAMES, preset_document
 from .errors import ConeSpdeError, ConfigError
-from .simulate import PathEnsemble, run_ensemble
+from .simulate import PathEnsemble, run_ensemble, run_sweep
 
 # Sweep factors for verify: coarsest to finest multiples of the
 # configured step.  Agreement calls the simulation quiet when every
@@ -223,18 +223,16 @@ def cmd_verify(config_path, preset_name, out_dir, seed, paths, dt) -> int:
     report = invariance_verdict(ec.coeffs, ec.cone, ec.sampler, ec.check_tol)
     _echo_report(report)
 
+    sim = replace(ec.sim, store_trajectories=False)
+    ensembles = run_sweep(ec.coeffs, ec.semigroup, ec.noise, ec.cone, sim, ec.h0, SWEEP_FACTORS)
     sweep = []
     csv_names = []
-    ensembles = []
-    for factor in SWEEP_FACTORS:
-        cfg = replace(ec.sim, dt=ec.sim.dt * factor, store_trajectories=False)
-        ens = run_ensemble(ec.coeffs, ec.semigroup, ec.noise, ec.cone, cfg, ec.h0)
+    for factor, ens in zip(SWEEP_FACTORS, ensembles):
         stats = _exit_stats(ens)
-        sweep.append({"dt": cfg.dt, **stats})
+        sweep.append({"dt": ens.dt, **stats})
         csv_names.append(f"paths_dt{factor}x.csv")
-        ensembles.append(ens)
         click.echo(
-            f"dt {cfg.dt:g}: exit fraction {stats['exit_fraction']:.4f} "
+            f"dt {ens.dt:g}: exit fraction {stats['exit_fraction']:.4f} "
             f"(stderr {stats['stderr']:.4f}), diverged {stats['diverged']}"
         )
 

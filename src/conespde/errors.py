@@ -87,18 +87,30 @@ def read_float(path: str, value) -> float:
     that convert to NaN or an infinity raise ``ConfigError``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{path}: must be a number, got {value!r}")
-    x = float(value)
+    x = _float(path, value)
     if not math.isfinite(x):
         raise ConfigError(f"{path}: must be finite, got {x!r}")
     return x
 
 
+def _float(path: str, value) -> float:
+    """``float(value)``, with an integer too large for a float (JSON
+    allows any number of digits) reported as not finite."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: must be finite, got an integer too large for a float") from None
+
+
 def read_floats(path: str, values) -> np.ndarray:
     """A config list of numbers, or a list of such lists (a matrix), as
-    a float64 array; a boolean or string entry raises ``ConfigError``
-    naming it, as ``read_float`` does for one number."""
+    a float64 array; a boolean or string entry, or an integer too large
+    for a float, raises ``ConfigError`` naming it, as ``read_float`` does
+    for one number."""
     for idx, x in np.ndenumerate(np.asarray(values, dtype=object)):
+        where = "".join(f"[{i}]" for i in idx)
         if isinstance(x, (bool, str)):
-            where = "".join(f"[{i}]" for i in idx)
             raise ConfigError(f"{path}{where}: must be a number, got {x!r}")
+        if isinstance(x, numbers.Integral):
+            _float(f"{path}{where}", x)
     return np.asarray(values, dtype=np.float64)

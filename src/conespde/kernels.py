@@ -11,6 +11,16 @@ with ``decay = exp(-c dt)``, ``sqrt_scale = sqrt(lambda dt)`` and
 ``atom_wdt = w dt``, computed once per run by ``StepPlan.build``.  Every
 coefficient set steps through this one loop.
 
+The loop runs one time block at a time.  ``KernelState.start`` makes a
+chunk's state once, from its initial rows (step 0 is checked against
+the guard and the cone there), and ``step_ensemble(plan, state,
+normals, counts)`` advances it in place through the ``(P, b, J)``
+normals and ``(P, b, M)`` counts of one block: rows, running minima,
+first exits, divergence, the alive and waiting flags, the step offset
+and, when recording, the trajectories.  Nothing in a step depends on
+where a block starts or ends, so stepping the noise of a run whole or
+split into consecutive blocks of any lengths gives the same bytes.
+
 Each map touches only its output ``support``: ``StepPlan.build`` turns
 the support into a slice where it can (the whole row, one coordinate, a
 run of them), or else an index array, and the step adds
@@ -52,7 +62,7 @@ if TYPE_CHECKING:
 BACKEND = "numpy"
 
 _ALL = slice(None)  # every coordinate
-_NOISE_BLOCK = 32  # steps of noise scaled at once
+_NOISE_BLOCK = 32  # steps of a block's noise scaled at once
 
 
 @dataclass(frozen=True)
@@ -130,69 +140,111 @@ def _margins(r: np.ndarray, con, sign_cols: np.ndarray) -> np.ndarray:
     return vals.min(axis=0) + 0.0
 
 
+@dataclass(eq=False)
+class KernelState:
+    """One chunk of paths between two noise blocks: everything the kernel
+    carries from one step to the next.  ``start`` makes it once per
+    chunk, from the initial rows; ``step_ensemble`` advances it in place.
+
+    ``first_exit`` and ``diverged`` hold step indices (0 = the initial
+    state, -1 = never); ``waiting`` marks live paths with no first exit
+    yet.  ``traj``, when given, is filled row ``step`` by row ``step``.
+    """
+
+    r: np.ndarray            # (P, N) current rows
+    runmin: np.ndarray       # (P,)   running minimum margin
+    first_exit: np.ndarray   # (P,)   int64
+    diverged: np.ndarray     # (P,)   int64
+    alive: np.ndarray        # (P,)   bool: not diverged
+    waiting: np.ndarray      # (P,)   bool: alive and not yet exited
+    all_alive: bool
+    any_waiting: bool
+    step: int                # steps taken so far
+    traj: np.ndarray | None  # (P, S+1, N) or None
+    con: object              # constrained coordinates as a row_index
+    sign_cols: np.ndarray    # (K, P) cone signs, one column per path
+    decay: np.ndarray        # (P, N) exp(-c dt), one row per path
+
+    @classmethod
+    def start(cls, plan: StepPlan, r0: np.ndarray, traj: np.ndarray | None = None) -> "KernelState":
+        """The state at step 0: rows ``r0`` (P, N), checked against the
+        guard and the cone as every later step is.  ``traj`` is a
+        (P, S+1, N) array to record the trajectories in, or None."""
+        P, N = r0.shape
+        con_idx = np.flatnonzero(plan.signs != 0.0)
+        con = row_index(con_idx, N)
+        # the per-coordinate constants spelled out per path: a product of
+        # equal shapes is much faster than one that broadcasts a short row
+        sign_cols = np.repeat(plan.signs[con_idx, None], P, axis=1)
+        decay = np.repeat(plan.decay[None, :], P, axis=0)
+
+        r = r0.astype(np.float64).copy()
+        first_exit = np.full(P, -1, dtype=np.int64)
+        diverged = np.full(P, -1, dtype=np.int64)
+        alive = np.ones(P, dtype=bool)
+        if traj is not None:
+            traj[:, 0] = r
+
+        # a row counts as diverged unless its sup norm is within the guard,
+        # so a row holding a NaN diverges too
+        bad0 = ~(np.abs(r).max(axis=1) <= plan.guard)
+        diverged[bad0] = 0
+        alive &= ~bad0
+
+        runmin = np.full(P, np.inf)
+        m0 = _margins(r, con, sign_cols)
+        runmin[alive] = m0[alive]
+        hit0 = alive & (m0 < -plan.exit_tol)
+        first_exit[hit0] = 0
+        # live paths with no first exit yet; once there are none, the exit
+        # test is skipped
+        waiting = alive & ~hit0
+        return cls(
+            r=r,
+            runmin=runmin,
+            first_exit=first_exit,
+            diverged=diverged,
+            alive=alive,
+            waiting=waiting,
+            all_alive=bool(alive.all()),
+            any_waiting=bool(waiting.any()),
+            step=0,
+            traj=traj,
+            con=con,
+            sign_cols=sign_cols,
+            decay=decay,
+        )
+
+
 def step_ensemble(
     plan: StepPlan,
-    r0: np.ndarray,
+    state: KernelState,
     normals: np.ndarray,
     counts: np.ndarray,
-    store: bool = False,
-) -> dict:
-    """Advance an ensemble through every step of the noise arrays.
+) -> None:
+    """Advance ``state`` in place through every step of one noise block.
 
     Parameters
     ----------
-    r0 : (P, N) float64
-        Initial states, one row per path.
-    normals : (P, S, J) float64
-        Standard normal draws per path, step, and noise column.
-    counts : (P, S, M) int64
-        Poisson arrival counts per path, step, and jump atom.
-    store : bool
-        Keep the full trajectories (P, S+1, N).
+    plan : StepPlan
+        The maps and step constants.
+    state : KernelState
+        The chunk's state, ``state.step`` steps in.
+    normals : (P, b, J) float64
+        Standard normal draws per path, step of the block, and noise column.
+    counts : (P, b, M) int64
+        Poisson arrival counts per path, step of the block, and jump atom.
 
-    Returns
-    -------
-    dict with ``final``, ``min_margin``, ``first_exit`` (time index,
-    -1 if none), ``diverged`` (time index, -1 if none), ``traj``.
+    Stepping a run's noise in one block or in any split of it into
+    consecutive blocks gives the same bytes.
     """
-    P, N = r0.shape
-    S = normals.shape[1]
-
-    con_idx = np.flatnonzero(plan.signs != 0.0)
-    con = row_index(con_idx, N)
-    # the per-coordinate constants spelled out per path: a product of
-    # equal shapes is much faster than one that broadcasts a short row
-    sign_cols = np.repeat(plan.signs[con_idx, None], P, axis=1)
-    decay = np.repeat(plan.decay[None, :], P, axis=0)
-
-    r = r0.astype(np.float64).copy()
-    first_exit = np.full(P, -1, dtype=np.int64)
-    diverged = np.full(P, -1, dtype=np.int64)
-    alive = np.ones(P, dtype=bool)
-    traj = np.zeros((P, S + 1, N)) if store else None
-    if store:
-        traj[:, 0] = r
-
-    # a row counts as diverged unless its sup norm is within the guard,
-    # so a row holding a NaN diverges too
-    bad0 = ~(np.abs(r).max(axis=1) <= plan.guard)
-    diverged[bad0] = 0
-    alive &= ~bad0
-
-    runmin = np.full(P, np.inf)
-    m0 = _margins(r, con, sign_cols)
-    runmin[alive] = m0[alive]
-    hit0 = alive & (m0 < -plan.exit_tol)
-    first_exit[hit0] = 0
-    all_alive = bool(alive.all())
-    # live paths with no first exit yet; once there are none, the exit
-    # test is skipped
-    waiting = alive & ~hit0
-    any_waiting = bool(waiting.any())
+    r, runmin, alive, waiting = state.r, state.runmin, state.alive, state.waiting
+    all_alive, any_waiting = state.all_alive, state.any_waiting
+    con, sign_cols, decay = state.con, state.sign_cols, state.decay
 
     maps = (plan.drift, *plan.vols, *plan.atoms)
     full_width = (_ALL,) * len(maps)
-    for s, coefs in enumerate(_step_factors(plan, normals, counts)):
+    for s, coefs in enumerate(_step_factors(plan, normals, counts), start=state.step):
         # the accumulator starts as r: with a zero in it, add at full width
         sups = plan.supports if r.all() else full_width
         acc = r.copy()
@@ -204,7 +256,7 @@ def step_ensemble(
         # initial=0.0 lets an empty chunk through; a NaN fails the test
         if not np.abs(r_new).max(initial=0.0) <= plan.guard:
             newly_div = alive & ~(np.abs(r_new).max(axis=1) <= plan.guard)
-            diverged[newly_div] = s + 1
+            state.diverged[newly_div] = s + 1
             alive &= ~newly_div
             all_alive = bool(alive.all())
             waiting &= alive
@@ -220,16 +272,11 @@ def step_ensemble(
         if any_waiting:
             crossed = waiting & (margin < -plan.exit_tol)
             if crossed.any():
-                first_exit[crossed] = s + 1
+                state.first_exit[crossed] = s + 1
                 waiting &= ~crossed
                 any_waiting = bool(waiting.any())
-        if store:
-            traj[:, s + 1] = r
+        if state.traj is not None:
+            state.traj[:, s + 1] = r
 
-    return {
-        "final": r,
-        "min_margin": runmin,
-        "first_exit": first_exit,
-        "diverged": diverged,
-        "traj": traj,
-    }
+    state.r, state.all_alive, state.any_waiting = r, all_alive, any_waiting
+    state.step += normals.shape[1]

@@ -13,9 +13,13 @@ flow:
 over the paths of a chunk; it evaluates each map on the whole batch,
 on the map's output support only, through
 ``CoefficientMap.eval_coords``, the evaluator the condition checkers
-use as well.  Chunks of ``_CHUNK`` = 256 paths run one after another
-in a single thread; the width is a module constant, not an option,
-because a chunk holds its whole ``(chunk, steps, columns)`` noise.
+use as well.  Chunks of ``_CHUNK`` = 1024 paths run one after another
+in a single thread.  Each chunk holds one time block of noise at a
+time: its paths draw the next ``b`` steps into a buffer of about
+``_NOISE_BYTES`` (8 MiB), the kernel advances the chunk's state through
+them, and the buffer is reused for the next block.  So memory does not
+grow with the horizon, and the width and the block length are module
+constants, not options.
 
 Monitoring is structural, not pathwise-absorbing: every path records
 its minimum signed cone margin, the first step index at which the
@@ -24,16 +28,34 @@ the first step at which the sup norm blew past the overflow guard.
 Diverged paths freeze at their last finite state and keep their
 statistics.
 
-Reproducibility contract: path ``p`` of a run with master seed ``s``
-draws from ``default_rng(SeedSequence(s, spawn_key=(p,)))``, normals
-first, arrival counts second.  Ensembles are therefore independent of
-chunking, and any single path can be regenerated in isolation:
+Reproducibility contract (v2): path ``p`` of a run with master seed
+``s`` draws its standard normals, step by step and column by column,
+from ``default_rng(SeedSequence(s, spawn_key=(p,)))``, and, when the set
+has jump atoms, its arrival counts, step by step and atom by atom, from
+a second generator made from that sequence's first child
+(``spawn_key=(p, 0)``).  Each stream is drawn in order, block after
+block, so the chunk width and the block length change memory only,
+never the output, and any single path can be regenerated in isolation:
 ``run_ensemble`` with ``paths=1`` and ``first_path=p`` returns path
-``p``'s row, and its ``diverged`` entry records an overflow.
+``p``'s row, and its ``diverged`` entry records an overflow.  (The v1
+contract drew the counts from the normals' generator after a whole
+horizon of normals, which tied the numbers to holding the horizon.)
+
+``run_sweep`` steps several step sizes ``f * dt`` on the same paths in
+one pass over the draws at ``dt`` (coupled levels, as in Giles,
+"Multilevel Monte Carlo path simulation", Oper. Res. 56, 2008).  A
+level-``f`` step consumes ``f`` fine steps: its normal in column ``j``
+is ``(xi_1 + ... + xi_f) / sqrt(f)``, added left to right and then
+divided, and its count for atom ``i`` is the sum of the ``f`` fine
+counts.  Blocks hold a whole number of every level's steps, and every
+level advances through a block before the next block is drawn.  The
+level with ``f = 1`` is ``run_ensemble``'s ensemble bit for bit:
+``run_ensemble`` is the one-level case of the same engine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,7 +63,7 @@ import numpy as np
 from . import kernels
 from .coefficients import CoefficientSet
 from .errors import ConfigError, DomainError, ShapeError
-from .kernels import StepPlan, step_ensemble
+from .kernels import KernelState, StepPlan, step_ensemble
 from .semigroup import DiagonalSemigroup, LiminfGrid
 from .space import ConeSpec, StateVec, cone_contains, cone_distance
 
@@ -50,12 +72,14 @@ __all__ = [
     "SimConfig",
     "PathEnsemble",
     "run_ensemble",
+    "run_sweep",
     "StabilityResult",
     "stability_experiment",
     "ssnc_estimate",
 ]
 
-_CHUNK = 256  # paths stepped together; results do not depend on it
+_CHUNK = 1024  # paths stepped together; results do not depend on it
+_NOISE_BYTES = 8 << 20  # a chunk's block of fine draws; sets memory, not results
 
 
 @dataclass(frozen=True)
@@ -156,15 +180,52 @@ class PathEnsemble:
 
 
 def _path_stream(master_seed: int, p: int):
+    """Path ``p``'s generator for its normals, and its label."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(p,))
     return np.random.default_rng(ss), np.uint64(ss.generate_state(1, np.uint64)[0])
 
 
-def _draw_noise(rng, steps: int, n_vols: int, atom_wdt: np.ndarray):
-    """Per-path draws, fixed order: normals first, then counts."""
-    normals = rng.standard_normal((steps, n_vols))
-    counts = rng.poisson(lam=atom_wdt, size=(steps, len(atom_wdt))).astype(np.int64)
-    return normals, counts
+def _count_stream(master_seed: int, p: int):
+    """Path ``p``'s generator for its arrival counts: the first child of
+    its ``SeedSequence`` (spawn key ``(p, 0)``)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(p, 0)))
+
+
+def _draw_noise(rng, count_rng, normals: np.ndarray, counts: np.ndarray, lam: np.ndarray) -> None:
+    """Fill one path's next time block in place: ``normals`` (b, J) from
+    ``rng``, ``counts`` (b, M) from ``count_rng``, step by step and atom
+    by atom (Poisson means ``lam``).  Each stream is drawn in order, so
+    blocks of any length give the numbers one whole draw would."""
+    if normals.shape[1]:
+        rng.standard_normal(normals.shape, out=normals)
+    if len(lam) == 1:
+        # a scalar mean skips the per-call validation of a mean array
+        counts[:, 0] = count_rng.poisson(lam[0], counts.shape[0])
+    elif len(lam):
+        counts[...] = count_rng.poisson(lam, counts.shape)
+
+
+def _block_steps(paths: int, width: int, unit: int) -> int:
+    """Steps per noise block: as many as fit ``_NOISE_BYTES`` for
+    ``paths`` paths of ``width`` draws per step, in whole multiples of
+    ``unit`` (so every sweep level's steps end on a block boundary)."""
+    steps = _NOISE_BYTES // (8 * paths * max(width, 1))
+    return max(unit, steps - steps % unit)
+
+
+def _coarsen(normals: np.ndarray, counts: np.ndarray, factor: int):
+    """The noise of a step ``factor`` times as long, from a block of fine
+    draws: each coarse normal is ``(xi_1 + ... + xi_f) / sqrt(f)``, summed
+    left to right, and each coarse count is the sum of ``f`` fine counts."""
+    if factor == 1:
+        return normals, counts
+    P, b = normals.shape[:2]
+    xi = normals.reshape(P, b // factor, factor, -1)
+    coarse = xi[:, :, 0].copy()
+    for i in range(1, factor):
+        coarse += xi[:, :, i]
+    coarse /= np.sqrt(factor)
+    return coarse, counts.reshape(P, b // factor, factor, -1).sum(axis=2)
 
 
 def _validate_setup(
@@ -199,56 +260,99 @@ def run_ensemble(
     ``first_path`` offsets the path indices (and so the noise streams),
     which is how a slice of a larger ensemble is reproduced exactly.
     """
+    return _simulate(coeffs, semigroup, noise, cone, config, h0, (1,), first_path)[0]
+
+
+def run_sweep(
+    coeffs: CoefficientSet,
+    semigroup: DiagonalSemigroup,
+    noise: NoiseSpec,
+    cone: ConeSpec,
+    config: SimConfig,
+    h0: StateVec,
+    factors: tuple[int, ...],
+) -> list[PathEnsemble]:
+    """One ensemble per entry of ``factors``, each stepped at ``factor *
+    config.dt`` on the same paths, in one pass over the same draws.
+
+    Every level's noise is built from the draws at ``config.dt`` (see
+    ``_coarsen``), so the level with factor 1 is ``run_ensemble``'s
+    ensemble, and the levels differ only by the step size.  Each factor
+    must divide ``config.steps``.
+    """
+    return _simulate(coeffs, semigroup, noise, cone, config, h0, tuple(factors), 0)
+
+
+def _simulate(coeffs, semigroup, noise, cone, config, h0, factors, first_path):
+    """The engine behind ``run_ensemble`` and ``run_sweep``: chunks of
+    ``_CHUNK`` paths, each stepped block by block through its fine draws,
+    every level on each block before the next block is drawn."""
     _validate_setup(coeffs, semigroup, noise, cone, h0)
     dim = coeffs.dim
     S = config.steps
     P = config.paths
+    levels = [replace(config, dt=config.dt * f) for f in factors]
+    for f, cfg in zip(factors, levels):
+        if cfg.steps * f != S:
+            raise ConfigError(f"sweep factor {f} does not divide the {S} steps of dt {config.dt}")
 
     # Both names are the same function.  Built-in sets call it as
     # simulate.step_ensemble, the call site perfbench/tracing.py wraps to
     # time the kernel layer; perfbench/test_perfbench.py pins that only
     # the verify-sweep workload reaches it.
     step = step_ensemble if coeffs.uses_only_builtin_maps() else kernels.step_ensemble
-    sp = StepPlan.build(coeffs, semigroup, noise, cone, config)
+    plans = [StepPlan.build(coeffs, semigroup, noise, cone, cfg) for cfg in levels]
+    J = noise.count
+    lam = coeffs.jump_weights * float(config.dt)
+    M = len(lam)
+    unit = math.lcm(*factors)
 
-    final = np.zeros((P, dim))
-    runmin = np.zeros(P)
-    first_exit = np.zeros(P, dtype=np.int64)
-    diverged = np.zeros(P, dtype=np.int64)
     seeds = np.zeros(P, dtype=np.uint64)
-    traj = np.zeros((P, S + 1, dim)) if config.store_trajectories else None
+    out = [
+        PathEnsemble(
+            final=np.zeros((P, dim)),
+            min_margin=np.zeros(P),
+            first_exit=np.zeros(P, dtype=np.int64),
+            diverged=np.zeros(P, dtype=np.int64),
+            seeds=seeds,
+            dt=cfg.dt,
+            steps=cfg.steps,
+            trajectories=np.zeros((P, cfg.steps + 1, dim)) if config.store_trajectories else None,
+        )
+        for cfg in levels
+    ]
 
     for lo in range(0, P, _CHUNK):
         hi = min(lo + _CHUNK, P)
         n = hi - lo
-        normals = np.zeros((n, S, noise.count))
-        counts = np.zeros((n, S, len(sp.atoms)), dtype=np.int64)
+        streams = []
         for k in range(n):
-            rng, label = _path_stream(noise.seed, first_path + lo + k)
-            normals[k], counts[k] = _draw_noise(rng, S, noise.count, sp.atom_wdt)
-            seeds[lo + k] = label
-        r0 = np.broadcast_to(h0.coords, (n, dim)).copy()
-        out = step(sp, r0, normals, counts, config.store_trajectories)
-        final[lo:hi] = out["final"]
-        runmin[lo:hi] = out["min_margin"]
-        first_exit[lo:hi] = out["first_exit"]
-        diverged[lo:hi] = out["diverged"]
-        if traj is not None:
-            traj[lo:hi] = out["traj"]
-        # Release this chunk's noise before the next one is drawn, so
-        # peak memory holds one chunk, not two.
-        del normals, counts, out
-
-    return PathEnsemble(
-        final=final,
-        min_margin=runmin,
-        first_exit=first_exit,
-        diverged=diverged,
-        seeds=seeds,
-        dt=config.dt,
-        steps=S,
-        trajectories=traj,
-    )
+            p = first_path + lo + k
+            rng, seeds[lo + k] = _path_stream(noise.seed, p)
+            streams.append((rng, _count_stream(noise.seed, p) if M else None))
+        r0 = np.broadcast_to(h0.coords, (n, dim))
+        states = [
+            KernelState.start(plan, r0, None if e.trajectories is None else e.trajectories[lo:hi])
+            for plan, e in zip(plans, out)
+        ]
+        B = _block_steps(n, J + M, unit)
+        normals = np.zeros((n, min(B, S), J))
+        counts = np.zeros((n, min(B, S), M), dtype=np.int64)
+        for s0 in range(0, S, B):
+            b = min(B, S - s0)
+            for k, (rng, count_rng) in enumerate(streams):
+                _draw_noise(rng, count_rng, normals[k, :b], counts[k, :b], lam)
+            for f, plan, state in zip(factors, plans, states):
+                step(plan, state, *_coarsen(normals[:, :b], counts[:, :b], f))
+        for e, state in zip(out, states):
+            e.final[lo:hi] = state.r
+            e.min_margin[lo:hi] = state.runmin
+            e.first_exit[lo:hi] = state.first_exit
+            e.diverged[lo:hi] = state.diverged
+        # Release this chunk's blocks and generators before the next
+        # chunk makes its own, so peak memory holds one chunk, not two.
+        del normals, counts, states, streams
+    return out
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("sim", "dt"), 10**400, "sim.dt: "),
+            (("noise", "eigenvalues", "value"), 10**400, "noise.eigenvalues.value: "),
+            (("initial",), [0.0, -(10**400)] + [0.0] * 14, "initial[1]: "),
+            (("semigroup", "rates"), [1.0] * 15 + [10**400], "semigroup: rates[15]: "),
+        ],
+        ids=["dt", "eigenvalue", "initial", "rates"],
+    )
+    def test_integer_too_large_for_a_float(self, path, value, message):
+        # float(10**400) raises OverflowError, not ValueError
+        doc = self.base()
+        self._set(doc, path, value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}must be finite"):
+            ExperimentConfig.from_dict(doc)
+
     def test_shifted_drift_loads(self):
         # the heat-positive drift behind a level-3 dead-zone shift
         doc = self.base()
@@ -431,7 +448,7 @@ OUTPUT_DIGESTS = {
     ),
     "verify": (
         ["verify", "--preset", "heat-positive-hidden", "--paths", "32"],
-        "af4a386ae7256a8d50bd4c4e69bef7b4760234ec771881b7ab9cfb383d342b30",
+        "b850d71de1e77293760ec67a640ca36055c9516545c6aab57fe8f6aac703afe4",
     ),
     "appendix": (
         ["appendix", "all", "--seed", "0"],
@@ -708,6 +725,22 @@ class TestVerifyCommand:
         assert doc["checker"]["vol_ok"] is False
         assert any(s["exited"] > 0 for s in doc["sweep"])
         assert doc["agreement"] is True
+
+
+    def test_finest_level_is_the_simulate_run(self, tmp_path):
+        # verify's 1x level steps the same draws as simulate does
+        rows = {}
+        for command, name in (("simulate", "paths.csv"), ("verify", "paths_dt1x.csv")):
+            out = tmp_path / command
+            res = CliRunner().invoke(
+                cli,
+                [command, "--preset", "heat-positive-badvol", "--out", str(out), "--paths", "24"],
+            )
+            assert res.exit_code == 0, combined_output(res)
+            rows[command] = (out / name).read_text().splitlines()[1:]
+        assert len(rows["simulate"]) == 1 + 24
+        assert any(row.split(",")[2] == "1" for row in rows["simulate"][1:])
+        assert rows["simulate"] == rows["verify"]
 
 
 class TestAppendixCommand:

@@ -28,7 +28,7 @@ from conespde.coefficients import (
     ZeroMap,
 )
 from conespde.config import ExperimentConfig, preset_document
-from conespde.simulate import _draw_noise, _path_stream, run_ensemble
+from conespde.simulate import _count_stream, _draw_noise, _path_stream, run_ensemble
 
 
 def assert_same_ensemble(a, b):
@@ -182,7 +182,7 @@ class TestBenchmarkHooks:
         real = simulate.step_ensemble
 
         def counted(*args, **kwargs):
-            calls.append(args[1].shape[0])
+            calls.append(args[2].shape[0])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "step_ensemble", counted)
@@ -265,17 +265,44 @@ def dense_reference(plan, r0, normals, counts, store=False):
     }
 
 
+def run_kernel(plan, r0, normals, counts, store=False, splits=()):
+    """``kernels.step_ensemble`` over the whole noise arrays, stepped in
+    consecutive blocks that end at the step indices ``splits``, with the
+    result in ``dense_reference``'s form."""
+    S = normals.shape[1]
+    traj = np.zeros((r0.shape[0], S + 1, r0.shape[1])) if store else None
+    state = kernels.KernelState.start(plan, r0, traj)
+    bounds = [0, *splits, S]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        kernels.step_ensemble(plan, state, normals[:, lo:hi], counts[:, lo:hi])
+    assert state.step == S
+    return {
+        "final": state.r,
+        "min_margin": state.runmin,
+        "first_exit": state.first_exit,
+        "diverged": state.diverged,
+        "traj": state.traj,
+    }
+
+
+def draw_whole(seed, paths, steps, n_vols, atom_wdt):
+    """Every path's noise for the whole horizon, as run_ensemble draws it
+    block by block."""
+    normals = np.zeros((paths, steps, n_vols))
+    counts = np.zeros((paths, steps, len(atom_wdt)), dtype=np.int64)
+    for p in range(paths):
+        rng, _ = _path_stream(seed, p)
+        _draw_noise(rng, _count_stream(seed, p), normals[p], counts[p], atom_wdt)
+    return normals, counts
+
+
 def _preset_inputs(name, paths, steps):
     """Plan, initial states and per-path noise of a preset, as run_ensemble
     draws them."""
     ec = ExperimentConfig.from_dict(preset_document(name))
     config = SimConfig(dt=ec.sim.dt, horizon=steps * ec.sim.dt, paths=paths)
     plan = kernels.StepPlan.build(ec.coeffs, ec.semigroup, ec.noise, ec.cone, config)
-    normals = np.zeros((paths, steps, ec.noise.count))
-    counts = np.zeros((paths, steps, len(plan.atoms)), dtype=np.int64)
-    for p in range(paths):
-        rng, _ = _path_stream(ec.noise.seed, p)
-        normals[p], counts[p] = _draw_noise(rng, steps, ec.noise.count, plan.atom_wdt)
+    normals, counts = draw_whole(ec.noise.seed, paths, steps, ec.noise.count, plan.atom_wdt)
     r0 = np.broadcast_to(ec.h0.coords, (paths, ec.dim)).copy()
     return plan, r0, normals, counts
 
@@ -324,12 +351,7 @@ def _diverging_inputs():
     plan = kernels.StepPlan.build(
         coeffs, DiagonalSemigroup(np.array([0.0, 1.0, 2.0])), noise, ConeSpec.nonnegative(dim), config
     )
-    S = config.steps
-    normals = np.zeros((24, S, 2))
-    counts = np.zeros((24, S, 1), dtype=np.int64)
-    for p in range(24):
-        rng, _ = _path_stream(noise.seed, p)
-        normals[p], counts[p] = _draw_noise(rng, S, 2, plan.atom_wdt)
+    normals, counts = draw_whole(noise.seed, 24, config.steps, 2, plan.atom_wdt)
     r0 = np.tile(np.array([1.0, 0.5, 1.0]), (24, 1))
     return plan, r0, normals, counts
 
@@ -340,10 +362,10 @@ class TestDenseReference:
 
     KEYS = ("final", "min_margin", "first_exit", "diverged", "traj")
 
-    def assert_same_bytes(self, inputs):
+    def assert_same_bytes(self, inputs, splits=()):
         plan, r0, normals, counts = inputs
         want = dense_reference(plan, r0, normals, counts, store=True)
-        got = kernels.step_ensemble(plan, r0, normals, counts, store=True)
+        got = run_kernel(plan, r0, normals, counts, store=True, splits=splits)
         for key in self.KEYS:
             assert got[key].dtype == want[key].dtype, key
             assert got[key].tobytes() == want[key].tobytes(), key
@@ -365,3 +387,24 @@ class TestDenseReference:
         div = want["diverged"]
         assert np.any(div < 0) and np.any(div > 1)
         assert len(set(div[div > 0].tolist())) > 1
+
+
+class TestBlockSplit:
+    # the kernel carries its state from one noise block to the next, so
+    # uneven blocks (1, 31, 33 and the rest of the steps) give the bytes
+    # of the whole arrays stepped at once
+
+    SPLITS = (1, 32, 65)
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            lambda: _preset_inputs("heat-positive-hidden", 32, 400),
+            lambda: _preset_inputs("heat-positive-badvol", 16, 150),
+            _signed_zero_inputs,
+            _diverging_inputs,
+        ],
+        ids=["hidden", "badvol", "signed-zero", "diverging"],
+    )
+    def test_uneven_blocks_match_dense_reference(self, inputs):
+        TestDenseReference().assert_same_bytes(inputs(), splits=self.SPLITS)

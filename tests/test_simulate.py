@@ -36,10 +36,13 @@ from conespde.coefficients import (
     ZeroMap,
 )
 from conespde.semigroup import LiminfGrid
+from conespde.kernels import KernelState, StepPlan, step_ensemble
 from conespde.simulate import (
+    _count_stream,
     _draw_noise,
     _path_stream,
     run_ensemble,
+    run_sweep,
     ssnc_estimate,
     stability_experiment,
 )
@@ -100,17 +103,31 @@ class TestSimConfig:
             SimConfig(**fields)
 
 
+def draw(seed, p, steps, n_vols, lam, splits=()):
+    """Path ``p``'s normals and counts for ``steps`` steps, drawn in
+    consecutive blocks that end at the step indices ``splits``."""
+    normals = np.zeros((steps, n_vols))
+    counts = np.zeros((steps, len(lam)), dtype=np.int64)
+    rng, _ = _path_stream(seed, p)
+    count_rng = _count_stream(seed, p)
+    bounds = [0, *splits, steps]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        _draw_noise(rng, count_rng, normals[lo:hi], counts[lo:hi], lam)
+    return normals, counts
+
+
 class TestNoiseDraws:
     def test_shapes_and_dtypes(self):
+        normals = np.zeros((50, 3))
+        counts = np.full((50, 2), -1, dtype=np.int64)
         rng, _ = _path_stream(0, 0)
-        normals, counts = _draw_noise(rng, 50, 3, np.array([0.05, 0.1]))
-        assert normals.shape == (50, 3) and normals.dtype == np.float64
-        assert counts.shape == (50, 2) and counts.dtype == np.int64
+        _draw_noise(rng, _count_stream(0, 0), normals, counts, np.array([0.05, 0.1]))
+        assert np.all(normals != 0.0)
+        assert np.all(counts >= 0)
 
     def test_moments(self):
-        rng, _ = _path_stream(1, 0)
         S = 100_000
-        normals, counts = _draw_noise(rng, S, 2, np.array([0.05]))
+        normals, counts = draw(1, 0, S, 2, np.array([0.05]))
         # sample variance of a standard normal: SE ~ sqrt(2/S)
         assert abs(np.var(normals) - 1.0) <= 4.0 * np.sqrt(2.0 / (2 * S))
         assert abs(np.mean(normals)) <= 4.0 / np.sqrt(2 * S)
@@ -118,12 +135,30 @@ class TestNoiseDraws:
         assert abs(np.mean(counts) - 0.05) <= 4.0 * np.sqrt(0.05 / S)
 
     def test_stream_independent_of_other_paths(self):
-        # path 3's stream does not depend on how many paths ran before it
+        # path 3's streams do not depend on how many paths ran before it
         a = _path_stream(42, 3)[0].standard_normal(8)
         b = _path_stream(42, 3)[0].standard_normal(8)
         np.testing.assert_array_equal(a, b)
         assert _path_stream(42, 3)[1] == _path_stream(42, 3)[1]
         assert _path_stream(42, 3)[1] != _path_stream(42, 4)[1]
+        np.testing.assert_array_equal(
+            _count_stream(42, 3).poisson(2.0, 8), _count_stream(42, 3).poisson(2.0, 8)
+        )
+        # the counts stream is the first child of the path's SeedSequence
+        child = np.random.SeedSequence(42, spawn_key=(3,)).spawn(1)[0]
+        np.testing.assert_array_equal(
+            _count_stream(42, 3).random(8), np.random.default_rng(child).random(8)
+        )
+        assert not np.array_equal(_count_stream(42, 3).random(8), _path_stream(42, 3)[0].random(8))
+        assert not np.array_equal(_count_stream(42, 3).random(8), _count_stream(42, 4).random(8))
+
+    @pytest.mark.parametrize("lam", [[0.3], [0.3, 1.5]], ids=["one-atom", "two-atoms"])
+    def test_blocks_give_the_whole_draw(self, lam):
+        # the block length changes memory only, never the numbers
+        whole = draw(7, 2, 100, 3, np.array(lam))
+        split = draw(7, 2, 100, 3, np.array(lam), splits=(1, 32, 65))
+        for a, b in zip(whole, split):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSchemeExactness:
@@ -182,22 +217,32 @@ class TestDeterminism:
         self, monkeypatch, heat16, cone16, compliant_coeffs, flat_noise8
     ):
         h0 = StateVec(np.full(16, 1.0))
-        config = SimConfig(dt=1e-3, horizon=0.05, paths=32)
+        config = SimConfig(dt=1e-3, horizon=0.05, paths=32, store_trajectories=True)
         a = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
         monkeypatch.setattr(simulate, "_CHUNK", 5)
         b = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
-        assert np.array_equal(a.final, b.final)
+        # 7-step blocks for 5-path chunks of 8 normals and 1 count per step
+        monkeypatch.setattr(simulate, "_NOISE_BYTES", 8 * 5 * 9 * 7)
+        c = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
+        for other in (b, c):
+            assert np.array_equal(a.final, other.final)
+            assert np.array_equal(a.min_margin, other.min_margin)
+            assert np.array_equal(a.seeds, other.seeds)
+            assert np.array_equal(a.trajectories, other.trajectories)
 
-    def test_peak_memory_holds_one_chunk(
+    def test_peak_memory_holds_one_block(
         self, monkeypatch, heat16, cone16, compliant_coeffs, flat_noise8
     ):
-        # Each chunk's noise arrays are released before the next chunk is
-        # drawn, so four chunks peak about where one chunk does.
+        # Each chunk draws its noise one time block at a time, so two
+        # chunks four times as long peak less than one block above one
+        # short chunk: memory holds one chunk x one block.
         h0 = StateVec(np.full(16, 1.0))
         monkeypatch.setattr(simulate, "_CHUNK", 16)
+        block = 16 * 50 * (8 + 1) * 8  # 50 steps of 8 normals and 1 count
+        monkeypatch.setattr(simulate, "_NOISE_BYTES", block)
 
-        def peak(paths):
-            config = SimConfig(dt=1e-3, horizon=0.5, paths=paths)
+        def peak(horizon, paths):
+            config = SimConfig(dt=1e-3, horizon=horizon, paths=paths)
             tracemalloc.start()
             try:
                 run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
@@ -205,9 +250,8 @@ class TestDeterminism:
             finally:
                 tracemalloc.stop()
 
-        peak(16)  # warm-up: first-call allocations are not the ensemble's
-        chunk_normals = 16 * 500 * 8 * 8
-        assert peak(64) < peak(16) + chunk_normals // 2
+        peak(0.1, 16)  # warm-up: first-call allocations are not the ensemble's
+        assert peak(2.0, 32) < peak(0.5, 16) + block
 
     def test_first_path_is_a_slice(self, heat16, cone16, compliant_coeffs, flat_noise8):
         h0 = StateVec(np.full(16, 1.0))
@@ -235,6 +279,45 @@ class TestDeterminism:
             SimConfig(dt=1e-3, horizon=0.05, paths=1), h0, first_path=5,
         )
         assert np.array_equal(one.final[0], full.final[5])
+
+
+class TestSweep:
+    def test_levels_are_summed_fine_draws(self, heat16, cone16, badvol_coeffs):
+        # each level equals the kernel run on explicitly summed fine draws
+        noise9 = NoiseSpec.flat(9, 1.0, seed=4)
+        h0 = StateVec(np.zeros(16))
+        config = SimConfig(dt=1e-3, horizon=0.04, paths=6)
+        levels = run_sweep(badvol_coeffs, heat16, noise9, cone16, config, h0, (4, 2, 1))
+        lam = badvol_coeffs.jump_weights * config.dt
+        fine = [draw(noise9.seed, p, 40, 9, lam) for p in range(6)]
+        xi = np.stack([n for n, _ in fine])
+        counts = np.stack([c for _, c in fine])
+        for f, ens in zip((4, 2, 1), levels):
+            summed = xi[:, 0::f].copy()
+            for i in range(1, f):
+                summed += xi[:, i::f]
+            if f > 1:
+                summed /= np.sqrt(f)
+            summed_counts = sum(counts[:, i::f] for i in range(f))
+            cfg = SimConfig(dt=config.dt * f, horizon=config.horizon, paths=6)
+            plan = StepPlan.build(badvol_coeffs, heat16, noise9, cone16, cfg)
+            state = KernelState.start(plan, np.zeros((6, 16)))
+            step_ensemble(plan, state, summed, summed_counts)
+            assert ens.dt == cfg.dt and ens.steps == 40 // f
+            assert ens.final.tobytes() == state.r.tobytes()
+            assert ens.min_margin.tobytes() == state.runmin.tobytes()
+            assert np.array_equal(ens.first_exit, state.first_exit)
+            assert np.array_equal(ens.diverged, state.diverged)
+        assert np.any(levels[0].exited)
+        one = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
+        assert one.final.tobytes() == levels[2].final.tobytes()
+        assert np.array_equal(one.seeds, levels[0].seeds)
+
+    def test_factor_must_divide_the_steps(self, heat16, cone16, compliant_coeffs, flat_noise8):
+        config = SimConfig(dt=1e-3, horizon=0.01, paths=2)
+        with pytest.raises(ConfigError):
+            run_sweep(compliant_coeffs, heat16, flat_noise8, cone16, config,
+                      StateVec(np.ones(16)), (4, 1))
 
 
 class TestDimChecks:
