@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     UnsupportedDimensionError,
 )
-from .semigroup import DiagonalSemigroup, LiminfGrid
+from .semigroup import DiagonalSemigroup
 from .simulate import (
     NoiseSpec,
     PathEnsemble,

@@ -16,14 +16,17 @@ alone.
   a map, differentiable with a gradient Lipschitz constant at most
   ``max(1/lam, 1/mu)``.  One evaluation is one ``sup_inf_convolve``
   whose lanes are every (row, component) pair.
-* ``MollifiedMap``: the average of a map against a smooth compactly
-  supported bump of radius ``1/bandwidth``, on tensor Gauss-Legendre
-  nodes.  ``mollify`` evaluates it at one state.
+* ``MollifiedMap(inner, bandwidth)``: the average of a map against a
+  smooth compactly supported bump of radius ``1/bandwidth``, on tensor
+  Gauss-Legendre nodes, 33 per axis of the map's dimension (at most 3).
+  ``mollify(f, bandwidth, h)`` evaluates it at one state.
 
 Beside the map families: ``inf_convolve``, ``sup_convolve`` and
 ``sup_inf_convolve`` are the quadratic envelopes of a scalar target,
-and ``stratonovich_correction`` is the noise-induced drift
-``(1/2) sum_j D vol_j(h) vol_j(h)`` by symmetric differencing.
+and ``stratonovich_correction(coeffs, a)`` is the noise-induced drift
+``(1/2) sum_j D vol_j(h) vol_j(h)`` by symmetric differencing, at one
+state or at every row of a batch.  The quadrature size and the
+difference step are module constants, not options.
 
 Envelope values are computed by a coarse grid plus golden-section
 refinement, one coordinate at a time; an optimum landing on the search
@@ -78,8 +81,6 @@ __all__ = [
     "sup_convolve",
     "sup_inf_convolve",
     "sup_inf_map",
-    "GridQuadrature",
-    "MollifierParams",
     "MollifiedMap",
     "bump",
     "mollify",
@@ -493,45 +494,14 @@ def bump(t):
     return out
 
 
-@dataclass(frozen=True)
-class GridQuadrature:
-    """Tensor Gauss-Legendre quadrature; dimension capped at 3."""
-
-    points_per_axis: int = 33
-
-    def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise DomainError("points_per_axis must be >= 2")
+# tensor Gauss-Legendre nodes per axis of the mollifier's quadrature
+_NODES_PER_AXIS = 33
 
 
-@dataclass(frozen=True)
-class MollifierParams:
-    """Smoothing level for ``mollify``.
-
-    ``n`` is the space dimension being integrated over and ``bandwidth``
-    the inverse support radius: the mollified map at ``h`` only sees
-    values of ``f`` within ``1 / bandwidth`` of ``h``.
-    """
-
-    n: int
-    bandwidth: float
-    quadrature: GridQuadrature = GridQuadrature()
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise DomainError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
-
-    @property
-    def support_radius(self) -> float:
-        return 1.0 / self.bandwidth
-
-
-def _tensor_nodes(n: int, radius: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+def _tensor_nodes(n: int, radius: float) -> tuple[np.ndarray, np.ndarray]:
     if n > 3:
         raise UnsupportedDimensionError(f"tensor quadrature capped at dimension 3, got {n}")
-    x, w = np.polynomial.legendre.leggauss(points)
+    x, w = np.polynomial.legendre.leggauss(_NODES_PER_AXIS)
     x = x * radius
     w = w * radius
     grids = np.meshgrid(*([x] * n), indexing="ij")
@@ -549,9 +519,10 @@ _NODE_ROWS = 1 << 16
 @dataclass(frozen=True)
 class MollifiedMap(CoefficientMap):
     """``h -> sum_j c_j f(h - x_j) / sum_j c_j``: ``inner`` averaged
-    against the scaled bump on the tensor Gauss-Legendre nodes ``x_j``
-    of ``params`` (weights ``c_j`` = quadrature weight times bump); see
-    ``mollify``.
+    against the bump scaled to radius ``1 / bandwidth``, on the tensor
+    Gauss-Legendre nodes ``x_j`` of that radius, ``_NODES_PER_AXIS`` per
+    axis of ``inner.dim`` (at most 3); the weights ``c_j`` are
+    quadrature weight times bump.  See ``mollify``.
 
     ``eval_coords`` evaluates the nodes of every row of a batch in one
     ``inner.eval_array`` call (in row blocks of at most ``_NODE_ROWS``
@@ -563,22 +534,18 @@ class MollifiedMap(CoefficientMap):
     """
 
     inner: CoefficientMap
-    params: MollifierParams
+    bandwidth: float
     dim: int = field(init=False)
 
     def __post_init__(self):
-        if self.inner.dim != self.params.n:
-            raise ShapeError(
-                f"map dim {self.inner.dim} must equal mollifier dimension {self.params.n}"
-            )
+        _check_width("bandwidth", self.bandwidth)
         object.__setattr__(self, "dim", self.inner.dim)
 
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Nodes ``(K, N)``, weights ``(K, 1)`` and their sum."""
-        p = self.params
-        nodes, weights = _tensor_nodes(p.n, p.support_radius, p.quadrature.points_per_axis)
-        wphi = weights * bump(p.bandwidth * np.linalg.norm(nodes, axis=1))
+        nodes, weights = _tensor_nodes(self.dim, 1.0 / self.bandwidth)
+        wphi = weights * bump(self.bandwidth * np.linalg.norm(nodes, axis=1))
         return nodes, wphi[:, None], float(np.sum(wphi))
 
     @cached_property
@@ -598,60 +565,60 @@ class MollifiedMap(CoefficientMap):
         return out.reshape(a.shape)[..., idx]
 
 
-def mollify(f: CoefficientMap, p: MollifierParams, h: StateVec) -> StateVec:
-    """Average ``f`` against the scaled bump around ``h``.
+def mollify(f: CoefficientMap, bandwidth: float, h: StateVec) -> StateVec:
+    """Average ``f`` against the bump of radius ``1 / bandwidth`` around
+    ``h``, which must have ``f``'s dimension.
 
     The bump weights are divided by their own sum over the quadrature
     nodes, so constants are reproduced
     exactly and, by node symmetry, so are affine maps.  Values only
-    depend on ``f`` within ``p.support_radius`` of ``h``, which is what
+    depend on ``f`` within ``1 / bandwidth`` of ``h``, which is what
     preserves local boundary-parallelism: if ``f`` is parallel on an
     ``eps`` ball and ``bandwidth >= 2 / eps``, the mollified map is
     parallel on the ``eps / 2`` ball.
     """
-    return StateVec(MollifiedMap(f, p).eval_array(h.coords))
+    return MollifiedMap(f, bandwidth)(h)
 
 
 # --------------------------------------------------------------------------
 # Noise-induced drift
 
 
-def _column_derivative(col: CoefficientMap, h: np.ndarray, delta: float, v: np.ndarray) -> np.ndarray:
-    hi = col.eval_array(h + delta * v)
-    lo = col.eval_array(h - delta * v)
+# the finite-difference step before scaling by a column's norm
+_FD_STEP = 1e-5
+
+
+def _column_derivative(col: CoefficientMap, rows: np.ndarray, delta: np.ndarray,
+                       v: np.ndarray) -> np.ndarray:
+    hi = col.eval_array(rows + delta * v)
+    lo = col.eval_array(rows - delta * v)
     return (hi - lo) / (2.0 * delta)
 
 
-def stratonovich_correction(
-    coeffs: CoefficientSet,
-    h: StateVec,
-    fd_step: float = 1e-5,
-    weights=None,
-) -> StateVec:
-    """Noise-induced drift ``(1/2) sum_j w_j D vol_j(h) vol_j(h)``.
+def stratonovich_correction(coeffs: CoefficientSet, a: np.ndarray) -> np.ndarray:
+    """Noise-induced drift ``(1/2) sum_j D vol_j(h) vol_j(h)`` at one
+    state ``(N,)`` or at each row of a batch ``(M, N)``; the result has
+    the shape of ``a``.
 
-    ``weights`` are the noise eigenvalues per column (all 1 when
-    omitted, for columns already scaled).  Each directional derivative
-    is a symmetric difference at step ``fd_step / max(1, ||vol_j(h)||)``
-    combined with the half-step value by Richardson extrapolation.
+    The columns are taken as already scaled by their noise eigenvalues.
+    Each directional derivative is a symmetric difference at step
+    ``1e-5 / max(1, ||vol_j(h)||)`` combined with the half-step value
+    by Richardson extrapolation.  A row's step comes from
+    ``np.linalg.norm`` of that row alone, so row ``i`` is bitwise the
+    value at ``a[i]`` by itself.
     """
-    if not (math.isfinite(fd_step) and fd_step > 0):
-        raise DomainError(f"fd_step must be finite and > 0, got {fd_step}")
-    if weights is None:
-        w_arr = np.ones(len(coeffs.vol_columns))
-    else:
-        w_arr = np.asarray(weights, dtype=np.float64)
-        if w_arr.shape != (len(coeffs.vol_columns),):
-            raise ShapeError("one weight per volatility column required")
-    a = h.coords
-    total = np.zeros(coeffs.dim)
-    for wj, col in zip(w_arr, coeffs.vol_columns):
-        v = col.eval_array(a)
-        delta = fd_step / max(1.0, float(np.linalg.norm(v)))
-        d1 = _column_derivative(col, a, delta, v)
-        d2 = _column_derivative(col, a, 0.5 * delta, v)
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim not in (1, 2) or a.shape[-1] != coeffs.dim:
+        raise ShapeError(f"states must be (N,) or (M, N) with N = {coeffs.dim}, got {a.shape}")
+    rows = np.atleast_2d(a)
+    total = np.zeros(rows.shape)
+    for col in coeffs.vol_columns:
+        v = col.eval_array(rows)
+        steps = [_FD_STEP / max(1.0, float(np.linalg.norm(row))) for row in v]
+        delta = np.array(steps).reshape(-1, 1)
+        d1 = _column_derivative(col, rows, delta, v)
+        d2 = _column_derivative(col, rows, 0.5 * delta, v)
         if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
             raise NumericError("non-finite finite-difference derivative")
-        extrap = (4.0 * d2 - d1) / 3.0
-        total += wj * extrap
-    return StateVec(0.5 * total)
+        total += (4.0 * d2 - d1) / 3.0
+    return (0.5 * total).reshape(a.shape)

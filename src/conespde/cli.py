@@ -23,7 +23,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -199,9 +198,7 @@ def cmd_simulate(config_path, preset_name, out_dir, seed, paths, dt) -> int:
     """Run one ensemble and write paths.csv plus the manifest."""
     ec = _load(config_path, preset_name, seed, paths, dt)
     out = _prepare_out(out_dir)
-    # paths.csv needs no trajectories, whatever the config asks
-    sim = replace(ec.sim, store_trajectories=False)
-    ens = run_ensemble(ec.coeffs, ec.semigroup, ec.noise, ec.cone, sim, ec.h0)
+    ens = run_ensemble(ec.coeffs, ec.semigroup, ec.noise, ec.cone, ec.sim, ec.h0)
     run_hash = _write_manifest(out, ec, ["paths.csv", "summary.json"])
     _write_paths_csv(out / "paths.csv", ens, run_hash)
     stats = _exit_stats(ens)
@@ -223,8 +220,7 @@ def cmd_verify(config_path, preset_name, out_dir, seed, paths, dt) -> int:
     report = invariance_verdict(ec.coeffs, ec.cone, ec.sampler, ec.check_tol)
     _echo_report(report)
 
-    sim = replace(ec.sim, store_trajectories=False)
-    ensembles = run_sweep(ec.coeffs, ec.semigroup, ec.noise, ec.cone, sim, ec.h0, SWEEP_FACTORS)
+    ensembles = run_sweep(ec.coeffs, ec.semigroup, ec.noise, ec.cone, ec.sim, ec.h0, SWEEP_FACTORS)
     sweep = []
     csv_names = []
     for factor, ens in zip(SWEEP_FACTORS, ensembles):

@@ -275,10 +275,10 @@ class ExperimentConfig:
                 paths=read_int("paths", _field(sim_doc, "sim", "paths", required=True)),
                 exit_tol=read_float("sim.exit_tol", _field(sim_doc, "sim", "exit_tol", default=1e-8)),
                 guard=read_float("sim.guard", _field(sim_doc, "sim", "guard", default=1e12)),
-                store_trajectories=read_bool(
-                    "store_trajectories", sim_doc.get("store_trajectories", False)
-                ),
             )
+            # read so that a bad value still fails, then dropped: no
+            # command stores trajectories (see ``to_dict``)
+            read_bool("store_trajectories", sim_doc.get("store_trajectories", False))
 
         chk = _section(doc, "checker", required=False)
         with _reading("checker"):
@@ -329,7 +329,10 @@ class ExperimentConfig:
                 "scheme": _SCHEME,
                 "exit_tol": self.sim.exit_tol,
                 "guard": self.sim.guard,
-                "store_trajectories": self.sim.store_trajectories,
+                # always false: the key keeps every hash of a config
+                # that wrote it, and a config that set it true names the
+                # same run as its false twin
+                "store_trajectories": False,
             },
             "checker": {
                 "points_per_face": self.sampler.points_per_face,

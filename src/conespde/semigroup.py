@@ -12,6 +12,8 @@ whose liminf as t drops to 0 decides membership of ``(h*, h)`` in the
 admissible boundary set: for the diagonal family and ``h`` in the cone
 the liminf is finite exactly when ``h_k = 0``, and then it equals 0.
 The condition checkers in ``coefficients`` apply this rule directly.
+A liminf with no closed form is estimated by ``simulate.ssnc_estimate``
+on a fixed geometric time grid.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, ShapeError, read_floats, read_int
 from .space import StateVec
 
-__all__ = ["DiagonalSemigroup", "LiminfGrid"]
+__all__ = ["DiagonalSemigroup"]
 
 
 @dataclass(frozen=True)
@@ -95,23 +97,3 @@ class DiagonalSemigroup:
             raise ConfigError(f"semigroup dim {sg.dim} does not match space dim {dim}")
         return sg
 
-
-@dataclass(frozen=True)
-class LiminfGrid:
-    """Geometric time grid ``t_m = t0 * ratio^m`` for liminf estimation.
-
-    ``simulate.ssnc_estimate`` reads a liminf with no closed form along
-    it; a finite grid can only estimate such a liminf, never prove it.
-    """
-
-    t0: float = 1e-1
-    ratio: float = 0.5
-    points: int = 40
-
-    def __post_init__(self):
-        if not (self.t0 > 0 and 0 < self.ratio < 1 and self.points >= 2):
-            raise DomainError("need t0 > 0, 0 < ratio < 1, points >= 2")
-
-    def times(self) -> np.ndarray:
-        """Grid times in decreasing order, ``t0, t0*ratio, ...``."""
-        return self.t0 * self.ratio ** np.arange(self.points, dtype=np.float64)

@@ -21,6 +21,10 @@ them, and the buffer is reused for the next block.  So memory does not
 grow with the horizon, and the width and the block length are module
 constants, not options.
 
+Whole trajectories are kept only when ``run_ensemble(..., store=True)``
+asks for them, which only ``stability_experiment`` does; the commands
+write per-path summaries and never store them.
+
 Monitoring is structural, not pathwise-absorbing: every path records
 its minimum signed cone margin, the first step index at which the
 margin dropped below ``-exit_tol`` (0 means the initial state), and
@@ -64,7 +68,7 @@ from . import kernels
 from .coefficients import CoefficientSet
 from .errors import ConfigError, DomainError, ShapeError
 from .kernels import KernelState, StepPlan, step_ensemble
-from .semigroup import DiagonalSemigroup, LiminfGrid
+from .semigroup import DiagonalSemigroup
 from .space import ConeSpec, StateVec, cone_contains, cone_distance
 
 __all__ = [
@@ -80,6 +84,8 @@ __all__ = [
 
 _CHUNK = 1024  # paths stepped together; results do not depend on it
 _NOISE_BYTES = 8 << 20  # a chunk's block of fine draws; sets memory, not results
+# ssnc_estimate's time grid, decreasing: t_m = 0.1 * 0.5^m for m = 0..39
+_LIMINF_TIMES = 0.1 * 0.5 ** np.arange(40.0)
 
 
 @dataclass(frozen=True)
@@ -115,10 +121,6 @@ class NoiseSpec:
     def count(self) -> int:
         return len(self.eigenvalues)
 
-    @property
-    def trace(self) -> float:
-        return float(sum(self.eigenvalues))
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -129,7 +131,6 @@ class SimConfig:
     paths: int
     exit_tol: float = 1e-8
     guard: float = 1e12
-    store_trajectories: bool = False
 
     def __post_init__(self):
         for name in ("dt", "horizon", "exit_tol", "guard"):
@@ -254,13 +255,17 @@ def run_ensemble(
     config: SimConfig,
     h0: StateVec,
     first_path: int = 0,
+    store: bool = False,
 ) -> PathEnsemble:
     """Simulate ``config.paths`` independent paths from ``h0``.
 
     ``first_path`` offsets the path indices (and so the noise streams),
     which is how a slice of a larger ensemble is reproduced exactly.
+    With ``store`` the ensemble keeps every path's states at every step
+    (``trajectories``, ``(paths, steps + 1, dim)``); storing changes no
+    other output.
     """
-    return _simulate(coeffs, semigroup, noise, cone, config, h0, (1,), first_path)[0]
+    return _simulate(coeffs, semigroup, noise, cone, config, h0, (1,), first_path, store)[0]
 
 
 def run_sweep(
@@ -280,10 +285,10 @@ def run_sweep(
     ensemble, and the levels differ only by the step size.  Each factor
     must divide ``config.steps``.
     """
-    return _simulate(coeffs, semigroup, noise, cone, config, h0, tuple(factors), 0)
+    return _simulate(coeffs, semigroup, noise, cone, config, h0, tuple(factors), 0, store=False)
 
 
-def _simulate(coeffs, semigroup, noise, cone, config, h0, factors, first_path):
+def _simulate(coeffs, semigroup, noise, cone, config, h0, factors, first_path, store):
     """The engine behind ``run_ensemble`` and ``run_sweep``: chunks of
     ``_CHUNK`` paths, each stepped block by block through its fine draws,
     every level on each block before the next block is drawn."""
@@ -317,7 +322,7 @@ def _simulate(coeffs, semigroup, noise, cone, config, h0, factors, first_path):
             seeds=seeds,
             dt=cfg.dt,
             steps=cfg.steps,
-            trajectories=np.zeros((P, cfg.steps + 1, dim)) if config.store_trajectories else None,
+            trajectories=np.zeros((P, cfg.steps + 1, dim)) if store else None,
         )
         for cfg in levels
     ]
@@ -394,11 +399,11 @@ def stability_experiment(
             raise ShapeError(f"sequence entry {n} dimension differs from the limit")
     if not seq:
         return []
-    stored = replace(config, store_trajectories=True)
-    base = run_ensemble(limit, semigroup, noise, cone, stored, h0).trajectories
+    base = run_ensemble(limit, semigroup, noise, cone, config, h0, store=True).trajectories
     results = []
     for n, other in enumerate(seq):
-        diff = base - run_ensemble(other, semigroup, noise, cone, stored, h0).trajectories
+        run = run_ensemble(other, semigroup, noise, cone, config, h0, store=True)
+        diff = base - run.trajectories
         sup_sq = np.max(np.sum(diff * diff, axis=2), axis=1)
         mean = float(np.mean(sup_sq))
         stderr = (
@@ -421,27 +426,28 @@ def stability_experiment(
 
 def ssnc_estimate(
     semigroup: DiagonalSemigroup,
-    sigma_map,
+    sigma: np.ndarray,
     cone: ConeSpec,
     h: StateVec,
-    grid: LiminfGrid = LiminfGrid(),
 ) -> float:
-    """Short-time cone compatibility of a vector field at ``h``.
+    """Short-time cone compatibility of a vector field value at ``h``.
 
-    Returns ``min over the grid of d_K(S_t h + t Sigma(h)) / t``, an
-    estimate of the liminf as t drops to 0.  Near zero it is consistent
-    with the flow ``Sigma`` nudging the state back into the cone; a
-    value bounded away from zero witnesses an outward push.  ``h`` must
-    lie in the cone, where the semigroup alone contributes nothing.
+    ``sigma`` is the field's value ``Sigma(h)``, an ``(N,)`` array.
+    Returns ``min over t of d_K(S_t h + t Sigma(h)) / t`` on the grid
+    ``t = 0.1 * 0.5^m``, ``m = 0..39``, an estimate of the liminf as t
+    drops to 0; a finite grid can only estimate such a liminf, never
+    prove it.  Near zero it is consistent with the flow ``Sigma``
+    nudging the state back into the cone; a value bounded away from
+    zero witnesses an outward push.  ``h`` must lie in the cone, where
+    the semigroup alone contributes nothing.
     """
     if not cone_contains(cone, h, tol=1e-12):
         raise DomainError("state must lie in the cone")
-    value = sigma_map(h) if not isinstance(sigma_map, np.ndarray) else sigma_map
-    vec = value.coords if isinstance(value, StateVec) else np.asarray(value, dtype=np.float64)
+    vec = np.asarray(sigma, dtype=np.float64)
     if vec.shape != (h.dim,):
-        raise ShapeError("Sigma must produce a vector of the state dimension")
+        raise ShapeError(f"sigma must have shape ({h.dim},), got {vec.shape}")
     best = np.inf
-    for t in grid.times():
+    for t in _LIMINF_TIMES:
         moved = semigroup.apply(float(t), h).coords + t * vec
         best = min(best, cone_distance(cone, StateVec(moved)) / float(t))
     return float(best)

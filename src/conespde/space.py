@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, read_int
+from .errors import DomainError, ShapeError
 
 __all__ = [
     "StateVec",
@@ -89,9 +89,6 @@ class StateVec:
     def dim(self) -> int:
         return self.coords.shape[0]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
     def __add__(self, other: "StateVec") -> "StateVec":
         self._check_same_dim(other)
         return StateVec(self.coords + other.coords)
@@ -116,18 +113,6 @@ class StateVec:
     def _check_same_dim(self, other: "StateVec") -> None:
         if self.dim != other.dim:
             raise ShapeError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def to_config(self) -> dict:
-        return {"dim": self.dim, "coords": [float(x) for x in self.coords]}
-
-    @classmethod
-    def from_config(cls, doc: dict) -> "StateVec":
-        coords = _as_coords(doc["coords"])
-        if "dim" in doc and read_int("dim", doc["dim"]) != coords.size:
-            raise ShapeError(
-                f"declared dim {doc['dim']} does not match {coords.size} coords"
-            )
-        return cls(coords)
 
 
 @dataclass(frozen=True)

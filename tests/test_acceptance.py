@@ -227,7 +227,7 @@ class TestAcceptance:
         worst = 0.0
         for theta, k, h in pairs:
             sigma = compliant_coeffs.drift.eval_array(h.coords)
-            sigma = sigma - stratonovich_correction(compliant_coeffs, h).coords
+            sigma = sigma - stratonovich_correction(compliant_coeffs, h.coords)
             for j, col in enumerate(compliant_coeffs.vol_columns):
                 sigma = sigma + u[j] * col.eval_array(h.coords)
             worst = max(worst, ssnc_estimate(heat16, sigma, cone16, h))

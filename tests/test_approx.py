@@ -26,9 +26,7 @@ from conespde import approx
 from conespde.approx import (
     GRID_POINTS,
     REFINE_ITERS,
-    GridQuadrature,
     MollifiedMap,
-    MollifierParams,
     SearchSpec,
     SupInfParams,
     bump,
@@ -400,13 +398,10 @@ class TestEnvelopeInputs:
         ("lam", lambda: inf_convolve(ABS, math.nan, StateVec(np.zeros(1)), SearchSpec(radius=1.0))),
         ("mu", lambda: sup_convolve(ABS, math.nan, StateVec(np.zeros(1)), SearchSpec(radius=1.0))),
         ("lam", lambda: SupInfParams(lam=math.inf, mu=1e-3)),
-        ("bandwidth", lambda: MollifierParams(n=1, bandwidth=math.nan)),
-        ("fd_step", lambda: stratonovich_correction(
-            CoefficientSet(ZeroMap(1), (ZeroMap(1),)), StateVec(np.zeros(1)), fd_step=math.nan
-        )),
+        ("bandwidth", lambda: MollifiedMap(ZeroMap(1), math.nan)),
     ],
     ids=["phi-eps-nan", "phi-eps-inf", "inf-lam-nan", "sup-mu-nan", "supinf-lam-inf",
-         "mollifier-bandwidth-nan", "stratonovich-fd-step-nan"],
+         "mollifier-bandwidth-nan"],
 )
 def test_non_finite_parameter_rejected(name, call):
     with pytest.raises(DomainError, match=name):
@@ -791,55 +786,51 @@ class TestBump:
 class TestMollify:
     def test_constant_reproduced(self):
         f = CallableMap(lambda h: np.full(2, 7.0), 2)
-        p = MollifierParams(n=2, bandwidth=8.0)
         rng = np.random.default_rng(0)
         for _ in range(5):
             h = StateVec(rng.normal(size=2))
-            np.testing.assert_allclose(mollify(f, p, h).coords, 7.0, atol=1e-10)
+            np.testing.assert_allclose(mollify(f, 8.0, h).coords, 7.0, atol=1e-10)
 
     def test_affine_reproduced(self):
         A = np.array([[1.0, 0.5], [0.0, 2.0]])
         f = AffineMap(A, np.array([0.3, -0.1]))
-        p = MollifierParams(n=2, bandwidth=8.0)
         rng = np.random.default_rng(1)
         for _ in range(5):
             h = StateVec(rng.normal(size=2))
             np.testing.assert_allclose(
-                mollify(f, p, h).coords, f.eval_array(h.coords), atol=1e-6
+                mollify(f, 8.0, h).coords, f.eval_array(h.coords), atol=1e-6
             )
 
     def test_grid_dimension_cap(self):
-        p = MollifierParams(n=4, bandwidth=8.0)
         with pytest.raises(UnsupportedDimensionError):
-            mollify(ZeroMap(4), p, StateVec(np.zeros(4)))
+            mollify(ZeroMap(4), 8.0, StateVec(np.zeros(4)))
 
     def test_dim_agreement(self):
+        # the quadrature takes the map's dimension; the state must match it
         with pytest.raises(ShapeError):
-            mollify(ZeroMap(2), MollifierParams(n=3, bandwidth=8.0), StateVec(np.zeros(3)))
+            mollify(ZeroMap(2), 8.0, StateVec(np.zeros(3)))
 
     def test_smooths_kink(self):
         # |.| has a corner at 0; averaging over the support window lifts
-        # the value there by at most the support radius
+        # the value there by at most the support radius 1 / bandwidth
         f = CallableMap(lambda h: np.abs(h.coords), 1)
-        p = MollifierParams(n=1, bandwidth=8.0)
-        val = mollify(f, p, StateVec(np.zeros(1))).coords[0]
-        assert 0.0 < val < p.support_radius
+        val = mollify(f, 8.0, StateVec(np.zeros(1))).coords[0]
+        assert 0.0 < val < 1.0 / 8.0
 
     def test_locality(self):
         # two maps agreeing within the support radius mollify identically
         f = CallableMap(lambda h: np.where(np.abs(h.coords) < 0.5, h.coords, 99.0), 1)
         g = CallableMap(lambda h: h.coords.copy(), 1)
-        p = MollifierParams(n=1, bandwidth=8.0)
         h = StateVec(np.zeros(1))
         np.testing.assert_allclose(
-            mollify(f, p, h).coords, mollify(g, p, h).coords, atol=1e-12
+            mollify(f, 8.0, h).coords, mollify(g, 8.0, h).coords, atol=1e-12
         )
 
     def test_params_validation(self):
-        with pytest.raises(DomainError):
-            MollifierParams(n=0, bandwidth=8.0)
-        with pytest.raises(DomainError):
-            MollifierParams(n=1, bandwidth=0.0)
+        with pytest.raises(DomainError, match="bandwidth"):
+            MollifiedMap(ZeroMap(1), 0.0)
+        with pytest.raises(DomainError, match="bandwidth"):
+            MollifiedMap(ZeroMap(1), -8.0)
 
 
 class TestMollifiedMap:
@@ -859,12 +850,11 @@ class TestMollifiedMap:
     def test_batch_matches_points(self, monkeypatch, dim, kind, node_rows):
         monkeypatch.setattr(approx, "_NODE_ROWS", node_rows)
         f = self.inner(kind, dim)
-        p = MollifierParams(n=dim, bandwidth=8.0, quadrature=GridQuadrature(33))
-        m = MollifiedMap(f, p)
+        m = MollifiedMap(f, 8.0)
         rows = np.random.default_rng(dim).uniform(-2.0, 2.0, (64, dim))
         rows[::4, 0] = 0.0  # face points, where the shifted column vanishes
         batch = m.eval_array(rows)
-        points = np.stack([mollify(f, p, StateVec(row)).coords for row in rows])
+        points = np.stack([mollify(f, 8.0, StateVec(row)).coords for row in rows])
         assert batch.tobytes() == points.tobytes()
         for idx in ([0], [dim - 1], slice(None), list(range(dim))[::-1]):
             assert m.eval_coords(rows, idx).tobytes() == batch[:, idx].tobytes()
@@ -873,10 +863,9 @@ class TestMollifiedMap:
 
     def test_support_and_settings(self):
         f = ProportionalMap(1.0, 1, 2)
-        m = MollifiedMap(f, MollifierParams(n=2, bandwidth=8.0))
+        m = MollifiedMap(f, 8.0)
         assert m.support.tolist() == [1] and not m.builtin
-        with pytest.raises(ShapeError):
-            MollifiedMap(f, MollifierParams(n=3, bandwidth=8.0))
+        assert m.dim == 2 and m.bandwidth == 8.0
 
 
 # ---------------------------------------------------------------- drift correction
@@ -885,23 +874,23 @@ class TestMollifiedMap:
 class TestStratonovich:
     def test_constant_columns_give_zero(self):
         C = CoefficientSet(ZeroMap(3), (ConstantMap(np.array([1.0, 2.0, 3.0])),))
-        out = stratonovich_correction(C, StateVec(np.ones(3)))
-        np.testing.assert_allclose(out.coords, 0.0, atol=1e-9)
+        out = stratonovich_correction(C, np.ones(3))
+        np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
     def test_proportional_closed_form(self):
         # vol(h) = s h_1 e_1 gives D vol vol = s^2 h_1 e_1, so the
         # correction is s^2 h_1 / 2 on that coordinate
         C = CoefficientSet(ZeroMap(3), (ProportionalMap(0.5, 1, 3),))
-        h = StateVec(np.array([2.0, 4.0, 1.0]))
-        out = stratonovich_correction(C, h)
-        np.testing.assert_allclose(out.coords, [0.0, 0.5**2 * 4.0 / 2.0, 0.0], atol=1e-8)
+        out = stratonovich_correction(C, np.array([2.0, 4.0, 1.0]))
+        np.testing.assert_allclose(out, [0.0, 0.5**2 * 4.0 / 2.0, 0.0], atol=1e-8)
 
     def test_weights_scale_terms(self):
-        C = CoefficientSet(ZeroMap(3), (ProportionalMap(0.5, 1, 3),))
-        h = StateVec(np.array([0.0, 4.0, 0.0]))
-        base = stratonovich_correction(C, h)
-        double = stratonovich_correction(C, h, weights=np.array([2.0]))
-        np.testing.assert_allclose(double.coords, 2.0 * base.coords, atol=1e-7)
+        # the columns come scaled: a noise eigenvalue w enters as the
+        # column times sqrt(w), which scales that column's term by w
+        h = np.array([0.0, 4.0, 0.0])
+        base = stratonovich_correction(CoefficientSet(ZeroMap(3), (ProportionalMap(0.5, 1, 3),)), h)
+        scaled = CoefficientSet(ZeroMap(3), (ProportionalMap(0.5 * math.sqrt(2.0), 1, 3),))
+        np.testing.assert_allclose(stratonovich_correction(scaled, h), 2.0 * base, atol=1e-7)
 
     def test_face_component_vanishes_for_parallel_columns(self, compliant_coeffs):
         # columns proportional to h_k vanish on face k, and so does the
@@ -910,13 +899,22 @@ class TestStratonovich:
         for k in (0, 5, 10, 15):
             coords = np.abs(rng.normal(size=16))
             coords[k] = 0.0
-            out = stratonovich_correction(compliant_coeffs, StateVec(coords))
-            assert abs(out.coords[k]) <= 1e-6
+            out = stratonovich_correction(compliant_coeffs, coords)
+            assert abs(out[k]) <= 1e-6
 
-    def test_weight_length_checked(self, compliant_coeffs):
+    @pytest.mark.parametrize("rows", [1, 5, 0])
+    def test_batch_rows_are_the_states_alone(self, badvol_coeffs, rows):
+        # each row's step comes from that row's column norms alone, so a
+        # batch is bitwise its states one by one; every other row is
+        # scaled out past norm 1, where the step depends on the row
+        a = np.random.default_rng(3).uniform(0.0, 2.0, (rows, 16))
+        a[::2] *= 10.0
+        batch = stratonovich_correction(badvol_coeffs, a)
+        assert batch.shape == (rows, 16)
+        for row, got in zip(a, batch):
+            assert stratonovich_correction(badvol_coeffs, row).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("shape", [(15,), (2, 15), (1, 2, 16), ()])
+    def test_state_shape_checked(self, compliant_coeffs, shape):
         with pytest.raises(ShapeError):
-            stratonovich_correction(compliant_coeffs, StateVec(np.zeros(16)), weights=np.ones(3))
-
-    def test_step_positive(self, compliant_coeffs):
-        with pytest.raises(DomainError):
-            stratonovich_correction(compliant_coeffs, StateVec(np.zeros(16)), fd_step=0.0)
+            stratonovich_correction(compliant_coeffs, np.zeros(shape))

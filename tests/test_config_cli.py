@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conespde import ConfigError, StateVec, appendix
+from conespde import ConfigError, appendix
 from conespde.cli import EXIT_QUIET_THRESHOLD, SWEEP_FACTORS, cli
-from conespde.simulate import run_ensemble
 from conespde.config import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -446,6 +445,12 @@ OUTPUT_DIGESTS = {
         ["simulate", "--preset", "heat-positive", "--paths", "32"],
         "3527a7c1cb09e2167e7ec092de6192cc5f11be8b0172a8d7154ce2145cfb3ad3",
     ),
+    # 30 of these 32 paths exit, so the bytes see the noise and the
+    # stepping (every heat-positive row reads "<p>,<seed>,0,,0.0,-1")
+    "simulate-exits": (
+        ["simulate", "--preset", "heat-positive-badvol", "--paths", "32"],
+        "693a8e5e529c3aa2607c76ec9a29707c5d449f55c30f610812626864cb38aa0c",
+    ),
     "verify": (
         ["verify", "--preset", "heat-positive-hidden", "--paths", "32"],
         "b850d71de1e77293760ec67a640ca36055c9516545c6aab57fe8f6aac703afe4",
@@ -636,27 +641,24 @@ class TestSimulateCommand:
             assert float(cells[3]) >= 0.0
             assert float(cells[4]) < 0.0
 
-    def test_stores_no_trajectories(self, tmp_path, monkeypatch):
-        # paths.csv is all simulate writes, so a config asking for
-        # trajectories must not make the ensemble hold them
-        doc = preset_document("heat-positive")
-        doc["sim"].update(paths=5, horizon=0.01, store_trajectories=True)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
-        seen = []
-        real = run_ensemble
-
-        def recording(coeffs, semigroup, noise, cone, config, h0):
-            seen.append(config)
-            return real(coeffs, semigroup, noise, cone, config, h0)
-
-        monkeypatch.setattr("conespde.cli.run_ensemble", recording)
-        out = tmp_path / "run"
-        res = CliRunner().invoke(cli, ["simulate", "--config", str(path), "--out", str(out)])
-        assert res.exit_code == 0, res.output
-        assert [c.store_trajectories for c in seen] == [False]
-        # the manifest keeps the config as given
-        assert read_manifest(out)["config"]["sim"]["store_trajectories"] is True
+    def test_store_trajectories_names_the_same_run(self, tmp_path):
+        # no command stores trajectories, so the setting is read (a bad
+        # value still fails) but names nothing: true and false give the
+        # same manifest hash and the same bytes in every output file
+        digests, hashes = [], []
+        for store in (True, False):
+            doc = preset_document("heat-positive-badvol")
+            doc["sim"].update(paths=5, horizon=0.05, store_trajectories=store)
+            path = tmp_path / f"cfg-{store}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"run-{store}"
+            res = CliRunner().invoke(cli, ["simulate", "--config", str(path), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            hashes.append(read_manifest(out)["hash"])
+            digests.append(output_digest(out))
+        assert hashes[0] == hashes[1]
+        assert digests[0] == digests[1]
+        assert read_manifest(out)["config"]["sim"]["store_trajectories"] is False
 
     def test_manifest_reproduces_run(self, tmp_path):
         first = tmp_path / "a"
@@ -767,7 +769,7 @@ class TestAppendixCommand:
         monkeypatch.setattr(
             appendix,
             "stratonovich_correction",
-            lambda coeffs, h: exact(coeffs, h) + StateVec(np.ones(coeffs.dim)),
+            lambda coeffs, a: exact(coeffs, a) + 1.0,
         )
         results = appendix.suite_rho()
         assert [r.passed for r in results] == [False, False]

@@ -131,9 +131,9 @@ class TestUnloweredSetParity:
         noise9 = NoiseSpec.flat(9, 1.0, seed=2)
         h0 = StateVec(np.zeros(16))
         monkeypatch.setattr(simulate, "_CHUNK", 5)
-        config = SimConfig(dt=1e-3, horizon=0.05, paths=12, store_trajectories=True)
-        a = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
-        b = run_ensemble(wrapped, heat16, noise9, cone16, config, h0)
+        config = SimConfig(dt=1e-3, horizon=0.05, paths=12)
+        a = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0, store=True)
+        b = run_ensemble(wrapped, heat16, noise9, cone16, config, h0, store=True)
         assert np.any(a.exited)
         assert_same_ensemble(a, b)
 
@@ -142,10 +142,10 @@ class TestUnloweredSetParity:
         coeffs = CoefficientSet(AffineMap(100.0 * np.eye(dim), np.zeros(dim)))
         sg = DiagonalSemigroup(np.zeros(dim))
         cone = ConeSpec(np.array([0, 0]))
-        config = SimConfig(dt=0.05, horizon=1.0, paths=3, guard=1e6, store_trajectories=True)
+        config = SimConfig(dt=0.05, horizon=1.0, paths=3, guard=1e6)
         h0 = StateVec(np.ones(dim))
-        a = run_ensemble(coeffs, sg, NoiseSpec(()), cone, config, h0)
-        b = run_ensemble(opaque_set(coeffs), sg, NoiseSpec(()), cone, config, h0)
+        a = run_ensemble(coeffs, sg, NoiseSpec(()), cone, config, h0, store=True)
+        b = run_ensemble(opaque_set(coeffs), sg, NoiseSpec(()), cone, config, h0, store=True)
         assert np.all(a.diverged > 0)
         assert np.all(a.trajectories[:, -1] == a.final)
         assert_same_ensemble(a, b)
@@ -156,10 +156,12 @@ class TestUnloweredSetParity:
         # still be marked diverged and keep its last finite state
         coeffs = CoefficientSet(AffineMap(np.array([[1e308, -1e308], [0.0, 0.0]]), np.zeros(2)))
         sg = DiagonalSemigroup(np.zeros(2))
-        config = SimConfig(dt=0.1, horizon=1.0, paths=3, store_trajectories=True)
+        config = SimConfig(dt=0.1, horizon=1.0, paths=3)
         h0 = StateVec(np.full(2, 2.0))
         with np.errstate(invalid="ignore", over="ignore"):
-            out = run_ensemble(coeffs, sg, NoiseSpec(()), ConeSpec.nonnegative(2), config, h0)
+            out = run_ensemble(
+                coeffs, sg, NoiseSpec(()), ConeSpec.nonnegative(2), config, h0, store=True
+            )
         assert out.diverged.tolist() == [1, 1, 1]
         assert out.first_exit.tolist() == [-1, -1, -1]
         assert np.array_equal(out.final, np.full((3, 2), 2.0))

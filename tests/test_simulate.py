@@ -35,7 +35,6 @@ from conespde.coefficients import (
     ProportionalMap,
     ZeroMap,
 )
-from conespde.semigroup import LiminfGrid
 from conespde.kernels import KernelState, StepPlan, step_ensemble
 from conespde.simulate import (
     _count_stream,
@@ -56,13 +55,11 @@ class TestNoiseSpec:
         spec = NoiseSpec.dyadic(4, seed=7)
         assert spec.eigenvalues == (0.5, 0.25, 0.125, 0.0625)
         assert spec.count == 4
-        assert spec.trace == pytest.approx(1.0 - 2.0**-4)
         assert spec.seed == 7
 
     def test_flat(self):
         spec = NoiseSpec.flat(3, 0.2)
         assert spec.eigenvalues == (0.2, 0.2, 0.2)
-        assert spec.trace == pytest.approx(0.6)
 
     def test_eigenvalues_positive(self):
         with pytest.raises(DomainError):
@@ -217,13 +214,13 @@ class TestDeterminism:
         self, monkeypatch, heat16, cone16, compliant_coeffs, flat_noise8
     ):
         h0 = StateVec(np.full(16, 1.0))
-        config = SimConfig(dt=1e-3, horizon=0.05, paths=32, store_trajectories=True)
-        a = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
+        config = SimConfig(dt=1e-3, horizon=0.05, paths=32)
+        a = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0, store=True)
         monkeypatch.setattr(simulate, "_CHUNK", 5)
-        b = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
+        b = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0, store=True)
         # 7-step blocks for 5-path chunks of 8 normals and 1 count per step
         monkeypatch.setattr(simulate, "_NOISE_BYTES", 8 * 5 * 9 * 7)
-        c = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
+        c = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0, store=True)
         for other in (b, c):
             assert np.array_equal(a.final, other.final)
             assert np.array_equal(a.min_margin, other.min_margin)
@@ -351,11 +348,9 @@ class TestExitsAndMargins:
         # start at the origin, where the constant column pushes straight
         # through the first face
         h0 = StateVec(np.zeros(16))
-        config = SimConfig(
-            dt=1e-3, horizon=0.05, paths=8, store_trajectories=True,
-        )
+        config = SimConfig(dt=1e-3, horizon=0.05, paths=8)
         noise9 = NoiseSpec.flat(9, 1.0, seed=0)
-        ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
+        ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0, store=True)
         assert ens.trajectories.shape == (8, config.steps + 1, 16)
         # orthant margins are plain coordinate minima per step
         recomputed = ens.trajectories.min(axis=2).min(axis=1)
@@ -379,10 +374,8 @@ class TestExitsAndMargins:
     def test_exit_step_is_first_crossing(self, heat16, cone16, badvol_coeffs):
         h0 = StateVec(np.zeros(16))
         noise9 = NoiseSpec.flat(9, 1.0, seed=0)
-        config = SimConfig(
-            dt=1e-3, horizon=0.2, paths=16, store_trajectories=True,
-        )
-        ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
+        config = SimConfig(dt=1e-3, horizon=0.2, paths=16)
+        ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0, store=True)
         assert np.any(ens.exited)
         margins = ens.trajectories.min(axis=2)
         for p in range(16):
@@ -449,10 +442,9 @@ class TestStability:
         assert len(calls) == len(seq) + 1
         assert all(ran is system for ran, system in zip(calls, [limit, *seq]))
         # the one limit run is the run each entry used to repeat
-        stored = SimConfig(dt=1e-2, horizon=0.1, paths=4, store_trajectories=True)
-        base = run_ensemble(limit, sg, noise, K, stored, h0).trajectories
+        base = run_ensemble(limit, sg, noise, K, config, h0, store=True).trajectories
         for entry, res in zip(seq, out):
-            diff = base - run_ensemble(entry, sg, noise, K, stored, h0).trajectories
+            diff = base - run_ensemble(entry, sg, noise, K, config, h0, store=True).trajectories
             assert np.array_equal(res.per_path, np.max(np.sum(diff * diff, axis=2), axis=1))
 
     def test_dim_mismatch_rejected(self):
@@ -490,11 +482,6 @@ class TestSsncEstimate:
         assert est == pytest.approx(1.0, rel=1e-12)
         assert est >= 0.5
 
-    def test_callable_sigma_accepted(self, heat16, cone16):
-        h = StateVec(np.full(16, 1.0))
-        est = ssnc_estimate(heat16, lambda v: StateVec(np.zeros(16)), cone16, h)
-        assert est == 0.0
-
     def test_state_must_be_in_cone(self, heat16, cone16):
         coords = np.full(16, 1.0)
         coords[3] = -0.5
@@ -505,12 +492,3 @@ class TestSsncEstimate:
         h = StateVec(np.full(16, 1.0))
         with pytest.raises(ShapeError):
             ssnc_estimate(heat16, np.zeros(4), cone16, h)
-
-    def test_custom_grid(self, heat16, cone16):
-        coords = np.full(16, 1.0)
-        coords[1] = 0.0
-        h = StateVec(coords)
-        outward = np.zeros(16)
-        outward[1] = -1.0
-        grid = LiminfGrid(t0=0.2, ratio=0.5, points=5)
-        assert ssnc_estimate(heat16, outward, cone16, h, grid) == pytest.approx(1.0)
