@@ -87,14 +87,15 @@ def _worst(values) -> tuple[int, float]:
     return i, float(values[i])
 
 
-def suite_phi(samples: int = 10_001, seed: int = 0) -> list[PropertyResult]:
-    """Dead-zone shift: zero on the dead zone, eps-close, 1-Lipschitz.
+# grid points on [-10, 10]: an odd count keeps x = 0 on the grid, so the
+# dead-zone check is never vacuous at small eps
+_PHI_SAMPLES = 10_001
 
-    An odd sample count keeps x = 0 on the grid so the dead-zone check
-    is never vacuous at small eps.
-    """
+
+def suite_phi(seed: int = 0) -> list[PropertyResult]:
+    """Dead-zone shift: zero on the dead zone, eps-close, 1-Lipschitz."""
     out = []
-    xs = np.linspace(-10.0, 10.0, samples)
+    xs = np.linspace(-10.0, 10.0, _PHI_SAMPLES)
     gaps = np.diff(xs)
     for eps in (1e-3, 1e-1, 1.0):
         y = phi_eps(xs, eps)
@@ -106,12 +107,12 @@ def suite_phi(samples: int = 10_001, seed: int = 0) -> list[PropertyResult]:
                           {"x": float(xs[i]), "value": float(y[i])}))
         i, dist = _worst(np.abs(y - xs))
         out.append(_judge("phi", f"eps-close eps={eps}", dist <= eps + 1e-15,
-                          f"{samples} grid points", "|phi(x) - x| > eps",
+                          f"{_PHI_SAMPLES} grid points", "|phi(x) - x| > eps",
                           {"x": float(xs[i]), "value": float(y[i])}))
         steps = np.abs(np.diff(y))
         i, excess = _worst(steps - gaps * (1.0 + 1e-12))
         out.append(_judge("phi", f"lipschitz eps={eps}", excess <= 0.0,
-                          f"{samples - 1} adjacent pairs", "adjacent quotient above 1",
+                          f"{_PHI_SAMPLES - 1} adjacent pairs", "adjacent quotient above 1",
                           {"x": float(xs[i]), "quotient": float(steps[i] / gaps[i])}))
     shifted = shift(np.array([0.05, 3.0, -1.0, 0.2]), 3)
     expect = np.array([0.0, 2.875, -0.875, 0.0])
@@ -121,13 +122,16 @@ def suite_phi(samples: int = 10_001, seed: int = 0) -> list[PropertyResult]:
     return out
 
 
-# rows retracted per call: the batch stays small next to the samples
+# random pairs of states in R^32, and rows retracted per call: the batch
+# stays small next to the samples
+_RETRACT_PAIRS, _RETRACT_DIM = 10_000, 32
 _RETRACT_ROWS = 1024
 
 
-def suite_retraction(pairs: int = 10_000, dim: int = 32, seed: int = 0) -> list[PropertyResult]:
+def suite_retraction(seed: int = 0) -> list[PropertyResult]:
     """Radial retraction: nonexpansive, norm-bounded, identity inside."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    pairs, dim = _RETRACT_PAIRS, _RETRACT_DIM
     n = 2.0
     h = rng.standard_normal((pairs, dim)) * rng.uniform(0.0, 4.0 * n, (pairs, 1))
     g = rng.standard_normal((pairs, dim)) * rng.uniform(0.0, 4.0 * n, (pairs, 1))
@@ -170,12 +174,16 @@ def _kinked_envelope(x: np.ndarray, lam: float) -> np.ndarray:
     return np.minimum(huber, 1.0)
 
 
-def suite_supinf(grid: int = 41, seed: int = 0) -> list[PropertyResult]:
+# envelope points on [-2, 2], one search lane each
+_SUPINF_GRID = 41
+
+
+def suite_supinf(seed: int = 0) -> list[PropertyResult]:
     """Quadratic envelopes on the bounded Lipschitz test function."""
     lam, mu = 1e-2, 1e-3
     p = SupInfParams(lam=lam, mu=mu)
     search = SearchSpec(lipschitz=1.0, sup_bound=1.0)
-    xs = np.linspace(-2.0, 2.0, grid)
+    xs = np.linspace(-2.0, 2.0, _SUPINF_GRID)
     points = xs[:, None]  # one search lane per grid point
 
     lows = inf_convolve(_kinked, lam, points, search)
@@ -190,7 +198,7 @@ def suite_supinf(grid: int = 41, seed: int = 0) -> list[PropertyResult]:
     good = (lows <= mids + 1e-12) & (mids <= highs + 1e-12)
     j = int(np.argmin(good))  # the first misordered point
     ordering = _judge("supinf", "ordering", good.all(),
-                      f"f_lam <= f <= f^mu on {grid} points", "envelope ordering violated",
+                      f"f_lam <= f <= f^mu on {_SUPINF_GRID} points", "envelope ordering violated",
                       {"x": float(xs[j]), "inf": float(lows[j]), "f": float(mids[j]),
                        "sup": float(highs[j])})
 

@@ -164,15 +164,19 @@ def _exit_stats(ens: PathEnsemble) -> dict:
     }
 
 
-def _echo_report(report, limit: int = 8) -> None:
+# witnesses echoed to the terminal; the report JSON lists them all
+_WITNESSES_SHOWN = 8
+
+
+def _echo_report(report) -> None:
     click.echo(f"verdict: {report.verdict}")
-    for w in report.witnesses[:limit]:
+    for w in report.witnesses[:_WITNESSES_SHOWN]:
         comp = "" if w.component is None else f" column {w.component}"
         click.echo(
             f"  witness: {w.condition}{comp} at face k={w.k} (theta={w.theta}), "
             f"magnitude {w.magnitude:.6g}"
         )
-    extra = len(report.witnesses) - limit
+    extra = len(report.witnesses) - _WITNESSES_SHOWN
     if extra > 0:
         click.echo(f"  ... and {extra} more witnesses (full list in report JSON)")
 

@@ -276,8 +276,8 @@ class ExperimentConfig:
                 exit_tol=read_float("sim.exit_tol", _field(sim_doc, "sim", "exit_tol", default=1e-8)),
                 guard=read_float("sim.guard", _field(sim_doc, "sim", "guard", default=1e12)),
             )
-            # read so that a bad value still fails, then dropped: no
-            # command stores trajectories (see ``to_dict``)
+            # read so that a bad value still fails, then dropped: no run
+            # keeps whole trajectories (see ``to_dict``)
             read_bool("store_trajectories", sim_doc.get("store_trajectories", False))
 
         chk = _section(doc, "checker", required=False)

@@ -16,10 +16,13 @@ chunk's state once, from its initial rows (step 0 is checked against
 the guard and the cone there), and ``step_ensemble(plan, state,
 normals, counts)`` advances it in place through the ``(P, b, J)``
 normals and ``(P, b, M)`` counts of one block: rows, running minima,
-first exits, divergence, the alive and waiting flags, the step offset
-and, when recording, the trajectories.  Nothing in a step depends on
-where a block starts or ends, so stepping the noise of a run whole or
-split into consecutive blocks of any lengths gives the same bytes.
+first exits, divergence, the alive and waiting flags and the step
+offset.  Nothing in a step depends on where a block starts or ends, so
+stepping the noise of a run whole or split into consecutive blocks of
+any lengths gives the same bytes.  A state made with a ``rows`` buffer
+of one block, ``(P, b, N)``, also records the rows after each step of
+the block, overwriting the previous block's; no run keeps whole
+trajectories.
 
 Each map touches only its output ``support``: ``StepPlan.build`` turns
 the support into a slice where it can (the whole row, one coordinate, a
@@ -148,7 +151,8 @@ class KernelState:
 
     ``first_exit`` and ``diverged`` hold step indices (0 = the initial
     state, -1 = never); ``waiting`` marks live paths with no first exit
-    yet.  ``traj``, when given, is filled row ``step`` by row ``step``.
+    yet.  ``rows``, when given, receives each block's rows: ``rows[:, i]``
+    holds the states after the block's step ``i + 1``.
     """
 
     r: np.ndarray            # (P, N) current rows
@@ -160,16 +164,17 @@ class KernelState:
     all_alive: bool
     any_waiting: bool
     step: int                # steps taken so far
-    traj: np.ndarray | None  # (P, S+1, N) or None
+    rows: np.ndarray | None  # (P, b, N): the last block's rows, or None
     con: object              # constrained coordinates as a row_index
     sign_cols: np.ndarray    # (K, P) cone signs, one column per path
     decay: np.ndarray        # (P, N) exp(-c dt), one row per path
 
     @classmethod
-    def start(cls, plan: StepPlan, r0: np.ndarray, traj: np.ndarray | None = None) -> "KernelState":
+    def start(cls, plan: StepPlan, r0: np.ndarray, rows: np.ndarray | None = None) -> "KernelState":
         """The state at step 0: rows ``r0`` (P, N), checked against the
-        guard and the cone as every later step is.  ``traj`` is a
-        (P, S+1, N) array to record the trajectories in, or None."""
+        guard and the cone as every later step is.  ``rows`` is a
+        (P, b, N) buffer to record each block's rows in, with ``b`` at
+        least the longest block, or None."""
         P, N = r0.shape
         con_idx = np.flatnonzero(plan.signs != 0.0)
         con = row_index(con_idx, N)
@@ -182,8 +187,6 @@ class KernelState:
         first_exit = np.full(P, -1, dtype=np.int64)
         diverged = np.full(P, -1, dtype=np.int64)
         alive = np.ones(P, dtype=bool)
-        if traj is not None:
-            traj[:, 0] = r
 
         # a row counts as diverged unless its sup norm is within the guard,
         # so a row holding a NaN diverges too
@@ -209,7 +212,7 @@ class KernelState:
             all_alive=bool(alive.all()),
             any_waiting=bool(waiting.any()),
             step=0,
-            traj=traj,
+            rows=rows,
             con=con,
             sign_cols=sign_cols,
             decay=decay,
@@ -275,8 +278,8 @@ def step_ensemble(
                 state.first_exit[crossed] = s + 1
                 waiting &= ~crossed
                 any_waiting = bool(waiting.any())
-        if state.traj is not None:
-            state.traj[:, s + 1] = r
+        if state.rows is not None:
+            state.rows[:, s - state.step] = r
 
     state.r, state.all_alive, state.any_waiting = r, all_alive, any_waiting
     state.step += normals.shape[1]

@@ -19,11 +19,7 @@ time: its paths draw the next ``b`` steps into a buffer of about
 ``_NOISE_BYTES`` (8 MiB), the kernel advances the chunk's state through
 them, and the buffer is reused for the next block.  So memory does not
 grow with the horizon, and the width and the block length are module
-constants, not options.
-
-Whole trajectories are kept only when ``run_ensemble(..., store=True)``
-asks for them, which only ``stability_experiment`` does; the commands
-write per-path summaries and never store them.
+constants, not options.  No run keeps whole trajectories.
 
 Monitoring is structural, not pathwise-absorbing: every path records
 its minimum signed cone margin, the first step index at which the
@@ -45,22 +41,32 @@ never the output, and any single path can be regenerated in isolation:
 contract drew the counts from the normals' generator after a whole
 horizon of normals, which tied the numbers to holding the horizon.)
 
-``run_sweep`` steps several step sizes ``f * dt`` on the same paths in
-one pass over the draws at ``dt`` (coupled levels, as in Giles,
-"Multilevel Monte Carlo path simulation", Oper. Res. 56, 2008).  A
-level-``f`` step consumes ``f`` fine steps: its normal in column ``j``
+One engine, ``_simulate``, steps coupled lanes: a lane is a
+coefficient set and a step factor ``f``, and every lane steps the same
+paths in one pass over the draws at ``dt`` (coupled levels, as in
+Giles, "Multilevel Monte Carlo path simulation", Oper. Res. 56, 2008).
+A lane-``f`` step consumes ``f`` fine steps: its normal in column ``j``
 is ``(xi_1 + ... + xi_f) / sqrt(f)``, added left to right and then
 divided, and its count for atom ``i`` is the sum of the ``f`` fine
-counts.  Blocks hold a whole number of every level's steps, and every
-level advances through a block before the next block is drawn.  The
-level with ``f = 1`` is ``run_ensemble``'s ensemble bit for bit:
-``run_ensemble`` is the one-level case of the same engine.
+counts.  Blocks hold a whole number of every lane's steps, and every
+lane advances through a block before the next block is drawn.  So a
+lane's output does not depend on the other lanes:
+
+* ``run_ensemble`` is one lane, the set at ``f = 1``;
+* ``run_sweep`` is the set at several factors (levels), and its level
+  with ``f = 1`` is ``run_ensemble``'s ensemble bit for bit;
+* ``stability_experiment`` is the limit and each entry of the sequence
+  at ``f = 1``.  Each of its lanes records the rows of a block into a
+  buffer of one block, and after each block the engine folds ``max_s
+  ||r_limit - r_entry||^2`` into one running sup per path and entry.
+  The recorded rows count in the block's width, so a block stays about
+  ``_NOISE_BYTES`` whatever the horizon.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -169,7 +175,6 @@ class PathEnsemble:
     seeds: np.ndarray
     dt: float
     steps: int
-    trajectories: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -208,8 +213,9 @@ def _draw_noise(rng, count_rng, normals: np.ndarray, counts: np.ndarray, lam: np
 
 def _block_steps(paths: int, width: int, unit: int) -> int:
     """Steps per noise block: as many as fit ``_NOISE_BYTES`` for
-    ``paths`` paths of ``width`` draws per step, in whole multiples of
-    ``unit`` (so every sweep level's steps end on a block boundary)."""
+    ``paths`` paths of ``width`` numbers per step (draws, and recorded
+    rows), in whole multiples of ``unit`` (so every lane's steps end on
+    a block boundary)."""
     steps = _NOISE_BYTES // (8 * paths * max(width, 1))
     return max(unit, steps - steps % unit)
 
@@ -255,17 +261,13 @@ def run_ensemble(
     config: SimConfig,
     h0: StateVec,
     first_path: int = 0,
-    store: bool = False,
 ) -> PathEnsemble:
     """Simulate ``config.paths`` independent paths from ``h0``.
 
     ``first_path`` offsets the path indices (and so the noise streams),
     which is how a slice of a larger ensemble is reproduced exactly.
-    With ``store`` the ensemble keeps every path's states at every step
-    (``trajectories``, ``(paths, steps + 1, dim)``); storing changes no
-    other output.
     """
-    return _simulate(coeffs, semigroup, noise, cone, config, h0, (1,), first_path, store)[0]
+    return _simulate([(coeffs, 1)], semigroup, noise, cone, config, h0, first_path, None)[0]
 
 
 def run_sweep(
@@ -285,32 +287,45 @@ def run_sweep(
     ensemble, and the levels differ only by the step size.  Each factor
     must divide ``config.steps``.
     """
-    return _simulate(coeffs, semigroup, noise, cone, config, h0, tuple(factors), 0, store=False)
+    lanes = [(coeffs, f) for f in factors]
+    return _simulate(lanes, semigroup, noise, cone, config, h0, 0, None)
 
 
-def _simulate(coeffs, semigroup, noise, cone, config, h0, factors, first_path, store):
-    """The engine behind ``run_ensemble`` and ``run_sweep``: chunks of
-    ``_CHUNK`` paths, each stepped block by block through its fine draws,
-    every level on each block before the next block is drawn."""
-    _validate_setup(coeffs, semigroup, noise, cone, h0)
-    dim = coeffs.dim
+def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
+    """The engine: one ensemble per lane ``(coeffs, factor)``, all lanes
+    driven by the same draws at ``config.dt``.  Chunks of ``_CHUNK`` paths
+    are stepped block by block through their fine draws, every lane on
+    each block before the next block is drawn.  The lanes' sets share
+    their jump weights, which set the counts' distribution.
+
+    ``sup_sq``, when not None, is an ``(L - 1, P)`` array for lanes of
+    factor 1: each lane records its rows one block at a time, and row
+    ``l`` of ``sup_sq`` is raised, path by path, to the largest squared
+    distance between lane 0's rows and lane ``l + 1``'s."""
+    for coeffs, _ in lanes:
+        _validate_setup(coeffs, semigroup, noise, cone, h0)
+    dim = h0.dim
     S = config.steps
     P = config.paths
+    factors = [f for _, f in lanes]
     levels = [replace(config, dt=config.dt * f) for f in factors]
     for f, cfg in zip(factors, levels):
         if cfg.steps * f != S:
             raise ConfigError(f"sweep factor {f} does not divide the {S} steps of dt {config.dt}")
 
-    # Both names are the same function.  Built-in sets call it as
-    # simulate.step_ensemble, the call site perfbench/tracing.py wraps to
-    # time the kernel layer; perfbench/test_perfbench.py pins that only
-    # the verify-sweep workload reaches it.
-    step = step_ensemble if coeffs.uses_only_builtin_maps() else kernels.step_ensemble
-    plans = [StepPlan.build(coeffs, semigroup, noise, cone, cfg) for cfg in levels]
+    # Both names are the same function, chosen once for the run.  Runs
+    # whose every set is built-in call it as simulate.step_ensemble, the
+    # call site perfbench/tracing.py wraps to time the kernel layer;
+    # perfbench/test_perfbench.py pins that only the verify-sweep
+    # workload reaches it.
+    builtin = all(coeffs.uses_only_builtin_maps() for coeffs, _ in lanes)
+    step = step_ensemble if builtin else kernels.step_ensemble
+    plans = [StepPlan.build(c, semigroup, noise, cone, cfg) for (c, _), cfg in zip(lanes, levels)]
     J = noise.count
-    lam = coeffs.jump_weights * float(config.dt)
+    lam = lanes[0][0].jump_weights * float(config.dt)
     M = len(lam)
     unit = math.lcm(*factors)
+    rows_width = 0 if sup_sq is None else dim * len(lanes)
 
     seeds = np.zeros(P, dtype=np.uint64)
     out = [
@@ -322,7 +337,6 @@ def _simulate(coeffs, semigroup, noise, cone, config, h0, factors, first_path, s
             seeds=seeds,
             dt=cfg.dt,
             steps=cfg.steps,
-            trajectories=np.zeros((P, cfg.steps + 1, dim)) if store else None,
         )
         for cfg in levels
     ]
@@ -336,11 +350,11 @@ def _simulate(coeffs, semigroup, noise, cone, config, h0, factors, first_path, s
             rng, seeds[lo + k] = _path_stream(noise.seed, p)
             streams.append((rng, _count_stream(noise.seed, p) if M else None))
         r0 = np.broadcast_to(h0.coords, (n, dim))
+        B = _block_steps(n, J + M + rows_width, unit)
         states = [
-            KernelState.start(plan, r0, None if e.trajectories is None else e.trajectories[lo:hi])
-            for plan, e in zip(plans, out)
+            KernelState.start(plan, r0, np.zeros((n, min(B, S), dim)) if rows_width else None)
+            for plan in plans
         ]
-        B = _block_steps(n, J + M, unit)
         normals = np.zeros((n, min(B, S), J))
         counts = np.zeros((n, min(B, S), M), dtype=np.int64)
         for s0 in range(0, S, B):
@@ -349,6 +363,8 @@ def _simulate(coeffs, semigroup, noise, cone, config, h0, factors, first_path, s
                 _draw_noise(rng, count_rng, normals[k, :b], counts[k, :b], lam)
             for f, plan, state in zip(factors, plans, states):
                 step(plan, state, *_coarsen(normals[:, :b], counts[:, :b], f))
+            if rows_width:
+                _fold_distances(sup_sq[:, lo:hi], states, b)
         for e, state in zip(out, states):
             e.final[lo:hi] = state.r
             e.min_margin[lo:hi] = state.runmin
@@ -358,6 +374,17 @@ def _simulate(coeffs, semigroup, noise, cone, config, h0, factors, first_path, s
         # chunk makes its own, so peak memory holds one chunk, not two.
         del normals, counts, states, streams
     return out
+
+
+def _fold_distances(sup_sq: np.ndarray, states: list, b: int) -> None:
+    """Raise row ``l`` of ``sup_sq`` (one chunk's paths) to the largest
+    squared distance, over the ``b`` steps the lanes just recorded,
+    between lane 0's rows and lane ``l + 1``'s."""
+    base = states[0].rows[:, :b]
+    for sup, state in zip(sup_sq, states[1:]):
+        diff = base - state.rows[:, :b]
+        diff *= diff
+        np.maximum(sup, diff.sum(axis=2).max(axis=1), out=sup)
 
 
 @dataclass(frozen=True)
@@ -388,40 +415,36 @@ def stability_experiment(
 ) -> list[StabilityResult]:
     """Estimate ``E sup_t ||r_t - r^n_t||^2`` for each entry of ``seq``.
 
-    The limiting system and every approximation consume identical noise
-    draws (same master seed, same path indices), so an entry equal to
-    ``limit`` scores exactly zero.  The sup runs over every stored step
-    including the initial state.  The limiting system is simulated
-    once, and not at all for an empty ``seq``.
+    The limiting system and every approximation are lanes of one run:
+    they consume identical noise draws (same master seed, same path
+    indices), drawn once, so an entry equal to ``limit`` scores exactly
+    zero.  The sup runs over every step, the initial state included.
+    Nothing is simulated for an empty ``seq``.  An entry's jump weights
+    must equal the limit's: they are the intensity of the shared Poisson
+    random measure, so they belong to the noise, not to the coefficients.
     """
     for n, other in enumerate(seq):
         if other.dim != limit.dim:
             raise ShapeError(f"sequence entry {n} dimension differs from the limit")
+        if not np.array_equal(other.jump_weights, limit.jump_weights):
+            raise DomainError(f"sequence entry {n} jump weights differ from the limit's")
     if not seq:
         return []
-    base = run_ensemble(limit, semigroup, noise, cone, config, h0, store=True).trajectories
-    results = []
-    for n, other in enumerate(seq):
-        run = run_ensemble(other, semigroup, noise, cone, config, h0, store=True)
-        diff = base - run.trajectories
-        sup_sq = np.max(np.sum(diff * diff, axis=2), axis=1)
-        mean = float(np.mean(sup_sq))
-        stderr = (
-            float(np.std(sup_sq, ddof=1) / np.sqrt(len(sup_sq)))
-            if len(sup_sq) > 1
-            else 0.0
+    distances = np.zeros((len(seq), config.paths))
+    lanes = [(limit, 1), *((other, 1) for other in seq)]
+    _simulate(lanes, semigroup, noise, cone, config, h0, 0, distances)
+    P = config.paths
+    return [
+        StabilityResult(
+            index=n,
+            mean=float(np.mean(sup_sq)),
+            stderr=float(np.std(sup_sq, ddof=1) / np.sqrt(P)) if P > 1 else 0.0,
+            per_path=sup_sq,
+            steps=config.steps,
+            dt=config.dt,
         )
-        results.append(
-            StabilityResult(
-                index=n,
-                mean=mean,
-                stderr=stderr,
-                per_path=sup_sq,
-                steps=config.steps,
-                dt=config.dt,
-            )
-        )
-    return results
+        for n, sup_sq in enumerate(distances)
+    ]
 
 
 def ssnc_estimate(

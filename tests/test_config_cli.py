@@ -824,4 +824,4 @@ class TestAppendixCommand:
 
     def test_nan_retraction_fails(self, monkeypatch):
         monkeypatch.setattr(appendix, "retract", lambda a, n: np.full_like(a, np.nan))
-        assert {"nonexpansive", "norm-bound"} <= self._failed(appendix.suite_retraction(pairs=200))
+        assert {"nonexpansive", "norm-bound"} <= self._failed(appendix.suite_retraction())

@@ -405,3 +405,123 @@ def test_every_parameter_is_read(path):
 def test_unread_allowlist_is_current():
     found = {f"{p.name}:{u}" for p in MODULES for u in unread_parameters(ast.parse(p.read_text()))}
     assert set(UNREAD_ALLOWED) <= found, set(UNREAD_ALLOWED) - found
+
+
+# A parameter default that no consumer call overrides is a setting that
+# only tests set: it belongs in a module constant.  Consumers are the
+# files of the reach rule (``consumers``); a call overrides a default
+# when it passes that parameter by keyword or by position, a starred
+# argument passing every position and ``**`` every keyword.  Calls are
+# matched by the name they use (the class name for ``__init__``), so a
+# function called through a variable or a table is never matched.  The
+# allowlist names the defaults overridden that way, each with its reason.
+_SUITE_SEED = "run_suites dispatches every suite as SUITES[name](seed=seed)"
+_CHECKER_ARG = "invariance_verdict calls the checkers through its checks tuple"
+DEFAULT_ALLOWED = {
+    **{f"appendix.py:suite_{name}(seed)": _SUITE_SEED
+       for name in ("phi", "retraction", "supinf", "mollify", "rho")},
+    **{f"coefficients.py:check_{kind}_condition({param})": _CHECKER_ARG
+       for kind in ("jump", "drift", "volatility") for param in ("sampler", "tol")},
+    "simulate.py:run_ensemble(first_path)": "the seeding contract's one-path regeneration, "
+    "run_ensemble(..., paths=1, first_path=p), for code outside the package",
+}
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, str]]:
+    """``(qualname, callee, position, parameter)`` for every parameter
+    with a default.  ``callee`` is the name a call uses (the class for
+    ``__init__``) and ``position`` the index of a positional argument,
+    a method's first parameter aside (None for a keyword-only one)."""
+    found = []
+
+    def visit(body: list[ast.stmt], owner: str, cls_name: str | None) -> None:
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{owner}{node.name}.", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = [*a.posonlyargs, *a.args]
+                if cls_name is not None:
+                    positional = positional[1:]  # self or cls
+                callee = cls_name if node.name == "__init__" else node.name
+                qualname = f"{owner}{node.name}"
+                first = len(positional) - len(a.defaults)
+                for i, p in enumerate(positional[first:], start=first):
+                    found.append((qualname, callee, i, p.arg))
+                for p, d in zip(a.kwonlyargs, a.kw_defaults):
+                    if d is not None:
+                        found.append((qualname, callee, None, p.arg))
+                visit(node.body, f"{qualname}.", None)
+
+    visit(tree.body, "", None)
+    return found
+
+
+def passed_arguments(root: Path) -> set[tuple[str, int | str]]:
+    """``(callee, position or keyword)`` for every argument a consumer's
+    call passes to a callee named by a bare name or an attribute."""
+    passed = set()
+    for path in consumers(root):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            for i, arg in enumerate(node.args):
+                passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            passed.update((name, k.arg or "**") for k in node.keywords)
+    return passed
+
+
+def unoverridden_defaults(path: Path, passed: set[tuple[str, int | str]]) -> list[str]:
+    """``file:qualname(param)`` of every default in ``path`` that no call
+    in ``passed`` overrides, allowlisted or not."""
+    found = []
+    for qualname, callee, i, param in defaulted_parameters(ast.parse(path.read_text())):
+        keys = {(callee, param), (callee, "**")}
+        if i is not None:
+            keys |= {(callee, i), (callee, "*")}
+        if not keys & passed:
+            found.append(f"{path.name}:{qualname}({param})")
+    return found
+
+
+def test_checker_sees_a_default_only_tests_set(tmp_path):
+    # f(b) is set only by its own test and K.m(y) by nobody; the AC line,
+    # the benchmark and the package override the rest
+    files = {
+        "src/conespde/__init__.py": "from .m import f, g, K\n",
+        "src/conespde/m.py": (
+            "def f(a, b=1, *, c=2): pass\n"
+            "def g(x=0, y=0): pass\n"
+            "def h(*args): g(*args)\n"
+            "class K:\n"
+            "    def __init__(self, z=0): pass\n"
+            "    def m(self, y=1): pass\n"
+        ),
+        "tests/test_m.py": "from conespde.m import f\nf(1, 2)\n",
+        "tests/test_acceptance.py": "from conespde.m import f\nf(1, c=3)\n",
+        "perfbench/run.py": "import conespde.m as m\nm.K(z=1).m()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    passed = passed_arguments(tmp_path)
+    found = unoverridden_defaults(tmp_path / "src/conespde/m.py", passed)
+    assert found == ["m.py:f(b)", "m.py:K.m(y)"]
+
+
+PASSED = passed_arguments(ROOT)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_default_is_overridden(path):
+    found = [d for d in unoverridden_defaults(path, PASSED) if d not in DEFAULT_ALLOWED]
+    assert not found, f"no consumer sets these defaults, so they are constants: {', '.join(found)}"
+
+
+def test_default_allowlist_is_current():
+    found = {d for p in MODULES for d in unoverridden_defaults(p, PASSED)}
+    assert set(DEFAULT_ALLOWED) <= found, set(DEFAULT_ALLOWED) - found

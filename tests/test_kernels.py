@@ -8,7 +8,9 @@ the name ``simulate.step_ensemble``, other sets by
 that delegates to it must therefore reproduce the output exactly, exits
 and divergence included.  ``TestDenseReference`` holds the loop as it
 was before supports, which evaluated every map at full width, and
-requires the same bytes from the kernel.
+requires the same bytes from the kernel.  No run keeps whole
+trajectories, so the tests build them from the kernel's one-block
+``rows`` buffer (``run_kernel``, ``ensemble_rows``).
 """
 
 import numpy as np
@@ -37,8 +39,13 @@ def assert_same_ensemble(a, b):
     assert np.array_equal(a.first_exit, b.first_exit)
     assert np.array_equal(a.diverged, b.diverged)
     assert np.array_equal(a.seeds, b.seeds)
-    if a.trajectories is not None or b.trajectories is not None:
-        assert np.array_equal(a.trajectories, b.trajectories)
+
+
+def assert_matches_rows(ens, ref):
+    """``ens``, a ``run_ensemble`` output, is bitwise the kernel run
+    ``ref`` from ``ensemble_rows``."""
+    for key in ("final", "min_margin", "first_exit", "diverged"):
+        assert getattr(ens, key).tobytes() == ref[key].tobytes(), key
 
 
 class TestPlan:
@@ -132,10 +139,14 @@ class TestUnloweredSetParity:
         h0 = StateVec(np.zeros(16))
         monkeypatch.setattr(simulate, "_CHUNK", 5)
         config = SimConfig(dt=1e-3, horizon=0.05, paths=12)
-        a = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0, store=True)
-        b = run_ensemble(wrapped, heat16, noise9, cone16, config, h0, store=True)
+        a = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
+        b = run_ensemble(wrapped, heat16, noise9, cone16, config, h0)
         assert np.any(a.exited)
         assert_same_ensemble(a, b)
+        ref_a = ensemble_rows(badvol_coeffs, heat16, noise9, cone16, config, h0)
+        ref_b = ensemble_rows(wrapped, heat16, noise9, cone16, config, h0)
+        assert_matches_rows(a, ref_a)
+        assert ref_a["traj"].tobytes() == ref_b["traj"].tobytes()
 
     def test_divergence_freezes_like_lowered(self):
         dim = 2
@@ -144,11 +155,13 @@ class TestUnloweredSetParity:
         cone = ConeSpec(np.array([0, 0]))
         config = SimConfig(dt=0.05, horizon=1.0, paths=3, guard=1e6)
         h0 = StateVec(np.ones(dim))
-        a = run_ensemble(coeffs, sg, NoiseSpec(()), cone, config, h0, store=True)
-        b = run_ensemble(opaque_set(coeffs), sg, NoiseSpec(()), cone, config, h0, store=True)
+        a = run_ensemble(coeffs, sg, NoiseSpec(()), cone, config, h0)
+        b = run_ensemble(opaque_set(coeffs), sg, NoiseSpec(()), cone, config, h0)
         assert np.all(a.diverged > 0)
-        assert np.all(a.trajectories[:, -1] == a.final)
         assert_same_ensemble(a, b)
+        ref = ensemble_rows(opaque_set(coeffs), sg, NoiseSpec(()), cone, config, h0)
+        assert_matches_rows(a, ref)
+        assert np.all(ref["traj"][:, -1] == a.final)
 
     def test_nan_state_diverges(self):
         # 2e308 - 2e308 overflows to inf - inf = NaN in the first step; a
@@ -159,14 +172,14 @@ class TestUnloweredSetParity:
         config = SimConfig(dt=0.1, horizon=1.0, paths=3)
         h0 = StateVec(np.full(2, 2.0))
         with np.errstate(invalid="ignore", over="ignore"):
-            out = run_ensemble(
-                coeffs, sg, NoiseSpec(()), ConeSpec.nonnegative(2), config, h0, store=True
-            )
+            out = run_ensemble(coeffs, sg, NoiseSpec(()), ConeSpec.nonnegative(2), config, h0)
+            ref = ensemble_rows(coeffs, sg, NoiseSpec(()), ConeSpec.nonnegative(2), config, h0)
         assert out.diverged.tolist() == [1, 1, 1]
         assert out.first_exit.tolist() == [-1, -1, -1]
         assert np.array_equal(out.final, np.full((3, 2), 2.0))
         assert np.array_equal(out.min_margin, np.full(3, 2.0))
-        assert np.all(out.trajectories == 2.0)
+        assert_matches_rows(out, ref)
+        assert np.all(ref["traj"] == 2.0)
 
 
 class TestBenchmarkHooks:
@@ -267,23 +280,28 @@ def dense_reference(plan, r0, normals, counts, store=False):
     }
 
 
-def run_kernel(plan, r0, normals, counts, store=False, splits=()):
+def run_kernel(plan, r0, normals, counts, splits=()):
     """``kernels.step_ensemble`` over the whole noise arrays, stepped in
     consecutive blocks that end at the step indices ``splits``, with the
-    result in ``dense_reference``'s form."""
+    result in ``dense_reference``'s form.  The trajectories are ``r0``
+    followed by each block's rows, copied out of one reused ``rows``
+    buffer as the engine's lanes record them."""
     S = normals.shape[1]
-    traj = np.zeros((r0.shape[0], S + 1, r0.shape[1])) if store else None
-    state = kernels.KernelState.start(plan, r0, traj)
     bounds = [0, *splits, S]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        kernels.step_ensemble(plan, state, normals[:, lo:hi], counts[:, lo:hi])
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    longest = max(normals[:, block].shape[1] for block in blocks)
+    state = kernels.KernelState.start(plan, r0, np.zeros((r0.shape[0], longest, r0.shape[1])))
+    traj = [r0.astype(np.float64)[:, None]]
+    for block in blocks:
+        kernels.step_ensemble(plan, state, normals[:, block], counts[:, block])
+        traj.append(state.rows[:, : normals[:, block].shape[1]].copy())
     assert state.step == S
     return {
         "final": state.r,
         "min_margin": state.runmin,
         "first_exit": state.first_exit,
         "diverged": state.diverged,
-        "traj": state.traj,
+        "traj": np.concatenate(traj, axis=1),
     }
 
 
@@ -296,6 +314,15 @@ def draw_whole(seed, paths, steps, n_vols, atom_wdt):
         rng, _ = _path_stream(seed, p)
         _draw_noise(rng, _count_stream(seed, p), normals[p], counts[p], atom_wdt)
     return normals, counts
+
+
+def ensemble_rows(coeffs, semigroup, noise, cone, config, h0):
+    """``run_ensemble``'s paths as ``run_kernel`` steps them over each
+    path's whole-horizon draws, trajectories included."""
+    plan = kernels.StepPlan.build(coeffs, semigroup, noise, cone, config)
+    normals, counts = draw_whole(noise.seed, config.paths, config.steps, noise.count, plan.atom_wdt)
+    r0 = np.broadcast_to(h0.coords, (config.paths, coeffs.dim))
+    return run_kernel(plan, r0, normals, counts)
 
 
 def _preset_inputs(name, paths, steps):
@@ -367,7 +394,7 @@ class TestDenseReference:
     def assert_same_bytes(self, inputs, splits=()):
         plan, r0, normals, counts = inputs
         want = dense_reference(plan, r0, normals, counts, store=True)
-        got = run_kernel(plan, r0, normals, counts, store=True, splits=splits)
+        got = run_kernel(plan, r0, normals, counts, splits=splits)
         for key in self.KEYS:
             assert got[key].dtype == want[key].dtype, key
             assert got[key].tobytes() == want[key].tobytes(), key

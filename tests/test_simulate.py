@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from test_kernels import assert_matches_rows, ensemble_rows
 
 from conespde import (
     ConeSpec,
@@ -30,9 +31,11 @@ from conespde.coefficients import (
     AffineMap,
     CoefficientSet,
     ConstantMap,
+    GatedOffsetMap,
     MeanReversionMap,
     ProjectedMap,
     ProportionalMap,
+    SumMap,
     ZeroMap,
 )
 from conespde.kernels import KernelState, StepPlan, step_ensemble
@@ -98,6 +101,12 @@ class TestSimConfig:
         fields = {"dt": 0.1, "horizon": 1.0, "paths": 1, name: value}
         with pytest.raises(DomainError, match=name):
             SimConfig(**fields)
+
+
+def projected_drift(coeffs, level):
+    """``coeffs`` with its drift projected onto the first ``level``
+    coordinates."""
+    return CoefficientSet(ProjectedMap(coeffs.drift, level), coeffs.vol_columns, coeffs.jump_atoms)
 
 
 def draw(seed, p, steps, n_vols, lam, splits=()):
@@ -215,17 +224,29 @@ class TestDeterminism:
     ):
         h0 = StateVec(np.full(16, 1.0))
         config = SimConfig(dt=1e-3, horizon=0.05, paths=32)
-        a = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0, store=True)
+        coarse = projected_drift(compliant_coeffs, 4)
+
+        def distances():
+            return stability_experiment(
+                heat16, compliant_coeffs, [coarse], flat_noise8, cone16, config, h0
+            )[0].per_path
+
+        a = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
+        sup_a = distances()
         monkeypatch.setattr(simulate, "_CHUNK", 5)
-        b = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0, store=True)
+        b = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
         # 7-step blocks for 5-path chunks of 8 normals and 1 count per step
         monkeypatch.setattr(simulate, "_NOISE_BYTES", 8 * 5 * 9 * 7)
-        c = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0, store=True)
-        for other in (b, c):
-            assert np.array_equal(a.final, other.final)
-            assert np.array_equal(a.min_margin, other.min_margin)
-            assert np.array_equal(a.seeds, other.seeds)
-            assert np.array_equal(a.trajectories, other.trajectories)
+        c = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
+        # and for two lanes that also record 16 coordinates per step
+        monkeypatch.setattr(simulate, "_NOISE_BYTES", 8 * 5 * (9 + 2 * 16) * 7)
+        sup_c = distances()
+        ref = ensemble_rows(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
+        for ens in (a, b, c):
+            assert_matches_rows(ens, ref)
+            assert np.array_equal(a.seeds, ens.seeds)
+        assert np.all(sup_a > 0.0)
+        assert sup_c.tobytes() == sup_a.tobytes()
 
     def test_peak_memory_holds_one_block(
         self, monkeypatch, heat16, cone16, compliant_coeffs, flat_noise8
@@ -249,6 +270,33 @@ class TestDeterminism:
 
         peak(0.1, 16)  # warm-up: first-call allocations are not the ensemble's
         assert peak(2.0, 32) < peak(0.5, 16) + block
+
+    def test_stability_memory_holds_one_block(
+        self, monkeypatch, heat16, cone16, compliant_coeffs, flat_noise8
+    ):
+        # Each lane records its rows one block at a time and the distances
+        # fold into one running sup per path, so a horizon four times as
+        # long peaks less than one block above the short one.
+        h0 = StateVec(np.full(16, 1.0))
+        coarse = projected_drift(compliant_coeffs, 4)
+        monkeypatch.setattr(simulate, "_CHUNK", 16)
+        # 50 steps of 8 normals, 1 count and two lanes' 16-coordinate rows
+        block = 16 * 50 * (8 + 1 + 2 * 16) * 8
+        monkeypatch.setattr(simulate, "_NOISE_BYTES", block)
+
+        def peak(horizon):
+            config = SimConfig(dt=1e-3, horizon=horizon, paths=32)
+            tracemalloc.start()
+            try:
+                stability_experiment(
+                    heat16, compliant_coeffs, [coarse], flat_noise8, cone16, config, h0
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0.1)  # warm-up: first-call allocations are not the experiment's
+        assert peak(2.0) < peak(0.5) + block
 
     def test_first_path_is_a_slice(self, heat16, cone16, compliant_coeffs, flat_noise8):
         h0 = StateVec(np.full(16, 1.0))
@@ -350,12 +398,15 @@ class TestExitsAndMargins:
         h0 = StateVec(np.zeros(16))
         config = SimConfig(dt=1e-3, horizon=0.05, paths=8)
         noise9 = NoiseSpec.flat(9, 1.0, seed=0)
-        ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0, store=True)
-        assert ens.trajectories.shape == (8, config.steps + 1, 16)
+        ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
+        ref = ensemble_rows(badvol_coeffs, heat16, noise9, cone16, config, h0)
+        assert_matches_rows(ens, ref)
+        traj = ref["traj"]
+        assert traj.shape == (8, config.steps + 1, 16)
         # orthant margins are plain coordinate minima per step
-        recomputed = ens.trajectories.min(axis=2).min(axis=1)
+        recomputed = traj.min(axis=2).min(axis=1)
         np.testing.assert_array_equal(ens.min_margin, recomputed)
-        np.testing.assert_array_equal(ens.trajectories[:, -1], ens.final)
+        np.testing.assert_array_equal(traj[:, -1], ens.final)
 
     def test_exit_count_monotone_in_tolerance(self, heat16, cone16, badvol_coeffs):
         h0 = StateVec(np.zeros(16))
@@ -375,9 +426,11 @@ class TestExitsAndMargins:
         h0 = StateVec(np.zeros(16))
         noise9 = NoiseSpec.flat(9, 1.0, seed=0)
         config = SimConfig(dt=1e-3, horizon=0.2, paths=16)
-        ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0, store=True)
+        ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
+        ref = ensemble_rows(badvol_coeffs, heat16, noise9, cone16, config, h0)
+        assert_matches_rows(ens, ref)
         assert np.any(ens.exited)
-        margins = ens.trajectories.min(axis=2)
+        margins = ref["traj"].min(axis=2)
         for p in range(16):
             crossings = np.flatnonzero(margins[p] < -config.exit_tol)
             if ens.first_exit[p] < 0:
@@ -425,27 +478,73 @@ class TestStability:
         assert np.all(out[1].per_path == 0.0)
         assert out[0].index == 0 and out[1].index == 1
 
-    def test_limit_simulated_once(self, monkeypatch):
+    def test_noise_is_drawn_once(self, monkeypatch):
+        # the limit and every entry are lanes of one run over one set of
+        # draws: each path's stream is made once, not once per system
         sg, K, limit = self._system()
         config = SimConfig(dt=1e-2, horizon=0.1, paths=4)
         calls = []
+        real = simulate._path_stream
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return run_ensemble(*args, **kwargs)
+        def counted(seed, p):
+            calls.append(p)
+            return real(seed, p)
 
-        monkeypatch.setattr(simulate, "run_ensemble", counted)
+        monkeypatch.setattr(simulate, "_path_stream", counted)
         seq = [CoefficientSet(ProjectedMap(limit.drift, n), limit.vol_columns) for n in (1, 2, 3)]
         noise, h0 = NoiseSpec.flat(2, 1.0, seed=3), StateVec(np.full(4, 1.0))
         out = stability_experiment(sg, limit, seq, noise, K, config, h0)
+        assert calls == list(range(config.paths))
         assert stability_experiment(sg, limit, [], noise, K, config, h0) == []
-        assert len(calls) == len(seq) + 1
-        assert all(ran is system for ran, system in zip(calls, [limit, *seq]))
-        # the one limit run is the run each entry used to repeat
-        base = run_ensemble(limit, sg, noise, K, config, h0, store=True).trajectories
+        assert calls == list(range(config.paths))
+        assert [res.index for res in out] == [0, 1, 2]
+
+    def test_per_path_matches_whole_trajectories(self, monkeypatch):
+        # a jump atom, an entry some of whose paths diverge, and 37 paths
+        # in 5-path chunks stepped through 7-step blocks
+        dim = 3
+        drift = SumMap(
+            (
+                MeanReversionMap(1.0, np.full(dim, 0.5)),
+                GatedOffsetMap(np.array([0.0, -2.0, 0.0]), 2, 0.5, 1.5),
+            )
+        )
+        vols = (ProportionalMap(0.5, 0, dim), ProportionalMap(0.3, 1, dim))
+        atoms = ((2.0, ConstantMap(np.array([0.2, 0.0, -0.1]))),)
+        limit = CoefficientSet(drift, vols, atoms)
+        volatile = CoefficientSet(drift, (ProportionalMap(10.0, 0, dim), vols[1]), atoms)
+        seq = [projected_drift(limit, 2), volatile, limit]
+        sg = DiagonalSemigroup(np.array([0.0, 1.0, 2.0]))
+        noise = NoiseSpec.flat(2, 1.0, seed=5)
+        K = ConeSpec.nonnegative(dim)
+        config = SimConfig(dt=0.02, horizon=2.0, paths=37, guard=1e6)
+        h0 = StateVec(np.array([1.0, 0.5, 1.0]))
+        monkeypatch.setattr(simulate, "_CHUNK", 5)
+        # 2 normals, 1 count and four lanes' 3-coordinate rows per step
+        monkeypatch.setattr(simulate, "_NOISE_BYTES", 8 * 5 * (2 + 1 + 4 * 3) * 7)
+        out = stability_experiment(sg, limit, seq, noise, K, config, h0)
+        # the reference: max_s sum((r_limit - r_entry)^2) over every step
+        # of whole-horizon rows
+        base = ensemble_rows(limit, sg, noise, K, config, h0)["traj"]
         for entry, res in zip(seq, out):
-            diff = base - run_ensemble(entry, sg, noise, K, config, h0, store=True).trajectories
-            assert np.array_equal(res.per_path, np.max(np.sum(diff * diff, axis=2), axis=1))
+            diff = base - ensemble_rows(entry, sg, noise, K, config, h0)["traj"]
+            want = np.max(np.sum(diff * diff, axis=2), axis=1)
+            assert res.per_path.tobytes() == want.tobytes()
+        diverged = run_ensemble(volatile, sg, noise, K, config, h0).diverged
+        assert 0 < np.sum(diverged > 0) < config.paths
+        assert out[0].mean > 0.0 and out[2].mean == 0.0
+
+    def test_jump_weights_must_match_the_limit(self):
+        sg, K, limit = self._system()
+        atom = ConstantMap(np.full(4, 0.1))
+        jumpy = CoefficientSet(limit.drift, limit.vol_columns, ((0.2, atom),))
+        heavier = CoefficientSet(limit.drift, limit.vol_columns, ((0.4, atom),))
+        config = SimConfig(dt=1e-2, horizon=0.1, paths=2)
+        noise, h0 = NoiseSpec.flat(2, 1.0), StateVec(np.full(4, 1.0))
+        with pytest.raises(DomainError, match="entry 1 jump weights"):
+            stability_experiment(sg, jumpy, [jumpy, heavier], noise, K, config, h0)
+        with pytest.raises(DomainError, match="entry 0 jump weights"):
+            stability_experiment(sg, jumpy, [limit], noise, K, config, h0)
 
     def test_dim_mismatch_rejected(self):
         sg, K, limit = self._system()
