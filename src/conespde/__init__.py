@@ -43,7 +43,6 @@ from .space import (
     ConeSpec,
     StateVec,
     cone_contains,
-    cone_distance,
     retract,
 )
 

@@ -63,8 +63,9 @@ from .errors import (
     read_float,
     read_floats,
     read_int,
+    require_int,
 )
-from .space import ConeSpec, StateVec, retract, shift
+from .space import ConeSpec, StateVec, cone_contains, retract, shift
 
 __all__ = [
     "CoefficientMap",
@@ -735,6 +736,11 @@ class SamplerSpec:
     include_corners: bool = True
 
     def __post_init__(self):
+        for name in ("points_per_face", "interior_points", "seed"):
+            require_int(name, getattr(self, name))
+        if not isinstance(self.include_corners, bool):
+            got = self.include_corners
+            raise DomainError(f"include_corners must be True or False, got {got!r}")
         if self.points_per_face < 0 or self.interior_points < 0:
             raise DomainError("sample counts must be >= 0")
         if self.seed < 0:
@@ -764,12 +770,6 @@ def _corners(cone: ConeSpec, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _in_cone(cone: ConeSpec, pts: np.ndarray) -> bool:
-    """True when every row of ``pts`` is finite and lies in the cone."""
-    # full rows: a free coordinate gives 0 * h_l = 0, and no gather
-    return bool(np.all(np.isfinite(pts)) and np.all(cone.signs * pts >= 0.0))
-
-
 def sample_boundary_pairs(
     cone: ConeSpec, spec: SamplerSpec = SamplerSpec()
 ) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -796,7 +796,7 @@ def sample_boundary_pairs(
         H = _face_draws(cone, rng, spec.points_per_face, k)
         if spec.include_corners:
             H = np.concatenate([H, _corners(cone, idx[idx != k])])
-        if not (_in_cone(cone, H) and np.all(H[:, k] == 0.0)):
+        if not (cone_contains(cone, H) and np.all(H[:, k] == 0.0)):
             raise SamplerContractError(f"face sampler left the face at k={k}")
         H.flags.writeable = False
         yield int(cone.signs[k]), k, H
@@ -826,7 +826,7 @@ def sample_cone_points(cone: ConeSpec, spec: SamplerSpec = SamplerSpec()) -> np.
 
     start = 0
     for part in parts():
-        if not _in_cone(cone, part):
+        if not cone_contains(cone, part):
             raise SamplerContractError("cone sampler produced a point outside the cone")
         points[start : start + part.shape[0]] = part
         start += part.shape[0]
@@ -1025,8 +1025,9 @@ def check_drift_condition(
     At every sampled admissible boundary pair ``(theta e_k*, h)`` the
     margin ``a + theta drift(h)_k - sum_i w_i theta gamma_i(h)_k`` must
     be ``>= -tol``.  A pair is admissible exactly when ``h_k = 0``, and
-    then ``a = 0``; a face block holding any other row is a sampler
-    fault.  Each map's coordinate ``k`` is evaluated once per face
+    then ``a = 0``; ``sample_boundary_pairs`` raises
+    ``SamplerContractError`` before it yields a block holding any other
+    row.  Each map's coordinate ``k`` is evaluated once per face
     block, and the blocks are consumed as the sampler draws them.  A
     drift, atom or margin value that is not finite raises
     ``NumericError``.
@@ -1036,8 +1037,6 @@ def check_drift_condition(
     sampled = 0
     for theta, k, H in sample_boundary_pairs(cone, sampler):
         sampled += H.shape[0]
-        if not np.all(H[:, k] == 0.0):
-            raise SamplerContractError(f"face block k={k} holds a pair that is not admissible")
         excess = -_margin_block(coeffs, theta, k, H)
         witnesses += _witnesses(DRIFT, excess[:, None], tol, H, [theta], [k])
     return ConditionReport((DRIFT,), witnesses, sampled, tol)

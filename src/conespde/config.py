@@ -182,7 +182,7 @@ def _reading(section: str):
 
 def _noise_from(doc: dict) -> NoiseSpec:
     eigs = _field(doc, "noise", "eigenvalues", required=True)
-    seed = read_int("seed", doc.get("seed", 0))
+    seed = read_int("seed", doc.get("seed", NoiseSpec.seed))
     if isinstance(eigs, dict):
         rule = _field(eigs, "noise.eigenvalues", "rule", required=True)
         count = read_int(
@@ -246,11 +246,7 @@ class ExperimentConfig:
             )
 
         with _reading("semigroup"):
-            sg = DiagonalSemigroup.from_config(_section(doc, "semigroup"), dim=dim)
-        if len(sg.rates) != dim:
-            raise ConfigError(
-                f"semigroup: {len(sg.rates)} rates for dimension {dim}"
-            )
+            sg = DiagonalSemigroup.from_config(_section(doc, "semigroup"), dim)
 
         with _reading("coefficients"):
             coeffs = CoefficientSet.from_config(_section(doc, "coefficients"), dim)
@@ -273,8 +269,8 @@ class ExperimentConfig:
                 dt=read_float("sim.dt", _field(sim_doc, "sim", "dt", required=True)),
                 horizon=read_float("sim.horizon", _field(sim_doc, "sim", "horizon", required=True)),
                 paths=read_int("paths", _field(sim_doc, "sim", "paths", required=True)),
-                exit_tol=read_float("sim.exit_tol", _field(sim_doc, "sim", "exit_tol", default=1e-8)),
-                guard=read_float("sim.guard", _field(sim_doc, "sim", "guard", default=1e12)),
+                exit_tol=read_float("sim.exit_tol", sim_doc.get("exit_tol", SimConfig.exit_tol)),
+                guard=read_float("sim.guard", sim_doc.get("guard", SimConfig.guard)),
             )
             # read so that a bad value still fails, then dropped: no run
             # keeps whole trajectories (see ``to_dict``)
@@ -283,10 +279,16 @@ class ExperimentConfig:
         chk = _section(doc, "checker", required=False)
         with _reading("checker"):
             sampler = SamplerSpec(
-                points_per_face=read_int("points_per_face", chk.get("points_per_face", 64)),
-                interior_points=read_int("interior_points", chk.get("interior_points", 64)),
-                seed=read_int("seed", chk.get("seed", 0)),
-                include_corners=read_bool("include_corners", chk.get("include_corners", True)),
+                points_per_face=read_int(
+                    "points_per_face", chk.get("points_per_face", SamplerSpec.points_per_face)
+                ),
+                interior_points=read_int(
+                    "interior_points", chk.get("interior_points", SamplerSpec.interior_points)
+                ),
+                seed=read_int("seed", chk.get("seed", SamplerSpec.seed)),
+                include_corners=read_bool(
+                    "include_corners", chk.get("include_corners", SamplerSpec.include_corners)
+                ),
             )
             tol = chk.get("tol")
             tol = None if tol is None else read_float("checker.tol", tol)

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the config rules for
-numbers, lists of numbers, integers and booleans (here, below
-``config``, so every module can use them).
+"""Exception types shared across the package, the config rules for
+numbers, lists of numbers, integers and booleans, and the rule for the
+integer fields of the direct API (here, below ``config``, so every
+module can use them).
 
 Most subclasses derive from ValueError so that callers who do not care
 about the fine distinction can still catch invalid input generically.
@@ -71,6 +72,14 @@ def read_int(path: str, value) -> int:
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{path}: must be an integer, got {value!r}")
     return int(value)
+
+
+def require_int(name: str, value) -> None:
+    """An integer field of the direct API: a Python or NumPy integer.
+    Booleans, integral floats and anything else raise ``DomainError``;
+    config documents reach the field through ``read_int`` first."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def read_bool(path: str, value) -> bool:

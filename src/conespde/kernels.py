@@ -103,7 +103,7 @@ class StepPlan:
             vols=coeffs.vol_columns,
             atoms=atoms,
             supports=tuple(row_index(m.support, m.dim) for m in maps),
-            decay=np.exp(-semigroup.rates * dt),
+            decay=semigroup.multipliers(dt),
             sqrt_scale=np.sqrt(np.array(noise.eigenvalues, dtype=np.float64) * dt),
             atom_wdt=coeffs.jump_weights * dt,
             signs=cone.signs.astype(np.float64),

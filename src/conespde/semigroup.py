@@ -12,8 +12,10 @@ whose liminf as t drops to 0 decides membership of ``(h*, h)`` in the
 admissible boundary set: for the diagonal family and ``h`` in the cone
 the liminf is finite exactly when ``h_k = 0``, and then it equals 0.
 The condition checkers in ``coefficients`` apply this rule directly.
-A liminf with no closed form is estimated by ``simulate.ssnc_estimate``
-on a fixed geometric time grid.
+The short-time liminf of ``d_K(S_t h + t Sigma(h)) / t`` has a closed
+form too, which ``simulate.ssnc_estimate`` computes.  The factors
+``exp(-c_k t)`` are computed in one place, ``multipliers``; the
+stepping kernel takes its per-step decay from it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError, read_floats, read_int
-from .space import StateVec
 
 __all__ = ["DiagonalSemigroup"]
 
@@ -62,38 +63,27 @@ class DiagonalSemigroup:
             raise DomainError(f"dim must be >= 1, got {dim}")
         return cls(np.arange(1, dim + 1, dtype=np.float64))
 
-    def _check_dim(self, h: StateVec) -> None:
-        if h.dim != self.dim:
-            raise ShapeError(f"semigroup dim {self.dim} vs vector dim {h.dim}")
-
     def multipliers(self, t: float) -> np.ndarray:
         """Per-coordinate factors ``exp(-c_k t)`` for ``t >= 0``."""
         if t < 0:
             raise DomainError(f"time must be >= 0, got {t}")
         return np.exp(-self.rates * t)
 
-    def apply(self, t: float, h: StateVec) -> StateVec:
-        """Evaluate ``S_t h``."""
-        self._check_dim(h)
-        return StateVec(self.multipliers(t) * h.coords)
-
     def to_config(self) -> dict:
         return {"rates": [float(c) for c in self.rates]}
 
     @classmethod
-    def from_config(cls, doc: dict, dim: int | None = None) -> "DiagonalSemigroup":
+    def from_config(cls, doc: dict, dim: int) -> "DiagonalSemigroup":
         rates = doc.get("rates")
         if isinstance(rates, str):
             if rates != "heat":
                 raise ConfigError(f"unknown rates rule {rates!r}")
-            n = doc.get("dim", dim)
-            if n is None:
-                raise ConfigError("rates rule 'heat' needs a dim")
-            return cls.heat(read_int("dim", n))
-        if rates is None:
+            sg = cls.heat(read_int("dim", doc.get("dim", dim)))
+        elif rates is None:
             raise ConfigError("semigroup config needs a 'rates' entry")
-        sg = cls(read_floats("rates", rates))
-        if dim is not None and sg.dim != dim:
+        else:
+            sg = cls(read_floats("rates", rates))
+        if sg.dim != dim:
             raise ConfigError(f"semigroup dim {sg.dim} does not match space dim {dim}")
         return sg
 

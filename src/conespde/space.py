@@ -4,8 +4,8 @@ The state space is a finite slice of l2 spanned by an orthonormal
 coordinate basis.  A closed convex cone is described by one sign per
 coordinate: +1 constrains the coordinate to be nonnegative, -1 to be
 nonpositive, 0 leaves it free.  Such cones are exactly the ones whose
-metric projection acts coordinatewise, which gives closed forms for the
-distance and for membership tests.
+metric projection acts coordinatewise, which gives a closed form for
+membership, on one state or on every row of a batch.
 
 Two operators of the paper act on states, each on a raw state array
 or on every row of a batch, and each is composed with a coefficient
@@ -42,7 +42,6 @@ __all__ = [
     "phi_eps",
     "shift",
     "cone_contains",
-    "cone_distance",
 ]
 
 
@@ -122,8 +121,7 @@ class ConeSpec:
     ``signs[k] = +1`` requires ``h_k >= 0``, ``-1`` requires ``h_k <= 0``
     and ``0`` leaves the coordinate unconstrained.  The cone is closed
     under addition and positive scaling, and its metric projection acts
-    coordinatewise (clip the offending coordinates to zero), which is
-    what makes the closed-form distance below correct.
+    coordinatewise (clip the offending coordinates to zero).
     """
 
     signs: np.ndarray
@@ -148,10 +146,6 @@ class ConeSpec:
     def constrained(self) -> np.ndarray:
         """Indices k with signs[k] != 0, in increasing order."""
         return np.flatnonzero(self.signs != 0)
-
-    def _check_dim(self, h: StateVec) -> None:
-        if h.dim != self.dim:
-            raise ShapeError(f"cone dim {self.dim} vs vector dim {h.dim}")
 
     def to_config(self) -> dict:
         return {"signs": [int(s) for s in self.signs]}
@@ -225,34 +219,18 @@ def shift(a: np.ndarray, n: int, eps: float | None = None) -> np.ndarray:
     return out
 
 
-def cone_contains(cone: ConeSpec, h: StateVec, tol: float = 0.0) -> bool:
-    """Membership test ``h in K`` up to slack ``tol`` on each constraint.
+def cone_contains(cone: ConeSpec, a: np.ndarray, tol: float = 0.0) -> bool:
+    """Membership ``a in K``, up to slack ``tol`` on each constraint, of
+    one state ``(N,)`` or of every row of a batch ``(M, N)``.
 
     With ``tol = 0`` this is exact membership.  A positive ``tol``
-    accepts points whose constrained coordinates dip below zero by at
-    most ``tol``, which is the form Monte Carlo verdicts need.
+    accepts rows whose constrained coordinates dip below zero by at
+    most ``tol``, which is the form Monte Carlo verdicts need.  A
+    non-finite entry, free coordinates included, lies outside the cone.
+    The test takes full rows: a free coordinate gives ``0 * a_l = 0``.
     """
-    cone._check_dim(h)
-    if tol < 0:
+    if a.ndim not in (1, 2) or a.shape[-1] != cone.dim:
+        raise ShapeError(f"cone dim {cone.dim} vs state shape {a.shape}")
+    if not tol >= 0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
-    idx = cone.constrained
-    if idx.size == 0:
-        return True
-    margins = cone.signs[idx] * h.coords[idx]
-    return bool(np.all(margins >= -tol))
-
-
-def cone_distance(cone: ConeSpec, h: StateVec) -> float:
-    """Distance from ``h`` to the cone.
-
-    Closed form: the l2 norm of the violating part,
-    ``sqrt(sum of h_k^2 over constrained k with signs[k]*h_k < 0)``.
-    Zero exactly on the cone; positively homogeneous; 1-Lipschitz.
-    """
-    cone._check_dim(h)
-    idx = cone.constrained
-    if idx.size == 0:
-        return 0.0
-    vals = h.coords[idx]
-    bad = cone.signs[idx] * vals < 0.0
-    return float(np.sqrt(np.sum(vals[bad] ** 2)))
+    return bool(np.all(np.isfinite(a)) and np.all(cone.signs * a >= -tol))

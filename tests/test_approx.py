@@ -128,7 +128,7 @@ class TestBoundaryShift:
         rng = np.random.default_rng(3)
         for _ in range(50):
             h = K.signs * np.abs(rng.normal(size=4))
-            assert cone_contains(K, StateVec(shift(h, 3)), 0.0)
+            assert cone_contains(K, shift(h, 3), 0.0)
 
     def test_distance_budget(self):
         # per-head displacement <= eps = 2^-n, plus the discarded tail

@@ -99,6 +99,19 @@ class TestPresets:
         # unspecified keys of the replaced section fall back to defaults
         assert ec.to_dict()["sim"]["scheme"] == "exponential-euler"
 
+    def test_optional_keys_default_to_the_preset(self):
+        # the preset writes every default out; the dataclasses hold them
+        doc = preset_document("heat-positive")
+        for key in ("scheme", "exit_tol", "guard"):
+            del doc["sim"][key]
+        del doc["noise"]["seed"]
+        del doc["noise"]["eigenvalues"]["value"]
+        del doc["checker"]
+        bare = ExperimentConfig.from_dict(doc)
+        full = ExperimentConfig.from_dict(preset_document("heat-positive"))
+        assert bare.to_dict() == full.to_dict()
+        assert bare.content_hash() == full.content_hash()
+
     def test_manifest_document_accepted(self):
         doc = preset_document("heat-positive")
         manifest = {"hash": "ignored", "config": doc, "outputs": []}

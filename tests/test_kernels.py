@@ -288,6 +288,7 @@ def run_kernel(plan, r0, normals, counts, splits=()):
     buffer as the engine's lanes record them."""
     S = normals.shape[1]
     bounds = [0, *splits, S]
+    assert all(lo < hi for lo, hi in zip(bounds[:-1], bounds[1:])), bounds
     blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     longest = max(normals[:, block].shape[1] for block in blocks)
     state = kernels.KernelState.start(plan, r0, np.zeros((r0.shape[0], longest, r0.shape[1])))
@@ -420,20 +421,18 @@ class TestDenseReference:
 
 class TestBlockSplit:
     # the kernel carries its state from one noise block to the next, so
-    # uneven blocks (1, 31, 33 and the rest of the steps) give the bytes
-    # of the whole arrays stepped at once
-
-    SPLITS = (1, 32, 65)
+    # three uneven blocks and the rest of the steps, all inside each
+    # input's horizon, give the bytes of the whole arrays stepped at once
 
     @pytest.mark.parametrize(
-        "inputs",
+        "inputs, splits",
         [
-            lambda: _preset_inputs("heat-positive-hidden", 32, 400),
-            lambda: _preset_inputs("heat-positive-badvol", 16, 150),
-            _signed_zero_inputs,
-            _diverging_inputs,
+            (lambda: _preset_inputs("heat-positive-hidden", 32, 400), (1, 32, 65)),  # of 400
+            (lambda: _preset_inputs("heat-positive-badvol", 16, 150), (1, 32, 65)),  # of 150
+            (_signed_zero_inputs, (1, 4, 11)),  # of 20
+            (_diverging_inputs, (1, 32, 65)),  # of 100
         ],
         ids=["hidden", "badvol", "signed-zero", "diverging"],
     )
-    def test_uneven_blocks_match_dense_reference(self, inputs):
-        TestDenseReference().assert_same_bytes(inputs(), splits=self.SPLITS)
+    def test_uneven_blocks_match_dense_reference(self, inputs, splits):
+        TestDenseReference().assert_same_bytes(inputs(), splits=splits)

@@ -77,6 +77,11 @@ class TestNoiseSpec:
         with pytest.raises(DomainError):
             NoiseSpec((1.0,), seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
+    def test_seed_is_an_integer(self, seed):
+        with pytest.raises(DomainError, match="^seed must be an integer"):
+            NoiseSpec((), seed=seed)
+
 
 class TestSimConfig:
     def test_steps(self):
@@ -94,6 +99,11 @@ class TestSimConfig:
             SimConfig(dt=0.1, horizon=1.0, paths=0)
         with pytest.raises(DomainError):
             SimConfig(dt=0.1, horizon=1.0, paths=1, exit_tol=-1e-9)
+
+    @pytest.mark.parametrize("paths", [2.5, 2.0, True, "2", None])
+    def test_paths_is_an_integer(self, paths):
+        with pytest.raises(DomainError, match="^paths must be an integer"):
+            SimConfig(dt=0.1, horizon=1.0, paths=paths)
 
     @pytest.mark.parametrize("name", ["dt", "horizon", "exit_tol", "guard"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -175,7 +185,7 @@ class TestSchemeExactness:
         h0 = StateVec(np.array([1.0, 2.0, 3.0, 4.0]))
         config = SimConfig(dt=1e-3, horizon=1.0, paths=3)
         ens = run_ensemble(coeffs, sg, NO_NOISE, K, config, h0)
-        want = sg.apply(1.0, h0).coords
+        want = sg.multipliers(1.0) * h0.coords
         for row in ens.final:
             np.testing.assert_allclose(row, want, rtol=1e-12)
         # no randomness: every path identical bitwise
@@ -570,16 +580,56 @@ class TestSsncEstimate:
         assert ssnc_estimate(heat16, inward, cone16, h) == 0.0
 
     def test_outward_push_scores_unit_rate(self, heat16, cone16):
-        # Sigma = -e_1 at a face point: the moved state dips below the
-        # face linearly in t, so every grid ratio is exactly 1
+        # Sigma = -e_1 at a face point: the state leaves the face at
+        # rate exactly 1
         coords = np.full(16, 1.0)
         coords[1] = 0.0
         h = StateVec(coords)
         outward = np.zeros(16)
         outward[1] = -1.0
-        est = ssnc_estimate(heat16, outward, cone16, h)
-        assert est == pytest.approx(1.0, rel=1e-12)
-        assert est >= 0.5
+        assert ssnc_estimate(heat16, outward, cone16, h) == 1.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_closed_form_at_face_points(self, seed):
+        # mixed signs, some coordinates on their faces, rates of either
+        # sign: the value is the norm of the outward parts of Sigma on
+        # the faces h sits on, whatever the rates
+        rng = np.random.default_rng(seed)
+        dim = 6
+        K = ConeSpec(rng.integers(-1, 2, size=dim))
+        sg = DiagonalSemigroup(rng.uniform(-2.0, 5.0, size=dim))
+        coords = K.signs * np.abs(rng.normal(size=dim)) + (K.signs == 0) * rng.normal(size=dim)
+        coords[rng.random(dim) < 0.5] = 0.0
+        sigma = rng.normal(scale=10.0, size=dim)
+        push = [
+            max(0.0, -float(K.signs[k]) * sigma[k])
+            for k in range(dim)
+            if K.signs[k] != 0 and coords[k] == 0.0
+        ]
+        got = ssnc_estimate(sg, sigma, K, StateVec(coords))
+        assert np.float64(got).tobytes() == np.linalg.norm(np.array(push)).tobytes()
+
+    def test_coordinate_off_its_face_never_counts(self, heat16, cone16):
+        # however close to its face and however strong the push, a
+        # coordinate off the face stays inside for small t
+        coords = np.full(16, 1.0)
+        coords[0] = 3.4e-13
+        sigma = np.zeros(16)
+        sigma[0] = -832.0
+        assert ssnc_estimate(heat16, sigma, cone16, StateVec(coords)) == 0.0
+
+    def test_semigroup_dim_checked(self, cone16):
+        h = StateVec(np.full(16, 1.0))
+        with pytest.raises(ShapeError):
+            ssnc_estimate(DiagonalSemigroup.heat(15), np.zeros(16), cone16, h)
+
+    def test_sigma_must_be_finite(self, heat16, cone16):
+        h = StateVec(np.full(16, 1.0))
+        for bad in (np.nan, np.inf):
+            sigma = np.zeros(16)
+            sigma[5] = bad
+            with pytest.raises(DomainError):
+                ssnc_estimate(heat16, sigma, cone16, h)
 
     def test_state_must_be_in_cone(self, heat16, cone16):
         coords = np.full(16, 1.0)
