@@ -682,6 +682,17 @@ class TestDriftCondition:
         margin = coefficients._margin_block(compliant_coeffs, theta, k, H[:1])
         assert margin[0] == pytest.approx(0.48)
 
+    def test_checker_rejects_off_face_block(self, monkeypatch):
+        # the face contract is checked once, by the sampler, before the
+        # checker sees the block
+        def off_face(cone, rng, n, k):
+            return np.array([[0.0, 1.0], [0.5, 1.0]])
+
+        monkeypatch.setattr(coefficients, "_face_draws", off_face)
+        K = ConeSpec.nonnegative(2)
+        with pytest.raises(SamplerContractError, match="k=0"):
+            check_drift_condition(CoefficientSet(ZeroMap(2)), K, SMALL)
+
 
 class TestVolatilityCondition:
     def test_proportional_vanishes_on_faces(self, cone16, compliant_coeffs):
