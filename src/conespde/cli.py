@@ -121,7 +121,20 @@ def _strict(doc):
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False) + "\n")
+    """Write ``doc`` as strict, sorted, indented JSON and a newline.
+
+    The encoder writes its chunks straight into a temporary file beside
+    ``path``, which then replaces ``path``: no whole document is built
+    in memory, and a failed encode leaves no partial file.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w") as fh:
+            json.dump(_strict(doc), fh, sort_keys=True, indent=2, allow_nan=False)
+            fh.write("\n")
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_manifest(out: Path, ec: ExperimentConfig, outputs: list[str]) -> str:

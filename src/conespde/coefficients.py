@@ -29,10 +29,13 @@ before the next face is drawn, so one block is live at a time and a
 contract violation raises when the bad face is reached.  The drift and
 volatility checkers each consume it once and read only coordinate ``k``
 of each map on a block, through ``eval_coords(H, [k])``.
-``sample_cone_points`` fills one ``(M, N)`` array of cone points, and
-the jump checker evaluates each atom on fixed row blocks of it through
-``eval_array``; by the row contract of ``CoefficientMap.eval_coords``
-each block equals those rows of the whole-sample evaluation bit for bit.
+``sample_cone_points`` is a generator too: it draws the cone points in
+read-only parts of at most ``_JUMP_ROWS`` rows, checks each part and
+yields it before the next is drawn, and the jump checker evaluates each
+atom on each part through ``eval_array`` as it arrives, so one part is
+live at a time.  By the row contract of ``CoefficientMap.eval_coords``
+each part's evaluation equals those rows of the whole-sample evaluation
+bit for bit.
 Every checker opens with one preamble (the dimension check and the
 default tolerance) and turns each evaluated block of violation sizes
 into witnesses through one builder, one witness per entry above the
@@ -747,6 +750,9 @@ class SamplerSpec:
             raise DomainError("seed must be >= 0")
 
 
+_JUMP_ROWS = 1024  # most rows in one part of the cone sample
+
+
 def _fold_into_cone(cone: ConeSpec, z: np.ndarray) -> np.ndarray:
     """Reflect the constrained coordinates of each row of ``z`` into the cone."""
     return np.where(cone.signs != 0, cone.signs * np.abs(z), z)
@@ -763,10 +769,13 @@ def _face_draws(cone: ConeSpec, rng: np.random.Generator, n: int, k: int) -> np.
     return pts
 
 
-def _corners(cone: ConeSpec, idx: np.ndarray) -> np.ndarray:
-    """The origin, then ``signs[l] e_l`` for every ``l`` in ``idx``."""
-    out = np.zeros((1 + idx.size, cone.dim))
-    out[np.arange(1, 1 + idx.size), idx] = cone.signs[idx]
+def _corners(cone: ConeSpec, idx: np.ndarray, rows: range) -> np.ndarray:
+    """Rows ``rows`` of the corner list: row 0 is the origin, row ``1 + j``
+    is ``signs[l] e_l`` for ``l = idx[j]``."""
+    r = np.arange(rows.start, rows.stop)
+    out = np.zeros((r.size, cone.dim))
+    axes = idx[r[r > 0] - 1]
+    out[np.flatnonzero(r > 0), axes] = cone.signs[axes]
     return out
 
 
@@ -795,49 +804,62 @@ def sample_boundary_pairs(
         k = int(k)
         H = _face_draws(cone, rng, spec.points_per_face, k)
         if spec.include_corners:
-            H = np.concatenate([H, _corners(cone, idx[idx != k])])
+            other = idx[idx != k]
+            H = np.concatenate([H, _corners(cone, other, range(1 + other.size))])
         if not (cone_contains(cone, H) and np.all(H[:, k] == 0.0)):
             raise SamplerContractError(f"face sampler left the face at k={k}")
         H.flags.writeable = False
         yield int(cone.signs[k]), k, H
 
 
-def sample_cone_points(cone: ConeSpec, spec: SamplerSpec = SamplerSpec()) -> np.ndarray:
-    """Sampled cone points as one read-only ``(M, N)`` array.
+def _row_ranges(n: int) -> Iterator[range]:
+    """Row ranges cutting ``n`` rows into parts of at most ``_JUMP_ROWS``."""
+    return (range(lo, min(lo + _JUMP_ROWS, n)) for lo in range(0, n, _JUMP_ROWS))
 
-    Rows are the ``interior_points`` draws, then ``points_per_face``
-    draws on every face in coordinate order, then (with
-    ``include_corners``) the origin and the unit vectors of the
-    constrained coordinates.  Each part is checked finite and in the
-    cone as it is drawn, then copied into its rows of the one array.
+
+def sample_cone_points(cone: ConeSpec, spec: SamplerSpec = SamplerSpec()) -> Iterator[np.ndarray]:
+    """Sampled cone points, as read-only ``(m, N)`` parts of at most
+    ``_JUMP_ROWS`` rows each.
+
+    Rows come in one order from one seeded stream: the
+    ``interior_points`` draws, then ``points_per_face`` draws on every
+    face in coordinate order, then (with ``include_corners``) the origin
+    and the unit vectors of the constrained coordinates.  The interior
+    draws, each face's draws and the corners are cut into parts
+    separately, so a part never mixes them; one ``(n, N)`` draw consumes
+    the stream as its pieces do, so the concatenated parts are the same
+    whatever the part size.
+
+    This is a generator: a part is drawn only when it is asked for, so a
+    caller that uses each part before asking for the next holds one part
+    at a time.  Each part is checked finite and in the cone as it is
+    drawn, and a violation raises ``SamplerContractError`` naming the
+    interior draws, the face or the corners.  Use
+    ``np.concatenate(list(...))`` to hold the whole sample.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     idx = cone.constrained
-    corners = 1 + idx.size if spec.include_corners else 0
-    rows = spec.interior_points + idx.size * spec.points_per_face + corners
-    points = np.empty((rows, cone.dim))
 
     def parts():
-        yield _fold_into_cone(cone, rng.standard_normal((spec.interior_points, cone.dim)))
+        for rows in _row_ranges(spec.interior_points):
+            draws = rng.standard_normal((len(rows), cone.dim))
+            yield "in the interior draws", _fold_into_cone(cone, draws)
         for k in idx:
-            yield _face_draws(cone, rng, spec.points_per_face, int(k))
+            for rows in _row_ranges(spec.points_per_face):
+                yield f"at face k={k}", _face_draws(cone, rng, len(rows), int(k))
         if spec.include_corners:
-            yield _corners(cone, idx)
+            for rows in _row_ranges(1 + idx.size):
+                yield "in the corners", _corners(cone, idx, rows)
 
-    start = 0
-    for part in parts():
+    for where, part in parts():
         if not cone_contains(cone, part):
-            raise SamplerContractError("cone sampler produced a point outside the cone")
-        points[start : start + part.shape[0]] = part
-        start += part.shape[0]
-    points.flags.writeable = False
-    return points
+            raise SamplerContractError(f"cone sampler left the cone {where}")
+        part.flags.writeable = False
+        yield part
 
 
 # --------------------------------------------------------------------------
 # Condition checkers
-
-_JUMP_ROWS = 1024  # cone points per atom evaluation in the jump checker
 
 #: The three conditions, as witnesses and reports name them.
 JUMP, DRIFT, VOL = "jump-stays-in-cone", "drift-inward", "vol-parallel"
@@ -995,22 +1017,25 @@ def check_jump_condition(
 
     For each sampled ``h`` in the cone and each atom the displaced point
     ``h + gamma_i(h)`` must satisfy every sign constraint up to ``tol``.
-    Each atom is evaluated on blocks of ``_JUMP_ROWS`` sampled points,
-    so its temporaries stay small whatever the sample size.
+    The condition is pointwise, so each atom is evaluated on each part
+    of ``sample_cone_points`` as the part is drawn, and the checker
+    holds one part and its temporaries whatever the sample size.  An
+    atom value that is not finite raises ``NumericError``, for the
+    first such atom in the first part that has one.
     """
     tol = _resolve_tol(coeffs, cone, tol)
-    points = sample_cone_points(cone, sampler)
     witnesses = []
+    sampled = 0
     idx = cone.constrained
     signs = cone.signs[idx]
-    for i, (_, g) in enumerate(coeffs.jump_atoms):
-        for start in range(0, points.shape[0], _JUMP_ROWS):
-            block = points[start : start + _JUMP_ROWS]
-            # the atom's block dies with the sum; the sign flip to excesses is in place
-            excess = (block + _finite(g.eval_array(block), JUMP, f"jump atom {i}"))[:, idx]
+    for part in sample_cone_points(cone, sampler):
+        sampled += part.shape[0]
+        for i, (_, g) in enumerate(coeffs.jump_atoms):
+            # the atom's values die with the sum; the sign flip to excesses is in place
+            excess = (part + _finite(g.eval_array(part), JUMP, f"jump atom {i}"))[:, idx]
             excess *= -signs
-            witnesses += _witnesses(JUMP, excess, tol, block, signs, idx, i)
-    return ConditionReport((JUMP,), witnesses, points.shape[0], tol)
+            witnesses += _witnesses(JUMP, excess, tol, part, signs, idx, i)
+    return ConditionReport((JUMP,), witnesses, sampled, tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")

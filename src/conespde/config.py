@@ -189,10 +189,9 @@ def _noise_from(doc: dict) -> NoiseSpec:
             "eigenvalues.count", _field(eigs, "noise.eigenvalues", "count", required=True)
         )
         if rule == "flat":
-            value = read_float(
-                "noise.eigenvalues.value", _field(eigs, "noise.eigenvalues", "value", default=1.0)
-            )
-            return NoiseSpec.flat(count, value, seed)
+            if "value" not in eigs:
+                return NoiseSpec.flat(count, seed=seed)
+            return NoiseSpec.flat(count, read_float("noise.eigenvalues.value", eigs["value"]), seed)
         if rule == "dyadic":
             return NoiseSpec.dyadic(count, seed)
         raise ConfigError(f"noise.eigenvalues.rule: unknown rule {rule!r}")

@@ -57,6 +57,11 @@ from conespde.space import phi_eps
 SMALL = SamplerSpec(points_per_face=8, interior_points=8, seed=1)
 
 
+def cone_sample(cone, spec):
+    """The whole cone sample: every part of ``sample_cone_points`` in order."""
+    return np.concatenate([np.empty((0, cone.dim)), *sample_cone_points(cone, spec)])
+
+
 # ---------------------------------------------------------------- map families
 
 
@@ -448,7 +453,7 @@ class TestSamplers:
 
     def test_numpy_integers_accepted(self):
         spec = SamplerSpec(points_per_face=np.int64(3), interior_points=np.int32(0), seed=np.uint8(1))
-        assert sample_cone_points(ConeSpec.nonnegative(2), spec).shape == (2 * 3 + 3, 2)
+        assert cone_sample(ConeSpec.nonnegative(2), spec).shape == (2 * 3 + 3, 2)
 
     def test_boundary_pairs_on_faces(self):
         K = ConeSpec(np.array([1, -1, 0]))
@@ -461,7 +466,7 @@ class TestSamplers:
 
     def test_cone_points_inside(self):
         K = ConeSpec(np.array([1, -1, 0]))
-        assert cone_contains(K, sample_cone_points(K, SMALL), 0.0)
+        assert all(cone_contains(K, part, 0.0) for part in sample_cone_points(K, SMALL))
 
     def test_deterministic(self):
         K = ConeSpec.nonnegative(4)
@@ -473,7 +478,7 @@ class TestSamplers:
 
     def test_corner_points_present(self):
         K = ConeSpec.nonnegative(3)
-        pts = sample_cone_points(K, SamplerSpec(points_per_face=0, interior_points=0))
+        pts = cone_sample(K, SamplerSpec(points_per_face=0, interior_points=0))
         coords = {tuple(p) for p in pts}
         assert (0.0, 0.0, 0.0) in coords
         assert (1.0, 0.0, 0.0) in coords
@@ -491,15 +496,31 @@ class TestSamplers:
             (-1, 1, (rows, 4)),
             (1, 3, (rows, 4)),
         ]
-        points = sample_cone_points(K, spec)
-        assert points.shape == (2 + 3 * per_face + (4 if corners else 0), 4)
-        assert not points.flags.writeable
+        # the interior draws, each face's draws, then the origin and the
+        # three constrained unit vectors
+        parts = list(sample_cone_points(K, spec))
+        assert [p.shape for p in parts] == (
+            [(2, 4)] + [(per_face, 4)] * (3 if per_face else 0) + [(4, 4)] * corners
+        )
+        assert not any(p.flags.writeable for p in parts)
         assert not any(H.flags.writeable for _, _, H in blocks)
+
+    def test_parts_cut_at_the_row_bound(self, monkeypatch):
+        # the interior draws, each face's draws and the corners are cut
+        # at _JUMP_ROWS rows apiece, and the parts are the same rows from
+        # the same stream whatever the bound
+        K = ConeSpec(np.array([1, -1, 0, 1, 1]))
+        spec = SamplerSpec(points_per_face=5, interior_points=9, seed=2)
+        whole = cone_sample(K, spec)
+        monkeypatch.setattr(coefficients, "_JUMP_ROWS", 4)
+        parts = list(sample_cone_points(K, spec))
+        assert [p.shape[0] for p in parts] == [4, 4, 1] + [4, 1] * 4 + [4, 1]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     def test_no_constrained_coordinate(self):
         K = ConeSpec(np.zeros(3, dtype=int))
         assert list(sample_boundary_pairs(K, SMALL)) == []
-        points = sample_cone_points(K, SMALL)
+        points = cone_sample(K, SMALL)
         assert points.shape == (SMALL.interior_points + 1, 3)
         # nothing to violate: every jump lands in the whole space
         C = CoefficientSet(
@@ -528,13 +549,15 @@ class TestSamplers:
         assert [(t, k) for t, k, _ in blocks] == [(-1, 0)]
         H = blocks[0][2]
         assert H.shape == (SMALL.points_per_face + 1, 1) and np.all(H == 0.0)
-        points = sample_cone_points(K, SMALL)
+        points = cone_sample(K, SMALL)
         assert points.shape == (SMALL.interior_points + SMALL.points_per_face + 2, 1)
         assert np.all(points <= 0.0)
 
     def test_stream_pinned(self):
         # Digests recorded when the samplers drew one state per generator
-        # call: one (P, N) draw per face must consume the stream the same way.
+        # call and the cone sampler returned one array: one (P, N) draw per
+        # face, and the cone sample's parts in order, must consume the
+        # stream the same way.
         K = ConeSpec(np.array([1, -1, 0, 1]))
         spec = SamplerSpec(seed=5)
         blocks = list(sample_boundary_pairs(K, spec))
@@ -545,7 +568,7 @@ class TestSamplers:
             == "5b59c2c148a0c912a98201821a1ba969fd3563999881e1ac28c632ada7b2a989"
         )
         assert (
-            hashlib.sha256(sample_cone_points(K, spec).tobytes()).hexdigest()
+            hashlib.sha256(cone_sample(K, spec).tobytes()).hexdigest()
             == "57351eeff7fe2e8f61f33e566aaa63ac78029a35e2b780a92d0e1b21f479c70e"
         )
 
@@ -558,26 +581,43 @@ class TestSamplers:
         ids=["unfolded", "infinite"],
     )
     def test_contract_violation_raises(self, monkeypatch, fold):
+        corners = coefficients._corners
         monkeypatch.setattr(coefficients, "_fold_into_cone", fold)
+        monkeypatch.setattr(
+            coefficients, "_corners", lambda cone, idx, rows: fold(cone, -corners(cone, idx, rows))
+        )
         K = ConeSpec(np.array([1, -1, 0]))
-        with pytest.raises(SamplerContractError):
+        with pytest.raises(SamplerContractError, match="^face sampler left the face at k=0$"):
             list(sample_boundary_pairs(K, SMALL))
-        with pytest.raises(SamplerContractError):
-            sample_cone_points(K, SMALL)
+        # each part of the cone sample is checked as it is drawn, and the
+        # error names the part
+        first_bad = {
+            "in the interior draws": SMALL,
+            "at face k=0": SamplerSpec(points_per_face=8, interior_points=0),
+            "in the corners": SamplerSpec(points_per_face=0, interior_points=0),
+        }
+        for where, spec in first_bad.items():
+            with pytest.raises(SamplerContractError, match=f"^cone sampler left the cone {where}$"):
+                list(sample_cone_points(K, spec))
 
 
 class TestStreaming:
-    # the boundary sampler is a generator: each checker draws one face
-    # block at a time, and a bad face raises when it is reached
+    # both samplers are generators: each checker draws one face block or
+    # one part of the cone sample at a time, and a bad face raises when
+    # it is reached
 
-    def test_verdict_peak_below_all_blocks(self):
-        dim = 96
-        cone = ConeSpec.nonnegative(dim)
-        coeffs = CoefficientSet(
+    @staticmethod
+    def _heat(dim):
+        return CoefficientSet(
             MeanReversionMap(1.0, np.full(dim, 0.5)),
             tuple(ProportionalMap(0.3, j, dim) for j in range(8)),
             ((0.2, ConstantMap(np.full(dim, 0.1))),),
         )
+
+    def test_verdict_peak_below_all_blocks(self):
+        dim = 96
+        cone = ConeSpec.nonnegative(dim)
+        coeffs = self._heat(dim)
         spec = SamplerSpec()
         all_blocks = sum(H.nbytes for _, _, H in sample_boundary_pairs(cone, spec))
 
@@ -591,6 +631,28 @@ class TestStreaming:
 
         peak()  # warm-up: first-call allocations are not the verdict's
         assert peak() < all_blocks
+
+    def test_jump_peak_holds_one_part(self):
+        # the jump checker evaluates each part as it is drawn: its peak
+        # stays below the whole cone sample, and four times the interior
+        # draws move it by less than one part
+        dim = 96
+        cone = ConeSpec.nonnegative(dim)
+        coeffs = self._heat(dim)
+        small, large = SamplerSpec(interior_points=2048), SamplerSpec(interior_points=4 * 2048)
+
+        def peak(spec):
+            check_jump_condition(coeffs, cone, spec)  # warm-up
+            tracemalloc.start()
+            try:
+                check_jump_condition(coeffs, cone, spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        part = coefficients._JUMP_ROWS * dim * 8
+        assert peak(small) < cone_sample(cone, small).nbytes
+        assert peak(large) - peak(small) < part
 
     def test_each_checker_draws_the_boundary_once(self, monkeypatch, cone16, badvol_coeffs):
         calls = []
@@ -765,6 +827,15 @@ class TestNonFiniteValues:
         with pytest.raises(NumericError, match="is not finite on face"):
             invariance_verdict(coeffs, K, SMALL)
 
+    def test_jump_names_the_first_atom_in_part_order(self):
+        # atom 0 is not finite only at the origin, a corner drawn last,
+        # atom 1 nowhere: the first part, the interior draws, reaches
+        # atom 1 before any part reaches the origin
+        at_origin = CallableMap(lambda h: np.full(3, np.nan if not h.coords.any() else 0.0), 3)
+        C = CoefficientSet(ZeroMap(3), (), ((1.0, at_origin), (1.0, NAN_ALL)))
+        with pytest.raises(NumericError, match="jump atom 1 is not finite on face k=0"):
+            check_jump_condition(C, ConeSpec.nonnegative(3), SMALL)
+
     def test_free_coordinate_of_a_jump(self):
         # only coordinate 0 is constrained, so no jump margin reads the NaN
         K = ConeSpec(np.array([1, 0, 0]))
@@ -861,7 +932,7 @@ def reference_verdict(coeffs, cone, sampler, tol=None):
     if tol is None:
         tol = default_tol(coeffs)
     witnesses = []
-    points = sample_cone_points(cone, sampler)
+    points = cone_sample(cone, sampler)
     idx = cone.constrained
     for row in points:
         for i, (_, g) in enumerate(coeffs.jump_atoms):
@@ -984,11 +1055,12 @@ class TestCheckerParity:
         assert invariance_verdict(coeffs, cone, PARITY_SPEC).to_dict() == want
 
     def test_jump_row_blocks_match_reference(self):
-        # more cone points than two row blocks of the jump checker, with
-        # violations in every block
+        # interior draws over two parts of the jump checker, faces in one
+        # part each, with violations in every part
         coeffs, cone = _jump_case()
-        spec = SamplerSpec(points_per_face=700, interior_points=200, seed=4)
-        assert sample_cone_points(cone, spec).shape[0] > 2 * coefficients._JUMP_ROWS
+        spec = SamplerSpec(points_per_face=700, interior_points=2100, seed=4)
+        sizes = [p.shape[0] for p in sample_cone_points(cone, spec)]
+        assert sizes == [coefficients._JUMP_ROWS] * 2 + [52, 700, 700, 700, 4]
         want = reference_verdict(coeffs, cone, spec).to_dict()
         assert invariance_verdict(coeffs, cone, spec).to_dict() == want
 

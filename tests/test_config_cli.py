@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conespde import ConfigError, appendix
-from conespde.cli import EXIT_QUIET_THRESHOLD, SWEEP_FACTORS, cli
+from conespde import ConfigError, NoiseSpec, appendix
+from conespde.cli import EXIT_QUIET_THRESHOLD, SWEEP_FACTORS, _strict, _write_json, cli
 from conespde.config import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -169,6 +169,12 @@ class TestValidation:
         doc["noise"]["eigenvalues"] = {"rule": "flat", "count": 8, "value": 1.0}
         with pytest.raises(ConfigError, match="noise: 8 eigenvalues for 9 volatility columns"):
             ExperimentConfig.from_dict(doc)
+
+    def test_flat_rule_value_defaults_to_the_rule(self):
+        doc = self.base()
+        doc["noise"]["eigenvalues"] = {"rule": "flat", "count": 8}
+        noise = ExperimentConfig.from_dict(doc).noise
+        assert noise.eigenvalues == NoiseSpec.flat(8).eigenvalues
 
     def test_unknown_noise_rule(self):
         doc = self.base()
@@ -422,6 +428,24 @@ class TestConfigIO:
         p.write_text(canonical_json(ec.to_dict()) + "\n")
         again = ExperimentConfig.load(p)
         assert again.to_dict() == ec.to_dict()
+
+    def test_json_writer_bytes(self, tmp_path):
+        nan, inf = float("nan"), float("inf")
+        doc = {
+            "z": [1.5, nan, (inf, -inf, [0.1, {"b": nan}])],
+            "a": {"text": "Gr\u00fc\u00dfe \u2264 \u03b8", "empty": [], "t": ()},
+            "n": [None, True, 3],
+        }
+        path = tmp_path / "out.json"
+        _write_json(path, doc)
+        want = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert path.read_bytes() == want.encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_json_writer_failure_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "out.json", {"a": [1.0, object()]})
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_reports_json_position(self, tmp_path):
         p = tmp_path / "broken.json"

@@ -315,14 +315,14 @@ def test_reach_allowlist_is_current():
 
 
 def lenient_json_dumps(tree: ast.Module) -> list[int]:
-    """Lines of ``json.dump``/``json.dumps`` calls that do not pass
-    ``allow_nan=False``."""
+    """Lines of ``json.dump``/``json.dumps``/``json.JSONEncoder`` calls
+    that do not pass ``allow_nan=False``."""
     return sorted(
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("dump", "dumps")
+        and node.func.attr in ("dump", "dumps", "JSONEncoder")
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "json"
         and not any(
@@ -336,8 +336,9 @@ def test_checker_sees_a_lenient_json_dump():
     tree = ast.parse(
         "json.dumps(a)\njson.dumps(b, allow_nan=False)\n"
         "json.dump(c, f, allow_nan=True)\nx = dumps(d)\n"
+        "json.JSONEncoder(indent=2).encode(e)\njson.JSONEncoder(allow_nan=False)\n"
     )
-    assert lenient_json_dumps(tree) == [1, 3]
+    assert lenient_json_dumps(tree) == [1, 3, 5]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
