@@ -71,6 +71,8 @@ from .errors import (
     SearchRadiusError,
     ShapeError,
     UnsupportedDimensionError,
+    require_array,
+    require_float,
 )
 from .space import StateVec
 
@@ -92,11 +94,6 @@ __all__ = [
 # Quadratic envelopes (inf/sup convolution)
 
 
-def _check_width(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be finite and > 0, got {value}")
-
-
 @dataclass(frozen=True)
 class SupInfParams:
     """Envelope widths: inf-convolve at ``lam``, then sup-convolve at ``mu``.
@@ -109,8 +106,8 @@ class SupInfParams:
     mu: float
 
     def __post_init__(self):
-        _check_width("lam", self.lam)
-        _check_width("mu", self.mu)
+        require_float("lam", self.lam, "> 0")
+        require_float("mu", self.mu, "> 0")
         if not self.mu < self.lam:
             raise DomainError(f"need mu < lam, got mu={self.mu}, lam={self.lam}")
 
@@ -143,12 +140,9 @@ class SearchSpec:
     sup_bound: float | None = None
 
     def __post_init__(self):
-        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
-            raise DomainError(f"radius must be finite and > 0 when given, got {self.radius}")
-        for name in ("lipschitz", "sup_bound"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"{name} must be finite and >= 0 when given, got {value}")
+        for name, bound in (("radius", "> 0"), ("lipschitz", ">= 0"), ("sup_bound", ">= 0")):
+            if getattr(self, name) is not None:
+                require_float(name, getattr(self, name), bound)
 
     def resolve_radius(self, width: float) -> float:
         if self.radius is not None:
@@ -172,18 +166,11 @@ _Rows = Callable[[np.ndarray], tuple[np.ndarray, dict[int, Exception]]]
 
 
 def _lanes(h) -> tuple[np.ndarray, bool]:
-    """The search lanes of ``h`` as a fresh ``(B, N)`` array, and whether
-    ``h`` was a single ``StateVec``."""
+    """The search lanes of ``h`` as a read-only ``(B, N)`` array, and
+    whether ``h`` was a single ``StateVec``."""
     if isinstance(h, StateVec):
-        return h.coords[None, :].copy(), True
-    arr = np.array(h, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ShapeError(
-            f"points must be a StateVec or a non-empty (B, N) array, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("point coordinates must be finite")
-    return arr, False
+        return h.coords[None, :], True
+    return require_array("points", h, ("B", "N")), False
 
 
 def _rows(f: Callable[[np.ndarray], np.ndarray], negate: bool = False) -> _Rows:
@@ -353,7 +340,7 @@ def inf_convolve(f: Callable[[np.ndarray], np.ndarray], lam: float, h, search: S
     search, and its value is the same alone as in any batch.  A failure
     raises the error of the lowest failing lane.
     """
-    _check_width("lam", lam)
+    require_float("lam", lam, "> 0")
     base, single = _lanes(h)
     values, errors = _minimize(_rows(f), base, lam, search.resolve_radius(lam))
     return _result(values, errors, single)
@@ -363,7 +350,7 @@ def sup_convolve(f: Callable[[np.ndarray], np.ndarray], mu: float, h, search: Se
     """Quadratic sup-convolution ``sup_g f(g) - ||h - g||^2 / (2 mu)``;
     always at least ``f(h)``.  Targets, points and errors as in
     ``inf_convolve``."""
-    _check_width("mu", mu)
+    require_float("mu", mu, "> 0")
     base, single = _lanes(h)
     values, errors = _minimize(_rows(f, negate=True), base, mu, search.resolve_radius(mu))
     return _result(-values, errors, single)
@@ -538,7 +525,7 @@ class MollifiedMap(CoefficientMap):
     dim: int = field(init=False)
 
     def __post_init__(self):
-        _check_width("bandwidth", self.bandwidth)
+        require_float("bandwidth", self.bandwidth, "> 0")
         object.__setattr__(self, "dim", self.inner.dim)
 
     @cached_property

@@ -66,6 +66,8 @@ from .errors import (
     read_float,
     read_floats,
     read_int,
+    require_array,
+    require_float,
     require_int,
 )
 from .space import ConeSpec, StateVec, cone_contains, retract, shift
@@ -183,23 +185,14 @@ def _selected(idx, dim: int) -> np.ndarray:
     return np.arange(dim)[idx]
 
 
-def _vec(values, dim: int | None, name: str) -> np.ndarray:
-    """A read-only finite float64 copy of ``values``, shape ``(dim,)``;
-    any length when ``dim`` is None."""
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1 or dim not in (None, arr.shape[0]):
-        raise ShapeError(f"{name} must have shape ({dim or 'N'},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class ZeroMap(CoefficientMap):
     dim: int
 
     builtin = True
+
+    def __post_init__(self):
+        require_int("dim", self.dim, 1)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         return np.zeros(a[..., idx].shape)
@@ -222,7 +215,7 @@ class ConstantMap(CoefficientMap):
     builtin = True
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _vec(self.value, None, "value"))
+        object.__setattr__(self, "value", require_array("value", self.value, ("N",)))
         object.__setattr__(self, "dim", self.value.shape[0])
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
@@ -253,16 +246,10 @@ class AffineMap(CoefficientMap):
     builtin = True
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix must be finite")
-        m = m.copy()
-        m.flags.writeable = False
+        m = require_array("matrix", self.matrix, ("N", "N"))
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
-        object.__setattr__(self, "offset", _vec(self.offset, self.dim, "offset"))
+        object.__setattr__(self, "offset", require_array("offset", self.offset, (self.dim,)))
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         rows = self.matrix[idx]
@@ -291,10 +278,9 @@ class MeanReversionMap(CoefficientMap):
     builtin = True
 
     def __post_init__(self):
-        if not np.isfinite(self.kappa):
-            raise DomainError("kappa must be finite")
+        require_float("kappa", self.kappa)
         object.__setattr__(self, "kappa", float(self.kappa))
-        object.__setattr__(self, "b", _vec(self.b, None, "b"))
+        object.__setattr__(self, "b", require_array("b", self.b, ("N",)))
         object.__setattr__(self, "dim", self.b.shape[0])
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
@@ -317,8 +303,9 @@ class ProportionalMap(CoefficientMap):
     builtin = True
 
     def __post_init__(self):
-        if not np.isfinite(self.scale):
-            raise DomainError("scale must be finite")
+        require_float("scale", self.scale)
+        require_int("index", self.index)
+        require_int("dim", self.dim, 1)
         if not 0 <= self.index < self.dim:
             raise ShapeError(f"index {self.index} outside 0..{self.dim - 1}")
 
@@ -359,19 +346,14 @@ class TabulatedMap(CoefficientMap):
     dim: int
 
     def __post_init__(self):
-        x = np.asarray(self.knots, dtype=np.float64)
-        y = np.asarray(self.values, dtype=np.float64)
-        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
-            raise ShapeError("knots and values must be equal-length 1-d arrays, size >= 2")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise DomainError("table entries must be finite")
+        x = require_array("knots", self.knots, ("K",))
+        if x.size < 2:
+            raise ShapeError(f"a table needs at least 2 knots, got {x.size}")
         if np.any(np.diff(x) <= 0):
             raise DomainError("knots must be strictly increasing")
-        x, y = x.copy(), y.copy()
-        x.flags.writeable = False
-        y.flags.writeable = False
         object.__setattr__(self, "knots", x)
-        object.__setattr__(self, "values", y)
+        object.__setattr__(self, "values", require_array("values", self.values, x.shape))
+        require_int("dim", self.dim, 1)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         return np.interp(a[..., idx], self.knots, self.values)
@@ -400,12 +382,15 @@ class GatedOffsetMap(CoefficientMap):
     builtin = True
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", _vec(self.vector, None, "vector"))
+        object.__setattr__(self, "vector", require_array("vector", self.vector, ("N",)))
         object.__setattr__(self, "dim", self.vector.shape[0])
+        require_int("gate_index", self.gate_index)
         if not 0 <= self.gate_index < self.dim:
             raise ShapeError(f"gate index {self.gate_index} outside 0..{self.dim - 1}")
-        if not (np.isfinite(self.low) and np.isfinite(self.high) and self.low <= self.high):
-            raise DomainError("need finite low <= high")
+        require_float("low", self.low)
+        require_float("high", self.high)
+        if not self.low <= self.high:
+            raise DomainError(f"need low <= high, got {self.low} > {self.high}")
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         gate = a[..., self.gate_index]
@@ -485,8 +470,7 @@ class ProjectedMap(CoefficientMap):
     dim: int = field(init=False)
 
     def __post_init__(self):
-        if self.level < 0:
-            raise DomainError(f"projection level must be >= 0, got {self.level}")
+        require_int("projection level", self.level, 0)
         object.__setattr__(self, "dim", self.inner.dim)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
@@ -521,8 +505,7 @@ class RetractedMap(CoefficientMap):
     dim: int = field(init=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise DomainError(f"retraction radius must be finite and > 0, got {self.radius}")
+        require_float("retraction radius", self.radius, "> 0")
         object.__setattr__(self, "dim", self.inner.dim)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
@@ -551,10 +534,9 @@ class ShiftedMap(CoefficientMap):
     dim: int = field(init=False)
 
     def __post_init__(self):
-        if self.level < 0:
-            raise DomainError(f"shift level must be >= 0, got {self.level}")
-        if self.eps is not None and not (np.isfinite(self.eps) and self.eps >= 0):
-            raise DomainError(f"shift eps must be finite and >= 0, got {self.eps}")
+        require_int("shift level", self.level, 0)
+        if self.eps is not None:
+            require_float("shift eps", self.eps, ">= 0")
         object.__setattr__(self, "dim", self.inner.dim)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
@@ -581,6 +563,9 @@ class CallableMap(CoefficientMap):
 
     fn: Callable
     dim: int
+
+    def __post_init__(self):
+        require_int("dim", self.dim, 1)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         # user code sees one StateVec at a time
@@ -612,7 +597,8 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
         if fam == "zero":
             return ZeroMap(dim)
         if fam == "constant":
-            return ConstantMap(_vec(read_floats(f"{fam}.value", doc["value"]), dim, "value"))
+            value = read_floats(f"{fam}.value", doc["value"])
+            return ConstantMap(require_array(f"{fam}.value", value, (dim,)))
         if fam in ("linear", "affine"):
             if "diag" in doc:
                 m = np.diag(read_floats(f"{fam}.diag", doc["diag"]))
@@ -622,7 +608,8 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
             return AffineMap(m, read_floats(f"{fam}.offset", offset))
         if fam == "mean_reversion":
             kappa = read_float(f"{fam}.kappa", doc["kappa"])
-            return MeanReversionMap(kappa, _vec(read_floats(f"{fam}.b", doc["b"]), dim, "b"))
+            b = read_floats(f"{fam}.b", doc["b"])
+            return MeanReversionMap(kappa, require_array(f"{fam}.b", b, (dim,)))
         if fam == "proportional":
             idx = doc.get("index", index)
             if idx is None:
@@ -633,8 +620,9 @@ def map_from_config(doc: dict, dim: int, index: int | None = None) -> Coefficien
             x, y = read_floats(f"{fam}.x", doc["x"]), read_floats(f"{fam}.y", doc["y"])
             return TabulatedMap(x, y, dim)
         if fam == "gated_offset":
+            vector = read_floats(f"{fam}.vector", doc["vector"])
             return GatedOffsetMap(
-                _vec(read_floats(f"{fam}.vector", doc["vector"]), dim, "vector"),
+                require_array(f"{fam}.vector", vector, (dim,)),
                 read_int(f"{fam}.gate_index", doc["gate_index"]),
                 read_float(f"{fam}.low", doc["low"]),
                 read_float(f"{fam}.high", doc["high"]),
@@ -670,15 +658,15 @@ class CoefficientSet:
 
     def __post_init__(self):
         vols = tuple(self.vol_columns)
-        atoms = tuple((float(w), g) for w, g in self.jump_atoms)
+        atoms = tuple(self.jump_atoms)
+        for i, (w, _) in enumerate(atoms):
+            require_float(f"jump atom {i} weight", w, "> 0")
+        atoms = tuple((float(w), g) for w, g in atoms)
         object.__setattr__(self, "vol_columns", vols)
         object.__setattr__(self, "jump_atoms", atoms)
         dims = {self.drift.dim} | {v.dim for v in vols} | {g.dim for _, g in atoms}
         if len(dims) != 1:
             raise ShapeError(f"coefficient maps disagree on dim: {sorted(dims)}")
-        for w, _ in atoms:
-            if not (np.isfinite(w) and w > 0):
-                raise DomainError(f"jump atom weight must be finite and > 0, got {w}")
 
     @property
     def dim(self) -> int:
@@ -740,14 +728,10 @@ class SamplerSpec:
 
     def __post_init__(self):
         for name in ("points_per_face", "interior_points", "seed"):
-            require_int(name, getattr(self, name))
+            require_int(name, getattr(self, name), 0)
         if not isinstance(self.include_corners, bool):
             got = self.include_corners
             raise DomainError(f"include_corners must be True or False, got {got!r}")
-        if self.points_per_face < 0 or self.interior_points < 0:
-            raise DomainError("sample counts must be >= 0")
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
 
 
 _JUMP_ROWS = 1024  # most rows in one part of the cone sample
@@ -964,10 +948,14 @@ def default_tol(coeffs: CoefficientSet) -> float:
 def _resolve_tol(coeffs: CoefficientSet, cone: ConeSpec, tol: float | None) -> float:
     """The checkers' preamble: raise ``ShapeError`` unless the
     coefficients live on the cone's space, and return ``tol``, by
-    default ``default_tol(coeffs)``."""
+    default ``default_tol(coeffs)``; a given ``tol`` must be finite and
+    > 0 (``DomainError``), as ``checker.tol`` must be in a config."""
     if coeffs.dim != cone.dim:
         raise ShapeError(f"dims disagree: cone {cone.dim}, coefficients {coeffs.dim}")
-    return default_tol(coeffs) if tol is None else tol
+    if tol is None:
+        return default_tol(coeffs)
+    require_float("tol", tol, "> 0")
+    return tol
 
 
 def _finite(vals: np.ndarray, condition: str, part: str, k: int | None = None) -> np.ndarray:

@@ -249,6 +249,8 @@ class ExperimentConfig:
 
         with _reading("coefficients"):
             coeffs = CoefficientSet.from_config(_section(doc, "coefficients"), dim)
+        if coeffs.dim != dim:
+            raise ConfigError(f"coefficients: maps of dimension {coeffs.dim} for dimension {dim}")
 
         noise_doc = _section(doc, "noise")
         with _reading("noise"):

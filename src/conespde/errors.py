@@ -1,7 +1,7 @@
 """Exception types shared across the package, the config rules for
-numbers, lists of numbers, integers and booleans, and the rule for the
-integer fields of the direct API (here, below ``config``, so every
-module can use them).
+numbers, lists of numbers, integers and booleans, and the rules for the
+integer, real and array fields of the direct API (here, below
+``config``, so every module can use them).
 
 Most subclasses derive from ValueError so that callers who do not care
 about the fine distinction can still catch invalid input generically.
@@ -74,12 +74,61 @@ def read_int(path: str, value) -> int:
     return int(value)
 
 
-def require_int(name: str, value) -> None:
-    """An integer field of the direct API: a Python or NumPy integer.
-    Booleans, integral floats and anything else raise ``DomainError``;
-    config documents reach the field through ``read_int`` first."""
+def require_int(name: str, value, low: int | None = None) -> None:
+    """An integer field of the direct API: a Python or NumPy integer, at
+    least ``low`` when given.  Booleans, integral floats, anything else
+    and values below ``low`` raise ``DomainError``; config documents
+    reach the field through ``read_int`` first."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+
+
+_BOUNDS = {None: lambda x: True, "> 0": lambda x: x > 0, ">= 0": lambda x: x >= 0}
+
+
+def require_float(name: str, value, bound: str | None = None) -> None:
+    """A real field of the direct API: a Python or NumPy real number
+    that is finite and, with ``bound`` (``"> 0"`` or ``">= 0"``), inside
+    it.  Anything else (booleans, strings, NaN, infinities, integers too
+    large for a float) raises ``DomainError`` naming the field, by the
+    predicate ``read_float`` uses.  The value is checked, not converted."""
+    fault = _real_fault(value)
+    if fault is None and not _BOUNDS[bound](value):
+        fault = f"must be {bound}, got {value}"
+    if fault is not None:
+        raise DomainError(f"{name} {fault}")
+
+
+def require_array(name: str, values, shape: tuple) -> np.ndarray:
+    """An array field of the direct API, as a read-only float64 copy.
+
+    ``shape`` has one entry per axis: an integer fixes the axis length,
+    and a name such as ``"N"`` takes any length, the same one wherever
+    the name repeats (``("N", "N")`` is a square).  An empty or ragged
+    array, or one of another shape, raises ``ShapeError``; an entry that
+    is not a real number (booleans and strings included) or not finite
+    raises ``DomainError``.
+    """
+    try:
+        raw = np.asarray(values)
+    except ValueError:
+        raise ShapeError(f"{name} must be a rectangular array") from None
+    named = {}
+    if not (raw.ndim == len(shape) and raw.size and all(
+        named.setdefault(want, got) == got if isinstance(want, str) else want == got
+        for want, got in zip(shape, raw.shape)
+    )):
+        want = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ShapeError(f"{name} must have shape ({want}) and no empty axis, got {raw.shape}")
+    if raw.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must hold real numbers, got dtype {raw.dtype}")
+    arr = raw.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite")
+    arr.flags.writeable = False
+    return arr
 
 
 def read_bool(path: str, value) -> bool:
@@ -94,21 +143,24 @@ def read_float(path: str, value) -> float:
     """A config number as a float; anything that is not a real number
     (booleans, strings, ``null``, lists and objects included) and values
     that convert to NaN or an infinity raise ``ConfigError``."""
+    fault = _real_fault(value)
+    if fault is not None:
+        raise ConfigError(f"{path}: {fault}")
+    return float(value)
+
+
+def _real_fault(value) -> str | None:
+    """What keeps ``value`` from being a finite real number, as ``"must
+    be ..., got ..."``, or None when it is one.  A boolean is not a
+    number, and an integer too large for a float (JSON allows any number
+    of digits) is not finite."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{path}: must be a number, got {value!r}")
-    x = _float(path, value)
-    if not math.isfinite(x):
-        raise ConfigError(f"{path}: must be finite, got {x!r}")
-    return x
-
-
-def _float(path: str, value) -> float:
-    """``float(value)``, with an integer too large for a float (JSON
-    allows any number of digits) reported as not finite."""
+        return f"must be a number, got {value!r}"
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
-        raise ConfigError(f"{path}: must be finite, got an integer too large for a float") from None
+        return "must be finite, got an integer too large for a float"
+    return None if math.isfinite(x) else f"must be finite, got {x!r}"
 
 
 def read_floats(path: str, values) -> np.ndarray:
@@ -117,9 +169,7 @@ def read_floats(path: str, values) -> np.ndarray:
     for a float, raises ``ConfigError`` naming it, as ``read_float`` does
     for one number."""
     for idx, x in np.ndenumerate(np.asarray(values, dtype=object)):
-        where = "".join(f"[{i}]" for i in idx)
-        if isinstance(x, (bool, str)):
-            raise ConfigError(f"{path}{where}: must be a number, got {x!r}")
-        if isinstance(x, numbers.Integral):
-            _float(f"{path}{where}", x)
+        fault = _real_fault(x) if isinstance(x, (bool, str, numbers.Integral)) else None
+        if fault is not None:
+            raise ConfigError(f"{path}{''.join(f'[{i}]' for i in idx)}: {fault}")
     return np.asarray(values, dtype=np.float64)

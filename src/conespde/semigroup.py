@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError, read_floats, read_int
+from .errors import ConfigError, read_floats, require_array, require_float, require_int
 
 __all__ = ["DiagonalSemigroup"]
 
@@ -43,14 +43,7 @@ class DiagonalSemigroup:
     rates: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.rates, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ShapeError("rates must form a non-empty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("rates must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "rates", arr)
+        object.__setattr__(self, "rates", require_array("rates", self.rates, ("N",)))
 
     @property
     def dim(self) -> int:
@@ -59,14 +52,12 @@ class DiagonalSemigroup:
     @classmethod
     def heat(cls, dim: int) -> "DiagonalSemigroup":
         """Heat-like spectrum ``c_k = k`` for ``k = 1..dim``."""
-        if dim < 1:
-            raise DomainError(f"dim must be >= 1, got {dim}")
+        require_int("dim", dim, 1)
         return cls(np.arange(1, dim + 1, dtype=np.float64))
 
     def multipliers(self, t: float) -> np.ndarray:
         """Per-coordinate factors ``exp(-c_k t)`` for ``t >= 0``."""
-        if t < 0:
-            raise DomainError(f"time must be >= 0, got {t}")
+        require_float("time", t, ">= 0")
         return np.exp(-self.rates * t)
 
     def to_config(self) -> dict:
@@ -74,11 +65,15 @@ class DiagonalSemigroup:
 
     @classmethod
     def from_config(cls, doc: dict, dim: int) -> "DiagonalSemigroup":
+        """The semigroup of a config section on the space of dimension
+        ``dim``, which the heat rule takes as its own."""
+        if "dim" in doc:
+            raise ConfigError("dim: not a semigroup key; the semigroup takes space.dim")
         rates = doc.get("rates")
         if isinstance(rates, str):
             if rates != "heat":
                 raise ConfigError(f"unknown rates rule {rates!r}")
-            sg = cls.heat(read_int("dim", doc.get("dim", dim)))
+            sg = cls.heat(dim)
         elif rates is None:
             raise ConfigError("semigroup config needs a 'rates' entry")
         else:

@@ -72,7 +72,7 @@ import numpy as np
 
 from . import kernels
 from .coefficients import CoefficientSet
-from .errors import ConfigError, DomainError, ShapeError, require_int
+from .errors import ConfigError, DomainError, ShapeError, require_array, require_float, require_int
 from .kernels import KernelState, StepPlan, step_ensemble
 from .semigroup import DiagonalSemigroup
 from .space import ConeSpec, StateVec, cone_contains
@@ -106,11 +106,9 @@ class NoiseSpec:
     def __post_init__(self):
         # finite, too: the kernel skips 0 * sqrt(lam dt) xi off a column's
         # support, which is not 0 when lam is infinite
-        if any(not (lam > 0 and np.isfinite(lam)) for lam in self.eigenvalues):
-            raise DomainError("noise eigenvalues must all be finite and > 0")
-        require_int("seed", self.seed)
-        if self.seed < 0:
-            raise DomainError("seed must be >= 0")
+        for j, lam in enumerate(self.eigenvalues):
+            require_float(f"eigenvalues[{j}]", lam, "> 0")
+        require_int("seed", self.seed, 0)
 
     @classmethod
     def dyadic(cls, count: int, seed: int = 0) -> "NoiseSpec":
@@ -138,16 +136,10 @@ class SimConfig:
     guard: float = 1e12
 
     def __post_init__(self):
-        for name in ("dt", "horizon", "exit_tol", "guard"):
-            if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise DomainError("dt and horizon must be > 0")
-        require_int("paths", self.paths)
-        if self.paths < 1:
-            raise DomainError("paths must be >= 1")
-        if self.exit_tol < 0 or self.guard <= 0:
-            raise DomainError("exit_tol must be >= 0 and guard > 0")
+        for name in ("dt", "horizon", "guard"):
+            require_float(name, getattr(self, name), "> 0")
+        require_float("exit_tol", self.exit_tol, ">= 0")
+        require_int("paths", self.paths, 1)
         s = round(self.horizon / self.dt)
         if s < 1 or abs(s * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ConfigError(
@@ -472,10 +464,6 @@ def ssnc_estimate(
         raise ShapeError(f"semigroup dim {semigroup.dim} vs state dim {h.dim}")
     if not cone_contains(cone, h.coords, tol=1e-12):
         raise DomainError("state must lie in the cone")
-    vec = np.asarray(sigma, dtype=np.float64)
-    if vec.shape != (h.dim,):
-        raise ShapeError(f"sigma must have shape ({h.dim},), got {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError("sigma must be finite")
+    vec = require_array("sigma", sigma, (h.dim,))
     on_face = (cone.signs != 0) & (cone.signs * h.coords <= 0.0)
     return float(np.linalg.norm(np.maximum(-cone.signs[on_face] * vec[on_face], 0.0)))

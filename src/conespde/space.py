@@ -27,13 +27,11 @@ coordinates, zero the rest) acts on coefficient maps only, as
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, require_array, require_float, require_int
 
 __all__ = [
     "StateVec",
@@ -43,17 +41,6 @@ __all__ = [
     "shift",
     "cone_contains",
 ]
-
-
-def _as_coords(values: Iterable[float] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"state vector must be 1-d, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ShapeError("state vector must have at least one coordinate")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("state vector coordinates must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -80,9 +67,7 @@ class StateVec:
     coords: np.ndarray
 
     def __post_init__(self):
-        arr = _as_coords(self.coords).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
+        object.__setattr__(self, "coords", require_array("coords", self.coords, ("N",)))
 
     @property
     def dim(self) -> int:
@@ -175,8 +160,7 @@ def retract(a: np.ndarray, n: float) -> np.ndarray:
     ``i`` of a batch result equals the result at ``a[i]`` bit for bit;
     ``np.linalg.norm`` along an axis does not keep that.
     """
-    if not (math.isfinite(n) and n > 0):
-        raise DomainError(f"retraction radius must be finite and > 0, got {n}")
+    require_float("retraction radius", n, "> 0")
     norm = np.sqrt(np.add.reduce(np.multiply(a, a, order="C"), axis=-1, keepdims=True))
     return a * (n / np.maximum(norm, n))
 
@@ -191,8 +175,7 @@ def phi_eps(x, eps: float):
 
     Accepts scalars or arrays; returns the matching kind.
     """
-    if not (math.isfinite(eps) and eps >= 0):
-        raise DomainError(f"eps must be finite and >= 0, got {eps}")
+    require_float("eps", eps, ">= 0")
     arr = np.asarray(x, dtype=np.float64)
     out = np.sign(arr) * np.maximum(np.abs(arr) - eps, 0.0)
     if np.isscalar(x) or arr.ndim == 0:
@@ -210,8 +193,7 @@ def shift(a: np.ndarray, n: int, eps: float | None = None) -> np.ndarray:
     cannot cross the boundary.  Every entry is computed alone, so row
     ``i`` of a batch result equals the result at ``a[i]`` bit for bit.
     """
-    if n < 0:
-        raise DomainError(f"level must be >= 0, got {n}")
+    require_int("level", n, 0)
     if eps is None:
         eps = 2.0 ** (-n)
     out = np.zeros(a.shape)
@@ -231,6 +213,5 @@ def cone_contains(cone: ConeSpec, a: np.ndarray, tol: float = 0.0) -> bool:
     """
     if a.ndim not in (1, 2) or a.shape[-1] != cone.dim:
         raise ShapeError(f"cone dim {cone.dim} vs state shape {a.shape}")
-    if not tol >= 0:
-        raise DomainError(f"tolerance must be >= 0, got {tol}")
+    require_float("tol", tol, ">= 0")
     return bool(np.all(np.isfinite(a)) and np.all(cone.signs * a >= -tol))

@@ -186,7 +186,7 @@ class TestComposeRetraction:
         out = g.eval_array(np.array([30.0, 40.0]))
         np.testing.assert_allclose(out, [0.6, 0.8])
 
-    @pytest.mark.parametrize("n", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("n", [np.nan, np.inf, 0.0, -1.0, True])
     def test_radius_must_be_finite_and_positive(self, n):
         with pytest.raises(DomainError, match="radius"):
             RetractedMap(AffineMap(np.eye(2), np.zeros(2)), n)
@@ -399,9 +399,13 @@ class TestEnvelopeInputs:
         ("mu", lambda: sup_convolve(ABS, math.nan, StateVec(np.zeros(1)), SearchSpec(radius=1.0))),
         ("lam", lambda: SupInfParams(lam=math.inf, mu=1e-3)),
         ("bandwidth", lambda: MollifiedMap(ZeroMap(1), math.nan)),
+        ("lam", lambda: SupInfParams(True, 0.5)),
+        ("bandwidth", lambda: MollifiedMap(ZeroMap(1), True)),
+        ("sup_bound", lambda: SearchSpec(lipschitz=1.0, sup_bound=math.inf)),
     ],
     ids=["phi-eps-nan", "phi-eps-inf", "inf-lam-nan", "sup-mu-nan", "supinf-lam-inf",
-         "mollifier-bandwidth-nan"],
+         "mollifier-bandwidth-nan", "supinf-lam-bool", "mollifier-bandwidth-bool",
+         "search-sup-bound-inf"],
 )
 def test_non_finite_parameter_rejected(name, call):
     with pytest.raises(DomainError, match=name):

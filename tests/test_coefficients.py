@@ -17,6 +17,7 @@ import pytest
 from conespde import (
     ConeSpec,
     ConfigError,
+    DiagonalSemigroup,
     DomainError,
     NumericError,
     SamplerContractError,
@@ -256,12 +257,40 @@ def test_shifted_is_the_inner_map_after_the_shift():
 
 
 @pytest.mark.parametrize(
-    "level, eps", [(-1, None), (1, -0.5), (1, np.nan), (1, np.inf)],
-    ids=["negative-level", "negative-eps", "nan-eps", "inf-eps"],
+    "level, eps", [(-1, None), (1, -0.5), (1, np.nan), (1, np.inf), (2.5, None), (1, True)],
+    ids=["negative-level", "negative-eps", "nan-eps", "inf-eps", "fractional-level", "bool-eps"],
 )
 def test_shifted_rejects_bad_settings(level, eps):
     with pytest.raises(DomainError):
         ShiftedMap(_AFFINE, level, eps)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DiagonalSemigroup.heat(2.5), "dim must be an integer, got 2.5"),
+        (lambda: DiagonalSemigroup.heat(True), "dim must be an integer, got True"),
+        (lambda: ProjectedMap(_AFFINE, 2.5), "projection level must be an integer, got 2.5"),
+        (lambda: ProportionalMap(2.0, 1.5, 3), "index must be an integer, got 1.5"),
+        (lambda: ProportionalMap(True, 0, 3), "scale must be a number, got True"),
+        (lambda: MeanReversionMap("1", np.ones(2)), "kappa must be a number, got '1'"),
+        (lambda: CoefficientSet(ZeroMap(2), (), ((True, ZeroMap(2)),)),
+         "jump atom 0 weight must be a number, got True"),
+        (lambda: TabulatedMap(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 2.0),
+         "dim must be an integer, got 2.0"),
+        (lambda: ZeroMap(0), "dim must be >= 1, got 0"),
+        (lambda: ConstantMap(np.array([True, False])), "value must hold real numbers"),
+        (lambda: StateVec(["1.0"]), "coords must hold real numbers"),
+    ],
+    ids=["heat-float", "heat-bool", "projected-float", "proportional-index-float",
+         "proportional-scale-bool", "kappa-str", "weight-bool",
+         "tabulated-dim-float", "zero-dim-0", "constant-bool-array", "state-str-array"],
+)
+def test_direct_api_rejects_wrong_types(call, message):
+    # booleans are not numbers, floats are not integers, strings are
+    # neither: each rejected where it enters, naming the field
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        call()
 
 
 def _selections(m):
@@ -888,6 +917,19 @@ class TestVerdict:
     def test_dims_must_agree(self, compliant_coeffs):
         with pytest.raises(ShapeError, match="dims disagree: cone 4, coefficients 16"):
             invariance_verdict(compliant_coeffs, ConeSpec.nonnegative(4), SMALL)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, True, "1e-9"])
+    @pytest.mark.parametrize(
+        "check",
+        [check_jump_condition, check_drift_condition, check_volatility_condition,
+         invariance_verdict],
+        ids=["jump", "drift", "vol", "verdict"],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, check, tol, cone16, badvol_coeffs):
+        # a NaN or infinite tol hides every witness and a negative one
+        # turns zero-size margins into witnesses; None takes the default
+        with pytest.raises(DomainError, match="^tol must be"):
+            check(badvol_coeffs, cone16, SMALL, tol)
 
     @pytest.mark.parametrize(
         "check",

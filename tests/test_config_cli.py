@@ -164,6 +164,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="semigroup:.*dim 2.*16"):
             ExperimentConfig.from_dict(doc)
 
+    def test_coefficient_dim_mismatch(self):
+        # every map 2-d in a dim-16 space: the set agrees with itself, not
+        # with the space
+        doc = self.base()
+        doc["coefficients"] = {
+            "drift": {"family": "affine", "matrix": [[1, 0], [0, 1]], "offset": [0, 0]}
+        }
+        doc["noise"]["eigenvalues"] = []
+        message = "coefficients: maps of dimension 2 for dimension 16"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentConfig.from_dict(doc)
+
     def test_noise_column_mismatch(self):
         doc = preset_document("heat-positive-badvol")
         doc["noise"]["eigenvalues"] = {"rule": "flat", "count": 8, "value": 1.0}
@@ -279,7 +291,8 @@ class TestValidation:
             ("heat-positive", ("coefficients", "drift"),
              {"family": "projected", "level": 1.5, "inner": {"family": "zero"}},
              "coefficients: projected.level: "),
-            ("heat-positive", ("semigroup", "dim"), 16.9, "semigroup: dim: must be an integer"),
+            ("heat-positive", ("semigroup", "dim"), 16.9,
+             "semigroup: dim: not a semigroup key; the semigroup takes space.dim"),
             ("heat-positive", ("noise", "seed"), 1.5, "noise: seed: must be an integer"),
             ("heat-positive", ("noise", "eigenvalues", "count"), 8.9, "noise: eigenvalues.count: "),
         ],
@@ -388,7 +401,7 @@ class TestValidation:
             ({"family": "shifted", "level": 2, "eps": True, "inner": {"family": "zero"}},
              "coefficients: shifted.eps: must be a number, got True"),
             ({"family": "shifted", "level": 2, "eps": -0.5, "inner": {"family": "zero"}},
-             "coefficients: shift eps must be finite and >= 0, got -0.5"),
+             "coefficients: shift eps must be >= 0, got -0.5"),
         ],
         ids=["missing-level", "missing-inner", "negative-level", "fractional-level",
              "boolean-eps", "negative-eps"],

@@ -3,7 +3,8 @@ every private module-level name is used somewhere in the package, every
 public function, class and method is reached from a module of the
 package (the ``__init__`` re-exports aside), the benchmark or the
 acceptance tests, every function reads each of its parameters, every
-JSON dump refuses NaN, and no module builds a ``CallableMap``.  A public
+JSON dump refuses NaN, no module builds a ``CallableMap``, and no module
+but ``errors`` checks a parameter's finiteness by hand.  A public
 name that only its own tests call is dead code.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code rules.
@@ -526,3 +527,97 @@ def test_every_default_is_overridden(path):
 def test_default_allowlist_is_current():
     found = {d for p in MODULES for d in unoverridden_defaults(p, PASSED)}
     assert set(DEFAULT_ALLOWED) <= found, set(DEFAULT_ALLOWED) - found
+
+
+# The numbers and arrays of the direct API are checked by the rules of
+# ``errors`` (``require_int``, ``require_float``, ``require_array``), one
+# rule per field type.  A ``math.isfinite`` or ``np.isfinite`` call on a
+# bare parameter, or on ``self.<field>`` in ``__post_init__``, is such a
+# check written by hand.  The allowlist names the calls that test data,
+# not a parameter's validity, each with its reason.
+FINITE_ALLOWED = {
+    "cli.py:_strict(doc)": "writes a non-finite output number as null",
+    "coefficients.py:_finite(vals)": "checks evaluated map values and raises NumericError",
+    "space.py:cone_contains(a)": "membership: a state with a non-finite entry is outside the cone",
+}
+
+
+def _isfinite_arg(node: ast.AST) -> ast.expr | None:
+    """The argument of a ``math.isfinite``/``np.isfinite`` call, else None."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "isfinite"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("math", "np", "numpy")
+        and node.args
+    ):
+        return node.args[0]
+    return None
+
+
+def hand_finite_checks(tree: ast.Module) -> list[str]:
+    """``qualname(arg)`` for every ``math.isfinite``/``np.isfinite`` call
+    on a parameter of the enclosing function, or on ``self.<field>``
+    inside a ``__post_init__``, nested functions included."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = f"{owner}.{getattr(child, 'name', '')}".lstrip(".")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)} - {"self"}
+                for arg in filter(None, map(_isfinite_arg, ast.walk(child))):
+                    if isinstance(arg, ast.Name) and arg.id in params:
+                        found.append(f"{name}({arg.id})")
+                    elif (
+                        child.name == "__post_init__"
+                        and isinstance(arg, ast.Attribute)
+                        and isinstance(arg.value, ast.Name)
+                        and arg.value.id == "self"
+                    ):
+                        found.append(f"{name}(self.{arg.attr})")
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, name)
+            else:
+                visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_checker_sees_a_hand_finite_check():
+    # the parent's forms: a helper's parameter, a function's parameter
+    # and a field in __post_init__; a local, a wrapped field and a field
+    # outside __post_init__ are not parameters
+    tree = ast.parse(
+        "def _check_width(name, value):\n"
+        "    if not (math.isfinite(value) and value > 0):\n        raise E\n"
+        "def retract(a, n):\n    m = n\n    return np.isfinite(m), math.isfinite(n)\n"
+        "class SearchSpec:\n"
+        "    def __post_init__(self):\n"
+        "        if self.radius is not None and not math.isfinite(self.radius):\n"
+        "            raise E\n"
+        "        np.isfinite(np.abs(self.lipschitz))\n"
+        "    def m(self, b):\n        return np.isfinite(self.radius), numpy.isfinite(b)\n"
+    )
+    assert hand_finite_checks(tree) == [
+        "_check_width(value)", "retract(n)", "SearchSpec.__post_init__(self.radius)",
+        "SearchSpec.m(b)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in MODULES if p.name != "errors.py"), ids=lambda p: p.name
+)
+def test_no_hand_finite_checks(path):
+    found = [f for f in hand_finite_checks(ast.parse(path.read_text()))
+             if f"{path.name}:{f}" not in FINITE_ALLOWED]
+    assert not found, f"{path.name} checks finiteness by hand, not by an errors rule: {found}"
+
+
+def test_finite_allowlist_is_current():
+    found = {f"{p.name}:{f}" for p in MODULES for f in hand_finite_checks(ast.parse(p.read_text()))}
+    assert set(FINITE_ALLOWED) <= found, set(FINITE_ALLOWED) - found

@@ -101,8 +101,11 @@ class TestFromConfig:
             DiagonalSemigroup.from_config({"rates": [1.0, 2.0]}, 3)
 
     def test_heat_dim_mismatch(self):
-        with pytest.raises(ConfigError, match="does not match space dim 4"):
-            DiagonalSemigroup.from_config({"rates": "heat", "dim": 3}, 4)
+        # the heat rule takes the space's dimension, so a dim key is
+        # refused whatever its value
+        for dim in (3, 4):
+            with pytest.raises(ConfigError, match="^dim: not a semigroup key"):
+                DiagonalSemigroup.from_config({"rates": "heat", "dim": dim}, 4)
 
     def test_round_trip(self):
         sg = DiagonalSemigroup(np.array([2.0, 0.25]))

@@ -68,7 +68,7 @@ class TestNoiseSpec:
         with pytest.raises(DomainError):
             NoiseSpec((1.0, 0.0))
 
-    @pytest.mark.parametrize("lam", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan"), True])
     def test_eigenvalues_finite(self, lam):
         with pytest.raises(DomainError):
             NoiseSpec((1.0, lam))
@@ -106,7 +106,7 @@ class TestSimConfig:
             SimConfig(dt=0.1, horizon=1.0, paths=paths)
 
     @pytest.mark.parametrize("name", ["dt", "horizon", "exit_tol", "guard"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
     def test_non_finite_rejected(self, name, value):
         fields = {"dt": 0.1, "horizon": 1.0, "paths": 1, name: value}
         with pytest.raises(DomainError, match=name):
