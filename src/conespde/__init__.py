@@ -41,7 +41,6 @@ from .simulate import (
 )
 from .space import (
     ConeSpec,
-    StateVec,
     cone_contains,
     retract,
 )

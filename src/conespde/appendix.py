@@ -40,8 +40,8 @@ from .coefficients import (
     ShiftedMap,
     sample_boundary_pairs,
 )
-from .errors import ConfigError
-from .space import ConeSpec, StateVec, phi_eps, retract, shift
+from .errors import ConfigError, require_int
+from .space import ConeSpec, phi_eps, retract, shift
 
 __all__ = ["PropertyResult", "SUITE_NAMES", "run_suites"]
 
@@ -223,13 +223,13 @@ def suite_mollify(face_points: int = 16, seed: int = 0) -> list[PropertyResult]:
                   {"max_slope": slope, "range_ok": in_range, "plateau_ok": plateau})]
 
     bandwidth = 8.0
-    h = StateVec([0.4, -0.7])
+    h = np.array([0.4, -0.7])
     const = ConstantMap(np.array([2.5, -1.25]))
-    _, err = _worst(np.abs(mollify(const, bandwidth, h).coords - const.value))
+    _, err = _worst(np.abs(mollify(const, bandwidth, h) - const.value))
     out.append(_judge("mollify", "constant-exact", err <= 1e-10, f"error {err:.2e} <= 1e-10",
                       "constant not reproduced", {"error": err}))
     lin = AffineMap(np.array([[1.5, -0.25], [0.5, 2.0]]), np.array([0.3, -0.1]))
-    _, err = _worst(np.abs(mollify(lin, bandwidth, h).coords - lin.eval_array(h.coords)))
+    _, err = _worst(np.abs(mollify(lin, bandwidth, h) - lin.eval_array(h)))
     out.append(_judge("mollify", "affine-exact", err <= 1e-6, f"error {err:.2e} <= 1e-6",
                       "affine map not reproduced", {"error": err}))
 
@@ -292,7 +292,6 @@ def run_suites(selector: str, seed: int = 0) -> list[PropertyResult]:
     """Run one suite or all of them; results in declaration order."""
     if selector not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {selector!r}; choose from {', '.join(SUITE_NAMES)}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    require_int("seed", seed, 0)
     names = sorted(SUITES) if selector == "all" else [selector]
     return [r for name in names for r in SUITES[name](seed=seed)]

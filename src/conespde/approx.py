@@ -19,7 +19,7 @@ alone.
 * ``MollifiedMap(inner, bandwidth)``: the average of a map against a
   smooth compactly supported bump of radius ``1/bandwidth``, on tensor
   Gauss-Legendre nodes, 33 per axis of the map's dimension (at most 3).
-  ``mollify(f, bandwidth, h)`` evaluates it at one state.
+  ``mollify(f, bandwidth, h)`` evaluates it at one ``(N,)`` state.
 
 Beside the map families: ``inf_convolve``, ``sup_convolve`` and
 ``sup_inf_convolve`` are the quadratic envelopes of a scalar target,
@@ -37,16 +37,17 @@ Envelope targets work on batches: a target takes a read-only float64
 ``(M, N)`` array of states and returns their ``(M,)`` values, row ``i``
 equal to that row evaluated alone (the row contract of
 ``CoefficientMap.eval_coords``).
-``inf_convolve``, ``sup_convolve`` and ``sup_inf_convolve`` take one
-``StateVec`` or a ``(B, N)`` array of points.  Each point is a lane,
-and all lanes run the same search in lockstep: the grid is one target
-call over every lane, and so is each pair of golden-section steps (a
-call evaluates a step's new point together with both points the next
-step can pick).  Lanes are independent: a point's value is bitwise the
-same alone as inside any batch.  A lane that fails keeps its first error and runs on with the
-others; the call then raises the error of the lowest failing lane,
-which is the error a point-by-point loop would meet first.  Errors
-raised by the target itself propagate at once.
+``inf_convolve``, ``sup_convolve`` and ``sup_inf_convolve`` take a
+``(B, N)`` array of points (one point is a 1-row batch).  Each point is
+a lane, and all lanes run the same search in lockstep: the grid is one
+target call over every lane, and so is each pair of golden-section
+steps (a call evaluates a step's new point together with both points
+the next step can pick).  Lanes are independent: a point's value is
+bitwise the same alone as inside any batch.  A lane that fails keeps
+its first error and runs on with the others; the call then raises
+the error of the lowest failing lane, which is the error a
+point-by-point loop would meet first.  Errors raised by the target
+itself propagate at once.
 
 The points are validated once, where they enter.  Each search then
 checks once that every lane's window ``[h - R, h + R]`` is finite and
@@ -74,7 +75,6 @@ from .errors import (
     require_array,
     require_float,
 )
-from .space import StateVec
 
 __all__ = [
     "SupInfParams",
@@ -165,14 +165,6 @@ SWEEPS = 4
 _Rows = Callable[[np.ndarray], tuple[np.ndarray, dict[int, Exception]]]
 
 
-def _lanes(h) -> tuple[np.ndarray, bool]:
-    """The search lanes of ``h`` as a read-only ``(B, N)`` array, and
-    whether ``h`` was a single ``StateVec``."""
-    if isinstance(h, StateVec):
-        return h.coords[None, :], True
-    return require_array("points", h, ("B", "N")), False
-
-
 def _rows(f: Callable[[np.ndarray], np.ndarray], negate: bool = False) -> _Rows:
     """Wrap a user target, checking that it returns one value per row."""
 
@@ -185,11 +177,11 @@ def _rows(f: Callable[[np.ndarray], np.ndarray], negate: bool = False) -> _Rows:
     return call
 
 
-def _result(values: np.ndarray, errors: dict[int, Exception], single: bool):
+def _result(values: np.ndarray, errors: dict[int, Exception]) -> np.ndarray:
     """Raise the lowest failing lane's error, else return the values."""
     if errors:
         raise errors[min(errors)]
-    return float(values[0]) if single else values
+    return values
 
 
 def _line_search(evaluate, lo: np.ndarray, hi: np.ndarray, errors: dict[int, Exception]):
@@ -334,16 +326,16 @@ def inf_convolve(f: Callable[[np.ndarray], np.ndarray], lam: float, h, search: S
 
     ``f`` is a batch target: it takes a read-only float64 ``(M, N)``
     array of states and returns their ``(M,)`` values, row ``i`` equal
-    to that row evaluated alone.  ``h`` is a ``StateVec`` (the result
-    is a ``float``) or a finite ``(B, N)`` array of points (the result
-    is ``(B,)``); each point is an independent lane of one lockstep
-    search, and its value is the same alone as in any batch.  A failure
-    raises the error of the lowest failing lane.
+    to that row evaluated alone.  ``h`` is a finite ``(B, N)`` array of
+    points, and the result their ``(B,)`` values; each point is an
+    independent lane of one lockstep search, and its value is the same
+    alone as in any batch.  A failure raises the error of the lowest
+    failing lane.
     """
     require_float("lam", lam, "> 0")
-    base, single = _lanes(h)
+    base = require_array("points", h, ("B", "N"))
     values, errors = _minimize(_rows(f), base, lam, search.resolve_radius(lam))
-    return _result(values, errors, single)
+    return _result(values, errors)
 
 
 def sup_convolve(f: Callable[[np.ndarray], np.ndarray], mu: float, h, search: SearchSpec):
@@ -351,9 +343,9 @@ def sup_convolve(f: Callable[[np.ndarray], np.ndarray], mu: float, h, search: Se
     always at least ``f(h)``.  Targets, points and errors as in
     ``inf_convolve``."""
     require_float("mu", mu, "> 0")
-    base, single = _lanes(h)
+    base = require_array("points", h, ("B", "N"))
     values, errors = _minimize(_rows(f, negate=True), base, mu, search.resolve_radius(mu))
-    return _result(-values, errors, single)
+    return _result(-values, errors)
 
 
 def sup_inf_convolve(
@@ -369,7 +361,7 @@ def sup_inf_convolve(
     outer lane it belongs to.  Vector maps are treated componentwise by
     ``sup_inf_map``.
     """
-    base, single = _lanes(h)
+    base = require_array("points", h, ("B", "N"))
     inner, inner_radius = _rows(f), search.resolve_radius(p.lam)
 
     def envelope(rows: np.ndarray):
@@ -377,7 +369,7 @@ def sup_inf_convolve(
         return -values, errors
 
     values, errors = _minimize(envelope, base, p.mu, search.resolve_radius(p.mu))
-    return _result(-values, errors, single)
+    return _result(-values, errors)
 
 
 def sup_inf_map(f: CoefficientMap, p: SupInfParams, search: SearchSpec) -> CoefficientMap:
@@ -509,15 +501,22 @@ class MollifiedMap(CoefficientMap):
     against the bump scaled to radius ``1 / bandwidth``, on the tensor
     Gauss-Legendre nodes ``x_j`` of that radius, ``_NODES_PER_AXIS`` per
     axis of ``inner.dim`` (at most 3); the weights ``c_j`` are
-    quadrature weight times bump.  See ``mollify``.
+    quadrature weight times bump.
+
+    The bump weights are divided by their own sum over the quadrature
+    nodes, so constants are reproduced exactly and, by node symmetry,
+    so are affine maps.  Values only depend on ``inner`` within
+    ``1 / bandwidth`` of the state, which is what preserves local
+    boundary-parallelism: if ``inner`` is parallel on an ``eps`` ball
+    and ``bandwidth >= 2 / eps``, this map is parallel on the
+    ``eps / 2`` ball.
 
     ``eval_coords`` evaluates the nodes of every row of a batch in one
     ``inner.eval_array`` call (in row blocks of at most ``_NODE_ROWS``
     nodes), then sums each row over its nodes.  The sum runs over every
     coordinate and ``idx`` is selected after it: NumPy sums a lone
     column in another order than a column beside others.  So row ``i``
-    equals the value at ``a[i]`` bit for bit, and ``mollify`` at one
-    state is this map's value there.
+    equals the value at ``a[i]`` bit for bit.
     """
 
     inner: CoefficientMap
@@ -552,19 +551,10 @@ class MollifiedMap(CoefficientMap):
         return out.reshape(a.shape)[..., idx]
 
 
-def mollify(f: CoefficientMap, bandwidth: float, h: StateVec) -> StateVec:
-    """Average ``f`` against the bump of radius ``1 / bandwidth`` around
-    ``h``, which must have ``f``'s dimension.
-
-    The bump weights are divided by their own sum over the quadrature
-    nodes, so constants are reproduced
-    exactly and, by node symmetry, so are affine maps.  Values only
-    depend on ``f`` within ``1 / bandwidth`` of ``h``, which is what
-    preserves local boundary-parallelism: if ``f`` is parallel on an
-    ``eps`` ball and ``bandwidth >= 2 / eps``, the mollified map is
-    parallel on the ``eps / 2`` ball.
-    """
-    return MollifiedMap(f, bandwidth)(h)
+def mollify(f: CoefficientMap, bandwidth: float, h) -> np.ndarray:
+    """``MollifiedMap(f, bandwidth)`` at ``h``, a finite ``(N,)`` state
+    of ``f``'s dimension; the result has ``h``'s shape."""
+    return MollifiedMap(f, bandwidth).eval_array(require_array("h", h, (f.dim,)))
 
 
 # --------------------------------------------------------------------------

@@ -70,7 +70,7 @@ from .errors import (
     require_float,
     require_int,
 )
-from .space import ConeSpec, StateVec, cone_contains, retract, shift
+from .space import ConeSpec, cone_contains, retract, shift
 
 __all__ = [
     "CoefficientMap",
@@ -104,11 +104,11 @@ _ALL = slice(None)
 
 
 class CoefficientMap:
-    """Pure map of the state space, ``StateVec -> StateVec``.
+    """Pure map of the state space, ``(N,)`` state to ``(N,)`` value.
 
-    A family implements one evaluator, ``eval_coords``, on raw
-    coordinate arrays; ``eval_array`` asks it for every coordinate, and
-    ``__call__`` wraps and unwraps ``StateVec``.
+    A family implements one evaluator, ``eval_coords``, on state arrays;
+    ``eval_array``, which asks it for every coordinate, is the one way
+    to evaluate a whole map.
 
     ``support`` lists, in increasing order, the output coordinates that
     can be nonzero: every other output entry is a zero (of either sign)
@@ -152,11 +152,6 @@ class CoefficientMap:
 
     def to_config(self) -> dict:
         raise ConfigError(f"{type(self).__name__} has no config form")
-
-    def __call__(self, h: StateVec) -> StateVec:
-        if h.dim != self.dim:
-            raise ShapeError(f"map dim {self.dim} vs vector dim {h.dim}")
-        return StateVec(self.eval_array(h.coords))
 
 
 def _index(coords) -> np.ndarray:
@@ -328,7 +323,7 @@ class ProportionalMap(CoefficientMap):
         return _index([self.index])
 
     def to_config(self) -> dict:
-        return {"family": "proportional", "scale": self.scale, "index": self.index}
+        return {"family": "proportional", "scale": float(self.scale), "index": int(self.index)}
 
 
 @dataclass(frozen=True)
@@ -405,9 +400,9 @@ class GatedOffsetMap(CoefficientMap):
         return {
             "family": "gated_offset",
             "vector": [float(x) for x in self.vector],
-            "gate_index": self.gate_index,
-            "low": self.low,
-            "high": self.high,
+            "gate_index": int(self.gate_index),
+            "low": float(self.low),
+            "high": float(self.high),
         }
 
 
@@ -488,7 +483,7 @@ class ProjectedMap(CoefficientMap):
         return self.inner.builtin
 
     def to_config(self) -> dict:
-        return {"family": "projected", "level": self.level, "inner": self.inner.to_config()}
+        return {"family": "projected", "level": int(self.level), "inner": self.inner.to_config()}
 
 
 @dataclass(frozen=True)
@@ -513,7 +508,8 @@ class RetractedMap(CoefficientMap):
         return self.inner.eval_coords(retract(a, self.radius), idx)
 
     def to_config(self) -> dict:
-        return {"family": "retracted", "radius": self.radius, "inner": self.inner.to_config()}
+        inner = self.inner.to_config()
+        return {"family": "retracted", "radius": float(self.radius), "inner": inner}
 
 
 @dataclass(frozen=True)
@@ -551,15 +547,17 @@ class ShiftedMap(CoefficientMap):
         return self.inner.builtin
 
     def to_config(self) -> dict:
-        eps = {} if self.eps is None else {"eps": self.eps}
-        return {"family": "shifted", "level": self.level, **eps, "inner": self.inner.to_config()}
+        eps = {} if self.eps is None else {"eps": float(self.eps)}
+        inner = self.inner.to_config()
+        return {"family": "shifted", "level": int(self.level), **eps, "inner": inner}
 
 
 @dataclass(frozen=True)
 class CallableMap(CoefficientMap):
-    """Wrap an arbitrary pure function of the state: ``fn`` takes a
-    ``StateVec`` and returns one or an array.  Not a built-in family and
-    not serializable."""
+    """Wrap an arbitrary pure function of the state: ``fn`` takes one
+    state, a read-only ``(dim,)`` float64 view, and returns an
+    array-like of shape ``(dim,)``.  Not a built-in family and not
+    serializable."""
 
     fn: Callable
     dim: int
@@ -568,7 +566,7 @@ class CallableMap(CoefficientMap):
         require_int("dim", self.dim, 1)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
-        # user code sees one StateVec at a time
+        # user code sees one state at a time
         if a.ndim == 1:
             return self._eval_one(a, idx)
         if a.shape[0] == 0:
@@ -576,9 +574,11 @@ class CallableMap(CoefficientMap):
         return np.stack([self._eval_one(row, idx) for row in a])
 
     def _eval_one(self, a: np.ndarray, idx) -> np.ndarray:
-        res = self.fn(StateVec(a))
+        # a read-only view: user code cannot write into the caller's rows
+        row = a.view()
+        row.flags.writeable = False
         # a copy: SumMap adds into a writeable result
-        out = res.coords if isinstance(res, StateVec) else np.array(res, dtype=np.float64)
+        out = np.array(self.fn(row), dtype=np.float64)
         if out.shape != (self.dim,):
             raise ShapeError(f"callable returned shape {out.shape}, expected ({self.dim},)")
         return out[idx]
@@ -849,30 +849,37 @@ def sample_cone_points(cone: ConeSpec, spec: SamplerSpec = SamplerSpec()) -> Ite
 JUMP, DRIFT, VOL = "jump-stays-in-cone", "drift-inward", "vol-parallel"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
     """Concrete violation: which condition failed, where, by how much.
 
-    ``component`` is the atom or column index when one is responsible.
+    ``point`` is the state, kept as a read-only ``(N,)`` copy: a view
+    would keep the whole sample block it came from alive.  ``component``
+    is the atom or column index when one is responsible.  Witnesses hold
+    arrays, so they compare by identity; compare ``to_dict()`` documents
+    instead.
     """
 
     condition: str
     theta: int
     k: int
-    point: StateVec
+    point: np.ndarray
     magnitude: float
     component: int | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "point", require_array("point", self.point, ("N",)))
+
     def sort_key(self):
         comp = -1 if self.component is None else self.component
-        return (self.condition, self.k, self.theta, comp, -self.magnitude, self.point.coords.tobytes())
+        return (self.condition, self.k, self.theta, comp, -self.magnitude, self.point.tobytes())
 
     def to_dict(self) -> dict:
         return {
             "condition": self.condition,
             "theta": self.theta,
             "k": self.k,
-            "point": [float(x) for x in self.point.coords],
+            "point": [float(x) for x in self.point],
             "magnitude": self.magnitude,
             "component": self.component,
         }
@@ -975,8 +982,7 @@ def _witnesses(condition, excess, tol, points, thetas, ks, component=None) -> li
     above ``tol``: row ``r`` is the state ``points[r]``, column ``c`` the
     face ``(thetas[c], ks[c])``, and the entry the violation's size."""
     return [
-        Witness(condition, int(thetas[c]), int(ks[c]), StateVec(points[r]),
-                float(excess[r, c]), component)
+        Witness(condition, int(thetas[c]), int(ks[c]), points[r], float(excess[r, c]), component)
         for r, c in zip(*np.nonzero(excess > tol))
     ]
 

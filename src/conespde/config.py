@@ -23,11 +23,21 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .coefficients import CoefficientSet, SamplerSpec
-from .errors import ConfigError, ConeSpdeError, read_bool, read_float, read_floats, read_int
+from .errors import (
+    ConfigError,
+    ConeSpdeError,
+    read_bool,
+    read_float,
+    read_floats,
+    read_int,
+    require_array,
+)
 from .semigroup import DiagonalSemigroup
 from .simulate import NoiseSpec, SimConfig
-from .space import ConeSpec, StateVec
+from .space import ConeSpec
 
 __all__ = [
     "ExperimentConfig",
@@ -202,7 +212,8 @@ def _noise_from(doc: dict) -> NoiseSpec:
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Validated experiment: all parts share one dimension.
+    """Validated experiment: all parts share one dimension, and the
+    initial state ``h0`` is a read-only ``(dim,)`` float64 array.
 
     Equality-sensitive uses should compare ``to_dict()`` documents (the
     canonical form); the object itself holds live arrays.
@@ -214,7 +225,7 @@ class ExperimentConfig:
     noise: NoiseSpec
     sim: SimConfig
     sampler: SamplerSpec
-    h0: StateVec
+    h0: np.ndarray
     check_tol: float | None = None
 
     @property
@@ -300,9 +311,9 @@ class ExperimentConfig:
         if init is None:
             raise ConfigError("initial: missing section")
         with _reading("initial"):
-            h0 = StateVec(read_floats("initial", init))
-        if h0.dim != dim:
-            raise ConfigError(f"initial: {h0.dim} coordinates for dimension {dim}")
+            h0 = require_array("initial", read_floats("initial", init), ("N",))
+        if h0.shape[0] != dim:
+            raise ConfigError(f"initial: {h0.shape[0]} coordinates for dimension {dim}")
 
         return cls(
             cone=cone,
@@ -323,30 +334,30 @@ class ExperimentConfig:
             "coefficients": self.coeffs.to_config(),
             "noise": {
                 "eigenvalues": [float(x) for x in self.noise.eigenvalues],
-                "seed": self.noise.seed,
+                "seed": int(self.noise.seed),
             },
             "sim": {
-                "dt": self.sim.dt,
-                "horizon": self.sim.horizon,
-                "paths": self.sim.paths,
+                "dt": float(self.sim.dt),
+                "horizon": float(self.sim.horizon),
+                "paths": int(self.sim.paths),
                 "scheme": _SCHEME,
-                "exit_tol": self.sim.exit_tol,
-                "guard": self.sim.guard,
+                "exit_tol": float(self.sim.exit_tol),
+                "guard": float(self.sim.guard),
                 # always false: the key keeps every hash of a config
                 # that wrote it, and a config that set it true names the
                 # same run as its false twin
                 "store_trajectories": False,
             },
             "checker": {
-                "points_per_face": self.sampler.points_per_face,
-                "interior_points": self.sampler.interior_points,
-                "seed": self.sampler.seed,
+                "points_per_face": int(self.sampler.points_per_face),
+                "interior_points": int(self.sampler.interior_points),
+                "seed": int(self.sampler.seed),
                 "include_corners": self.sampler.include_corners,
             },
-            "initial": [float(x) for x in self.h0.coords],
+            "initial": [float(x) for x in self.h0],
         }
         if self.check_tol is not None:
-            doc["checker"]["tol"] = self.check_tol
+            doc["checker"]["tol"] = float(self.check_tol)
         return doc
 
     def content_hash(self) -> str:

@@ -75,7 +75,7 @@ from .coefficients import CoefficientSet
 from .errors import ConfigError, DomainError, ShapeError, require_array, require_float, require_int
 from .kernels import KernelState, StepPlan, step_ensemble
 from .semigroup import DiagonalSemigroup
-from .space import ConeSpec, StateVec, cone_contains
+from .space import ConeSpec, cone_contains
 
 __all__ = [
     "NoiseSpec",
@@ -232,13 +232,12 @@ def _validate_setup(
     semigroup: DiagonalSemigroup,
     noise: NoiseSpec,
     cone: ConeSpec,
-    h0: StateVec,
 ) -> None:
     dim = coeffs.dim
     if len(semigroup.rates) != dim:
         raise ShapeError(f"semigroup dimension {len(semigroup.rates)} != coefficients {dim}")
-    if cone.dim != dim or h0.dim != dim:
-        raise ShapeError("cone / initial state dimension mismatch")
+    if cone.dim != dim:
+        raise ShapeError(f"cone dimension {cone.dim} != coefficients {dim}")
     if noise.count != len(coeffs.vol_columns):
         raise ShapeError(
             f"noise has {noise.count} eigenvalues for {len(coeffs.vol_columns)} volatility columns"
@@ -251,10 +250,11 @@ def run_ensemble(
     noise: NoiseSpec,
     cone: ConeSpec,
     config: SimConfig,
-    h0: StateVec,
+    h0: np.ndarray,
     first_path: int = 0,
 ) -> PathEnsemble:
-    """Simulate ``config.paths`` independent paths from ``h0``.
+    """Simulate ``config.paths`` independent paths from ``h0``, a finite
+    ``(N,)`` array-like state.
 
     ``first_path`` offsets the path indices (and so the noise streams),
     which is how a slice of a larger ensemble is reproduced exactly.
@@ -268,7 +268,7 @@ def run_sweep(
     noise: NoiseSpec,
     cone: ConeSpec,
     config: SimConfig,
-    h0: StateVec,
+    h0: np.ndarray,
     factors: tuple[int, ...],
 ) -> list[PathEnsemble]:
     """One ensemble per entry of ``factors``, each stepped at ``factor *
@@ -294,9 +294,10 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
     factor 1: each lane records its rows one block at a time, and row
     ``l`` of ``sup_sq`` is raised, path by path, to the largest squared
     distance between lane 0's rows and lane ``l + 1``'s."""
+    dim = lanes[0][0].dim
+    h0 = require_array("h0", h0, (dim,))
     for coeffs, _ in lanes:
-        _validate_setup(coeffs, semigroup, noise, cone, h0)
-    dim = h0.dim
+        _validate_setup(coeffs, semigroup, noise, cone)
     S = config.steps
     P = config.paths
     factors = [f for _, f in lanes]
@@ -341,7 +342,7 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
             p = first_path + lo + k
             rng, seeds[lo + k] = _path_stream(noise.seed, p)
             streams.append((rng, _count_stream(noise.seed, p) if M else None))
-        r0 = np.broadcast_to(h0.coords, (n, dim))
+        r0 = np.broadcast_to(h0, (n, dim))
         B = _block_steps(n, J + M + rows_width, unit)
         states = [
             KernelState.start(plan, r0, np.zeros((n, min(B, S), dim)) if rows_width else None)
@@ -403,7 +404,7 @@ def stability_experiment(
     noise: NoiseSpec,
     cone: ConeSpec,
     config: SimConfig,
-    h0: StateVec,
+    h0: np.ndarray,
 ) -> list[StabilityResult]:
     """Estimate ``E sup_t ||r_t - r^n_t||^2`` for each entry of ``seq``.
 
@@ -443,14 +444,15 @@ def ssnc_estimate(
     semigroup: DiagonalSemigroup,
     sigma: np.ndarray,
     cone: ConeSpec,
-    h: StateVec,
+    h: np.ndarray,
 ) -> float:
     """Short-time cone compatibility of a vector field value at ``h``:
     the liminf of ``d_K(S_t h + t Sigma(h)) / t`` as t drops to 0, in
     closed form.
 
-    ``sigma`` is the field's value ``Sigma(h)``, a finite ``(N,)``
-    array, and ``h`` must lie in the cone up to 1e-12 per constraint.
+    ``h`` is a finite ``(N,)`` array-like state in the cone up to 1e-12
+    per constraint, and ``sigma`` the field's value ``Sigma(h)``, a
+    finite ``(N,)`` array.
     A constrained coordinate off its face (``sign_k h_k > 0``) stays
     inside for small ``t``, whatever its rate.  A coordinate on its face
     (``sign_k h_k <= 0``, which takes in the slack) moves by exactly
@@ -460,10 +462,9 @@ def ssnc_estimate(
     push otherwise.  The semigroup's rates do not enter it, but its
     dimension must be ``h``'s.
     """
-    if semigroup.dim != h.dim:
-        raise ShapeError(f"semigroup dim {semigroup.dim} vs state dim {h.dim}")
-    if not cone_contains(cone, h.coords, tol=1e-12):
+    h = require_array("h", h, (semigroup.dim,))
+    if not cone_contains(cone, h, tol=1e-12):
         raise DomainError("state must lie in the cone")
-    vec = require_array("sigma", sigma, (h.dim,))
-    on_face = (cone.signs != 0) & (cone.signs * h.coords <= 0.0)
+    vec = require_array("sigma", sigma, h.shape)
+    on_face = (cone.signs != 0) & (cone.signs * h <= 0.0)
     return float(np.linalg.norm(np.maximum(-cone.signs[on_face] * vec[on_face], 0.0)))

@@ -1,15 +1,17 @@
 """State space, coordinate cones, the radial retraction and the dead-zone shift.
 
 The state space is a finite slice of l2 spanned by an orthonormal
-coordinate basis.  A closed convex cone is described by one sign per
-coordinate: +1 constrains the coordinate to be nonnegative, -1 to be
-nonpositive, 0 leaves it free.  Such cones are exactly the ones whose
-metric projection acts coordinatewise, which gives a closed form for
-membership, on one state or on every row of a batch.
+coordinate basis.  A state is a float64 array of shape ``(N,)``, its
+coordinates in that basis, and a batch of states is an ``(M, N)``
+array, one state per row.  A closed convex cone is described by one
+sign per coordinate: +1 constrains the coordinate to be nonnegative,
+-1 to be nonpositive, 0 leaves it free.  Such cones are exactly the
+ones whose metric projection acts coordinatewise, which gives a closed
+form for membership, on one state or on every row of a batch.
 
-Two operators of the paper act on states, each on a raw state array
-or on every row of a batch, and each is composed with a coefficient
-map by a map family of ``coefficients``:
+Two operators of the paper act on states, each on one state or on
+every row of a batch, and each is composed with a coefficient map by a
+map family of ``coefficients``:
 
 * ``retract`` is the radial retraction ``R_n`` onto the closed ball of
   radius ``n`` (``RetractedMap``).  It is 1-Lipschitz and fixes the
@@ -31,72 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, require_array, require_float, require_int
+from .errors import DomainError, ShapeError, require_float, require_int
 
 __all__ = [
-    "StateVec",
     "ConeSpec",
     "retract",
     "phi_eps",
     "shift",
     "cone_contains",
 ]
-
-
-@dataclass(frozen=True)
-class StateVec:
-    """Immutable point of the state space.
-
-    Parameters
-    ----------
-    coords : array_like
-        Finite float coordinates with respect to the orthonormal basis.
-
-    Notes
-    -----
-    The wrapped array is marked read-only; arithmetic returns new
-    instances.  Equality is exact coordinatewise equality.
-
-    Every instance holds a private, read-only, non-empty 1-d float64
-    array of finite values; the constructor checks that, and there is
-    no other way to build one.  Code that works on many states at once
-    (the envelope searches, the checkers, the kernel) takes raw
-    ``(M, N)`` arrays instead and validates them once where they enter.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", require_array("coords", self.coords, ("N",)))
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-    def __add__(self, other: "StateVec") -> "StateVec":
-        self._check_same_dim(other)
-        return StateVec(self.coords + other.coords)
-
-    def __sub__(self, other: "StateVec") -> "StateVec":
-        self._check_same_dim(other)
-        return StateVec(self.coords - other.coords)
-
-    def __mul__(self, scalar: float) -> "StateVec":
-        return StateVec(self.coords * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StateVec):
-            return NotImplemented
-        return self.dim == other.dim and bool(np.all(self.coords == other.coords))
-
-    def __hash__(self):
-        return hash((self.dim, self.coords.tobytes()))
-
-    def _check_same_dim(self, other: "StateVec") -> None:
-        if self.dim != other.dim:
-            raise ShapeError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +106,7 @@ def retract(a: np.ndarray, n: float) -> np.ndarray:
     ``np.linalg.norm`` along an axis does not keep that.
     """
     require_float("retraction radius", n, "> 0")
+    a = np.asarray(a, dtype=np.float64)
     norm = np.sqrt(np.add.reduce(np.multiply(a, a, order="C"), axis=-1, keepdims=True))
     return a * (n / np.maximum(norm, n))
 
@@ -196,6 +142,7 @@ def shift(a: np.ndarray, n: int, eps: float | None = None) -> np.ndarray:
     require_int("level", n, 0)
     if eps is None:
         eps = 2.0 ** (-n)
+    a = np.asarray(a, dtype=np.float64)
     out = np.zeros(a.shape)
     out[..., :n] = phi_eps(a[..., :n], eps)
     return out
@@ -211,6 +158,7 @@ def cone_contains(cone: ConeSpec, a: np.ndarray, tol: float = 0.0) -> bool:
     non-finite entry, free coordinates included, lies outside the cone.
     The test takes full rows: a free coordinate gives ``0 * a_l = 0``.
     """
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] != cone.dim:
         raise ShapeError(f"cone dim {cone.dim} vs state shape {a.shape}")
     require_float("tol", tol, ">= 0")

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conespde import StateVec, retract
+from conespde import retract
 from conespde.approx import (
     SearchSpec,
     SupInfParams,
@@ -120,13 +120,13 @@ class TestAcceptance:
         bad_expansive = bad_range = 0
         for _ in range(pairs):
             n = rng.uniform(0.5, 8.0)
-            x = StateVec(rng.normal(scale=10.0, size=dim))
-            y = StateVec(rng.normal(scale=10.0, size=dim))
-            rx, ry = StateVec(retract(x.coords, n)), StateVec(retract(y.coords, n))
-            gap = np.linalg.norm(x.coords - y.coords)
-            if np.linalg.norm(rx.coords - ry.coords) > (1.0 + 1e-12) * gap:
+            x = rng.normal(scale=10.0, size=dim)
+            y = rng.normal(scale=10.0, size=dim)
+            rx, ry = retract(x, n), retract(y, n)
+            gap = np.linalg.norm(x - y)
+            if np.linalg.norm(rx - ry) > (1.0 + 1e-12) * gap:
                 bad_expansive += 1
-            if max(np.linalg.norm(rx.coords), np.linalg.norm(ry.coords)) > n * (1 + 1e-12):
+            if max(np.linalg.norm(rx), np.linalg.norm(ry)) > n * (1 + 1e-12):
                 bad_range += 1
         criterion(
             "AC5 retraction: nonexpansive and norm-bounded over 10^4 random pairs",
@@ -198,7 +198,7 @@ class TestAcceptance:
         ]
         config = SimConfig(dt=1e-3, horizon=1.0, paths=200)
         out = stability_experiment(
-            heat16, limit, seq, flat_noise8, cone16, config, StateVec(np.full(16, 1.0))
+            heat16, limit, seq, flat_noise8, cone16, config, np.full(16, 1.0)
         )
         means = [r.mean for r in out]
         ses = [r.stderr for r in out]
@@ -220,16 +220,16 @@ class TestAcceptance:
         u /= np.linalg.norm(u)
         spec = SamplerSpec(points_per_face=1, interior_points=0, seed=1, include_corners=False)
         pairs = [
-            (theta, k, StateVec(row))
+            (theta, k, row)
             for theta, k, H in sample_boundary_pairs(cone16, spec)
             for row in H
         ]
         worst = 0.0
         for theta, k, h in pairs:
-            sigma = compliant_coeffs.drift.eval_array(h.coords)
-            sigma = sigma - stratonovich_correction(compliant_coeffs, h.coords)
+            sigma = compliant_coeffs.drift.eval_array(h)
+            sigma = sigma - stratonovich_correction(compliant_coeffs, h)
             for j, col in enumerate(compliant_coeffs.vol_columns):
-                sigma = sigma + u[j] * col.eval_array(h.coords)
+                sigma = sigma + u[j] * col.eval_array(h)
             worst = max(worst, ssnc_estimate(heat16, sigma, cone16, h))
         _, k0, h0 = pairs[0]
         outward = np.zeros(16)

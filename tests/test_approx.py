@@ -18,7 +18,6 @@ from conespde import (
     NumericError,
     SearchRadiusError,
     ShapeError,
-    StateVec,
     UnsupportedDimensionError,
     cone_contains,
 )
@@ -208,30 +207,30 @@ class TestEnvelopes:
 
     def test_inf_matches_huber_closed_form(self):
         for x in np.linspace(-2.0, 2.0, 41):
-            got = inf_convolve(ABS, 0.5, StateVec(np.array([x])), self.spec)
+            got = inf_convolve(ABS, 0.5, np.array([[x]]), self.spec)[0]
             assert got == pytest.approx(huber(x, 0.5), abs=1e-6)
 
     def test_constant_fixed_point(self):
         spec = SearchSpec(lipschitz=0.0, sup_bound=2.0)
         got = inf_convolve(
-            lambda rows: np.full(rows.shape[0], 2.0), 0.1, StateVec(np.array([0.3, -0.4])), spec
-        )
+            lambda rows: np.full(rows.shape[0], 2.0), 0.1, np.array([[0.3, -0.4]]), spec
+        )[0]
         assert got == pytest.approx(2.0, abs=1e-9)
 
     def test_never_above_f(self):
         for x in (-1.3, 0.0, 0.7):
-            h = StateVec(np.array([x]))
-            assert inf_convolve(ABS, 0.25, h, self.spec) <= abs(x) + 1e-9
+            h = np.array([[x]])
+            assert inf_convolve(ABS, 0.25, h, self.spec)[0] <= abs(x) + 1e-9
 
     def test_sup_mirrors_inf(self):
-        h = StateVec(np.array([0.7]))
-        lo = inf_convolve(ABS, 0.25, h, self.spec)
-        hi = sup_convolve(lambda rows: -ABS(rows), 0.25, h, self.spec)
+        h = np.array([[0.7]])
+        lo = inf_convolve(ABS, 0.25, h, self.spec)[0]
+        hi = sup_convolve(lambda rows: -ABS(rows), 0.25, h, self.spec)[0]
         assert hi == pytest.approx(-lo, abs=1e-12)
 
     def test_sup_never_below_f(self):
-        h = StateVec(np.array([0.4]))
-        assert sup_convolve(ABS, 0.25, h, self.spec) >= 0.4 - 1e-9
+        h = np.array([[0.4]])
+        assert sup_convolve(ABS, 0.25, h, self.spec)[0] >= 0.4 - 1e-9
 
     def test_composition_bracketed(self):
         spec = SearchSpec(lipschitz=1.0, sup_bound=1.0)
@@ -251,19 +250,19 @@ class TestEnvelopes:
 
     def test_width_positive(self):
         with pytest.raises(DomainError):
-            inf_convolve(ABS, 0.0, StateVec(np.zeros(1)), self.spec)
+            inf_convolve(ABS, 0.0, np.zeros((1, 1)), self.spec)
 
     def test_radius_error_reports_suggestion(self):
         # steep linear target and a window far too small to contain the
         # minimizer: the best grid point sits on the edge
         spec = SearchSpec(radius=0.1, lipschitz=5.0, sup_bound=50.0)
         with pytest.raises(SearchRadiusError) as info:
-            inf_convolve(lambda rows: -5.0 * rows[:, 0], 1.0, StateVec(np.zeros(1)), spec)
+            inf_convolve(lambda rows: -5.0 * rows[:, 0], 1.0, np.zeros((1, 1)), spec)
         assert info.value.suggested_radius > 0.1
 
     def test_larger_radius_succeeds(self):
         spec = SearchSpec(radius=50.0, lipschitz=5.0, sup_bound=50.0)
-        got = inf_convolve(lambda rows: -5.0 * rows[:, 0], 1.0, StateVec(np.zeros(1)), spec)
+        got = inf_convolve(lambda rows: -5.0 * rows[:, 0], 1.0, np.zeros((1, 1)), spec)[0]
         # closed form: inf_g (-5g + g^2/2) = -25/2
         assert got == pytest.approx(-12.5, abs=1e-5)
 
@@ -285,8 +284,8 @@ class TestEnvelopes:
         # each spec is valid alone; only the window around the state
         # overflows, which the search reports before calling f
         cases = (
-            (SearchSpec(radius=1e308), StateVec(np.array([1e308]))),
-            (SearchSpec(lipschitz=1e308, sup_bound=0.0), StateVec(np.zeros(1))),
+            (SearchSpec(radius=1e308), np.array([[1e308]])),
+            (SearchSpec(lipschitz=1e308, sup_bound=0.0), np.zeros((1, 1))),
         )
         for spec, h in cases:
             with pytest.raises(DomainError, match="window must be finite"):
@@ -331,9 +330,9 @@ class TestEnvelopes:
 
     def test_values_pinned(self):
         for name, env in self.pinned_envelopes().items():
-            got = tuple(env(StateVec(np.array([x]))).hex() for x in self.PINNED_X)
+            got = tuple(env(np.array([[x]]))[0].hex() for x in self.PINNED_X)
             assert got == self.PINNED[name], name
-        assert self.pinned_2d(StateVec(np.array([0.3, -0.4]))).hex() == self.PINNED_2D
+        assert self.pinned_2d(np.array([[0.3, -0.4]]))[0].hex() == self.PINNED_2D
 
     def test_objective_sees_private_readonly_state(self):
         # every call gets a fresh read-only float64 (M, N) batch that no
@@ -385,9 +384,9 @@ class TestEnvelopeInputs:
 
     def test_target_must_return_one_value_per_row(self):
         with pytest.raises(ShapeError, match="target returned shape"):
-            inf_convolve(lambda rows: rows, 0.5, StateVec(np.zeros(1)), self.spec)
+            inf_convolve(lambda rows: rows, 0.5, np.zeros((1, 1)), self.spec)
         with pytest.raises(ShapeError, match="target returned shape"):
-            sup_convolve(lambda rows: 1.0, 0.5, StateVec(np.zeros(1)), self.spec)
+            sup_convolve(lambda rows: 1.0, 0.5, np.zeros((1, 1)), self.spec)
 
 
 @pytest.mark.parametrize(
@@ -395,8 +394,8 @@ class TestEnvelopeInputs:
     [
         ("eps", lambda: phi_eps(np.array([1.0, -2.0]), math.nan)),
         ("eps", lambda: phi_eps(1.0, math.inf)),
-        ("lam", lambda: inf_convolve(ABS, math.nan, StateVec(np.zeros(1)), SearchSpec(radius=1.0))),
-        ("mu", lambda: sup_convolve(ABS, math.nan, StateVec(np.zeros(1)), SearchSpec(radius=1.0))),
+        ("lam", lambda: inf_convolve(ABS, math.nan, np.zeros((1, 1)), SearchSpec(radius=1.0))),
+        ("mu", lambda: sup_convolve(ABS, math.nan, np.zeros((1, 1)), SearchSpec(radius=1.0))),
         ("lam", lambda: SupInfParams(lam=math.inf, mu=1e-3)),
         ("bandwidth", lambda: MollifiedMap(ZeroMap(1), math.nan)),
         ("lam", lambda: SupInfParams(True, 0.5)),
@@ -733,7 +732,7 @@ class TestSupInfMapLanes:
         """Component ``k`` at one row, as a single-lane search."""
         only = slice(k, k + 1)
         return sup_inf_convolve(lambda rows: f.eval_coords(rows, only)[:, 0], self.p,
-                                StateVec(row), self.spec)
+                                row[None, :], self.spec)[0]
 
     def test_rows_of_a_dim_one_map(self):
         f = TabulatedMap(np.array([-1.0, 0.0, 1.0]), np.array([0.5, -0.25, 1.0]), 1)
@@ -792,42 +791,42 @@ class TestMollify:
         f = CallableMap(lambda h: np.full(2, 7.0), 2)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            h = StateVec(rng.normal(size=2))
-            np.testing.assert_allclose(mollify(f, 8.0, h).coords, 7.0, atol=1e-10)
+            h = rng.normal(size=2)
+            np.testing.assert_allclose(mollify(f, 8.0, h), 7.0, atol=1e-10)
 
     def test_affine_reproduced(self):
         A = np.array([[1.0, 0.5], [0.0, 2.0]])
         f = AffineMap(A, np.array([0.3, -0.1]))
         rng = np.random.default_rng(1)
         for _ in range(5):
-            h = StateVec(rng.normal(size=2))
+            h = rng.normal(size=2)
             np.testing.assert_allclose(
-                mollify(f, 8.0, h).coords, f.eval_array(h.coords), atol=1e-6
+                mollify(f, 8.0, h), f.eval_array(h), atol=1e-6
             )
 
     def test_grid_dimension_cap(self):
         with pytest.raises(UnsupportedDimensionError):
-            mollify(ZeroMap(4), 8.0, StateVec(np.zeros(4)))
+            mollify(ZeroMap(4), 8.0, np.zeros(4))
 
     def test_dim_agreement(self):
         # the quadrature takes the map's dimension; the state must match it
         with pytest.raises(ShapeError):
-            mollify(ZeroMap(2), 8.0, StateVec(np.zeros(3)))
+            mollify(ZeroMap(2), 8.0, np.zeros(3))
 
     def test_smooths_kink(self):
         # |.| has a corner at 0; averaging over the support window lifts
         # the value there by at most the support radius 1 / bandwidth
-        f = CallableMap(lambda h: np.abs(h.coords), 1)
-        val = mollify(f, 8.0, StateVec(np.zeros(1))).coords[0]
+        f = CallableMap(lambda h: np.abs(h), 1)
+        val = mollify(f, 8.0, np.zeros(1))[0]
         assert 0.0 < val < 1.0 / 8.0
 
     def test_locality(self):
         # two maps agreeing within the support radius mollify identically
-        f = CallableMap(lambda h: np.where(np.abs(h.coords) < 0.5, h.coords, 99.0), 1)
-        g = CallableMap(lambda h: h.coords.copy(), 1)
-        h = StateVec(np.zeros(1))
+        f = CallableMap(lambda h: np.where(np.abs(h) < 0.5, h, 99.0), 1)
+        g = CallableMap(lambda h: h, 1)
+        h = np.zeros(1)
         np.testing.assert_allclose(
-            mollify(f, 8.0, h).coords, mollify(g, 8.0, h).coords, atol=1e-12
+            mollify(f, 8.0, h), mollify(g, 8.0, h), atol=1e-12
         )
 
     def test_params_validation(self):
@@ -858,7 +857,7 @@ class TestMollifiedMap:
         rows = np.random.default_rng(dim).uniform(-2.0, 2.0, (64, dim))
         rows[::4, 0] = 0.0  # face points, where the shifted column vanishes
         batch = m.eval_array(rows)
-        points = np.stack([mollify(f, 8.0, StateVec(row)).coords for row in rows])
+        points = np.stack([mollify(f, 8.0, row) for row in rows])
         assert batch.tobytes() == points.tobytes()
         for idx in ([0], [dim - 1], slice(None), list(range(dim))[::-1]):
             assert m.eval_coords(rows, idx).tobytes() == batch[:, idx].tobytes()

@@ -22,10 +22,10 @@ from conespde import (
     NumericError,
     SamplerContractError,
     ShapeError,
-    StateVec,
     coefficients,
     cone_contains,
 )
+from conespde.appendix import run_suites
 from conespde.coefficients import (
     AffineMap,
     CallableMap,
@@ -137,11 +137,31 @@ class TestMapFamilies:
         with pytest.raises(ShapeError):
             m.eval_array(np.array([1.0, 2.0]))
 
+    def test_callable_sees_read_only_states(self):
+        # one (N,) float64 row per call, which user code cannot write into
+        seen = []
+
+        def fn(h):
+            seen.append((h.shape, h.dtype, h.flags.writeable))
+            h[0] = 9.0
+            return h
+
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        for a in (rows[0], rows):
+            with pytest.raises(ValueError, match="read-only"):
+                CallableMap(fn, 2).eval_array(a)
+        assert seen == [((2,), np.float64, False)] * 2
+        assert rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        out = CallableMap(lambda h: h, 2).eval_array(rows)
+        out[0, 0] = 9.0
+        assert rows[0, 0] == 1.0
+
     def test_call_protocol(self):
+        # eval_array is the one call: a state array in, a new array out
         m = MeanReversionMap(1.0, np.array([1.0, 1.0]))
-        out = m(StateVec(np.array([0.5, 0.5])))
-        assert isinstance(out, StateVec)
-        np.testing.assert_allclose(out.coords, [0.5, 0.5])
+        out = m.eval_array(np.array([0.5, 0.5]))
+        assert out.dtype == np.float64 and out.shape == (2,)
+        np.testing.assert_allclose(out, [0.5, 0.5])
 
 
 # Rows of a (P, 3) batch: signed zeros, both edges of the gate band
@@ -189,7 +209,7 @@ BATCH_CASES = {
     "shifted_gated": (ShiftedMap(_GATED, 3, eps=0.5), True),
     "shifted_table": (ShiftedMap(_TABLE, 1), False),
     "callable_statevec": (CallableMap(lambda h: 2.0 * h, 3), False),
-    "callable_array": (CallableMap(lambda h: np.sin(h.coords) - h.coords[1], 3), False),
+    "callable_array": (CallableMap(lambda h: np.sin(h) - h[1], 3), False),
     # mean reversion gives -0.0 at coordinate 1 of row 1, where the
     # proportional term outside its support adds +0.0
     "sum_signed_zero": (SumMap((_MEANREV, ProportionalMap(-0.3, 0, 3))), True),
@@ -280,11 +300,18 @@ def test_shifted_rejects_bad_settings(level, eps):
          "dim must be an integer, got 2.0"),
         (lambda: ZeroMap(0), "dim must be >= 1, got 0"),
         (lambda: ConstantMap(np.array([True, False])), "value must hold real numbers"),
-        (lambda: StateVec(["1.0"]), "coords must hold real numbers"),
+        (lambda: Witness("vol-parallel", 1, 0, ["1.0"], 1.0), "point must hold real numbers"),
+        (lambda: run_suites("phi", seed=True), "seed must be an integer, got True"),
+        (lambda: run_suites("phi", seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: run_suites("phi", seed="3"), "seed must be an integer, got '3'"),
+        (lambda: run_suites("phi", seed=None), "seed must be an integer, got None"),
+        (lambda: run_suites("phi", seed=-1), "seed must be >= 0, got -1"),
     ],
     ids=["heat-float", "heat-bool", "projected-float", "proportional-index-float",
          "proportional-scale-bool", "kappa-str", "weight-bool",
-         "tabulated-dim-float", "zero-dim-0", "constant-bool-array", "state-str-array"],
+         "tabulated-dim-float", "zero-dim-0", "constant-bool-array", "state-str-array",
+         "suite-seed-bool", "suite-seed-float", "suite-seed-str", "suite-seed-none",
+         "suite-seed-negative"],
 )
 def test_direct_api_rejects_wrong_types(call, message):
     # booleans are not numbers, floats are not integers, strings are
@@ -381,7 +408,7 @@ def test_projection_leaves_callable_result_alone():
     inner = CallableMap(lambda h: v, 4)
     for m in (ProjectedMap(inner, 2), ProjectedMap(SumMap((inner,)), 2)):
         np.testing.assert_array_equal(m.eval_array(np.zeros(4)), [1.0, 2.0, 0.0, 0.0])
-        np.testing.assert_array_equal(m(StateVec(np.zeros(4))).coords, [1.0, 2.0, 0.0, 0.0])
+        np.testing.assert_array_equal(m.eval_array(np.zeros((1, 4))), [[1.0, 2.0, 0.0, 0.0]])
     assert v.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
@@ -742,7 +769,7 @@ class TestJumpCondition:
         C = CoefficientSet(ZeroMap(3), (), ((1.0, gamma),))
         report = check_jump_condition(C, K, SMALL)
         assert report.jump_ok is False
-        corner = [w for w in report.witnesses if np.array_equal(w.point.coords, [1.0, 0.0, 0.0])]
+        corner = [w for w in report.witnesses if np.array_equal(w.point, [1.0, 0.0, 0.0])]
         assert corner and corner[0].magnitude == pytest.approx(1.0)
         assert corner[0].condition == "jump-stays-in-cone"
 
@@ -860,7 +887,7 @@ class TestNonFiniteValues:
         # atom 0 is not finite only at the origin, a corner drawn last,
         # atom 1 nowhere: the first part, the interior draws, reaches
         # atom 1 before any part reaches the origin
-        at_origin = CallableMap(lambda h: np.full(3, np.nan if not h.coords.any() else 0.0), 3)
+        at_origin = CallableMap(lambda h: np.full(3, np.nan if not h.any() else 0.0), 3)
         C = CoefficientSet(ZeroMap(3), (), ((1.0, at_origin), (1.0, NAN_ALL)))
         with pytest.raises(NumericError, match="jump atom 1 is not finite on face k=0"):
             check_jump_condition(C, ConeSpec.nonnegative(3), SMALL)
@@ -981,7 +1008,7 @@ def reference_verdict(coeffs, cone, sampler, tol=None):
             margins = cone.signs[idx] * (row + g.eval_array(row))[idx]
             for pos in np.flatnonzero(margins < -tol):
                 k = int(idx[pos])
-                w = Witness("jump-stays-in-cone", int(cone.signs[k]), k, StateVec(row),
+                w = Witness("jump-stays-in-cone", int(cone.signs[k]), k, row,
                             float(-margins[pos]), i)
                 witnesses.append(w)
     pairs = [(t, k, row) for t, k, H in sample_boundary_pairs(cone, sampler) for row in H]
@@ -993,11 +1020,11 @@ def reference_verdict(coeffs, cone, sampler, tol=None):
             comp_k += w * theta * g.eval_array(row)[k]
         main = a + drift_k - comp_k
         if main < -tol:
-            witnesses.append(Witness("drift-inward", theta, k, StateVec(row), float(-main)))
+            witnesses.append(Witness("drift-inward", theta, k, row, float(-main)))
         for j, col in enumerate(coeffs.vol_columns):
             val = theta * col.eval_array(row)[k]
             if abs(val) > tol:
-                witnesses.append(Witness("vol-parallel", theta, k, StateVec(row), float(abs(val)), j))
+                witnesses.append(Witness("vol-parallel", theta, k, row, float(abs(val)), j))
     return ConditionReport(
         checked=("jump-stays-in-cone", "drift-inward", "vol-parallel"),
         witnesses=tuple(witnesses),
@@ -1029,7 +1056,7 @@ def _wrapped_case():
     # retractions evaluate row by row
     K = ConeSpec.nonnegative(3)
     A = np.array([[0.0, 1.0, -1.0], [0.5, 0.0, 0.5], [-1.0, 0.2, 0.0]])
-    drift = CallableMap(lambda h: h.coords[::-1] - 0.5, 3)
+    drift = CallableMap(lambda h: h[::-1] - 0.5, 3)
     vols = (
         ZeroMap(3),
         ConstantMap(np.array([0.0, 0.2, 0.0])),
@@ -1039,7 +1066,7 @@ def _wrapped_case():
     jumps = (
         (0.3, ConstantMap(np.array([-0.05, 0.0, 0.1]))),
         (1.5, ZeroMap(3)),
-        (0.7, RetractedMap(CallableMap(lambda h: -1.5 * h.coords, 3), 1.0)),
+        (0.7, RetractedMap(CallableMap(lambda h: -1.5 * h, 3), 1.0)),
     )
     return CoefficientSet(drift, vols, jumps), K
 
@@ -1118,7 +1145,7 @@ class TestReportContract:
             condition="vol-parallel",
             theta=1,
             k=0,
-            point=StateVec(np.zeros(2)),
+            point=np.zeros(2),
             magnitude=mag,
             component=0,
         )
@@ -1138,8 +1165,8 @@ class TestReportContract:
             )
 
     def test_witnesses_sorted_canonically(self):
-        a = Witness("vol-parallel", 1, 2, StateVec(np.zeros(3)), 0.5, 1)
-        b = Witness("vol-parallel", 1, 0, StateVec(np.zeros(3)), 0.7, 0)
+        a = Witness("vol-parallel", 1, 2, np.zeros(3), 0.5, 1)
+        b = Witness("vol-parallel", 1, 0, np.zeros(3), 0.7, 0)
         report = ConditionReport(
             checked=("vol-parallel",),
             witnesses=(a, b), sampled_points=2, tol=1e-9,

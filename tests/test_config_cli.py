@@ -5,6 +5,7 @@ built-in presets, with path-count overrides to keep runs small; the
 full-size runs live in the acceptance tests.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -14,7 +15,22 @@ import pytest
 from click.testing import CliRunner
 
 from conespde import ConfigError, NoiseSpec, appendix
-from conespde.cli import EXIT_QUIET_THRESHOLD, SWEEP_FACTORS, _strict, _write_json, cli
+from conespde.cli import (
+    EXIT_QUIET_THRESHOLD,
+    SWEEP_FACTORS,
+    _strict,
+    _write_json,
+    _write_manifest,
+    cli,
+)
+from conespde.coefficients import (
+    GatedOffsetMap,
+    ProjectedMap,
+    ProportionalMap,
+    RetractedMap,
+    ShiftedMap,
+    SumMap,
+)
 from conespde.config import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -84,7 +100,7 @@ class TestPresets:
 
     def test_hidden_starts_in_gate_band(self):
         ec = ExperimentConfig.from_dict(preset_document("heat-positive-hidden"))
-        assert ec.h0.coords[2] == 6.5
+        assert ec.h0[2] == 6.5
 
     def test_preset_shortcut_key(self):
         via_key = ExperimentConfig.from_dict({"preset": "heat-positive"})
@@ -432,6 +448,77 @@ class TestValidation:
         ec = ExperimentConfig.from_dict(doc)
         assert ec.sim.paths == 200 and ec.noise.seed == 0
         assert ec.content_hash() == ExperimentConfig.from_dict(self.base()).content_hash()
+
+
+def _set(section: str, name: str):
+    """Set field ``name`` of one dataclass section of a config."""
+    return lambda ec, v: setattr(
+        ec, section, dataclasses.replace(getattr(ec, section), **{name: v})
+    )
+
+
+def _drift(wrap):
+    """Replace the drift by ``wrap(drift, value)``."""
+    return lambda ec, v: setattr(
+        ec, "coeffs", dataclasses.replace(ec.coeffs, drift=wrap(ec.coeffs.drift, v))
+    )
+
+
+def _first_vol(make):
+    """Replace volatility column 0 by ``make(value)``."""
+    return lambda ec, v: setattr(
+        ec, "coeffs",
+        dataclasses.replace(ec.coeffs, vol_columns=(make(v), *ec.coeffs.vol_columns[1:])),
+    )
+
+
+_GATE = np.zeros(16)
+_GATE[1] = -5.0
+# one case per scalar field a config writes: how to set it, and a NumPy
+# value of it; the plain-Python twin is the same number as int or float
+NUMPY_SCALARS = {
+    "proportional-index": (_first_vol(lambda v: ProportionalMap(0.3, v, 16)), np.int64(0)),
+    "proportional-scale": (_first_vol(lambda v: ProportionalMap(v, 0, 16)), np.float32(0.3)),
+    "projected-level": (_drift(ProjectedMap), np.int64(4)),
+    "shifted-level": (_drift(ShiftedMap), np.int64(4)),
+    "shifted-eps": (_drift(lambda f, v: ShiftedMap(f, 2, v)), np.float32(0.1)),
+    "retracted-radius": (_drift(RetractedMap), np.float32(2.5)),
+    "gate-index": (_drift(lambda f, v: SumMap((f, GatedOffsetMap(_GATE, v, 6.0, 7.0)))),
+                   np.int64(2)),
+    "gate-band": (_drift(lambda f, v: SumMap((f, GatedOffsetMap(_GATE, 2, v, v + 1)))),
+                  np.float32(6.5)),
+    "noise-seed": (_set("noise", "seed"), np.int64(3)),
+    "sim-paths": (_set("sim", "paths"), np.int64(10)),
+    "sim-dt": (_set("sim", "dt"), np.float32(2.0**-10)),
+    "sim-exit-tol": (_set("sim", "exit_tol"), np.float32(1e-8)),
+    "sim-guard": (_set("sim", "guard"), np.float32(1e6)),
+    "points-per-face": (_set("sampler", "points_per_face"), np.int64(5)),
+    "interior-points": (_set("sampler", "interior_points"), np.int64(5)),
+    "sampler-seed": (_set("sampler", "seed"), np.int64(7)),
+    "check-tol": (lambda ec, v: setattr(ec, "check_tol", v), np.float32(1e-6)),
+}
+
+
+@pytest.mark.parametrize("case", NUMPY_SCALARS)
+def test_numpy_scalars_write_as_python_numbers(case, tmp_path):
+    # a NumPy scalar that the direct API accepts is written as the plain
+    # number it holds, so the config hashes and writes as its twin does
+    put, value = NUMPY_SCALARS[case]
+    twin = (int if isinstance(value, np.integer) else float)(value)
+    configs = []
+    for v in (value, twin):
+        ec = ExperimentConfig.from_dict(preset_document("heat-positive"))
+        put(ec, v)
+        configs.append(ec)
+    ours, plain = configs
+    assert canonical_json(ours.to_dict()) == canonical_json(plain.to_dict())
+    assert ours.content_hash() == plain.content_hash()
+    for ec, name in zip(configs, ("numpy", "plain")):
+        (tmp_path / name).mkdir()
+        _write_manifest(tmp_path / name, ec, [])
+    assert (tmp_path / "numpy/manifest.json").read_bytes() == (
+        tmp_path / "plain/manifest.json"
+    ).read_bytes()
 
 
 class TestConfigIO:

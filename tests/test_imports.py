@@ -4,8 +4,8 @@ public function, class and method is reached from a module of the
 package (the ``__init__`` re-exports aside), the benchmark or the
 acceptance tests, every function reads each of its parameters, every
 JSON dump refuses NaN, no module builds a ``CallableMap``, and no module
-but ``errors`` checks a parameter's finiteness by hand.  A public
-name that only its own tests call is dead code.
+but ``errors`` checks a parameter's finiteness or zero bound by hand.  A
+public name that only its own tests call is dead code.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code rules.
 The package ``__init__`` exists to re-export, so it is exempt from the
@@ -73,41 +73,6 @@ def test_no_unused_imports(path):
     used = used_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
-
-
-# ``StateVec`` has no constructor that skips coordinate validation: code
-# that handles many states takes raw arrays and validates them where
-# they enter.  The envelope searches used one, ``_unchecked``, until
-# they moved to batch targets; no module may bring it back.
-UNCHECKED = "_unchecked"
-UNCHECKED_ALLOWED: set[str] = set()
-
-
-def unchecked_uses(tree: ast.Module) -> list[int]:
-    """Lines naming the unchecked constructor: attribute, bare name or
-    a string (as in ``getattr(StateVec, "_unchecked")``)."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Attribute) and node.attr == UNCHECKED)
-        or (isinstance(node, ast.Name) and node.id == UNCHECKED)
-        or (isinstance(node, ast.Constant) and node.value == UNCHECKED)
-    )
-
-
-def test_checker_sees_an_unchecked_use():
-    tree = ast.parse('a = StateVec._unchecked(x)\nb = getattr(StateVec, "_unchecked")\n')
-    assert unchecked_uses(tree) == [1, 2]
-
-
-@pytest.mark.parametrize(
-    "path",
-    sorted(p for p in PACKAGE.glob("*.py") if p.name not in UNCHECKED_ALLOWED),
-    ids=lambda p: p.name,
-)
-def test_unchecked_state_stays_in_approx(path):
-    lines = unchecked_uses(ast.parse(path.read_text()))
-    assert not lines, f"{path.name} uses StateVec.{UNCHECKED} on lines {lines}"
 
 
 # ``CallableMap`` runs user code one state at a time.  It is left for
@@ -200,8 +165,8 @@ def test_no_dead_private_names(path):
 # own tests call is dead too.  Click commands are reached through the
 # ``@cli.command`` that registers them, and are exempt.  The reach check
 # goes by name, not by owner: a method stays alive when anything of the
-# same name is referred to (``StateVec.norm`` by ``np.linalg.norm``), so
-# such methods need a look by hand.  The allowlist
+# same name is referred to (``ConeSpec.dim`` by any ``.dim``), so such
+# methods need a look by hand.  The allowlist
 # names the public names kept for a consumer outside those files, each
 # with its reason.
 REACH_ALLOWED = {
@@ -621,3 +586,77 @@ def test_no_hand_finite_checks(path):
 def test_finite_allowlist_is_current():
     found = {f"{p.name}:{f}" for p in MODULES for f in hand_finite_checks(ast.parse(p.read_text()))}
     assert set(FINITE_ALLOWED) <= found, set(FINITE_ALLOWED) - found
+
+
+# The bounds of the direct API's numbers (``>= 0``, ``> 0``) belong to
+# ``require_int``/``require_float``, which check the type too: a
+# hand-written ``if seed < 0: raise`` lets ``True`` and ``1.5`` through
+# and fails on ``None`` with a raw ``TypeError``.  The isfinite rule
+# above cannot see such a bound.  A cap other than zero (``n > 3``) is
+# a limit of what the code can do, not a field's bound.
+
+
+def _zero_compared(test: ast.expr, params: set[str]) -> list[str]:
+    """Parameters that ``test`` compares with the literal 0 or 0.0."""
+    found = []
+    for node in ast.walk(test):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            zero = any(
+                isinstance(o, ast.Constant) and type(o.value) in (int, float) and o.value == 0
+                for o in operands
+            )
+            if zero:
+                found += [o.id for o in operands if isinstance(o, ast.Name) and o.id in params]
+    return found
+
+
+def hand_zero_bounds(tree: ast.Module) -> list[str]:
+    """``qualname(param)`` for every ``if`` that compares a parameter of
+    the enclosing function with the literal 0 and whose body raises,
+    nested functions included."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = f"{owner}.{getattr(child, 'name', '')}".lstrip(".")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)} - {"self"}
+                for branch in ast.walk(child):
+                    if isinstance(branch, ast.If) and any(
+                        isinstance(n, ast.Raise) for stmt in branch.body for n in ast.walk(stmt)
+                    ):
+                        found.extend(f"{name}({p})" for p in _zero_compared(branch.test, params))
+                visit(child, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, name)
+            else:
+                visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_checker_sees_a_hand_zero_bound():
+    # the parent's form (seed < 0) and a bound in a compound test are
+    # flagged; a cap at 3, a local, a bound that does not raise and a
+    # boolean literal are not
+    tree = ast.parse(
+        "def run_suites(selector, seed=0):\n    if seed < 0:\n        raise E\n"
+        "def g(n, x, y):\n"
+        "    if n > 3:\n        raise E\n"
+        "    if n is None or 0.0 >= x:\n        raise E\n"
+        "    m = n\n    if m < 0:\n        raise E\n"
+        "    if y < 0:\n        return 1\n"
+        "    if y == False:\n        raise E\n"
+    )
+    assert hand_zero_bounds(tree) == ["run_suites(seed)", "g(x)"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in MODULES if p.name != "errors.py"), ids=lambda p: p.name
+)
+def test_no_hand_zero_bounds(path):
+    found = hand_zero_bounds(ast.parse(path.read_text()))
+    assert not found, f"{path.name} checks a zero bound by hand, not by an errors rule: {found}"

@@ -16,7 +16,7 @@ trajectories, so the tests build them from the kernel's one-block
 import numpy as np
 import pytest
 
-from conespde import ConeSpec, DiagonalSemigroup, NoiseSpec, ShapeError, SimConfig, StateVec, kernels, simulate
+from conespde import ConeSpec, DiagonalSemigroup, NoiseSpec, ShapeError, SimConfig, kernels, simulate
 from conespde.coefficients import (
     AffineMap,
     CallableMap,
@@ -94,7 +94,7 @@ class TestPlan:
 
 def opaque(m):
     """A callable that delegates to ``m`` but is not a built-in map."""
-    return CallableMap(lambda h, m=m: m.eval_array(h.coords), m.dim)
+    return CallableMap(lambda h, m=m: m.eval_array(h), m.dim)
 
 
 def opaque_set(coeffs, drift_only=False):
@@ -115,7 +115,7 @@ class TestUnloweredSetParity:
     def test_opaque_wrappers_reproduce_kernel_output(self, heat16, cone16, compliant_coeffs, flat_noise8):
         wrapped = opaque_set(compliant_coeffs)
         assert not wrapped.uses_only_builtin_maps()
-        h0 = StateVec(np.zeros(16))
+        h0 = np.zeros(16)
         config = SimConfig(dt=1e-3, horizon=0.02, paths=8)
         a = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
         b = run_ensemble(wrapped, heat16, flat_noise8, cone16, config, h0)
@@ -124,7 +124,7 @@ class TestUnloweredSetParity:
     def test_unlowered_set_monitors_exits(self, heat16, cone16, badvol_coeffs):
         wrapped = opaque_set(badvol_coeffs)
         noise9 = NoiseSpec.flat(9, 1.0, seed=0)
-        h0 = StateVec(np.zeros(16))
+        h0 = np.zeros(16)
         config = SimConfig(dt=1e-3, horizon=0.05, paths=8)
         a = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
         b = run_ensemble(wrapped, heat16, noise9, cone16, config, h0)
@@ -136,7 +136,7 @@ class TestUnloweredSetParity:
         wrapped = opaque_set(badvol_coeffs, drift_only=True)
         assert not wrapped.uses_only_builtin_maps()
         noise9 = NoiseSpec.flat(9, 1.0, seed=2)
-        h0 = StateVec(np.zeros(16))
+        h0 = np.zeros(16)
         monkeypatch.setattr(simulate, "_CHUNK", 5)
         config = SimConfig(dt=1e-3, horizon=0.05, paths=12)
         a = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
@@ -154,7 +154,7 @@ class TestUnloweredSetParity:
         sg = DiagonalSemigroup(np.zeros(dim))
         cone = ConeSpec(np.array([0, 0]))
         config = SimConfig(dt=0.05, horizon=1.0, paths=3, guard=1e6)
-        h0 = StateVec(np.ones(dim))
+        h0 = np.ones(dim)
         a = run_ensemble(coeffs, sg, NoiseSpec(()), cone, config, h0)
         b = run_ensemble(opaque_set(coeffs), sg, NoiseSpec(()), cone, config, h0)
         assert np.all(a.diverged > 0)
@@ -170,7 +170,7 @@ class TestUnloweredSetParity:
         coeffs = CoefficientSet(AffineMap(np.array([[1e308, -1e308], [0.0, 0.0]]), np.zeros(2)))
         sg = DiagonalSemigroup(np.zeros(2))
         config = SimConfig(dt=0.1, horizon=1.0, paths=3)
-        h0 = StateVec(np.full(2, 2.0))
+        h0 = np.full(2, 2.0)
         with np.errstate(invalid="ignore", over="ignore"):
             out = run_ensemble(coeffs, sg, NoiseSpec(()), ConeSpec.nonnegative(2), config, h0)
             ref = ensemble_rows(coeffs, sg, NoiseSpec(()), ConeSpec.nonnegative(2), config, h0)
@@ -201,7 +201,7 @@ class TestBenchmarkHooks:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "step_ensemble", counted)
-        h0 = StateVec(np.zeros(16))
+        h0 = np.zeros(16)
         config = SimConfig(dt=1e-3, horizon=0.01, paths=3)
         run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
         assert calls == [3]
@@ -322,7 +322,7 @@ def ensemble_rows(coeffs, semigroup, noise, cone, config, h0):
     path's whole-horizon draws, trajectories included."""
     plan = kernels.StepPlan.build(coeffs, semigroup, noise, cone, config)
     normals, counts = draw_whole(noise.seed, config.paths, config.steps, noise.count, plan.atom_wdt)
-    r0 = np.broadcast_to(h0.coords, (config.paths, coeffs.dim))
+    r0 = np.broadcast_to(h0, (config.paths, coeffs.dim))
     return run_kernel(plan, r0, normals, counts)
 
 
@@ -333,7 +333,7 @@ def _preset_inputs(name, paths, steps):
     config = SimConfig(dt=ec.sim.dt, horizon=steps * ec.sim.dt, paths=paths)
     plan = kernels.StepPlan.build(ec.coeffs, ec.semigroup, ec.noise, ec.cone, config)
     normals, counts = draw_whole(ec.noise.seed, paths, steps, ec.noise.count, plan.atom_wdt)
-    r0 = np.broadcast_to(ec.h0.coords, (paths, ec.dim)).copy()
+    r0 = np.broadcast_to(ec.h0, (paths, ec.dim)).copy()
     return plan, r0, normals, counts
 
 

@@ -24,7 +24,6 @@ from conespde import (
     NoiseSpec,
     ShapeError,
     SimConfig,
-    StateVec,
     simulate,
 )
 from conespde.coefficients import (
@@ -182,10 +181,10 @@ class TestSchemeExactness:
         sg = DiagonalSemigroup.heat(4)
         K = ConeSpec.nonnegative(4)
         coeffs = CoefficientSet(ZeroMap(4))
-        h0 = StateVec(np.array([1.0, 2.0, 3.0, 4.0]))
+        h0 = np.array([1.0, 2.0, 3.0, 4.0])
         config = SimConfig(dt=1e-3, horizon=1.0, paths=3)
         ens = run_ensemble(coeffs, sg, NO_NOISE, K, config, h0)
-        want = sg.multipliers(1.0) * h0.coords
+        want = sg.multipliers(1.0) * h0
         for row in ens.final:
             np.testing.assert_allclose(row, want, rtol=1e-12)
         # no randomness: every path identical bitwise
@@ -196,8 +195,8 @@ class TestSchemeExactness:
         sg = DiagonalSemigroup(np.array([1.0, 2.0]))
         b = np.array([1.0, 0.5])
         coeffs = CoefficientSet(ConstantMap(b))
-        h0 = StateVec(np.array([2.0, -1.0]))
-        exact = b / sg.rates + (h0.coords - b / sg.rates) * np.exp(-sg.rates)
+        h0 = np.array([2.0, -1.0])
+        exact = b / sg.rates + (h0 - b / sg.rates) * np.exp(-sg.rates)
 
         def err(dt):
             config = SimConfig(dt=dt, horizon=1.0, paths=1)
@@ -211,17 +210,17 @@ class TestSchemeExactness:
         sg = DiagonalSemigroup(np.zeros(2))
         v = np.array([0.5, -0.25])
         coeffs = CoefficientSet(ZeroMap(2), (), ((1.0, ConstantMap(v)),))
-        h0 = StateVec(np.array([1.0, -1.0]))
+        h0 = np.array([1.0, -1.0])
         config = SimConfig(dt=0.05, horizon=1.0, paths=10_000)
         ens = run_ensemble(coeffs, sg, NoiseSpec((), seed=11), FREE2, config, h0)
         mean = ens.final.mean(axis=0)
         se = ens.final.std(axis=0, ddof=1) / np.sqrt(config.paths)
-        assert np.all(np.abs(mean - h0.coords) <= 4.0 * se)
+        assert np.all(np.abs(mean - h0) <= 4.0 * se)
 
 
 class TestDeterminism:
     def test_repeat_runs_bitwise_equal(self, heat16, cone16, compliant_coeffs, flat_noise8, quick_sim):
-        h0 = StateVec(np.full(16, 1.0))
+        h0 = np.full(16, 1.0)
         a = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, quick_sim, h0)
         b = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, quick_sim, h0)
         assert np.array_equal(a.final, b.final)
@@ -232,7 +231,7 @@ class TestDeterminism:
     def test_chunk_size_invariant(
         self, monkeypatch, heat16, cone16, compliant_coeffs, flat_noise8
     ):
-        h0 = StateVec(np.full(16, 1.0))
+        h0 = np.full(16, 1.0)
         config = SimConfig(dt=1e-3, horizon=0.05, paths=32)
         coarse = projected_drift(compliant_coeffs, 4)
 
@@ -264,7 +263,7 @@ class TestDeterminism:
         # Each chunk draws its noise one time block at a time, so two
         # chunks four times as long peak less than one block above one
         # short chunk: memory holds one chunk x one block.
-        h0 = StateVec(np.full(16, 1.0))
+        h0 = np.full(16, 1.0)
         monkeypatch.setattr(simulate, "_CHUNK", 16)
         block = 16 * 50 * (8 + 1) * 8  # 50 steps of 8 normals and 1 count
         monkeypatch.setattr(simulate, "_NOISE_BYTES", block)
@@ -287,7 +286,7 @@ class TestDeterminism:
         # Each lane records its rows one block at a time and the distances
         # fold into one running sup per path, so a horizon four times as
         # long peaks less than one block above the short one.
-        h0 = StateVec(np.full(16, 1.0))
+        h0 = np.full(16, 1.0)
         coarse = projected_drift(compliant_coeffs, 4)
         monkeypatch.setattr(simulate, "_CHUNK", 16)
         # 50 steps of 8 normals, 1 count and two lanes' 16-coordinate rows
@@ -309,7 +308,7 @@ class TestDeterminism:
         assert peak(2.0) < peak(0.5) + block
 
     def test_first_path_is_a_slice(self, heat16, cone16, compliant_coeffs, flat_noise8):
-        h0 = StateVec(np.full(16, 1.0))
+        h0 = np.full(16, 1.0)
         full = run_ensemble(
             compliant_coeffs, heat16, flat_noise8, cone16,
             SimConfig(dt=1e-3, horizon=0.05, paths=8), h0,
@@ -324,7 +323,7 @@ class TestDeterminism:
     def test_single_path_matches_ensemble_row(
         self, heat16, cone16, compliant_coeffs, flat_noise8
     ):
-        h0 = StateVec(np.full(16, 1.0))
+        h0 = np.full(16, 1.0)
         full = run_ensemble(
             compliant_coeffs, heat16, flat_noise8, cone16,
             SimConfig(dt=1e-3, horizon=0.05, paths=6), h0,
@@ -340,7 +339,7 @@ class TestSweep:
     def test_levels_are_summed_fine_draws(self, heat16, cone16, badvol_coeffs):
         # each level equals the kernel run on explicitly summed fine draws
         noise9 = NoiseSpec.flat(9, 1.0, seed=4)
-        h0 = StateVec(np.zeros(16))
+        h0 = np.zeros(16)
         config = SimConfig(dt=1e-3, horizon=0.04, paths=6)
         levels = run_sweep(badvol_coeffs, heat16, noise9, cone16, config, h0, (4, 2, 1))
         lam = badvol_coeffs.jump_weights * config.dt
@@ -372,18 +371,18 @@ class TestSweep:
         config = SimConfig(dt=1e-3, horizon=0.01, paths=2)
         with pytest.raises(ConfigError):
             run_sweep(compliant_coeffs, heat16, flat_noise8, cone16, config,
-                      StateVec(np.ones(16)), (4, 1))
+                      np.ones(16), (4, 1))
 
 
 class TestDimChecks:
     def test_noise_count_must_match_columns(self, heat16, cone16, compliant_coeffs):
-        h0 = StateVec(np.full(16, 1.0))
+        h0 = np.full(16, 1.0)
         config = SimConfig(dt=1e-3, horizon=0.01, paths=1)
         with pytest.raises(ShapeError):
             run_ensemble(compliant_coeffs, heat16, NoiseSpec.flat(3), cone16, config, h0)
 
     def test_semigroup_dim_must_match(self, cone16, compliant_coeffs, flat_noise8):
-        h0 = StateVec(np.full(16, 1.0))
+        h0 = np.full(16, 1.0)
         config = SimConfig(dt=1e-3, horizon=0.01, paths=1)
         with pytest.raises(ShapeError):
             run_ensemble(
@@ -395,7 +394,7 @@ class TestExitsAndMargins:
     def test_compliant_short_run_stays_in(
         self, heat16, cone16, compliant_coeffs, flat_noise8, quick_sim
     ):
-        h0 = StateVec(np.full(16, 1.0))
+        h0 = np.full(16, 1.0)
         ens = run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, quick_sim, h0)
         assert not ens.exited.any()
         assert np.all(ens.first_exit == -1)
@@ -405,7 +404,7 @@ class TestExitsAndMargins:
     ):
         # start at the origin, where the constant column pushes straight
         # through the first face
-        h0 = StateVec(np.zeros(16))
+        h0 = np.zeros(16)
         config = SimConfig(dt=1e-3, horizon=0.05, paths=8)
         noise9 = NoiseSpec.flat(9, 1.0, seed=0)
         ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
@@ -419,7 +418,7 @@ class TestExitsAndMargins:
         np.testing.assert_array_equal(traj[:, -1], ens.final)
 
     def test_exit_count_monotone_in_tolerance(self, heat16, cone16, badvol_coeffs):
-        h0 = StateVec(np.zeros(16))
+        h0 = np.zeros(16)
         noise9 = NoiseSpec.flat(9, 1.0, seed=0)
 
         def exits(tol):
@@ -433,7 +432,7 @@ class TestExitsAndMargins:
         assert strict > 0
 
     def test_exit_step_is_first_crossing(self, heat16, cone16, badvol_coeffs):
-        h0 = StateVec(np.zeros(16))
+        h0 = np.zeros(16)
         noise9 = NoiseSpec.flat(9, 1.0, seed=0)
         config = SimConfig(dt=1e-3, horizon=0.2, paths=16)
         ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
@@ -457,7 +456,7 @@ class TestDivergence:
     def test_ensemble_records_and_freezes(self):
         sg = DiagonalSemigroup(np.zeros(2))
         config = SimConfig(dt=0.05, horizon=1.0, paths=3, guard=1e6)
-        ens = run_ensemble(self._explosive(), sg, NO_NOISE, FREE2, config, StateVec(np.ones(2)))
+        ens = run_ensemble(self._explosive(), sg, NO_NOISE, FREE2, config, np.ones(2))
         assert np.all(ens.diverged > 0)
         # frozen at the last pre-overflow state, not at infinity
         assert np.all(np.abs(ens.final) <= config.guard)
@@ -481,7 +480,7 @@ class TestStability:
         coarse = CoefficientSet(ProjectedMap(limit.drift, 2), limit.vol_columns)
         out = stability_experiment(
             sg, limit, [coarse, limit], NoiseSpec.flat(2, 1.0, seed=3), K,
-            config, StateVec(np.full(4, 1.0)),
+            config, np.full(4, 1.0),
         )
         assert out[0].mean > 0.0
         assert out[1].mean == 0.0 and out[1].stderr == 0.0
@@ -502,7 +501,7 @@ class TestStability:
 
         monkeypatch.setattr(simulate, "_path_stream", counted)
         seq = [CoefficientSet(ProjectedMap(limit.drift, n), limit.vol_columns) for n in (1, 2, 3)]
-        noise, h0 = NoiseSpec.flat(2, 1.0, seed=3), StateVec(np.full(4, 1.0))
+        noise, h0 = NoiseSpec.flat(2, 1.0, seed=3), np.full(4, 1.0)
         out = stability_experiment(sg, limit, seq, noise, K, config, h0)
         assert calls == list(range(config.paths))
         assert stability_experiment(sg, limit, [], noise, K, config, h0) == []
@@ -528,7 +527,7 @@ class TestStability:
         noise = NoiseSpec.flat(2, 1.0, seed=5)
         K = ConeSpec.nonnegative(dim)
         config = SimConfig(dt=0.02, horizon=2.0, paths=37, guard=1e6)
-        h0 = StateVec(np.array([1.0, 0.5, 1.0]))
+        h0 = np.array([1.0, 0.5, 1.0])
         monkeypatch.setattr(simulate, "_CHUNK", 5)
         # 2 normals, 1 count and four lanes' 3-coordinate rows per step
         monkeypatch.setattr(simulate, "_NOISE_BYTES", 8 * 5 * (2 + 1 + 4 * 3) * 7)
@@ -550,7 +549,7 @@ class TestStability:
         jumpy = CoefficientSet(limit.drift, limit.vol_columns, ((0.2, atom),))
         heavier = CoefficientSet(limit.drift, limit.vol_columns, ((0.4, atom),))
         config = SimConfig(dt=1e-2, horizon=0.1, paths=2)
-        noise, h0 = NoiseSpec.flat(2, 1.0), StateVec(np.full(4, 1.0))
+        noise, h0 = NoiseSpec.flat(2, 1.0), np.full(4, 1.0)
         with pytest.raises(DomainError, match="entry 1 jump weights"):
             stability_experiment(sg, jumpy, [jumpy, heavier], noise, K, config, h0)
         with pytest.raises(DomainError, match="entry 0 jump weights"):
@@ -562,19 +561,18 @@ class TestStability:
         with pytest.raises(ShapeError):
             stability_experiment(
                 sg, limit, [CoefficientSet(ZeroMap(3))], NoiseSpec.flat(2, 1.0), K,
-                config, StateVec(np.full(4, 1.0)),
+                config, np.full(4, 1.0),
             )
 
 
 class TestSsncEstimate:
     def test_zero_field_scores_zero(self, heat16, cone16):
-        h = StateVec(np.full(16, 1.0))
+        h = np.full(16, 1.0)
         assert ssnc_estimate(heat16, np.zeros(16), cone16, h) == 0.0
 
     def test_inward_push_scores_zero(self, heat16, cone16):
-        coords = np.full(16, 1.0)
-        coords[1] = 0.0
-        h = StateVec(coords)
+        h = np.full(16, 1.0)
+        h[1] = 0.0
         inward = np.zeros(16)
         inward[1] = 1.0
         assert ssnc_estimate(heat16, inward, cone16, h) == 0.0
@@ -582,9 +580,8 @@ class TestSsncEstimate:
     def test_outward_push_scores_unit_rate(self, heat16, cone16):
         # Sigma = -e_1 at a face point: the state leaves the face at
         # rate exactly 1
-        coords = np.full(16, 1.0)
-        coords[1] = 0.0
-        h = StateVec(coords)
+        h = np.full(16, 1.0)
+        h[1] = 0.0
         outward = np.zeros(16)
         outward[1] = -1.0
         assert ssnc_estimate(heat16, outward, cone16, h) == 1.0
@@ -606,7 +603,7 @@ class TestSsncEstimate:
             for k in range(dim)
             if K.signs[k] != 0 and coords[k] == 0.0
         ]
-        got = ssnc_estimate(sg, sigma, K, StateVec(coords))
+        got = ssnc_estimate(sg, sigma, K, coords)
         assert np.float64(got).tobytes() == np.linalg.norm(np.array(push)).tobytes()
 
     def test_coordinate_off_its_face_never_counts(self, heat16, cone16):
@@ -616,15 +613,15 @@ class TestSsncEstimate:
         coords[0] = 3.4e-13
         sigma = np.zeros(16)
         sigma[0] = -832.0
-        assert ssnc_estimate(heat16, sigma, cone16, StateVec(coords)) == 0.0
+        assert ssnc_estimate(heat16, sigma, cone16, coords) == 0.0
 
     def test_semigroup_dim_checked(self, cone16):
-        h = StateVec(np.full(16, 1.0))
+        h = np.full(16, 1.0)
         with pytest.raises(ShapeError):
             ssnc_estimate(DiagonalSemigroup.heat(15), np.zeros(16), cone16, h)
 
     def test_sigma_must_be_finite(self, heat16, cone16):
-        h = StateVec(np.full(16, 1.0))
+        h = np.full(16, 1.0)
         for bad in (np.nan, np.inf):
             sigma = np.zeros(16)
             sigma[5] = bad
@@ -635,9 +632,9 @@ class TestSsncEstimate:
         coords = np.full(16, 1.0)
         coords[3] = -0.5
         with pytest.raises(DomainError):
-            ssnc_estimate(heat16, np.zeros(16), cone16, StateVec(coords))
+            ssnc_estimate(heat16, np.zeros(16), cone16, coords)
 
     def test_sigma_shape_checked(self, heat16, cone16):
-        h = StateVec(np.full(16, 1.0))
+        h = np.full(16, 1.0)
         with pytest.raises(ShapeError):
             ssnc_estimate(heat16, np.zeros(4), cone16, h)

@@ -6,20 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conespde import (
+    CoefficientSet,
     ConeSpec,
+    DiagonalSemigroup,
     DomainError,
+    ExperimentConfig,
+    NoiseSpec,
     ShapeError,
-    StateVec,
+    SimConfig,
+    Witness,
     cone_contains,
     retract,
+    run_ensemble,
+    ssnc_estimate,
 )
-from conespde.coefficients import AffineMap, ProjectedMap
+from conespde.approx import mollify
+from conespde.coefficients import AffineMap, ProjectedMap, ZeroMap
+from conespde.space import shift
 
 
-def clip(cone: ConeSpec, h: StateVec) -> StateVec:
+def clip(cone: ConeSpec, h: np.ndarray) -> np.ndarray:
     """The nearest point of ``cone`` to ``h``: every coordinate that
     breaks its sign constraint set to 0."""
-    return StateVec(np.where(cone.signs * h.coords < 0.0, 0.0, h.coords))
+    return np.where(cone.signs * h < 0.0, 0.0, h)
 
 
 coords = st.lists(
@@ -34,44 +43,64 @@ signs_for = lambda n: st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size
 def cone_and_vec(draw):
     c = draw(coords)
     s = draw(signs_for(len(c)))
-    return ConeSpec(np.array(s)), StateVec(np.array(c))
+    return ConeSpec(np.array(s)), np.array(c)
 
 
-# ---------------------------------------------------------------- StateVec
+# ---------------------------------------------------------------- state vectors
+
+
+def state_edges(dim: int = 2) -> dict:
+    """Every public call that takes one state, as ``h -> result``, on
+    the space of dimension ``dim``."""
+    free = ConeSpec(np.zeros(dim, dtype=int))
+    sg = DiagonalSemigroup.heat(dim)
+    return {
+        "run_ensemble": lambda h: run_ensemble(
+            CoefficientSet(ZeroMap(dim)), sg, NoiseSpec(()), free, SimConfig(0.5, 0.5, 1), h
+        ),
+        "ssnc_estimate": lambda h: ssnc_estimate(sg, np.zeros(dim), free, h),
+        "mollify": lambda h: mollify(ZeroMap(dim), 8.0, h),
+        "Witness": lambda h: Witness("drift-inward", 1, 0, h, 1.0),
+    }
 
 
 class TestStateVec:
+    """A state vector is an ``(N,)`` float64 array-like, checked once
+    where it enters the API."""
+
+    @staticmethod
+    def rejected(h, error, edges=None):
+        for name, enter in state_edges().items():
+            if edges is None or name in edges:
+                with pytest.raises(error):
+                    enter(h)
+
     def test_rejects_nan(self):
-        with pytest.raises(DomainError):
-            StateVec(np.array([1.0, np.nan]))
+        self.rejected([1.0, np.nan], DomainError)
 
     def test_rejects_inf(self):
-        with pytest.raises(DomainError):
-            StateVec(np.array([np.inf]))
+        self.rejected(np.array([np.inf, 0.0]), DomainError)
 
     def test_rejects_matrix(self):
-        with pytest.raises(ShapeError):
-            StateVec(np.zeros((2, 2)))
+        self.rejected(np.zeros((2, 2)), ShapeError)
 
     def test_rejects_empty(self):
-        with pytest.raises(ShapeError):
-            StateVec(np.array([]))
-
-    def test_immutable(self):
-        v = StateVec(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            v.coords[0] = 9.0
-
-    def test_arithmetic(self):
-        a = StateVec(np.array([1.0, 2.0]))
-        b = StateVec(np.array([0.5, -1.0]))
-        assert (a + b) == StateVec(np.array([1.5, 1.0]))
-        assert (a - b) == StateVec(np.array([0.5, 3.0]))
-        assert 2.0 * a == StateVec(np.array([2.0, 4.0]))
+        self.rejected(np.array([]), ShapeError)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            StateVec(np.array([1.0])) + StateVec(np.array([1.0, 2.0]))
+        # a witness's point has no space to disagree with
+        self.rejected(np.array([1.0]), ShapeError, ("run_ensemble", "ssnc_estimate", "mollify"))
+
+    def test_immutable(self):
+        # the states a run keeps are read-only copies of what came in
+        h = np.array([1.0, 2.0])
+        w = state_edges()["Witness"](h)
+        h[0] = 9.0
+        assert w.point.tolist() == [1.0, 2.0]
+        h0 = ExperimentConfig.from_dict({"preset": "heat-positive"}).h0
+        for v in (w.point, h0):
+            with pytest.raises(ValueError):
+                v[0] = 9.0
 
 
 class TestConeSpec:
@@ -93,17 +122,17 @@ class TestConeSpec:
 
 class TestRetract:
     def test_frozen_example(self):
-        out = StateVec(retract(np.array([3.0, 4.0]), 1.0))
-        np.testing.assert_allclose(out.coords, [0.6, 0.8], rtol=1e-15)
-        assert np.linalg.norm(out.coords) == pytest.approx(1.0)
+        out = retract(np.array([3.0, 4.0]), 1.0)
+        np.testing.assert_allclose(out, [0.6, 0.8], rtol=1e-15)
+        assert np.linalg.norm(out) == pytest.approx(1.0)
 
     def test_identity_inside_ball(self):
-        h = StateVec(np.array([0.3, 0.4]))
-        assert StateVec(retract(h.coords, 1.0)) == h
+        h = np.array([0.3, 0.4])
+        assert retract(h, 1.0).tobytes() == h.tobytes()
 
     def test_origin_fixed(self):
-        z = StateVec(np.zeros(3))
-        assert StateVec(retract(z.coords, 2.0)) == z
+        z = np.zeros(3)
+        assert retract(z, 2.0).tobytes() == z.tobytes()
 
     def test_radius_positive(self):
         with pytest.raises(DomainError):
@@ -118,9 +147,8 @@ class TestRetract:
     def test_nonexpansive(self, a, b, n):
         if len(a) != len(b):
             b = (b + a)[: len(a)]
-        h, g = StateVec(np.array(a)), StateVec(np.array(b))
-        rh, rg = StateVec(retract(h.coords, n)), StateVec(retract(g.coords, n))
-        assert np.linalg.norm((rh - rg).coords) <= np.linalg.norm((h - g).coords) * (1 + 1e-12)
+        h, g = np.array(a), np.array(b)
+        assert np.linalg.norm(retract(h, n) - retract(g, n)) <= np.linalg.norm(h - g) * (1 + 1e-12)
 
     @given(coords, st.floats(min_value=0.1, max_value=10))
     def test_bounded(self, c, n):
@@ -188,13 +216,34 @@ class TestConeMembership:
         K, h = cv1
         _, g_raw = cv2
         h = clip(K, h)
-        g = clip(K, StateVec(np.resize(g_raw.coords, h.dim)))
-        assert cone_contains(K, (h + g).coords, 1e-12)
-        assert cone_contains(K, (lam * h).coords, 1e-9)
+        g = clip(K, np.resize(g_raw, h.size))
+        assert cone_contains(K, h + g, 1e-12)
+        assert cone_contains(K, lam * h, 1e-9)
 
     @given(cone_and_vec(), st.integers(min_value=0, max_value=8))
     def test_projection_preserves_cone(self, cv, n):
         K, h = cv
         p = clip(K, h)
-        proj = ProjectedMap(AffineMap(np.eye(h.dim), np.zeros(h.dim)), n)
-        assert cone_contains(K, proj.eval_array(p.coords), 0.0)
+        proj = ProjectedMap(AffineMap(np.eye(h.size), np.zeros(h.size)), n)
+        assert cone_contains(K, proj.eval_array(p), 0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: cone_contains(ConeSpec(np.array([1, -1])), a),
+        lambda a: cone_contains(ConeSpec.nonnegative(2), a, 0.5),
+        lambda a: retract(a, 1.0),
+        lambda a: shift(a, 1),
+        lambda a: shift(a, 2, 0.25),
+    ],
+    ids=["contains", "contains-tol", "retract", "shift", "shift-eps"],
+)
+@pytest.mark.parametrize(
+    "a", [[1.0, 2.0], [[0.5, -2.0], [-0.25, 0.0]], [1, 0], [np.nan, 1.0]],
+    ids=["state", "batch", "ints", "nan"],
+)
+def test_batch_functions_take_lists(call, a):
+    # a list is the array it spells, non-finite entries included
+    want, got = call(np.array(a, dtype=np.float64)), call(a)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
