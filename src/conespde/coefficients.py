@@ -215,7 +215,10 @@ class ConstantMap(CoefficientMap):
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         v = self.value[idx]
-        return v if a.ndim == 1 else v[None, :].repeat(a.shape[0], axis=0)
+        # in the batch's memory layout, which the stepping kernel reads transposed
+        out = np.empty_like(a, np.float64, shape=a.shape[:-1] + v.shape)
+        out[...] = v
+        return out
 
     @cached_property
     def support(self) -> np.ndarray:

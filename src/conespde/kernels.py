@@ -15,7 +15,7 @@ The loop runs one time block at a time.  ``KernelState.start`` makes a
 chunk's state once, from its initial rows (step 0 is checked against
 the guard and the cone there), and ``step_ensemble(plan, state,
 normals, counts)`` advances it in place through the ``(P, b, J)``
-normals and ``(P, b, M)`` counts of one block: rows, running minima,
+normals and ``(P, b, M)`` counts of one block: states, running minima,
 first exits, divergence, the alive and waiting flags and the step
 offset.  Nothing in a step depends on where a block starts or ends, so
 stepping the noise of a run whole or split into consecutive blocks of
@@ -24,18 +24,22 @@ of one block, ``(P, b, N)``, also records the rows after each step of
 the block, overwriting the previous block's; no run keeps whole
 trajectories.
 
-Each map touches only its output ``support``: ``StepPlan.build`` turns
-the support into a slice where it can (the whole row, one coordinate, a
-run of them), or else an index array, and the step adds
-``map.eval_coords(r, sup) * coefficient`` into ``acc[:, sup]``.  The
-result is the full-width sum bit for bit: outside the support the map is
-zero, and adding a zero changes only a ``-0.0`` entry, which a running
-sum holds only if it started with one.  So a step whose accumulator
-starts with a zero of either sign adds every map at full width, by the
-same code with the support set to every coordinate.
+The state is held coordinate-major, ``rT`` (N, P), and the noise is
+read step by column by path, so every per-coordinate update runs over
+contiguous paths.  Maps see the Fortran-ordered batch ``rT.T`` (by the
+row contract, bitwise a C-ordered one), and each map touches only its
+output ``support``: ``StepPlan.build`` turns the support into a slice
+where it can (the whole row, one coordinate, a run of them), or else an
+index array, and the step adds ``map.eval_coords(rT.T, sup).T *
+coefficient`` into ``acc[sup]``.  The result is the full-width sum bit
+for bit: outside the support the map is zero, and adding a zero changes
+only a ``-0.0`` entry, which a running sum holds only if it started with
+one.  So a step whose accumulator starts with a zero of either sign adds
+every map at full width, by the same code with the support set to every
+coordinate.
 
 While every path is alive and no row leaves the guard, a step takes
-``r_new`` whole and updates the running minima in place; the per-row
+``r_new`` whole and updates the running minima in place; the per-path
 sup norm is computed only when the chunk's largest entry exceeds the
 guard (or is not a number), and the exit test stops once every live
 path has a first exit.  A path diverges when its sup norm is not within
@@ -114,33 +118,30 @@ class StepPlan:
 
 def _step_factors(plan: StepPlan, normals: np.ndarray, counts: np.ndarray):
     """Per step, what each map's value is multiplied by, in the order
-    drift, vols, atoms: ``dt``, then one ``(P, 1)`` column per noise
-    column (scaled normals) and per atom (compensated counts).
+    drift, vols, atoms: ``dt``, then one ``(1, P)`` row per noise column
+    (scaled normals) and per atom (compensated counts).
 
     The factors are made a block of steps at a time, laid out step by
-    column by path, so each column is contiguous: one pass over a block
-    of every path's draws costs much less than a strided gather across
-    the paths every step, and products with contiguous columns are
-    faster."""
+    column by path, so each row is contiguous.  Noise whose path axis is
+    fastest, as the engine hands it over, is in that layout already; any
+    other layout is transposed here, one block at a time."""
     for s0 in range(0, normals.shape[1], _NOISE_BLOCK):
         block = slice(s0, s0 + _NOISE_BLOCK)
         W = np.multiply(normals[:, block].transpose(1, 2, 0), plan.sqrt_scale[:, None], order="C")
         F = np.subtract(counts[:, block].transpose(1, 2, 0), plan.atom_wdt[:, None], order="C")
-        for w, f in zip(W[..., None], F[..., None]):
+        for w, f in zip(W[:, :, None], F[:, :, None]):
             yield (plan.dt, *w, *f)
 
 
-def _margins(r: np.ndarray, con, sign_cols: np.ndarray) -> np.ndarray:
-    """Signed cone margin of each row: the least ``sign_l * r_l`` over the
-    constrained coordinates ``con``, with ``sign_cols`` the signs as a
-    ``(K, P)`` column block."""
+def _margins(rT: np.ndarray, con, sign_cols: np.ndarray) -> np.ndarray:
+    """Signed cone margin of each path: the least ``sign_l * r_l`` over
+    the constrained coordinates ``con`` of the ``(N, P)`` states ``rT``,
+    with ``sign_cols`` the signs spelled out as ``(K, P)``."""
     if con is None:
-        return np.full(r.shape[0], np.inf)
+        return np.full(rT.shape[1], np.inf)
     # one row per coordinate: a minimum down the columns runs much faster
     # than one along short rows, and after + 0.0 the order does not matter
-    vals = r.T[con].copy()
-    vals *= sign_cols
-    return vals.min(axis=0) + 0.0
+    return (rT[con] * sign_cols).min(axis=0) + 0.0
 
 
 @dataclass(eq=False)
@@ -155,7 +156,7 @@ class KernelState:
     holds the states after the block's step ``i + 1``.
     """
 
-    r: np.ndarray            # (P, N) current rows
+    rT: np.ndarray           # (N, P) current states, one row per coordinate
     runmin: np.ndarray       # (P,)   running minimum margin
     first_exit: np.ndarray   # (P,)   int64
     diverged: np.ndarray     # (P,)   int64
@@ -167,7 +168,12 @@ class KernelState:
     rows: np.ndarray | None  # (P, b, N): the last block's rows, or None
     con: object              # constrained coordinates as a row_index
     sign_cols: np.ndarray    # (K, P) cone signs, one column per path
-    decay: np.ndarray        # (P, N) exp(-c dt), one row per path
+    decay: np.ndarray        # (N, P) exp(-c dt), one column per path
+
+    @property
+    def r(self) -> np.ndarray:
+        """The current states, one row per path: a (P, N) view."""
+        return self.rT.T
 
     @classmethod
     def start(cls, plan: StepPlan, r0: np.ndarray, rows: np.ndarray | None = None) -> "KernelState":
@@ -181,21 +187,21 @@ class KernelState:
         # the per-coordinate constants spelled out per path: a product of
         # equal shapes is much faster than one that broadcasts a short row
         sign_cols = np.repeat(plan.signs[con_idx, None], P, axis=1)
-        decay = np.repeat(plan.decay[None, :], P, axis=0)
+        decay = np.repeat(plan.decay[:, None], P, axis=1)
 
-        r = r0.astype(np.float64).copy()
+        rT = np.array(r0.T, dtype=np.float64, order="C")
         first_exit = np.full(P, -1, dtype=np.int64)
         diverged = np.full(P, -1, dtype=np.int64)
         alive = np.ones(P, dtype=bool)
 
-        # a row counts as diverged unless its sup norm is within the guard,
+        # a path counts as diverged unless its sup norm is within the guard,
         # so a row holding a NaN diverges too
-        bad0 = ~(np.abs(r).max(axis=1) <= plan.guard)
+        bad0 = ~(np.abs(rT).max(axis=0) <= plan.guard)
         diverged[bad0] = 0
         alive &= ~bad0
 
         runmin = np.full(P, np.inf)
-        m0 = _margins(r, con, sign_cols)
+        m0 = _margins(rT, con, sign_cols)
         runmin[alive] = m0[alive]
         hit0 = alive & (m0 < -plan.exit_tol)
         first_exit[hit0] = 0
@@ -203,7 +209,7 @@ class KernelState:
         # test is skipped
         waiting = alive & ~hit0
         return cls(
-            r=r,
+            rT=rT,
             runmin=runmin,
             first_exit=first_exit,
             diverged=diverged,
@@ -241,7 +247,7 @@ def step_ensemble(
     Stepping a run's noise in one block or in any split of it into
     consecutive blocks gives the same bytes.
     """
-    r, runmin, alive, waiting = state.r, state.runmin, state.alive, state.waiting
+    rT, runmin, alive, waiting = state.rT, state.runmin, state.alive, state.waiting
     all_alive, any_waiting = state.all_alive, state.any_waiting
     con, sign_cols, decay = state.con, state.sign_cols, state.decay
 
@@ -249,16 +255,16 @@ def step_ensemble(
     full_width = (_ALL,) * len(maps)
     for s, coefs in enumerate(_step_factors(plan, normals, counts), start=state.step):
         # the accumulator starts as r: with a zero in it, add at full width
-        sups = plan.supports if r.all() else full_width
-        acc = r.copy()
+        sups = plan.supports if rT.all() else full_width
+        acc = rT.copy()
         for m, sup, c in zip(maps, sups, coefs):
             if sup is not None:
-                acc[:, sup] += m.eval_coords(r, sup) * c
+                acc[sup] += m.eval_coords(rT.T, sup).T * c
         r_new = decay * acc
 
         # initial=0.0 lets an empty chunk through; a NaN fails the test
         if not np.abs(r_new).max(initial=0.0) <= plan.guard:
-            newly_div = alive & ~(np.abs(r_new).max(axis=1) <= plan.guard)
+            newly_div = alive & ~(np.abs(r_new).max(axis=0) <= plan.guard)
             state.diverged[newly_div] = s + 1
             alive &= ~newly_div
             all_alive = bool(alive.all())
@@ -267,10 +273,10 @@ def step_ensemble(
 
         margin = _margins(r_new, con, sign_cols)
         if all_alive:
-            r = r_new
+            rT = r_new
             np.minimum(runmin, margin, out=runmin)
         else:
-            r[alive] = r_new[alive]
+            rT[:, alive] = r_new[:, alive]
             runmin[alive] = np.minimum(runmin[alive], margin[alive])
         if any_waiting:
             crossed = waiting & (margin < -plan.exit_tol)
@@ -279,7 +285,7 @@ def step_ensemble(
                 waiting &= ~crossed
                 any_waiting = bool(waiting.any())
         if state.rows is not None:
-            state.rows[:, s - state.step] = r
+            state.rows[:, s - state.step] = rT.T
 
-    state.r, state.all_alive, state.any_waiting = r, all_alive, any_waiting
+    state.rT, state.all_alive, state.any_waiting = rT, all_alive, any_waiting
     state.step += normals.shape[1]

@@ -16,10 +16,11 @@ on the map's output support only, through
 use as well.  Chunks of ``_CHUNK`` = 1024 paths run one after another
 in a single thread.  Each chunk holds one time block of noise at a
 time: its paths draw the next ``b`` steps into a buffer of about
-``_NOISE_BYTES`` (8 MiB), the kernel advances the chunk's state through
-them, and the buffer is reused for the next block.  So memory does not
-grow with the horizon, and the width and the block length are module
-constants, not options.  No run keeps whole trajectories.
+``_NOISE_BYTES`` (8 MiB), which is transposed once per sub-block of
+``kernels._NOISE_BLOCK`` steps for the kernel to step the chunk through,
+and reused for the next block.  So memory does not grow with the
+horizon, and the width and the block lengths are module constants, not
+options.  No run keeps whole trajectories.
 
 Monitoring is structural, not pathwise-absorbing: every path records
 its minimum signed cone margin, the first step index at which the
@@ -48,19 +49,19 @@ Giles, "Multilevel Monte Carlo path simulation", Oper. Res. 56, 2008).
 A lane-``f`` step consumes ``f`` fine steps: its normal in column ``j``
 is ``(xi_1 + ... + xi_f) / sqrt(f)``, added left to right and then
 divided, and its count for atom ``i`` is the sum of the ``f`` fine
-counts.  Blocks hold a whole number of every lane's steps, and every
-lane advances through a block before the next block is drawn.  So a
-lane's output does not depend on the other lanes:
+counts.  Blocks and sub-blocks hold a whole number of every lane's
+steps, and every lane advances through a sub-block before the next is
+transposed.  So a lane's output does not depend on the other lanes:
 
 * ``run_ensemble`` is one lane, the set at ``f = 1``;
 * ``run_sweep`` is the set at several factors (levels), and its level
   with ``f = 1`` is ``run_ensemble``'s ensemble bit for bit;
 * ``stability_experiment`` is the limit and each entry of the sequence
-  at ``f = 1``.  Each of its lanes records the rows of a block into a
-  buffer of one block, and after each block the engine folds ``max_s
-  ||r_limit - r_entry||^2`` into one running sup per path and entry.
-  The recorded rows count in the block's width, so a block stays about
-  ``_NOISE_BYTES`` whatever the horizon.
+  at ``f = 1``.  Each of its lanes records the rows of a sub-block into
+  a buffer of one sub-block, and after each sub-block the engine folds
+  ``max_s ||r_limit - r_entry||^2`` into one running sup per path and
+  entry.  The recorded rows count in the block's width, so a block
+  stays about ``_NOISE_BYTES`` whatever the horizon.
 """
 
 from __future__ import annotations
@@ -213,18 +214,19 @@ def _block_steps(paths: int, width: int, unit: int) -> int:
 
 
 def _coarsen(normals: np.ndarray, counts: np.ndarray, factor: int):
-    """The noise of a step ``factor`` times as long, from a block of fine
-    draws: each coarse normal is ``(xi_1 + ... + xi_f) / sqrt(f)``, summed
-    left to right, and each coarse count is the sum of ``f`` fine counts."""
-    if factor == 1:
-        return normals, counts
-    P, b = normals.shape[:2]
-    xi = normals.reshape(P, b // factor, factor, -1)
-    coarse = xi[:, :, 0].copy()
-    for i in range(1, factor):
-        coarse += xi[:, :, i]
-    coarse /= np.sqrt(factor)
-    return coarse, counts.reshape(P, b // factor, factor, -1).sum(axis=2)
+    """The noise of a step ``factor`` times as long, from a sub-block of
+    fine draws laid out step by column by path, ``(b, J, P)`` and ``(b, M,
+    P)``: each coarse normal is ``(xi_1 + ... + xi_f) / sqrt(f)``, summed
+    left to right, and each coarse count the sum of ``f`` fine counts;
+    returned as ``(P, b / f, J)`` and ``(P, b / f, M)`` path-fastest views."""
+    if factor > 1:
+        xi = normals.reshape(len(normals) // factor, factor, *normals.shape[1:])
+        normals = xi[:, 0].copy()
+        for i in range(1, factor):
+            normals += xi[:, i]
+        normals /= np.sqrt(factor)
+        counts = counts.reshape(len(counts) // factor, factor, *counts.shape[1:]).sum(axis=1)
+    return normals.transpose(2, 0, 1), counts.transpose(2, 0, 1)
 
 
 def _validate_setup(
@@ -286,12 +288,12 @@ def run_sweep(
 def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
     """The engine: one ensemble per lane ``(coeffs, factor)``, all lanes
     driven by the same draws at ``config.dt``.  Chunks of ``_CHUNK`` paths
-    are stepped block by block through their fine draws, every lane on
-    each block before the next block is drawn.  The lanes' sets share
+    are stepped sub-block by sub-block through their fine draws, every
+    lane on each sub-block before the next.  The lanes' sets share
     their jump weights, which set the counts' distribution.
 
     ``sup_sq``, when not None, is an ``(L - 1, P)`` array for lanes of
-    factor 1: each lane records its rows one block at a time, and row
+    factor 1: each lane records its rows a sub-block at a time, and row
     ``l`` of ``sup_sq`` is raised, path by path, to the largest squared
     distance between lane 0's rows and lane ``l + 1``'s."""
     dim = lanes[0][0].dim
@@ -344,8 +346,10 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
             streams.append((rng, _count_stream(noise.seed, p) if M else None))
         r0 = np.broadcast_to(h0, (n, dim))
         B = _block_steps(n, J + M + rows_width, unit)
+        # steps of fine noise transposed at once, whole steps of every lane
+        T = min(B, max(unit, kernels._NOISE_BLOCK - kernels._NOISE_BLOCK % unit))
         states = [
-            KernelState.start(plan, r0, np.zeros((n, min(B, S), dim)) if rows_width else None)
+            KernelState.start(plan, r0, np.zeros((n, min(T, S), dim)) if rows_width else None)
             for plan in plans
         ]
         normals = np.zeros((n, min(B, S), J))
@@ -354,10 +358,15 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
             b = min(B, S - s0)
             for k, (rng, count_rng) in enumerate(streams):
                 _draw_noise(rng, count_rng, normals[k, :b], counts[k, :b], lam)
-            for f, plan, state in zip(factors, plans, states):
-                step(plan, state, *_coarsen(normals[:, :b], counts[:, :b], f))
-            if rows_width:
-                _fold_distances(sup_sq[:, lo:hi], states, b)
+            for t0 in range(0, b, T):
+                t = min(T, b - t0)
+                # one transpose per sub-block, to step by column by path
+                fine = [np.ascontiguousarray(a[:, t0:t0 + t].transpose(1, 2, 0))
+                        for a in (normals, counts)]
+                for f, plan, state in zip(factors, plans, states):
+                    step(plan, state, *_coarsen(*fine, f))
+                if rows_width:
+                    _fold_distances(sup_sq[:, lo:hi], states, t)
         for e, state in zip(out, states):
             e.final[lo:hi] = state.r
             e.min_margin[lo:hi] = state.runmin

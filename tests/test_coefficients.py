@@ -26,6 +26,7 @@ from conespde import (
     cone_contains,
 )
 from conespde.appendix import run_suites
+from conespde.approx import MollifiedMap
 from conespde.coefficients import (
     AffineMap,
     CallableMap,
@@ -49,6 +50,7 @@ from conespde.coefficients import (
     default_tol,
     invariance_verdict,
     map_from_config,
+    row_index,
     sample_boundary_pairs,
     sample_cone_points,
 )
@@ -245,6 +247,30 @@ def test_batch_eval_matches_rows(m):
     rows = np.stack([m.eval_array(row) for row in BATCH])
     batch = m.eval_array(BATCH)
     assert np.broadcast_to(batch, BATCH.shape).tobytes() == rows.tobytes()
+
+
+# the batch cases and two mollified maps, which evaluate their nodes in blocks
+LAYOUT_CASES = {
+    **{name: m for name, (m, _) in BATCH_CASES.items()},
+    "mollified_affine": MollifiedMap(_AFFINE, 8.0),
+    "mollified_gated": MollifiedMap(_GATED, 8.0),
+}
+
+
+@pytest.mark.parametrize("m", LAYOUT_CASES.values(), ids=LAYOUT_CASES.keys())
+def test_fortran_batch_is_the_c_batch(m):
+    # the stepping kernel holds its states one row per coordinate and
+    # evaluates maps on the transpose, a Fortran-ordered (P, N) batch:
+    # at full width and on the map's support, the result is the
+    # C-ordered batch's bit for bit
+    fortran = np.asfortranarray(BATCH)
+    assert not fortran.flags.c_contiguous
+    for idx in (slice(None), row_index(m.support, m.dim)):
+        if idx is None:
+            continue
+        want = m.eval_coords(BATCH, idx)
+        got = m.eval_coords(fortran, idx)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])

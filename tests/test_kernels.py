@@ -30,7 +30,7 @@ from conespde.coefficients import (
     ZeroMap,
 )
 from conespde.config import ExperimentConfig, preset_document
-from conespde.simulate import _count_stream, _draw_noise, _path_stream, run_ensemble
+from conespde.simulate import _count_stream, _draw_noise, _path_stream, run_ensemble, run_sweep
 
 
 def assert_same_ensemble(a, b):
@@ -209,6 +209,32 @@ class TestBenchmarkHooks:
         tabulated = CoefficientSet(table, compliant_coeffs.vol_columns, compliant_coeffs.jump_atoms)
         run_ensemble(tabulated, heat16, flat_noise8, cone16, config, h0)
         assert calls == [3]
+
+    def test_engine_hands_noise_path_fastest(self, monkeypatch, heat16, cone16, badvol_coeffs):
+        # The engine transposes each sub-block of fine draws once, so the
+        # kernel gets (P, b, J) normals and (P, b, M) counts whose path
+        # axis is fastest, and keeps its states one row per coordinate.
+        # Transposing path-major noise for each lane, strided, costs the
+        # verify-sweep benchmark about 13% of its wall time.
+        seen = []
+        real = simulate.step_ensemble
+
+        def spy(plan, state, normals, counts):
+            seen.append((normals, counts, state))
+            return real(plan, state, normals, counts)
+
+        monkeypatch.setattr(simulate, "step_ensemble", spy)
+        config = SimConfig(dt=1e-3, horizon=0.04, paths=5)
+        noise9 = NoiseSpec.flat(9, 1.0, seed=0)
+        run_sweep(badvol_coeffs, heat16, noise9, cone16, config, np.zeros(16), (4, 2, 1))
+        # three lanes, each through sub-blocks of 32 and 8 fine steps
+        assert len(seen) == 3 * 2
+        for normals, counts, state in seen:
+            assert normals.shape[0] == counts.shape[0] == 5
+            assert normals.strides[0] == normals.itemsize
+            assert counts.strides[0] == counts.itemsize
+            assert state.rT.shape == (16, 5) and state.rT.flags.c_contiguous
+            assert state.r.shape == (5, 16)
 
 
 def dense_reference(plan, r0, normals, counts, store=False):

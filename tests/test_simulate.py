@@ -24,6 +24,7 @@ from conespde import (
     NoiseSpec,
     ShapeError,
     SimConfig,
+    kernels,
     simulate,
 )
 from conespde.coefficients import (
@@ -256,6 +257,41 @@ class TestDeterminism:
             assert np.array_equal(a.seeds, ens.seeds)
         assert np.all(sup_a > 0.0)
         assert sup_c.tobytes() == sup_a.tobytes()
+
+    @pytest.mark.parametrize("sub_block", [1, 18], ids=["one-unit", "ragged"])
+    def test_sub_block_invariant(
+        self, monkeypatch, heat16, cone16, compliant_coeffs, badvol_coeffs, flat_noise8,
+        sub_block,
+    ):
+        # The engine transposes each block of fine draws in sub-blocks of
+        # kernels._NOISE_BLOCK steps, rounded down to whole steps of every
+        # lane.  1 rounds to one lane unit (4 steps for factors 4, 2, 1,
+        # 3 for factors 3, 1); 18 leaves a ragged last sub-block of the
+        # 60 steps (16 or 18 steps each, then 12 or 6).  Neither changes
+        # a byte of a run, a sweep or the distances a stability run folds
+        # from its recorded rows.
+        h0 = np.full(16, 1.0)
+        noise9 = NoiseSpec.flat(9, 1.0, seed=2)
+        config = SimConfig(dt=1e-3, horizon=0.06, paths=12)
+        coarse = projected_drift(compliant_coeffs, 4)
+
+        def outputs():
+            runs = [
+                run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0),
+                *run_sweep(badvol_coeffs, heat16, noise9, cone16, config, np.zeros(16), (4, 2, 1)),
+                *run_sweep(compliant_coeffs, heat16, flat_noise8, cone16, config, h0, (3, 1)),
+            ]
+            sup = stability_experiment(
+                heat16, compliant_coeffs, [coarse], flat_noise8, cone16, config, h0
+            )[0].per_path
+            fields = ("final", "min_margin", "first_exit", "diverged")
+            return [getattr(e, name).tobytes() for e in runs for name in fields], sup
+
+        ref, sup_ref = outputs()
+        monkeypatch.setattr(kernels, "_NOISE_BLOCK", sub_block)
+        got, sup = outputs()
+        assert got == ref
+        assert np.all(sup_ref > 0.0) and sup.tobytes() == sup_ref.tobytes()
 
     def test_peak_memory_holds_one_block(
         self, monkeypatch, heat16, cone16, compliant_coeffs, flat_noise8
