@@ -190,7 +190,8 @@ class ZeroMap(CoefficientMap):
         require_int("dim", self.dim, 1)
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
-        return np.zeros(a[..., idx].shape)
+        # in the batch's memory layout, as ConstantMap
+        return np.zeros_like(a, np.float64, shape=a[..., idx].shape)
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -251,10 +252,12 @@ class AffineMap(CoefficientMap):
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         rows = self.matrix[idx]
-        out = np.empty(a.shape[:-1] + rows.shape[:1])
+        # in the batch's memory layout, as ConstantMap, and so is each term
+        out = np.empty_like(a, np.float64, shape=a.shape[:-1] + rows.shape[:1])
+        term = np.empty_like(out)
         out[...] = self.offset[idx]
         for l in range(self.dim):
-            out += rows[:, l] * a[..., l, None]
+            out += np.multiply(rows[:, l], a[..., l, None], out=term)
         return out
 
     def to_config(self) -> dict:
@@ -309,15 +312,16 @@ class ProportionalMap(CoefficientMap):
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         k = self.index
+        # results in the batch's memory layout, as ConstantMap
         if idx is _ALL:  # eval_array, frequent on single states
-            out = np.zeros(a.shape)
+            out = np.zeros_like(a, np.float64)
             out[..., k] = self.scale * a[..., k]
             return out
         # the kernel asks for the support as this slice, once per step
         if isinstance(idx, slice) and idx == slice(k, k + 1):
             return self.scale * a[..., idx]
         hit = _selected(idx, self.dim) == k
-        out = np.zeros(a.shape[:-1] + hit.shape)
+        out = np.zeros_like(a, np.float64, shape=a.shape[:-1] + hit.shape)
         out[..., hit] = self.scale * a[..., k, None]
         return out
 
@@ -393,7 +397,11 @@ class GatedOffsetMap(CoefficientMap):
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         gate = a[..., self.gate_index]
         on = (self.low <= gate) & (gate <= self.high)
-        return np.where(on[..., None], self.vector[idx], 0.0)
+        v = self.vector[idx]
+        # in the batch's memory layout, as ConstantMap
+        out = np.zeros_like(a, np.float64, shape=a.shape[:-1] + v.shape)
+        np.copyto(out, v, where=on[..., None])
+        return out
 
     @cached_property
     def support(self) -> np.ndarray:

@@ -13,14 +13,20 @@ flow:
 over the paths of a chunk; it evaluates each map on the whole batch,
 on the map's output support only, through
 ``CoefficientMap.eval_coords``, the evaluator the condition checkers
-use as well.  Chunks of ``_CHUNK`` = 1024 paths run one after another
-in a single thread.  Each chunk holds one time block of noise at a
-time: its paths draw the next ``b`` steps into a buffer of about
-``_NOISE_BYTES`` (8 MiB), which is transposed once per sub-block of
-``kernels._NOISE_BLOCK`` steps for the kernel to step the chunk through,
-and reused for the next block.  So memory does not grow with the
-horizon, and the width and the block lengths are module constants, not
-options.  No run keeps whole trajectories.
+use as well.  A run's paths fall into chunks of ``_CHUNK`` = 1024,
+and the chunks into ``W = min(usable CPUs, chunks)`` contiguous slices
+of whole chunks (the CPUs are those ``os.sched_getaffinity`` allows;
+one where it does not exist).  This process steps the first slice, and
+a worker forked for each other slice (``os.fork``) steps its own at the
+same time and sends its paths' results back through a pipe; a slice's
+chunks run one after another.  A run of one chunk forks nothing.  Each
+chunk holds one time block of noise at a time: its paths draw the next
+``b`` steps into a buffer of about ``_NOISE_BYTES`` (8 MiB), which is
+transposed once per sub-block of ``kernels._NOISE_BLOCK`` steps for the
+kernel to step the chunk through, and reused for the next block.  So
+memory is one chunk times one block per process and does not grow with
+the horizon, and the width and the block lengths are module constants,
+not options.  No run keeps whole trajectories.
 
 Monitoring is structural, not pathwise-absorbing: every path records
 its minimum signed cone margin, the first step index at which the
@@ -35,8 +41,9 @@ from ``default_rng(SeedSequence(s, spawn_key=(p,)))``, and, when the set
 has jump atoms, its arrival counts, step by step and atom by atom, from
 a second generator made from that sequence's first child
 (``spawn_key=(p, 0)``).  Each stream is drawn in order, block after
-block, so the chunk width and the block length change memory only,
-never the output, and any single path can be regenerated in isolation:
+block, so the chunk width, the block length and the number of slices
+change memory and speed only, never the output, and any single path can
+be regenerated in isolation:
 ``run_ensemble`` with ``paths=1`` and ``first_path=p`` returns path
 ``p``'s row, and its ``diverged`` entry records an overflow.  (The v1
 contract drew the counts from the normals' generator after a whole
@@ -67,13 +74,23 @@ transposed.  So a lane's output does not depend on the other lanes:
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
 from .coefficients import CoefficientSet
-from .errors import ConfigError, DomainError, ShapeError, require_array, require_float, require_int
+from .errors import (
+    ConeSpdeError,
+    ConfigError,
+    DomainError,
+    ShapeError,
+    require_array,
+    require_float,
+    require_int,
+)
 from .kernels import KernelState, StepPlan, step_ensemble
 from .semigroup import DiagonalSemigroup
 from .space import ConeSpec, cone_contains
@@ -287,10 +304,14 @@ def run_sweep(
 
 def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
     """The engine: one ensemble per lane ``(coeffs, factor)``, all lanes
-    driven by the same draws at ``config.dt``.  Chunks of ``_CHUNK`` paths
-    are stepped sub-block by sub-block through their fine draws, every
-    lane on each sub-block before the next.  The lanes' sets share
-    their jump weights, which set the counts' distribution.
+    driven by the same draws at ``config.dt``.  The serial engine steps
+    chunks of ``_CHUNK`` paths one after another, each sub-block by
+    sub-block through its fine draws, every lane on each sub-block before
+    the next.  The paths are split into ``_slices``, and ``_in_slices``
+    runs the serial engine on the first here and on each other in a
+    forked worker; every path's results are the same bytes whatever the
+    split.  The lanes' sets share their jump weights, which set the
+    counts' distribution.
 
     ``sup_sq``, when not None, is an ``(L - 1, P)`` array for lanes of
     factor 1: each lane records its rows a sub-block at a time, and row
@@ -336,46 +357,159 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
         for cfg in levels
     ]
 
-    for lo in range(0, P, _CHUNK):
-        hi = min(lo + _CHUNK, P)
-        n = hi - lo
-        streams = []
-        for k in range(n):
-            p = first_path + lo + k
-            rng, seeds[lo + k] = _path_stream(noise.seed, p)
-            streams.append((rng, _count_stream(noise.seed, p) if M else None))
-        r0 = np.broadcast_to(h0, (n, dim))
-        B = _block_steps(n, J + M + rows_width, unit)
-        # steps of fine noise transposed at once, whole steps of every lane
-        T = min(B, max(unit, kernels._NOISE_BLOCK - kernels._NOISE_BLOCK % unit))
-        states = [
-            KernelState.start(plan, r0, np.zeros((n, min(T, S), dim)) if rows_width else None)
-            for plan in plans
-        ]
-        normals = np.zeros((n, min(B, S), J))
-        counts = np.zeros((n, min(B, S), M), dtype=np.int64)
-        for s0 in range(0, S, B):
-            b = min(B, S - s0)
-            for k, (rng, count_rng) in enumerate(streams):
-                _draw_noise(rng, count_rng, normals[k, :b], counts[k, :b], lam)
-            for t0 in range(0, b, T):
-                t = min(T, b - t0)
-                # one transpose per sub-block, to step by column by path
-                fine = [np.ascontiguousarray(a[:, t0:t0 + t].transpose(1, 2, 0))
-                        for a in (normals, counts)]
-                for f, plan, state in zip(factors, plans, states):
-                    step(plan, state, *_coarsen(*fine, f))
-                if rows_width:
-                    _fold_distances(sup_sq[:, lo:hi], states, t)
-        for e, state in zip(out, states):
-            e.final[lo:hi] = state.r
-            e.min_margin[lo:hi] = state.runmin
-            e.first_exit[lo:hi] = state.first_exit
-            e.diverged[lo:hi] = state.diverged
-        # Release this chunk's blocks and generators before the next
-        # chunk makes its own, so peak memory holds one chunk, not two.
-        del normals, counts, states, streams
+    def serial(lo, hi):
+        """The serial engine: step paths ``lo..hi - 1`` of the run, chunk
+        by chunk, into their rows of ``out``, ``seeds`` and ``sup_sq``."""
+        for c0 in range(lo, hi, _CHUNK):
+            c1 = min(c0 + _CHUNK, hi)
+            n = c1 - c0
+            streams = []
+            for k in range(n):
+                p = first_path + c0 + k
+                rng, seeds[c0 + k] = _path_stream(noise.seed, p)
+                streams.append((rng, _count_stream(noise.seed, p) if M else None))
+            r0 = np.broadcast_to(h0, (n, dim))
+            B = _block_steps(n, J + M + rows_width, unit)
+            # steps of fine noise transposed at once, whole steps of every lane
+            T = min(B, max(unit, kernels._NOISE_BLOCK - kernels._NOISE_BLOCK % unit))
+            states = [
+                KernelState.start(plan, r0, np.zeros((n, min(T, S), dim)) if rows_width else None)
+                for plan in plans
+            ]
+            normals = np.zeros((n, min(B, S), J))
+            counts = np.zeros((n, min(B, S), M), dtype=np.int64)
+            for s0 in range(0, S, B):
+                b = min(B, S - s0)
+                for k, (rng, count_rng) in enumerate(streams):
+                    _draw_noise(rng, count_rng, normals[k, :b], counts[k, :b], lam)
+                for t0 in range(0, b, T):
+                    t = min(T, b - t0)
+                    # one transpose per sub-block, to step by column by path
+                    fine = [np.ascontiguousarray(a[:, t0:t0 + t].transpose(1, 2, 0))
+                            for a in (normals, counts)]
+                    for f, plan, state in zip(factors, plans, states):
+                        step(plan, state, *_coarsen(*fine, f))
+                    if rows_width:
+                        _fold_distances(sup_sq[:, c0:c1], states, t)
+            for e, state in zip(out, states):
+                e.final[c0:c1] = state.r
+                e.min_margin[c0:c1] = state.runmin
+                e.first_exit[c0:c1] = state.first_exit
+                e.diverged[c0:c1] = state.diverged
+            # Release this chunk's blocks and generators before the next
+            # chunk makes its own, so peak memory holds one chunk, not two.
+            del normals, counts, states, streams
+
+    # every per-path output, path axis first
+    rows = [seeds, *(a for e in out for a in (e.final, e.min_margin, e.first_exit, e.diverged))]
+    if sup_sq is not None:
+        rows.append(sup_sq.T)
+    _in_slices(serial, _slices(P), rows)
     return out
+
+
+def _slices(paths: int) -> list[tuple[int, int]]:
+    """``W = min(usable CPUs, chunks)`` contiguous slices ``(lo, hi)`` of
+    a run's paths, each a whole number of ``_CHUNK`` chunks."""
+    chunks = -(-paths // _CHUNK)
+    # sched_getaffinity (Linux) counts the CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    W = min(cpus, chunks)
+    cuts = [min(paths, _CHUNK * (chunks * w // W)) for w in range(W + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _in_slices(serial, slices, rows) -> None:
+    """Run ``serial(lo, hi)`` for every slice: the first here, each other
+    in a forked worker process, at the same time.
+
+    A worker sends its paths' entries of every array in ``rows`` (path
+    axis first) through a pipe, and they are copied into place here, so
+    the arrays end as one ``serial`` call over all the paths would leave
+    them.  A worker's exception is raised here with its type and
+    message.  If this process's own slice raises, the workers are
+    killed; every worker is waited for before this returns or raises.
+    A slice whose worker cannot be started is stepped here too.
+    """
+    workers = []  # (pid, read end of its pipe, lo, hi)
+    own = slices[:1]
+    try:
+        for w, (lo, hi) in enumerate(slices[1:], start=1):
+            rd, wr = os.pipe()
+            inherited = [rd, *(other for _, other, _, _ in workers)]
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: step the rest here
+                os.close(rd)
+                os.close(wr)
+                own = own + slices[w:]
+                break
+            if pid == 0:
+                _work(serial, lo, hi, rows, wr, inherited)  # never returns
+            os.close(wr)
+            workers.append((pid, rd, lo, hi))
+        for lo, hi in own:
+            serial(lo, hi)
+        for _, rd, lo, hi in workers:
+            for a, part in zip(rows, _receive(rd, lo, hi)):
+                a[lo:hi] = part
+    except BaseException:
+        from signal import SIGKILL  # imported only here: it adds 0.5 ms to every start
+
+        for pid, _, _, _ in workers:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, rd, _, _ in workers:
+            os.close(rd)
+            os.waitpid(pid, 0)
+
+
+def _work(serial, lo: int, hi: int, rows, fd: int, inherited: list[int]) -> None:
+    """A forked worker's whole life: close the pipe ends ``inherited``
+    from the parent, step paths ``lo..hi - 1``, write their rows (or the
+    exception raised) to the pipe ``fd`` and exit, never returning into
+    the caller's stack."""
+    try:
+        for other in inherited:
+            os.close(other)
+        try:
+            serial(lo, hi)
+            payload = (True, [a[lo:hi] for a in rows])
+        except BaseException as exc:
+            payload = (False, _portable(exc, lo, hi))
+        with open(fd, "wb") as fh:  # a dead parent ends this on a broken pipe
+            pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
+def _portable(exc: BaseException, lo: int, hi: int) -> BaseException:
+    """``exc`` if it arrives through a pickle with its type and message,
+    else a ``ConeSpdeError`` naming both."""
+    try:
+        back = pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+        if type(back) is type(exc) and str(back) == str(exc):
+            return exc
+    except Exception:  # any failure to come back whole is reported below
+        pass
+    return ConeSpdeError(f"paths {lo}..{hi - 1}: {type(exc).__name__}: {exc}")
+
+
+def _receive(fd: int, lo: int, hi: int) -> list:
+    """A worker's rows, read to the end of its pipe ``fd``; a worker's
+    exception is raised."""
+    try:
+        # unpickled from the stream, so no copy of the whole message is held
+        with open(fd, "rb", closefd=False) as fh:
+            ok, payload = pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise ConeSpdeError(
+            f"paths {lo}..{hi - 1}: the worker process ended without a result"
+        ) from exc
+    if not ok:
+        raise payload
+    return payload
 
 
 def _fold_distances(sup_sq: np.ndarray, states: list, b: int) -> None:

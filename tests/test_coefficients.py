@@ -257,13 +257,18 @@ LAYOUT_CASES = {
 }
 
 
+# the built-in families, whose results follow the batch's memory layout
+BUILTIN_FAMILIES = (ZeroMap, ConstantMap, AffineMap, MeanReversionMap, ProportionalMap, GatedOffsetMap)
+
+
 @pytest.mark.parametrize("m", LAYOUT_CASES.values(), ids=LAYOUT_CASES.keys())
 def test_fortran_batch_is_the_c_batch(m):
-    # the stepping kernel holds its states one row per coordinate and
-    # evaluates maps on the transpose, a Fortran-ordered (P, N) batch:
-    # at full width and on the map's support, the result is the
-    # C-ordered batch's bit for bit
-    fortran = np.asfortranarray(BATCH)
+    # the stepping kernel holds its states one row per coordinate, rT,
+    # and evaluates maps on the transpose rT.T, a Fortran-ordered (P, N)
+    # batch: at full width and on the map's support, the result is the
+    # C-ordered batch's bit for bit, and a built-in family's result is
+    # Fortran-ordered too, so the kernel reads its transpose contiguously
+    fortran = np.ascontiguousarray(BATCH.T).T
     assert not fortran.flags.c_contiguous
     for idx in (slice(None), row_index(m.support, m.dim)):
         if idx is None:
@@ -271,6 +276,8 @@ def test_fortran_batch_is_the_c_batch(m):
         want = m.eval_coords(BATCH, idx)
         got = m.eval_coords(fortran, idx)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if type(m) in BUILTIN_FAMILIES:
+            assert got.flags.f_contiguous
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])

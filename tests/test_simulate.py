@@ -10,6 +10,9 @@ Closed forms used as oracles:
   the initial state for every dt.
 """
 
+import os
+import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,10 +21,12 @@ from test_kernels import assert_matches_rows, ensemble_rows
 
 from conespde import (
     ConeSpec,
+    ConeSpdeError,
     ConfigError,
     DiagonalSemigroup,
     DomainError,
     NoiseSpec,
+    SearchRadiusError,
     ShapeError,
     SimConfig,
     kernels,
@@ -298,8 +303,10 @@ class TestDeterminism:
     ):
         # Each chunk draws its noise one time block at a time, so two
         # chunks four times as long peak less than one block above one
-        # short chunk: memory holds one chunk x one block.
+        # short chunk: memory holds one chunk x one block.  One CPU, so
+        # this process steps both chunks (see test_worker_memory).
         h0 = np.full(16, 1.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(simulate, "_CHUNK", 16)
         block = 16 * 50 * (8 + 1) * 8  # 50 steps of 8 normals and 1 count
         monkeypatch.setattr(simulate, "_NOISE_BYTES", block)
@@ -321,9 +328,11 @@ class TestDeterminism:
     ):
         # Each lane records its rows one block at a time and the distances
         # fold into one running sup per path, so a horizon four times as
-        # long peaks less than one block above the short one.
+        # long peaks less than one block above the short one.  One CPU,
+        # so this process steps both chunks.
         h0 = np.full(16, 1.0)
         coarse = projected_drift(compliant_coeffs, 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(simulate, "_CHUNK", 16)
         # 50 steps of 8 normals, 1 count and two lanes' 16-coordinate rows
         block = 16 * 50 * (8 + 1 + 2 * 16) * 8
@@ -499,6 +508,30 @@ class TestDivergence:
         assert np.all(np.isfinite(ens.final))
 
 
+def jumpy_system():
+    """A dim-3 system with a jump atom, and a sequence one of whose entries
+    diverges on some of its 37 paths: ``(semigroup, cone, noise, config,
+    h0, limit, volatile, seq)``."""
+    dim = 3
+    drift = SumMap(
+        (
+            MeanReversionMap(1.0, np.full(dim, 0.5)),
+            GatedOffsetMap(np.array([0.0, -2.0, 0.0]), 2, 0.5, 1.5),
+        )
+    )
+    vols = (ProportionalMap(0.5, 0, dim), ProportionalMap(0.3, 1, dim))
+    atoms = ((2.0, ConstantMap(np.array([0.2, 0.0, -0.1]))),)
+    limit = CoefficientSet(drift, vols, atoms)
+    volatile = CoefficientSet(drift, (ProportionalMap(10.0, 0, dim), vols[1]), atoms)
+    seq = [projected_drift(limit, 2), volatile, limit]
+    sg = DiagonalSemigroup(np.array([0.0, 1.0, 2.0]))
+    noise = NoiseSpec.flat(2, 1.0, seed=5)
+    K = ConeSpec.nonnegative(dim)
+    config = SimConfig(dt=0.02, horizon=2.0, paths=37, guard=1e6)
+    h0 = np.array([1.0, 0.5, 1.0])
+    return sg, K, noise, config, h0, limit, volatile, seq
+
+
 class TestStability:
     def _system(self):
         dim = 4
@@ -547,23 +580,7 @@ class TestStability:
     def test_per_path_matches_whole_trajectories(self, monkeypatch):
         # a jump atom, an entry some of whose paths diverge, and 37 paths
         # in 5-path chunks stepped through 7-step blocks
-        dim = 3
-        drift = SumMap(
-            (
-                MeanReversionMap(1.0, np.full(dim, 0.5)),
-                GatedOffsetMap(np.array([0.0, -2.0, 0.0]), 2, 0.5, 1.5),
-            )
-        )
-        vols = (ProportionalMap(0.5, 0, dim), ProportionalMap(0.3, 1, dim))
-        atoms = ((2.0, ConstantMap(np.array([0.2, 0.0, -0.1]))),)
-        limit = CoefficientSet(drift, vols, atoms)
-        volatile = CoefficientSet(drift, (ProportionalMap(10.0, 0, dim), vols[1]), atoms)
-        seq = [projected_drift(limit, 2), volatile, limit]
-        sg = DiagonalSemigroup(np.array([0.0, 1.0, 2.0]))
-        noise = NoiseSpec.flat(2, 1.0, seed=5)
-        K = ConeSpec.nonnegative(dim)
-        config = SimConfig(dt=0.02, horizon=2.0, paths=37, guard=1e6)
-        h0 = np.array([1.0, 0.5, 1.0])
+        sg, K, noise, config, h0, limit, volatile, seq = jumpy_system()
         monkeypatch.setattr(simulate, "_CHUNK", 5)
         # 2 normals, 1 count and four lanes' 3-coordinate rows per step
         monkeypatch.setattr(simulate, "_NOISE_BYTES", 8 * 5 * (2 + 1 + 4 * 3) * 7)
@@ -599,6 +616,157 @@ class TestStability:
                 sg, limit, [CoefficientSet(ZeroMap(3))], NoiseSpec.flat(2, 1.0), K,
                 config, np.full(4, 1.0),
             )
+
+
+class TestWorkers:
+    # A run of several chunks steps its first slice in this process and
+    # each other slice in a forked worker; the CPUs it may use are set
+    # here through os.sched_getaffinity.
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def use_cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @pytest.mark.parametrize(
+        "paths, cpus, want",
+        [
+            (5, 3, [(0, 5)]),
+            (37, 1, [(0, 37)]),
+            (37, 2, [(0, 20), (20, 37)]),
+            (37, 3, [(0, 10), (10, 25), (25, 37)]),
+            (37, 64, [(lo, min(lo + 5, 37)) for lo in range(0, 37, 5)]),
+        ],
+    )
+    def test_slices_are_whole_chunks(self, monkeypatch, paths, cpus, want):
+        # W = min(CPUs, chunks) slices of whole 5-path chunks
+        monkeypatch.setattr(simulate, "_CHUNK", 5)
+        self.use_cpus(monkeypatch, cpus)
+        assert simulate._slices(paths) == want
+
+    @pytest.mark.parametrize(
+        "cpus, forks_allowed", [(2, None), (3, None), (3, 1)],
+        ids=["2-cpus", "3-cpus", "3-cpus-one-fork"],
+    )
+    def test_forked_runs_are_the_serial_engine(self, monkeypatch, cpus, forks_allowed):
+        # 37 paths in eight 5-path chunks, a jump atom and a set some of
+        # whose paths diverge: run, sweep and stability distances are the
+        # serial engine's bytes whatever the slices, also when a worker
+        # cannot be started and this process steps its slice
+        sg, K, noise, config, h0, limit, volatile, seq = jumpy_system()
+        monkeypatch.setattr(simulate, "_CHUNK", 5)
+
+        def outputs():
+            runs = [
+                run_ensemble(volatile, sg, noise, K, config, h0),
+                *run_sweep(volatile, sg, noise, K, config, h0, (4, 2, 1)),
+            ]
+            sup = [res.per_path for res in stability_experiment(sg, limit, seq, noise, K, config, h0)]
+            fields = ("final", "min_margin", "first_exit", "diverged", "seeds")
+            return [getattr(e, name).tobytes() for e in runs for name in fields], sup, runs
+
+        self.use_cpus(monkeypatch, 1)
+        ref, sup_ref, runs = outputs()
+        assert 0 < np.sum(runs[0].diverged > 0) < config.paths
+        assert np.any(runs[0].exited)
+
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            if forks_allowed is not None and len(forks) >= forks_allowed:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        self.use_cpus(monkeypatch, cpus)
+        got, sup, _ = outputs()
+        assert got == ref
+        assert [a.tobytes() for a in sup] == [a.tobytes() for a in sup_ref]
+        # cpus - 1 workers for each of the three runs, or as many as start
+        assert len(forks) == min(3 * (cpus - 1), forks_allowed or 3 * cpus)
+
+    def failing_paths(self, monkeypatch, fail):
+        """The system on two CPUs, 5-path chunks, with ``_path_stream``
+        calling ``fail(p)`` first: this process steps paths 0..19, a
+        worker paths 20..36."""
+        sg, K, noise, config, h0, limit, _, _ = jumpy_system()
+        monkeypatch.setattr(simulate, "_CHUNK", 5)
+        self.use_cpus(monkeypatch, 2)
+        real = simulate._path_stream
+
+        def stream(seed, p):
+            fail(p)
+            return real(seed, p)
+
+        monkeypatch.setattr(simulate, "_path_stream", stream)
+        return lambda: run_ensemble(limit, sg, noise, K, config, h0)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def fail(p):
+            if p >= 20:
+                raise DomainError(f"path {p} refused")
+
+        with pytest.raises(DomainError, match=r"^path 20 refused$"):
+            self.failing_paths(monkeypatch, fail)()
+
+    def test_unpicklable_worker_error_is_a_package_error(self, monkeypatch):
+        # SearchRadiusError's __init__ takes two arguments, so a pickle of
+        # it does not load
+        with pytest.raises(TypeError):
+            pickle.loads(pickle.dumps(SearchRadiusError("edge", 2.0)))
+
+        def fail(p):
+            if p >= 20:
+                raise SearchRadiusError(f"path {p} hit the edge", 2.0)
+
+        with pytest.raises(ConeSpdeError) as info:
+            self.failing_paths(monkeypatch, fail)()
+        assert type(info.value) is ConeSpdeError
+        assert str(info.value) == "paths 20..36: SearchRadiusError: path 20 hit the edge"
+
+    def test_own_slice_error_kills_the_worker(self, monkeypatch):
+        # the worker would take a minute on path 20; this process fails
+        # on path 0 and must not wait for it
+        def fail(p):
+            if p == 0:
+                raise DomainError("path 0 refused")
+            if p == 20:
+                time.sleep(60)
+
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match=r"^path 0 refused$"):
+            self.failing_paths(monkeypatch, fail)()
+        assert time.perf_counter() - t0 < 30
+
+    def test_worker_memory(self, monkeypatch, heat16, cone16, compliant_coeffs, flat_noise8):
+        # Two chunks on two CPUs: this process steps one chunk and a worker
+        # the other, so it peaks no higher than when it steps both.
+        h0 = np.full(16, 1.0)
+        monkeypatch.setattr(simulate, "_CHUNK", 16)
+        monkeypatch.setattr(simulate, "_NOISE_BYTES", 16 * 50 * (8 + 1) * 8)
+        config = SimConfig(dt=1e-3, horizon=2.0, paths=32)
+
+        def peak(cpus):
+            self.use_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                run_ensemble(compliant_coeffs, heat16, flat_noise8, cone16, config, h0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: first-call allocations are not the ensemble's
+        one, two = peak(1), peak(2)
+        assert two <= one
 
 
 class TestSsncEstimate:
