@@ -36,6 +36,11 @@ atom on each part through ``eval_array`` as it arrives, so one part is
 live at a time.  By the row contract of ``CoefficientMap.eval_coords``
 each part's evaluation equals those rows of the whole-sample evaluation
 bit for bit.
+The three conditions are independent, so ``invariance_verdict`` runs
+the checks of a large sample at the same time, each of the last ones
+in a forked worker (``forks.run``), and a sample below
+``_FORK_ENTRIES`` float64 entries one check after another here; either
+way its report, and the error it raises, are the serial ones.
 Every checker opens with one preamble (the dimension check and the
 default tolerance) and turns each evaluated block of violation sizes
 into witnesses through one builder, one witness per entry above the
@@ -57,6 +62,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import forks
 from .errors import (
     ConfigError,
     DomainError,
@@ -1095,6 +1101,13 @@ def check_volatility_condition(
     return ConditionReport((VOL,), witnesses, sampled, tol)
 
 
+#: Boundary-sample size, in float64 entries (constrained faces x rows per
+#: face x dim), from which a verdict runs its checks in parallel
+#: processes: below it a fork costs more than the checks it spreads
+#: (measured break-even, BENCH_29.json).
+_FORK_ENTRIES = 1 << 20
+
+
 def invariance_verdict(
     coeffs: CoefficientSet,
     cone: ConeSpec,
@@ -1108,10 +1121,33 @@ def invariance_verdict(
     report means "no violation found on the sample", never a proof.
     Raises ``ShapeError`` when the coefficients and the cone disagree on
     the dimension.
+
+    The checks are independent, so a large sample spreads them over ``W
+    = min(usable CPUs, 3)`` processes (``forks.run``): each of the last
+    ``W - 1`` checks runs in its own forked worker, and the rest run
+    here in check order.  A sample is large from ``_FORK_ENTRIES``
+    float64 entries (constrained faces x (``points_per_face`` +
+    corners) x dim); a smaller one runs all three here.  The report, and
+    the error raised when checks fail, are those of the three checks run
+    one after another.
     """
     tol = _resolve_tol(coeffs, cone, tol)
-    checks = (check_jump_condition, check_drift_condition, check_volatility_condition)
-    parts = [check(coeffs, cone, sampler, tol) for check in checks]
+    checks = (
+        (JUMP, check_jump_condition),
+        (DRIFT, check_drift_condition),
+        (VOL, check_volatility_condition),
+    )
+    faces = cone.constrained.size
+    rows = sampler.points_per_face + (faces if sampler.include_corners else 0)
+    W = min(forks.usable_cpus(), len(checks)) if faces * rows * cone.dim >= _FORK_ENTRIES else 1
+    cut = len(checks) + 1 - W
+    groups = [checks[:cut], *((c,) for c in checks[cut:])]
+    found = forks.run(
+        len(groups),
+        lambda i: [check(coeffs, cone, sampler, tol) for _, check in groups[i]],
+        lambda i: ", ".join(name for name, _ in groups[i]) + " check",
+    )
+    parts = [r for reports in found for r in reports]
     return ConditionReport(
         sum((r.checked for r in parts), ()),
         sum((r.witnesses for r in parts), ()),

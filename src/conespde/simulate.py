@@ -17,10 +17,12 @@ use as well.  A run's paths fall into chunks of ``_CHUNK`` = 1024,
 and the chunks into ``W = min(usable CPUs, chunks)`` contiguous slices
 of whole chunks (the CPUs are those ``os.sched_getaffinity`` allows;
 one where it does not exist).  This process steps the first slice, and
-a worker forked for each other slice (``os.fork``) steps its own at the
-same time and sends its paths' results back through a pipe; a slice's
-chunks run one after another.  A run of one chunk forks nothing.  Each
-chunk holds one time block of noise at a time: its paths draw the next
+a worker forked for each other slice steps its own at the same time and
+sends its paths' results back through a pipe (``forks.run``, which the
+sampled verdict shares; it reaps every worker, and a worker dies with
+its parent); a slice's chunks run one after another.  A run of one
+chunk forks nothing.  Each chunk holds one time block of noise at a
+time: its paths draw the next
 ``b`` steps into a buffer of about ``_NOISE_BYTES`` (8 MiB), which is
 transposed once per sub-block of ``kernels._NOISE_BLOCK`` steps for the
 kernel to step the chunk through, and reused for the next block.  So
@@ -74,16 +76,13 @@ transposed.  So a lane's output does not depend on the other lanes:
 from __future__ import annotations
 
 import math
-import os
-import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
+from . import forks, kernels
 from .coefficients import CoefficientSet
 from .errors import (
-    ConeSpdeError,
     ConfigError,
     DomainError,
     ShapeError,
@@ -307,7 +306,7 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
     driven by the same draws at ``config.dt``.  The serial engine steps
     chunks of ``_CHUNK`` paths one after another, each sub-block by
     sub-block through its fine draws, every lane on each sub-block before
-    the next.  The paths are split into ``_slices``, and ``_in_slices``
+    the next.  The paths are split into ``_slices``, and ``forks.run``
     runs the serial engine on the first here and on each other in a
     forked worker; every path's results are the same bytes whatever the
     split.  The lanes' sets share their jump weights, which set the
@@ -357,9 +356,15 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
         for cfg in levels
     ]
 
+    # every per-path output, path axis first
+    rows = [seeds, *(a for e in out for a in (e.final, e.min_margin, e.first_exit, e.diverged))]
+    if sup_sq is not None:
+        rows.append(sup_sq.T)
+
     def serial(lo, hi):
         """The serial engine: step paths ``lo..hi - 1`` of the run, chunk
-        by chunk, into their rows of ``out``, ``seeds`` and ``sup_sq``."""
+        by chunk, into their rows of ``out``, ``seeds`` and ``sup_sq``,
+        and return those rows of every array in ``rows``."""
         for c0 in range(lo, hi, _CHUNK):
             c1 = min(c0 + _CHUNK, hi)
             n = c1 - c0
@@ -399,12 +404,20 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
             # Release this chunk's blocks and generators before the next
             # chunk makes its own, so peak memory holds one chunk, not two.
             del normals, counts, states, streams
+        return [a[lo:hi] for a in rows]
 
-    # every per-path output, path axis first
-    rows = [seeds, *(a for e in out for a in (e.final, e.min_margin, e.first_exit, e.diverged))]
-    if sup_sq is not None:
-        rows.append(sup_sq.T)
-    _in_slices(serial, _slices(P), rows)
+    # the first slice here, each other in a forked worker; a forked
+    # slice's rows are copied into place (a slice stepped here is
+    # assigned to itself, which NumPy skips)
+    slices = _slices(P)
+    parts = forks.run(
+        len(slices),
+        lambda i: serial(*slices[i]),
+        lambda i: f"paths {slices[i][0]}..{slices[i][1] - 1}",
+    )
+    for (lo, hi), part in zip(slices, parts):
+        for a, got in zip(rows, part):
+            a[lo:hi] = got
     return out
 
 
@@ -412,104 +425,9 @@ def _slices(paths: int) -> list[tuple[int, int]]:
     """``W = min(usable CPUs, chunks)`` contiguous slices ``(lo, hi)`` of
     a run's paths, each a whole number of ``_CHUNK`` chunks."""
     chunks = -(-paths // _CHUNK)
-    # sched_getaffinity (Linux) counts the CPUs this process may run on
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    W = min(cpus, chunks)
+    W = min(forks.usable_cpus(), chunks)
     cuts = [min(paths, _CHUNK * (chunks * w // W)) for w in range(W + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
-
-
-def _in_slices(serial, slices, rows) -> None:
-    """Run ``serial(lo, hi)`` for every slice: the first here, each other
-    in a forked worker process, at the same time.
-
-    A worker sends its paths' entries of every array in ``rows`` (path
-    axis first) through a pipe, and they are copied into place here, so
-    the arrays end as one ``serial`` call over all the paths would leave
-    them.  A worker's exception is raised here with its type and
-    message.  If this process's own slice raises, the workers are
-    killed; every worker is waited for before this returns or raises.
-    A slice whose worker cannot be started is stepped here too.
-    """
-    workers = []  # (pid, read end of its pipe, lo, hi)
-    own = slices[:1]
-    try:
-        for w, (lo, hi) in enumerate(slices[1:], start=1):
-            rd, wr = os.pipe()
-            inherited = [rd, *(other for _, other, _, _ in workers)]
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: step the rest here
-                os.close(rd)
-                os.close(wr)
-                own = own + slices[w:]
-                break
-            if pid == 0:
-                _work(serial, lo, hi, rows, wr, inherited)  # never returns
-            os.close(wr)
-            workers.append((pid, rd, lo, hi))
-        for lo, hi in own:
-            serial(lo, hi)
-        for _, rd, lo, hi in workers:
-            for a, part in zip(rows, _receive(rd, lo, hi)):
-                a[lo:hi] = part
-    except BaseException:
-        from signal import SIGKILL  # imported only here: it adds 0.5 ms to every start
-
-        for pid, _, _, _ in workers:
-            os.kill(pid, SIGKILL)
-        raise
-    finally:
-        for pid, rd, _, _ in workers:
-            os.close(rd)
-            os.waitpid(pid, 0)
-
-
-def _work(serial, lo: int, hi: int, rows, fd: int, inherited: list[int]) -> None:
-    """A forked worker's whole life: close the pipe ends ``inherited``
-    from the parent, step paths ``lo..hi - 1``, write their rows (or the
-    exception raised) to the pipe ``fd`` and exit, never returning into
-    the caller's stack."""
-    try:
-        for other in inherited:
-            os.close(other)
-        try:
-            serial(lo, hi)
-            payload = (True, [a[lo:hi] for a in rows])
-        except BaseException as exc:
-            payload = (False, _portable(exc, lo, hi))
-        with open(fd, "wb") as fh:  # a dead parent ends this on a broken pipe
-            pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
-    finally:
-        os._exit(0)
-
-
-def _portable(exc: BaseException, lo: int, hi: int) -> BaseException:
-    """``exc`` if it arrives through a pickle with its type and message,
-    else a ``ConeSpdeError`` naming both."""
-    try:
-        back = pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-        if type(back) is type(exc) and str(back) == str(exc):
-            return exc
-    except Exception:  # any failure to come back whole is reported below
-        pass
-    return ConeSpdeError(f"paths {lo}..{hi - 1}: {type(exc).__name__}: {exc}")
-
-
-def _receive(fd: int, lo: int, hi: int) -> list:
-    """A worker's rows, read to the end of its pipe ``fd``; a worker's
-    exception is raised."""
-    try:
-        # unpickled from the stream, so no copy of the whole message is held
-        with open(fd, "rb", closefd=False) as fh:
-            ok, payload = pickle.load(fh)
-    except (EOFError, pickle.UnpicklingError) as exc:
-        raise ConeSpdeError(
-            f"paths {lo}..{hi - 1}: the worker process ended without a result"
-        ) from exc
-    if not ok:
-        raise payload
-    return payload
 
 
 def _fold_distances(sup_sq: np.ndarray, states: list, b: int) -> None:

@@ -8,19 +8,24 @@ the test body.
 
 import hashlib
 import itertools
+import os
 import re
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conespde import (
+    ConeSpdeError,
     ConeSpec,
     ConfigError,
     DiagonalSemigroup,
     DomainError,
     NumericError,
     SamplerContractError,
+    SearchRadiusError,
     ShapeError,
     coefficients,
     cone_contains,
@@ -54,7 +59,7 @@ from conespde.coefficients import (
     sample_boundary_pairs,
     sample_cone_points,
 )
-from conespde.config import ExperimentConfig, preset_document
+from conespde.config import PRESET_NAMES, ExperimentConfig, preset_document
 from conespde.space import phi_eps
 
 SMALL = SamplerSpec(points_per_face=8, interior_points=8, seed=1)
@@ -1223,3 +1228,123 @@ class TestReportContract:
         assert doc["verdict"] == "VIOLATED (witness found)"
         assert (doc["jump_ok"], doc["drift_ok"], doc["vol_ok"]) == (None, None, False)
         assert doc["witnesses"][0]["condition"] == "vol-parallel"
+
+
+class TestConcurrentVerdict:
+    # With the fork threshold at 0, a verdict runs each of its last W - 1
+    # checks in a forked worker, W = min(CPUs, 3), and the rest here; the
+    # CPUs it may use are set here through os.sched_getaffinity.
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def forking(monkeypatch, cpus, forks_allowed=None):
+        """Fork from any sample size on ``cpus`` CPUs; the returned list
+        gets each worker's pid, and a fork past ``forks_allowed`` fails."""
+        monkeypatch.setattr(coefficients, "_FORK_ENTRIES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            if forks_allowed is not None and len(forks) >= forks_allowed:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @pytest.mark.parametrize(
+        "cpus, forks_allowed, want_forks",
+        [(1, None, 0), (2, None, 1), (3, None, 2), (3, 0, 0), (3, 1, 1)],
+        ids=["1-cpu", "2-cpus", "3-cpus", "3-cpus-no-fork", "3-cpus-one-fork"],
+    )
+    def test_reports_are_the_serial_ones(self, monkeypatch, cpus, forks_allowed, want_forks):
+        # every condition fails on this set; witnesses, their order and
+        # the sample count are the serial verdict's, also when a worker
+        # cannot be started and its check runs here
+        coeffs, cone = _mixed_cone_case()
+        want = invariance_verdict(coeffs, cone, PARITY_SPEC)
+        assert {w.condition for w in want.witnesses} >= {"drift-inward", "vol-parallel"}
+        forks = self.forking(monkeypatch, cpus, forks_allowed)
+        got = invariance_verdict(coeffs, cone, PARITY_SPEC)
+        assert len(forks) == want_forks
+        assert got.to_dict() == want.to_dict()
+        assert [w.to_dict() for w in got.witnesses] == [w.to_dict() for w in want.witnesses]
+        assert got.sampled_points == want.sampled_points
+        assert not any(w.point.flags.writeable for w in got.witnesses)
+
+    @pytest.mark.parametrize(
+        "cpus, forks_allowed", [(2, None), (3, None), (3, 1)],
+        ids=["2-cpus", "3-cpus", "3-cpus-one-fork"],
+    )
+    def test_drift_error_wins_over_volatility_error(self, monkeypatch, cpus, forks_allowed):
+        # drift and a volatility column are both NaN: the serial run
+        # raises the drift's error, whichever process checks each
+        C = CoefficientSet(NAN_ALL, (NAN_ALL,))
+        K = ConeSpec.nonnegative(3)
+        message = re.escape("drift-inward: drift is not finite on face k=0")
+        with pytest.raises(NumericError, match=message):
+            invariance_verdict(C, K, SMALL)
+        self.forking(monkeypatch, cpus, forks_allowed)
+        with pytest.raises(NumericError, match=message):
+            invariance_verdict(C, K, SMALL)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # only the volatility check, in the worker, fails
+        C = CoefficientSet(ZeroMap(3), (NAN_ALL,))
+        forks = self.forking(monkeypatch, 2)
+        with pytest.raises(NumericError) as info:
+            invariance_verdict(C, ConeSpec.nonnegative(3), SMALL)
+        assert type(info.value) is NumericError
+        assert str(info.value) == "vol-parallel: volatility column 0 is not finite on face k=0"
+        assert len(forks) == 1
+
+    def test_unpicklable_worker_error_is_a_package_error(self, monkeypatch):
+        # SearchRadiusError's __init__ takes two arguments, so a pickle of
+        # it does not load; the error names the check it came from
+        def edge(h):
+            raise SearchRadiusError("column hit the edge", 2.0)
+
+        C = CoefficientSet(ZeroMap(3), (CallableMap(edge, 3),))
+        self.forking(monkeypatch, 2)
+        with pytest.raises(ConeSpdeError) as info:
+            invariance_verdict(C, ConeSpec.nonnegative(3), SMALL)
+        assert type(info.value) is ConeSpdeError
+        assert str(info.value) == "vol-parallel check: SearchRadiusError: column hit the edge"
+
+
+def _perfbench_smoke_configs() -> dict[str, dict]:
+    """The config documents of the benchmark's workloads at their smoke
+    sizes, by workload name."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path))
+    built = {name: workloads["build"](name, 0, smoke=True) for name in workloads["NAMES"]}
+    return {f"{name}-smoke": wl.config for name, wl in built.items() if wl.config is not None}
+
+
+SMALL_DOCUMENTS = {
+    **{name: preset_document(name) for name in PRESET_NAMES},
+    **_perfbench_smoke_configs(),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_DOCUMENTS)
+def test_small_verdicts_fork_nothing(monkeypatch, name):
+    # every preset and smoke-size sample is below the fork threshold, so
+    # the verdict draws each face twice in this process, as the
+    # benchmark's traced smoke test counts
+    def fork():
+        raise AssertionError("a verdict below the threshold forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    monkeypatch.setattr(os, "fork", fork)
+    ec = ExperimentConfig.from_dict(SMALL_DOCUMENTS[name])
+    invariance_verdict(ec.coeffs, ec.cone, ec.sampler, ec.check_tol)

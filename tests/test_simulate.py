@@ -12,8 +12,12 @@ Closed forms used as oracles:
 
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -767,6 +771,70 @@ class TestWorkers:
         peak(1)  # warm-up: first-call allocations are not the ensemble's
         one, two = peak(1), peak(2)
         assert two <= one
+
+
+# Steps 10 paths in 5-path chunks on two CPUs: this process steps paths
+# 0..4, and the worker prints its pid on path 5 and then hangs there.
+HANGING_RUN = """\
+import os, time
+import numpy as np
+from conespde import ConeSpec, DiagonalSemigroup, NoiseSpec, SimConfig, simulate
+from conespde.coefficients import CoefficientSet, ZeroMap
+
+simulate._CHUNK = 5
+os.sched_getaffinity = lambda pid: {0, 1}
+real = simulate._path_stream
+
+
+def stream(seed, p):
+    if p == 5:
+        print(os.getpid(), flush=True)
+        time.sleep(60)
+    return real(seed, p)
+
+
+simulate._path_stream = stream
+C = CoefficientSet(ZeroMap(2), (ZeroMap(2),))
+config = SimConfig(dt=0.1, horizon=1.0, paths=10)
+simulate.run_ensemble(
+    C, DiagonalSemigroup.heat(2), NoiseSpec.flat(1), ConeSpec.nonnegative(2), config, np.ones(2)
+)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+def test_worker_dies_with_its_parent():
+    # A caller killed with SIGKILL cannot kill its workers itself; each
+    # worker asked the kernel to kill it when its parent dies.
+    src = Path(simulate.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", HANGING_RUN], stdout=subprocess.PIPE, text=True, env=env
+    )
+    worker = None
+    try:
+        worker = int(proc.stdout.readline())
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5.0
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _running(worker)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        if worker is not None and _running(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 class TestSsncEstimate:
