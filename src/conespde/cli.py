@@ -120,17 +120,67 @@ def _strict(doc):
     return None if isinstance(doc, float) and not math.isfinite(doc) else doc
 
 
+# One scalar or key as JSON text, as json.dumps writes it.
+_scalar = json.JSONEncoder(allow_nan=False).encode
+
+
+def _chunks(doc, indent: str = ""):
+    """``doc`` as strict JSON, in the chunks of text that make up
+    ``json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False)``;
+    ``indent`` is that of the line ``doc`` starts on.
+
+    A list or tuple of floats is one chunk, a single join of their
+    reprs.  ``repr`` writes a non-finite float as ``nan``, ``inf`` or
+    ``-inf``, the only float reprs with an ``n``; a run holding one goes
+    through ``_strict`` and is written item by item.  Dictionary keys
+    must be strings.
+    """
+    if isinstance(doc, dict):
+        if not doc:
+            yield "{}"
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(doc.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield sep + _scalar(key) + ": "
+            yield from _chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(doc, (list, tuple)):
+        if not doc:
+            yield "[]"
+            return
+        inner = indent + "  "
+        try:
+            run = (",\n" + inner).join(map(float.__repr__, doc))
+        except TypeError:  # not every item is a float
+            run = None
+        if run is not None and "n" not in run:
+            yield "[\n" + inner + run + "\n" + indent + "]"
+            return
+        sep = "[\n" + inner
+        for item in doc if run is None else _strict(doc):
+            yield sep
+            yield from _chunks(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
+    else:
+        yield _scalar(_strict(doc))
+
+
 def _write_json(path: Path, doc: dict) -> None:
     """Write ``doc`` as strict, sorted, indented JSON and a newline.
 
-    The encoder writes its chunks straight into a temporary file beside
+    The chunks of ``_chunks`` go straight into a temporary file beside
     ``path``, which then replaces ``path``: no whole document is built
     in memory, and a failed encode leaves no partial file.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w") as fh:
-            json.dump(_strict(doc), fh, sort_keys=True, indent=2, allow_nan=False)
+            fh.writelines(_chunks(doc))
             fh.write("\n")
         tmp.replace(path)
     finally:

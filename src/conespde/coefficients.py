@@ -27,8 +27,19 @@ at once.  ``sample_boundary_pairs`` is a generator: it draws one
 ``(P_k, N)`` array of states with ``h_k = 0``, checks it and yields it
 before the next face is drawn, so one block is live at a time and a
 contract violation raises when the bad face is reached.  The drift and
-volatility checkers each consume it once and read only coordinate ``k``
-of each map on a block, through ``eval_coords(H, [k])``.
+volatility checkers each call it once, for the seeded face draws alone,
+and read only coordinate ``k`` of each map on face ``k``'s draws,
+through ``eval_coords(H, [k])``.  A face's corners are the origin and
+the unit vectors ``signs[l] e_l`` of the other constrained coordinates,
+so all faces share ``1 + m`` corner points (``m`` constrained
+coordinates).  Each checker builds that corner set once, evaluates each
+map on it once at the constrained coordinates, ``_CORNER_FACES`` faces
+at a time, and reads face ``k``'s corner values from column ``k``
+without the row of ``e_k``; by the row and column contract of
+``eval_coords`` these are the values of a whole face block, bit for
+bit.  Each face's contract and finiteness are checked when the face is
+reached, on its draws and corners together, so reports and errors are
+those of whole face blocks.  A corner row is copied only into a witness.
 ``sample_cone_points`` is a generator too: it draws the cone points in
 read-only parts of at most ``_JUMP_ROWS`` rows, checks each part and
 yields it before the next is drawn, and the jump checker evaluates each
@@ -56,7 +67,7 @@ verdict reads "VIOLATED (witness found)" or "NO VIOLATION FOUND
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -896,7 +907,7 @@ class Witness:
             "condition": self.condition,
             "theta": self.theta,
             "k": self.k,
-            "point": [float(x) for x in self.point],
+            "point": self.point.tolist(),
             "magnitude": self.magnitude,
             "component": self.component,
         }
@@ -982,12 +993,16 @@ def _resolve_tol(coeffs: CoefficientSet, cone: ConeSpec, tol: float | None) -> f
     return tol
 
 
-def _finite(vals: np.ndarray, condition: str, part: str, k: int | None = None) -> np.ndarray:
+def _finite(
+    vals: np.ndarray, condition: str, part: str, k: int | None = None, corners_ok: bool = True
+) -> np.ndarray:
     """``vals``, one evaluated block, checked finite once; else raise
     ``NumericError`` naming the map and the face ``k`` (by default the
-    first coordinate that failed)."""
+    first coordinate that failed).  A false ``corners_ok`` says that the
+    face's corner values, evaluated apart (``_corner_scan``), were not
+    finite, and raises the same error."""
     ok = np.isfinite(vals)
-    if not ok.all():
+    if not (corners_ok and ok.all()):
         if k is None:
             k = int(np.argwhere(~ok)[0, -1])
         raise NumericError(f"{condition}: {part} is not finite on face k={k}")
@@ -1004,17 +1019,111 @@ def _witnesses(condition, excess, tol, points, thetas, ks, component=None) -> li
     ]
 
 
-def _margin_block(coeffs: CoefficientSet, theta: int, k: int, H: np.ndarray) -> np.ndarray:
-    """Inward margins ``theta drift(h)_k - sum_i w_i theta gamma_i(h)_k``
-    at the pairs ``(theta e_k*, H[i])``, one entry per row of the block
-    ``H``; the boundary value ``a`` of such a pair is 0."""
-    drift = coeffs.drift.eval_coords(H, [k])[:, 0]
-    drift_k = theta * _finite(drift, DRIFT, "drift", k)
-    comp_k = np.zeros(H.shape[0])
+def _drift_parts(coeffs: CoefficientSet, thetas: np.ndarray, ks, H: np.ndarray) -> Iterator:
+    """The drift check's values at the pairs ``(thetas[c] e_k*, H[r])``,
+    ``k`` the ``c``-th coordinate ``ks`` selects, as ``(rows, faces)``
+    blocks ``(part, values, excess, component)`` in the order the check
+    tests them: ``theta drift(h)_k``, each atom's ``gamma_i(h)_k``, then
+    the margins ``theta drift(h)_k - sum_i w_i theta gamma_i(h)_k``,
+    whose negation is the only excess (the boundary value ``a`` of an
+    admissible pair is 0).  Each part is evaluated when it is asked for."""
+    drift = thetas * coeffs.drift.eval_coords(H, ks)
+    yield "drift", drift, None, None
+    comp = np.zeros(drift.shape)
     for i, (w, g) in enumerate(coeffs.jump_atoms):
-        gamma = _finite(g.eval_coords(H, [k])[:, 0], DRIFT, f"jump atom {i}", k)
-        comp_k += w * theta * gamma
-    return _finite(drift_k - comp_k, DRIFT, "drift minus jump compensator", k)
+        gamma = g.eval_coords(H, ks)
+        yield f"jump atom {i}", gamma, None, None
+        comp += w * thetas * gamma
+    margin = drift - comp
+    yield "drift minus jump compensator", margin, -margin, None
+
+
+def _vol_parts(coeffs: CoefficientSet, thetas: np.ndarray, ks, H: np.ndarray) -> Iterator:
+    """The volatility check's values at the same pairs as ``_drift_parts``
+    and in its form: each column's ``vol_j(h)_k``, with the excess
+    ``|theta vol_j(h)_k|`` and the column's index."""
+    for j, col in enumerate(coeffs.vol_columns):
+        vol = col.eval_coords(H, ks)
+        yield f"volatility column {j}", vol, np.abs(thetas * vol), j
+
+
+def _corner_set(cone: ConeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Every face's corners in one read-only ``(1 + m, N)`` array, ``m``
+    the constrained coordinates: row 0 is the origin and row ``1 + c`` is
+    ``signs[k] e_k`` for ``k = constrained[c]``.  Face ``c``'s corners
+    are every row but ``1 + c``, in the order ``sample_boundary_pairs``
+    appends them.  Also returns, per face, whether one of its corners
+    leaves the cone or has ``h_k != 0``."""
+    idx = cone.constrained
+    C = _corners(cone, idx, range(1 + idx.size))
+    off = C[:, idx] != 0.0
+    np.fill_diagonal(off[1:], False)
+    out = np.zeros(len(C), bool)
+    if not cone_contains(cone, C):  # which rows: one at a time
+        out = np.array([not cone_contains(cone, row) for row in C])
+    C.flags.writeable = False
+    # face c's corners leave the cone when a row other than 1 + c does
+    return C, off.any(axis=0) | (out.sum() > out[1:])
+
+
+#: Faces in one block of the corner set's evaluation: a block holds
+#: ``1 + m`` rows of values for at most this many faces per map.
+_CORNER_FACES = 64
+
+
+def _corner_scan(condition: str, parts, coeffs, cone: ConeSpec, tol: float):
+    """A boundary check's ``parts`` evaluated once on the corner set
+    (``_corner_set``), in blocks of ``_CORNER_FACES`` faces.  Returns per
+    face whether its corners break the face contract, per part and face
+    whether the face's corner values are finite, and the witnesses among
+    the corners.  Row ``1 + c`` is not a corner of face ``c``, so its
+    entry in column ``c`` counts for neither."""
+    C, left = _corner_set(cone)
+    idx = cone.constrained
+    blocks, found = [], []
+    for lo in range(0, idx.size, _CORNER_FACES):
+        ks = idx[lo:lo + _CORNER_FACES]
+        thetas = cone.signs[ks]
+        blocks.append([])
+        for _, vals, excess, component in parts(coeffs, thetas, ks, C):
+            bad = ~np.isfinite(vals)
+            np.fill_diagonal(bad[1 + lo:], False)
+            blocks[-1].append(~bad.any(axis=0))
+            if excess is not None:
+                np.fill_diagonal(excess[1 + lo:], np.nan)
+                found += _witnesses(condition, excess, tol, C, thetas, ks, component)
+    return left, [np.concatenate(part) for part in zip(*blocks)], found
+
+
+def _check_boundary(condition: str, parts, coeffs, cone, sampler, tol) -> ConditionReport:
+    """One boundary condition at every sampled admissible pair.
+
+    ``sample_boundary_pairs`` is called once, for the face draws alone.
+    With ``include_corners`` the corners are evaluated once, when the
+    first face is reached (``_corner_scan``), and face ``c`` reads
+    column ``c`` of that evaluation.  Per face, the sampler contract,
+    then each part's finiteness on the draws and the corners together,
+    are checked in the order the whole face block would be.
+    """
+    tol = _resolve_tol(coeffs, cone, tol)
+    corners = sampler.include_corners
+    witnesses = []
+    sampled = 0
+    draws = replace(sampler, include_corners=False)
+    for c, (theta, k, H) in enumerate(sample_boundary_pairs(cone, draws)):
+        if corners:
+            if c == 0:
+                left, finite, found = _corner_scan(condition, parts, coeffs, cone, tol)
+                witnesses += found
+            if left[c]:
+                raise SamplerContractError(f"face sampler left the face at k={k}")
+            sampled += left.size  # the origin and the other m - 1 unit vectors
+        sampled += H.shape[0]
+        for p, (part, vals, excess, component) in enumerate(parts(coeffs, np.array([theta]), [k], H)):
+            _finite(vals, condition, part, k, not corners or finite[p][c])
+            if excess is not None:
+                witnesses += _witnesses(condition, excess, tol, H, [theta], [k], component)
+    return ConditionReport((condition,), witnesses, sampled, tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1061,21 +1170,14 @@ def check_drift_condition(
     At every sampled admissible boundary pair ``(theta e_k*, h)`` the
     margin ``a + theta drift(h)_k - sum_i w_i theta gamma_i(h)_k`` must
     be ``>= -tol``.  A pair is admissible exactly when ``h_k = 0``, and
-    then ``a = 0``; ``sample_boundary_pairs`` raises
-    ``SamplerContractError`` before it yields a block holding any other
-    row.  Each map's coordinate ``k`` is evaluated once per face
-    block, and the blocks are consumed as the sampler draws them.  A
-    drift, atom or margin value that is not finite raises
-    ``NumericError``.
+    then ``a = 0``; a face whose draws or corners hold any other row
+    raises ``SamplerContractError`` when it is reached.  Each map's
+    coordinate ``k`` is evaluated once on each face's draws, as the
+    sampler draws them, and every map once on the corner set
+    (``_check_boundary``).  A drift, atom or margin value that is not
+    finite raises ``NumericError``.
     """
-    tol = _resolve_tol(coeffs, cone, tol)
-    witnesses = []
-    sampled = 0
-    for theta, k, H in sample_boundary_pairs(cone, sampler):
-        sampled += H.shape[0]
-        excess = -_margin_block(coeffs, theta, k, H)
-        witnesses += _witnesses(DRIFT, excess[:, None], tol, H, [theta], [k])
-    return ConditionReport((DRIFT,), witnesses, sampled, tol)
+    return _check_boundary(DRIFT, _drift_parts, coeffs, cone, sampler, tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1087,18 +1189,10 @@ def check_volatility_condition(
 ) -> ConditionReport:
     """Sampled check that volatility columns are parallel to the boundary:
     ``|theta vol_j(h)_k| <= tol`` at admissible boundary pairs.  Each
-    column's coordinate ``k`` is evaluated once per face block, and the
-    blocks are consumed as the sampler draws them."""
-    tol = _resolve_tol(coeffs, cone, tol)
-    witnesses = []
-    sampled = 0
-    for theta, k, H in sample_boundary_pairs(cone, sampler):
-        sampled += H.shape[0]
-        for j, col in enumerate(coeffs.vol_columns):
-            vol = col.eval_coords(H, [k])[:, 0]
-            excess = np.abs(theta * _finite(vol, VOL, f"volatility column {j}", k))
-            witnesses += _witnesses(VOL, excess[:, None], tol, H, [theta], [k], j)
-    return ConditionReport((VOL,), witnesses, sampled, tol)
+    column's coordinate ``k`` is evaluated once on each face's draws, as
+    the sampler draws them, and every column once on the corner set
+    (``_check_boundary``)."""
+    return _check_boundary(VOL, _vol_parts, coeffs, cone, sampler, tol)
 
 
 #: Boundary-sample size, in float64 entries (constrained faces x rows per

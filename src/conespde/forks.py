@@ -19,6 +19,10 @@ The outcome is that of running the tasks one after another:
 * if the first task fails here, the workers get ``SIGKILL``;
 * a task whose ``os.fork`` raises ``OSError`` runs here, and so does
   every task after it;
+* a warning that ``os.fork`` issues in this process (Python 3.12 warns
+  on a fork from a process with threads) is issued again once its
+  worker is registered, so a warning filter that turns it into an
+  error still kills and reaps every worker;
 * every worker is ``waitpid``ed before ``run`` returns or raises, and
   each asks the kernel to ``SIGKILL`` it when its parent dies, so no
   worker outlives the call, even a caller that is killed.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import warnings
 
 from .errors import ConeSpdeError
 
@@ -49,7 +54,11 @@ def run(count: int, task, name) -> list:
         for i in range(1, count):
             rd, wr = os.pipe()
             try:
-                pid = os.fork()
+                # a warning os.fork issues comes after the child exists: it
+                # is issued again once the child is a worker, to be reaped
+                with warnings.catch_warnings(record=True) as issued:
+                    warnings.simplefilter("always")
+                    pid = os.fork()
             except OSError:  # no process to spare: run the rest here
                 os.close(rd)
                 os.close(wr)
@@ -59,6 +68,8 @@ def run(count: int, task, name) -> list:
                 _work(task, i, name, wr, [rd, *(r for _, _, r in workers)], parent)
             os.close(wr)
             workers.append((i, pid, rd))
+            for w in issued:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
         results = [None] * count
         for i in here:
             try:

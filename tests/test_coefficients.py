@@ -6,6 +6,7 @@ volatility column on a face.  Each expected magnitude is worked out in
 the test body.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -835,8 +836,8 @@ class TestDriftCondition:
         # kappa b_k - w * 0.1 = 0.5 - 0.02 = 0.48 on every face.
         pairs = list(sample_boundary_pairs(cone16, SMALL))
         theta, k, H = pairs[0]
-        margin = coefficients._margin_block(compliant_coeffs, theta, k, H[:1])
-        assert margin[0] == pytest.approx(0.48)
+        *_, (_, margin, _, _) = coefficients._drift_parts(compliant_coeffs, np.array([theta]), [k], H[:1])
+        assert margin[0, 0] == pytest.approx(0.48)
 
     def test_checker_rejects_off_face_block(self, monkeypatch):
         # the face contract is checked once, by the sampler, before the
@@ -1348,3 +1349,139 @@ def test_small_verdicts_fork_nothing(monkeypatch, name):
     monkeypatch.setattr(os, "fork", fork)
     ec = ExperimentConfig.from_dict(SMALL_DOCUMENTS[name])
     invariance_verdict(ec.coeffs, ec.cone, ec.sampler, ec.check_tol)
+
+
+def _nan_where(test, coords, dim=3, value=np.nan):
+    """A dim-``dim`` callable map that is ``value`` at ``coords`` on the
+    states where ``test`` holds, and zero elsewhere."""
+    hit = np.zeros(dim)
+    hit[list(coords)] = value
+    return CallableMap(lambda h: hit if test(h) else np.zeros(dim), dim)
+
+
+def _at_e0(h):
+    # the corner e_0 of the nonnegative orthant; a draw is 1.0 with probability 0
+    return h[0] == 1.0 and not h[1:].any()
+
+
+def _face1_draw(h):
+    # a draw on face 1: h_1 pinned to 0, h_0 neither 0 nor 1
+    return h[1] == 0.0 and h[0] not in (0.0, 1.0)
+
+
+class TestCornerSet:
+    # the boundary checkers evaluate every map once on the corner set
+    # (the origin and the constrained unit vectors) and read face k's
+    # corners from column k, skipping the row of e_k itself; reports,
+    # witnesses and errors are those of whole face blocks
+
+    @staticmethod
+    def _corner_only_case():
+        # each map is nonzero only where a gate coordinate is exactly 1
+        # or -1, which of all sampled states only a corner reaches
+        K = ConeSpec(np.array([1, -1, 0, 1]))
+        drift = GatedOffsetMap(np.array([-1.0, 1.0, 0.5, -1.0]), 0, 1.0, 1.0)
+        vols = (GatedOffsetMap(np.array([0.3, 0.2, 0.7, 0.1]), 1, -1.0, -1.0),)
+        jumps = ((0.5, GatedOffsetMap(np.array([-2.0, 2.0, 0.0, -2.0]), 3, 1.0, 1.0)),)
+        return CoefficientSet(drift, vols, jumps), K
+
+    @pytest.mark.parametrize("corners", [True, False])
+    def test_violated_only_at_corners(self, corners):
+        coeffs, cone = self._corner_only_case()
+        spec = dataclasses.replace(PARITY_SPEC, include_corners=corners)
+        report = invariance_verdict(coeffs, cone, spec)
+        assert report.to_dict() == reference_verdict(coeffs, cone, spec).to_dict()
+        assert report.satisfied is not corners
+        conditions = {w.condition for w in report.witnesses}
+        assert conditions == ({"jump-stays-in-cone", "drift-inward", "vol-parallel"} if corners else set())
+        # every witness is the origin or a unit vector, never on its own axis
+        for w in report.witnesses:
+            assert np.count_nonzero(w.point) <= 1
+            assert w.point[w.k] == 0.0 or w.condition == "jump-stays-in-cone"
+
+    CASES = {
+        # NaN at e_0, a corner of faces 1 and 2 but not of face 0
+        "drift-at-e0": ((_nan_where(_at_e0, (0, 1, 2)), (), ()), "drift-inward: drift", 1),
+        "vol-at-e0": ((ZeroMap(3), (_nan_where(_at_e0, (0, 1, 2)),), ()),
+                      "vol-parallel: volatility column 0", 1),
+        "atom-at-e0": ((ZeroMap(3), (), ((1.0, _nan_where(_at_e0, (1,))),)),
+                       "drift-inward: jump atom 0", 1),
+        # w * gamma = 1e309 at e_0 alone: the margin overflows at a corner
+        "margin-at-e0": ((ZeroMap(3), (), ((10.0, _nan_where(_at_e0, (1, 2), value=1e308)),)),
+                         "drift-inward: drift minus jump compensator", 1),
+        # a draw and a corner of face 1: parts are tested in order, each
+        # on the draws and the corners together
+        "vol-draw-then-corner": (
+            (ZeroMap(3), (ZeroMap(3), _nan_where(_face1_draw, (1,)), _nan_where(_at_e0, (1,))), ()),
+            "vol-parallel: volatility column 1", 1),
+        "vol-corner-then-draw": (
+            (ZeroMap(3), (ZeroMap(3), _nan_where(_at_e0, (1,)), _nan_where(_face1_draw, (1,))), ()),
+            "vol-parallel: volatility column 1", 1),
+        "drift-draw-atom-corner": (
+            (_nan_where(_face1_draw, (1,)), (), ((1.0, _nan_where(_at_e0, (1,))),)),
+            "drift-inward: drift", 1),
+        "drift-corner-atom-draw": (
+            (_nan_where(_at_e0, (1,)), (), ((1.0, _nan_where(_face1_draw, (1,))),)),
+            "drift-inward: drift", 1),
+        "atoms-corner-then-draw": (
+            (ZeroMap(3), (), ((1.0, _nan_where(_at_e0, (1,))), (1.0, _nan_where(_face1_draw, (1,))))),
+            "drift-inward: jump atom 0", 1),
+        "atoms-draw-then-corner": (
+            (ZeroMap(3), (), ((1.0, _nan_where(_face1_draw, (1,))), (1.0, _nan_where(_at_e0, (1,))))),
+            "drift-inward: jump atom 0", 1),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_non_finite_at_a_corner(self, case):
+        maps, part, k = self.CASES[case]
+        check = check_drift_condition if part.startswith("drift") else check_volatility_condition
+        with pytest.raises(NumericError, match=f"^{re.escape(part)} is not finite on face k={k}$"):
+            check(CoefficientSet(*maps), ConeSpec.nonnegative(3), SMALL)
+
+    def test_own_axis_is_not_read(self):
+        # NaN only in coordinate 0 at e_0: no face reads it, since e_0 is
+        # not a corner of face 0
+        nan = _nan_where(_at_e0, (0,))
+        coeffs = CoefficientSet(nan, (nan,), ((1.0, nan),))
+        K = ConeSpec.nonnegative(3)
+        assert check_drift_condition(coeffs, K, SMALL).drift_ok
+        assert check_volatility_condition(coeffs, K, SMALL).vol_ok
+
+    @pytest.mark.parametrize(
+        "fold",
+        [
+            lambda cone, z: z.copy(),  # left outside the cone
+            lambda cone, z: np.where(cone.signs < 0, -np.inf, np.inf) + 0.0 * z,  # not finite
+        ],
+        ids=["unfolded", "infinite"],
+    )
+    @pytest.mark.parametrize("check", [check_drift_condition, check_volatility_condition],
+                             ids=["drift", "vol"])
+    def test_bad_corners_leave_the_face(self, monkeypatch, fold, check):
+        # the bad corners of test_contract_violation_raises, with the face
+        # draws left good: the corners alone break the contract at face 0
+        corners = coefficients._corners
+        monkeypatch.setattr(
+            coefficients, "_corners", lambda cone, idx, rows: fold(cone, -corners(cone, idx, rows))
+        )
+        K = ConeSpec(np.array([1, -1, 0]))
+        C = CoefficientSet(ZeroMap(3), (ZeroMap(3),), ((1.0, ZeroMap(3)),))
+        with pytest.raises(SamplerContractError, match="^face sampler left the face at k=0$"):
+            check(C, K, SMALL)
+
+    @pytest.mark.parametrize("check", [check_drift_condition, check_volatility_condition],
+                             ids=["drift", "vol"])
+    def test_bad_corner_of_a_later_face(self, monkeypatch, check):
+        # only e_0 leaves the cone, and it is no corner of face 0
+        corners = coefficients._corners
+
+        def bad_e0(cone, idx, rows):
+            out = corners(cone, idx, rows)
+            out[out[:, 0] != 0.0] *= -1.0
+            return out
+
+        monkeypatch.setattr(coefficients, "_corners", bad_e0)
+        K = ConeSpec(np.array([1, -1, 0]))
+        C = CoefficientSet(ZeroMap(3), (ZeroMap(3),), ((1.0, ZeroMap(3)),))
+        with pytest.raises(SamplerContractError, match="^face sampler left the face at k=1$"):
+            check(C, K, SMALL)

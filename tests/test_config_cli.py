@@ -542,6 +542,40 @@ class TestConfigIO:
         assert path.read_bytes() == want.encode()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"run": [np.float64(0.1), 2.5, np.float64(-3e-7), 1.0]},
+            {"edges": [-0.0, 5e-324, 1e16, -1e16, 1.7976931348623157e308, 0.1 + 0.2]},
+            {"nan": [1.0, float("nan"), 2.0], "inf": (float("inf"), -1.0, float("-inf"))},
+            {"n": [np.float64("nan"), np.float64(1.5)], "x": float("nan")},
+            {"flags": [True, False, 1.5], "t": (0.5, 0.25), "mixed": [1, 2.0, None, "s"]},
+            {"e": {"a": [], "b": {}, "c": [[], {}, [[]]], "d": ()}, "z": [{"k": []}]},
+            [[1.0, 2.0], [], [[3.0]], {"y": (4.0,)}],
+            [],
+            2.5,
+        ],
+        ids=["np-floats", "edge-floats", "non-finite", "np-non-finite", "bools-tuples",
+             "empty-nests", "top-list", "top-empty", "top-scalar"],
+    )
+    def test_json_writer_corpus(self, tmp_path, doc):
+        path = tmp_path / "out.json"
+        _write_json(path, doc)
+        want = json.dumps(_strict(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"a": [np.int64(3)]}, {"a": np.int64(3)}, {"a": [1.0, 2.0, object(), 3.0]}],
+        ids=["np-int-in-list", "np-int", "object-in-float-run"],
+    )
+    def test_json_writer_rejects_and_leaves_no_file(self, tmp_path, doc):
+        with pytest.raises(TypeError):
+            json.dumps(_strict(doc), allow_nan=False)
+        with pytest.raises(TypeError):
+            _write_json(tmp_path / "out.json", doc)
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_writer_failure_leaves_no_file(self, tmp_path):
         with pytest.raises(TypeError):
             _write_json(tmp_path / "out.json", {"a": [1.0, object()]})

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from conespde import (
     SearchRadiusError,
     ShapeError,
     SimConfig,
+    forks,
     kernels,
     simulate,
 )
@@ -697,6 +699,38 @@ class TestWorkers:
         assert [a.tobytes() for a in sup] == [a.tobytes() for a in sup_ref]
         # cpus - 1 workers for each of the three runs, or as many as start
         assert len(forks) == min(3 * (cpus - 1), forks_allowed or 3 * cpus)
+
+    @staticmethod
+    def warning_fork(monkeypatch):
+        """Have ``os.fork`` warn in the parent after the child exists, as
+        Python 3.12 does in a process with threads."""
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn("use of fork() may lead to deadlocks in the child", DeprecationWarning)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    def test_fork_warning_as_error_leaves_no_worker(self, monkeypatch):
+        # the warning raises from run, after its worker was registered,
+        # so the worker is killed and reaped (no_worker_left)
+        self.warning_fork(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeprecationWarning, match="use of fork"):
+                forks.run(3, lambda i: i * i, lambda i: f"task {i}")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fork_warning_keeps_the_results(self, monkeypatch):
+        self.warning_fork(monkeypatch)
+        with pytest.warns(DeprecationWarning, match="use of fork") as issued:
+            got = forks.run(3, lambda i: i * i, lambda i: f"task {i}")
+        assert got == [i * i for i in range(3)]
+        assert len(issued) == 2
 
     def failing_paths(self, monkeypatch, fail):
         """The system on two CPUs, 5-path chunks, with ``_path_stream``
