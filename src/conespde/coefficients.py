@@ -67,8 +67,8 @@ verdict reads "VIOLATED (witness found)" or "NO VIOLATION FOUND
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cache, cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -80,6 +80,7 @@ from .errors import (
     NumericError,
     SamplerContractError,
     ShapeError,
+    read_bool,
     read_float,
     read_floats,
     read_int,
@@ -120,12 +121,64 @@ __all__ = [
 _ALL = slice(None)
 
 
+def config_field(rule, default=MISSING, **form):
+    """A dataclass field that config documents hold, read by ``rule``:
+    ``read_float``, ``read_int``, ``read_bool``, ``read_floats`` or
+    ``map_from_config``.  ``form`` may give the field's config ``key``
+    (its name by default); ``vector``, for a ``read_floats`` field of
+    shape ``(dim,)``; ``many``, for a list of values; ``fill(dim,
+    index)``, the value of a missing key (else ``default``); and
+    ``alias = (key, convert)``, a key that may stand for this one."""
+    return field(default=default, metadata={"rule": rule, **form})
+
+
+@cache
+def config_fields(cls) -> tuple:
+    """The fields of ``cls`` that config documents hold, each list and
+    nested map after the rest, so that a fault in a plain entry is met
+    first."""
+    held = [f for f in fields(cls) if "rule" in f.metadata]
+    late = [f for f in held if f.metadata.get("many") or f.metadata["rule"] is map_from_config]
+    return tuple(f for f in held if f not in late) + tuple(late)
+
+
+def read_field(f, path: str, raw, dim: int | None = None, index: int | None = None):
+    """The value of config field ``f`` from ``raw``, its entry at ``path``;
+    a nested map reads on the space of dimension ``dim``, at column ``index``."""
+    rule = f.metadata["rule"]
+
+    def one(path, raw):
+        return map_from_config(raw, dim, index) if rule is map_from_config else rule(path, raw)
+
+    if f.metadata.get("many"):
+        return tuple(one(f"{path}[{i}]", x) for i, x in enumerate(raw))
+    value = one(path, raw)
+    return require_array(path, value, (dim,)) if f.metadata.get("vector") else value
+
+
+def write_fields(obj) -> dict:
+    """The config entries of ``obj``'s config fields, but those that are ``None``."""
+    doc = {}
+    for f in config_fields(type(obj)):
+        value = getattr(obj, f.name)
+        if value is None:
+            continue
+        put = _WRITERS[f.metadata["rule"]]
+        many = f.metadata.get("many")
+        doc[f.metadata.get("key", f.name)] = [put(v) for v in value] if many else put(value)
+    return doc
+
+
 class CoefficientMap:
     """Pure map of the state space, ``(N,)`` state to ``(N,)`` value.
 
     A family implements one evaluator, ``eval_coords``, on state arrays;
     ``eval_array``, which asks it for every coordinate, is the one way
     to evaluate a whole map.
+
+    A family declares its config form once: its ``family`` name, a
+    ``config_field`` for each entry, and ``aliases``, other names each
+    with the keys that its form drops.
 
     ``support`` lists, in increasing order, the output coordinates that
     can be nonzero: every other output entry is a zero (of either sign)
@@ -167,8 +220,65 @@ class CoefficientMap:
     #: user code; sets of such maps get the tight default tolerance.
     builtin = False
 
+    family = None
+    aliases = {}
+
     def to_config(self) -> dict:
-        raise ConfigError(f"{type(self).__name__} has no config form")
+        """The document ``map_from_config`` reads back into this map."""
+        if self.family is None:
+            raise ConfigError(f"{type(self).__name__} has no config form")
+        return {"family": self.family, **write_fields(self)}
+
+
+def map_from_config(doc: dict, dim: int, index: int | None = None) -> CoefficientMap:
+    """A coefficient map from its config document, by its family's
+    declaration; ``index`` is its position in a column list.  A key the
+    form does not declare raises ``ConfigError``, after any other fault."""
+    if not isinstance(doc, dict) or "family" not in doc:
+        raise ConfigError(f"coefficient map config needs a 'family' key, got {doc!r}")
+    fam = doc["family"]
+    cls = next((c for c in _FAMILIES if fam in (c.family, *c.aliases)), None)
+    if cls is None:
+        raise ConfigError(f"unknown coefficient family {fam!r}")
+    values = {"dim": dim} if cls.__dataclass_fields__["dim"].init else {}
+    unread = {key: raw for key, raw in doc.items() if key != "family"}
+    for f in config_fields(cls):
+        key = f.metadata.get("key", f.name)
+        convert = None
+        if "alias" in f.metadata and f.metadata["alias"][0] in doc:
+            key, convert = f.metadata["alias"]
+        if key in doc and key not in cls.aliases.get(fam, ()):
+            raw = unread.pop(key)
+        elif "fill" in f.metadata:
+            raw = f.metadata["fill"](dim, index)
+        elif f.default is MISSING:
+            raise ConfigError(f"family {fam!r} config missing key {key!r}")
+        else:
+            continue
+        value = read_field(f, f"{fam}.{key}", raw, dim, index)
+        values[f.name] = value if convert is None else convert(value)
+    m = cls(**values)
+    if unread:
+        raise ConfigError(f"family {fam!r} config has undeclared key {next(iter(unread))!r}")
+    return m
+
+
+def _column_index(path: str, raw) -> int:
+    """A proportional map's ``index``, which a column list fills with the
+    map's position there."""
+    if raw is None:
+        raise ConfigError("proportional map needs an 'index' outside a column list")
+    return read_int(path, raw)
+
+
+_WRITERS = {
+    read_float: float,
+    read_int: int,
+    read_bool: bool,
+    read_floats: np.ndarray.tolist,
+    _column_index: int,
+    map_from_config: CoefficientMap.to_config,
+}
 
 
 def _index(coords) -> np.ndarray:
@@ -177,11 +287,17 @@ def _index(coords) -> np.ndarray:
     return arr
 
 
+def _unique(coords) -> np.ndarray:
+    """``np.unique(coords)`` for integers, without its import of ``numpy.ma``."""
+    arr = np.sort(np.asarray(coords, dtype=np.intp), axis=None)
+    return np.concatenate((arr[:1], arr[1:][arr[1:] != arr[:-1]]))
+
+
 def row_index(coords, dim: int) -> slice | np.ndarray | None:
     """A set of coordinates as an index into a state row: ``None`` when
     empty, ``slice(None)`` for all of them, a slice for a run of them,
     else the sorted index array.  Slices index without a copy."""
-    sup = np.unique(np.asarray(coords, dtype=np.intp))
+    sup = _unique(coords)
     if sup.size == 0:
         return None
     if sup[0] < 0 or sup[-1] >= dim:
@@ -202,6 +318,7 @@ class ZeroMap(CoefficientMap):
     dim: int
 
     builtin = True
+    family = "zero"
 
     def __post_init__(self):
         require_int("dim", self.dim, 1)
@@ -214,18 +331,16 @@ class ZeroMap(CoefficientMap):
     def support(self) -> np.ndarray:
         return _index([])
 
-    def to_config(self) -> dict:
-        return {"family": "zero"}
-
 
 @dataclass(frozen=True)
 class ConstantMap(CoefficientMap):
     """``h -> value``, ignoring the state."""
 
-    value: np.ndarray
+    value: np.ndarray = config_field(read_floats, vector=True)
     dim: int = field(init=False)
 
     builtin = True
+    family = "constant"
 
     def __post_init__(self):
         object.__setattr__(self, "value", require_array("value", self.value, ("N",)))
@@ -242,9 +357,6 @@ class ConstantMap(CoefficientMap):
     def support(self) -> np.ndarray:
         return _index(np.flatnonzero(self.value))
 
-    def to_config(self) -> dict:
-        return {"family": "constant", "value": [float(x) for x in self.value]}
-
 
 @dataclass(frozen=True)
 class AffineMap(CoefficientMap):
@@ -255,11 +367,13 @@ class AffineMap(CoefficientMap):
     to the single-state result, and the matrices here are small.
     """
 
-    matrix: np.ndarray
-    offset: np.ndarray
+    matrix: np.ndarray = config_field(read_floats, alias=("diag", np.diag))
+    offset: np.ndarray = config_field(read_floats, fill=lambda dim, index: np.zeros(dim))
     dim: int = field(init=False)
 
     builtin = True
+    family = "affine"
+    aliases = {"linear": ("offset",)}
 
     def __post_init__(self):
         m = require_array("matrix", self.matrix, ("N", "N"))
@@ -277,23 +391,17 @@ class AffineMap(CoefficientMap):
             out += np.multiply(rows[:, l], a[..., l, None], out=term)
         return out
 
-    def to_config(self) -> dict:
-        return {
-            "family": "affine",
-            "matrix": [[float(x) for x in row] for row in self.matrix],
-            "offset": [float(x) for x in self.offset],
-        }
-
 
 @dataclass(frozen=True)
 class MeanReversionMap(CoefficientMap):
     """``h -> kappa (b - h)``, pull toward the level ``b``."""
 
-    kappa: float
-    b: np.ndarray
+    kappa: float = config_field(read_float)
+    b: np.ndarray = config_field(read_floats, vector=True)
     dim: int = field(init=False)
 
     builtin = True
+    family = "mean_reversion"
 
     def __post_init__(self):
         require_float("kappa", self.kappa)
@@ -304,9 +412,6 @@ class MeanReversionMap(CoefficientMap):
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         return self.kappa * (self.b[idx] - a[..., idx])
 
-    def to_config(self) -> dict:
-        return {"family": "mean_reversion", "kappa": self.kappa, "b": [float(x) for x in self.b]}
-
 
 @dataclass(frozen=True)
 class ProportionalMap(CoefficientMap):
@@ -314,11 +419,12 @@ class ProportionalMap(CoefficientMap):
     ``k = index``, zero elsewhere.  The standard boundary-parallel
     volatility column."""
 
-    scale: float
-    index: int
+    scale: float = config_field(read_float)
+    index: int = config_field(_column_index, fill=lambda dim, index: index)
     dim: int
 
     builtin = True
+    family = "proportional"
 
     def __post_init__(self):
         require_float("scale", self.scale)
@@ -346,9 +452,6 @@ class ProportionalMap(CoefficientMap):
     def support(self) -> np.ndarray:
         return _index([self.index])
 
-    def to_config(self) -> dict:
-        return {"family": "proportional", "scale": float(self.scale), "index": int(self.index)}
-
 
 @dataclass(frozen=True)
 class TabulatedMap(CoefficientMap):
@@ -360,9 +463,11 @@ class TabulatedMap(CoefficientMap):
     use it get the looser default tolerance.
     """
 
-    knots: np.ndarray
-    values: np.ndarray
+    knots: np.ndarray = config_field(read_floats, key="x")
+    values: np.ndarray = config_field(read_floats, key="y")
     dim: int
+
+    family = "tabulated"
 
     def __post_init__(self):
         x = require_array("knots", self.knots, ("K",))
@@ -377,13 +482,6 @@ class TabulatedMap(CoefficientMap):
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         return np.interp(a[..., idx], self.knots, self.values)
 
-    def to_config(self) -> dict:
-        return {
-            "family": "tabulated",
-            "x": [float(v) for v in self.knots],
-            "y": [float(v) for v in self.values],
-        }
-
 
 @dataclass(frozen=True)
 class GatedOffsetMap(CoefficientMap):
@@ -392,13 +490,14 @@ class GatedOffsetMap(CoefficientMap):
     ``f(h) = vector`` if ``low <= h[gate_index] <= high``, else 0.
     """
 
-    vector: np.ndarray
-    gate_index: int
-    low: float
-    high: float
+    vector: np.ndarray = config_field(read_floats, vector=True)
+    gate_index: int = config_field(read_int)
+    low: float = config_field(read_float)
+    high: float = config_field(read_float)
     dim: int = field(init=False)
 
     builtin = True
+    family = "gated_offset"
 
     def __post_init__(self):
         object.__setattr__(self, "vector", require_array("vector", self.vector, ("N",)))
@@ -424,15 +523,6 @@ class GatedOffsetMap(CoefficientMap):
     def support(self) -> np.ndarray:
         return _index(np.flatnonzero(self.vector))
 
-    def to_config(self) -> dict:
-        return {
-            "family": "gated_offset",
-            "vector": [float(x) for x in self.vector],
-            "gate_index": int(self.gate_index),
-            "low": float(self.low),
-            "high": float(self.high),
-        }
-
 
 @dataclass(frozen=True)
 class SumMap(CoefficientMap):
@@ -443,8 +533,10 @@ class SumMap(CoefficientMap):
     holds a zero (see ``CoefficientMap``).
     """
 
-    terms: tuple[CoefficientMap, ...]
+    terms: tuple[CoefficientMap, ...] = config_field(map_from_config, many=True)
     dim: int = field(init=False)
+
+    family = "sum"
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -474,23 +566,22 @@ class SumMap(CoefficientMap):
 
     @cached_property
     def support(self) -> np.ndarray:
-        return _index(np.unique(np.concatenate([t.support for t in self.terms])))
+        return _index(_unique(np.concatenate([t.support for t in self.terms])))
 
     @property
     def builtin(self) -> bool:
         return all(t.builtin for t in self.terms)
-
-    def to_config(self) -> dict:
-        return {"family": "sum", "terms": [t.to_config() for t in self.terms]}
 
 
 @dataclass(frozen=True)
 class ProjectedMap(CoefficientMap):
     """``h -> P_n f(h)``: evaluate, then zero coordinates past ``level``."""
 
-    inner: CoefficientMap
-    level: int
+    inner: CoefficientMap = config_field(map_from_config)
+    level: int = config_field(read_int)
     dim: int = field(init=False)
+
+    family = "projected"
 
     def __post_init__(self):
         require_int("projection level", self.level, 0)
@@ -510,9 +601,6 @@ class ProjectedMap(CoefficientMap):
     def builtin(self) -> bool:
         return self.inner.builtin
 
-    def to_config(self) -> dict:
-        return {"family": "projected", "level": int(self.level), "inner": self.inner.to_config()}
-
 
 @dataclass(frozen=True)
 class RetractedMap(CoefficientMap):
@@ -523,9 +611,11 @@ class RetractedMap(CoefficientMap):
     map's Lipschitz constant because the retraction is 1-Lipschitz.
     """
 
-    inner: CoefficientMap
-    radius: float
+    inner: CoefficientMap = config_field(map_from_config)
+    radius: float = config_field(read_float)
     dim: int = field(init=False)
+
+    family = "retracted"
 
     def __post_init__(self):
         require_float("retraction radius", self.radius, "> 0")
@@ -534,10 +624,6 @@ class RetractedMap(CoefficientMap):
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         # retract keeps the row contract: it sums every row's norm alike
         return self.inner.eval_coords(retract(a, self.radius), idx)
-
-    def to_config(self) -> dict:
-        inner = self.inner.to_config()
-        return {"family": "retracted", "radius": float(self.radius), "inner": inner}
 
 
 @dataclass(frozen=True)
@@ -552,10 +638,12 @@ class ShiftedMap(CoefficientMap):
     map's.
     """
 
-    inner: CoefficientMap
-    level: int
-    eps: float | None = None
+    inner: CoefficientMap = config_field(map_from_config)
+    level: int = config_field(read_int)
+    eps: float | None = config_field(read_float, default=None)
     dim: int = field(init=False)
+
+    family = "shifted"
 
     def __post_init__(self):
         require_int("shift level", self.level, 0)
@@ -573,11 +661,6 @@ class ShiftedMap(CoefficientMap):
     @property
     def builtin(self) -> bool:
         return self.inner.builtin
-
-    def to_config(self) -> dict:
-        eps = {} if self.eps is None else {"eps": float(self.eps)}
-        inner = self.inner.to_config()
-        return {"family": "shifted", "level": int(self.level), **eps, "inner": inner}
 
 
 @dataclass(frozen=True)
@@ -612,64 +695,20 @@ class CallableMap(CoefficientMap):
         return out[idx]
 
 
-def map_from_config(doc: dict, dim: int, index: int | None = None) -> CoefficientMap:
-    """Build a coefficient map from its config document.
-
-    ``index`` is the position of the map in a column list; the
-    proportional family uses it as the default coordinate index.
-    """
-    if not isinstance(doc, dict) or "family" not in doc:
-        raise ConfigError(f"coefficient map config needs a 'family' key, got {doc!r}")
-    fam = doc["family"]
-    try:
-        if fam == "zero":
-            return ZeroMap(dim)
-        if fam == "constant":
-            value = read_floats(f"{fam}.value", doc["value"])
-            return ConstantMap(require_array(f"{fam}.value", value, (dim,)))
-        if fam in ("linear", "affine"):
-            if "diag" in doc:
-                m = np.diag(read_floats(f"{fam}.diag", doc["diag"]))
-            else:
-                m = read_floats(f"{fam}.matrix", doc["matrix"])
-            offset = doc.get("offset", np.zeros(dim)) if fam == "affine" else np.zeros(dim)
-            return AffineMap(m, read_floats(f"{fam}.offset", offset))
-        if fam == "mean_reversion":
-            kappa = read_float(f"{fam}.kappa", doc["kappa"])
-            b = read_floats(f"{fam}.b", doc["b"])
-            return MeanReversionMap(kappa, require_array(f"{fam}.b", b, (dim,)))
-        if fam == "proportional":
-            idx = doc.get("index", index)
-            if idx is None:
-                raise ConfigError("proportional map needs an 'index' outside a column list")
-            scale = read_float(f"{fam}.scale", doc["scale"])
-            return ProportionalMap(scale, read_int(f"{fam}.index", idx), dim)
-        if fam == "tabulated":
-            x, y = read_floats(f"{fam}.x", doc["x"]), read_floats(f"{fam}.y", doc["y"])
-            return TabulatedMap(x, y, dim)
-        if fam == "gated_offset":
-            vector = read_floats(f"{fam}.vector", doc["vector"])
-            return GatedOffsetMap(
-                require_array(f"{fam}.vector", vector, (dim,)),
-                read_int(f"{fam}.gate_index", doc["gate_index"]),
-                read_float(f"{fam}.low", doc["low"]),
-                read_float(f"{fam}.high", doc["high"]),
-            )
-        if fam == "sum":
-            return SumMap(tuple(map_from_config(t, dim, index) for t in doc["terms"]))
-        if fam == "projected":
-            level = read_int(f"{fam}.level", doc["level"])
-            return ProjectedMap(map_from_config(doc["inner"], dim, index), level)
-        if fam == "retracted":
-            radius = read_float(f"{fam}.radius", doc["radius"])
-            return RetractedMap(map_from_config(doc["inner"], dim, index), radius)
-        if fam == "shifted":
-            level = read_int(f"{fam}.level", doc["level"])
-            eps = read_float(f"{fam}.eps", doc["eps"]) if "eps" in doc else None
-            return ShiftedMap(map_from_config(doc["inner"], dim, index), level, eps)
-    except KeyError as exc:
-        raise ConfigError(f"family {fam!r} config missing key {exc}") from exc
-    raise ConfigError(f"unknown coefficient family {fam!r}")
+# the families that have a config form, for map_from_config to find by name
+_FAMILIES = (
+    ZeroMap,
+    ConstantMap,
+    AffineMap,
+    MeanReversionMap,
+    ProportionalMap,
+    TabulatedMap,
+    GatedOffsetMap,
+    SumMap,
+    ProjectedMap,
+    RetractedMap,
+    ShiftedMap,
+)
 
 
 @dataclass(frozen=True)
@@ -749,10 +788,10 @@ class SamplerSpec:
     deterministically.  Identical seeds give identical samples.
     """
 
-    points_per_face: int = 64
-    interior_points: int = 64
-    seed: int = 0
-    include_corners: bool = True
+    points_per_face: int = config_field(read_int, default=64)
+    interior_points: int = config_field(read_int, default=64)
+    seed: int = config_field(read_int, default=0)
+    include_corners: bool = config_field(read_bool, default=True)
 
     def __post_init__(self):
         for name in ("points_per_face", "interior_points", "seed"):

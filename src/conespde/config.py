@@ -20,12 +20,12 @@ import contextlib
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientSet, SamplerSpec
+from .coefficients import CoefficientSet, SamplerSpec, config_fields, read_field, write_fields
 from .errors import (
     ConfigError,
     ConeSpdeError,
@@ -165,11 +165,9 @@ def _section(doc: dict, key: str, required: bool = True) -> dict:
     return val
 
 
-def _field(section: dict, path: str, key: str, default=None, required: bool = False):
+def _field(section: dict, path: str, key: str):
     if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}: missing")
-        return default
+        raise ConfigError(f"{path}.{key}: missing")
     return section[key]
 
 
@@ -190,24 +188,35 @@ def _reading(section: str):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
+def _read_fields(cls, doc: dict, section: str) -> dict:
+    """The config fields of ``cls`` from section ``doc``, a missing key left
+    to the default.  A number is named ``section.key``; an integer or
+    boolean ``key``, as ``_reading`` expects."""
+    values = {}
+    for f in config_fields(cls):
+        if f.name in doc:
+            plain = f.metadata["rule"] in (read_int, read_bool)
+            values[f.name] = read_field(f, f.name if plain else f"{section}.{f.name}", doc[f.name])
+        elif f.default is MISSING:
+            raise ConfigError(f"{section}.{f.name}: missing")
+    return values
+
+
 def _noise_from(doc: dict) -> NoiseSpec:
-    eigs = _field(doc, "noise", "eigenvalues", required=True)
+    """The noise section; a rule object stands for the eigenvalue list
+    that ``NoiseSpec.flat`` or ``NoiseSpec.dyadic`` makes."""
+    eigs = _field(doc, "noise", "eigenvalues")
+    if not isinstance(eigs, dict):
+        return NoiseSpec(**_read_fields(NoiseSpec, doc, "noise"))
     seed = read_int("seed", doc.get("seed", NoiseSpec.seed))
-    if isinstance(eigs, dict):
-        rule = _field(eigs, "noise.eigenvalues", "rule", required=True)
-        count = read_int(
-            "eigenvalues.count", _field(eigs, "noise.eigenvalues", "count", required=True)
-        )
-        if rule == "flat":
-            if "value" not in eigs:
-                return NoiseSpec.flat(count, seed=seed)
-            return NoiseSpec.flat(count, read_float("noise.eigenvalues.value", eigs["value"]), seed)
-        if rule == "dyadic":
-            return NoiseSpec.dyadic(count, seed)
-        raise ConfigError(f"noise.eigenvalues.rule: unknown rule {rule!r}")
-    return NoiseSpec(
-        tuple(read_float(f"noise.eigenvalues[{i}]", x) for i, x in enumerate(eigs)), seed
-    )
+    rule = _field(eigs, "noise.eigenvalues", "rule")
+    count = read_int("eigenvalues.count", _field(eigs, "noise.eigenvalues", "count"))
+    if rule == "flat":
+        value = read_float("noise.eigenvalues.value", eigs.get("value", 1.0))
+        return NoiseSpec.flat(count, value, seed)
+    if rule == "dyadic":
+        return NoiseSpec.dyadic(count, seed)
+    raise ConfigError(f"noise.eigenvalues.rule: unknown rule {rule!r}")
 
 
 @dataclass(eq=False)
@@ -237,10 +246,10 @@ class ExperimentConfig:
         doc = _expand(doc)
 
         space = _section(doc, "space")
-        dim = read_int("space.dim", _field(space, "space", "dim", required=True))
+        dim = read_int("space.dim", _field(space, "space", "dim"))
         if dim < 1:
             raise ConfigError(f"space.dim: must be a positive integer, got {dim!r}")
-        cone_doc = _field(space, "space", "cone", required=True)
+        cone_doc = _field(space, "space", "cone")
         if cone_doc == "nonnegative":
             cone = ConeSpec.nonnegative(dim)
         elif isinstance(cone_doc, dict) and "signs" in cone_doc:
@@ -263,9 +272,8 @@ class ExperimentConfig:
         if coeffs.dim != dim:
             raise ConfigError(f"coefficients: maps of dimension {coeffs.dim} for dimension {dim}")
 
-        noise_doc = _section(doc, "noise")
         with _reading("noise"):
-            noise = _noise_from(noise_doc)
+            noise = _noise_from(_section(doc, "noise"))
         if noise.count != len(coeffs.vol_columns):
             raise ConfigError(
                 f"noise: {noise.count} eigenvalues for "
@@ -274,34 +282,17 @@ class ExperimentConfig:
 
         sim_doc = _section(doc, "sim")
         with _reading("sim"):
-            scheme = str(_field(sim_doc, "sim", "scheme", default=_SCHEME))
+            scheme = str(sim_doc.get("scheme", _SCHEME))
             if scheme != _SCHEME:
                 raise ConfigError(f"unknown scheme {scheme!r}")
-            sim = SimConfig(
-                dt=read_float("sim.dt", _field(sim_doc, "sim", "dt", required=True)),
-                horizon=read_float("sim.horizon", _field(sim_doc, "sim", "horizon", required=True)),
-                paths=read_int("paths", _field(sim_doc, "sim", "paths", required=True)),
-                exit_tol=read_float("sim.exit_tol", sim_doc.get("exit_tol", SimConfig.exit_tol)),
-                guard=read_float("sim.guard", sim_doc.get("guard", SimConfig.guard)),
-            )
+            sim = SimConfig(**_read_fields(SimConfig, sim_doc, "sim"))
             # read so that a bad value still fails, then dropped: no run
             # keeps whole trajectories (see ``to_dict``)
             read_bool("store_trajectories", sim_doc.get("store_trajectories", False))
 
         chk = _section(doc, "checker", required=False)
         with _reading("checker"):
-            sampler = SamplerSpec(
-                points_per_face=read_int(
-                    "points_per_face", chk.get("points_per_face", SamplerSpec.points_per_face)
-                ),
-                interior_points=read_int(
-                    "interior_points", chk.get("interior_points", SamplerSpec.interior_points)
-                ),
-                seed=read_int("seed", chk.get("seed", SamplerSpec.seed)),
-                include_corners=read_bool(
-                    "include_corners", chk.get("include_corners", SamplerSpec.include_corners)
-                ),
-            )
+            sampler = SamplerSpec(**_read_fields(SamplerSpec, chk, "checker"))
             tol = chk.get("tol")
             tol = None if tol is None else read_float("checker.tol", tol)
         if tol is not None and tol <= 0:
@@ -332,28 +323,16 @@ class ExperimentConfig:
             "space": {"dim": self.dim, "cone": self.cone.to_config()},
             "semigroup": self.semigroup.to_config(),
             "coefficients": self.coeffs.to_config(),
-            "noise": {
-                "eigenvalues": [float(x) for x in self.noise.eigenvalues],
-                "seed": int(self.noise.seed),
-            },
+            "noise": write_fields(self.noise),
             "sim": {
-                "dt": float(self.sim.dt),
-                "horizon": float(self.sim.horizon),
-                "paths": int(self.sim.paths),
+                **write_fields(self.sim),
                 "scheme": _SCHEME,
-                "exit_tol": float(self.sim.exit_tol),
-                "guard": float(self.sim.guard),
                 # always false: the key keeps every hash of a config
                 # that wrote it, and a config that set it true names the
                 # same run as its false twin
                 "store_trajectories": False,
             },
-            "checker": {
-                "points_per_face": int(self.sampler.points_per_face),
-                "interior_points": int(self.sampler.interior_points),
-                "seed": int(self.sampler.seed),
-                "include_corners": self.sampler.include_corners,
-            },
+            "checker": write_fields(self.sampler),
             "initial": [float(x) for x in self.h0],
         }
         if self.check_tol is not None:

@@ -81,11 +81,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import forks, kernels
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, config_field
 from .errors import (
     ConfigError,
     DomainError,
     ShapeError,
+    read_float,
+    read_int,
     require_array,
     require_float,
     require_int,
@@ -117,8 +119,8 @@ class NoiseSpec:
     ``sum(eigenvalues)`` is the total instantaneous noise intensity.
     """
 
-    eigenvalues: tuple[float, ...]
-    seed: int = 0
+    eigenvalues: tuple[float, ...] = config_field(read_float, many=True)
+    seed: int = config_field(read_int, default=0)
 
     def __post_init__(self):
         # finite, too: the kernel skips 0 * sqrt(lam dt) xi off a column's
@@ -146,11 +148,11 @@ class NoiseSpec:
 class SimConfig:
     """Stepping parameters shared by every path of a run."""
 
-    dt: float
-    horizon: float
-    paths: int
-    exit_tol: float = 1e-8
-    guard: float = 1e12
+    dt: float = config_field(read_float)
+    horizon: float = config_field(read_float)
+    paths: int = config_field(read_int)
+    exit_tol: float = config_field(read_float, default=1e-8)
+    guard: float = config_field(read_float, default=1e12)
 
     def __post_init__(self):
         for name in ("dt", "horizon", "guard"):

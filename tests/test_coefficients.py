@@ -60,7 +60,7 @@ from conespde.coefficients import (
     sample_boundary_pairs,
     sample_cone_points,
 )
-from conespde.config import PRESET_NAMES, ExperimentConfig, preset_document
+from conespde.config import PRESET_NAMES, ExperimentConfig, canonical_json, preset_document
 from conespde.space import phi_eps
 
 SMALL = SamplerSpec(points_per_face=8, interior_points=8, seed=1)
@@ -286,6 +286,23 @@ def test_fortran_batch_is_the_c_batch(m):
             assert got.flags.f_contiguous
 
 
+@pytest.mark.parametrize(
+    "coords", [[], [3], [2, 2, 2], [5, 0, 3, 0, 5], list(range(6)), [4, 5], [1, 3, 5]],
+    ids=["empty", "one", "repeated", "shuffled", "all", "run", "spread"],
+)
+def test_row_index_sorts_and_dedupes_as_np_unique(coords):
+    # row_index and SumMap.support dedupe without np.unique, which
+    # imports numpy.ma; the index is np.unique's, in dtype and value
+    want = np.unique(np.asarray(coords, dtype=np.intp))
+    got = coefficients._unique(coords)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    idx = row_index(coords, 6)
+    if want.size == 0:
+        assert idx is None
+    else:
+        assert np.arange(6)[idx].tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 def test_retracted_rows_on_any_layout(layout):
     # the retraction sums each row's squares in one order whatever the
@@ -468,12 +485,195 @@ ROUND_TRIP = [
 ]
 
 
+def _sha(doc) -> str:
+    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+
+
+def _with_drift(drift) -> dict:
+    """A dimension-3 config whose drift is ``drift``: a map document
+    read the way ``from_dict`` reads one outside a column list."""
+    return {
+        "space": {"dim": 3, "cone": "nonnegative"},
+        "semigroup": {"rates": "heat"},
+        "coefficients": {"drift": drift, "vol": [{"family": "proportional", "scale": 0.3}]},
+        "noise": {"eigenvalues": [1.0], "seed": 0},
+        "sim": {"dt": 0.1, "horizon": 1.0, "paths": 2},
+        "initial": [0.0, 0.0, 0.0],
+    }
+
+
+# sha256 of the canonical JSON of each ROUND_TRIP map's load-and-write
+# round trip, recorded before the families declared their config forms
+ROUND_TRIP_DIGESTS = [
+    "076db0b5d4c226317cadbae2f0ab29175acead9c2f99152ff23e2ccedd269d54",
+    "d1dc3e17af84cdd4e50e7f6afbd69b9909d2f4988b3053e394e22b8cc10a3aac",
+    "5c5f00ca18cbfdff8834f5fa4f976d2eeac0e9f325a4df792c9b8b3de17f6224",
+    "28681b2a6f24ec7291c8cd3cb79f22e31b3034c81264cbc7aa2bac56221d3abf",
+    "5420933f023ec4ca747d5264d289def3b90821ed07ea67478a834e20b51ba255",
+    "d5f89370f4f0fa632be7dafbde55d3502cfd342b5c28f482bbb77df2abc59aa5",
+    "f8a7b87ba43eca2038ba26488fd55417aef58ae8ea5c220216f5789f5a8d2dfc",
+    "c72afbd00a9d22b92a3a3a6da891020b7b9b8714a5cfc52316869a34508ed180",
+    "2d75108310d9e6cb91911daae9b4dd10d62d4c73f56fd910efaffb8801f89f32",
+    "ab66955a1dffc076906f7342bef2f8a6abcd5fef056322e48fd8170fc35cec8c",
+    "0dbd9db7fab6b44c3412a8ed1678b624f2132dfd3f0d0a2fab766865f167bba5",
+    "78b19c4a50e1dc55e7c1e33649d0fa302d6b78801cfcdfd5bf5e165087613b78",
+]
+
+# the special forms, each with its column index and the same digest
+ALIAS_FORMS = {
+    "linear-matrix": ({"family": "linear", "matrix": [[1, 2, 0], [0, 1, 0], [0, 0, 3]]}, None,
+                      "19121e5f14ddc2631765749b42b1d9e5dd369b24e834ba0bed7e2b122f00dfed"),
+    "linear-diag": ({"family": "linear", "diag": [2.0, 3.0, 4.0]}, None,
+                    "b745d54fd167b0731960bb2e64ccc852c4d71aed64a19d3edf053dfd6d890a8f"),
+    "affine-diag": ({"family": "affine", "diag": [2.0, 3.0, 4.0], "offset": [1, 0, -1]}, None,
+                    "6dc06895a8a27d06b063f325892978f4d98f2824f984c1116270b341c5032980"),
+    "affine-no-offset": ({"family": "affine", "matrix": [[1.0] * 3] * 3}, None,
+                         "0808a4a79cd32347f81a4d28deca2ac300d68954b8dc8817f6f5b51e507bc534"),
+    "proportional-column": ({"family": "proportional", "scale": 0.5}, 2,
+                            "a8e246f56a6b7c7767324a1e2d68f14a2e3f38d705808dfffdca2a3d8910b8d7"),
+    "shifted-no-eps": ({"family": "shifted", "level": 3, "inner": {"family": "zero"}}, None,
+                       "7304aba4fe43fb18997bff8856bfef6012ac4dcfed1674d78973c40191ad72ed"),
+    "integral-floats": ({"family": "gated_offset", "vector": [1, 0, 0], "gate_index": 1.0,
+                         "low": 0, "high": 2}, None,
+                        "0de4ee91198890e2f7c70b001faf1925c38b50780a1ffe4f3f31ed92d1440146"),
+}
+
+_V3, _Z = [1.0, 2.0, 3.0], {"family": "zero"}
+
+# bad map documents read as a drift, and the exact message each raised
+# before the families declared their config forms
+BAD_MAPS = {
+    "no-family": ({"kappa": 1.0},
+                  "coefficient map config needs a 'family' key, got {'kappa': 1.0}"),
+    "unknown": ({"family": "fractal"}, "unknown coefficient family 'fractal'"),
+    "unhashable": ({"family": ["affine"]}, "unknown coefficient family ['affine']"),
+    "constant": ({"family": "constant"}, "family 'constant' config missing key 'value'"),
+    "affine": ({"family": "affine"}, "family 'affine' config missing key 'matrix'"),
+    "linear": ({"family": "linear"}, "family 'linear' config missing key 'matrix'"),
+    "kappa": ({"family": "mean_reversion", "b": _V3},
+              "family 'mean_reversion' config missing key 'kappa'"),
+    "b": ({"family": "mean_reversion", "kappa": 1.0},
+          "family 'mean_reversion' config missing key 'b'"),
+    "scale": ({"family": "proportional", "index": 0},
+              "family 'proportional' config missing key 'scale'"),
+    "x": ({"family": "tabulated", "y": [0.0, 1.0]}, "family 'tabulated' config missing key 'x'"),
+    "y": ({"family": "tabulated", "x": [0.0, 1.0]}, "family 'tabulated' config missing key 'y'"),
+    "high": ({"family": "gated_offset", "vector": _V3, "gate_index": 0, "low": 0.0},
+             "family 'gated_offset' config missing key 'high'"),
+    "gate_index": ({"family": "gated_offset", "vector": _V3, "low": 0.0, "high": 1.0},
+                   "family 'gated_offset' config missing key 'gate_index'"),
+    "terms": ({"family": "sum"}, "family 'sum' config missing key 'terms'"),
+    "projected-level": ({"family": "projected", "inner": _Z},
+                        "family 'projected' config missing key 'level'"),
+    "projected-inner": ({"family": "projected", "level": 1},
+                        "family 'projected' config missing key 'inner'"),
+    "radius": ({"family": "retracted", "inner": _Z},
+               "family 'retracted' config missing key 'radius'"),
+    "retracted-inner": ({"family": "retracted", "radius": 1.0},
+                        "family 'retracted' config missing key 'inner'"),
+    "shifted-level": ({"family": "shifted", "inner": _Z},
+                      "family 'shifted' config missing key 'level'"),
+    "shifted-inner": ({"family": "shifted", "level": 2},
+                      "family 'shifted' config missing key 'inner'"),
+    "no-index": ({"family": "proportional", "scale": 0.5},
+                 "proportional map needs an 'index' outside a column list"),
+    "null-index": ({"family": "proportional", "scale": 0.5, "index": None},
+                   "proportional map needs an 'index' outside a column list"),
+    "value-length": ({"family": "constant", "value": [1.0, 2.0]},
+                     "constant.value must have shape (3,) and no empty axis, got (2,)"),
+    "b-length": ({"family": "mean_reversion", "kappa": 1.0, "b": [1.0]},
+                 "mean_reversion.b must have shape (3,) and no empty axis, got (1,)"),
+    "vector-length": ({"family": "gated_offset", "vector": [1.0], "gate_index": 0, "low": 0,
+                       "high": 1},
+                      "gated_offset.vector must have shape (3,) and no empty axis, got (1,)"),
+    "offset-length": ({"family": "affine", "matrix": [[1.0] * 3] * 3, "offset": [1.0]},
+                      "offset must have shape (3,) and no empty axis, got (1,)"),
+    "value-string": ({"family": "constant", "value": ["1", 2.0, 3.0]},
+                     "constant.value[0]: must be a number, got '1'"),
+    "diag-string": ({"family": "linear", "diag": ["a", 1.0, 1.0]},
+                    "linear.diag[0]: must be a number, got 'a'"),
+    "b-null-entry": ({"family": "mean_reversion", "kappa": 1.0, "b": [None, 1.0, 1.0]},
+                     "mean_reversion.b must be finite"),
+    "kappa-string": ({"family": "mean_reversion", "kappa": "1", "b": _V3},
+                     "mean_reversion.kappa: must be a number, got '1'"),
+    "kappa-boolean": ({"family": "mean_reversion", "kappa": True},
+                      "mean_reversion.kappa: must be a number, got True"),
+    "index-fraction": ({"family": "proportional", "scale": 0.5, "index": 1.5},
+                       "proportional.index: must be an integer, got 1.5"),
+    "scale-boolean": ({"family": "proportional", "scale": True, "index": 1},
+                      "proportional.scale: must be a number, got True"),
+    "gate-fraction": ({"family": "gated_offset", "vector": _V3, "gate_index": 0.5, "low": 0,
+                       "high": 1},
+                      "gated_offset.gate_index: must be an integer, got 0.5"),
+    "level-string": ({"family": "projected", "level": "1", "inner": _Z},
+                     "projected.level: must be an integer, got '1'"),
+    "radius-string": ({"family": "retracted", "radius": "1", "inner": _Z},
+                      "retracted.radius: must be a number, got '1'"),
+    "eps-boolean": ({"family": "shifted", "level": 2, "eps": True, "inner": _Z},
+                    "shifted.eps: must be a number, got True"),
+    "eps-null": ({"family": "shifted", "level": 2, "eps": None, "inner": _Z},
+                 "shifted.eps: must be a number, got None"),
+    "level-fraction": ({"family": "shifted", "level": 2.5, "inner": _Z},
+                       "shifted.level: must be an integer, got 2.5"),
+    "terms-number": ({"family": "sum", "terms": 5}, "'int' object is not iterable"),
+    "bad-term": ({"family": "sum", "terms": [_Z, {"family": "fractal"}]},
+                 "unknown coefficient family 'fractal'"),
+    "null-inner": ({"family": "projected", "level": 1, "inner": None},
+                   "coefficient map config needs a 'family' key, got None"),
+}
+
+# keys a family's form does not declare, each rejected by name
+UNDECLARED = {
+    "linear-offset": ({"family": "linear", "matrix": [[1.0] * 3] * 3, "offset": [5.0] * 3},
+                      "family 'linear' config has undeclared key 'offset'"),
+    "diag-and-matrix": ({"family": "affine", "diag": _V3, "matrix": [[1.0] * 3] * 3},
+                        "family 'affine' config has undeclared key 'matrix'"),
+    "typo": ({"family": "mean_reversion", "kapa": 1.0, "kappa": 1.0, "b": _V3},
+             "family 'mean_reversion' config has undeclared key 'kapa'"),
+}
+
+
 class TestMapConfig:
     @pytest.mark.parametrize("m", ROUND_TRIP)
     def test_round_trip(self, m):
         back = map_from_config(m.to_config(), 3)
         h = np.array([0.3, -0.7, 2.0])
         np.testing.assert_array_equal(back.eval_array(h), m.eval_array(h))
+        assert back.to_config() == m.to_config()
+
+    @pytest.mark.parametrize("m, digest", zip(ROUND_TRIP, ROUND_TRIP_DIGESTS, strict=True))
+    def test_round_trip_bytes_pinned(self, m, digest):
+        assert _sha(map_from_config(m.to_config(), 3).to_config()) == digest
+
+    @pytest.mark.parametrize("doc, index, digest", ALIAS_FORMS.values(), ids=ALIAS_FORMS.keys())
+    def test_alias_form_bytes_pinned(self, doc, index, digest):
+        assert _sha(map_from_config(doc, 3, index).to_config()) == digest
+
+    @pytest.mark.parametrize("doc, message", BAD_MAPS.values(), ids=BAD_MAPS.keys())
+    def test_error_message_pinned(self, doc, message):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(_with_drift(doc))
+        assert str(exc.value) == f"coefficients: {message}"
+
+    @pytest.mark.parametrize("doc, message", UNDECLARED.values(), ids=UNDECLARED.keys())
+    def test_undeclared_key(self, doc, message):
+        with pytest.raises(ConfigError) as exc:
+            map_from_config(doc, 3)
+        assert str(exc.value) == message
+
+    def test_undeclared_key_after_other_faults(self):
+        # a document that fails for another reason reports that reason
+        with pytest.raises(ConfigError, match="^family 'mean_reversion' config missing key 'b'$"):
+            map_from_config({"family": "mean_reversion", "kappa": 1.0, "kapa": 1.0}, 3)
+
+    def test_two_fault_documents(self):
+        # fields are read scalars first, in declaration order, then lists
+        # and nested maps: a proportional map with neither key reports the
+        # scale (its index was reported first before the declarations)
+        with pytest.raises(ConfigError, match="^family 'proportional' config missing key 'scale'$"):
+            map_from_config({"family": "proportional"}, 3)
+        with pytest.raises(ConfigError, match="^shifted.level: must be an integer, got 'x'$"):
+            map_from_config({"family": "shifted", "level": "x", "inner": None}, 3)
 
     def test_round_trip_covers_every_family(self):
         # a callable has no config form; every other family must load

@@ -141,6 +141,75 @@ class TestPresets:
         }
         assert len(hashes) == 3
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_bytes_pinned(self, name):
+        # the canonical JSON of each preset's load-and-write round trip,
+        # recorded before the config sections were read by declared fields
+        ec = ExperimentConfig.from_dict(preset_document(name))
+        assert content_hash(ec.to_dict()) == PRESET_HASHES[name]
+
+
+PRESET_HASHES = {
+    "heat-positive": "29c8d075d29baf479d5dcfc1113d45437d55b2484edd3e35d8ba91823d36b18c",
+    "heat-positive-badvol": "9dd3e0e136f0988589fdd776e0ca8619a6e7bcebc0fcaa87cae5fd3c9ec90b2f",
+    "heat-positive-hidden": "1ded9eae47ff18ba4a31faa047cdd31f4bdcf0506f06a77d7d427e70c2a0d042",
+}
+
+_DELETE = object()
+
+# one fault in a section of the heat-positive preset, and the exact
+# message it raised before the sections were read by declared fields
+SECTION_ERRORS = {
+    "dt-missing": (("sim", "dt"), _DELETE, "sim.dt: missing"),
+    "paths-missing": (("sim", "paths"), _DELETE, "sim.paths: missing"),
+    "dt-null": (("sim", "dt"), None, "sim.dt: must be a number, got None"),
+    "paths-null": (("sim", "paths"), None, "sim: paths: must be an integer, got None"),
+    "paths-zero": (("sim", "paths"), 0, "sim: paths must be >= 1, got 0"),
+    "exit-tol-null": (("sim", "exit_tol"), None, "sim.exit_tol: must be a number, got None"),
+    "exit-tol-negative": (("sim", "exit_tol"), -1.0, "sim: exit_tol must be >= 0, got -1.0"),
+    "guard-zero": (("sim", "guard"), 0.0, "sim: guard must be > 0, got 0.0"),
+    "scheme-number": (("sim", "scheme"), 5, "sim: unknown scheme '5'"),
+    "store-null": (("sim", "store_trajectories"), None,
+                   "sim: store_trajectories: must be true or false, got None"),
+    "face-points-null": (("checker", "points_per_face"), None,
+                         "checker: points_per_face: must be an integer, got None"),
+    "interior-negative": (("checker", "interior_points"), -1,
+                          "checker: interior_points must be >= 0, got -1"),
+    "checker-seed-string": (("checker", "seed"), "1", "checker: seed: must be an integer, got '1'"),
+    "corners-null": (("checker", "include_corners"), None,
+                     "checker: include_corners: must be true or false, got None"),
+    "tol-string": (("checker", "tol"), "1", "checker.tol: must be a number, got '1'"),
+    "eigenvalues-missing": (("noise", "eigenvalues"), _DELETE, "noise.eigenvalues: missing"),
+    "eigenvalues-null": (("noise", "eigenvalues"), None,
+                         "noise: 'NoneType' object is not iterable"),
+    "eigenvalue-null": (("noise", "eigenvalues"), [None] * 8,
+                        "noise.eigenvalues[0]: must be a number, got None"),
+    "eigenvalue-nan": (("noise", "eigenvalues"), [float("nan")] * 8,
+                       "noise.eigenvalues[0]: must be finite, got nan"),
+    "eigenvalue-negative": (("noise", "eigenvalues"), [-1.0] * 8,
+                            "noise: eigenvalues[0] must be > 0, got -1.0"),
+    "noise-seed-null": (("noise", "seed"), None, "noise: seed: must be an integer, got None"),
+    "noise-seed-negative": (("noise", "seed"), -1, "noise: seed must be >= 0, got -1"),
+    "rule-missing": (("noise", "eigenvalues"), {"count": 8},
+                     "noise.eigenvalues.rule: missing"),
+    "count-missing": (("noise", "eigenvalues"), {"rule": "flat"},
+                      "noise.eigenvalues.count: missing"),
+    "rule-unknown": (("noise", "eigenvalues"), {"rule": 5, "count": 8},
+                     "noise.eigenvalues.rule: unknown rule 5"),
+}
+
+# noise sections with two faults, and the message each raised before the
+# sections were read by declared fields: the seed is read first in both forms
+NOISE_TWO_FAULTS = {
+    "list-seed-null": ([None] * 8, None, "noise: seed: must be an integer, got None"),
+    "list-seed-negative": ([None] * 8, -1, "noise.eigenvalues[0]: must be a number, got None"),
+    "rule-missing-seed-negative": ({"count": 8}, -1, "noise.eigenvalues.rule: missing"),
+    "rule-unknown-seed-string": ({"rule": 5, "count": 8}, "x",
+                                 "noise: seed: must be an integer, got 'x'"),
+    "count-string-seed-null": ({"rule": "flat", "count": "8"}, None,
+                               "noise: seed: must be an integer, got None"),
+}
+
 
 # ---------------------------------------------------------------- validation
 
@@ -433,6 +502,27 @@ class TestValidation:
         assert res.exit_code == 1
         assert f"error: {message}" in combined_output(res)
         assert "Traceback" not in combined_output(res)
+
+    @pytest.mark.parametrize("path, value, message", SECTION_ERRORS.values(),
+                             ids=SECTION_ERRORS.keys())
+    def test_section_message_pinned(self, path, value, message):
+        doc = self.base()
+        if value is _DELETE:
+            del doc[path[0]][path[1]]
+        else:
+            self._set(doc, path, value)
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("eigenvalues, seed, message", NOISE_TWO_FAULTS.values(),
+                             ids=NOISE_TWO_FAULTS.keys())
+    def test_noise_two_faults_pinned(self, eigenvalues, seed, message):
+        doc = self.base()
+        doc["noise"] = {"eigenvalues": eigenvalues, "seed": seed}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(doc)
+        assert str(exc.value) == message
 
     def test_negative_checker_seed(self):
         doc = self.base()

@@ -3,9 +3,10 @@ every private module-level name is used somewhere in the package, every
 public function, class and method is reached from a module of the
 package (the ``__init__`` re-exports aside), the benchmark or the
 acceptance tests, every function reads each of its parameters, every
-JSON dump refuses NaN, no module builds a ``CallableMap``, and no module
-but ``errors`` checks a parameter's finiteness or zero bound by hand.  A
-public name that only its own tests call is dead code.
+JSON dump refuses NaN, no module builds a ``CallableMap`` or calls
+``np.unique``, and no module but ``errors`` checks a parameter's
+finiteness or zero bound by hand.  A public name that only its own tests
+call is dead code.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code rules.
 The package ``__init__`` exists to re-export, so it is exempt from the
@@ -107,6 +108,36 @@ def test_checker_sees_a_callable_map_call():
 def test_no_callable_map_in_the_package(path):
     lines = callable_map_calls(ast.parse(path.read_text()))
     assert not lines, f"{path.name} calls {CALLABLE_MAP} on lines {lines}"
+
+
+# ``np.unique`` imports ``numpy.ma`` on its first call, about 12 ms and
+# 1 MB for every command that reaches it; the package sorts and dedupes
+# integer indices with ``coefficients._unique`` instead.
+def np_unique_calls(tree: ast.Module) -> list[int]:
+    """Lines calling ``np.unique``/``numpy.unique``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    )
+
+
+def test_checker_sees_an_np_unique_call():
+    tree = ast.parse(
+        "a = np.unique(x)\nb = numpy.unique(y, return_counts=True)\n"
+        "c = _unique(z)\nd = pd.unique(w)\nf = np.unique\n"
+    )
+    assert np_unique_calls(tree) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_np_unique_in_the_package(path):
+    lines = np_unique_calls(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} calls np.unique (which imports numpy.ma) on lines {lines}"
 
 
 # A private module-level helper that no module of the package refers to

@@ -871,6 +871,36 @@ def test_worker_dies_with_its_parent():
             os.kill(worker, signal.SIGKILL)
 
 
+GENERIC_SIMULATE = """
+import json, sys
+from conespde.cli import cli
+from conespde.config import preset_document
+
+doc = preset_document("heat-positive")
+tab = {"family": "tabulated", "x": [-1.0, 0.0, 1.0, 2.0], "y": [0.0, 0.0, -0.05, -0.1]}
+doc["coefficients"]["drift"] = {"family": "sum", "terms": [doc["coefficients"]["drift"], tab]}
+doc["sim"].update(paths=4, horizon=0.01)
+with open(sys.argv[1], "w") as fh:
+    json.dump(doc, fh)
+try:
+    cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]], standalone_mode=False)
+finally:
+    print("numpy.ma" in sys.modules)
+"""
+
+
+def test_generic_simulate_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma (about 12 ms); a sum's support and the
+    # kernel's row indices sort and dedupe without it
+    src = Path(simulate.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    args = [str(tmp_path / "config.json"), str(tmp_path / "out")]
+    out = subprocess.run([sys.executable, "-c", GENERIC_SIMULATE, *args], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "paths.csv").exists()
+
+
 class TestSsncEstimate:
     def test_zero_field_scores_zero(self, heat16, cone16):
         h = np.full(16, 1.0)
