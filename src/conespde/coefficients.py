@@ -80,10 +80,13 @@ from .errors import (
     NumericError,
     SamplerContractError,
     ShapeError,
+    check_keys,
     read_bool,
     read_float,
     read_floats,
     read_int,
+    read_list,
+    read_object,
     require_array,
     require_float,
     require_int,
@@ -123,23 +126,25 @@ _ALL = slice(None)
 
 def config_field(rule, default=MISSING, **form):
     """A dataclass field that config documents hold, read by ``rule``:
-    ``read_float``, ``read_int``, ``read_bool``, ``read_floats`` or
-    ``map_from_config``.  ``form`` may give the field's config ``key``
-    (its name by default); ``vector``, for a ``read_floats`` field of
-    shape ``(dim,)``; ``many``, for a list of values; ``fill(dim,
-    index)``, the value of a missing key (else ``default``); and
-    ``alias = (key, convert)``, a key that may stand for this one."""
+    ``read_float``, ``read_int``, ``read_bool``, ``read_floats``,
+    ``map_from_config`` or a rule of the field's own.  ``form`` may give
+    the field's config ``key`` (its name by default); ``vector``, for a
+    ``read_floats`` field of shape ``(dim,)``; ``many``, for a list of
+    values; ``fill(dim, index)``, the value of a missing key unless None
+    (else ``default``); and ``alias = (key, convert)``, a key that may
+    stand for this one."""
     return field(default=default, metadata={"rule": rule, **form})
 
 
 @cache
 def config_fields(cls) -> tuple:
-    """The fields of ``cls`` that config documents hold, each list and
-    nested map after the rest, so that a fault in a plain entry is met
-    first."""
+    """The fields of ``cls`` that config documents hold, the plain
+    numbers, integers, booleans and number lists first, so that a fault
+    in one of them is met before one in a list, a nested map or an entry
+    with a rule of its own."""
     held = [f for f in fields(cls) if "rule" in f.metadata]
-    late = [f for f in held if f.metadata.get("many") or f.metadata["rule"] is map_from_config]
-    return tuple(f for f in held if f not in late) + tuple(late)
+    plain = [f for f in held if f.metadata["rule"] in _PLAIN and not f.metadata.get("many")]
+    return tuple(plain) + tuple(f for f in held if f not in plain)
 
 
 def read_field(f, path: str, raw, dim: int | None = None, index: int | None = None):
@@ -151,19 +156,54 @@ def read_field(f, path: str, raw, dim: int | None = None, index: int | None = No
         return map_from_config(raw, dim, index) if rule is map_from_config else rule(path, raw)
 
     if f.metadata.get("many"):
-        return tuple(one(f"{path}[{i}]", x) for i, x in enumerate(raw))
+        return tuple(one(f"{path}[{i}]", x) for i, x in enumerate(read_list(path, raw)))
     value = one(path, raw)
     return require_array(path, value, (dim,)) if f.metadata.get("vector") else value
 
 
+def read_fields(cls, doc, path: str, dim: int | None = None, index: int | None = None):
+    """The ``cls`` that the config object ``doc`` at ``path`` declares: each
+    config field read from its key or alias, else filled, else left to its
+    default, else reported missing, as the entry ``path.key`` (``[i]`` for
+    a list item).  A map's ``path`` is its family, whose alias drops the
+    keys ``cls.aliases`` lists; a ``dim`` field, and a nested map, read on
+    ``dim`` at column ``index``.  A key no field reads raises after every
+    other fault, those of building ``cls`` included."""
+    read_object(path, doc)
+    dropped = getattr(cls, "aliases", {}).get(path, ())
+    values = {"dim": dim} if getattr(cls.__dataclass_fields__.get("dim"), "init", False) else {}
+    declared = []
+    for f in config_fields(cls):
+        key = f.metadata.get("key", f.name)
+        convert = None
+        if "alias" in f.metadata and f.metadata["alias"][0] in doc:
+            key, convert = f.metadata["alias"]
+        if key in doc and key not in dropped:
+            declared.append(key)
+            raw = doc[key]
+        elif "fill" in f.metadata and f.metadata["fill"](dim, index) is not None:
+            raw = f.metadata["fill"](dim, index)
+        elif f.default is MISSING:
+            raise ConfigError(f"{path}.{key}: missing")
+        else:
+            continue
+        value = read_field(f, f"{path}.{key}", raw, dim, index)
+        values[f.name] = value if convert is None else convert(value)
+    obj = cls(**values)
+    check_keys(path, doc, declared)
+    return obj
+
+
 def write_fields(obj) -> dict:
-    """The config entries of ``obj``'s config fields, but those that are ``None``."""
+    """The config entries of ``obj``'s config fields, but those that are
+    ``None``.  A field read by a rule of its own (the noise eigenvalues)
+    holds a tuple of floats."""
     doc = {}
     for f in config_fields(type(obj)):
         value = getattr(obj, f.name)
         if value is None:
             continue
-        put = _WRITERS[f.metadata["rule"]]
+        put = _WRITERS.get(f.metadata["rule"], list)
         many = f.metadata.get("many")
         doc[f.metadata.get("key", f.name)] = [put(v) for v in value] if many else put(value)
     return doc
@@ -232,51 +272,24 @@ class CoefficientMap:
 
 def map_from_config(doc: dict, dim: int, index: int | None = None) -> CoefficientMap:
     """A coefficient map from its config document, by its family's
-    declaration; ``index`` is its position in a column list.  A key the
-    form does not declare raises ``ConfigError``, after any other fault."""
+    declaration (see ``read_fields``); ``index`` is its position in a
+    column list."""
     if not isinstance(doc, dict) or "family" not in doc:
         raise ConfigError(f"coefficient map config needs a 'family' key, got {doc!r}")
     fam = doc["family"]
     cls = next((c for c in _FAMILIES if fam in (c.family, *c.aliases)), None)
     if cls is None:
         raise ConfigError(f"unknown coefficient family {fam!r}")
-    values = {"dim": dim} if cls.__dataclass_fields__["dim"].init else {}
-    unread = {key: raw for key, raw in doc.items() if key != "family"}
-    for f in config_fields(cls):
-        key = f.metadata.get("key", f.name)
-        convert = None
-        if "alias" in f.metadata and f.metadata["alias"][0] in doc:
-            key, convert = f.metadata["alias"]
-        if key in doc and key not in cls.aliases.get(fam, ()):
-            raw = unread.pop(key)
-        elif "fill" in f.metadata:
-            raw = f.metadata["fill"](dim, index)
-        elif f.default is MISSING:
-            raise ConfigError(f"family {fam!r} config missing key {key!r}")
-        else:
-            continue
-        value = read_field(f, f"{fam}.{key}", raw, dim, index)
-        values[f.name] = value if convert is None else convert(value)
-    m = cls(**values)
-    if unread:
-        raise ConfigError(f"family {fam!r} config has undeclared key {next(iter(unread))!r}")
-    return m
+    return read_fields(cls, {k: v for k, v in doc.items() if k != "family"}, fam, dim, index)
 
 
-def _column_index(path: str, raw) -> int:
-    """A proportional map's ``index``, which a column list fills with the
-    map's position there."""
-    if raw is None:
-        raise ConfigError("proportional map needs an 'index' outside a column list")
-    return read_int(path, raw)
-
+_PLAIN = (read_float, read_int, read_bool, read_floats)
 
 _WRITERS = {
     read_float: float,
     read_int: int,
     read_bool: bool,
     read_floats: np.ndarray.tolist,
-    _column_index: int,
     map_from_config: CoefficientMap.to_config,
 }
 
@@ -368,7 +381,7 @@ class AffineMap(CoefficientMap):
     """
 
     matrix: np.ndarray = config_field(read_floats, alias=("diag", np.diag))
-    offset: np.ndarray = config_field(read_floats, fill=lambda dim, index: np.zeros(dim))
+    offset: np.ndarray = config_field(read_floats, fill=lambda dim, index: [0.0] * dim)
     dim: int = field(init=False)
 
     builtin = True
@@ -420,7 +433,7 @@ class ProportionalMap(CoefficientMap):
     volatility column."""
 
     scale: float = config_field(read_float)
-    index: int = config_field(_column_index, fill=lambda dim, index: index)
+    index: int = config_field(read_int, fill=lambda dim, index: index)
     dim: int
 
     builtin = True
@@ -757,19 +770,19 @@ class CoefficientSet:
 
     @classmethod
     def from_config(cls, doc: dict, dim: int) -> "CoefficientSet":
-        if "drift" not in doc:
-            raise ConfigError("coefficients config needs a 'drift' entry")
-        drift = map_from_config(doc["drift"], dim)
-        vols = tuple(
-            map_from_config(c, dim, index=j) for j, c in enumerate(doc.get("vol", []))
-        )
+        """The set of a ``coefficients`` object; a ``vol`` map reads at its position."""
+        drift = map_from_config(read_object("", doc, "drift")["drift"], dim)
+        columns = read_list("vol", doc.get("vol", []))
+        vols = tuple(map_from_config(c, dim, index=j) for j, c in enumerate(columns))
         atoms = []
-        for i, entry in enumerate(doc.get("jumps", [])):
-            if "weight" not in entry or "kernel" not in entry:
-                raise ConfigError("jump entry needs 'weight' and 'kernel'")
+        for i, entry in enumerate(read_list("jumps", doc.get("jumps", []))):
+            read_object(f"jumps[{i}]", entry, "weight", "kernel")
             weight = read_float(f"jumps[{i}].weight", entry["weight"])
             atoms.append((weight, map_from_config(entry["kernel"], dim)))
-        return cls(drift, vols, tuple(atoms))
+            check_keys(f"jumps[{i}]", entry, ("weight", "kernel"))
+        coeffs = cls(drift, vols, tuple(atoms))
+        check_keys("", doc, ("drift", "vol", "jumps"))
+        return coeffs
 
 
 # --------------------------------------------------------------------------

@@ -17,23 +17,26 @@ back in as ``--config`` to reproduce a run bit for bit.
 from __future__ import annotations
 
 import contextlib
-import copy
 import hashlib
 import json
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientSet, SamplerSpec, config_fields, read_field, write_fields
+from .coefficients import CoefficientSet, SamplerSpec, read_fields, write_fields
 from .errors import (
     ConfigError,
     ConeSpdeError,
+    check_keys,
     read_bool,
     read_float,
     read_floats,
     read_int,
+    read_object,
     require_array,
+    require_float,
+    require_int,
 )
 from .semigroup import DiagonalSemigroup
 from .simulate import NoiseSpec, SimConfig
@@ -49,6 +52,9 @@ __all__ = [
 
 # The one stepping scheme (see ``simulate``); config documents name it.
 _SCHEME = "exponential-euler"
+
+# the sections a document must hold; ``checker`` may be left out
+_SECTIONS = ("space", "semigroup", "coefficients", "noise", "sim", "initial")
 
 
 def _heat_positive() -> dict:
@@ -136,14 +142,10 @@ def preset_document(name: str) -> dict:
 
 def _expand(doc: dict) -> dict:
     """Resolve the preset shortcut; user sections replace preset sections."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    if "config" in doc and "hash" in doc:
+    if "config" in read_object("config", doc) and "hash" in doc:
         # A run manifest embeds the canonical config; accept it whole.
-        doc = doc["config"]
-        if not isinstance(doc, dict):
-            raise ConfigError("manifest 'config' entry must be an object")
-    doc = copy.deepcopy(doc)
+        doc = read_object("config", doc["config"])
+    doc = dict(doc)  # the top level only: sections are replaced, never edited
     name = doc.pop("preset", None)
     if name is None:
         return doc
@@ -154,30 +156,12 @@ def _expand(doc: dict) -> dict:
     return base
 
 
-def _section(doc: dict, key: str, required: bool = True) -> dict:
-    val = doc.get(key)
-    if val is None:
-        if required:
-            raise ConfigError(f"{key}: missing section")
-        return {}
-    if not isinstance(val, dict):
-        raise ConfigError(f"{key}: must be an object, got {type(val).__name__}")
-    return val
-
-
-def _field(section: dict, path: str, key: str):
-    if key not in section:
-        raise ConfigError(f"{path}.{key}: missing")
-    return section[key]
-
-
 @contextlib.contextmanager
 def _reading(section: str):
     """Report a bad value met while building ``section`` as a
-    ConfigError naming the section (errors that name it already pass).
-    Inside, ``read_int``, ``read_bool`` and ``read_float`` may name a
-    field relative to the section, as in ``sim: paths: must be an
-    integer, got 2.7``."""
+    ConfigError naming the section (errors that name it already pass),
+    as in ``sim: paths must be >= 1, got 0``; inside, a reader may name
+    an entry relative to the section, as in ``semigroup: rates[0]: ...``."""
     try:
         yield
     except (ConeSpdeError, TypeError, ValueError) as exc:
@@ -186,37 +170,6 @@ def _reading(section: str):
         ):
             raise
         raise ConfigError(f"{section}: {exc}") from exc
-
-
-def _read_fields(cls, doc: dict, section: str) -> dict:
-    """The config fields of ``cls`` from section ``doc``, a missing key left
-    to the default.  A number is named ``section.key``; an integer or
-    boolean ``key``, as ``_reading`` expects."""
-    values = {}
-    for f in config_fields(cls):
-        if f.name in doc:
-            plain = f.metadata["rule"] in (read_int, read_bool)
-            values[f.name] = read_field(f, f.name if plain else f"{section}.{f.name}", doc[f.name])
-        elif f.default is MISSING:
-            raise ConfigError(f"{section}.{f.name}: missing")
-    return values
-
-
-def _noise_from(doc: dict) -> NoiseSpec:
-    """The noise section; a rule object stands for the eigenvalue list
-    that ``NoiseSpec.flat`` or ``NoiseSpec.dyadic`` makes."""
-    eigs = _field(doc, "noise", "eigenvalues")
-    if not isinstance(eigs, dict):
-        return NoiseSpec(**_read_fields(NoiseSpec, doc, "noise"))
-    seed = read_int("seed", doc.get("seed", NoiseSpec.seed))
-    rule = _field(eigs, "noise.eigenvalues", "rule")
-    count = read_int("eigenvalues.count", _field(eigs, "noise.eigenvalues", "count"))
-    if rule == "flat":
-        value = read_float("noise.eigenvalues.value", eigs.get("value", 1.0))
-        return NoiseSpec.flat(count, value, seed)
-    if rule == "dyadic":
-        return NoiseSpec.dyadic(count, seed)
-    raise ConfigError(f"noise.eigenvalues.rule: unknown rule {rule!r}")
 
 
 @dataclass(eq=False)
@@ -244,12 +197,13 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = _expand(doc)
+        read_object("", doc, *_SECTIONS)
 
-        space = _section(doc, "space")
-        dim = read_int("space.dim", _field(space, "space", "dim"))
-        if dim < 1:
-            raise ConfigError(f"space.dim: must be a positive integer, got {dim!r}")
-        cone_doc = _field(space, "space", "cone")
+        space = read_object("space", doc["space"], "dim", "cone")
+        with _reading("space"):
+            dim = read_int("space.dim", space["dim"])
+            require_int("dim", dim, 1)
+        cone_doc = space["cone"]
         if cone_doc == "nonnegative":
             cone = ConeSpec.nonnegative(dim)
         elif isinstance(cone_doc, dict) and "signs" in cone_doc:
@@ -259,53 +213,55 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"space.cone: {cone.dim} signs for dimension {dim}"
                 )
+            check_keys("space.cone", cone_doc, ("signs",))
         else:
             raise ConfigError(
                 "space.cone: expected 'nonnegative' or an object with 'signs'"
             )
+        check_keys("space", space, ("dim", "cone"))
 
         with _reading("semigroup"):
-            sg = DiagonalSemigroup.from_config(_section(doc, "semigroup"), dim)
+            sg = DiagonalSemigroup.from_config(read_object("semigroup", doc["semigroup"]), dim)
 
+        coeff_doc = read_object("coefficients", doc["coefficients"])
         with _reading("coefficients"):
-            coeffs = CoefficientSet.from_config(_section(doc, "coefficients"), dim)
+            coeffs = CoefficientSet.from_config(coeff_doc, dim)
         if coeffs.dim != dim:
             raise ConfigError(f"coefficients: maps of dimension {coeffs.dim} for dimension {dim}")
 
         with _reading("noise"):
-            noise = _noise_from(_section(doc, "noise"))
+            noise = read_fields(NoiseSpec, doc["noise"], "noise")
         if noise.count != len(coeffs.vol_columns):
             raise ConfigError(
                 f"noise: {noise.count} eigenvalues for "
                 f"{len(coeffs.vol_columns)} volatility columns"
             )
 
-        sim_doc = _section(doc, "sim")
         with _reading("sim"):
-            scheme = str(sim_doc.get("scheme", _SCHEME))
+            sim_doc = dict(read_object("sim", doc["sim"]))
+            scheme = str(sim_doc.pop("scheme", _SCHEME))
             if scheme != _SCHEME:
                 raise ConfigError(f"unknown scheme {scheme!r}")
-            sim = SimConfig(**_read_fields(SimConfig, sim_doc, "sim"))
             # read so that a bad value still fails, then dropped: no run
             # keeps whole trajectories (see ``to_dict``)
-            read_bool("store_trajectories", sim_doc.get("store_trajectories", False))
+            read_bool("store_trajectories", sim_doc.pop("store_trajectories", False))
+            sim = read_fields(SimConfig, sim_doc, "sim")
 
-        chk = _section(doc, "checker", required=False)
         with _reading("checker"):
-            sampler = SamplerSpec(**_read_fields(SamplerSpec, chk, "checker"))
-            tol = chk.get("tol")
-            tol = None if tol is None else read_float("checker.tol", tol)
-        if tol is not None and tol <= 0:
-            raise ConfigError(f"checker.tol: must be > 0, got {tol}")
+            chk = doc.get("checker")
+            chk = dict(read_object("checker", {} if chk is None else chk))
+            tol = chk.pop("tol", None)
+            if tol is not None:
+                tol = read_float("checker.tol", tol)
+                require_float("tol", tol, "> 0")
+            sampler = read_fields(SamplerSpec, chk, "checker")
 
-        init = doc.get("initial")
-        if init is None:
-            raise ConfigError("initial: missing section")
         with _reading("initial"):
-            h0 = require_array("initial", read_floats("initial", init), ("N",))
+            h0 = require_array("initial", read_floats("initial", doc["initial"]), ("N",))
         if h0.shape[0] != dim:
             raise ConfigError(f"initial: {h0.shape[0]} coordinates for dimension {dim}")
 
+        check_keys("", doc, (*_SECTIONS, "checker"))
         return cls(
             cone=cone,
             semigroup=sg,

@@ -1,5 +1,6 @@
 """Exception types shared across the package, the config rules for
-numbers, lists of numbers, integers and booleans, and the rules for the
+numbers, lists of numbers, integers, booleans, lists and objects (with
+the one undeclared-key rule, ``check_keys``), and the rules for the
 integer, real and array fields of the direct API (here, below
 ``config``, so every module can use them).
 
@@ -165,11 +166,40 @@ def _real_fault(value) -> str | None:
 
 def read_floats(path: str, values) -> np.ndarray:
     """A config list of numbers, or a list of such lists (a matrix), as
-    a float64 array; a boolean or string entry, or an integer too large
+    a float64 array; a value that is not a list, an entry that is not a
+    number (a boolean, string, list or object), or an integer too large
     for a float, raises ``ConfigError`` naming it, as ``read_float`` does
-    for one number."""
-    for idx, x in np.ndenumerate(np.asarray(values, dtype=object)):
-        fault = _real_fault(x) if isinstance(x, (bool, str, numbers.Integral)) else None
+    for one number.  A ``null`` entry reads as NaN."""
+    for idx, x in np.ndenumerate(np.asarray(read_list(path, values), dtype=object)):
+        fault = None if x is None or isinstance(x, float) else _real_fault(x)
         if fault is not None:
             raise ConfigError(f"{path}{''.join(f'[{i}]' for i in idx)}: {fault}")
     return np.asarray(values, dtype=np.float64)
+
+
+def read_list(path: str, value) -> list:
+    """A config list; anything else raises ``ConfigError``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path}: must be a list, got {value!r}")
+    return value
+
+
+def read_object(path: str, doc, *keys: str) -> dict:
+    """A config object holding each of ``keys``, the object at ``path``
+    (the document when empty); else ``ConfigError`` naming the fault."""
+    if not isinstance(doc, dict):
+        fault = f"must be an object, got {type(doc).__name__}"
+        raise ConfigError(f"{path}: {fault}" if path else fault)
+    for key in keys:
+        if key not in doc:
+            raise ConfigError(f"{path}.{key}: missing" if path else f"{key}: missing")
+    return doc
+
+
+def check_keys(path: str, doc: dict, declared) -> None:
+    """The undeclared-key rule: the first key of the object ``doc`` at
+    ``path`` outside ``declared`` raises ``ConfigError``.  Readers call it
+    after their other checks, so that another fault is reported first."""
+    for key in doc:
+        if key not in declared:
+            raise ConfigError(f"{path}.{key}: undeclared key" if path else f"{key}: undeclared key")

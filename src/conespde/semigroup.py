@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, read_floats, require_array, require_float, require_int
+from .errors import ConfigError, check_keys, read_floats, require_array, require_float, require_int
 
 __all__ = ["DiagonalSemigroup"]
 
@@ -67,8 +67,6 @@ class DiagonalSemigroup:
     def from_config(cls, doc: dict, dim: int) -> "DiagonalSemigroup":
         """The semigroup of a config section on the space of dimension
         ``dim``, which the heat rule takes as its own."""
-        if "dim" in doc:
-            raise ConfigError("dim: not a semigroup key; the semigroup takes space.dim")
         rates = doc.get("rates")
         if isinstance(rates, str):
             if rates != "heat":
@@ -80,5 +78,5 @@ class DiagonalSemigroup:
             sg = cls(read_floats("rates", rates))
         if sg.dim != dim:
             raise ConfigError(f"semigroup dim {sg.dim} does not match space dim {dim}")
+        check_keys("", doc, ("rates",))
         return sg
-

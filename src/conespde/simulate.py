@@ -86,8 +86,11 @@ from .errors import (
     ConfigError,
     DomainError,
     ShapeError,
+    check_keys,
     read_float,
     read_int,
+    read_list,
+    read_object,
     require_array,
     require_float,
     require_int,
@@ -111,6 +114,25 @@ _CHUNK = 1024  # paths stepped together; results do not depend on it
 _NOISE_BYTES = 8 << 20  # a chunk's block of fine draws; sets memory, not results
 
 
+def _eigenvalues(path: str, raw) -> tuple:
+    """Noise eigenvalues from a config list of numbers, or from a rule
+    object: ``{"rule": "flat", "count", "value"}`` (``value`` 1 if left
+    out) for ``NoiseSpec.flat``'s, ``{"rule": "dyadic", "count"}`` for
+    ``NoiseSpec.dyadic``'s."""
+    if not isinstance(raw, dict):
+        return tuple(read_float(f"{path}[{j}]", x) for j, x in enumerate(read_list(path, raw)))
+    rule = read_object(path, raw, "rule", "count")["rule"]
+    count = read_int(f"{path}.count", raw["count"])
+    if rule == "flat":
+        spec = NoiseSpec.flat(count, read_float(f"{path}.value", raw.get("value", 1.0)))
+    elif rule == "dyadic":
+        spec = NoiseSpec.dyadic(count)
+    else:
+        raise ConfigError(f"{path}.rule: unknown rule {rule!r}")
+    check_keys(path, raw, ("rule", "count", "value") if rule == "flat" else ("rule", "count"))
+    return spec.eigenvalues
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Driving noise: Q-Wiener eigenvalues per column plus master seed.
@@ -119,7 +141,7 @@ class NoiseSpec:
     ``sum(eigenvalues)`` is the total instantaneous noise intensity.
     """
 
-    eigenvalues: tuple[float, ...] = config_field(read_float, many=True)
+    eigenvalues: tuple[float, ...] = config_field(_eigenvalues)
     seed: int = config_field(read_int, default=0)
 
     def __post_init__(self):
@@ -127,17 +149,19 @@ class NoiseSpec:
         # support, which is not 0 when lam is infinite
         for j, lam in enumerate(self.eigenvalues):
             require_float(f"eigenvalues[{j}]", lam, "> 0")
+        # plain floats, as config documents write them
+        object.__setattr__(self, "eigenvalues", tuple(float(lam) for lam in self.eigenvalues))
         require_int("seed", self.seed, 0)
 
     @classmethod
-    def dyadic(cls, count: int, seed: int = 0) -> "NoiseSpec":
+    def dyadic(cls, count: int) -> "NoiseSpec":
         """Summable default: ``lam_j = 2^-j`` for ``j = 1..count``."""
-        return cls(tuple(2.0 ** (-j) for j in range(1, count + 1)), seed)
+        return cls(tuple(2.0 ** (-j) for j in range(1, count + 1)))
 
     @classmethod
-    def flat(cls, count: int, value: float = 1.0, seed: int = 0) -> "NoiseSpec":
+    def flat(cls, count: int, value: float = 1.0) -> "NoiseSpec":
         """Equal weight on every column (finitely many, so still trace class)."""
-        return cls((float(value),) * count, seed)
+        return cls((float(value),) * count)
 
     @property
     def count(self) -> int:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, require_float, require_int
+from .errors import DomainError, ShapeError, read_floats, require_float, require_int
 
 __all__ = [
     "ConeSpec",
@@ -82,7 +82,7 @@ class ConeSpec:
 
     @classmethod
     def from_config(cls, doc: dict) -> "ConeSpec":
-        return cls(np.asarray(doc["signs"]))
+        return cls(read_floats("signs", doc["signs"]))
 
     @classmethod
     def nonnegative(cls, dim: int) -> "ConeSpec":

@@ -82,7 +82,7 @@ def badvol_coeffs() -> CoefficientSet:
 
 @pytest.fixture(scope="session")
 def flat_noise8() -> NoiseSpec:
-    return NoiseSpec.flat(8, 1.0, seed=0)
+    return NoiseSpec.flat(8, 1.0)
 
 
 @pytest.fixture

@@ -61,6 +61,7 @@ from conespde.coefficients import (
     sample_cone_points,
 )
 from conespde.config import PRESET_NAMES, ExperimentConfig, canonical_json, preset_document
+from conespde.errors import read_floats
 from conespde.space import phi_eps
 
 SMALL = SamplerSpec(points_per_face=8, interior_points=8, seed=1)
@@ -540,45 +541,44 @@ ALIAS_FORMS = {
 
 _V3, _Z = [1.0, 2.0, 3.0], {"family": "zero"}
 
-# bad map documents read as a drift, and the exact message each raised
-# before the families declared their config forms
+# bad map documents read as a drift, and the exact message each raises;
+# CHANGES.md lists those the one config reader moved
 BAD_MAPS = {
     "no-family": ({"kappa": 1.0},
                   "coefficient map config needs a 'family' key, got {'kappa': 1.0}"),
     "unknown": ({"family": "fractal"}, "unknown coefficient family 'fractal'"),
     "unhashable": ({"family": ["affine"]}, "unknown coefficient family ['affine']"),
-    "constant": ({"family": "constant"}, "family 'constant' config missing key 'value'"),
-    "affine": ({"family": "affine"}, "family 'affine' config missing key 'matrix'"),
-    "linear": ({"family": "linear"}, "family 'linear' config missing key 'matrix'"),
+    "constant": ({"family": "constant"}, "constant.value: missing"),
+    "affine": ({"family": "affine"}, "affine.matrix: missing"),
+    "linear": ({"family": "linear"}, "linear.matrix: missing"),
     "kappa": ({"family": "mean_reversion", "b": _V3},
-              "family 'mean_reversion' config missing key 'kappa'"),
+              "mean_reversion.kappa: missing"),
     "b": ({"family": "mean_reversion", "kappa": 1.0},
-          "family 'mean_reversion' config missing key 'b'"),
+          "mean_reversion.b: missing"),
     "scale": ({"family": "proportional", "index": 0},
-              "family 'proportional' config missing key 'scale'"),
-    "x": ({"family": "tabulated", "y": [0.0, 1.0]}, "family 'tabulated' config missing key 'x'"),
-    "y": ({"family": "tabulated", "x": [0.0, 1.0]}, "family 'tabulated' config missing key 'y'"),
+              "proportional.scale: missing"),
+    "x": ({"family": "tabulated", "y": [0.0, 1.0]}, "tabulated.x: missing"),
+    "y": ({"family": "tabulated", "x": [0.0, 1.0]}, "tabulated.y: missing"),
     "high": ({"family": "gated_offset", "vector": _V3, "gate_index": 0, "low": 0.0},
-             "family 'gated_offset' config missing key 'high'"),
+             "gated_offset.high: missing"),
     "gate_index": ({"family": "gated_offset", "vector": _V3, "low": 0.0, "high": 1.0},
-                   "family 'gated_offset' config missing key 'gate_index'"),
-    "terms": ({"family": "sum"}, "family 'sum' config missing key 'terms'"),
+                   "gated_offset.gate_index: missing"),
+    "terms": ({"family": "sum"}, "sum.terms: missing"),
     "projected-level": ({"family": "projected", "inner": _Z},
-                        "family 'projected' config missing key 'level'"),
+                        "projected.level: missing"),
     "projected-inner": ({"family": "projected", "level": 1},
-                        "family 'projected' config missing key 'inner'"),
+                        "projected.inner: missing"),
     "radius": ({"family": "retracted", "inner": _Z},
-               "family 'retracted' config missing key 'radius'"),
+               "retracted.radius: missing"),
     "retracted-inner": ({"family": "retracted", "radius": 1.0},
-                        "family 'retracted' config missing key 'inner'"),
+                        "retracted.inner: missing"),
     "shifted-level": ({"family": "shifted", "inner": _Z},
-                      "family 'shifted' config missing key 'level'"),
+                      "shifted.level: missing"),
     "shifted-inner": ({"family": "shifted", "level": 2},
-                      "family 'shifted' config missing key 'inner'"),
-    "no-index": ({"family": "proportional", "scale": 0.5},
-                 "proportional map needs an 'index' outside a column list"),
+                      "shifted.inner: missing"),
+    "no-index": ({"family": "proportional", "scale": 0.5}, "proportional.index: missing"),
     "null-index": ({"family": "proportional", "scale": 0.5, "index": None},
-                   "proportional map needs an 'index' outside a column list"),
+                   "proportional.index: must be an integer, got None"),
     "value-length": ({"family": "constant", "value": [1.0, 2.0]},
                      "constant.value must have shape (3,) and no empty axis, got (2,)"),
     "b-length": ({"family": "mean_reversion", "kappa": 1.0, "b": [1.0]},
@@ -615,7 +615,7 @@ BAD_MAPS = {
                  "shifted.eps: must be a number, got None"),
     "level-fraction": ({"family": "shifted", "level": 2.5, "inner": _Z},
                        "shifted.level: must be an integer, got 2.5"),
-    "terms-number": ({"family": "sum", "terms": 5}, "'int' object is not iterable"),
+    "terms-number": ({"family": "sum", "terms": 5}, "sum.terms: must be a list, got 5"),
     "bad-term": ({"family": "sum", "terms": [_Z, {"family": "fractal"}]},
                  "unknown coefficient family 'fractal'"),
     "null-inner": ({"family": "projected", "level": 1, "inner": None},
@@ -625,11 +625,11 @@ BAD_MAPS = {
 # keys a family's form does not declare, each rejected by name
 UNDECLARED = {
     "linear-offset": ({"family": "linear", "matrix": [[1.0] * 3] * 3, "offset": [5.0] * 3},
-                      "family 'linear' config has undeclared key 'offset'"),
+                      "linear.offset: undeclared key"),
     "diag-and-matrix": ({"family": "affine", "diag": _V3, "matrix": [[1.0] * 3] * 3},
-                        "family 'affine' config has undeclared key 'matrix'"),
+                        "affine.matrix: undeclared key"),
     "typo": ({"family": "mean_reversion", "kapa": 1.0, "kappa": 1.0, "b": _V3},
-             "family 'mean_reversion' config has undeclared key 'kapa'"),
+             "mean_reversion.kapa: undeclared key"),
 }
 
 
@@ -663,17 +663,33 @@ class TestMapConfig:
 
     def test_undeclared_key_after_other_faults(self):
         # a document that fails for another reason reports that reason
-        with pytest.raises(ConfigError, match="^family 'mean_reversion' config missing key 'b'$"):
+        with pytest.raises(ConfigError, match="^mean_reversion.b: missing$"):
             map_from_config({"family": "mean_reversion", "kappa": 1.0, "kapa": 1.0}, 3)
 
     def test_two_fault_documents(self):
         # fields are read scalars first, in declaration order, then lists
         # and nested maps: a proportional map with neither key reports the
         # scale (its index was reported first before the declarations)
-        with pytest.raises(ConfigError, match="^family 'proportional' config missing key 'scale'$"):
+        with pytest.raises(ConfigError, match="^proportional.scale: missing$"):
             map_from_config({"family": "proportional"}, 3)
         with pytest.raises(ConfigError, match="^shifted.level: must be an integer, got 'x'$"):
             map_from_config({"family": "shifted", "level": "x", "inner": None}, 3)
+
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda: map_from_config({"family": "sum", "terms": 5}, 3),
+             "sum.terms: must be a list, got 5"),
+            (lambda: read_floats("b", {"x": 1}), "b: must be a list, got {'x': 1}"),
+            (lambda: read_floats("b", [1.0, [2.0]]), "b[1]: must be a number, got [2.0]"),
+        ],
+        ids=["terms-number", "floats-object", "floats-nested"],
+    )
+    def test_public_readers_raise_config_errors(self, read, message):
+        # each raised a bare TypeError before the readers checked their lists
+        with pytest.raises(ConfigError) as exc:
+            read()
+        assert str(exc.value) == message
 
     def test_round_trip_covers_every_family(self):
         # a callable has no config form; every other family must load

@@ -624,28 +624,50 @@ def test_finite_allowlist_is_current():
 # hand-written ``if seed < 0: raise`` lets ``True`` and ``1.5`` through
 # and fails on ``None`` with a raw ``TypeError``.  The isfinite rule
 # above cannot see such a bound.  A cap other than zero (``n > 3``) is
-# a limit of what the code can do, not a field's bound.
+# a limit of what the code can do, not a field's bound.  A value that a
+# config rule (``read_int``, ``read_float``, ...) has just read is such a
+# field too, and so is its positive form ``n < 1``.
+
+
+def _is_number(node: ast.expr, value: int) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == value
 
 
 def _zero_compared(test: ast.expr, params: set[str]) -> list[str]:
-    """Parameters that ``test`` compares with the literal 0 or 0.0."""
+    """Parameters that ``test`` compares with the literal 0 or 0.0, or
+    bounds below by 1 (``n < 1``, ``1 > n``)."""
     found = []
     for node in ast.walk(test):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
-            zero = any(
-                isinstance(o, ast.Constant) and type(o.value) in (int, float) and o.value == 0
-                for o in operands
+            positive = len(operands) == 2 and (
+                isinstance(node.ops[0], ast.Lt) and _is_number(operands[1], 1)
+                or isinstance(node.ops[0], ast.Gt) and _is_number(operands[0], 1)
             )
-            if zero:
+            if positive or any(_is_number(o, 0) for o in operands):
                 found += [o.id for o in operands if isinstance(o, ast.Name) and o.id in params]
     return found
 
 
+def _read_locals(fn: ast.AST) -> set[str]:
+    """Names that ``fn`` assigns from an expression calling a ``read_*``
+    config rule, by name or as an attribute."""
+    found = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(c, ast.Call)
+            and getattr(c.func, "id", getattr(c.func, "attr", "")).startswith("read_")
+            for c in ast.walk(node.value)
+        ):
+            found |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return found
+
+
 def hand_zero_bounds(tree: ast.Module) -> list[str]:
-    """``qualname(param)`` for every ``if`` that compares a parameter of
-    the enclosing function with the literal 0 and whose body raises,
-    nested functions included."""
+    """``qualname(name)`` for every ``if`` that compares a parameter of
+    the enclosing function, or a local it reads by a config rule, with
+    the literal 0 (or bounds it below by 1) and whose body raises, nested
+    functions included."""
     found = []
 
     def visit(node: ast.AST, owner: str) -> None:
@@ -654,6 +676,7 @@ def hand_zero_bounds(tree: ast.Module) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = child.args
                 params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)} - {"self"}
+                params |= _read_locals(child)
                 for branch in ast.walk(child):
                     if isinstance(branch, ast.If) and any(
                         isinstance(n, ast.Raise) for stmt in branch.body for n in ast.walk(stmt)
@@ -683,6 +706,25 @@ def test_checker_sees_a_hand_zero_bound():
         "    if y == False:\n        raise E\n"
     )
     assert hand_zero_bounds(tree) == ["run_suites(seed)", "g(x)"]
+
+
+def test_checker_sees_a_hand_bound_on_a_read_value():
+    # the parent's from_dict forms: a value a config rule has read (by
+    # name, or through a conditional and a module), bounded by hand with
+    # 0 or as a positive integer; a local the rules did not read, and a
+    # cap at 1, are not
+    tree = ast.parse(
+        "def from_dict(cls, doc):\n"
+        "    dim = read_int('space.dim', doc['dim'])\n"
+        "    if dim < 1:\n        raise E\n"
+        "    tol = doc.get('tol')\n"
+        "    tol = None if tol is None else errors.read_float('tol', tol)\n"
+        "    if tol is not None and tol <= 0:\n        raise E\n"
+        "    n = len(doc)\n"
+        "    if n < 0:\n        raise E\n"
+        "    if dim > 1:\n        raise E\n"
+    )
+    assert hand_zero_bounds(tree) == ["from_dict(dim)", "from_dict(tol)"]
 
 
 @pytest.mark.parametrize(

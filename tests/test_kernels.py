@@ -123,7 +123,7 @@ class TestUnloweredSetParity:
 
     def test_unlowered_set_monitors_exits(self, heat16, cone16, badvol_coeffs):
         wrapped = opaque_set(badvol_coeffs)
-        noise9 = NoiseSpec.flat(9, 1.0, seed=0)
+        noise9 = NoiseSpec.flat(9, 1.0)
         h0 = np.zeros(16)
         config = SimConfig(dt=1e-3, horizon=0.05, paths=8)
         a = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
@@ -135,7 +135,7 @@ class TestUnloweredSetParity:
         # the shape of a tabulated drift term next to builtin columns
         wrapped = opaque_set(badvol_coeffs, drift_only=True)
         assert not wrapped.uses_only_builtin_maps()
-        noise9 = NoiseSpec.flat(9, 1.0, seed=2)
+        noise9 = NoiseSpec((1.0,) * 9, 2)
         h0 = np.zeros(16)
         monkeypatch.setattr(simulate, "_CHUNK", 5)
         config = SimConfig(dt=1e-3, horizon=0.05, paths=12)
@@ -225,7 +225,7 @@ class TestBenchmarkHooks:
 
         monkeypatch.setattr(simulate, "step_ensemble", spy)
         config = SimConfig(dt=1e-3, horizon=0.04, paths=5)
-        noise9 = NoiseSpec.flat(9, 1.0, seed=0)
+        noise9 = NoiseSpec.flat(9, 1.0)
         run_sweep(badvol_coeffs, heat16, noise9, cone16, config, np.zeros(16), (4, 2, 1))
         # three lanes, each through sub-blocks of 32 and 8 fine steps
         assert len(seen) == 3 * 2
@@ -402,7 +402,7 @@ def _diverging_inputs():
     vols = (ProportionalMap(10.0, 0, dim), ProportionalMap(0.3, 1, dim))
     atoms = ((2.0, ConstantMap(np.array([0.2, 0.0, -0.1]))),)
     coeffs = CoefficientSet(drift, vols, atoms)
-    noise = NoiseSpec.flat(2, 1.0, seed=5)
+    noise = NoiseSpec((1.0,) * 2, 5)
     config = SimConfig(dt=0.02, horizon=2.0, paths=24, guard=1e4)
     plan = kernels.StepPlan.build(
         coeffs, DiagonalSemigroup(np.array([0.0, 1.0, 2.0])), noise, ConeSpec.nonnegative(dim), config

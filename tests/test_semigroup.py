@@ -104,7 +104,7 @@ class TestFromConfig:
         # the heat rule takes the space's dimension, so a dim key is
         # refused whatever its value
         for dim in (3, 4):
-            with pytest.raises(ConfigError, match="^dim: not a semigroup key"):
+            with pytest.raises(ConfigError, match="^dim: undeclared key$"):
                 DiagonalSemigroup.from_config({"rates": "heat", "dim": dim}, 4)
 
     def test_round_trip(self):

@@ -66,10 +66,10 @@ NO_NOISE = NoiseSpec(())
 
 class TestNoiseSpec:
     def test_dyadic_halves(self):
-        spec = NoiseSpec.dyadic(4, seed=7)
+        spec = NoiseSpec.dyadic(4)
         assert spec.eigenvalues == (0.5, 0.25, 0.125, 0.0625)
         assert spec.count == 4
-        assert spec.seed == 7
+        assert spec.seed == 0
 
     def test_flat(self):
         spec = NoiseSpec.flat(3, 0.2)
@@ -282,7 +282,7 @@ class TestDeterminism:
         # a byte of a run, a sweep or the distances a stability run folds
         # from its recorded rows.
         h0 = np.full(16, 1.0)
-        noise9 = NoiseSpec.flat(9, 1.0, seed=2)
+        noise9 = NoiseSpec((1.0,) * 9, 2)
         config = SimConfig(dt=1e-3, horizon=0.06, paths=12)
         coarse = projected_drift(compliant_coeffs, 4)
 
@@ -389,7 +389,7 @@ class TestDeterminism:
 class TestSweep:
     def test_levels_are_summed_fine_draws(self, heat16, cone16, badvol_coeffs):
         # each level equals the kernel run on explicitly summed fine draws
-        noise9 = NoiseSpec.flat(9, 1.0, seed=4)
+        noise9 = NoiseSpec((1.0,) * 9, 4)
         h0 = np.zeros(16)
         config = SimConfig(dt=1e-3, horizon=0.04, paths=6)
         levels = run_sweep(badvol_coeffs, heat16, noise9, cone16, config, h0, (4, 2, 1))
@@ -457,7 +457,7 @@ class TestExitsAndMargins:
         # through the first face
         h0 = np.zeros(16)
         config = SimConfig(dt=1e-3, horizon=0.05, paths=8)
-        noise9 = NoiseSpec.flat(9, 1.0, seed=0)
+        noise9 = NoiseSpec.flat(9, 1.0)
         ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
         ref = ensemble_rows(badvol_coeffs, heat16, noise9, cone16, config, h0)
         assert_matches_rows(ens, ref)
@@ -470,7 +470,7 @@ class TestExitsAndMargins:
 
     def test_exit_count_monotone_in_tolerance(self, heat16, cone16, badvol_coeffs):
         h0 = np.zeros(16)
-        noise9 = NoiseSpec.flat(9, 1.0, seed=0)
+        noise9 = NoiseSpec.flat(9, 1.0)
 
         def exits(tol):
             config = SimConfig(dt=1e-3, horizon=0.2, paths=64, exit_tol=tol)
@@ -484,7 +484,7 @@ class TestExitsAndMargins:
 
     def test_exit_step_is_first_crossing(self, heat16, cone16, badvol_coeffs):
         h0 = np.zeros(16)
-        noise9 = NoiseSpec.flat(9, 1.0, seed=0)
+        noise9 = NoiseSpec.flat(9, 1.0)
         config = SimConfig(dt=1e-3, horizon=0.2, paths=16)
         ens = run_ensemble(badvol_coeffs, heat16, noise9, cone16, config, h0)
         ref = ensemble_rows(badvol_coeffs, heat16, noise9, cone16, config, h0)
@@ -531,7 +531,7 @@ def jumpy_system():
     volatile = CoefficientSet(drift, (ProportionalMap(10.0, 0, dim), vols[1]), atoms)
     seq = [projected_drift(limit, 2), volatile, limit]
     sg = DiagonalSemigroup(np.array([0.0, 1.0, 2.0]))
-    noise = NoiseSpec.flat(2, 1.0, seed=5)
+    noise = NoiseSpec((1.0,) * 2, 5)
     K = ConeSpec.nonnegative(dim)
     config = SimConfig(dt=0.02, horizon=2.0, paths=37, guard=1e6)
     h0 = np.array([1.0, 0.5, 1.0])
@@ -554,7 +554,7 @@ class TestStability:
         config = SimConfig(dt=1e-2, horizon=0.1, paths=8)
         coarse = CoefficientSet(ProjectedMap(limit.drift, 2), limit.vol_columns)
         out = stability_experiment(
-            sg, limit, [coarse, limit], NoiseSpec.flat(2, 1.0, seed=3), K,
+            sg, limit, [coarse, limit], NoiseSpec((1.0,) * 2, 3), K,
             config, np.full(4, 1.0),
         )
         assert out[0].mean > 0.0
@@ -576,7 +576,7 @@ class TestStability:
 
         monkeypatch.setattr(simulate, "_path_stream", counted)
         seq = [CoefficientSet(ProjectedMap(limit.drift, n), limit.vol_columns) for n in (1, 2, 3)]
-        noise, h0 = NoiseSpec.flat(2, 1.0, seed=3), np.full(4, 1.0)
+        noise, h0 = NoiseSpec((1.0,) * 2, 3), np.full(4, 1.0)
         out = stability_experiment(sg, limit, seq, noise, K, config, h0)
         assert calls == list(range(config.paths))
         assert stability_experiment(sg, limit, [], noise, K, config, h0) == []
