@@ -12,12 +12,14 @@ with ``decay = exp(-c dt)``, ``sqrt_scale = sqrt(lambda dt)`` and
 coefficient set steps through this one loop.
 
 The loop runs one time block at a time.  ``KernelState.start`` makes a
-chunk's state once, from its initial rows (step 0 is checked against
-the guard and the cone there), and ``step_ensemble(plan, state,
-normals, counts)`` advances it in place through the ``(P, b, J)``
-normals and ``(P, b, M)`` counts of one block: states, running minima,
-first exits, divergence, the alive and waiting flags and the step
-offset.  Nothing in a step depends on where a block starts or ends, so
+chunk's state once, from its initial rows, and ``step_ensemble(plan,
+state, normals, counts)`` advances it in place through the
+``(P, b, J)`` normals and ``(P, b, M)`` counts of one block: states,
+running minima, first exits, divergence, the alive and waiting flags
+and the step offset.  One function, ``_monitor``, holds the monitoring
+rule (margin, first exit, divergence freeze): ``start`` applies it to
+the initial rows at step 0, and the loop to the states each later step
+reaches.  Nothing in a step depends on where a block starts or ends, so
 stepping the noise of a run whole or split into consecutive blocks of
 any lengths gives the same bytes.  A state made with a ``rows`` buffer
 of one block, ``(P, b, N)``, also records the rows after each step of
@@ -38,16 +40,16 @@ one.  So a step whose accumulator starts with a zero of either sign adds
 every map at full width, by the same code with the support set to every
 coordinate.
 
-While every path is alive and no row leaves the guard, a step takes
+While every path is alive and no row leaves the guard, the rule takes
 ``r_new`` whole and updates the running minima in place; the per-path
 sup norm is computed only when the chunk's largest entry exceeds the
 guard (or is not a number), and the exit test stops once every live
 path has a first exit.  A path diverges when its sup norm is not within
 the guard, so a state holding a NaN diverges too, and the path then
-keeps its last state within the guard.  Divergence uses the sup norm
-(order-free), and margins get ``+ 0.0`` so a margin of -0.0 is reported
-as 0.0, which also makes their minimum independent of the order it is
-taken in.
+keeps its last state within the guard (an initial row beyond it keeps
+that row).  Divergence uses the sup norm (order-free), and margins get
+``+ 0.0`` so a margin of -0.0 is reported as 0.0, which also makes their
+minimum independent of the order it is taken in.
 ``BACKEND`` names the kernel for run reports.
 """
 
@@ -69,7 +71,6 @@ if TYPE_CHECKING:
 BACKEND = "numpy"
 
 _ALL = slice(None)  # every coordinate
-_NOISE_BLOCK = 32  # steps of a block's noise scaled at once
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,14 @@ def _step_factors(plan: StepPlan, normals: np.ndarray, counts: np.ndarray):
     drift, vols, atoms: ``dt``, then one ``(1, P)`` row per noise column
     (scaled normals) and per atom (compensated counts).
 
-    The factors are made a block of steps at a time, laid out step by
+    The factors of the whole block are made at once, laid out step by
     column by path, so each row is contiguous.  Noise whose path axis is
     fastest, as the engine hands it over, is in that layout already; any
-    other layout is transposed here, one block at a time."""
-    for s0 in range(0, normals.shape[1], _NOISE_BLOCK):
-        block = slice(s0, s0 + _NOISE_BLOCK)
-        W = np.multiply(normals[:, block].transpose(1, 2, 0), plan.sqrt_scale[:, None], order="C")
-        F = np.subtract(counts[:, block].transpose(1, 2, 0), plan.atom_wdt[:, None], order="C")
-        for w, f in zip(W[:, :, None], F[:, :, None]):
-            yield (plan.dt, *w, *f)
+    other layout is transposed here."""
+    W = np.multiply(normals.transpose(1, 2, 0), plan.sqrt_scale[:, None], order="C")
+    F = np.subtract(counts.transpose(1, 2, 0), plan.atom_wdt[:, None], order="C")
+    for w, f in zip(W[:, :, None], F[:, :, None]):
+        yield (plan.dt, *w, *f)
 
 
 def _margins(rT: np.ndarray, con, sign_cols: np.ndarray) -> np.ndarray:
@@ -177,52 +176,66 @@ class KernelState:
 
     @classmethod
     def start(cls, plan: StepPlan, r0: np.ndarray, rows: np.ndarray | None = None) -> "KernelState":
-        """The state at step 0: rows ``r0`` (P, N), checked against the
-        guard and the cone as every later step is.  ``rows`` is a
+        """The state at step 0: every path alive and waiting, with running
+        minima at ``+inf``, and then the rows ``r0`` (P, N) put through the
+        monitoring rule as every later step's are.  ``rows`` is a
         (P, b, N) buffer to record each block's rows in, with ``b`` at
         least the longest block, or None."""
         P, N = r0.shape
         con_idx = np.flatnonzero(plan.signs != 0.0)
-        con = row_index(con_idx, N)
-        # the per-coordinate constants spelled out per path: a product of
-        # equal shapes is much faster than one that broadcasts a short row
-        sign_cols = np.repeat(plan.signs[con_idx, None], P, axis=1)
-        decay = np.repeat(plan.decay[:, None], P, axis=1)
-
-        rT = np.array(r0.T, dtype=np.float64, order="C")
-        first_exit = np.full(P, -1, dtype=np.int64)
-        diverged = np.full(P, -1, dtype=np.int64)
-        alive = np.ones(P, dtype=bool)
-
-        # a path counts as diverged unless its sup norm is within the guard,
-        # so a row holding a NaN diverges too
-        bad0 = ~(np.abs(rT).max(axis=0) <= plan.guard)
-        diverged[bad0] = 0
-        alive &= ~bad0
-
-        runmin = np.full(P, np.inf)
-        m0 = _margins(rT, con, sign_cols)
-        runmin[alive] = m0[alive]
-        hit0 = alive & (m0 < -plan.exit_tol)
-        first_exit[hit0] = 0
-        # live paths with no first exit yet; once there are none, the exit
-        # test is skipped
-        waiting = alive & ~hit0
-        return cls(
-            rT=rT,
-            runmin=runmin,
-            first_exit=first_exit,
-            diverged=diverged,
-            alive=alive,
-            waiting=waiting,
-            all_alive=bool(alive.all()),
-            any_waiting=bool(waiting.any()),
+        state = cls(
+            rT=np.array(r0.T, dtype=np.float64, order="C"),
+            runmin=np.full(P, np.inf),
+            first_exit=np.full(P, -1, dtype=np.int64),
+            diverged=np.full(P, -1, dtype=np.int64),
+            alive=np.ones(P, dtype=bool),
+            waiting=np.ones(P, dtype=bool),
+            all_alive=True,
+            any_waiting=P > 0,
             step=0,
             rows=rows,
-            con=con,
-            sign_cols=sign_cols,
-            decay=decay,
+            con=row_index(con_idx, N),
+            # the per-coordinate constants spelled out per path: a product of
+            # equal shapes is much faster than one that broadcasts a short row
+            sign_cols=np.repeat(plan.signs[con_idx, None], P, axis=1),
+            decay=np.repeat(plan.decay[:, None], P, axis=1),
         )
+        _monitor(plan, state, state.rT, 0)
+        return state
+
+
+def _monitor(plan: StepPlan, state: KernelState, r_new: np.ndarray, s: int) -> None:
+    """The monitoring rule: the ``(N, P)`` states ``r_new`` reached at
+    step ``s`` become ``state``'s current states, running minima, first
+    exits and divergence.
+
+    A live path diverges at ``s`` unless its sup norm is within the
+    guard, so a row holding a NaN diverges too; a diverged path keeps
+    its last state and minimum.  A waiting path whose margin drops below
+    ``-exit_tol`` takes ``s`` as its first exit."""
+    alive, waiting = state.alive, state.waiting
+    # initial=0.0 lets an empty chunk through; a NaN fails the test
+    if not np.abs(r_new).max(initial=0.0) <= plan.guard:
+        newly_div = alive & ~(np.abs(r_new).max(axis=0) <= plan.guard)
+        state.diverged[newly_div] = s
+        alive &= ~newly_div
+        state.all_alive = bool(alive.all())
+        waiting &= alive
+        state.any_waiting = bool(waiting.any())
+
+    margin = _margins(r_new, state.con, state.sign_cols)
+    if state.all_alive:
+        state.rT = r_new
+        np.minimum(state.runmin, margin, out=state.runmin)
+    else:
+        state.rT[:, alive] = r_new[:, alive]
+        state.runmin[alive] = np.minimum(state.runmin[alive], margin[alive])
+    if state.any_waiting:
+        crossed = waiting & (margin < -plan.exit_tol)
+        if crossed.any():
+            state.first_exit[crossed] = s
+            waiting &= ~crossed
+            state.any_waiting = bool(waiting.any())
 
 
 def step_ensemble(
@@ -247,45 +260,17 @@ def step_ensemble(
     Stepping a run's noise in one block or in any split of it into
     consecutive blocks gives the same bytes.
     """
-    rT, runmin, alive, waiting = state.rT, state.runmin, state.alive, state.waiting
-    all_alive, any_waiting = state.all_alive, state.any_waiting
-    con, sign_cols, decay = state.con, state.sign_cols, state.decay
-
     maps = (plan.drift, *plan.vols, *plan.atoms)
     full_width = (_ALL,) * len(maps)
     for s, coefs in enumerate(_step_factors(plan, normals, counts), start=state.step):
+        rT = state.rT
         # the accumulator starts as r: with a zero in it, add at full width
         sups = plan.supports if rT.all() else full_width
         acc = rT.copy()
         for m, sup, c in zip(maps, sups, coefs):
             if sup is not None:
                 acc[sup] += m.eval_coords(rT.T, sup).T * c
-        r_new = decay * acc
-
-        # initial=0.0 lets an empty chunk through; a NaN fails the test
-        if not np.abs(r_new).max(initial=0.0) <= plan.guard:
-            newly_div = alive & ~(np.abs(r_new).max(axis=0) <= plan.guard)
-            state.diverged[newly_div] = s + 1
-            alive &= ~newly_div
-            all_alive = bool(alive.all())
-            waiting &= alive
-            any_waiting = bool(waiting.any())
-
-        margin = _margins(r_new, con, sign_cols)
-        if all_alive:
-            rT = r_new
-            np.minimum(runmin, margin, out=runmin)
-        else:
-            rT[:, alive] = r_new[:, alive]
-            runmin[alive] = np.minimum(runmin[alive], margin[alive])
-        if any_waiting:
-            crossed = waiting & (margin < -plan.exit_tol)
-            if crossed.any():
-                state.first_exit[crossed] = s + 1
-                waiting &= ~crossed
-                any_waiting = bool(waiting.any())
+        _monitor(plan, state, state.decay * acc, s + 1)
         if state.rows is not None:
-            state.rows[:, s - state.step] = rT.T
-
-    state.rT, state.all_alive, state.any_waiting = rT, all_alive, any_waiting
+            state.rows[:, s - state.step] = state.rT.T
     state.step += normals.shape[1]

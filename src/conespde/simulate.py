@@ -24,8 +24,8 @@ its parent); a slice's chunks run one after another.  A run of one
 chunk forks nothing.  Each chunk holds one time block of noise at a
 time: its paths draw the next
 ``b`` steps into a buffer of about ``_NOISE_BYTES`` (8 MiB), which is
-transposed once per sub-block of ``kernels._NOISE_BLOCK`` steps for the
-kernel to step the chunk through, and reused for the next block.  So
+transposed once per sub-block of ``_SUB_BLOCK`` steps for the kernel
+to step the chunk through, and reused for the next block.  So
 memory is one chunk times one block per process and does not grow with
 the horizon, and the width and the block lengths are module constants,
 not options.  No run keeps whole trajectories.
@@ -112,6 +112,7 @@ __all__ = [
 
 _CHUNK = 1024  # paths stepped together; results do not depend on it
 _NOISE_BYTES = 8 << 20  # a chunk's block of fine draws; sets memory, not results
+_SUB_BLOCK = 32  # fine steps transposed, and scaled by the kernel, at once
 
 
 def _eigenvalues(path: str, raw) -> tuple:
@@ -155,12 +156,16 @@ class NoiseSpec:
 
     @classmethod
     def dyadic(cls, count: int) -> "NoiseSpec":
-        """Summable default: ``lam_j = 2^-j`` for ``j = 1..count``."""
+        """Summable default: ``lam_j = 2^-j`` for ``j = 1..count``, with
+        ``count >= 0``."""
+        require_int("count", count, 0)
         return cls(tuple(2.0 ** (-j) for j in range(1, count + 1)))
 
     @classmethod
     def flat(cls, count: int, value: float = 1.0) -> "NoiseSpec":
-        """Equal weight on every column (finitely many, so still trace class)."""
+        """Equal weight on every one of ``count >= 0`` columns (finitely
+        many, so still trace class)."""
+        require_int("count", count, 0)
         return cls((float(value),) * count)
 
     @property
@@ -321,8 +326,17 @@ def run_sweep(
     Every level's noise is built from the draws at ``config.dt`` (see
     ``_coarsen``), so the level with factor 1 is ``run_ensemble``'s
     ensemble, and the levels differ only by the step size.  Each factor
-    must divide ``config.steps``.
+    must be an integer >= 1 that divides ``config.steps``.  Nothing is
+    simulated for an empty ``factors``.
     """
+    for i, f in enumerate(factors):
+        require_int(f"factors[{i}]", f, 1)
+        if config.steps % f:
+            raise ConfigError(
+                f"sweep factor {f} does not divide the {config.steps} steps of dt {config.dt}"
+            )
+    if not factors:
+        return []
     lanes = [(coeffs, f) for f in factors]
     return _simulate(lanes, semigroup, noise, cone, config, h0, 0, None)
 
@@ -350,9 +364,6 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
     P = config.paths
     factors = [f for _, f in lanes]
     levels = [replace(config, dt=config.dt * f) for f in factors]
-    for f, cfg in zip(factors, levels):
-        if cfg.steps * f != S:
-            raise ConfigError(f"sweep factor {f} does not divide the {S} steps of dt {config.dt}")
 
     # Both names are the same function, chosen once for the run.  Runs
     # whose every set is built-in call it as simulate.step_ensemble, the
@@ -402,7 +413,7 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
             r0 = np.broadcast_to(h0, (n, dim))
             B = _block_steps(n, J + M + rows_width, unit)
             # steps of fine noise transposed at once, whole steps of every lane
-            T = min(B, max(unit, kernels._NOISE_BLOCK - kernels._NOISE_BLOCK % unit))
+            T = min(B, max(unit, _SUB_BLOCK - _SUB_BLOCK % unit))
             states = [
                 KernelState.start(plan, r0, np.zeros((n, min(T, S), dim)) if rows_width else None)
                 for plan in plans

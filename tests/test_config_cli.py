@@ -330,6 +330,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="noise: 8 eigenvalues for 9 volatility columns"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("vol", ["none", "preset"])
+    @pytest.mark.parametrize("rule, count", [("flat", -3), ("dyadic", -1)], ids=["flat", "dyadic"])
+    def test_negative_noise_count(self, rule, count, vol):
+        # named by its own bound: with no volatility columns, no
+        # column-count check would see an empty eigenvalue list
+        doc = self.base()
+        if vol == "none":
+            doc["coefficients"]["vol"] = []
+        doc["noise"]["eigenvalues"] = {"rule": rule, "count": count}
+        with pytest.raises(ConfigError, match=f"^noise: count must be >= 0, got {count}$"):
+            ExperimentConfig.from_dict(doc)
+
     def test_flat_rule_value_defaults_to_the_rule(self):
         doc = self.base()
         doc["noise"]["eigenvalues"] = {"rule": "flat", "count": 8}

@@ -406,13 +406,17 @@ def test_unread_allowlist_is_current():
 
 
 # A parameter default that no consumer call overrides is a setting that
-# only tests set: it belongs in a module constant.  Consumers are the
-# files of the reach rule (``consumers``); a call overrides a default
-# when it passes that parameter by keyword or by position, a starred
-# argument passing every position and ``**`` every keyword.  Calls are
-# matched by the name they use (the class name for ``__init__``), so a
-# function called through a variable or a table is never matched.  The
-# allowlist names the defaults overridden that way, each with its reason.
+# only tests set: it belongs in a module constant.  A dataclass's init
+# fields are its class's parameters, and a field with a default counts
+# as a defaulted parameter unless it is a ``config_field`` (a config
+# document sets those).  Consumers are the files of the reach rule
+# (``consumers``); a call overrides a default when it passes that
+# parameter by keyword or by position, a starred argument passing every
+# position and ``**`` every keyword.  Calls are matched by the name they
+# use (the class name for ``__init__``, and for ``cls(...)`` in one of the
+# class's own classmethods), so a function called through a variable or
+# a table is never matched.  The allowlist names the defaults overridden
+# that way or kept for callers outside those files, each with its reason.
 _SUITE_SEED = "run_suites dispatches every suite as SUITES[name](seed=seed)"
 _CHECKER_ARG = "invariance_verdict calls the checkers through its checks tuple"
 DEFAULT_ALLOWED = {
@@ -422,7 +426,43 @@ DEFAULT_ALLOWED = {
        for kind in ("jump", "drift", "volatility") for param in ("sampler", "tol")},
     "simulate.py:run_ensemble(first_path)": "the seeding contract's one-path regeneration, "
     "run_ensemble(..., paths=1, first_path=p), for code outside the package",
+    "approx.py:SearchSpec(radius)": "SearchRadiusError.suggested_radius asks the caller "
+    "to retry with a given radius",
 }
+
+
+def _called_name(node: ast.expr) -> str | None:
+    """The name a call or decorator uses: a bare name or an attribute's."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def defaulted_fields(node: ast.ClassDef, owner: str) -> list[tuple[str, str, int, str]]:
+    """``defaulted_parameters``' entries for the init fields of the
+    dataclass ``node`` that have a default and are not ``config_field``s,
+    the qualname being the class's."""
+    if not any(_called_name(d) == "dataclass" for d in node.decorator_list):
+        return []
+    found = []
+    position = 0
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign) or "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and _called_name(value) == "field":
+            kwargs = {k.arg: k.value for k in value.keywords}
+            if getattr(kwargs.get("init"), "value", True) is False:
+                continue
+            default = "default" in kwargs or "default_factory" in kwargs
+        else:
+            default = value is not None and not (
+                isinstance(value, ast.Call) and _called_name(value) == "config_field"
+            )
+        if default:
+            found.append((f"{owner}{node.name}", node.name, position, stmt.target.id))
+        position += 1
+    return found
 
 
 def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, str]]:
@@ -435,6 +475,7 @@ def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, s
     def visit(body: list[ast.stmt], owner: str, cls_name: str | None) -> None:
         for node in body:
             if isinstance(node, ast.ClassDef):
+                found.extend(defaulted_fields(node, owner))
                 visit(node.body, f"{owner}{node.name}.", node.name)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = node.args
@@ -457,19 +498,27 @@ def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None, s
 
 def passed_arguments(root: Path) -> set[tuple[str, int | str]]:
     """``(callee, position or keyword)`` for every argument a consumer's
-    call passes to a callee named by a bare name or an attribute."""
+    call passes to a callee named by a bare name or an attribute; a
+    ``cls(...)`` call in a classmethod passes them to its class too."""
     passed = set()
+
+    def add(name: str, call: ast.Call) -> None:
+        for i, arg in enumerate(call.args):
+            passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
+        passed.update((name, k.arg or "**") for k in call.keywords)
+
     for path in consumers(root):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name is None:
-                continue
-            for i, arg in enumerate(node.args):
-                passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
-            passed.update((name, k.arg or "**") for k in node.keywords)
+            name = _called_name(node) if isinstance(node, ast.Call) else None
+            if name is not None:
+                add(name, node)
+            elif isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    decorators = getattr(method, "decorator_list", ())
+                    if any(_called_name(d) == "classmethod" for d in decorators):
+                        for call in ast.walk(method):
+                            if isinstance(call, ast.Call) and _called_name(call) == "cls":
+                                add(node.name, call)
     return passed
 
 
@@ -509,6 +558,39 @@ def test_checker_sees_a_default_only_tests_set(tmp_path):
     passed = passed_arguments(tmp_path)
     found = unoverridden_defaults(tmp_path / "src/conespde/m.py", passed)
     assert found == ["m.py:f(b)", "m.py:K.m(y)"]
+
+
+def test_checker_sees_a_field_default_only_tests_set(tmp_path):
+    # D's a has no default, c is a config field and e no init field;
+    # D.make's cls(...) sets b, the benchmark f, and nobody d or E's x
+    files = {
+        "src/conespde/__init__.py": "from .m import D, E\n",
+        "src/conespde/m.py": (
+            "from dataclasses import dataclass, field\n"
+            "@dataclass(frozen=True)\n"
+            "class D:\n"
+            "    a: int\n"
+            "    b: int = 1\n"
+            "    c: int = config_field(read_int, default=0)\n"
+            "    d: list = field(default_factory=list)\n"
+            "    e: int = field(default=0, init=False)\n"
+            "    f: int = 2\n"
+            "    @classmethod\n"
+            "    def make(cls): return cls(0, 1)\n"
+            "@dataclass\n"
+            "class E:\n"
+            "    x: int = 0\n"
+        ),
+        "tests/test_m.py": "from conespde.m import D, E\nD(0, d=[], f=1)\nE(x=1)\n",
+        "tests/test_acceptance.py": "",
+        "perfbench/run.py": "import conespde.m as m\nm.D(0, f=3)\nm.E()\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    passed = passed_arguments(tmp_path)
+    found = unoverridden_defaults(tmp_path / "src/conespde/m.py", passed)
+    assert found == ["m.py:D(d)", "m.py:E(x)"]
 
 
 PASSED = passed_arguments(ROOT)

@@ -412,6 +412,20 @@ def _diverging_inputs():
     return plan, r0, normals, counts
 
 
+def _mixed_start_inputs():
+    """``_diverging_inputs`` started from three kinds of finite rows: rows
+    beyond the guard (one also outside the cone), which diverge at step
+    0; rows outside the cone, which exit at step 0; and rows inside both."""
+    plan, r0, normals, counts = _diverging_inputs()
+    r0 = r0.copy()
+    r0[0] = [2e4, 0.5, 1.0]
+    r0[5] = [1.0, -3e4, 1.0]
+    r0[9] = [1.0, -0.5, 1.0]
+    r0[14] = [-1e-3, 0.5, 1.0]
+    r0[20] = [1.0, 0.5, -2.0]
+    return plan, r0, normals, counts
+
+
 class TestDenseReference:
     # the kernel adds each map on its support only and takes r_new whole
     # while every path is alive; the bytes must not change
@@ -462,3 +476,24 @@ class TestBlockSplit:
     )
     def test_uneven_blocks_match_dense_reference(self, inputs, splits):
         TestDenseReference().assert_same_bytes(inputs(), splits=splits)
+
+
+class TestMixedStart:
+    # KernelState.start puts the initial rows through the rule every later
+    # step goes through; the step-0 bytes are dense_reference's
+
+    def test_step_zero_matches_dense_reference(self):
+        inputs = _mixed_start_inputs()
+        want = TestDenseReference().assert_same_bytes(inputs)
+        div, exit_ = want["diverged"], want["first_exit"]
+        assert np.flatnonzero(div == 0).tolist() == [0, 5]
+        assert np.flatnonzero(exit_ == 0).tolist() == [9, 14, 20]
+        # a row beyond the guard keeps its initial state and no margin
+        assert np.array_equal(want["final"][[0, 5]], inputs[1][[0, 5]])
+        assert np.all(np.isinf(want["min_margin"][[0, 5]]))
+        # the rows inside go on to diverge and exit later
+        assert np.any(div > 0) and np.any(exit_ > 0)
+
+    @pytest.mark.parametrize("splits", [(1, 32, 65), (1, 2, 3)])  # of 100
+    def test_uneven_blocks_match_dense_reference(self, splits):
+        TestDenseReference().assert_same_bytes(_mixed_start_inputs(), splits=splits)

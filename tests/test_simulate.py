@@ -35,7 +35,6 @@ from conespde import (
     ShapeError,
     SimConfig,
     forks,
-    kernels,
     simulate,
 )
 from conespde.coefficients import (
@@ -87,6 +86,17 @@ class TestNoiseSpec:
     def test_seed_nonnegative(self):
         with pytest.raises(DomainError):
             NoiseSpec((1.0,), seed=-1)
+
+    @pytest.mark.parametrize(
+        "make, count",
+        [(NoiseSpec.flat, -2), (NoiseSpec.dyadic, -1)],
+        ids=["flat", "dyadic"],
+    )
+    def test_count_nonnegative(self, make, count):
+        # checked before the tuple is built: (1.0,) * -2 is ()
+        with pytest.raises(DomainError, match=f"^count must be >= 0, got {count}$"):
+            make(count)
+        assert make(0).eigenvalues == ()
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None])
     def test_seed_is_an_integer(self, seed):
@@ -275,7 +285,7 @@ class TestDeterminism:
         sub_block,
     ):
         # The engine transposes each block of fine draws in sub-blocks of
-        # kernels._NOISE_BLOCK steps, rounded down to whole steps of every
+        # simulate._SUB_BLOCK steps, rounded down to whole steps of every
         # lane.  1 rounds to one lane unit (4 steps for factors 4, 2, 1,
         # 3 for factors 3, 1); 18 leaves a ragged last sub-block of the
         # 60 steps (16 or 18 steps each, then 12 or 6).  Neither changes
@@ -299,7 +309,7 @@ class TestDeterminism:
             return [getattr(e, name).tobytes() for e in runs for name in fields], sup
 
         ref, sup_ref = outputs()
-        monkeypatch.setattr(kernels, "_NOISE_BLOCK", sub_block)
+        monkeypatch.setattr(simulate, "_SUB_BLOCK", sub_block)
         got, sup = outputs()
         assert got == ref
         assert np.all(sup_ref > 0.0) and sup.tobytes() == sup_ref.tobytes()
@@ -423,6 +433,30 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(compliant_coeffs, heat16, flat_noise8, cone16, config,
                       np.ones(16), (4, 1))
+
+    @pytest.mark.parametrize(
+        "factors, error, message",
+        [
+            ((2.0,), DomainError, r"factors\[0\] must be an integer, got 2\.0"),
+            ((0,), DomainError, r"factors\[0\] must be >= 1, got 0"),
+            ((True,), DomainError, r"factors\[0\] must be an integer, got True"),
+            ((1, -2), DomainError, r"factors\[1\] must be >= 1, got -2"),
+            # checked before a level's SimConfig, whose own message names
+            # the level's dt, not the factor
+            ((3,), ConfigError, r"sweep factor 3 does not divide the 1000 steps of dt 0\.001"),
+        ],
+        ids=["float", "zero", "bool", "negative", "not-dividing"],
+    )
+    def test_factors_checked(
+        self, heat16, cone16, compliant_coeffs, flat_noise8, factors, error, message
+    ):
+        config = SimConfig(dt=1e-3, horizon=1.0, paths=2)
+        with pytest.raises(error, match=f"^{message}$"):
+            run_sweep(compliant_coeffs, heat16, flat_noise8, cone16, config, np.ones(16), factors)
+
+    def test_no_factors_no_levels(self, heat16, cone16, compliant_coeffs, flat_noise8):
+        config = SimConfig(dt=1e-3, horizon=0.01, paths=2)
+        assert run_sweep(compliant_coeffs, heat16, flat_noise8, cone16, config, np.ones(16), ()) == []
 
 
 class TestDimChecks:
