@@ -28,7 +28,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .appendix import run_suites
 from .coefficients import invariance_verdict
 from .config import ExperimentConfig, PRESET_NAMES, preset_document
 from .errors import ConeSpdeError, ConfigError
@@ -251,7 +250,7 @@ def cmd_check(config_path, preset_name, out_dir, seed, paths, dt) -> int:
     """Run the sampled invariance checker and write report.json."""
     ec = _load(config_path, preset_name, seed, paths, dt)
     out = _prepare_out(out_dir)
-    report = invariance_verdict(ec.coeffs, ec.cone, ec.sampler, ec.check_tol)
+    report = invariance_verdict(ec.coeffs, ec.cone, ec.sampler)
     run_hash = _write_manifest(out, ec, ["report.json"])
     _write_json(out / "report.json", {"hash": run_hash, "checker": report.to_dict()})
     _echo_report(report)
@@ -284,7 +283,7 @@ def cmd_verify(config_path, preset_name, out_dir, seed, paths, dt) -> int:
     """Checker plus step-size sweep; reports agreement between the two."""
     ec = _load(config_path, preset_name, seed, paths, dt)
     out = _prepare_out(out_dir)
-    report = invariance_verdict(ec.coeffs, ec.cone, ec.sampler, ec.check_tol)
+    report = invariance_verdict(ec.coeffs, ec.cone, ec.sampler)
     _echo_report(report)
 
     ensembles = run_sweep(ec.coeffs, ec.semigroup, ec.noise, ec.cone, ec.sim, ec.h0, SWEEP_FACTORS)
@@ -344,6 +343,9 @@ def cmd_appendix(selector, out_dir, seed) -> int:
 
     SELECTOR is one of: phi, retraction, supinf, mollify, rho, all.
     """
+    # here, not at the top: no other command needs the suites or ``approx``
+    from .appendix import run_suites
+
     out = _prepare_out(out_dir)
     results = run_suites(selector, seed=seed)
     failures = [r for r in results if not r.passed]

@@ -52,11 +52,12 @@ the checks of a large sample at the same time, each of the last ones
 in a forked worker (``forks.run``), and a sample below
 ``_FORK_ENTRIES`` float64 entries one check after another here; either
 way its report, and the error it raises, are the serial ones.
-Every checker opens with one preamble (the dimension check and the
-default tolerance) and turns each evaluated block of violation sizes
-into witnesses through one builder, one witness per entry above the
-tolerance.  A map value that is not finite raises ``NumericError``
-naming the condition, map and face.
+Every checker opens with one preamble (the dimension check, and the
+plan's tolerance ``SamplerSpec.tol`` or else the default one) and
+turns each evaluated block of violation sizes into witnesses through
+one builder, one witness per entry above the tolerance.  A map value
+that is not finite raises ``NumericError`` naming the condition, map
+and face.
 
 Sampling can certify a violation (a witness is a concrete point) but
 never its absence, so a report holds only the conditions it checked
@@ -448,15 +449,11 @@ class ProportionalMap(CoefficientMap):
 
     def eval_coords(self, a: np.ndarray, idx) -> np.ndarray:
         k = self.index
-        # results in the batch's memory layout, as ConstantMap
-        if idx is _ALL:  # eval_array, frequent on single states
-            out = np.zeros_like(a, np.float64)
-            out[..., k] = self.scale * a[..., k]
-            return out
         # the kernel asks for the support as this slice, once per step
         if isinstance(idx, slice) and idx == slice(k, k + 1):
             return self.scale * a[..., idx]
         hit = _selected(idx, self.dim) == k
+        # results in the batch's memory layout, as ConstantMap
         out = np.zeros_like(a, np.float64, shape=a.shape[:-1] + hit.shape)
         out[..., hit] = self.scale * a[..., k, None]
         return out
@@ -798,15 +795,22 @@ class SamplerSpec:
     folded into the cone); the jump checker additionally draws
     ``interior_points`` unpinned cone points.  Corners (the origin and
     the unit vectors of the other constrained coordinates) are added
-    deterministically.  Identical seeds give identical samples.
+    deterministically.  Identical seeds give identical samples.  Every
+    checker judges its sample up to ``tol``, finite and > 0, by default
+    ``default_tol`` of the coefficients checked.
     """
 
+    tol: float | None = config_field(read_float, default=None)
     points_per_face: int = config_field(read_int, default=64)
     interior_points: int = config_field(read_int, default=64)
     seed: int = config_field(read_int, default=0)
     include_corners: bool = config_field(read_bool, default=True)
 
     def __post_init__(self):
+        if self.tol is not None:
+            # a NaN or infinite tol hides every witness, and a negative
+            # one turns zero-size margins into witnesses
+            require_float("tol", self.tol, "> 0")
         for name in ("points_per_face", "interior_points", "seed"):
             require_int(name, getattr(self, name), 0)
         if not isinstance(self.include_corners, bool):
@@ -844,7 +848,7 @@ def _corners(cone: ConeSpec, idx: np.ndarray, rows: range) -> np.ndarray:
 
 
 def sample_boundary_pairs(
-    cone: ConeSpec, spec: SamplerSpec = SamplerSpec()
+    cone: ConeSpec, spec: SamplerSpec
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Sampled admissible boundary pairs, one block ``(theta, k, H)`` per face.
 
@@ -881,7 +885,7 @@ def _row_ranges(n: int) -> Iterator[range]:
     return (range(lo, min(lo + _JUMP_ROWS, n)) for lo in range(0, n, _JUMP_ROWS))
 
 
-def sample_cone_points(cone: ConeSpec, spec: SamplerSpec = SamplerSpec()) -> Iterator[np.ndarray]:
+def sample_cone_points(cone: ConeSpec, spec: SamplerSpec) -> Iterator[np.ndarray]:
     """Sampled cone points, as read-only ``(m, N)`` parts of at most
     ``_JUMP_ROWS`` rows each.
 
@@ -1032,17 +1036,13 @@ def default_tol(coeffs: CoefficientSet) -> float:
     return 1e-9 if coeffs.uses_only_builtin_maps() else 1e-6
 
 
-def _resolve_tol(coeffs: CoefficientSet, cone: ConeSpec, tol: float | None) -> float:
+def _resolve_tol(coeffs: CoefficientSet, cone: ConeSpec, sampler: SamplerSpec) -> float:
     """The checkers' preamble: raise ``ShapeError`` unless the
-    coefficients live on the cone's space, and return ``tol``, by
-    default ``default_tol(coeffs)``; a given ``tol`` must be finite and
-    > 0 (``DomainError``), as ``checker.tol`` must be in a config."""
+    coefficients live on the cone's space, and return ``sampler.tol``,
+    by default ``default_tol(coeffs)``."""
     if coeffs.dim != cone.dim:
         raise ShapeError(f"dims disagree: cone {cone.dim}, coefficients {coeffs.dim}")
-    if tol is None:
-        return default_tol(coeffs)
-    require_float("tol", tol, "> 0")
-    return tol
+    return default_tol(coeffs) if sampler.tol is None else sampler.tol
 
 
 def _finite(
@@ -1147,7 +1147,7 @@ def _corner_scan(condition: str, parts, coeffs, cone: ConeSpec, tol: float):
     return left, [np.concatenate(part) for part in zip(*blocks)], found
 
 
-def _check_boundary(condition: str, parts, coeffs, cone, sampler, tol) -> ConditionReport:
+def _check_boundary(condition: str, parts, coeffs, cone, sampler) -> ConditionReport:
     """One boundary condition at every sampled admissible pair.
 
     ``sample_boundary_pairs`` is called once, for the face draws alone.
@@ -1157,7 +1157,7 @@ def _check_boundary(condition: str, parts, coeffs, cone, sampler, tol) -> Condit
     then each part's finiteness on the draws and the corners together,
     are checked in the order the whole face block would be.
     """
-    tol = _resolve_tol(coeffs, cone, tol)
+    tol = _resolve_tol(coeffs, cone, sampler)
     corners = sampler.include_corners
     witnesses = []
     sampled = 0
@@ -1180,22 +1180,20 @@ def _check_boundary(condition: str, parts, coeffs, cone, sampler, tol) -> Condit
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_jump_condition(
-    coeffs: CoefficientSet,
-    cone: ConeSpec,
-    sampler: SamplerSpec = SamplerSpec(),
-    tol: float | None = None,
+    coeffs: CoefficientSet, cone: ConeSpec, sampler: SamplerSpec
 ) -> ConditionReport:
     """Sampled check that every jump keeps the cone invariant.
 
     For each sampled ``h`` in the cone and each atom the displaced point
-    ``h + gamma_i(h)`` must satisfy every sign constraint up to ``tol``.
-    The condition is pointwise, so each atom is evaluated on each part
-    of ``sample_cone_points`` as the part is drawn, and the checker
-    holds one part and its temporaries whatever the sample size.  An
-    atom value that is not finite raises ``NumericError``, for the
-    first such atom in the first part that has one.
+    ``h + gamma_i(h)`` must satisfy every sign constraint up to
+    ``sampler.tol``.  The condition is pointwise, so each atom is
+    evaluated on each part of ``sample_cone_points`` as the part is
+    drawn, and the checker holds one part and its temporaries whatever
+    the sample size.  An atom value that is not finite raises
+    ``NumericError``, for the first such atom in the first part that
+    has one.
     """
-    tol = _resolve_tol(coeffs, cone, tol)
+    tol = _resolve_tol(coeffs, cone, sampler)
     witnesses = []
     sampled = 0
     idx = cone.constrained
@@ -1212,39 +1210,33 @@ def check_jump_condition(
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_drift_condition(
-    coeffs: CoefficientSet,
-    cone: ConeSpec,
-    sampler: SamplerSpec = SamplerSpec(),
-    tol: float | None = None,
+    coeffs: CoefficientSet, cone: ConeSpec, sampler: SamplerSpec
 ) -> ConditionReport:
     """Sampled check of the inward-pointing drift condition.
 
     At every sampled admissible boundary pair ``(theta e_k*, h)`` the
     margin ``a + theta drift(h)_k - sum_i w_i theta gamma_i(h)_k`` must
-    be ``>= -tol``.  A pair is admissible exactly when ``h_k = 0``, and
-    then ``a = 0``; a face whose draws or corners hold any other row
-    raises ``SamplerContractError`` when it is reached.  Each map's
-    coordinate ``k`` is evaluated once on each face's draws, as the
-    sampler draws them, and every map once on the corner set
+    be ``>= -sampler.tol``.  A pair is admissible exactly when ``h_k =
+    0``, and then ``a = 0``; a face whose draws or corners hold any
+    other row raises ``SamplerContractError`` when it is reached.  Each
+    map's coordinate ``k`` is evaluated once on each face's draws, as
+    the sampler draws them, and every map once on the corner set
     (``_check_boundary``).  A drift, atom or margin value that is not
     finite raises ``NumericError``.
     """
-    return _check_boundary(DRIFT, _drift_parts, coeffs, cone, sampler, tol)
+    return _check_boundary(DRIFT, _drift_parts, coeffs, cone, sampler)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def check_volatility_condition(
-    coeffs: CoefficientSet,
-    cone: ConeSpec,
-    sampler: SamplerSpec = SamplerSpec(),
-    tol: float | None = None,
+    coeffs: CoefficientSet, cone: ConeSpec, sampler: SamplerSpec
 ) -> ConditionReport:
     """Sampled check that volatility columns are parallel to the boundary:
-    ``|theta vol_j(h)_k| <= tol`` at admissible boundary pairs.  Each
-    column's coordinate ``k`` is evaluated once on each face's draws, as
-    the sampler draws them, and every column once on the corner set
-    (``_check_boundary``)."""
-    return _check_boundary(VOL, _vol_parts, coeffs, cone, sampler, tol)
+    ``|theta vol_j(h)_k| <= sampler.tol`` at admissible boundary pairs.
+    Each column's coordinate ``k`` is evaluated once on each face's
+    draws, as the sampler draws them, and every column once on the
+    corner set (``_check_boundary``)."""
+    return _check_boundary(VOL, _vol_parts, coeffs, cone, sampler)
 
 
 #: Boundary-sample size, in float64 entries (constrained faces x rows per
@@ -1255,10 +1247,7 @@ _FORK_ENTRIES = 1 << 20
 
 
 def invariance_verdict(
-    coeffs: CoefficientSet,
-    cone: ConeSpec,
-    sampler: SamplerSpec = SamplerSpec(),
-    tol: float | None = None,
+    coeffs: CoefficientSet, cone: ConeSpec, sampler: SamplerSpec
 ) -> ConditionReport:
     """Combined verdict over the jump, drift, and volatility conditions.
 
@@ -1277,7 +1266,7 @@ def invariance_verdict(
     the error raised when checks fail, are those of the three checks run
     one after another.
     """
-    tol = _resolve_tol(coeffs, cone, tol)
+    tol = _resolve_tol(coeffs, cone, sampler)
     checks = (
         (JUMP, check_jump_condition),
         (DRIFT, check_drift_condition),
@@ -1290,7 +1279,7 @@ def invariance_verdict(
     groups = [checks[:cut], *((c,) for c in checks[cut:])]
     found = forks.run(
         len(groups),
-        lambda i: [check(coeffs, cone, sampler, tol) for _, check in groups[i]],
+        lambda i: [check(coeffs, cone, sampler) for _, check in groups[i]],
         lambda i: ", ".join(name for name, _ in groups[i]) + " check",
     )
     parts = [r for reports in found for r in reports]

@@ -30,12 +30,10 @@ from .errors import (
     ConeSpdeError,
     check_keys,
     read_bool,
-    read_float,
     read_floats,
     read_int,
     read_object,
     require_array,
-    require_float,
     require_int,
 )
 from .semigroup import DiagonalSemigroup
@@ -188,7 +186,6 @@ class ExperimentConfig:
     sim: SimConfig
     sampler: SamplerSpec
     h0: np.ndarray
-    check_tol: float | None = None
 
     @property
     def dim(self) -> int:
@@ -249,12 +246,7 @@ class ExperimentConfig:
 
         with _reading("checker"):
             chk = doc.get("checker")
-            chk = dict(read_object("checker", {} if chk is None else chk))
-            tol = chk.pop("tol", None)
-            if tol is not None:
-                tol = read_float("checker.tol", tol)
-                require_float("tol", tol, "> 0")
-            sampler = read_fields(SamplerSpec, chk, "checker")
+            sampler = read_fields(SamplerSpec, {} if chk is None else chk, "checker")
 
         with _reading("initial"):
             h0 = require_array("initial", read_floats("initial", doc["initial"]), ("N",))
@@ -270,12 +262,11 @@ class ExperimentConfig:
             sim=sim,
             sampler=sampler,
             h0=h0,
-            check_tol=tol,
         )
 
     def to_dict(self) -> dict:
         """Canonical, fully materialized document."""
-        doc = {
+        return {
             "space": {"dim": self.dim, "cone": self.cone.to_config()},
             "semigroup": self.semigroup.to_config(),
             "coefficients": self.coeffs.to_config(),
@@ -291,9 +282,6 @@ class ExperimentConfig:
             "checker": write_fields(self.sampler),
             "initial": [float(x) for x in self.h0],
         }
-        if self.check_tol is not None:
-            doc["checker"]["tol"] = float(self.check_tol)
-        return doc
 
     def content_hash(self) -> str:
         return content_hash(self.to_dict())

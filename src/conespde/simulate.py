@@ -147,11 +147,13 @@ class NoiseSpec:
 
     def __post_init__(self):
         # finite, too: the kernel skips 0 * sqrt(lam dt) xi off a column's
-        # support, which is not 0 when lam is infinite
+        # support, which is not 0 when lam is infinite; a plain float in
+        # range, as config documents give it, needs no further check
         for j, lam in enumerate(self.eigenvalues):
-            require_float(f"eigenvalues[{j}]", lam, "> 0")
+            if type(lam) is not float or not 0.0 < lam < math.inf:
+                require_float(f"eigenvalues[{j}]", lam, "> 0")
         # plain floats, as config documents write them
-        object.__setattr__(self, "eigenvalues", tuple(float(lam) for lam in self.eigenvalues))
+        object.__setattr__(self, "eigenvalues", tuple(map(float, self.eigenvalues)))
         require_int("seed", self.seed, 0)
 
     @classmethod

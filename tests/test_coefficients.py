@@ -8,6 +8,7 @@ the test body.
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import os
 import re
@@ -285,6 +286,23 @@ def test_fortran_batch_is_the_c_batch(m):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         if type(m) in BUILTIN_FAMILIES:
             assert got.flags.f_contiguous
+
+
+@pytest.mark.parametrize(
+    "shape, order", [((16,), "C"), ((7, 16), "C"), ((1024, 16), "F"), ((0, 16), "C")],
+    ids=["state", "batch", "fortran", "empty"],
+)
+def test_proportional_full_width(shape, order):
+    # eval_array goes through the general selection: zero but at the
+    # column's coordinate, in the batch's memory layout
+    a = np.asarray(np.random.default_rng(2).standard_normal(shape), order=order)
+    want = np.zeros(shape)
+    want[..., 5] = 0.3 * a[..., 5]
+    got = ProportionalMap(0.3, 5, 16).eval_array(a)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+        a.flags.c_contiguous, a.flags.f_contiguous
+    )
 
 
 @pytest.mark.parametrize(
@@ -1207,11 +1225,13 @@ class TestVerdict:
          invariance_verdict],
         ids=["jump", "drift", "vol", "verdict"],
     )
-    def test_tolerance_must_be_finite_and_positive(self, check, tol, cone16, badvol_coeffs):
+    def test_tolerance_must_be_finite_and_positive(self, check, tol):
         # a NaN or infinite tol hides every witness and a negative one
-        # turns zero-size margins into witnesses; None takes the default
+        # turns zero-size margins into witnesses: no plan holds one, and a
+        # checker takes its tolerance from the plan alone
         with pytest.raises(DomainError, match="^tol must be"):
-            check(badvol_coeffs, cone16, SMALL, tol)
+            SamplerSpec(tol=tol)
+        assert "tol" not in inspect.signature(check).parameters
 
     @pytest.mark.parametrize(
         "check",
@@ -1250,11 +1270,10 @@ class TestVerdict:
                     assert theta * g.eval_array(row)[k] >= -tol
 
 
-def reference_verdict(coeffs, cone, sampler, tol=None):
+def reference_verdict(coeffs, cone, sampler):
     """The three checkers evaluated one state at a time with the
     single-state formulas, as reference for the block evaluation."""
-    if tol is None:
-        tol = default_tol(coeffs)
+    tol = default_tol(coeffs) if sampler.tol is None else sampler.tol
     witnesses = []
     points = cone_sample(cone, sampler)
     idx = cone.constrained
@@ -1358,7 +1377,7 @@ class TestCheckerParity:
     @pytest.mark.parametrize("name", ["heat-positive", "heat-positive-badvol", "heat-positive-hidden"])
     def test_presets(self, name):
         ec = ExperimentConfig.from_dict(preset_document(name))
-        args = (ec.coeffs, ec.cone, ec.sampler, ec.check_tol)
+        args = (ec.coeffs, ec.cone, ec.sampler)
         assert invariance_verdict(*args).to_dict() == reference_verdict(*args).to_dict()
 
     @pytest.mark.parametrize(
@@ -1377,6 +1396,29 @@ class TestCheckerParity:
         want = reference_verdict(coeffs, cone, PARITY_SPEC).to_dict()
         assert {w["condition"] for w in want["witnesses"]} == failing
         assert invariance_verdict(coeffs, cone, PARITY_SPEC).to_dict() == want
+
+    @pytest.mark.parametrize(
+        "check",
+        [check_jump_condition, check_drift_condition, check_volatility_condition,
+         invariance_verdict],
+        ids=["jump", "drift", "vol", "verdict"],
+    )
+    def test_checkers_judge_up_to_the_plans_tolerance(self, check):
+        # each entry point reads sampler.tol, default_tol for a plan
+        # without one: at 0.09 every condition of the mixed case keeps
+        # some of its default witnesses and drops others
+        coeffs, cone = _mixed_cone_case()
+        assert check(coeffs, cone, PARITY_SPEC).tol == default_tol(coeffs)
+        plan = dataclasses.replace(PARITY_SPEC, tol=0.09)
+        report = check(coeffs, cone, plan)
+        assert report.tol == 0.09
+
+        def mine(spec):
+            found = reference_verdict(coeffs, cone, spec).witnesses
+            return [w.to_dict() for w in found if w.condition in report.checked]
+
+        assert [w.to_dict() for w in report.witnesses] == mine(plan)
+        assert 0 < len(mine(plan)) < len(mine(PARITY_SPEC))
 
     def test_jump_row_blocks_match_reference(self):
         # interior draws over two parts of the jump checker, faces in one
@@ -1564,7 +1606,7 @@ def test_small_verdicts_fork_nothing(monkeypatch, name):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
     monkeypatch.setattr(os, "fork", fork)
     ec = ExperimentConfig.from_dict(SMALL_DOCUMENTS[name])
-    invariance_verdict(ec.coeffs, ec.cone, ec.sampler, ec.check_tol)
+    invariance_verdict(ec.coeffs, ec.cone, ec.sampler)
 
 
 def _nan_where(test, coords, dim=3, value=np.nan):

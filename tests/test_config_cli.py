@@ -9,13 +9,17 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conespde import ConfigError, NoiseSpec, appendix
+from conespde import ConfigError, NoiseSpec, appendix, simulate
 from conespde.cli import (
     EXIT_QUIET_THRESHOLD,
     SWEEP_FACTORS,
@@ -148,6 +152,16 @@ class TestPresets:
         # recorded before the config sections were read by declared fields
         ec = ExperimentConfig.from_dict(preset_document(name))
         assert content_hash(ec.to_dict()) == PRESET_HASHES[name]
+
+    def test_checker_tol_bytes_pinned(self):
+        # recorded while the tolerance was written apart from the sampling plan
+        doc = preset_document("heat-positive")
+        doc["checker"] = {"tol": 1e-7}
+        ec = ExperimentConfig.from_dict(doc)
+        assert ec.sampler.tol == 1e-7
+        assert ec.content_hash() == (
+            "7d0d43eab207e93abcb75381e7930bc32a7b8bea697e1464b6b472a332fde695"
+        )
 
 
 PRESET_HASHES = {
@@ -330,6 +344,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="noise: 8 eigenvalues for 9 volatility columns"):
             ExperimentConfig.from_dict(doc)
 
+    def test_rule_eigenvalues_need_no_per_value_check(self, monkeypatch):
+        # a rule's plain floats in range are let through without a
+        # require_float call each before the column count is compared
+        names = []
+        check = simulate.require_float
+        monkeypatch.setattr(
+            simulate, "require_float", lambda name, *a: (names.append(name), check(name, *a))
+        )
+        doc = self.base()
+        doc["noise"]["eigenvalues"] = {"rule": "flat", "count": 1000}
+        message = "^noise: 1000 eigenvalues for 8 volatility columns$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(doc)
+        assert not [n for n in names if n.startswith("eigenvalues")]
+
     @pytest.mark.parametrize("vol", ["none", "preset"])
     @pytest.mark.parametrize("rule, count", [("flat", -3), ("dyadic", -1)], ids=["flat", "dyadic"])
     def test_negative_noise_count(self, rule, count, vol):
@@ -364,6 +393,22 @@ class TestValidation:
         doc = self.base()
         doc["checker"]["tol"] = 0.0
         with pytest.raises(ConfigError, match="^checker: tol must be > 0, got 0.0$"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "checker, message",
+        [
+            ({"tol": 0, "seed": -1}, "checker: tol must be > 0, got 0.0"),
+            ({"tol": "x", "seed": "y"}, "checker.tol: must be a number, got 'x'"),
+            # every entry is read before any value is judged
+            ({"tol": 0, "seed": "x"}, "checker.seed: must be an integer, got 'x'"),
+        ],
+        ids=["range-range", "type-type", "range-type"],
+    )
+    def test_checker_tol_judged_first(self, checker, message):
+        doc = self.base()
+        doc["checker"] = checker
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(doc)
 
     def test_missing_initial(self):
@@ -730,7 +775,7 @@ NUMPY_SCALARS = {
     "points-per-face": (_set("sampler", "points_per_face"), np.int64(5)),
     "interior-points": (_set("sampler", "interior_points"), np.int64(5)),
     "sampler-seed": (_set("sampler", "seed"), np.int64(7)),
-    "check-tol": (lambda ec, v: setattr(ec, "check_tol", v), np.float32(1e-6)),
+    "check-tol": (_set("sampler", "tol"), np.float32(1e-6)),
 }
 
 
@@ -1152,6 +1197,17 @@ class TestVerifyCommand:
 
 
 class TestAppendixCommand:
+    def test_other_commands_leave_the_suites_unimported(self):
+        # only ``appendix`` runs the suites, and only they use ``approx``
+        script = (
+            "import sys, conespde.cli\n"
+            "print(sorted({'conespde.appendix', 'conespde.approx'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(appendix.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
     def test_phi_suite(self, tmp_path):
         out = tmp_path / "run"
         res = CliRunner().invoke(cli, ["appendix", "phi", "--out", str(out)])

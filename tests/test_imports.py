@@ -418,12 +418,9 @@ def test_unread_allowlist_is_current():
 # a table is never matched.  The allowlist names the defaults overridden
 # that way or kept for callers outside those files, each with its reason.
 _SUITE_SEED = "run_suites dispatches every suite as SUITES[name](seed=seed)"
-_CHECKER_ARG = "invariance_verdict calls the checkers through its checks tuple"
 DEFAULT_ALLOWED = {
     **{f"appendix.py:suite_{name}(seed)": _SUITE_SEED
        for name in ("phi", "retraction", "supinf", "mollify", "rho")},
-    **{f"coefficients.py:check_{kind}_condition({param})": _CHECKER_ARG
-       for kind in ("jump", "drift", "volatility") for param in ("sampler", "tol")},
     "simulate.py:run_ensemble(first_path)": "the seeding contract's one-path regeneration, "
     "run_ensemble(..., paths=1, first_path=p), for code outside the package",
     "approx.py:SearchSpec(radius)": "SearchRadiusError.suggested_radius asks the caller "

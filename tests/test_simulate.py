@@ -12,6 +12,7 @@ Closed forms used as oracles:
 
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -82,6 +83,24 @@ class TestNoiseSpec:
     def test_eigenvalues_finite(self, lam):
         with pytest.raises(DomainError):
             NoiseSpec((1.0, lam))
+
+    @pytest.mark.parametrize(
+        "lams, message",
+        [
+            ((1.0, np.float64(2.0), -1.0), "eigenvalues[2] must be > 0, got -1.0"),
+            ((1.0, 2.0, float("nan"), 0.0), "eigenvalues[2] must be finite, got nan"),
+            ((np.float32(0.5), "1"), "eigenvalues[1] must be a number, got '1'"),
+            ((2.0, False), "eigenvalues[1] must be a number, got False"),
+        ],
+    )
+    def test_first_bad_eigenvalue_named(self, lams, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            NoiseSpec(lams)
+
+    def test_eigenvalues_held_as_plain_floats(self):
+        spec = NoiseSpec([1, np.float64(0.5), 0.25])
+        assert spec.eigenvalues == (1.0, 0.5, 0.25)
+        assert {type(lam) for lam in spec.eigenvalues} == {float}
 
     def test_seed_nonnegative(self):
         with pytest.raises(DomainError):
