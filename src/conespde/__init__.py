@@ -4,8 +4,10 @@ The package splits along the structure of the problem: ``space`` holds
 states, cones, and the metric geometry; ``semigroup`` the diagonal
 linear flow and its boundary behavior; ``coefficients`` the drift /
 volatility / jump maps and the sampled invariance checkers; ``approx``
-the regularization operators; ``simulate`` the exponential-Euler Monte
-Carlo engine; ``config`` and ``cli`` the experiment plumbing.
+the regularization operators, ``appendix`` their property suites;
+``simulate`` the exponential-Euler Monte Carlo engine, ``kernels`` its
+stepping loop; ``forks`` runs tasks in forked workers; ``errors`` the
+exception types and input rules; ``config`` and ``cli`` the plumbing.
 """
 
 from .coefficients import (

@@ -128,7 +128,8 @@ _ALL = slice(None)
 def config_field(rule, default=MISSING, **form):
     """A dataclass field that config documents hold, read by ``rule``:
     ``read_float``, ``read_int``, ``read_bool``, ``read_floats``,
-    ``map_from_config`` or a rule of the field's own.  ``form`` may give
+    ``map_from_config`` or a rule of the field's own, which also takes
+    the ``dim`` the reader was given (see ``read_fields``).  ``form`` may give
     the field's config ``key`` (its name by default); ``vector``, for a
     ``read_floats`` field of shape ``(dim,)``; ``many``, for a list of
     values; ``fill(dim, index)``, the value of a missing key unless None
@@ -154,7 +155,9 @@ def read_field(f, path: str, raw, dim: int | None = None, index: int | None = No
     rule = f.metadata["rule"]
 
     def one(path, raw):
-        return map_from_config(raw, dim, index) if rule is map_from_config else rule(path, raw)
+        if rule is map_from_config:
+            return map_from_config(raw, dim, index)
+        return rule(path, raw) if rule in _PLAIN else rule(path, raw, dim)
 
     if f.metadata.get("many"):
         return tuple(one(f"{path}[{i}]", x) for i, x in enumerate(read_list(path, raw)))
@@ -168,8 +171,10 @@ def read_fields(cls, doc, path: str, dim: int | None = None, index: int | None =
     default, else reported missing, as the entry ``path.key`` (``[i]`` for
     a list item).  A map's ``path`` is its family, whose alias drops the
     keys ``cls.aliases`` lists; a ``dim`` field, and a nested map, read on
-    ``dim`` at column ``index``.  A key no field reads raises after every
-    other fault, those of building ``cls`` included."""
+    ``dim`` at column ``index``, and a rule of a field's own reads against
+    ``dim`` (the noise eigenvalues, against the volatility column count).
+    A key no field reads raises after every other fault, those of building
+    ``cls`` included."""
     read_object(path, doc)
     dropped = getattr(cls, "aliases", {}).get(path, ())
     values = {"dim": dim} if getattr(cls.__dataclass_fields__.get("dim"), "init", False) else {}
@@ -757,29 +762,6 @@ class CoefficientSet:
         """True when every map belongs to a built-in closed-form family."""
         maps = (self.drift, *self.vol_columns, *(g for _, g in self.jump_atoms))
         return all(m.builtin for m in maps)
-
-    def to_config(self) -> dict:
-        return {
-            "drift": self.drift.to_config(),
-            "vol": [c.to_config() for c in self.vol_columns],
-            "jumps": [{"weight": w, "kernel": g.to_config()} for w, g in self.jump_atoms],
-        }
-
-    @classmethod
-    def from_config(cls, doc: dict, dim: int) -> "CoefficientSet":
-        """The set of a ``coefficients`` object; a ``vol`` map reads at its position."""
-        drift = map_from_config(read_object("", doc, "drift")["drift"], dim)
-        columns = read_list("vol", doc.get("vol", []))
-        vols = tuple(map_from_config(c, dim, index=j) for j, c in enumerate(columns))
-        atoms = []
-        for i, entry in enumerate(read_list("jumps", doc.get("jumps", []))):
-            read_object(f"jumps[{i}]", entry, "weight", "kernel")
-            weight = read_float(f"jumps[{i}].weight", entry["weight"])
-            atoms.append((weight, map_from_config(entry["kernel"], dim)))
-            check_keys(f"jumps[{i}]", entry, ("weight", "kernel"))
-        coeffs = cls(drift, vols, tuple(atoms))
-        check_keys("", doc, ("drift", "vol", "jumps"))
-        return coeffs
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,10 @@ dimensions validated up front.  A ``"preset"`` key expands to a full
 document before validation; explicit top-level sections override the
 preset's section wholesale.
 
+``from_dict`` reads the ``space``, ``semigroup`` and ``coefficients``
+sections itself and the rest through ``coefficients.read_fields``;
+``to_dict`` writes them back likewise, through ``write_fields``.
+
 The canonical form is fully materialized (presets expanded, defaults
 filled, rates and signs listed out) and serialized with sorted keys,
 so semantically identical configs hash identically.  That sha256
@@ -24,14 +28,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientSet, SamplerSpec, read_fields, write_fields
+from .coefficients import CoefficientSet, SamplerSpec, map_from_config, read_fields, write_fields
 from .errors import (
     ConfigError,
     ConeSpdeError,
     check_keys,
     read_bool,
+    read_float,
     read_floats,
     read_int,
+    read_list,
     read_object,
     require_array,
     require_int,
@@ -205,7 +211,7 @@ class ExperimentConfig:
             cone = ConeSpec.nonnegative(dim)
         elif isinstance(cone_doc, dict) and "signs" in cone_doc:
             with _reading("space.cone"):
-                cone = ConeSpec.from_config(cone_doc)
+                cone = ConeSpec(read_floats("signs", cone_doc["signs"]))
             if cone.dim != dim:
                 raise ConfigError(
                     f"space.cone: {cone.dim} signs for dimension {dim}"
@@ -217,22 +223,41 @@ class ExperimentConfig:
             )
         check_keys("space", space, ("dim", "cone"))
 
+        sg_doc = read_object("semigroup", doc["semigroup"])
         with _reading("semigroup"):
-            sg = DiagonalSemigroup.from_config(read_object("semigroup", doc["semigroup"]), dim)
+            rates = sg_doc.get("rates")
+            if isinstance(rates, str):
+                if rates != "heat":
+                    raise ConfigError(f"unknown rates rule {rates!r}")
+                # the heat rule takes the space's dimension as its own
+                sg = DiagonalSemigroup.heat(dim)
+            elif rates is None:
+                raise ConfigError("semigroup config needs a 'rates' entry")
+            else:
+                sg = DiagonalSemigroup(read_floats("rates", rates))
+            if sg.dim != dim:
+                raise ConfigError(f"semigroup dim {sg.dim} does not match space dim {dim}")
+            check_keys("", sg_doc, ("rates",))
 
         coeff_doc = read_object("coefficients", doc["coefficients"])
         with _reading("coefficients"):
-            coeffs = CoefficientSet.from_config(coeff_doc, dim)
+            drift = map_from_config(read_object("", coeff_doc, "drift")["drift"], dim)
+            # a volatility map reads at its position in the list
+            columns = read_list("vol", coeff_doc.get("vol", []))
+            vols = tuple(map_from_config(c, dim, index=j) for j, c in enumerate(columns))
+            atoms = []
+            for i, entry in enumerate(read_list("jumps", coeff_doc.get("jumps", []))):
+                read_object(f"jumps[{i}]", entry, "weight", "kernel")
+                weight = read_float(f"jumps[{i}].weight", entry["weight"])
+                atoms.append((weight, map_from_config(entry["kernel"], dim)))
+                check_keys(f"jumps[{i}]", entry, ("weight", "kernel"))
+            coeffs = CoefficientSet(drift, vols, tuple(atoms))
+            check_keys("", coeff_doc, ("drift", "vol", "jumps"))
         if coeffs.dim != dim:
             raise ConfigError(f"coefficients: maps of dimension {coeffs.dim} for dimension {dim}")
 
         with _reading("noise"):
-            noise = read_fields(NoiseSpec, doc["noise"], "noise")
-        if noise.count != len(coeffs.vol_columns):
-            raise ConfigError(
-                f"noise: {noise.count} eigenvalues for "
-                f"{len(coeffs.vol_columns)} volatility columns"
-            )
+            noise = read_fields(NoiseSpec, doc["noise"], "noise", len(vols))
 
         with _reading("sim"):
             sim_doc = dict(read_object("sim", doc["sim"]))
@@ -267,9 +292,15 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """Canonical, fully materialized document."""
         return {
-            "space": {"dim": self.dim, "cone": self.cone.to_config()},
-            "semigroup": self.semigroup.to_config(),
-            "coefficients": self.coeffs.to_config(),
+            "space": {"dim": self.dim, "cone": {"signs": self.cone.signs.tolist()}},
+            "semigroup": {"rates": self.semigroup.rates.tolist()},
+            "coefficients": {
+                "drift": self.coeffs.drift.to_config(),
+                "vol": [c.to_config() for c in self.coeffs.vol_columns],
+                "jumps": [
+                    {"weight": w, "kernel": g.to_config()} for w, g in self.coeffs.jump_atoms
+                ],
+            },
             "noise": write_fields(self.noise),
             "sim": {
                 **write_fields(self.sim),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_keys, read_floats, require_array, require_float, require_int
+from .errors import require_array, require_float, require_int
 
 __all__ = ["DiagonalSemigroup"]
 
@@ -59,24 +59,3 @@ class DiagonalSemigroup:
         """Per-coordinate factors ``exp(-c_k t)`` for ``t >= 0``."""
         require_float("time", t, ">= 0")
         return np.exp(-self.rates * t)
-
-    def to_config(self) -> dict:
-        return {"rates": [float(c) for c in self.rates]}
-
-    @classmethod
-    def from_config(cls, doc: dict, dim: int) -> "DiagonalSemigroup":
-        """The semigroup of a config section on the space of dimension
-        ``dim``, which the heat rule takes as its own."""
-        rates = doc.get("rates")
-        if isinstance(rates, str):
-            if rates != "heat":
-                raise ConfigError(f"unknown rates rule {rates!r}")
-            sg = cls.heat(dim)
-        elif rates is None:
-            raise ConfigError("semigroup config needs a 'rates' entry")
-        else:
-            sg = cls(read_floats("rates", rates))
-        if sg.dim != dim:
-            raise ConfigError(f"semigroup dim {sg.dim} does not match space dim {dim}")
-        check_keys("", doc, ("rates",))
-        return sg

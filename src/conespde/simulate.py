@@ -115,21 +115,28 @@ _NOISE_BYTES = 8 << 20  # a chunk's block of fine draws; sets memory, not result
 _SUB_BLOCK = 32  # fine steps transposed, and scaled by the kernel, at once
 
 
-def _eigenvalues(path: str, raw) -> tuple:
-    """Noise eigenvalues from a config list of numbers, or from a rule
-    object: ``{"rule": "flat", "count", "value"}`` (``value`` 1 if left
-    out) for ``NoiseSpec.flat``'s, ``{"rule": "dyadic", "count"}`` for
-    ``NoiseSpec.dyadic``'s."""
+def _eigenvalues(path: str, raw, columns: int) -> tuple:
+    """Noise eigenvalues for ``columns`` volatility columns, from a config
+    list of numbers or from a rule object: ``{"rule": "flat", "count",
+    "value"}`` (``value`` 1 if left out) for ``NoiseSpec.flat``'s,
+    ``{"rule": "dyadic", "count"}`` for ``NoiseSpec.dyadic``'s.  The list's
+    length, or the rule's ``count >= 0``, must be ``columns``; that is
+    checked before any eigenvalue is built."""
     if not isinstance(raw, dict):
-        return tuple(read_float(f"{path}[{j}]", x) for j, x in enumerate(read_list(path, raw)))
-    rule = read_object(path, raw, "rule", "count")["rule"]
-    count = read_int(f"{path}.count", raw["count"])
-    if rule == "flat":
-        spec = NoiseSpec.flat(count, read_float(f"{path}.value", raw.get("value", 1.0)))
-    elif rule == "dyadic":
-        spec = NoiseSpec.dyadic(count)
+        count = len(read_list(path, raw))
     else:
-        raise ConfigError(f"{path}.rule: unknown rule {rule!r}")
+        rule = read_object(path, raw, "rule", "count")["rule"]
+        count = read_int(f"{path}.count", raw["count"])
+        if rule == "flat":
+            value = read_float(f"{path}.value", raw.get("value", 1.0))
+        elif rule != "dyadic":
+            raise ConfigError(f"{path}.rule: unknown rule {rule!r}")
+        require_int("count", count, 0)
+    if count != columns:
+        raise ConfigError(f"{count} eigenvalues for {columns} volatility columns")
+    if not isinstance(raw, dict):
+        return tuple(read_float(f"{path}[{j}]", x) for j, x in enumerate(raw))
+    spec = NoiseSpec.flat(count, value) if rule == "flat" else NoiseSpec.dyadic(count)
     check_keys(path, raw, ("rule", "count", "value") if rule == "flat" else ("rule", "count"))
     return spec.eigenvalues
 

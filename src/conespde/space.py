@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, read_floats, require_float, require_int
+from .errors import DomainError, ShapeError, require_float, require_int
 
 __all__ = [
     "ConeSpec",
@@ -76,13 +76,6 @@ class ConeSpec:
     def constrained(self) -> np.ndarray:
         """Indices k with signs[k] != 0, in increasing order."""
         return np.flatnonzero(self.signs != 0)
-
-    def to_config(self) -> dict:
-        return {"signs": [int(s) for s in self.signs]}
-
-    @classmethod
-    def from_config(cls, doc: dict) -> "ConeSpec":
-        return cls(read_floats("signs", doc["signs"]))
 
     @classmethod
     def nonnegative(cls, dim: int) -> "ConeSpec":

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conespde import (
     ConeSpec,
+    ConfigError,
     DomainError,
     NumericError,
     SearchRadiusError,
@@ -251,6 +252,12 @@ class TestEnvelopes:
     def test_width_positive(self):
         with pytest.raises(DomainError):
             inf_convolve(ABS, 0.0, np.zeros((1, 1)), self.spec)
+
+    def test_radius_needs_a_bound_to_derive_it_from(self):
+        message = "^search radius not given and no \\(lipschitz, sup_bound\\) to derive it from$"
+        for spec in (SearchSpec(), SearchSpec(lipschitz=1.0), SearchSpec(sup_bound=1.0)):
+            with pytest.raises(ConfigError, match=message):
+                inf_convolve(ABS, 0.5, np.zeros((1, 1)), spec)
 
     def test_radius_error_reports_suggestion(self):
         # steep linear target and a window far too small to contain the
@@ -916,6 +923,14 @@ class TestStratonovich:
         assert batch.shape == (rows, 16)
         for row, got in zip(a, batch):
             assert stratonovich_correction(badvol_coeffs, row).tobytes() == got.tobytes()
+
+    def test_non_finite_difference_raises(self):
+        # a column finite at the state and NaN at every other point: each
+        # difference is NaN
+        h = np.ones(3)
+        col = CallableMap(lambda x: np.ones(3) if np.array_equal(x, h) else np.full(3, np.nan), 3)
+        with pytest.raises(NumericError, match="^non-finite finite-difference derivative$"):
+            stratonovich_correction(CoefficientSet(ZeroMap(3), (col,)), h)
 
     @pytest.mark.parametrize("shape", [(15,), (2, 15), (1, 2, 16), ()])
     def test_state_shape_checked(self, compliant_coeffs, shape):

@@ -94,6 +94,10 @@ class TestMapFamilies:
         with pytest.raises(ShapeError):
             AffineMap(np.zeros((2, 3)), np.zeros(2))
 
+    def test_ragged_vector_rejected(self):
+        with pytest.raises(ShapeError, match="^value must be a rectangular array$"):
+            ConstantMap([[1.0], [1.0, 2.0]])
+
     def test_mean_reversion(self):
         m = MeanReversionMap(2.0, np.array([1.0, 1.0]))
         np.testing.assert_allclose(m.eval_array(np.array([0.0, 3.0])), [2.0, -4.0])
@@ -638,6 +642,14 @@ BAD_MAPS = {
                  "unknown coefficient family 'fractal'"),
     "null-inner": ({"family": "projected", "level": 1, "inner": None},
                    "coefficient map config needs a 'family' key, got None"),
+    "one-knot": ({"family": "tabulated", "x": [0.0], "y": [1.0]},
+                 "a table needs at least 2 knots, got 1"),
+    "gate-out-of-range": ({"family": "gated_offset", "vector": _V3, "gate_index": 3, "low": 0,
+                           "high": 1},
+                          "gate index 3 outside 0..2"),
+    "low-above-high": ({"family": "gated_offset", "vector": _V3, "gate_index": 0, "low": 2.0,
+                        "high": 1.0},
+                       "need low <= high, got 2.0 > 1.0"),
 }
 
 # keys a family's form does not declare, each rejected by name
@@ -714,6 +726,10 @@ class TestMapConfig:
         # the config it saves
         assert {type(m) for m in ROUND_TRIP} == set(FAMILIES) - {CallableMap}
 
+    def test_callable_has_no_config_form(self):
+        with pytest.raises(ConfigError, match="^CallableMap has no config form$"):
+            CallableMap(lambda h: h, 3).to_config()
+
     def test_unknown_family(self):
         with pytest.raises(ConfigError):
             map_from_config({"family": "fractal"}, 3)
@@ -756,7 +772,12 @@ class TestCoefficientSet:
         assert default_tol(tab) == 1e-6
 
     def test_config_round_trip(self, compliant_coeffs):
-        back = CoefficientSet.from_config(compliant_coeffs.to_config(), 16)
+        # the coefficients section, which ExperimentConfig.to_dict writes
+        # and from_dict reads: the preset's own, for the set it describes
+        ec = ExperimentConfig.from_dict({"preset": "heat-positive"})
+        written = dataclasses.replace(ec, coeffs=compliant_coeffs).to_dict()
+        assert written["coefficients"] == preset_document("heat-positive")["coefficients"]
+        back = ExperimentConfig.from_dict(written).coeffs
         h = np.linspace(0.0, 1.5, 16)
         np.testing.assert_array_equal(
             back.drift.eval_array(h), compliant_coeffs.drift.eval_array(h)

@@ -211,6 +211,12 @@ SECTION_ERRORS = {
                       "noise.eigenvalues.count: missing"),
     "rule-unknown": (("noise", "eigenvalues"), {"rule": 5, "count": 8},
                      "noise.eigenvalues.rule: unknown rule 5"),
+    "cone-signs-count": (("space", "cone"), {"signs": [1, 0, -1]},
+                         "space.cone: 3 signs for dimension 16"),
+    "rates-missing": (("semigroup", "rates"), _DELETE,
+                      "semigroup: semigroup config needs a 'rates' entry"),
+    "rates-null": (("semigroup", "rates"), None,
+                   "semigroup: semigroup config needs a 'rates' entry"),
 }
 
 # noise sections with two faults, and the message each raises: the seed
@@ -223,6 +229,16 @@ NOISE_TWO_FAULTS = {
                                  "noise.seed: must be an integer, got 'x'"),
     "count-string-seed-null": ({"rule": "flat", "count": "8"}, None,
                                "noise.seed: must be an integer, got None"),
+}
+
+# noise sections whose eigenvalue count differs from the 8 volatility
+# columns and that hold another fault: the count is compared before any
+# eigenvalue is built, so it is reported first
+NOISE_COUNT_FIRST = {
+    "rule-seed-negative": ({"rule": "flat", "count": 9}, -1),
+    "rule-undeclared-key": ({"rule": "dyadic", "count": 9, "value": 1.0}, 0),
+    "rule-value-negative": ({"rule": "flat", "count": 9, "value": -1.0}, 0),
+    "list-entry-null": ([None] * 9, 0),
 }
 
 # keys that no object declares, each dropped silently before every object
@@ -358,6 +374,30 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(doc)
         assert not [n for n in names if n.startswith("eigenvalues")]
+
+    @pytest.mark.parametrize(
+        "eigenvalues, owner, name",
+        [
+            ({"rule": "flat", "count": 10**9}, NoiseSpec, "flat"),
+            ({"rule": "dyadic", "count": 10**9}, NoiseSpec, "dyadic"),
+            ([1.0] * 9, simulate, "read_float"),
+        ],
+        ids=["flat", "dyadic", "list"],
+    )
+    def test_noise_count_compared_before_any_eigenvalue(self, monkeypatch, eigenvalues, owner,
+                                                        name):
+        # neither the rule's tuple nor the list's floats may be built for a
+        # count that differs from the columns
+        def refuse(*args):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(owner, name, refuse)
+        doc = self.base()
+        doc["noise"]["eigenvalues"] = eigenvalues
+        count = 10**9 if isinstance(eigenvalues, dict) else 9
+        message = f"^noise: {count} eigenvalues for 8 volatility columns$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(doc)
 
     @pytest.mark.parametrize("vol", ["none", "preset"])
     @pytest.mark.parametrize("rule, count", [("flat", -3), ("dyadic", -1)], ids=["flat", "dyadic"])
@@ -644,6 +684,15 @@ class TestValidation:
             ExperimentConfig.from_dict(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("eigenvalues, seed", NOISE_COUNT_FIRST.values(),
+                             ids=NOISE_COUNT_FIRST.keys())
+    def test_noise_count_judged_first(self, eigenvalues, seed):
+        doc = self.base()
+        doc["noise"] = {"eigenvalues": eigenvalues, "seed": seed}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(doc)
+        assert str(exc.value) == "noise: 9 eigenvalues for 8 volatility columns"
+
     @pytest.mark.parametrize("path, value, message", UNDECLARED_KEYS.values(),
                              ids=UNDECLARED_KEYS.keys())
     def test_undeclared_key_rejected(self, path, value, message):
@@ -854,6 +903,12 @@ class TestConfigIO:
             json.dumps(_strict(doc), allow_nan=False)
         with pytest.raises(TypeError):
             _write_json(tmp_path / "out.json", doc)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_writer_rejects_a_key_that_is_not_a_string(self, tmp_path):
+        # json.dumps would write the key 1 as "1"
+        with pytest.raises(TypeError, match="^keys must be str, not int$"):
+            _write_json(tmp_path / "out.json", {"a": {1: 2.0}})
         assert list(tmp_path.iterdir()) == []
 
     def test_json_writer_failure_leaves_no_file(self, tmp_path):

@@ -14,8 +14,11 @@ from conespde import (
     ConfigError,
     DiagonalSemigroup,
     DomainError,
+    ExperimentConfig,
     cone_contains,
+    preset_document,
 )
+from conespde.config import canonical_json
 
 
 rate_lists = st.lists(
@@ -83,31 +86,46 @@ class TestConePreservation:
             assert cone_contains(K, sg.multipliers(t) * h, 0.0)
 
 
+def _load(semigroup: dict) -> ExperimentConfig:
+    """The heat-positive preset (dimension 16) with its ``semigroup``
+    section replaced, as ``ExperimentConfig.from_dict`` reads it."""
+    return ExperimentConfig.from_dict({**preset_document("heat-positive"), "semigroup": semigroup})
+
+
 class TestFromConfig:
+    # the semigroup section of a config document, which
+    # ExperimentConfig.from_dict reads and to_dict writes
+
     def test_heat_rule(self):
-        sg = DiagonalSemigroup.from_config({"rates": "heat"}, 4)
-        np.testing.assert_allclose(sg.rates, [1.0, 2.0, 3.0, 4.0])
+        ec = _load({"rates": "heat"})
+        np.testing.assert_array_equal(ec.semigroup.rates, np.arange(1.0, 17.0))
+        assert ec.to_dict()["semigroup"] == {"rates": [float(k) for k in range(1, 17)]}
 
     def test_explicit_rates(self):
-        sg = DiagonalSemigroup.from_config({"rates": [1.0, 0.5]}, 2)
-        np.testing.assert_allclose(sg.rates, [1.0, 0.5])
+        rates = [1.0, 0.5] * 8
+        np.testing.assert_array_equal(_load({"rates": rates}).semigroup.rates, rates)
 
     def test_unknown_rule(self):
-        with pytest.raises(ConfigError):
-            DiagonalSemigroup.from_config({"rates": "wave"}, 4)
+        with pytest.raises(ConfigError, match="^semigroup: unknown rates rule 'wave'$"):
+            _load({"rates": "wave"})
 
     def test_dim_mismatch(self):
-        with pytest.raises(ConfigError):
-            DiagonalSemigroup.from_config({"rates": [1.0, 2.0]}, 3)
+        message = "^semigroup: semigroup dim 2 does not match space dim 16$"
+        with pytest.raises(ConfigError, match=message):
+            _load({"rates": [1.0, 2.0]})
 
     def test_heat_dim_mismatch(self):
         # the heat rule takes the space's dimension, so a dim key is
         # refused whatever its value
-        for dim in (3, 4):
-            with pytest.raises(ConfigError, match="^dim: undeclared key$"):
-                DiagonalSemigroup.from_config({"rates": "heat", "dim": dim}, 4)
+        for dim in (3, 16):
+            with pytest.raises(ConfigError, match="^semigroup: dim: undeclared key$"):
+                _load({"rates": "heat", "dim": dim})
 
     def test_round_trip(self):
-        sg = DiagonalSemigroup(np.array([2.0, 0.25]))
-        back = DiagonalSemigroup.from_config(sg.to_config(), sg.dim)
-        np.testing.assert_array_equal(back.rates, sg.rates)
+        rates = [2.0, 0.25] * 8
+        written = _load({"rates": rates}).to_dict()
+        assert canonical_json(written["semigroup"]) == '{"rates":[%s]}' % ",".join(
+            ["2.0,0.25"] * 8
+        )
+        back = ExperimentConfig.from_dict(written)
+        np.testing.assert_array_equal(back.semigroup.rates, rates)

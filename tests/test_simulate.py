@@ -485,6 +485,14 @@ class TestDimChecks:
         with pytest.raises(ShapeError):
             run_ensemble(compliant_coeffs, heat16, NoiseSpec.flat(3), cone16, config, h0)
 
+    def test_cone_dim_must_match(self, heat16, compliant_coeffs, flat_noise8):
+        h0 = np.full(16, 1.0)
+        config = SimConfig(dt=1e-3, horizon=0.01, paths=1)
+        with pytest.raises(ShapeError, match="^cone dimension 4 != coefficients 16$"):
+            run_ensemble(
+                compliant_coeffs, heat16, flat_noise8, ConeSpec.nonnegative(4), config, h0
+            )
+
     def test_semigroup_dim_must_match(self, cone16, compliant_coeffs, flat_noise8):
         h0 = np.full(16, 1.0)
         config = SimConfig(dt=1e-3, horizon=0.01, paths=1)
@@ -784,6 +792,17 @@ class TestWorkers:
             got = forks.run(3, lambda i: i * i, lambda i: f"task {i}")
         assert got == [i * i for i in range(3)]
         assert len(issued) == 2
+
+    def test_worker_that_ends_without_a_result(self):
+        # task 1 ends its worker before anything is written to the pipe
+        def task(i):
+            if i:
+                os._exit(0)
+            return i
+
+        message = "^task 1: the worker process ended without a result$"
+        with pytest.raises(ConeSpdeError, match=message):
+            forks.run(2, task, lambda i: f"task {i}")
 
     def failing_paths(self, monkeypatch, fail):
         """The system on two CPUs, 5-path chunks, with ``_path_stream``

@@ -16,12 +16,14 @@ from conespde import (
     SimConfig,
     Witness,
     cone_contains,
+    preset_document,
     retract,
     run_ensemble,
     ssnc_estimate,
 )
 from conespde.approx import mollify
 from conespde.coefficients import AffineMap, ProjectedMap, ZeroMap
+from conespde.config import canonical_json
 from conespde.space import shift
 
 
@@ -112,9 +114,20 @@ class TestConeSpec:
         c = ConeSpec(np.array([1, 0, -1]))
         assert list(c.constrained) == [0, 2]
 
+    def test_rejects_empty_signs(self):
+        with pytest.raises(ShapeError, match="^cone signs must form a non-empty 1-d array$"):
+            ConeSpec(np.array([]))
+
     def test_config_round_trip(self):
-        c = ConeSpec(np.array([1, 0, -1]))
-        assert ConeSpec.from_config(c.to_config()).signs.tolist() == [1, 0, -1]
+        # the space.cone section, which ExperimentConfig.from_dict reads
+        # and to_dict writes, as integers
+        signs = [1, 0, -1] * 5 + [1]
+        doc = {**preset_document("heat-positive"), "space": {"dim": 16, "cone": {"signs": signs}}}
+        written = ExperimentConfig.from_dict(doc).to_dict()
+        assert canonical_json(written["space"]) == (
+            '{"cone":{"signs":[%s]},"dim":16}' % ",".join(map(str, signs))
+        )
+        assert ExperimentConfig.from_dict(written).cone.signs.tolist() == signs
 
 
 # ---------------------------------------------------------------- retract
