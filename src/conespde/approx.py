@@ -572,6 +572,7 @@ def _column_derivative(col: CoefficientMap, rows: np.ndarray, delta: np.ndarray,
     return (hi - lo) / (2.0 * delta)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def stratonovich_correction(coeffs: CoefficientSet, a: np.ndarray) -> np.ndarray:
     """Noise-induced drift ``(1/2) sum_j D vol_j(h) vol_j(h)`` at one
     state ``(N,)`` or at each row of a batch ``(M, N)``; the result has
@@ -582,7 +583,8 @@ def stratonovich_correction(coeffs: CoefficientSet, a: np.ndarray) -> np.ndarray
     ``1e-5 / max(1, ||vol_j(h)||)`` combined with the half-step value
     by Richardson extrapolation.  A row's step comes from
     ``np.linalg.norm`` of that row alone, so row ``i`` is bitwise the
-    value at ``a[i]`` by itself.
+    value at ``a[i]`` by itself.  A column value or derivative past the
+    float range raises ``NumericError``.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] != coeffs.dim:

@@ -206,8 +206,13 @@ class ExperimentConfig:
         with _reading("space"):
             dim = read_int("space.dim", space["dim"])
             require_int("dim", dim, 1)
+        # the initial state meets dim before any array of dim entries is built
+        with _reading("initial"):
+            h0 = require_array("initial", read_floats("initial", doc["initial"]), ("N",))
+        if h0.shape[0] != dim:
+            raise ConfigError(f"initial: {h0.shape[0]} coordinates for dimension {dim}")
         cone_doc = space["cone"]
-        if cone_doc == "nonnegative":
+        if isinstance(cone_doc, str) and cone_doc == "nonnegative":
             cone = ConeSpec.nonnegative(dim)
         elif isinstance(cone_doc, dict) and "signs" in cone_doc:
             with _reading("space.cone"):
@@ -272,11 +277,6 @@ class ExperimentConfig:
         with _reading("checker"):
             chk = doc.get("checker")
             sampler = read_fields(SamplerSpec, {} if chk is None else chk, "checker")
-
-        with _reading("initial"):
-            h0 = require_array("initial", read_floats("initial", doc["initial"]), ("N",))
-        if h0.shape[0] != dim:
-            raise ConfigError(f"initial: {h0.shape[0]} coordinates for dimension {dim}")
 
         check_keys("", doc, (*_SECTIONS, "checker"))
         return cls(

@@ -154,11 +154,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         # finite, too: the kernel skips 0 * sqrt(lam dt) xi off a column's
-        # support, which is not 0 when lam is infinite; a plain float in
-        # range, as config documents give it, needs no further check
+        # support, which is not 0 when lam is infinite
         for j, lam in enumerate(self.eigenvalues):
-            if type(lam) is not float or not 0.0 < lam < math.inf:
-                require_float(f"eigenvalues[{j}]", lam, "> 0")
+            require_float(f"eigenvalues[{j}]", lam, "> 0")
         # plain floats, as config documents write them
         object.__setattr__(self, "eigenvalues", tuple(map(float, self.eigenvalues)))
         require_int("seed", self.seed, 0)
@@ -197,7 +195,8 @@ class SimConfig:
             require_float(name, getattr(self, name), "> 0")
         require_float("exit_tol", self.exit_tol, ">= 0")
         require_int("paths", self.paths, 1)
-        s = round(self.horizon / self.dt)
+        ratio = self.horizon / self.dt  # inf when the steps overflow a float
+        s = round(ratio) if ratio < math.inf else 0
         if s < 1 or abs(s * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
             raise ConfigError(
                 f"horizon {self.horizon} is not an integer number of steps of dt {self.dt}"
@@ -357,13 +356,15 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
     sub-block through its fine draws, every lane on each sub-block before
     the next.  The paths are split into ``_slices``, and ``forks.run``
     runs the serial engine on the first here and on each other in a
-    forked worker; every path's results are the same bytes whatever the
-    split.  The lanes' sets share their jump weights, which set the
-    counts' distribution.
+    forked worker.  Each slice returns its paths' results, and the
+    slices' results, joined in slice order, make each lane's ensemble;
+    every path's results are the same bytes whatever the split.  The
+    lanes' sets share their jump weights, which set the counts'
+    distribution.
 
     ``sup_sq``, when not None, is an ``(L - 1, P)`` array for lanes of
     factor 1: each lane records its rows a sub-block at a time, and row
-    ``l`` of ``sup_sq`` is raised, path by path, to the largest squared
+    ``l`` of ``sup_sq`` is filled, path by path, with the largest squared
     distance between lane 0's rows and lane ``l + 1``'s."""
     dim = lanes[0][0].dim
     h0 = require_array("h0", h0, (dim,))
@@ -388,36 +389,19 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
     unit = math.lcm(*factors)
     rows_width = 0 if sup_sq is None else dim * len(lanes)
 
-    seeds = np.zeros(P, dtype=np.uint64)
-    out = [
-        PathEnsemble(
-            final=np.zeros((P, dim)),
-            min_margin=np.zeros(P),
-            first_exit=np.zeros(P, dtype=np.int64),
-            diverged=np.zeros(P, dtype=np.int64),
-            seeds=seeds,
-            dt=cfg.dt,
-            steps=cfg.steps,
-        )
-        for cfg in levels
-    ]
-
-    # every per-path output, path axis first
-    rows = [seeds, *(a for e in out for a in (e.final, e.min_margin, e.first_exit, e.diverged))]
-    if sup_sq is not None:
-        rows.append(sup_sq.T)
-
     def serial(lo, hi):
         """The serial engine: step paths ``lo..hi - 1`` of the run, chunk
-        by chunk, into their rows of ``out``, ``seeds`` and ``sup_sq``,
-        and return those rows of every array in ``rows``."""
+        by chunk, and return their results, each joined over the chunks
+        with the path axis first: the seeds, the ``(hi - lo, L - 1)``
+        distances (``(hi - lo, 0)`` without ``sup_sq``), and each lane's
+        final states, minimum margins, first exits and divergence steps."""
+        chunks = []
         for c0 in range(lo, hi, _CHUNK):
-            c1 = min(c0 + _CHUNK, hi)
-            n = c1 - c0
-            streams = []
-            for k in range(n):
-                p = first_path + c0 + k
-                rng, seeds[c0 + k] = _path_stream(noise.seed, p)
+            n = min(c0 + _CHUNK, hi) - c0
+            seeds, streams = [], []
+            for p in range(first_path + c0, first_path + c0 + n):
+                rng, label = _path_stream(noise.seed, p)
+                seeds.append(label)
                 streams.append((rng, _count_stream(noise.seed, p) if M else None))
             r0 = np.broadcast_to(h0, (n, dim))
             B = _block_steps(n, J + M + rows_width, unit)
@@ -427,6 +411,7 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
                 KernelState.start(plan, r0, np.zeros((n, min(T, S), dim)) if rows_width else None)
                 for plan in plans
             ]
+            sup = np.zeros((0 if sup_sq is None else len(sup_sq), n))
             normals = np.zeros((n, min(B, S), J))
             counts = np.zeros((n, min(B, S), M), dtype=np.int64)
             for s0 in range(0, S, B):
@@ -441,30 +426,31 @@ def _simulate(lanes, semigroup, noise, cone, config, h0, first_path, sup_sq):
                     for f, plan, state in zip(factors, plans, states):
                         step(plan, state, *_coarsen(*fine, f))
                     if rows_width:
-                        _fold_distances(sup_sq[:, c0:c1], states, t)
-            for e, state in zip(out, states):
-                e.final[c0:c1] = state.r
-                e.min_margin[c0:c1] = state.runmin
-                e.first_exit[c0:c1] = state.first_exit
-                e.diverged[c0:c1] = state.diverged
+                        _fold_distances(sup, states, t)
+            out = [np.array(seeds, dtype=np.uint64), sup.T]
+            for e in states:
+                # C-ordered final states: e.r is a view of the (N, P) rows
+                out += [np.ascontiguousarray(e.r), e.runmin, e.first_exit, e.diverged]
+            chunks.append(out)
             # Release this chunk's blocks and generators before the next
             # chunk makes its own, so peak memory holds one chunk, not two.
             del normals, counts, states, streams
-        return [a[lo:hi] for a in rows]
+        return [np.concatenate(a) for a in zip(*chunks)]
 
-    # the first slice here, each other in a forked worker; a forked
-    # slice's rows are copied into place (a slice stepped here is
-    # assigned to itself, which NumPy skips)
+    # the first slice here, each other in a forked worker
     slices = _slices(P)
     parts = forks.run(
         len(slices),
         lambda i: serial(*slices[i]),
         lambda i: f"paths {slices[i][0]}..{slices[i][1] - 1}",
     )
-    for (lo, hi), part in zip(slices, parts):
-        for a, got in zip(rows, part):
-            a[lo:hi] = got
-    return out
+    seeds, distances, *results = (np.concatenate(a) for a in zip(*parts))
+    if sup_sq is not None:
+        sup_sq[...] = distances.T
+    return [
+        PathEnsemble(*results[4 * i:4 * i + 4], seeds=seeds, dt=cfg.dt, steps=cfg.steps)
+        for i, cfg in enumerate(levels)
+    ]
 
 
 def _slices(paths: int) -> list[tuple[int, int]]:
@@ -574,4 +560,8 @@ def ssnc_estimate(
         raise DomainError("state must lie in the cone")
     vec = require_array("sigma", sigma, h.shape)
     on_face = (cone.signs != 0) & (cone.signs * h <= 0.0)
-    return float(np.linalg.norm(np.maximum(-cone.signs[on_face] * vec[on_face], 0.0)))
+    push = np.maximum(-cone.signs[on_face] * vec[on_face], 0.0)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(push)
+        # squares past the float range: divide by the largest entry first
+        return float(norm if norm < math.inf else push.max() * np.linalg.norm(push / push.max()))

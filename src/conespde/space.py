@@ -96,12 +96,19 @@ def retract(a: np.ndarray, n: float) -> np.ndarray:
     product of the rows with themselves.  Every row is then summed in
     the same order whatever the batch's size or memory layout, so row
     ``i`` of a batch result equals the result at ``a[i]`` bit for bit;
-    ``np.linalg.norm`` along an axis does not keep that.
+    ``np.linalg.norm`` along an axis does not keep that.  A row whose
+    squares overflow is divided by its largest entry first.
     """
     require_float("retraction radius", n, "> 0")
     a = np.asarray(a, dtype=np.float64)
-    norm = np.sqrt(np.add.reduce(np.multiply(a, a, order="C"), axis=-1, keepdims=True))
-    return a * (n / np.maximum(norm, n))
+    top = 1.0
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.add.reduce(np.multiply(a, a, order="C"), axis=-1, keepdims=True))
+        if np.isinf(norm).any():
+            top = np.where(np.isinf(norm), np.abs(a).max(axis=-1, keepdims=True), 1.0)
+            unit = a / top
+            norm = np.sqrt(np.add.reduce(np.multiply(unit, unit, order="C"), axis=-1, keepdims=True))
+    return a * (n / top / np.maximum(norm, n / top))
 
 
 def phi_eps(x, eps: float):

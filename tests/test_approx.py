@@ -932,6 +932,13 @@ class TestStratonovich:
         with pytest.raises(NumericError, match="^non-finite finite-difference derivative$"):
             stratonovich_correction(CoefficientSet(ZeroMap(3), (col,)), h)
 
+    def test_column_past_the_float_range_raises(self):
+        # the column's squared norm and its difference quotient overflow:
+        # the module's error, not a floating-point warning
+        col = ProportionalMap(1e300, 0, 3)
+        with pytest.raises(NumericError, match="^non-finite finite-difference derivative$"):
+            stratonovich_correction(CoefficientSet(ZeroMap(3), (col,)), np.ones(3))
+
     @pytest.mark.parametrize("shape", [(15,), (2, 15), (1, 2, 16), ()])
     def test_state_shape_checked(self, compliant_coeffs, shape):
         with pytest.raises(ShapeError):

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conespde import ConfigError, NoiseSpec, appendix, simulate
+from conespde import ConeSpec, ConfigError, DiagonalSemigroup, NoiseSpec, appendix, simulate
 from conespde.cli import (
     EXIT_QUIET_THRESHOLD,
     SWEEP_FACTORS,
@@ -217,6 +217,14 @@ SECTION_ERRORS = {
                       "semigroup: semigroup config needs a 'rates' entry"),
     "rates-null": (("semigroup", "rates"), None,
                    "semigroup: semigroup config needs a 'rates' entry"),
+    "cone-sign-array": (("space", "cone"), np.ones(16, dtype=np.int8),
+                        "space.cone: expected 'nonnegative' or an object with 'signs'"),
+    "cone-name-array": (("space", "cone"), np.array(["nonnegative"]),
+                        "space.cone: expected 'nonnegative' or an object with 'signs'"),
+    "initial-nested": (("initial",), [[0.0] * 16],
+                       "initial: initial must have shape (N,) and no empty axis, got (1, 16)"),
+    "steps-overflow": (("sim", "dt"), 1e-320,
+                       "sim: horizon 1.0 is not an integer number of steps of dt 1e-320"),
 }
 
 # noise sections with two faults, and the message each raises: the seed
@@ -239,6 +247,17 @@ NOISE_COUNT_FIRST = {
     "rule-undeclared-key": ({"rule": "dyadic", "count": 9, "value": 1.0}, 0),
     "rule-value-negative": ({"rule": "flat", "count": 9, "value": -1.0}, 0),
     "list-entry-null": ([None] * 9, 0),
+}
+
+# one more fault beside 3 initial coordinates for the 16 of space.dim: the
+# initial state is compared with dim right after dim is read, so it is
+# reported first
+INITIAL_FIRST = {
+    "cone-unknown": (("space", "cone"), "positive"),
+    "space-undeclared-key": (("space", "dmi"), 16),
+    "rates-unknown": (("semigroup", "rates"), "cold"),
+    "noise-seed-negative": (("noise", "seed"), -1),
+    "dt-null": (("sim", "dt"), None),
 }
 
 # keys that no object declares, each dropped silently before every object
@@ -398,6 +417,30 @@ class TestValidation:
         message = f"^noise: {count} eigenvalues for 8 volatility columns$"
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("path, value", INITIAL_FIRST.values(), ids=INITIAL_FIRST.keys())
+    def test_initial_judged_first(self, path, value):
+        doc = self.base()
+        self._set(doc, path, value)
+        doc["initial"] = [0.0] * 3
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(doc)
+        assert str(exc.value) == "initial: 3 coordinates for dimension 16"
+
+    @pytest.mark.parametrize("dim", [10**7, 10**9])
+    def test_initial_compared_before_any_dim_array(self, monkeypatch, dim):
+        # neither the cone nor the heat rates may be built from a dim the
+        # initial state contradicts
+        def refuse(*args):
+            raise AssertionError("an array of dim entries was built")
+
+        monkeypatch.setattr(ConeSpec, "nonnegative", refuse)
+        monkeypatch.setattr(DiagonalSemigroup, "heat", refuse)
+        doc = self.base()
+        doc["space"]["dim"] = dim
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(doc)
+        assert str(exc.value) == f"initial: 16 coordinates for dimension {dim}"
 
     @pytest.mark.parametrize("vol", ["none", "preset"])
     @pytest.mark.parametrize("rule, count", [("flat", -3), ("dyadic", -1)], ids=["flat", "dyadic"])

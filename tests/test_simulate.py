@@ -132,6 +132,12 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             SimConfig(dt=0.3, horizon=1.0, paths=1)
 
+    @pytest.mark.parametrize("dt, horizon", [(1e-320, 1.0), (1e-300, 1e300)])
+    def test_steps_past_the_float_range_rejected(self, dt, horizon):
+        message = f"horizon {horizon} is not an integer number of steps of dt {dt}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SimConfig(dt=dt, horizon=horizon, paths=1)
+
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             SimConfig(dt=0.0, horizon=1.0, paths=1)
@@ -724,9 +730,13 @@ class TestWorkers:
         # 37 paths in eight 5-path chunks, a jump atom and a set some of
         # whose paths diverge: run, sweep and stability distances are the
         # serial engine's bytes whatever the slices, also when a worker
-        # cannot be started and this process steps its slice
+        # cannot be started and this process steps its slice; in one slice
+        # and in several, every array has its dtype, shape and C order
         sg, K, noise, config, h0, limit, volatile, seq = jumpy_system()
         monkeypatch.setattr(simulate, "_CHUNK", 5)
+        P = config.paths
+        layout = [(np.float64, (P, 3)), (np.float64, (P,)), (np.int64, (P,)), (np.int64, (P,)),
+                  (np.uint64, (P,))]
 
         def outputs():
             runs = [
@@ -735,7 +745,10 @@ class TestWorkers:
             ]
             sup = [res.per_path for res in stability_experiment(sg, limit, seq, noise, K, config, h0)]
             fields = ("final", "min_margin", "first_exit", "diverged", "seeds")
-            return [getattr(e, name).tobytes() for e in runs for name in fields], sup, runs
+            arrays = [getattr(e, name) for e in runs for name in fields]
+            assert [(a.dtype, a.shape) for a in arrays + sup] == layout * 4 + layout[1:2] * 3
+            assert all(a.flags.c_contiguous for a in arrays + sup)
+            return [a.tobytes() for a in arrays], sup, runs
 
         self.use_cpus(monkeypatch, 1)
         ref, sup_ref, runs = outputs()
@@ -993,6 +1006,12 @@ class TestSsncEstimate:
         outward = np.zeros(16)
         outward[1] = -1.0
         assert ssnc_estimate(heat16, outward, cone16, h) == 1.0
+
+    def test_outward_push_past_the_float_range(self):
+        # the squares of 1e200 overflow; the liminf, sqrt(2) 1e200, does not
+        got = ssnc_estimate(DiagonalSemigroup.heat(2), np.full(2, -1e200), ConeSpec.nonnegative(2),
+                            np.zeros(2))
+        assert got == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_closed_form_at_face_points(self, seed):

@@ -151,6 +151,15 @@ class TestRetract:
         with pytest.raises(DomainError):
             retract(np.array([1.0]), 0.0)
 
+    def test_row_whose_squares_overflow(self):
+        # 1e200 squared overflows: the row is divided by its largest entry
+        # first, and each row of a batch is still the row alone
+        assert retract(np.array([1e200, 0.0]), 2.0).tolist() == [2.0, 0.0]
+        rows = np.array([[3.0, 4.0], [1e200, -1e200], [0.3, 0.4]])
+        got = retract(rows, 2.0)
+        assert [r.tobytes() for r in got] == [retract(r, 2.0).tobytes() for r in rows]
+        assert np.linalg.norm(got[1]) == pytest.approx(2.0, rel=1e-15)
+
     @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf])
     def test_radius_finite(self, n):
         with pytest.raises(DomainError, match="radius"):
